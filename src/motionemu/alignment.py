@@ -146,41 +146,72 @@ def _interp_rows(values, pos):
     return (1.0 - w) * values[idx] + w * values[idx + 1]
 
 
+# Rows of the first operand per block in _pair_norms: a block's (rows, q, D)
+# difference buffer stays cache-sized instead of spanning all p rows.
+NORM_BLOCK_ROWS = 8
+
+
 def _pair_norms(a, b):
-    """Norms ||a_i - b_j|| for all row pairs of (p, D) a and (q, D) b."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    """Norms ||a_i - b_j|| for all row pairs of (p, D) a and (q, D) b.
+
+    Differences are squared in one reused (NORM_BLOCK_ROWS, q, D) buffer and
+    summed over the contiguous last axis, so every norm has the same bits
+    as ``np.sqrt(((a[:, None] - b[None]) ** 2).sum(-1))``."""
+    p, q = a.shape[0], b.shape[0]
+    out = np.empty((p, q))
+    buf = np.empty((min(NORM_BLOCK_ROWS, p), q, a.shape[1]))
+    for lo in range(0, p, NORM_BLOCK_ROWS):
+        hi = min(lo + NORM_BLOCK_ROWS, p)
+        diff = buf[:hi - lo]
+        np.subtract(a[lo:hi, None, :], b[None, :, :], out=diff)
+        np.multiply(diff, diff, out=diff)
+        diff.sum(axis=-1, out=out[lo:hi])
+    return np.sqrt(out, out=out)
 
 
 def _edge_tables(v1, v2, dt):
     """Per-step tables C[s][i, j]: cost of entering lattice cell (i, j)
     with step DP_STEPS[s].  Each edge integrates the pointwise norm gap
     between the warped first field and the second by the trapezoid rule
-    on the target grid."""
+    on the target grid.
+
+    Term k of step (di, dj) compares sqrt(di/dj) times the first field,
+    shifted by di*k/dj rows, with the second field shifted by k rows.  The
+    integer parts of both shifts only offset rows and columns, so a term
+    is a slice of one norm table per (step, fractional shift).  The two
+    trapezoid ends k = 0 and k = dj both have fraction zero, which leaves
+    13 distinct tables for the 20 terms of DP_STEPS.  Sliced entries are
+    computed from the same rows as dp_edge_cost's, so they match it
+    bitwise."""
     n = v1.shape[0]
     tables = []
     for di, dj in DP_STEPS:
+        table = np.full((n, n), np.inf)
+        tables.append(table)
+        if max(di, dj) >= n:
+            continue  # no lattice cell can be entered with this step
         root = np.sqrt(di / dj)
+        norms = {}
         total = np.zeros((n - di, n - dj))
         for k in range(dj + 1):
             c = di * k / dj
             base = int(np.floor(c))
             frac = c - base
-            if frac > 0:
-                a = (1.0 - frac) * v1[base:base + (n - di)] + frac * v1[base + 1:base + 1 + (n - di)]
-            else:
-                a = v1[base:base + (n - di)]
+            if frac not in norms:
+                a = (1.0 - frac) * v1[:-1] + frac * v1[1:] if frac > 0 else v1
+                norms[frac] = _pair_norms(root * a, v2)
             weight = 0.5 if k in (0, dj) else 1.0
-            total += weight * _pair_norms(root * a, v2[k:k + (n - dj)])
-        table = np.full((n, n), np.inf)
+            total += weight * norms[frac][base:base + (n - di), k:k + (n - dj)]
         table[di:, dj:] = dt * total
-        tables.append(table)
     return tables
 
 
 def dp_edge_cost(v1, v2, dt, start, end):
-    """Cost of one lattice edge from start=(i0, j0) to end=(i, j); used by
-    both the dynamic program and exhaustive search oracles."""
+    """Cost of one lattice edge from start=(i0, j0) to end=(i, j).
+
+    The dynamic program reads edge costs from _edge_tables instead; this
+    per-edge form is the reference those tables must equal bitwise, and
+    the cost exhaustive path enumeration sums."""
     i0, j0 = start
     i, j = end
     di, dj = i - i0, j - j0

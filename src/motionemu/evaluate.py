@@ -234,8 +234,10 @@ def quantize(seq, model: ClusterModel):
         raise DimensionMismatch(
             f"sequence bones {seq.shape[1:]} do not match modes {model.modes.shape[1:]}")
     dots = np.clip(np.einsum("tkd,mkd->tmk", seq, model.modes), -1.0, 1.0)
-    dists = np.arccos(dots).sum(axis=2)
-    return np.argmin(dists, axis=1) + 1
+    ang = np.arccos(dots)
+    # bitwise-equal bones are at distance zero despite arccos rounding
+    ang[np.all(seq[:, None] == model.modes[None], axis=-1)] = 0.0
+    return np.argmin(ang.sum(axis=2), axis=1) + 1
 
 
 def variability(labels, reference_labels) -> float:

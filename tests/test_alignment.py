@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from motionemu import geometry as geo
 from motionemu.alignment import (
     DP_STEPS,
+    NORM_BLOCK_ROWS,
     TSRVFField,
+    _edge_tables,
+    _pair_norms,
     align_all,
     check_warp,
     dp_edge_cost,
@@ -223,13 +228,42 @@ def brute_force_warp_cost(v1, v2, dt):
 
 def test_dp_matches_exhaustive_search_on_short_sequences():
     rng = np.random.default_rng(7)
-    for t in (4, 6, 8):
+    for t in (3, 4, 6, 8):
         ts = np.linspace(0.0, 1.0, t)
         h1 = tsrvf(smooth_seq(ts, a=1.0 + rng.random(), b=0.7, c=0.2), REF)
         h2 = tsrvf(smooth_seq(ts, a=0.6, b=1.2, c=0.4, phase=0.3), REF)
         _, cost = optimal_warp(h1, h2)
         brute = brute_force_warp_cost(h1.values, h2.values, h1.dt)
         np.testing.assert_allclose(cost, brute, rtol=0, atol=1e-12)
+
+
+def test_edge_tables_equal_dp_edge_cost_bitwise():
+    # D >= 8 takes numpy's unrolled pairwise sum; 39 interpolated rows are
+    # not a multiple of the row block
+    rng = np.random.default_rng(11)
+    n, dt = 40, 1.0 / 40
+    v1 = rng.standard_normal((n, 40))
+    v2 = rng.standard_normal((n, 40))
+    tables = _edge_tables(v1, v2, dt)
+    for (di, dj), table in zip(DP_STEPS, tables):
+        assert np.all(np.isinf(table[:di])) and np.all(np.isinf(table[:, :dj]))
+        for i in range(di, n):
+            for j in range(dj, n):
+                edge = dp_edge_cost(v1, v2, dt, (i - di, j - dj), (i, j))
+                assert table[i, j] == edge, ((di, dj), i, j, table[i, j], edge)
+
+
+@given(p=st.sampled_from([1, NORM_BLOCK_ROWS - 1, NORM_BLOCK_ROWS, NORM_BLOCK_ROWS + 1,
+                          3 * NORM_BLOCK_ROWS + 1]),
+       q=st.integers(1, 40), d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]))
+def test_pair_norms_blocked_equals_direct_formula_bitwise(p, q, d, seed, scale):
+    rng = np.random.default_rng(seed)
+    a = scale * rng.standard_normal((p, d))
+    b = scale * rng.standard_normal((q, d))
+    b[: min(p, q)] = a[: min(p, q)]
+    direct = np.sqrt(((a[:, None] - b[None]) ** 2).sum(-1))
+    assert _pair_norms(a, b).tobytes() == direct.tobytes()
 
 
 def test_dp_edge_cost_rejects_inadmissible_step():

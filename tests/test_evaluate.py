@@ -299,6 +299,27 @@ def test_quantize_tie_keeps_lower_index():
     assert np.array_equal(quantize(seq, model), np.array([2]))
 
 
+def test_quantize_bitwise_equal_mode_beats_arccos_rounding_tie():
+    # a frame equal to mode 2 whose self-dot rounds below 1, beside a mode 1
+    # one ulp away whose dot with the frame rounds to the same value: arccos
+    # alone puts both modes at the same distance and picks mode 1
+    rng = np.random.default_rng(19)
+    for _ in range(10000):
+        frame = unit(rng.normal(size=(1, 1, 3)))
+        near = frame.copy()
+        near[0, 0, 0] = np.nextafter(near[0, 0, 0], np.inf)
+        dots = np.einsum("tkd,mkd->tmk", frame, np.concatenate([near, frame]))
+        if dots[0, 1, 0] < 1.0 and dots[0, 0, 0] == dots[0, 1, 0]:
+            break
+    else:
+        pytest.fail("no frame with a rounding tie found")
+    model = ClusterModel(modes=np.concatenate([near, frame]), medoid_indices=np.arange(2),
+                         objective=0.0)
+    assert np.array_equal(quantize(frame, model), np.array([2]))
+    # the distance cluster_postures uses keeps the two modes apart too
+    assert posture_distance_matrix(np.concatenate([near, frame]))[0, 1] > 0.0
+
+
 def test_quantize_matches_scan_oracle_and_is_idempotent():
     rng = np.random.default_rng(17)
     modes = unit(rng.normal(size=(5, 2, 3)))
