@@ -16,6 +16,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import BadTarget, DimensionMismatch, ReferenceMismatch
+from .flatten import shooting_vectors, transported_velocities  # noqa: F401  (re-exported)
 
 # Lattice steps (di, dj) the warp search may take; slopes stay in [1/3, 3].
 DP_STEPS = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
@@ -51,15 +52,6 @@ def check_warp(gamma):
     return gamma
 
 
-def shooting_vectors(seq):
-    """Discrete velocities: log of each frame at its predecessor, scaled
-    by 1/dt.  Returns shape (T-1, n-1, 3)."""
-    seq = np.asarray(seq, dtype=float)
-    if seq.ndim != 3 or seq.shape[0] < 2:
-        raise DimensionMismatch(f"expected (T, n-1, 3) with T >= 2, got {seq.shape}")
-    return geo.posture_log(seq[:-1], seq[1:]) * float(seq.shape[0] - 1)
-
-
 def tsrvf(seq, reference) -> TSRVFField:
     """Transported square-root velocity field of a sequence.
 
@@ -71,8 +63,7 @@ def tsrvf(seq, reference) -> TSRVFField:
     """
     seq = np.asarray(seq, dtype=float)
     reference = np.asarray(reference, dtype=float)
-    v = shooting_vectors(seq)
-    moved = geo.posture_transport(seq[:-1], reference, v)
+    moved = transported_velocities(seq, reference)
     norms = geo.tangent_norm(moved)
     scale = np.where(norms < ZERO_VELOCITY, 0.0, 1.0 / np.sqrt(np.where(norms < ZERO_VELOCITY, 1.0, norms)))
     coords = geo.tangent_coords(reference, moved * scale[:, None, None])

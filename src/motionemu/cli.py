@@ -123,9 +123,7 @@ def _manifest(outdir, command, config, inputs, artifacts):
 def _cell(value):
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     return mio.fmt(value)
 
@@ -233,65 +231,17 @@ def cmd_reduce(args):
     src = _resolve(args.input)
     fields = mio.read_flatfields(src)
     red_path = os.path.join(out, "reduction.txt")
-    if args.method == "mpca":
-        if args.d1 is None or args.d2 is None:
-            raise BadTarget("mpca needs explicit --d1 and --d2")
-        model = dimred.mpca_fit(fields, d1=args.d1, d2=args.d2)
-        save_reduction(red_path, mpca=model)
-        share = model.captured[-1] / model.total_variance
-        print(f"reduce: mpca {args.d1}x{args.d2}, captured {share:.4f}, "
-              f"converged {model.converged}")
-    else:
-        spatial = dimred.spatial_pca_fit(fields, n_components=args.d1,
-                                         var_threshold=args.var1)
-        if args.method == "seqpca":
-            scores = [dimred.spatial_project(f, spatial) for f in fields]
-            fbasis = dimred.fpca_fit(scores, dt=fields[0].dt,
-                                     n_components=args.d2, var_threshold=args.var2)
-            save_reduction(red_path, spatial=spatial, fpca=fbasis)
-            print(f"reduce: seqpca d1={spatial.dim} d2={fbasis.dims[1]}")
-        else:
-            save_reduction(red_path, spatial=spatial)
-            print(f"reduce: spatialpca d1={spatial.dim}")
+    spatial, fpca = dimred.reduce_fields(fields, args.method == "seqpca", args.d1, args.d2,
+                                         args.var1, args.var2)
+    save_reduction(red_path, spatial, fpca)
+    d2 = "" if fpca is None else f" d2={fpca.dims[1]}"
+    print(f"reduce: {args.method} d1={spatial.dim}{d2}")
     config = {"input": os.path.basename(src), "method": args.method,
               "d1": args.d1 if args.d1 is not None else -1,
               "d2": args.d2 if args.d2 is not None else -1,
               "var1": args.var1, "var2": args.var2}
     _manifest(out, "reduce", config, [src], [red_path])
     return 0
-
-
-def _fit_from_artifacts(fields, spatial, fpca, kind, model_type, args):
-    if fields[0].kind != kind:
-        raise KindMismatch(f"fields are {fields[0].kind!r}, scheme wants {kind!r}")
-    if spatial is None:
-        raise KindMismatch("reduction document lacks a spatial basis")
-    scores = [dimred.spatial_project(f, spatial) for f in fields]
-    starts = np.stack([f.start for f in fields])
-    if args.start_policy == "training-mean":
-        start_postures = geo.karcher_mean(starts)[None]
-    else:
-        start_postures = starts
-    cols = fields[0].values.shape[1]
-    t = cols + 1 if kind in flatten.VELOCITY_KINDS else cols
-    reference = fields[0].reference
-    if model_type == "var":
-        if not 0 <= args.var_index < len(fields):
-            raise BadTarget(f"var_index {args.var_index} out of range")
-        model = models.fit_var(scores[args.var_index], order=args.order)
-        return models.EmulatorBundle(
-            kind=kind, model_type="var", model=model, length=t, reference=reference,
-            spatial=spatial, start_policy=args.start_policy, start_postures=start_postures,
-            var_init=scores[args.var_index][:, :args.order].copy(),
-            meta={"count": len(fields), "var_index": args.var_index})
-    if fpca is None:
-        raise KindMismatch("reduction document lacks a functional basis")
-    coeffs = [dimred.fpca_project(h, fpca) for h in scores]
-    model = models.fit_mvg(coeffs) if model_type == "mvg" else models.fit_ig(coeffs)
-    return models.EmulatorBundle(
-        kind=kind, model_type=model_type, model=model, length=t, reference=reference,
-        spatial=spatial, fpca=fpca, start_policy=args.start_policy,
-        start_postures=start_postures, meta={"count": len(fields)})
 
 
 def cmd_fit(args):
@@ -313,8 +263,11 @@ def cmd_fit(args):
         red_src = _resolve(args.reduction)
         inputs.extend([fields_src, red_src])
         fields = mio.read_flatfields(fields_src)
-        spatial, fpca, _ = load_reduction(red_src)
-        bundle = _fit_from_artifacts(fields, spatial, fpca, kind, model_type, args)
+        spatial, fpca = load_reduction(red_src)
+        if fields[0].kind != kind:
+            raise KindMismatch(f"fields are {fields[0].kind!r}, scheme wants {kind!r}")
+        bundle = models.fit_bundle(fields, spatial, fpca, model_type, args.order,
+                                   args.var_index, args.start_policy)
     bundle_path = os.path.join(out, "bundle.txt")
     save_bundle(bundle_path, bundle)
     config = {"scheme": args.scheme.lower(), "order": args.order,
@@ -475,16 +428,9 @@ def _eval_qq(args, out):
 
 
 def cmd_eval(args):
-    out = _out_dir(args)
-    if args.eval_cmd == "two-sample":
-        return _eval_two_sample(args, out)
-    if args.eval_cmd == "quantize":
-        return _eval_quantize(args, out)
-    if args.eval_cmd == "roughness":
-        return _eval_roughness(args, out)
-    if args.eval_cmd == "mds":
-        return _eval_mds(args, out)
-    return _eval_qq(args, out)
+    handlers = {"two-sample": _eval_two_sample, "quantize": _eval_quantize,
+                "roughness": _eval_roughness, "mds": _eval_mds, "qq": _eval_qq}
+    return handlers[args.eval_cmd](args, _out_dir(args))
 
 
 def _run(argv):
@@ -690,7 +636,7 @@ def build_parser():
 
     p = sub.add_parser("reduce", help="fit dimension reductions on fields")
     p.add_argument("--input", required=True)
-    p.add_argument("--method", default="seqpca", choices=("seqpca", "spatialpca", "mpca"))
+    p.add_argument("--method", default="seqpca", choices=("seqpca", "spatialpca"))
     p.add_argument("--d1", type=int, default=None)
     p.add_argument("--d2", type=int, default=None)
     p.add_argument("--var1", type=float, default=0.9)
@@ -794,11 +740,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MotionError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (MotionError, OSError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

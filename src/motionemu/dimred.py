@@ -201,6 +201,20 @@ def fpca_reconstruct(coeffs, basis: FPCABasis):
     return basis.means + np.einsum("ij,ilj->il", coeffs, basis.bases)
 
 
+def reduce_fields(fields, functional: bool, d1=None, d2=None, var1=0.9, var2=0.95):
+    """The sequential reduction shared by the library and the CLI.
+
+    Fits the spatial PCA of the fields (d1, or var1 when d1 is None) and,
+    when functional is true, the functional PCA of their score rows (d2,
+    or var2).  Returns (spatial, fpca), with fpca None otherwise.
+    """
+    spatial = spatial_pca_fit(fields, n_components=d1, var_threshold=var1)
+    if not functional:
+        return spatial, None
+    scores = [spatial_project(f, spatial) for f in fields]
+    return spatial, fpca_fit(scores, dt=fields[0].dt, n_components=d2, var_threshold=var2)
+
+
 @dataclass
 class MPCAModel:
     """Multilinear PCA: mean tensor (D, L), row basis (D, d1), column

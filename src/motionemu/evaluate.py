@@ -18,6 +18,7 @@ from math import comb
 import numpy as np
 
 from . import geometry as geo
+from .dimred import _fix_signs
 from .errors import BadTarget, DimensionMismatch, InsufficientData, LengthMismatch
 
 
@@ -297,11 +298,7 @@ def mds_coords_from(dmat, dims: int = 2):
     w, v = np.linalg.eigh((b + b.T) / 2.0)
     order = np.argsort(w)[::-1][:dims]
     w = w[order]
-    v = v[:, order]
-    idx = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[idx, np.arange(v.shape[1])])
-    signs[signs == 0] = 1.0
-    v = v * signs
+    v = _fix_signs(v[:, order])
     coords = np.zeros((m, dims))
     keep = w > 0
     coords[:, keep] = v[:, keep] * np.sqrt(w[keep])

@@ -81,6 +81,20 @@ def _single_hop_decode(field: FlatField):
     return np.stack(frames)
 
 
+def shooting_vectors(seq):
+    """Discrete velocities: log of each frame at its predecessor, scaled
+    by 1/dt.  Returns shape (T-1, n-1, 3)."""
+    seq = _check_sequence(seq)
+    return geo.posture_log(seq[:-1], seq[1:]) * float(seq.shape[0] - 1)
+
+
+def transported_velocities(seq, reference):
+    """Shooting vectors, each transported from its own frame straight to
+    the reference posture: the columns of stvf and of the alignment's
+    square-root velocity field.  Returns shape (T-1, n-1, 3)."""
+    return geo.posture_transport(seq[:-1], reference, shooting_vectors(seq))
+
+
 def stvf_encode(seq, reference) -> FlatField:
     """Encode shooting vectors, each transported directly to the
     reference posture.  Column norms equal the shooting-vector norms
@@ -88,9 +102,7 @@ def stvf_encode(seq, reference) -> FlatField:
     seq = _check_sequence(seq)
     reference = np.asarray(reference, dtype=float)
     t = seq.shape[0]
-    steps = geo.posture_log(seq[:-1], seq[1:]) * (t - 1)
-    moved = geo.posture_transport(seq[:-1], reference, steps)
-    coords = geo.tangent_coords(reference, moved)
+    coords = geo.tangent_coords(reference, transported_velocities(seq, reference))
     return FlatField("stvf", reference.copy(), seq[0].copy(), coords.T.copy(), 1.0 / (t - 1))
 
 
@@ -148,8 +160,7 @@ def mtvf_encode(seq, reference) -> FlatField:
     seq = _check_sequence(seq)
     reference = np.asarray(reference, dtype=float)
     t = seq.shape[0]
-    steps = geo.posture_log(seq[:-1], seq[1:]) * (t - 1)
-    moved = steps.copy()
+    moved = shooting_vectors(seq)
     # Walk the chain backwards, dragging every not-yet-finished column
     # down one hop per iteration so each numpy call stays batched.
     for s in range(t - 2, 0, -1):

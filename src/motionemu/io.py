@@ -16,6 +16,10 @@ from .errors import DimensionMismatch, KindMismatch
 from .flatten import FLATTEN_KINDS, FlatField
 from .skeleton import SkeletonHierarchy
 
+# Largest | |bone| - 1 | a posture read from a file may show; the program's
+# own writes stay within about 1e-15 of unit length.
+UNIT_TOL = 1e-9
+
 
 def fmt(x) -> str:
     return format(float(x), ".17g")
@@ -30,6 +34,19 @@ def _parse_row(line, count, path):
     if len(parts) != count:
         raise DimensionMismatch(f"{path}: expected {count} numbers per line, got {len(parts)}")
     return np.array([float(p) for p in parts])
+
+
+def _first_bad(path, where, bad, what):
+    if bad.any():
+        raise DimensionMismatch(f"{path}: {where} {int(np.argmax(bad))}: {what}")
+
+
+def _check_postures(path, where, postures):
+    """Reject (R, k, 3) postures with a non-finite entry or a bone off the
+    unit sphere, naming the first offending one of the R."""
+    _first_bad(path, where, ~np.isfinite(postures).all(axis=(1, 2)), "non-finite value")
+    off = np.abs(np.linalg.norm(postures, axis=-1) - 1.0) > UNIT_TOL
+    _first_bad(path, where, off.any(axis=1), f"bone norm off 1 by more than {UNIT_TOL:g}")
 
 
 class _Lines:
@@ -110,7 +127,9 @@ def read_posture_sequences(path):
             raise DimensionMismatch(f"{path}: bad posture sequence header")
         n, t = int(head[1]), int(head[2])
         k = n - 1
-        out.append(np.stack([_parse_row(src.next(), 3 * k, path).reshape(k, 3) for _ in range(t)]))
+        seq = np.stack([_parse_row(src.next(), 3 * k, path).reshape(k, 3) for _ in range(t)])
+        _check_postures(path, f"block {len(out)}, row", seq)
+        out.append(seq)
     if not out:
         raise DimensionMismatch(f"{path}: no sequences found")
     return out
@@ -173,6 +192,12 @@ def read_flatfields(path):
             raise DimensionMismatch(f"{path}: missing start line")
         start = None if start_line[1].strip() == "none" else _parse_row(start_line[1], 3 * k, path).reshape(k, 3)
         values = np.stack([_parse_row(src.next(), cols, path) for _ in range(2 * k)])
+        block = f"block {len(out)},"
+        _check_postures(path, f"{block} reference bone", reference[:, None])
+        if start is not None:
+            _check_postures(path, f"{block} start bone", start[:, None])
+        _first_bad(path, f"{block} values row", ~np.isfinite(values).all(axis=1),
+                   "non-finite value")
         out.append(FlatField(kind=kind, reference=reference, start=start, values=values, dt=dt))
     if not out:
         raise DimensionMismatch(f"{path}: no fields found")

@@ -98,19 +98,15 @@ def sample_coeffs(model, count: int, seed=None):
     rng = np.random.default_rng(seed)
     if count < 0:
         raise BadTarget("count must be nonnegative")
-    z = rng.standard_normal((count, _model_dim(model)))
+    if not isinstance(model, (MVGModel, IGModel)):
+        raise KindMismatch(f"cannot sample coefficients from {type(model).__name__}")
+    z = rng.standard_normal((count, model.dim))
     if isinstance(model, MVGModel):
         factor = _gaussian_factor(model.covariance + model.jitter * np.eye(model.dim))
         draws = z @ factor.T
-    elif isinstance(model, IGModel):
-        draws = z * np.sqrt(model.variances + model.jitter)
     else:
-        raise KindMismatch(f"cannot sample coefficients from {type(model).__name__}")
+        draws = z * np.sqrt(model.variances + model.jitter)
     return [d.reshape(model.shape) for d in draws]
-
-
-def _model_dim(model):
-    return model.dim
 
 
 def loglik(coeff, model) -> float:
@@ -296,6 +292,39 @@ class EmulatorBundle:
     meta: dict = dc_field(default_factory=dict)
 
 
+def fit_bundle(fields, spatial: SpatialPCA, fpca: FPCABasis | None, model_type: str,
+               order: int = 4, var_index: int = 0,
+               start_policy: str = "training-mean") -> EmulatorBundle:
+    """Fit a route's model on flattened fields through a fitted reduction
+    and package the route as a bundle.  The fields' start postures back
+    the start policy; 'var' fits the scores of field var_index, 'mvg' and
+    'ig' the coefficient matrices (fpca is required for them)."""
+    if start_policy not in START_POLICIES:
+        raise BadTarget(f"unknown start policy {start_policy!r}")
+    if model_type not in ("mvg", "ig", "var"):
+        raise KindMismatch(f"model type {model_type!r} is not fitted on reduced fields")
+    first = fields[0]
+    scores = [dimred.spatial_project(f, spatial) for f in fields]
+    starts = np.stack([f.start for f in fields])
+    if start_policy == "training-mean":
+        starts = geo.karcher_mean(starts)[None]
+    length = first.length + 1 if first.kind in flatten.VELOCITY_KINDS else first.length
+    route = dict(kind=first.kind, model_type=model_type, length=length,
+                 reference=first.reference, spatial=spatial,
+                 start_policy=start_policy, start_postures=starts)
+    if model_type == "var":
+        if not 0 <= var_index < len(fields):
+            raise BadTarget(f"var_index {var_index} out of range")
+        return EmulatorBundle(model=fit_var(scores[var_index], order=order),
+                              var_init=scores[var_index][:, :order].copy(),
+                              meta={"count": len(fields), "var_index": var_index}, **route)
+    if fpca is None:
+        raise KindMismatch("reduction lacks a functional basis")
+    coeffs = [dimred.fpca_project(h, fpca) for h in scores]
+    model = fit_mvg(coeffs) if model_type == "mvg" else fit_ig(coeffs)
+    return EmulatorBundle(model=model, fpca=fpca, meta={"count": len(fields)}, **route)
+
+
 def fit_emulator(seqs, kind: str = "istvf", model_type: str = "ig",
                  d1=None, d2=None, var1: float = 0.9, var2: float = 0.95,
                  reference=None, order: int = 4, var_index: int = 0,
@@ -311,23 +340,22 @@ def fit_emulator(seqs, kind: str = "istvf", model_type: str = "ig",
     * 'var': autoregression of the spatial scores of one training
       sequence (var_index), simulated from its observed initial lags.
     * 'pwi': posture-wise intrinsic model; no flattening involved.
+
+    Reduction and fit are dimred.reduce_fields and fit_bundle, as in the CLI.
     """
     seqs = [np.asarray(s, dtype=float) for s in seqs]
     if not seqs:
         raise InsufficientData("no training sequences")
-    t = seqs[0].shape[0]
     for s in seqs:
         if s.shape != seqs[0].shape:
             raise DimensionMismatch("training sequences must share their shape")
     if model_type not in MODEL_TYPES:
         raise KindMismatch(f"unknown model type {model_type!r}")
-    if start_policy not in START_POLICIES:
-        raise BadTarget(f"unknown start policy {start_policy!r}")
 
     if model_type == "pwi":
         model = fit_pwi(seqs, diagonal=diagonal)
-        return EmulatorBundle(kind="intrinsic", model_type="pwi", model=model, length=t,
-                              meta={"count": len(seqs)})
+        return EmulatorBundle(kind="intrinsic", model_type="pwi", model=model,
+                              length=seqs[0].shape[0], meta={"count": len(seqs)})
 
     if kind not in ("istvf", "siem"):
         raise KindMismatch(f"flattening kind {kind!r} cannot back an emulator")
@@ -335,32 +363,8 @@ def fit_emulator(seqs, kind: str = "istvf", model_type: str = "ig",
         reference = geo.karcher_mean(np.concatenate(seqs, axis=0))
     reference = np.asarray(reference, dtype=float)
     fields = [flatten.flatten_sequence(s, reference, kind) for s in seqs]
-    spatial = dimred.spatial_pca_fit(fields, n_components=d1, var_threshold=var1)
-    scores = [dimred.spatial_project(f, spatial) for f in fields]
-
-    starts = np.stack([s[0] for s in seqs])
-    if start_policy == "training-mean":
-        start_postures = geo.karcher_mean(starts)[None]
-    else:
-        start_postures = starts
-
-    if model_type == "var":
-        if not 0 <= var_index < len(seqs):
-            raise BadTarget(f"var_index {var_index} out of range")
-        model = fit_var(scores[var_index], order=order)
-        return EmulatorBundle(kind=kind, model_type="var", model=model, length=t,
-                              reference=reference, spatial=spatial,
-                              start_policy=start_policy, start_postures=start_postures,
-                              var_init=scores[var_index][:, :order].copy(),
-                              meta={"count": len(seqs), "var_index": var_index})
-
-    fbasis = dimred.fpca_fit(scores, dt=fields[0].dt, n_components=d2, var_threshold=var2)
-    coeffs = [dimred.fpca_project(h, fbasis) for h in scores]
-    model = fit_mvg(coeffs) if model_type == "mvg" else fit_ig(coeffs)
-    return EmulatorBundle(kind=kind, model_type=model_type, model=model, length=t,
-                          reference=reference, spatial=spatial, fpca=fbasis,
-                          start_policy=start_policy, start_postures=start_postures,
-                          meta={"count": len(seqs)})
+    spatial, fpca = dimred.reduce_fields(fields, model_type != "var", d1, d2, var1, var2)
+    return fit_bundle(fields, spatial, fpca, model_type, order, var_index, start_policy)
 
 
 def _template_field(bundle: EmulatorBundle, start) -> FlatField:
@@ -374,12 +378,6 @@ def _pick_start(bundle: EmulatorBundle, rng):
     if bundle.start_policy == "sampled-from-training":
         return bundle.start_postures[rng.integers(bundle.start_postures.shape[0])]
     return bundle.start_postures[0]
-
-
-def _decode(bundle: EmulatorBundle, values, start):
-    template = _template_field(bundle, start)
-    field = FlatField(template.kind, template.reference, template.start, values, template.dt)
-    return flatten.unflatten_field(field)
 
 
 def simulate_sequence(bundle: EmulatorBundle, count: int, seed=None):

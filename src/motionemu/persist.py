@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from .dimred import FPCABasis, MPCAModel, SpatialPCA
+from .dimred import FPCABasis, SpatialPCA
 from .errors import DimensionMismatch, KindMismatch
 from .io import read_doc, write_doc
 from .models import EmulatorBundle, IGModel, MVGModel, PWIModel, VARModel
@@ -27,8 +27,7 @@ def _spatial_items(prefix, pca: SpatialPCA):
 
 
 def _spatial_from(doc, prefix):
-    basis = doc[f"{prefix}.basis"]
-    return SpatialPCA(mean=doc[f"{prefix}.mean"], basis=basis,
+    return SpatialPCA(mean=doc[f"{prefix}.mean"], basis=doc[f"{prefix}.basis"],
                       eigenvalues=doc[f"{prefix}.eigenvalues"],
                       total_variance=doc[f"{prefix}.total_variance"])
 
@@ -109,16 +108,12 @@ def save_bundle(path, bundle: EmulatorBundle):
         s, k, _ = bundle.start_postures.shape
         items.append(("start.count", s))
         items.append(("start.postures", bundle.start_postures.reshape(s * k, 3)))
+    items.append(("has_spatial", int(bundle.spatial is not None)))
     if bundle.spatial is not None:
-        items.append(("has_spatial", 1))
         items.extend(_spatial_items("spatial", bundle.spatial))
-    else:
-        items.append(("has_spatial", 0))
+    items.append(("has_fpca", int(bundle.fpca is not None)))
     if bundle.fpca is not None:
-        items.append(("has_fpca", 1))
         items.extend(_fpca_items("fpca", bundle.fpca))
-    else:
-        items.append(("has_fpca", 0))
     items.append(("var_init", bundle.var_init))
     items.extend(_model_items(bundle.model))
     write_doc(path, BUNDLE_DOC, VERSION, items)
@@ -142,34 +137,24 @@ def load_bundle(path) -> EmulatorBundle:
                           var_init=doc["var_init"], meta=json.loads(doc["meta"]))
 
 
-def save_reduction(path, spatial: SpatialPCA = None, fpca: FPCABasis = None,
-                   mpca: MPCAModel = None):
-    items = []
-    items.append(("has_spatial", int(spatial is not None)))
-    if spatial is not None:
-        items.extend(_spatial_items("spatial", spatial))
-    items.append(("has_fpca", int(fpca is not None)))
+def save_reduction(path, spatial: SpatialPCA, fpca: FPCABasis = None):
+    items = [("has_spatial", 1), *_spatial_items("spatial", spatial),
+             ("has_fpca", int(fpca is not None))]
     if fpca is not None:
         items.extend(_fpca_items("fpca", fpca))
-    items.append(("has_mpca", int(mpca is not None)))
-    if mpca is not None:
-        items.extend([("mpca.mean", mpca.mean), ("mpca.row_basis", mpca.row_basis),
-                      ("mpca.col_basis", mpca.col_basis), ("mpca.captured", mpca.captured),
-                      ("mpca.converged", int(mpca.converged)),
-                      ("mpca.total_variance", float(mpca.total_variance))])
+    # No reduction has an MPCA stage; the entry keeps the document, and the
+    # manifests that hash it, byte-identical to the earlier format, which
+    # earlier releases still read.
+    items.append(("has_mpca", 0))
     write_doc(path, REDUCTION_DOC, VERSION, items)
 
 
 def load_reduction(path):
+    """Read a reduction document; returns (spatial, fpca or None)."""
     doctype, version, doc = read_doc(path)
     if doctype != REDUCTION_DOC or version != VERSION:
         raise DimensionMismatch(f"{path}: not a version-{VERSION} reduction document")
-    spatial = _spatial_from(doc, "spatial") if doc["has_spatial"] else None
+    if not doc["has_spatial"]:
+        raise KindMismatch(f"{path}: reduction document lacks a spatial basis")
     fpca = _fpca_from(doc, "fpca") if doc["has_fpca"] else None
-    mpca = None
-    if doc["has_mpca"]:
-        mpca = MPCAModel(mean=doc["mpca.mean"], row_basis=doc["mpca.row_basis"],
-                         col_basis=doc["mpca.col_basis"], captured=doc["mpca.captured"],
-                         converged=bool(doc["mpca.converged"]),
-                         total_variance=doc["mpca.total_variance"])
-    return spatial, fpca, mpca
+    return _spatial_from(doc, "spatial"), fpca

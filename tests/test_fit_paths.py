@@ -1,0 +1,91 @@
+"""The library's fit_emulator and the CLI's flatten -> reduce -> fit chain
+share one reduction (dimred.reduce_fields) and one model fit
+(models.fit_bundle), so they must build the same bundle from the same
+aligned sequences."""
+
+import json
+
+import numpy as np
+import pytest
+
+from motionemu import io as mio, models
+from motionemu.cli import main, parse_scheme
+from motionemu.persist import load_bundle
+
+SYNTH_FLAGS = ["--landmarks", 5, "--frames", 40, "--target-frames", 0,
+               "--classes", 1, "--per-class", 8, "--amplitude", 0.7,
+               "--bandwidth", 0.1, "--warp-strength", 0.3, "--noise", 0.02]
+
+
+def run_cli(*argv):
+    return main([str(a) for a in argv])
+
+
+@pytest.fixture(scope="module")
+def aligned(tmp_path_factory):
+    out = tmp_path_factory.mktemp("chain")
+    assert run_cli("synth", "--out", out, "--seed", 5, *SYNTH_FLAGS) == 0
+    assert run_cli("align", "--input", out / "sequences.txt", "--out", out) == 0
+    return out / "aligned.txt"
+
+
+@pytest.mark.parametrize("scheme,policy", [
+    ("istvf/seqpca/mvg", "training-mean"),
+    ("siem/seqpca/ig", "sampled-from-training"),
+    ("istvf/spatialpca/var", "fixed"),
+])
+def test_cli_chain_matches_fit_emulator(tmp_path, aligned, scheme, policy):
+    kind, red, model_type = parse_scheme(scheme)
+    assert run_cli("flatten", "--input", aligned, "--kind", kind, "--out", tmp_path) == 0
+    assert run_cli("reduce", "--input", tmp_path / "fields.txt", "--method", red,
+                   "--d1", 3, "--out", tmp_path) == 0
+    assert run_cli("fit", "--scheme", scheme, "--fields", tmp_path / "fields.txt",
+                   "--reduction", tmp_path / "reduction.txt", "--start-policy", policy,
+                   "--out", tmp_path) == 0
+    cli = load_bundle(tmp_path / "bundle.txt")
+    lib = models.fit_emulator(mio.read_posture_sequences(aligned), kind=kind,
+                              model_type=model_type, d1=3, start_policy=policy)
+
+    for name in ("kind", "model_type", "length", "start_policy", "meta"):
+        assert getattr(cli, name) == getattr(lib, name), name
+    for name in ("reference", "start_postures", "var_init"):
+        a, b = getattr(cli, name), getattr(lib, name)
+        assert (a is None and b is None) or np.array_equal(a, b), name
+    for name in ("mean", "basis", "eigenvalues", "total_variance"):
+        assert np.array_equal(getattr(cli.spatial, name), getattr(lib.spatial, name)), name
+    if model_type == "var":
+        assert cli.fpca is None and lib.fpca is None
+        assert cli.model.order == lib.model.order
+        for name in ("coef", "intercept", "noise_cov"):
+            assert np.array_equal(getattr(cli.model, name), getattr(lib.model, name)), name
+        return
+    for name in ("means", "bases", "eigenvalues", "dt"):
+        assert np.array_equal(getattr(cli.fpca, name), getattr(lib.fpca, name)), name
+    # The reloaded FPCA bases are C-contiguous while the fitted ones are a
+    # strided stack of slices, so fpca_project's einsum sums in another
+    # order: coefficients differ by ~4e-19 and the covariance by as little.
+    stat = "covariance" if model_type == "mvg" else "variances"
+    a, b = getattr(cli.model, stat), getattr(lib.model, stat)
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    assert cli.model.shape == lib.model.shape
+
+
+def test_reduce_rejects_mpca(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("reduce", "--input", tmp_path / "fields.txt", "--method", "mpca",
+                "--d1", 2, "--d2", 2, "--out", tmp_path)
+    assert exc.value.code == 2
+
+
+def test_fit_needs_a_spatial_basis(tmp_path, aligned, capsys):
+    assert run_cli("flatten", "--input", aligned, "--kind", "istvf", "--out", tmp_path) == 0
+    # no spatial basis, like the MPCA-only reductions of earlier releases
+    red = tmp_path / "reduction.txt"
+    mio.write_doc(red, "reduction", 1, [("has_spatial", 0), ("has_fpca", 0), ("has_mpca", 1)])
+    capsys.readouterr()
+    assert run_cli("fit", "--scheme", "istvf/seqpca/ig", "--fields", tmp_path / "fields.txt",
+                   "--reduction", red, "--out", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "KindMismatch"

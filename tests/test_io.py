@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from motionemu import io as mio
 from motionemu.errors import DimensionMismatch
@@ -113,3 +119,63 @@ def test_read_errors(tmp_path):
     empty.write_text("\n")
     with pytest.raises(DimensionMismatch):
         mio.read_posture_sequences(empty)
+
+
+def test_read_posture_sequences_rejects_non_finite_and_off_unit_bones(tmp_path):
+    rng = np.random.default_rng(6)
+    seqs = [rand_postures(rng, 5, 3), rand_postures(rng, 5, 3)]
+    path = tmp_path / "seqs.txt"
+    nan = [s.copy() for s in seqs]
+    nan[1][2, 0, 1] = np.nan
+    mio.write_posture_sequences(path, nan)
+    with pytest.raises(DimensionMismatch, match=r"block 1, row 2: non-finite"):
+        mio.read_posture_sequences(path)
+    doubled = [seqs[0], 2.0 * seqs[1]]
+    mio.write_posture_sequences(path, doubled)
+    with pytest.raises(DimensionMismatch, match=r"block 1, row 0: bone norm off 1"):
+        mio.read_posture_sequences(path)
+    # the tolerance is 1e-9 on | |bone| - 1 |
+    within = [s * (1.0 + 5e-10) for s in seqs]
+    mio.write_posture_sequences(path, within)
+    assert len(mio.read_posture_sequences(path)) == 2
+    beyond = [seqs[0], seqs[1].copy()]
+    beyond[1][4, 2] *= 1.0 + 2e-9
+    mio.write_posture_sequences(path, beyond)
+    with pytest.raises(DimensionMismatch, match=r"block 1, row 4"):
+        mio.read_posture_sequences(path)
+
+
+def test_read_flatfields_rejects_non_finite_and_non_unit_postures(tmp_path):
+    rng = np.random.default_rng(7)
+    ref = rand_postures(rng, 1, 4)[0]
+    start = rand_postures(rng, 1, 4)[0]
+    good = FlatField("istvf", ref, start, rng.standard_normal((8, 6)), 1.0 / 6)
+    path = tmp_path / "fields.txt"
+    cases = [
+        (FlatField("istvf", ref, start, good.values.copy(), good.dt), "values row 3: non-finite"),
+        (FlatField("istvf", 2.0 * ref, start, good.values, good.dt), "reference bone 0: bone norm"),
+        (FlatField("istvf", ref, 0.5 * start, good.values, good.dt), "start bone 0: bone norm"),
+    ]
+    cases[0][0].values[3, 1] = np.inf
+    for bad, message in cases:
+        mio.write_flatfields(path, [good, bad])
+        with pytest.raises(DimensionMismatch, match=f"block 1, {message}"):
+            mio.read_flatfields(path)
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4), st.just(3)),
+              elements=st.floats(-1.0, 1.0, allow_subnormal=False)),
+       st.integers(1, 3))
+def test_posture_sequences_roundtrip_bitwise_property(raw, count):
+    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
+    raw = np.where(norms > 1e-3, raw, [1.0, 0.0, 0.0])
+    seq = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    seqs = [np.roll(seq, i, axis=0) for i in range(count)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "seqs.txt"
+        mio.write_posture_sequences(path, seqs)
+        back = mio.read_posture_sequences(path)
+    assert len(back) == count
+    for a, b in zip(seqs, back):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
