@@ -176,8 +176,9 @@ def fpca_fit(score_list, dt: float, n_components=None, var_threshold=0.95) -> FP
         if d2 < 1:
             raise DimensionMismatch("n_components must be positive")
     d2 = min(d2, length, m - 1 if m - 1 > 0 else 1)
+    # C order, like a reloaded basis, so fpca_project gives both the same bits
     return FPCABasis(means=means,
-                     bases=np.stack([b[:, :d2] for b in bases]),
+                     bases=np.ascontiguousarray(np.stack([b[:, :d2] for b in bases])),
                      eigenvalues=values[:, :d2].copy(),
                      dt=dt)
 

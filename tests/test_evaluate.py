@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from motionemu import geometry as geo
+from motionemu import evaluate, geometry as geo
 from motionemu.errors import (BadTarget, DimensionMismatch, InsufficientData,
                               LengthMismatch)
 from motionemu.evaluate import (
@@ -72,26 +72,59 @@ BLOB_CENTERS = np.array([
 # ---------------------------------------------------------------- distance matrices
 
 
-def test_posture_distance_matrix_matches_pairwise_metric():
+def test_posture_distance_matrix_matches_pairwise_metric(monkeypatch):
     rng = np.random.default_rng(3)
     postures = unit(rng.normal(size=(9, 3, 3)))
-    dmat = posture_distance_matrix(postures)
-    assert np.array_equal(np.diag(dmat), np.zeros(9))
-    assert np.allclose(dmat, dmat.T, atol=1e-12)
-    for i in range(9):
-        for j in range(9):
-            assert abs(dmat[i, j] - float(geo.posture_dist(postures[i], postures[j]))) < 1e-10
-    assert np.array_equal(posture_distance_matrix(postures, chunk=2), dmat)
+    postures[4] = postures[2]
+    # 27 angles a row: one block, then blocks of 1, 2 and 6 rows, the last
+    # two ragged at 1 and 3 rows
+    for block in (evaluate.BLOCK_ANGLES, 27, 54, 162):
+        monkeypatch.setattr(evaluate, "BLOCK_ANGLES", block)
+        dmat = posture_distance_matrix(postures)
+        assert np.array_equal(np.diag(dmat), np.zeros(9))
+        assert np.array_equal(dmat, dmat.T)
+        assert dmat[2, 4] == 0.0
+        for i in range(9):
+            for j in range(9):
+                assert dmat[i, j] == geo.posture_dist(postures[i], postures[j])
+
+
+@pytest.mark.parametrize("bad", [np.zeros((5, 3, 2)), np.zeros((5, 3)), np.zeros((2, 5, 3, 3))])
+def test_posture_distance_entry_points_reject_non_posture_stacks(bad):
+    with pytest.raises(DimensionMismatch):
+        posture_distance_matrix(bad)
+    with pytest.raises(DimensionMismatch):
+        cluster_postures(bad, k=2)
+    with pytest.raises(DimensionMismatch):
+        select_k(bad, k_min=2, k_max=3)
 
 
 def test_sequence_distance_matrix_identical_rows_are_exact_zero():
     rng = np.random.default_rng(4)
     s = rand_seq(rng, t=5)
-    dmat = sequence_distance_matrix([s, s.copy(), rand_seq(rng, t=5)])
+    dmat = sequence_distance_matrix([s, s.copy(), rand_seq(rng, t=5), rand_seq(rng, t=5)])
     assert dmat[0, 1] == 0.0 and dmat[1, 0] == 0.0
     assert dmat[0, 2] > 0.1
+    assert np.array_equal(dmat, dmat.T)
+    assert np.array_equal(np.diag(dmat), np.zeros(4))
     with pytest.raises(DimensionMismatch):
         sequence_distance_matrix([s, s[:3]])
+
+
+def test_sequence_distance_matrix_rejects_empty_input():
+    with pytest.raises(InsufficientData):
+        sequence_distance_matrix([])
+    with pytest.raises(InsufficientData):
+        sequence_distance_matrix([np.zeros((0, 2, 3))] * 2)
+
+
+@pytest.mark.parametrize("bad", [np.zeros((4, 2, 2)), np.zeros((4, 6)), np.zeros((1, 4, 2, 3))])
+def test_sequence_distance_matrix_rejects_non_sequence_arrays(bad):
+    rng = np.random.default_rng(5)
+    with pytest.raises(DimensionMismatch):
+        sequence_distance_matrix([bad, bad])
+    with pytest.raises(DimensionMismatch):
+        sequence_distance_matrix([rand_seq(rng), bad])
 
 
 # ---------------------------------------------------------------- disco statistic

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from motionemu import geometry as geo
 from motionemu.errors import (AntipodalPoints, DimensionMismatch, NoConvergence,
@@ -33,6 +36,54 @@ def test_dist_basics():
     assert geo.sphere_dist(E1, E1) == 0.0
     assert np.isclose(geo.sphere_dist(E1, E2), np.pi / 2, atol=1e-15)
     assert np.isclose(geo.sphere_dist(E1, -E1), np.pi, atol=1e-15)
+
+
+def normalized(raw):
+    norm = np.linalg.norm(raw, axis=-1, keepdims=True)
+    assume(np.all(norm > 0.0))
+    return raw / norm
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 8), st.just(3)),
+              elements=st.floats(-1.0, 1.0)),
+       arrays(np.float64, st.tuples(st.integers(1, 8), st.just(3)),
+              elements=st.floats(-1.0, 1.0)))
+def test_dist_is_bitwise_symmetric(a, b):
+    y, z = normalized(a), normalized(b)
+    n = min(len(y), len(z))
+    assert np.array_equal(geo.sphere_dist(y[:n], z[:n]), geo.sphere_dist(z[:n], y[:n]))
+    assert np.array_equal(geo.sphere_dist(y[:, None], z[None]), geo.sphere_dist(z[None], y[:, None]))
+
+
+# Coordinates are zero or at least 1e-100 in magnitude: differences below
+# ~1e-162 underflow when squared, which sphere_dist's docstring states.
+COORD = st.one_of(st.sampled_from([0.0, -0.0]),
+                  st.floats(1e-100, 1.0).flatmap(lambda x: st.sampled_from([x, -x])))
+
+
+@given(st.tuples(COORD, COORD, COORD), st.tuples(*[st.integers(-3, 3)] * 3),
+       st.tuples(*[st.booleans()] * 3))
+def test_dist_is_zero_exactly_for_equal_vectors(coords, ulps, flip_zero):
+    y = normalized(np.array(coords))
+    z = y.copy()
+    for c in range(3):
+        if z[c] != 0.0:
+            for _ in range(abs(ulps[c])):
+                z[c] = np.nextafter(z[c], np.copysign(np.inf, ulps[c]))
+        elif flip_zero[c]:
+            z[c] = -z[c]
+    assert (geo.sphere_dist(y, z) == 0.0) == bool(np.all(y == z))
+
+
+@given(st.floats(np.log(1e-12), np.log(np.pi - 1e-6)), st.integers(0, 2**32 - 1))
+def test_dist_accurate_at_known_angles(log_theta, seed):
+    theta = np.exp(log_theta)
+    rng = np.random.default_rng(seed)
+    y = rand_unit(rng, 64)
+    u = rand_tangent(rng, y)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    z = np.cos(theta) * y + np.sin(theta) * u
+    assert np.max(np.abs(geo.sphere_dist(y, z) - theta)) <= 1e-13
 
 
 def test_log_examples():
