@@ -8,6 +8,10 @@ and SHA-256 checksums of inputs and artifacts, with all paths reduced to
 basenames; it carries no timestamps, so a rerun with the same seed and
 inputs reproduces every artifact and manifest byte for byte.
 
+`pipeline` calls the stage commands' own functions in one process and
+hands each stage's results to the next in memory, reading back none of
+its artifacts; it writes and hashes the same files as the hand-run stages.
+
 Emulation schemes are written `<repr>/<dimred>/<model>` and parsed
 case-insensitively: repr is `istvf` or `siem`, dimred is `seqpca`
 (spatial + functional PCA, for mvg/ig) or `spatialpca` (spatial only,
@@ -145,8 +149,7 @@ def _named_sets(pairs):
     return out
 
 
-def cmd_synth(args):
-    out = _out_dir(args)
+def _synth(args, out):
     configs = []
     for k in range(args.classes):
         child = int(np.random.SeedSequence(args.seed, spawn_key=(k,)).generate_state(1)[0])
@@ -168,7 +171,11 @@ def cmd_synth(args):
     _manifest(out, "synth", config, [], [seq_path, label_path])
     print(f"synth: {seqs.shape[0]} sequences of {seqs.shape[1]} frames, "
           f"{args.classes} classes")
-    return 0
+    return list(seqs), seq_path
+
+
+def cmd_synth(args):
+    _synth(args, _out_dir(args))
 
 
 def cmd_ingest(args):
@@ -184,13 +191,9 @@ def cmd_ingest(args):
     _manifest(out, "ingest", config, [src], [seq_path])
     print(f"ingest: {len(seqs)} sequences, {seqs[0].shape[0]} frames, "
           f"{hierarchy.n} landmarks")
-    return 0
 
 
-def cmd_align(args):
-    out = _out_dir(args)
-    src = _resolve(args.input)
-    seqs = mio.read_posture_sequences(src)
+def _align(args, out, seqs, src):
     aligned, warps = align_all(seqs, ref_index=args.ref_index)
     aligned_path = os.path.join(out, "aligned.txt")
     warps_path = os.path.join(out, "warps.txt")
@@ -199,37 +202,41 @@ def cmd_align(args):
     config = {"input": os.path.basename(src), "ref_index": args.ref_index}
     _manifest(out, "align", config, [src], [aligned_path, warps_path])
     print(f"align: {len(aligned)} sequences warped onto index {args.ref_index}")
-    return 0
+    return aligned, aligned_path
 
 
-def cmd_flatten(args):
+def cmd_align(args):
     out = _out_dir(args)
     src = _resolve(args.input)
-    seqs = mio.read_posture_sequences(src)
-    inputs = [src]
-    if args.reference:
-        ref_src = _resolve(args.reference)
-        reference = mio.read_posture_sequences(ref_src)[0][0]
-        inputs.append(ref_src)
-    else:
+    _align(args, out, mio.read_posture_sequences(src), src)
+
+
+def _flatten(args, out, seqs, inputs, reference=None):
+    """inputs are the paths of seqs and, when given, of the reference."""
+    if reference is None:
         reference = geo.karcher_mean(np.concatenate(seqs, axis=0))
     fields = [flatten.flatten_sequence(s, reference, args.kind) for s in seqs]
     fields_path = os.path.join(out, "fields.txt")
     mio.write_flatfields(fields_path, fields)
     ref_path = os.path.join(out, "reference.txt")
     mio.write_posture_sequences(ref_path, [reference[None]])
-    config = {"input": os.path.basename(src), "kind": args.kind,
+    config = {"input": os.path.basename(inputs[0]), "kind": args.kind,
               "reference": os.path.basename(args.reference) if args.reference else ""}
     _manifest(out, "flatten", config, inputs, [fields_path, ref_path])
     print(f"flatten: {len(fields)} {args.kind} fields of "
           f"{fields[0].values.shape[1]} columns")
-    return 0
+    return fields, fields_path
 
 
-def cmd_reduce(args):
+def cmd_flatten(args):
     out = _out_dir(args)
-    src = _resolve(args.input)
-    fields = mio.read_flatfields(src)
+    inputs = [_resolve(p) for p in (args.input, args.reference) if p]
+    seqs = mio.read_posture_sequences(inputs[0])
+    reference = mio.read_posture_sequences(inputs[1])[0][0] if args.reference else None
+    _flatten(args, out, seqs, inputs, reference)
+
+
+def _reduce(args, out, fields, src):
     red_path = os.path.join(out, "reduction.txt")
     spatial, fpca = dimred.reduce_fields(fields, args.method == "seqpca", args.d1, args.d2,
                                          args.var1, args.var2)
@@ -241,32 +248,25 @@ def cmd_reduce(args):
               "d2": args.d2 if args.d2 is not None else -1,
               "var1": args.var1, "var2": args.var2}
     _manifest(out, "reduce", config, [src], [red_path])
-    return 0
+    return (spatial, fpca), red_path
 
 
-def cmd_fit(args):
+def cmd_reduce(args):
     out = _out_dir(args)
+    src = _resolve(args.input)
+    _reduce(args, out, mio.read_flatfields(src), src)
+
+
+def _fit(args, out, inputs, seqs=None, fields=None, reduction=None):
+    """Fit pwi on seqs, other models on fields through reduction, a
+    (spatial, fpca) pair; inputs are the paths of what was fitted on."""
     kind, _, model_type = parse_scheme(args.scheme)
-    inputs = []
     if model_type == "pwi":
-        if not args.input:
-            raise BadTarget("scheme pwi fits from sequences; pass --input")
-        src = _resolve(args.input)
-        inputs.append(src)
-        seqs = mio.read_posture_sequences(src)
         bundle = models.fit_emulator(seqs, model_type="pwi", diagonal=args.diagonal)
     else:
-        if not args.fields or not args.reduction:
-            raise BadTarget(f"scheme {args.scheme} fits from artifacts; "
-                            "pass --fields and --reduction")
-        fields_src = _resolve(args.fields)
-        red_src = _resolve(args.reduction)
-        inputs.extend([fields_src, red_src])
-        fields = mio.read_flatfields(fields_src)
-        spatial, fpca = load_reduction(red_src)
         if fields[0].kind != kind:
             raise KindMismatch(f"fields are {fields[0].kind!r}, scheme wants {kind!r}")
-        bundle = models.fit_bundle(fields, spatial, fpca, model_type, args.order,
+        bundle = models.fit_bundle(fields, *reduction, model_type, args.order,
                                    args.var_index, args.start_policy)
     bundle_path = os.path.join(out, "bundle.txt")
     save_bundle(bundle_path, bundle)
@@ -276,13 +276,28 @@ def cmd_fit(args):
     _manifest(out, "fit", config, inputs, [bundle_path])
     print(f"fit: {bundle.model_type} bundle over {bundle.length} frames "
           f"({bundle.meta.get('count', 0)} training sequences)")
-    return 0
+    return bundle, bundle_path
 
 
-def cmd_simulate(args):
+def cmd_fit(args):
     out = _out_dir(args)
-    src = _resolve(args.bundle)
-    bundle = load_bundle(src)
+    _, _, model_type = parse_scheme(args.scheme)
+    if model_type == "pwi":
+        if not args.input:
+            raise BadTarget("scheme pwi fits from sequences; pass --input")
+        src = _resolve(args.input)
+        _fit(args, out, [src], seqs=mio.read_posture_sequences(src))
+        return
+    if not args.fields or not args.reduction:
+        raise BadTarget(f"scheme {args.scheme} fits from artifacts; "
+                        "pass --fields and --reduction")
+    fields_src = _resolve(args.fields)
+    red_src = _resolve(args.reduction)
+    _fit(args, out, [fields_src, red_src], fields=mio.read_flatfields(fields_src),
+         reduction=load_reduction(red_src))
+
+
+def _simulate(args, out, bundle, src):
     sims = models.simulate_sequence(bundle, args.count,
                                     seed=stage_seed(args.seed, SEED_SIMULATE))
     sims_path = os.path.join(out, "sims.txt")
@@ -305,13 +320,16 @@ def cmd_simulate(args):
               "split": args.split or "", "seed": args.seed}
     _manifest(out, "simulate", config, [src], artifacts)
     print(f"simulate: {len(sims)} sequences from {bundle.model_type} bundle")
-    return 0
+    return sims, sims_path
 
 
-def _eval_two_sample(args, out):
-    a_src, b_src = _resolve(args.a), _resolve(args.b)
-    group_a = mio.read_posture_sequences(a_src)
-    group_b = mio.read_posture_sequences(b_src)
+def cmd_simulate(args):
+    out = _out_dir(args)
+    src = _resolve(args.bundle)
+    _simulate(args, out, load_bundle(src), src)
+
+
+def _two_sample(args, out, group_a, group_b, a_src, b_src):
     res = evaluate.disco_test(group_a, group_b, n_perm=args.n_perm,
                               seed=stage_seed(args.seed, SEED_EVAL_PERM),
                               exhaustive=args.exhaustive)
@@ -324,7 +342,12 @@ def _eval_two_sample(args, out):
     _manifest(out, "eval-two-sample", config, [a_src, b_src], [csv_path])
     print(f"two-sample: statistic {res.statistic:.6g}, p {res.p_value:.4g} "
           f"({res.permutations} shuffles)")
-    return 0
+
+
+def _eval_two_sample(args, out):
+    a_src, b_src = _resolve(args.a), _resolve(args.b)
+    _two_sample(args, out, mio.read_posture_sequences(a_src),
+                mio.read_posture_sequences(b_src), a_src, b_src)
 
 
 def _eval_quantize(args, out):
@@ -365,7 +388,6 @@ def _eval_quantize(args, out):
     _manifest(out, "eval-quantize", config, inputs, [csv_path, labels_path, series_path])
     for row in rows:
         print(f"quantize: {row[0]} mean variability {row[2]:.4f}")
-    return 0
 
 
 def _eval_roughness(args, out):
@@ -390,7 +412,6 @@ def _eval_roughness(args, out):
     _manifest(out, "eval-roughness", config, inputs, [csv_path, series_path])
     for row in rows:
         print(f"roughness: {row[0]} mean {row[2]:.6g}")
-    return 0
 
 
 def _eval_mds(args, out):
@@ -407,7 +428,6 @@ def _eval_mds(args, out):
     config = {"input": os.path.basename(src), "dims": args.dims}
     _manifest(out, "eval-mds", config, [src], [csv_path, dmat_path])
     print(f"mds: {coords.shape[0]} sequences embedded in {args.dims} dimensions")
-    return 0
 
 
 def _eval_qq(args, out):
@@ -424,60 +444,35 @@ def _eval_qq(args, out):
     _manifest(out, "eval-qq", config, [bundle_src, a_src, b_src], [csv_path])
     print(f"qq: {pairs.shape[0]} quantile pairs, medians "
           f"{np.median(ll_a):.6g} vs {np.median(ll_b):.6g}")
-    return 0
 
 
 def cmd_eval(args):
     handlers = {"two-sample": _eval_two_sample, "quantize": _eval_quantize,
                 "roughness": _eval_roughness, "mds": _eval_mds, "qq": _eval_qq}
-    return handlers[args.eval_cmd](args, _out_dir(args))
-
-
-def _run(argv):
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    return ns.func(ns)
+    handlers[args.eval_cmd](args, _out_dir(args))
 
 
 def cmd_pipeline(args):
     out = _out_dir(args)
     kind, red, model_type = parse_scheme(args.scheme)
-    seed = str(args.seed)
+    args.kind, args.method = kind, red
     if args.input:
         seq_src = _resolve(args.input)
+        seqs = mio.read_posture_sequences(seq_src)
         inputs = [seq_src]
     else:
-        _run(["synth", "--out", out, "--seed", seed,
-              "--landmarks", str(args.landmarks), "--frames", str(args.frames),
-              "--target-frames", str(args.target_frames),
-              "--classes", str(args.classes), "--per-class", str(args.per_class),
-              "--amplitude", str(args.amplitude), "--bandwidth", str(args.bandwidth),
-              "--warp-strength", str(args.warp_strength), "--noise", str(args.noise)])
-        seq_src = os.path.join(out, "sequences.txt")
+        seqs, seq_src = _synth(args, out)
         inputs = []
-    _run(["align", "--input", seq_src, "--out", out, "--ref-index", str(args.ref_index)])
-    aligned = os.path.join(out, "aligned.txt")
-    fit_argv = ["fit", "--scheme", args.scheme, "--out", out,
-                "--order", str(args.order), "--var-index", str(args.var_index),
-                "--start-policy", args.start_policy]
+    aligned, aligned_path = _align(args, out, seqs, seq_src)
     if model_type == "pwi":
-        _run(fit_argv + ["--input", aligned])
+        bundle, bundle_path = _fit(args, out, [aligned_path], seqs=aligned)
     else:
-        _run(["flatten", "--input", aligned, "--kind", kind, "--out", out])
-        reduce_argv = ["reduce", "--input", os.path.join(out, "fields.txt"),
-                       "--method", red, "--out", out,
-                       "--var1", str(args.var1), "--var2", str(args.var2)]
-        if args.d1 is not None:
-            reduce_argv += ["--d1", str(args.d1)]
-        if args.d2 is not None:
-            reduce_argv += ["--d2", str(args.d2)]
-        _run(reduce_argv)
-        _run(fit_argv + ["--fields", os.path.join(out, "fields.txt"),
-                         "--reduction", os.path.join(out, "reduction.txt")])
-    _run(["simulate", "--bundle", os.path.join(out, "bundle.txt"),
-          "--count", str(args.count), "--seed", seed, "--out", out])
-    _run(["eval", "two-sample", "--a", os.path.join(out, "sims.txt"), "--b", aligned,
-          "--n-perm", str(args.n_perm), "--seed", seed, "--out", out])
+        fields, fields_path = _flatten(args, out, aligned, [aligned_path])
+        reduction, red_path = _reduce(args, out, fields, fields_path)
+        bundle, bundle_path = _fit(args, out, [fields_path, red_path], fields=fields,
+                                   reduction=reduction)
+    sims, sims_path = _simulate(args, out, bundle, bundle_path)
+    _two_sample(args, out, sims, aligned, sims_path, aligned_path)
     names = ["sequences.txt", "labels.csv", "aligned.txt", "warps.txt", "fields.txt",
              "reference.txt", "reduction.txt", "bundle.txt", "sims.txt", "two_sample.csv"]
     artifacts = [os.path.join(out, n) for n in names
@@ -490,7 +485,6 @@ def cmd_pipeline(args):
               "var1": args.var1, "var2": args.var2}
     _manifest(out, "pipeline", config, inputs, artifacts)
     print(f"pipeline: {args.scheme.lower()} run complete in {out}")
-    return 0
 
 
 def run_twolevel(seqs, kind="istvf", model_type="ig", d1=4, d2=4,
@@ -582,7 +576,6 @@ def cmd_twolevel(args):
         print(f"twolevel: {r['emulator']} p {r['p_value']:.4g} "
               f"median loglik {r['median_loglik']:.6g} "
               f"(test {r['median_loglik_test']:.6g})")
-    return 0
 
 
 def _add_synth_flags(p):
@@ -717,7 +710,9 @@ def build_parser():
     p.add_argument("--n-perm", type=int, default=199)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pipeline)
+    # the stage settings pipeline does not expose
+    p.set_defaults(func=cmd_pipeline, diagonal=False, reference="", split="",
+                   exhaustive=False)
 
     p = sub.add_parser("twolevel", help="second-level emulator adequacy report")
     p.add_argument("--input", required=True)
@@ -739,11 +734,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (MotionError, OSError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -109,7 +109,8 @@ def spatial_pca_fit(fields, n_components=None, var_threshold=0.9) -> SpatialPCA:
         if d1 < 0:
             raise DimensionMismatch("n_components must be nonnegative")
     d1 = min(d1, rank)
-    basis = _fix_signs(vt[:d1].T)
+    # C order, like a reloaded basis, so spatial_project gives both the same bits
+    basis = np.ascontiguousarray(_fix_signs(vt[:d1].T))
     return SpatialPCA(mean=mean, basis=basis, eigenvalues=eigenvalues[:d1].copy(),
                       total_variance=float(eigenvalues.sum()))
 

@@ -184,7 +184,8 @@ def fit_var(scores, order: int = 4) -> VARModel:
     resid = y - x @ beta
     dof = max(x.shape[0] - x.shape[1], 1)
     noise = resid.T @ resid / dof
-    coef = np.stack([beta[1 + i * d1: 1 + (i + 1) * d1, :].T for i in range(order)])
+    # C order, like a reloaded coef, so simulate_var gives both the same bits
+    coef = np.ascontiguousarray([beta[1 + i * d1: 1 + (i + 1) * d1, :].T for i in range(order)])
     return VARModel(order=order, coef=coef, intercept=beta[0, :].copy(),
                     noise_cov=(noise + noise.T) / 2.0)
 

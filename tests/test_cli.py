@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from motionemu import evaluate, io as mio, models
+from motionemu import cli, evaluate, io as mio, models
 from motionemu.cli import (SEED_EVAL_PERM, SEED_SIMULATE, main, parse_scheme,
                            run_twolevel, stage_seed)
 from motionemu.datagen import SynthConfig, gen_mixture
@@ -105,39 +105,95 @@ def test_ingest_converts_and_downsamples(tmp_path):
         assert np.array_equal(got, downsample(ingest_sequence(frames, hierarchy), 5))
 
 
-def test_pipeline_equals_manual_stage_chain(tmp_path):
-    pipe = tmp_path / "pipe"
-    manual = tmp_path / "manual"
-    scheme = ["--scheme", "istvf/seqpca/ig"]
-    assert run_cli("pipeline", "--out", pipe, "--seed", 7, *SYNTH_FLAGS, *scheme,
-                   "--d1", 3, "--d2", 4, "--count", 6, "--n-perm", 49) == 0
+PIPELINE_SCHEMES = [
+    ("istvf/seqpca/mvg", "training-mean"),
+    ("siem/seqpca/ig", "sampled-from-training"),
+    ("istvf/spatialpca/var", "fixed"),
+    ("siem/spatialpca/var", "training-mean"),
+    ("pwi", "training-mean"),
+]
+PIPELINE_FLAGS = ["--d1", 3, "--d2", 4, "--count", 6, "--n-perm", 49, "--seed", 7]
 
-    assert run_cli("synth", "--out", manual, "--seed", 7, *SYNTH_FLAGS) == 0
-    assert run_cli("align", "--input", manual / "sequences.txt", "--out", manual,
-                   "--ref-index", 0) == 0
-    assert run_cli("flatten", "--input", manual / "aligned.txt", "--kind", "istvf",
-                   "--out", manual) == 0
-    assert run_cli("reduce", "--input", manual / "fields.txt", "--method", "seqpca",
-                   "--d1", 3, "--d2", 4, "--var1", 0.9, "--var2", 0.95,
-                   "--out", manual) == 0
-    assert run_cli("fit", *scheme, "--fields", manual / "fields.txt",
-                   "--reduction", manual / "reduction.txt", "--out", manual) == 0
-    assert run_cli("simulate", "--bundle", manual / "bundle.txt", "--count", 6,
-                   "--seed", 7, "--out", manual) == 0
-    assert run_cli("eval", "two-sample", "--a", manual / "sims.txt",
-                   "--b", manual / "aligned.txt", "--n-perm", 49, "--seed", 7,
-                   "--out", manual) == 0
 
-    for name in ("sequences.txt", "labels.csv", "aligned.txt", "warps.txt",
-                 "fields.txt", "reference.txt", "reduction.txt", "bundle.txt",
-                 "sims.txt", "two_sample.csv", "manifest_synth.json",
-                 "manifest_align.json", "manifest_flatten.json", "manifest_reduce.json",
-                 "manifest_fit.json", "manifest_simulate.json",
-                 "manifest_eval-two-sample.json"):
+def run_stage_chain(out, seqs, scheme, policy):
+    """The stages `pipeline` chains, run by hand on the sequences file seqs."""
+    kind, red, model_type = parse_scheme(scheme)
+    assert run_cli("align", "--input", seqs, "--out", out, "--ref-index", 0) == 0
+    fit = ["fit", "--scheme", scheme, "--start-policy", policy, "--out", out]
+    if model_type == "pwi":
+        assert run_cli(*fit, "--input", out / "aligned.txt") == 0
+    else:
+        assert run_cli("flatten", "--input", out / "aligned.txt", "--kind", kind,
+                       "--out", out) == 0
+        assert run_cli("reduce", "--input", out / "fields.txt", "--method", red,
+                       "--d1", 3, "--d2", 4, "--var1", 0.9, "--var2", 0.95,
+                       "--out", out) == 0
+        assert run_cli(*fit, "--fields", out / "fields.txt",
+                       "--reduction", out / "reduction.txt") == 0
+    assert run_cli("simulate", "--bundle", out / "bundle.txt", "--count", 6,
+                   "--seed", 7, "--out", out) == 0
+    assert run_cli("eval", "two-sample", "--a", out / "sims.txt",
+                   "--b", out / "aligned.txt", "--n-perm", 49, "--seed", 7,
+                   "--out", out) == 0
+
+
+def assert_same_run(pipe, manual):
+    """pipe holds every file of manual, byte for byte, plus the pipeline
+    manifest, which lists every artifact."""
+    names = sorted(os.listdir(manual))
+    assert sorted(os.listdir(pipe)) == sorted(names + ["manifest_pipeline.json"])
+    for name in names:
         assert read_bytes(pipe / name) == read_bytes(manual / name), name
     with open(pipe / "manifest_pipeline.json") as fh:
         manifest = json.load(fh)
-    assert "two_sample.csv" in manifest["artifacts"]
+    assert sorted(manifest["artifacts"]) == [n for n in names if not n.startswith("manifest_")]
+
+
+@pytest.mark.parametrize("scheme,policy", PIPELINE_SCHEMES, ids=[s for s, _ in PIPELINE_SCHEMES])
+def test_pipeline_equals_manual_stage_chain(tmp_path, scheme, policy):
+    pipe, manual = tmp_path / "pipe", tmp_path / "manual"
+    assert run_cli("pipeline", "--out", pipe, *SYNTH_FLAGS, "--scheme", scheme,
+                   "--start-policy", policy, *PIPELINE_FLAGS) == 0
+    assert run_cli("synth", "--out", manual, "--seed", 7, *SYNTH_FLAGS) == 0
+    run_stage_chain(manual, manual / "sequences.txt", scheme, policy)
+    assert_same_run(pipe, manual)
+
+
+def test_pipeline_on_input_equals_manual_stage_chain(tmp_path):
+    src = tmp_path / "src"
+    assert run_cli("synth", "--out", src, "--seed", 4, *SYNTH_FLAGS) == 0
+    pipe, manual = tmp_path / "pipe", tmp_path / "manual"
+    assert run_cli("pipeline", "--out", pipe, "--input", src / "sequences.txt",
+                   "--scheme", "istvf/seqpca/mvg", *PIPELINE_FLAGS) == 0
+    run_stage_chain(manual, src / "sequences.txt", "istvf/seqpca/mvg", "training-mean")
+    assert_same_run(pipe, manual)
+
+
+def test_pipeline_never_reads_its_own_artifacts(tmp_path, monkeypatch):
+    src = tmp_path / "src"
+    assert run_cli("synth", "--out", src, "--seed", 4, *SYNTH_FLAGS) == 0
+
+    def refuse(*args):
+        raise AssertionError("pipeline read back an artifact")
+
+    for space, name in [(mio, "read_flatfields"), (cli, "load_reduction"),
+                        (cli, "load_bundle")]:
+        monkeypatch.setattr(space, name, refuse)
+    reads = []
+    real_read = mio.read_posture_sequences
+
+    def counted(path):
+        reads.append(os.path.basename(path))
+        return real_read(path)
+
+    monkeypatch.setattr(mio, "read_posture_sequences", counted)
+    for scheme, _ in PIPELINE_SCHEMES:
+        assert run_cli("pipeline", "--out", tmp_path / "synth", *SYNTH_FLAGS,
+                       "--scheme", scheme, *PIPELINE_FLAGS) == 0
+        assert reads == []
+    assert run_cli("pipeline", "--out", tmp_path / "input", "--input", src / "sequences.txt",
+                   "--scheme", "istvf/seqpca/mvg", *PIPELINE_FLAGS) == 0
+    assert reads == ["sequences.txt"]
 
 
 def test_simulate_split_and_seed_expansion(tmp_path):

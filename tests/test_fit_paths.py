@@ -1,7 +1,9 @@
 """The library's fit_emulator and the CLI's flatten -> reduce -> fit chain
 share one reduction (dimred.reduce_fields) and one model fit
 (models.fit_bundle), so they must build the same bundle from the same
-aligned sequences."""
+aligned sequences.  A fitted object and its reloaded copy must also
+compute the same bits, since `pipeline` keeps in memory what the stage
+commands read back from files."""
 
 import json
 
@@ -10,11 +12,13 @@ import pytest
 
 from motionemu import io as mio, models
 from motionemu.cli import main, parse_scheme
-from motionemu.persist import load_bundle
+from motionemu.persist import load_bundle, save_bundle
 
-SYNTH_FLAGS = ["--landmarks", 5, "--frames", 40, "--target-frames", 0,
-               "--classes", 1, "--per-class", 8, "--amplitude", 0.7,
+SYNTH_FLAGS = ["--classes", 1, "--amplitude", 0.7, "--target-frames", 0,
                "--bandwidth", 0.1, "--warp-strength", 0.3, "--noise", 0.02]
+# (landmarks, frames, sequences)
+SMALL = (5, 40, 8)
+PAPER = (12, 100, 20)
 
 
 def run_cli(*argv):
@@ -22,19 +26,41 @@ def run_cli(*argv):
 
 
 @pytest.fixture(scope="module")
-def aligned(tmp_path_factory):
-    out = tmp_path_factory.mktemp("chain")
-    assert run_cli("synth", "--out", out, "--seed", 5, *SYNTH_FLAGS) == 0
-    assert run_cli("align", "--input", out / "sequences.txt", "--out", out) == 0
-    return out / "aligned.txt"
+def aligned_at(tmp_path_factory):
+    """Aligned synthetic sequences of a given size, written once per size."""
+    made = {}
+
+    def make(size):
+        if size not in made:
+            landmarks, frames, count = size
+            out = tmp_path_factory.mktemp("chain")
+            assert run_cli("synth", "--out", out, "--seed", 5, *SYNTH_FLAGS,
+                           "--landmarks", landmarks, "--frames", frames,
+                           "--per-class", count) == 0
+            assert run_cli("align", "--input", out / "sequences.txt", "--out", out) == 0
+            made[size] = out / "aligned.txt"
+        return made[size]
+
+    return make
 
 
-@pytest.mark.parametrize("scheme,policy", [
-    ("istvf/seqpca/mvg", "training-mean"),
-    ("siem/seqpca/ig", "sampled-from-training"),
-    ("istvf/spatialpca/var", "fixed"),
+@pytest.fixture(scope="module")
+def aligned(aligned_at):
+    return aligned_at(SMALL)
+
+
+@pytest.mark.parametrize("scheme,policy,size", [
+    pytest.param("istvf/seqpca/mvg", "training-mean", SMALL,
+                 id="istvf/seqpca/mvg-training-mean"),
+    pytest.param("siem/seqpca/ig", "sampled-from-training", SMALL,
+                 id="siem/seqpca/ig-sampled-from-training"),
+    pytest.param("istvf/spatialpca/var", "fixed", SMALL, id="istvf/spatialpca/var-fixed"),
+    # big enough that an F-ordered spatial basis projects to other bits
+    pytest.param("istvf/seqpca/mvg", "training-mean", PAPER,
+                 id="istvf/seqpca/mvg-training-mean-12x100x20"),
 ])
-def test_cli_chain_matches_fit_emulator(tmp_path, aligned, scheme, policy):
+def test_cli_chain_matches_fit_emulator(tmp_path, aligned_at, scheme, policy, size):
+    aligned = aligned_at(size)
     kind, red, model_type = parse_scheme(scheme)
     assert run_cli("flatten", "--input", aligned, "--kind", kind, "--out", tmp_path) == 0
     assert run_cli("reduce", "--input", tmp_path / "fields.txt", "--method", red,
@@ -64,6 +90,18 @@ def test_cli_chain_matches_fit_emulator(tmp_path, aligned, scheme, policy):
     stat = "covariance" if model_type == "mvg" else "variances"
     assert np.array_equal(getattr(cli.model, stat), getattr(lib.model, stat)), stat
     assert cli.model.shape == lib.model.shape
+
+
+@pytest.mark.parametrize("model_type", ["mvg", "ig", "var", "pwi"])
+def test_draws_survive_save_and_load(tmp_path, aligned, model_type):
+    seqs = mio.read_posture_sequences(aligned)
+    bundle = models.fit_emulator(seqs, model_type=model_type, d1=3)
+    save_bundle(tmp_path / "bundle.txt", bundle)
+    reloaded = load_bundle(tmp_path / "bundle.txt")
+    before = models.simulate_sequence(bundle, 3, seed=11)
+    after = models.simulate_sequence(reloaded, 3, seed=11)
+    for a, b in zip(before, after):
+        assert np.array_equal(a, b)
 
 
 def test_reduce_rejects_mpca(tmp_path):
