@@ -171,7 +171,7 @@ def _synth(args, out):
     _manifest(out, "synth", config, [], [seq_path, label_path])
     print(f"synth: {seqs.shape[0]} sequences of {seqs.shape[1]} frames, "
           f"{args.classes} classes")
-    return list(seqs), seq_path
+    return list(seqs), [seq_path, label_path]
 
 
 def cmd_synth(args):
@@ -202,7 +202,7 @@ def _align(args, out, seqs, src):
     config = {"input": os.path.basename(src), "ref_index": args.ref_index}
     _manifest(out, "align", config, [src], [aligned_path, warps_path])
     print(f"align: {len(aligned)} sequences warped onto index {args.ref_index}")
-    return aligned, aligned_path
+    return aligned, [aligned_path, warps_path]
 
 
 def cmd_align(args):
@@ -225,7 +225,7 @@ def _flatten(args, out, seqs, inputs, reference=None):
     _manifest(out, "flatten", config, inputs, [fields_path, ref_path])
     print(f"flatten: {len(fields)} {args.kind} fields of "
           f"{fields[0].values.shape[1]} columns")
-    return fields, fields_path
+    return fields, [fields_path, ref_path]
 
 
 def cmd_flatten(args):
@@ -248,7 +248,7 @@ def _reduce(args, out, fields, src):
               "d2": args.d2 if args.d2 is not None else -1,
               "var1": args.var1, "var2": args.var2}
     _manifest(out, "reduce", config, [src], [red_path])
-    return (spatial, fpca), red_path
+    return (spatial, fpca), [red_path]
 
 
 def cmd_reduce(args):
@@ -276,7 +276,7 @@ def _fit(args, out, inputs, seqs=None, fields=None, reduction=None):
     _manifest(out, "fit", config, inputs, [bundle_path])
     print(f"fit: {bundle.model_type} bundle over {bundle.length} frames "
           f"({bundle.meta.get('count', 0)} training sequences)")
-    return bundle, bundle_path
+    return bundle, [bundle_path]
 
 
 def cmd_fit(args):
@@ -320,7 +320,7 @@ def _simulate(args, out, bundle, src):
               "split": args.split or "", "seed": args.seed}
     _manifest(out, "simulate", config, [src], artifacts)
     print(f"simulate: {len(sims)} sequences from {bundle.model_type} bundle")
-    return sims, sims_path
+    return sims, artifacts
 
 
 def cmd_simulate(args):
@@ -342,6 +342,7 @@ def _two_sample(args, out, group_a, group_b, a_src, b_src):
     _manifest(out, "eval-two-sample", config, [a_src, b_src], [csv_path])
     print(f"two-sample: statistic {res.statistic:.6g}, p {res.p_value:.4g} "
           f"({res.permutations} shuffles)")
+    return res, [csv_path]
 
 
 def _eval_two_sample(args, out):
@@ -456,27 +457,30 @@ def cmd_pipeline(args):
     out = _out_dir(args)
     kind, red, model_type = parse_scheme(args.scheme)
     args.kind, args.method = kind, red
+    artifacts = []
+
+    def stage(run, *loaded, **more):  # -> result, path the next stage hashes
+        result, paths = run(args, out, *loaded, **more)
+        artifacts.extend(paths)
+        return result, paths[0]
+
     if args.input:
         seq_src = _resolve(args.input)
         seqs = mio.read_posture_sequences(seq_src)
         inputs = [seq_src]
     else:
-        seqs, seq_src = _synth(args, out)
+        seqs, seq_src = stage(_synth)
         inputs = []
-    aligned, aligned_path = _align(args, out, seqs, seq_src)
+    aligned, aligned_path = stage(_align, seqs, seq_src)
     if model_type == "pwi":
-        bundle, bundle_path = _fit(args, out, [aligned_path], seqs=aligned)
+        bundle, bundle_path = stage(_fit, [aligned_path], seqs=aligned)
     else:
-        fields, fields_path = _flatten(args, out, aligned, [aligned_path])
-        reduction, red_path = _reduce(args, out, fields, fields_path)
-        bundle, bundle_path = _fit(args, out, [fields_path, red_path], fields=fields,
-                                   reduction=reduction)
-    sims, sims_path = _simulate(args, out, bundle, bundle_path)
-    _two_sample(args, out, sims, aligned, sims_path, aligned_path)
-    names = ["sequences.txt", "labels.csv", "aligned.txt", "warps.txt", "fields.txt",
-             "reference.txt", "reduction.txt", "bundle.txt", "sims.txt", "two_sample.csv"]
-    artifacts = [os.path.join(out, n) for n in names
-                 if os.path.exists(os.path.join(out, n))]
+        fields, fields_path = stage(_flatten, aligned, [aligned_path])
+        reduction, red_path = stage(_reduce, fields, fields_path)
+        bundle, bundle_path = stage(_fit, [fields_path, red_path], fields=fields,
+                                    reduction=reduction)
+    sims, sims_path = stage(_simulate, bundle, bundle_path)
+    stage(_two_sample, sims, aligned, sims_path, aligned_path)
     config = {"scheme": args.scheme.lower(), "seed": args.seed,
               "input": os.path.basename(args.input) if args.input else "",
               "count": args.count, "n_perm": args.n_perm,

@@ -1,8 +1,14 @@
 """Line-delimited text formats for sequences, warps, fields and models.
 
-All floats are written with 17 significant digits, which round-trips IEEE
-doubles bit-exactly through float().  Files hold one or more blocks, each
-introduced by a header line naming the block type and its dimensions.
+Files hold blocks (`rawseq`, `postureseq`, `warps`, `flatfield`, `doc`),
+each introduced by a header line naming its type and dimensions.  One
+codec handles every float row: the writer fills one `%.17g` template per
+row, which round-trips IEEE doubles bit-exactly, and the reader parses a
+block's rows in one `np.array(..., dtype=float)` call.  A block with no
+entries (a length-0 vector, a (D, 0) matrix) has no payload lines.  Bad
+headers, short files, ragged rows and non-numeric tokens raise
+`DimensionMismatch` naming the file, as do non-finite posture or field
+values and bones off the unit sphere (`UNIT_TOL`).
 
 Model-like objects (PCA bases, fitted models, emulator bundles) use a
 generic tagged document: a `doc <type> <version>` header, then one entry
@@ -25,15 +31,27 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_row(row):
-    return " ".join(fmt(v) for v in row)
+def _write_rows(fh, rows):
+    """Write a 2-d array, one line of %.17g values per row; an array with
+    no entries writes no lines."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.size:
+        line = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+        fh.writelines(line % tuple(row) for row in rows.tolist())
 
 
-def _parse_row(line, count, path):
-    parts = line.split()
-    if len(parts) != count:
-        raise DimensionMismatch(f"{path}: expected {count} numbers per line, got {len(parts)}")
-    return np.array([float(p) for p in parts])
+def _parse_rows(path, tokens, rows, cols):
+    """Parse per-row lists of float tokens into a (rows, cols) array."""
+    if not (rows and cols):
+        return np.zeros((rows, cols))
+    what = f"{path}: expected {rows} rows of {cols} numbers"
+    try:
+        values = np.array(tokens, dtype=float)
+    except ValueError as exc:
+        raise DimensionMismatch(f"{what}: {exc}") from None
+    if values.shape != (rows, cols):
+        raise DimensionMismatch(f"{what}, got shape {values.shape}")
+    return values
 
 
 def _first_bad(path, where, bad, what):
@@ -50,7 +68,7 @@ def _check_postures(path, where, postures):
 
 
 class _Lines:
-    """Iterator over non-empty lines with a one-line pushback."""
+    """The non-empty lines of a file, consumed front to back."""
 
     def __init__(self, path):
         self.path = str(path)
@@ -58,15 +76,27 @@ class _Lines:
             self.lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
         self.pos = 0
 
-    def peek(self):
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
+    def left(self):
+        return len(self.lines) - self.pos
 
-    def next(self):
-        if self.pos >= len(self.lines):
+    def take(self, count):
+        if self.left() < count:
             raise DimensionMismatch(f"{self.path}: unexpected end of file")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
+        self.pos += count
+        return self.lines[self.pos - count:self.pos]
+
+    def head(self, tag, size=None):
+        """Tokens after tag of the next line, which starts with tag and,
+        when size is given, holds size tokens in all."""
+        head = self.take(1)[0].split()
+        if head[0] != tag or (size is not None and len(head) != size):
+            raise DimensionMismatch(f"{self.path}: bad {tag} line")
+        return head[1:]
+
+    def block(self, rows, cols):
+        """Parse the next rows x cols block; a block with no entries has no lines."""
+        lines = self.take(rows if cols else 0)
+        return _parse_rows(self.path, [ln.split() for ln in lines], rows, cols)
 
 
 def write_raw_sequences(path, frames_list, hierarchy: SkeletonHierarchy):
@@ -77,8 +107,7 @@ def write_raw_sequences(path, frames_list, hierarchy: SkeletonHierarchy):
             t, n, _ = frames.shape
             fh.write(f"rawseq {n} {t}\n")
             fh.write("parents " + " ".join(str(int(p)) for p in hierarchy.parent) + "\n")
-            for frame in frames:
-                fh.write(_fmt_row(frame.ravel()) + "\n")
+            _write_rows(fh, frames.reshape(t, 3 * n))
 
 
 def read_raw_sequences(path):
@@ -86,21 +115,14 @@ def read_raw_sequences(path):
     src = _Lines(path)
     out = []
     hierarchy = None
-    while src.peek() is not None:
-        head = src.next().split()
-        if head[0] != "rawseq" or len(head) != 3:
-            raise DimensionMismatch(f"{path}: bad raw sequence header")
-        n, t = int(head[1]), int(head[2])
-        parents = src.next().split()
-        if parents[0] != "parents" or len(parents) != n + 1:
-            raise DimensionMismatch(f"{path}: bad parents line")
-        h = SkeletonHierarchy(np.array([int(p) for p in parents[1:]]))
+    while src.left():
+        n, t = (int(v) for v in src.head("rawseq", 3))
+        h = SkeletonHierarchy(np.array([int(p) for p in src.head("parents", n + 1)]))
         if hierarchy is None:
             hierarchy = h
         elif not np.array_equal(h.parent, hierarchy.parent):
             raise DimensionMismatch(f"{path}: blocks disagree on hierarchy")
-        frames = np.stack([_parse_row(src.next(), 3 * n, path).reshape(n, 3) for _ in range(t)])
-        out.append(frames)
+        out.append(src.block(t, 3 * n).reshape(t, n, 3))
     if hierarchy is None:
         raise DimensionMismatch(f"{path}: no sequences found")
     return out, hierarchy
@@ -113,21 +135,16 @@ def write_posture_sequences(path, seqs):
             seq = np.asarray(seq, dtype=float)
             t, k, _ = seq.shape
             fh.write(f"postureseq {k + 1} {t}\n")
-            for frame in seq:
-                fh.write(_fmt_row(frame.ravel()) + "\n")
+            _write_rows(fh, seq.reshape(t, 3 * k))
 
 
 def read_posture_sequences(path):
     """Read posture sequences; returns a list of (T, n-1, 3) arrays."""
     src = _Lines(path)
     out = []
-    while src.peek() is not None:
-        head = src.next().split()
-        if head[0] != "postureseq" or len(head) != 3:
-            raise DimensionMismatch(f"{path}: bad posture sequence header")
-        n, t = int(head[1]), int(head[2])
-        k = n - 1
-        seq = np.stack([_parse_row(src.next(), 3 * k, path).reshape(k, 3) for _ in range(t)])
+    while src.left():
+        n, t = (int(v) for v in src.head("postureseq", 3))
+        seq = src.block(t, 3 * (n - 1)).reshape(t, n - 1, 3)
         _check_postures(path, f"block {len(out)}, row", seq)
         out.append(seq)
     if not out:
@@ -137,23 +154,18 @@ def read_posture_sequences(path):
 
 def write_warps(path, warps):
     """Write time-warp sample arrays, one block for the whole set."""
-    warps = [np.asarray(w, dtype=float) for w in warps]
-    t = warps[0].shape[0]
+    t = len(warps[0])
+    if any(np.shape(w) != (t,) for w in warps):
+        raise DimensionMismatch("warps in one file must share their sample count")
     with open(path, "w") as fh:
         fh.write(f"warps {len(warps)} {t}\n")
-        for w in warps:
-            if w.shape != (t,):
-                raise DimensionMismatch("warps in one file must share their sample count")
-            fh.write(_fmt_row(w) + "\n")
+        _write_rows(fh, warps)
 
 
 def read_warps(path):
     src = _Lines(path)
-    head = src.next().split()
-    if head[0] != "warps" or len(head) != 3:
-        raise DimensionMismatch(f"{path}: bad warps header")
-    m, t = int(head[1]), int(head[2])
-    return [_parse_row(src.next(), t, path) for _ in range(m)]
+    m, t = (int(v) for v in src.head("warps", 3))
+    return list(src.block(m, t))
 
 
 def write_flatfields(path, fields):
@@ -161,37 +173,29 @@ def write_flatfields(path, fields):
     with open(path, "w") as fh:
         for field in fields:
             k = field.reference.shape[0]
-            rows, cols = field.values.shape
-            fh.write(f"flatfield {field.kind} {k + 1} {cols} {fmt(field.dt)}\n")
-            fh.write("reference " + _fmt_row(field.reference.ravel()) + "\n")
+            fh.write(f"flatfield {field.kind} {k + 1} {field.values.shape[1]} {fmt(field.dt)}\n")
+            fh.write("reference ")
+            _write_rows(fh, field.reference.reshape(1, 3 * k))
             if field.start is None:
                 fh.write("start none\n")
             else:
-                fh.write("start " + _fmt_row(field.start.ravel()) + "\n")
-            for row in field.values:
-                fh.write(_fmt_row(row) + "\n")
+                fh.write("start ")
+                _write_rows(fh, field.start.reshape(1, 3 * k))
+            _write_rows(fh, field.values)
 
 
 def read_flatfields(path):
     src = _Lines(path)
     out = []
-    while src.peek() is not None:
-        head = src.next().split()
-        if head[0] != "flatfield" or len(head) != 5:
-            raise DimensionMismatch(f"{path}: bad flat field header")
-        kind, n, cols, dt = head[1], int(head[2]), int(head[3]), float(head[4])
+    while src.left():
+        kind, n, cols, dt = src.head("flatfield", 5)
         if kind not in FLATTEN_KINDS:
             raise KindMismatch(f"{path}: unknown field kind {kind!r}")
-        k = n - 1
-        ref_line = src.next().split(maxsplit=1)
-        if ref_line[0] != "reference":
-            raise DimensionMismatch(f"{path}: missing reference line")
-        reference = _parse_row(ref_line[1], 3 * k, path).reshape(k, 3)
-        start_line = src.next().split(maxsplit=1)
-        if start_line[0] != "start":
-            raise DimensionMismatch(f"{path}: missing start line")
-        start = None if start_line[1].strip() == "none" else _parse_row(start_line[1], 3 * k, path).reshape(k, 3)
-        values = np.stack([_parse_row(src.next(), cols, path) for _ in range(2 * k)])
+        k, cols, dt = int(n) - 1, int(cols), float(dt)
+        reference = _parse_rows(path, [src.head("reference")], 1, 3 * k).reshape(k, 3)
+        start = src.head("start")
+        start = None if start == ["none"] else _parse_rows(path, [start], 1, 3 * k).reshape(k, 3)
+        values = src.block(2 * k, cols)
         block = f"block {len(out)},"
         _check_postures(path, f"{block} reference bone", reference[:, None])
         if start is not None:
@@ -223,26 +227,22 @@ def write_doc(path, doctype: str, version: int, items):
                 arr = np.asarray(value, dtype=float)
                 if arr.ndim == 1:
                     fh.write(f"v {name} {arr.shape[0]}\n")
-                    fh.write(_fmt_row(arr) + "\n")
+                    arr = arr[None]
                 elif arr.ndim == 2:
                     fh.write(f"m {name} {arr.shape[0]} {arr.shape[1]}\n")
-                    for row in arr:
-                        fh.write(_fmt_row(row) + "\n")
                 else:
                     raise DimensionMismatch(f"cannot serialize {name}: ndim {arr.ndim}")
+                _write_rows(fh, arr)
         fh.write("end\n")
 
 
 def read_doc(path):
     """Read a tagged document; returns (doctype, version, dict name->value)."""
     src = _Lines(path)
-    head = src.next().split()
-    if head[0] != "doc" or len(head) != 3:
-        raise DimensionMismatch(f"{path}: bad document header")
-    doctype, version = head[1], int(head[2])
+    doctype, version = src.head("doc", 3)
     out = {}
     while True:
-        line = src.next()
+        line, = src.take(1)
         if line.strip() == "end":
             break
         tag, rest = line.split(maxsplit=1)
@@ -260,11 +260,10 @@ def read_doc(path):
             out[name] = float(value)
         elif tag == "v":
             name, count = rest.split()
-            out[name] = _parse_row(src.next(), int(count), path)
+            out[name] = src.block(1, int(count))[0]
         elif tag == "m":
             name, rows, cols = rest.split()
-            out[name] = np.stack([_parse_row(src.next(), int(cols), path) for _ in range(int(rows))]) \
-                if int(rows) else np.zeros((0, int(cols)))
+            out[name] = src.block(int(rows), int(cols))
         else:
             raise DimensionMismatch(f"{path}: unknown tag {tag!r}")
-    return doctype, version, out
+    return doctype, int(version), out

@@ -258,12 +258,9 @@ def sample_pwi(model: PWIModel, seed=None):
     rng = np.random.default_rng(seed)
     if model._factors is None:
         model._factors = np.stack([_gaussian_factor(c) for c in model.covariances])
-    t = model.length
-    dim = model.covariances.shape[1]
-    z = rng.standard_normal((t, dim))
+    z = rng.standard_normal((model.length, model.covariances.shape[1]))
     coords = np.einsum("tij,tj->ti", model._factors, z)
-    vecs = np.stack([geo.coords_to_tangent(model.means[k], coords[k]) for k in range(t)])
-    return geo.sphere_exp(model.means, vecs)
+    return geo.sphere_exp(model.means, geo.coords_to_tangent(model.means, coords))
 
 
 MODEL_TYPES = ("mvg", "ig", "var", "pwi")

@@ -196,6 +196,27 @@ def test_pipeline_never_reads_its_own_artifacts(tmp_path, monkeypatch):
     assert reads == ["sequences.txt"]
 
 
+def test_pipeline_manifest_lists_only_files_this_run_wrote(tmp_path):
+    """A run into a used directory hashes only its own artifacts, so its
+    manifest equals the same run's manifest from a fresh directory."""
+    shared = tmp_path / "shared"
+    assert run_cli("pipeline", "--out", shared, *SYNTH_FLAGS, "--scheme", "istvf/seqpca/mvg",
+                   *PIPELINE_FLAGS) == 0
+    runs = [[*SYNTH_FLAGS, "--scheme", "pwi"],
+            ["--input", shared / "sequences.txt", "--scheme", "istvf/seqpca/mvg"]]
+    for i, flags in enumerate(runs):
+        fresh = tmp_path / f"fresh{i}"
+        for out in (shared, fresh):
+            assert run_cli("pipeline", "--out", out, *flags, *PIPELINE_FLAGS) == 0
+        assert read_bytes(shared / "manifest_pipeline.json") == \
+            read_bytes(fresh / "manifest_pipeline.json")
+    with open(shared / "manifest_pipeline.json") as fh:
+        manifest = json.load(fh)
+    assert sorted(manifest["artifacts"]) == ["aligned.txt", "bundle.txt", "fields.txt",
+                                             "reduction.txt", "reference.txt", "sims.txt",
+                                             "two_sample.csv", "warps.txt"]
+
+
 def test_simulate_split_and_seed_expansion(tmp_path):
     out = tmp_path / "run"
     assert run_cli("pipeline", "--out", out, "--seed", 2, *SYNTH_FLAGS,

@@ -228,6 +228,9 @@ def test_tangent_coords_batched_base():
     assert coords.shape == (4, 12)
     back = geo.coords_to_tangent(base, coords)
     np.testing.assert_allclose(back, v, atol=1e-12)
+    # the batched call computes each row's frame exactly as a per-row call does
+    rows = np.stack([geo.coords_to_tangent(base[i], coords[i]) for i in range(4)])
+    assert back.tobytes() == rows.tobytes()
 
 
 def test_tangent_frame_orthonormal():

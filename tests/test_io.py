@@ -1,3 +1,4 @@
+import io
 import tempfile
 from pathlib import Path
 
@@ -7,10 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from motionemu import io as mio
+from motionemu import dimred, io as mio
 from motionemu.errors import DimensionMismatch
 from motionemu.flatten import FlatField
+from motionemu.persist import load_reduction, save_reduction
 from motionemu.skeleton import SkeletonHierarchy
+
+
+def unit_rows(raw):
+    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
+    raw = np.where(norms > 1e-3, raw, [1.0, 0.0, 0.0])
+    return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
 
 
 def rand_postures(rng, t, k):
@@ -87,9 +95,17 @@ def test_doc_roundtrip_all_tags(tmp_path):
         ("vec", rng.standard_normal(5)),
         ("mat", rng.standard_normal((3, 4))),
         ("empty", np.zeros((0, 4))),
+        ("empty_vec", np.zeros(0)),
+        ("after_vec", 7),
+        ("no_cols", np.zeros((3, 0))),
+        ("after_mat", "tail"),
     ]
     path = tmp_path / "doc.txt"
     mio.write_doc(path, "example", 2, items)
+    # an entry with no numbers has no payload lines, blank or otherwise
+    assert path.read_text().splitlines()[-6:] == [
+        "m empty 0 4", "v empty_vec 0", "i after_vec 7", "m no_cols 3 0", "s after_mat tail",
+        "end"]
     doctype, version, data = mio.read_doc(path)
     assert doctype == "example" and version == 2
     assert data["nothing"] is None
@@ -99,6 +115,8 @@ def test_doc_roundtrip_all_tags(tmp_path):
     np.testing.assert_array_equal(data["vec"], items[4][1])
     np.testing.assert_array_equal(data["mat"], items[5][1])
     assert data["empty"].shape == (0, 4)
+    assert data["empty_vec"].shape == (0,) and data["after_vec"] == 7
+    assert data["no_cols"].shape == (3, 0) and data["after_mat"] == "tail"
 
 
 def test_doc_float_bit_exactness(tmp_path):
@@ -167,9 +185,7 @@ def test_read_flatfields_rejects_non_finite_and_non_unit_postures(tmp_path):
               elements=st.floats(-1.0, 1.0, allow_subnormal=False)),
        st.integers(1, 3))
 def test_posture_sequences_roundtrip_bitwise_property(raw, count):
-    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
-    raw = np.where(norms > 1e-3, raw, [1.0, 0.0, 0.0])
-    seq = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    seq = unit_rows(raw)
     seqs = [np.roll(seq, i, axis=0) for i in range(count)]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "seqs.txt"
@@ -179,3 +195,125 @@ def test_posture_sequences_roundtrip_bitwise_property(raw, count):
     for a, b in zip(seqs, back):
         assert a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+def test_constant_field_reduction_survives_save_and_load(tmp_path):
+    # constant fields have rank zero: the spatial basis is (4, 0)
+    ref = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    fields = [FlatField("istvf", ref, None, np.ones((4, 6)), 0.2) for _ in range(3)]
+    spatial, fpca = dimred.reduce_fields(fields, False)
+    assert spatial.basis.shape == (4, 0) and fpca is None
+    path = tmp_path / "reduction.txt"
+    save_reduction(path, spatial, fpca)
+    back, back_fpca = load_reduction(path)
+    assert back_fpca is None
+    for name in ("mean", "basis", "eigenvalues"):
+        a, b = getattr(spatial, name), getattr(back, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert back.total_variance == spatial.total_variance
+
+
+# ---- the row codec: exact bytes, bitwise round trips, rejected rows -------
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.225073858507201e-308,
+           -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+           1.8e307, -1.79e308, 1.0, -1.0, 0.1, 1.0 / 3.0]
+ANY_FLOAT = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
+FINITE = st.one_of(st.sampled_from([v for v in SPECIAL if np.isfinite(v)]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+NUMBER = st.one_of(FINITE, st.sampled_from([np.inf, -np.inf]))
+
+
+def shapes(rows, cols):
+    return st.tuples(st.integers(*rows), st.integers(*cols))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(arrays(np.float64, shapes((0, 5), (0, 7)), elements=ANY_FLOAT))
+def test_row_writer_bytes_equal_per_value_format(rows):
+    fh = io.StringIO()
+    mio._write_rows(fh, rows)
+    expected = "".join(" ".join(format(float(v), ".17g") for v in row) + "\n"
+                       for row in rows if row.size)
+    assert fh.getvalue() == expected
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(2, 4), st.just(3)),
+              elements=FINITE), st.integers(1, 3))
+def test_raw_sequences_roundtrip_bitwise_property(frames, count):
+    n = frames.shape[1]
+    hierarchy = SkeletonHierarchy(np.arange(n) - 1)
+    frames_list = [np.roll(frames, i, axis=0) for i in range(count)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "raw.txt"
+        mio.write_raw_sequences(path, frames_list, hierarchy)
+        back, h = mio.read_raw_sequences(path)
+    assert np.array_equal(h.parent, hierarchy.parent)
+    assert len(back) == count and all(map(same_bits, frames_list, back))
+
+
+@given(arrays(np.float64, shapes((1, 4), (1, 9)), elements=FINITE))
+def test_warps_roundtrip_bitwise_property(warps):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "warps.txt"
+        mio.write_warps(path, list(warps))
+        back = mio.read_warps(path)
+    assert len(back) == len(warps) and all(map(same_bits, warps, back))
+
+
+@given(arrays(np.float64, st.tuples(st.just(2), st.integers(1, 4), st.just(3)),
+              elements=st.floats(-1.0, 1.0)),
+       arrays(np.float64, shapes((1, 3), (1, 6)), elements=FINITE),
+       st.booleans())
+def test_flatfields_roundtrip_bitwise_property(postures, cols, with_start):
+    ref, start = unit_rows(postures)
+    k = ref.shape[0]
+    values = np.resize(cols.ravel(), (2 * k, cols.shape[1]))
+    fields = [FlatField("istvf" if with_start else "siem", ref, start if with_start else None,
+                        values, float(cols.flat[0])),
+              FlatField("stvf", start, ref, -values, 0.125)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fields.txt"
+        mio.write_flatfields(path, fields)
+        back = mio.read_flatfields(path)
+    for a, b in zip(fields, back):
+        assert (a.kind, same_bits(a.dt, b.dt)) == (b.kind, True)
+        assert same_bits(a.reference, b.reference) and same_bits(a.values, b.values)
+        assert (a.start is None) == (b.start is None)
+        assert a.start is None or same_bits(a.start, b.start)
+
+
+@given(st.lists(st.one_of(arrays(np.float64, st.tuples(st.integers(0, 4)), elements=NUMBER),
+                          arrays(np.float64, shapes((0, 3), (0, 4)), elements=NUMBER)),
+                min_size=1, max_size=4))
+def test_doc_vectors_and_matrices_roundtrip_bitwise_property(values):
+    # every array is followed by another entry, so a stray payload line shows
+    items = []
+    for i, v in enumerate(values):
+        items += [(f"a{i}", v), (f"n{i}", i)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.txt"
+        mio.write_doc(path, "arrays", 1, items)
+        _, _, data = mio.read_doc(path)
+    for i, v in enumerate(values):
+        assert same_bits(v, data[f"a{i}"]) and data[f"n{i}"] == i
+
+
+@given(arrays(np.float64, shapes((1, 4), (2, 5)), elements=FINITE),
+       st.integers(0, 3), st.integers(0, 4), st.sampled_from(["x", "1.0.0", "--1", "1e", ","]))
+def test_ragged_rows_and_bad_tokens_raise_dimension_mismatch(matrix, row, col, token):
+    row, col = row % matrix.shape[0], col % matrix.shape[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.txt"
+        mio.write_doc(path, "bad", 1, [("m", matrix), ("n", 1)])
+        lines = path.read_text().splitlines()
+        tokens = lines[2 + row].split()
+        for bad in (tokens[:col] + tokens[col + 1:], tokens[:col] + [token] + tokens[col + 1:]):
+            lines[2 + row] = " ".join(bad)
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(DimensionMismatch, match="doc.txt: expected"):
+                mio.read_doc(path)
