@@ -26,7 +26,7 @@ from .evaluate import (ClusterModel, DiscoResult, cluster_postures, disco_stat,
 from .flatten import (FlatField, flatten_sequence, istvf_decode, istvf_encode,
                       istvf_to_stvf, mtvf_decode, mtvf_encode, recon_error,
                       siem_decode, siem_encode, stvf_decode, stvf_encode,
-                      unflatten_field)
+                      unflatten_batch, unflatten_field)
 from .geometry import (karcher_mean, posture_dist, posture_exp, posture_log,
                        posture_transport, sequence_dist, sphere_dist, sphere_exp,
                        sphere_log, sphere_transport, tangent_coords, tangent_frame,

@@ -158,6 +158,9 @@ def fpca_fit(score_list, dt: float, n_components=None, var_threshold=0.95) -> FP
         raise InsufficientData("need at least two score matrices")
     stack = np.stack([np.asarray(h, dtype=float) for h in score_list])
     m, d1, length = stack.shape
+    if d1 == 0:
+        raise InsufficientData("the spatial reduction has rank 0 (d1 = 0, as for constant "
+                               "fields): no score rows to fit a functional PCA on")
     means = stack.mean(axis=0)
     dev = stack - means
     bases, values = [], []

@@ -22,7 +22,7 @@ from .dimred import _fix_signs
 from .errors import BadTarget, DimensionMismatch, InsufficientData, LengthMismatch
 
 
-BLOCK_ANGLES = 2**16  # angles per row block; 2**15-2**17 ran equally fast on 2-core x86
+BLOCK_ANGLES = 2**16  # angles per block; 2**15-2**17 ran equally fast on 2-core x86
 
 
 def _posture_stack(postures):
@@ -33,12 +33,24 @@ def _posture_stack(postures):
 
 
 def _pairwise(stack):
-    """Summed bone angles between all row pairs of a (N, K, 3) stack."""
+    """Summed bone angles between all row pairs of a (N, K, 3) stack.
+
+    Blocks hold about BLOCK_ANGLES angles: several rows by all columns, or
+    one row by a run of columns when a row alone is longer.  sphere_dist is
+    exactly symmetric, so only blocks on or above the diagonal are computed
+    and each is mirrored below it.  Every entry sums the same K angles in
+    the same order, whatever the blocks.
+    """
     n, k = stack.shape[:2]
     out = np.empty((n, n))
     rows = max(1, BLOCK_ANGLES // max(n * k, 1))
+    cols = max(1, BLOCK_ANGLES // max(rows * k, 1))
     for lo in range(0, n, rows):
-        out[lo:lo + rows] = geo.sphere_dist(stack[lo:lo + rows, None], stack[None]).sum(axis=2)
+        hi = min(lo + rows, n)
+        for c in range(lo, n, cols):
+            block = geo.sphere_dist(stack[lo:hi, None], stack[None, c:c + cols]).sum(axis=2)
+            out[lo:hi, c:c + cols] = block
+            out[c:c + cols, lo:hi] = block.T
     return out
 
 

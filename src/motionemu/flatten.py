@@ -68,19 +68,6 @@ def _require_kind(field: FlatField, kind: str):
         raise KindMismatch(f"expected a {kind!r} field, got {field.kind!r}")
 
 
-def _single_hop_decode(field: FlatField):
-    """Grow a sequence from velocity columns stored at the reference:
-    transport each column to the newest frame, scale by dt, exponentiate."""
-    if field.start is None:
-        raise DimensionMismatch(f"{field.kind} field is missing its start posture")
-    steps = geo.coords_to_tangent(field.reference, field.values.T)
-    frames = [field.start.copy()]
-    for t in range(field.length):
-        v = geo.sphere_transport(field.reference, frames[-1], steps[t])
-        frames.append(geo.sphere_exp(frames[-1], v * field.dt))
-    return np.stack(frames)
-
-
 def shooting_vectors(seq):
     """Discrete velocities: log of each frame at its predecessor, scaled
     by 1/dt.  Returns shape (T-1, n-1, 3)."""
@@ -110,7 +97,7 @@ def stvf_decode(field: FlatField):
     """Invert stvf_encode: transport each column back to the frame being
     grown and exponentiate the dt-scaled step."""
     _require_kind(field, "stvf")
-    return _single_hop_decode(field)
+    return unflatten_field(field)
 
 
 def istvf_encode(field: FlatField) -> FlatField:
@@ -130,7 +117,8 @@ def istvf_to_stvf(field: FlatField) -> FlatField:
 
 def istvf_decode(field: FlatField):
     """Invert istvf_encode back to a posture sequence."""
-    return stvf_decode(istvf_to_stvf(field))
+    _require_kind(field, "istvf")
+    return unflatten_field(field)
 
 
 def siem_encode(seq, reference) -> FlatField:
@@ -150,8 +138,7 @@ def siem_encode(seq, reference) -> FlatField:
 def siem_decode(field: FlatField):
     """Invert siem_encode: exponentiate every column at the reference."""
     _require_kind(field, "siem")
-    vecs = geo.coords_to_tangent(field.reference, field.values.T)
-    return geo.sphere_exp(field.reference, vecs)
+    return unflatten_field(field)
 
 
 def mtvf_encode(seq, reference) -> FlatField:
@@ -177,7 +164,7 @@ def mtvf_decode(field: FlatField):
     from the original more and more as t grows; the drift is the reason
     this kind is a control rather than a usable representation."""
     _require_kind(field, "mtvf")
-    return _single_hop_decode(field)
+    return unflatten_field(field)
 
 
 def flatten_sequence(seq, reference, kind: str) -> FlatField:
@@ -193,15 +180,50 @@ def flatten_sequence(seq, reference, kind: str) -> FlatField:
     raise KindMismatch(f"unknown flattening kind {kind!r}")
 
 
+def unflatten_batch(kind: str, reference, starts, values, dt: float):
+    """Decode N fields that share their kind, reference and dt at once.
+
+    values has shape (N, 2*(n-1), L) and starts (N, n-1, 3); siem does not
+    use starts, which may then be None.  Returns shape (N, T, n-1, 3).
+    Every step acts element by element across the batch, so each decoded
+    sequence equals decoding its field alone, bit for bit.  The velocity
+    kinds grow all N sequences in one loop over the L columns: each column
+    is turned into a step (istvf first differenced as in istvf_to_stvf),
+    transported from the reference to the newest frame, scaled by dt and
+    exponentiated there.  Only one column of steps exists at a time.
+    """
+    if kind not in FLATTEN_KINDS:
+        raise KindMismatch(f"unknown flattening kind {kind!r}")
+    reference = np.asarray(reference, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3:
+        raise DimensionMismatch(f"expected (N, 2*(n-1), L) values, got {values.shape}")
+    if kind == "siem":
+        return geo.sphere_exp(reference, geo.coords_to_tangent(reference,
+                                                               np.swapaxes(values, 1, 2)))
+    if starts is None:
+        raise DimensionMismatch(f"{kind} field is missing its start posture")
+    starts = np.asarray(starts, dtype=float)
+    if starts.shape != (values.shape[0],) + reference.shape:
+        raise DimensionMismatch(f"starts {starts.shape} do not match {values.shape[0]} fields "
+                                f"of {reference.shape[0]} bones")
+    out = np.empty((values.shape[0], values.shape[2] + 1) + reference.shape)
+    out[:, 0] = starts
+    for t in range(values.shape[2]):
+        coords = values[:, :, t]
+        if kind == "istvf":
+            coords = (coords - values[:, :, t - 1] if t else coords) / dt
+        step = geo.coords_to_tangent(reference, coords)
+        v = geo.sphere_transport(reference, out[:, t], step)
+        out[:, t + 1] = geo.sphere_exp(out[:, t], v * dt)
+    return out
+
+
 def unflatten_field(field: FlatField):
-    """Dispatch to the decoder for the field's kind."""
-    if field.kind == "stvf":
-        return stvf_decode(field)
-    if field.kind == "istvf":
-        return istvf_decode(field)
-    if field.kind == "siem":
-        return siem_decode(field)
-    return mtvf_decode(field)
+    """Decode one field of any kind: the one-field case of unflatten_batch."""
+    starts = None if field.start is None else field.start[None]
+    return unflatten_batch(field.kind, field.reference, starts, field.values[None],
+                           field.dt)[0]
 
 
 def recon_error(seq, decoded):

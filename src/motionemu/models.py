@@ -36,11 +36,15 @@ def _vec(a):
 
 @dataclass
 class MVGModel:
-    """Zero-mean Gaussian over vectorized (row-major) coefficient matrices."""
+    """Zero-mean Gaussian over vectorized (row-major) coefficient matrices.
+
+    loglik computes the Cholesky factor of the covariance on first use and
+    keeps it; replace the model rather than editing its covariance."""
 
     covariance: np.ndarray
     jitter: float
     shape: tuple
+    _chol: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -126,10 +130,12 @@ def loglik(coeff, model) -> float:
     elif isinstance(model, MVGModel):
         if x.shape[0] != model.dim:
             raise DimensionMismatch("coefficient size does not match the model")
-        try:
-            chol = np.linalg.cholesky(model.covariance)
-        except np.linalg.LinAlgError:
-            raise SingularCovariance("covariance is not positive definite") from None
+        if model._chol is None:
+            try:
+                model._chol = np.linalg.cholesky(model.covariance)
+            except np.linalg.LinAlgError:
+                raise SingularCovariance("covariance is not positive definite") from None
+        chol = model._chol
         y = np.linalg.solve(chol, x)
         quad = float(y @ y)
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
@@ -365,9 +371,9 @@ def fit_emulator(seqs, kind: str = "istvf", model_type: str = "ig",
     return fit_bundle(fields, spatial, fpca, model_type, order, var_index, start_policy)
 
 
-def _template_field(bundle: EmulatorBundle, start) -> FlatField:
+def _template_field(bundle: EmulatorBundle) -> FlatField:
     cols = bundle.length - 1 if bundle.kind in flatten.VELOCITY_KINDS else bundle.length
-    return FlatField(bundle.kind, bundle.reference, start,
+    return FlatField(bundle.kind, bundle.reference, None,
                      np.zeros((bundle.reference.shape[0] * 2, cols)),
                      1.0 / (bundle.length - 1))
 
@@ -384,29 +390,30 @@ def simulate_sequence(bundle: EmulatorBundle, count: int, seed=None):
     Returns a list of count posture sequences.  All randomness flows from
     the seed; coefficient models run sample -> functional rebuild ->
     spatial rebuild -> unflatten, the VAR iterates its recursion, and the
-    posture-wise model samples frames independently.
+    posture-wise model samples frames independently.  The rebuilt fields
+    are decoded as one batch (flatten.unflatten_batch), and the returned
+    sequences are views into that batch.
     """
     if count < 0:
         raise BadTarget("count must be nonnegative")
     rng = np.random.default_rng(seed)
-    out = []
     if bundle.model_type == "pwi":
-        for _ in range(count):
-            out.append(sample_pwi(bundle.model, rng))
-        return out
+        return [sample_pwi(bundle.model, rng) for _ in range(count)]
+    template = _template_field(bundle)
+    values = np.empty((count,) + template.values.shape)
+    starts = np.empty((count,) + bundle.reference.shape)
     if bundle.model_type == "var":
-        for _ in range(count):
-            template = _template_field(bundle, _pick_start(bundle, rng))
-            scores = simulate_var(bundle.model, template.values.shape[1], bundle.var_init, rng)
-            field = dimred.spatial_reconstruct(scores, bundle.spatial, template)
-            out.append(flatten.unflatten_field(field))
-        return out
-    for coeff in sample_coeffs(bundle.model, count, rng):
-        scores = dimred.fpca_reconstruct(coeff, bundle.fpca)
-        field = dimred.spatial_reconstruct(scores, bundle.spatial,
-                                           _template_field(bundle, _pick_start(bundle, rng)))
-        out.append(flatten.unflatten_field(field))
-    return out
+        for i in range(count):
+            starts[i] = _pick_start(bundle, rng)
+            scores = simulate_var(bundle.model, template.length, bundle.var_init, rng)
+            values[i] = dimred.spatial_reconstruct(scores, bundle.spatial, template).values
+    else:
+        for i, coeff in enumerate(sample_coeffs(bundle.model, count, rng)):
+            scores = dimred.fpca_reconstruct(coeff, bundle.fpca)
+            values[i] = dimred.spatial_reconstruct(scores, bundle.spatial, template).values
+            starts[i] = _pick_start(bundle, rng)
+    return list(flatten.unflatten_batch(bundle.kind, bundle.reference, starts, values,
+                                        template.dt))
 
 
 def sequence_loglik(bundle: EmulatorBundle, seq) -> float:

@@ -13,6 +13,7 @@ from motionemu.cli import (SEED_EVAL_PERM, SEED_SIMULATE, main, parse_scheme,
                            run_twolevel, stage_seed)
 from motionemu.datagen import SynthConfig, gen_mixture
 from motionemu.errors import KindMismatch
+from motionemu.flatten import FlatField
 from motionemu.skeleton import SkeletonHierarchy, downsample, ingest_sequence
 
 
@@ -380,6 +381,18 @@ def test_error_reports_are_single_json_lines(tmp_path, capsys):
     assert run_cli("synth", "--out", tmp_path / "z", "--amplitude", 2.0) == 1
     err = capsys.readouterr().err
     assert json.loads(err)["error"] == "BadTarget"
+
+
+def test_seqpca_on_constant_fields_reports_rank_zero(tmp_path, capsys):
+    ref = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    fields = [FlatField("istvf", ref, ref, np.ones((4, 6)), 0.2) for _ in range(3)]
+    mio.write_flatfields(tmp_path / "fields.txt", fields)
+    assert run_cli("reduce", "--input", tmp_path / "fields.txt", "--method", "seqpca",
+                   "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "InsufficientData" and "rank 0" in report["message"]
 
 
 def test_data_dir_env_resolves_relative_paths(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from motionemu.dimred import (
     mpca_fit,
     mpca_project,
     mpca_reconstruct,
+    reduce_fields,
     select_dims,
     seq_recon_error,
     spatial_pca_fit,
@@ -210,6 +211,15 @@ def test_fpca_errors():
         fpca_project(np.zeros((3, 5)), basis)
     with pytest.raises(DimensionMismatch):
         fpca_reconstruct(np.zeros((2, 5)), basis)
+
+
+def test_functional_reduction_of_constant_fields_names_rank_zero():
+    # constant fields have a (4, 0) spatial basis, so no score rows
+    fields = [FlatField("istvf", REF, None, np.ones((4, 6)), 0.2) for _ in range(3)]
+    with pytest.raises(InsufficientData, match="rank 0"):
+        reduce_fields(fields, True)
+    with pytest.raises(InsufficientData, match="rank 0"):
+        fpca_fit([np.zeros((0, 6))] * 3, dt=0.2)
 
 
 def test_mpca_rank_one_captured_in_one_pass():

@@ -76,9 +76,9 @@ def test_posture_distance_matrix_matches_pairwise_metric(monkeypatch):
     rng = np.random.default_rng(3)
     postures = unit(rng.normal(size=(9, 3, 3)))
     postures[4] = postures[2]
-    # 27 angles a row: one block, then blocks of 1, 2 and 6 rows, the last
-    # two ragged at 1 and 3 rows
-    for block in (evaluate.BLOCK_ANGLES, 27, 54, 162):
+    # 27 angles a row: one block, then blocks of 1, 2 and 6 rows (the last
+    # two ragged at 1 and 3 rows), then one row by 1, 2 or 4 columns
+    for block in (evaluate.BLOCK_ANGLES, 27, 54, 162, 3, 6, 12):
         monkeypatch.setattr(evaluate, "BLOCK_ANGLES", block)
         dmat = posture_distance_matrix(postures)
         assert np.array_equal(np.diag(dmat), np.zeros(9))
@@ -87,6 +87,29 @@ def test_posture_distance_matrix_matches_pairwise_metric(monkeypatch):
         for i in range(9):
             for j in range(9):
                 assert dmat[i, j] == geo.posture_dist(postures[i], postures[j])
+
+
+def test_sequence_distance_matrix_matches_full_rows(monkeypatch):
+    rng = np.random.default_rng(8)
+    seqs = unit(rng.normal(size=(7, 4, 3, 3)))
+    seqs[5] = seqs[1]
+    flat = seqs.reshape(7, -1, 3)
+    # each row in full, with every angle of the pair in one sum
+    rows = np.stack([geo.sphere_dist(flat[i], flat).sum(axis=-1) for i in range(7)]) / 4
+    # 84 angles a row: one block, then blocks of 1, 2, 3 and 5 rows (the
+    # last three ragged at 1, 1 and 2 rows), then one row by 1, 2 or 4
+    # columns (the last two ragged)
+    for block in (evaluate.BLOCK_ANGLES, 84, 168, 252, 420, 12, 24, 48):
+        monkeypatch.setattr(evaluate, "BLOCK_ANGLES", block)
+        dmat = sequence_distance_matrix(list(seqs))
+        assert dmat.tobytes() == rows.tobytes()
+        assert np.array_equal(dmat, dmat.T)
+        assert np.array_equal(np.diag(dmat), np.zeros(7))
+        assert dmat[1, 5] == 0.0
+        for i in range(7):
+            for j in range(7):
+                # sequence_dist sums per frame first, so only the last bits differ
+                assert abs(dmat[i, j] - geo.sequence_dist(seqs[i], seqs[j])) <= 1e-14
 
 
 @pytest.mark.parametrize("bad", [np.zeros((5, 3, 2)), np.zeros((5, 3)), np.zeros((2, 5, 3, 3))])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from motionemu import geometry as geo
 from motionemu.errors import DimensionMismatch, KindMismatch
@@ -16,6 +18,7 @@ from motionemu.flatten import (
     siem_encode,
     stvf_decode,
     stvf_encode,
+    unflatten_batch,
     unflatten_field,
 )
 
@@ -166,3 +169,83 @@ def test_recon_error_quarter_turn():
     np.testing.assert_allclose(recon_error(a, b), np.pi / 2, atol=1e-12)
     with pytest.raises(DimensionMismatch):
         recon_error(a, a[:2])
+
+
+# ---- batch decode: one loop over the columns, the same bits per field -----
+
+def per_frame_decode(field):
+    """The decode as one field at a time, frame by frame: the reference
+    the batch decode must match bit for bit."""
+    values = field.values
+    if field.kind == "istvf":
+        values = np.concatenate([values[:, :1], np.diff(values, axis=1)], axis=1) / field.dt
+    steps = geo.coords_to_tangent(field.reference, values.T)
+    if field.kind == "siem":
+        return geo.sphere_exp(field.reference, steps)
+    frames = [field.start.copy()]
+    for t in range(values.shape[1]):
+        v = geo.sphere_transport(field.reference, frames[-1], steps[t])
+        frames.append(geo.sphere_exp(frames[-1], v * field.dt))
+    return np.stack(frames)
+
+
+def random_fields(kind, count, frames, bones, seed):
+    """count fields of one kind at a shared reference, encoded from
+    random smooth sequences."""
+    rng = np.random.default_rng(seed)
+    reference = rng.normal(size=(bones, 3))
+    reference /= np.linalg.norm(reference, axis=-1, keepdims=True)
+    fields = []
+    for _ in range(count):
+        drift = np.cumsum(rng.normal(scale=0.15, size=(frames, bones, 3)), axis=0)
+        seq = reference + drift
+        seq /= np.linalg.norm(seq, axis=-1, keepdims=True)
+        fields.append(flatten_sequence(seq, reference, kind))
+    return reference, fields
+
+
+@given(kind=st.sampled_from(["stvf", "istvf", "siem", "mtvf"]),
+       count=st.integers(1, 5), frames=st.integers(2, 9), bones=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_batch_decode_equals_single_field_decodes(kind, count, frames, bones, seed):
+    reference, fields = random_fields(kind, count, frames, bones, seed)
+    starts = np.stack([f.start for f in fields])
+    values = np.stack([f.values for f in fields])
+    before = values.copy()
+    batch = unflatten_batch(kind, reference, starts, values, fields[0].dt)
+    assert batch.shape == (count, frames, bones, 3)
+    assert np.array_equal(values, before)  # the input is left alone
+    for field, decoded in zip(fields, batch):
+        single = unflatten_field(field)
+        expected = per_frame_decode(field)
+        assert single.shape == expected.shape == decoded.shape
+        assert single.tobytes() == expected.tobytes()
+        assert decoded.tobytes() == expected.tobytes()
+
+
+def test_batch_decode_of_no_fields_is_empty():
+    for kind in ("stvf", "istvf", "siem", "mtvf"):
+        out = unflatten_batch(kind, REF, np.zeros((0, 2, 3)), np.zeros((0, 4, 5)), 0.2)
+        assert out.shape[0] == 0
+
+
+def test_velocity_decode_without_start_raises():
+    values = np.zeros((4, 3))
+    for kind in ("stvf", "istvf", "mtvf"):
+        with pytest.raises(DimensionMismatch, match="start posture"):
+            unflatten_field(FlatField(kind, REF, None, values, 0.25))
+        with pytest.raises(DimensionMismatch, match="start posture"):
+            unflatten_batch(kind, REF, None, values[None], 0.25)
+    # siem decodes at the reference and needs no start
+    assert unflatten_field(FlatField("siem", REF, None, values, 0.5)).shape == (3, 2, 3)
+
+
+def test_batch_decode_rejects_bad_shapes():
+    with pytest.raises(DimensionMismatch):
+        unflatten_batch("stvf", REF, REF[None], np.zeros((4, 3)), 0.25)
+    with pytest.raises(DimensionMismatch):
+        unflatten_batch("stvf", REF, np.stack([REF, REF]), np.zeros((1, 4, 3)), 0.25)
+    with pytest.raises(DimensionMismatch):
+        unflatten_batch("stvf", REF, REF[None], np.zeros((1, 6, 3)), 0.25)
+    with pytest.raises(KindMismatch):
+        unflatten_batch("svf", REF, REF[None], np.zeros((1, 4, 3)), 0.25)

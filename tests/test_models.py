@@ -6,6 +6,7 @@ from motionemu import geometry as geo
 from motionemu.errors import (BadTarget, DimensionMismatch, InsufficientData,
                               KindMismatch, SingularCovariance)
 from motionemu.models import (
+    START_POLICIES,
     EmulatorBundle,
     IGModel,
     MVGModel,
@@ -23,6 +24,7 @@ from motionemu.models import (
     simulate_sequence,
     simulate_var,
 )
+from motionemu.persist import load_bundle, save_bundle
 
 E1 = np.array([1.0, 0.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -328,3 +330,105 @@ def test_sequence_loglik_matches_manual_projection():
     pwi_bundle = fit_emulator(seqs, model_type="pwi")
     with pytest.raises(KindMismatch):
         sequence_loglik(pwi_bundle, target)
+
+
+# ---- batched simulation: the same bits as decoding one field at a time ----
+
+def per_sequence_simulation(bundle, count, seed):
+    """simulate_sequence as one rebuilt field and one decode per sequence,
+    with the same rng calls in the same order."""
+    rng = np.random.default_rng(seed)
+    cols = bundle.length - 1 if bundle.kind in flatten.VELOCITY_KINDS else bundle.length
+
+    def template():
+        if bundle.start_policy == "sampled-from-training":
+            start = bundle.start_postures[rng.integers(bundle.start_postures.shape[0])]
+        else:
+            start = bundle.start_postures[0]
+        return flatten.FlatField(bundle.kind, bundle.reference, start,
+                                 np.zeros((2 * bundle.reference.shape[0], cols)),
+                                 1.0 / (bundle.length - 1))
+
+    out = []
+    if bundle.model_type == "var":
+        for _ in range(count):
+            like = template()
+            scores = simulate_var(bundle.model, cols, bundle.var_init, rng)
+            out.append(flatten.unflatten_field(
+                dimred.spatial_reconstruct(scores, bundle.spatial, like)))
+        return out
+    for coeff in sample_coeffs(bundle.model, count, rng):
+        scores = dimred.fpca_reconstruct(coeff, bundle.fpca)
+        out.append(flatten.unflatten_field(
+            dimred.spatial_reconstruct(scores, bundle.spatial, template())))
+    return out
+
+
+@pytest.mark.parametrize("policy", START_POLICIES)
+@pytest.mark.parametrize("model_type,kind", [("mvg", "istvf"), ("ig", "istvf"),
+                                             ("mvg", "siem"), ("var", "istvf")])
+def test_simulate_sequence_equals_per_sequence_decode(model_type, kind, policy):
+    seqs = training_set(9, t=15, seed=11)
+    bundle = fit_emulator(seqs, kind=kind, model_type=model_type, d1=3, d2=3, order=2,
+                          start_policy=policy)
+    sims = simulate_sequence(bundle, 7, seed=123)
+    expected = per_sequence_simulation(bundle, 7, 123)
+    assert len(sims) == len(expected) == 7
+    for sim, exp in zip(sims, expected):
+        assert sim.shape == exp.shape == seqs[0].shape
+        assert sim.tobytes() == exp.tobytes()
+
+
+def test_simulate_zero_sequences_is_empty():
+    seqs = training_set(8, t=13, seed=5)
+    for model_type in ("mvg", "ig", "var", "pwi"):
+        bundle = fit_emulator(seqs, model_type=model_type, d1=2, d2=2, order=2)
+        assert simulate_sequence(bundle, 0, seed=1) == []
+    with pytest.raises(BadTarget):
+        simulate_sequence(bundle, -1)
+
+
+# ---- the MVG factor: computed once, the same bits on every call -----------
+
+def fresh_factor_loglik(coeff, model):
+    """loglik with a Cholesky factor computed for this call alone."""
+    x = np.asarray(coeff, dtype=float).ravel()
+    chol = np.linalg.cholesky(model.covariance)
+    y = np.linalg.solve(chol, x)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return -0.5 * (x.shape[0] * np.log(2.0 * np.pi) + logdet + float(y @ y))
+
+
+def test_mvg_loglik_same_bits_fresh_reused_and_reloaded(tmp_path):
+    seqs = training_set(30, t=17, seed=12)
+    bundle = fit_emulator(seqs, kind="istvf", model_type="mvg", d1=3, d2=4)
+    draws = sample_coeffs(bundle.model, 6, seed=4)
+    expected = [fresh_factor_loglik(c, bundle.model) for c in draws]
+    assert bundle.model._chol is None
+    first = [loglik(c, bundle.model) for c in draws]
+    assert bundle.model._chol is not None
+    again = [loglik(c, bundle.model) for c in draws]
+    save_bundle(tmp_path / "bundle.txt", bundle)
+    reloaded = load_bundle(tmp_path / "bundle.txt").model
+    assert reloaded._chol is None
+    back = [loglik(c, reloaded) for c in draws]
+    for values in (first, again, back):
+        assert np.array(values).tobytes() == np.array(expected).tobytes()
+
+
+def test_singular_covariance_raises_every_call_and_caches_nothing():
+    model = MVGModel(covariance=np.diag([1.0, 0.0, 2.0]), jitter=0.0, shape=(3,))
+    for _ in range(3):
+        with pytest.raises(SingularCovariance):
+            loglik(np.ones(3), model)
+        assert model._chol is None
+
+
+def test_mvg_factor_cache_is_not_part_of_the_value():
+    cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+    used = MVGModel(covariance=cov, jitter=1e-10, shape=(2,))
+    loglik(np.ones(2), used)
+    fresh = MVGModel(covariance=cov, jitter=1e-10, shape=(2,))
+    assert used._chol is not None and fresh._chol is None
+    assert used == fresh
+    assert repr(used) == repr(fresh) and "_chol" not in repr(used)
