@@ -435,8 +435,8 @@ def _eval_qq(args, out):
     bundle_src = _resolve(args.bundle)
     a_src, b_src = _resolve(args.a), _resolve(args.b)
     bundle = load_bundle(bundle_src)
-    ll_a = [models.sequence_loglik(bundle, s) for s in mio.read_posture_sequences(a_src)]
-    ll_b = [models.sequence_loglik(bundle, s) for s in mio.read_posture_sequences(b_src)]
+    ll_a = models.sequence_logliks(bundle, mio.read_posture_sequences(a_src))
+    ll_b = models.sequence_logliks(bundle, mio.read_posture_sequences(b_src))
     pairs = evaluate.qq_data(ll_a, ll_b)
     csv_path = os.path.join(out, "qq.csv")
     _write_csv(csv_path, ["a_quantile", "b_quantile"], [tuple(r) for r in pairs])
@@ -526,7 +526,7 @@ def run_twolevel(seqs, kind="istvf", model_type="ig", d1=4, d2=4,
         return bundles[name]
 
     reference = fit_two(model_type)
-    ll_test = [models.sequence_loglik(reference, s) for s in test2]
+    ll_test = models.sequence_logliks(reference, test2)
     rows, qq, ll_sim = [], {}, {}
     for j, name in enumerate(emulators):
         bundle = fit_two(name)
@@ -534,7 +534,7 @@ def run_twolevel(seqs, kind="istvf", model_type="ig", d1=4, d2=4,
                                          seed=stage_seed(seed, SEED_TL_SIM, (j,)))
         res = evaluate.disco_test(draws, test2, n_perm=n_perm,
                                   seed=stage_seed(seed, SEED_TL_DISCO, (j,)))
-        ll = [models.sequence_loglik(reference, s) for s in draws]
+        ll = models.sequence_logliks(reference, draws)
         qq[name] = evaluate.qq_data(ll_test, ll)
         ll_sim[name] = ll
         rows.append({"emulator": name, "statistic": res.statistic,

@@ -12,7 +12,7 @@ comparisons.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
@@ -95,13 +95,29 @@ class DiscoResult:
     permutations: int
 
 
+def _split_stats(dmat, members, na, nb):
+    """The statistic of every split in one block: row i of members (m, na)
+    holds the indices of group a in split i.  A is the 0/1 label matrix of
+    group a and B its complement, so A @ dmat and B @ dmat give every
+    split's cross and within sums as row sums."""
+    a = np.zeros((members.shape[0], dmat.shape[0]))
+    np.put_along_axis(a, members, 1.0, axis=1)
+    b = 1.0 - a
+    ad, bd = a @ dmat, b @ dmat
+    cross = (ad * b).sum(axis=1)
+    within_a = (ad * a).sum(axis=1)
+    within_b = (bd * b).sum(axis=1)
+    return 2.0 * cross / (na * nb) - within_a / (na * na) - within_b / (nb * nb)
+
+
 def disco_test(group_a, group_b, n_perm: int = 999, seed=None, exhaustive: bool = False) -> DiscoResult:
     """Permutation test of the two-sample statistic.
 
     The pooled distance matrix is computed once and only labels are
     permuted.  p = (1 + #{permuted >= observed}) / (n_perm + 1).  With
     exhaustive=True all distinct label splits are enumerated instead, in
-    which case p is exact.
+    which case p is exact.  Splits are scored in blocks of about
+    BLOCK_ANGLES label entries (_split_stats).
     """
     if not group_a or not group_b:
         raise InsufficientData("both groups need at least one sequence")
@@ -113,26 +129,24 @@ def disco_test(group_a, group_b, n_perm: int = 999, seed=None, exhaustive: bool 
     # relabelings that tie the observed split in exact arithmetic must count
     # as hits even when resummation shifts them a few ulps below it
     thresh = observed - 1e-12 * max(1.0, abs(observed))
+    rows = max(1, BLOCK_ANGLES // total)
+
+    def hits(members):
+        return int(np.count_nonzero(_split_stats(dmat, members, na, nb) >= thresh))
+
+    count = 0
     if exhaustive:
-        count_ge = 0
-        for subset in combinations(range(total), na):
-            idx_a = np.array(subset)
-            mask = np.ones(total, dtype=bool)
-            mask[idx_a] = False
-            if _group_stat(dmat, idx_a, all_idx[mask]) >= thresh:
-                count_ge += 1
+        subsets = combinations(range(total), na)
+        while block := list(islice(subsets, rows)):
+            count += hits(np.array(block))
         splits = comb(total, na)
-        return DiscoResult(statistic=observed, p_value=count_ge / splits, permutations=splits - 1)
+        return DiscoResult(statistic=observed, p_value=count / splits, permutations=splits - 1)
     if n_perm < 1:
         raise BadTarget("n_perm must be positive")
     rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(n_perm):
-        perm = rng.permutation(total)
-        stat = _group_stat(dmat, perm[:na], perm[na:])
-        if stat >= thresh:
-            hits += 1
-    return DiscoResult(statistic=observed, p_value=(1 + hits) / (n_perm + 1), permutations=n_perm)
+    for lo in range(0, n_perm, rows):
+        count += hits(np.stack([rng.permutation(total)[:na] for _ in range(min(rows, n_perm - lo))]))
+    return DiscoResult(statistic=observed, p_value=(1 + count) / (n_perm + 1), permutations=n_perm)
 
 
 @dataclass

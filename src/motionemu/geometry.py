@@ -283,8 +283,12 @@ def karcher_mean(postures, tol=1e-9, max_iter=200):
 
 
 def sequence_dist(a, b):
-    """Mean posture distance between two sequences on a shared time grid."""
+    """Mean posture distance between two (T, n-1, 3) sequences on a shared
+    time grid: all T*(n-1) bone angles in one sum, divided by T, which is
+    evaluate.sequence_distance_matrix's order, bit for bit."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise DimensionMismatch(f"sequence shapes differ: {a.shape} vs {b.shape}")
-    return float(np.mean(posture_dist(a, b)))
+    if a.ndim != 3 or a.shape[0] == 0 or a.shape[2] != 3:
+        raise DimensionMismatch(f"expected (T, n-1, 3) sequences with T >= 1, got {a.shape}")
+    return float(sphere_dist(a.reshape(-1, 3), b.reshape(-1, 3)).sum() / a.shape[0])

@@ -14,6 +14,7 @@ can be simulated, and persisted, from a single object.
 """
 
 from dataclasses import dataclass, field as dc_field
+from math import prod
 
 import numpy as np
 
@@ -113,36 +114,50 @@ def sample_coeffs(model, count: int, seed=None):
     return [d.reshape(model.shape) for d in draws]
 
 
-def loglik(coeff, model) -> float:
-    """Gaussian log-density of one coefficient matrix under the model.
+def logliks(coeffs, model) -> np.ndarray:
+    """Gaussian log-densities of a batch of coefficient matrices (a list or
+    an (N, ...) array) under the model, as an (N,) array.
 
     Uses the raw fitted covariance (no jitter); a covariance that cannot
-    be factorized raises SingularCovariance.
+    be factorized raises SingularCovariance.  An MVG batch takes one
+    triangular-factor solve for all N vectors, so its entries may differ
+    from one-vector calls in the last bits; a one-vector batch and every
+    IG batch give the per-vector bits.
     """
-    x = _vec(coeff)
+    try:
+        x = np.asarray(coeffs, dtype=float)
+    except ValueError:
+        raise DimensionMismatch("coefficient matrices must share their shape") from None
+    if not isinstance(model, (MVGModel, IGModel)):
+        raise KindMismatch(f"no density for {type(model).__name__}")
+    if x.ndim == 0:
+        raise DimensionMismatch("expected a batch of coefficient matrices")
+    # an empty list is an empty batch; any other shape keeps its row size
+    x = x.reshape(0, model.dim) if x.shape == (0,) else x.reshape(len(x), prod(x.shape[1:]))
+    if x.shape[1] != model.dim:
+        raise DimensionMismatch("coefficient size does not match the model")
     if isinstance(model, IGModel):
-        if x.shape[0] != model.dim:
-            raise DimensionMismatch("coefficient size does not match the model")
         if np.any(model.variances <= 0.0):
             raise SingularCovariance("a coefficient variance is zero")
-        quad = float(np.sum(x * x / model.variances))
+        quad = np.sum(x * x / model.variances, axis=1)
         logdet = float(np.sum(np.log(model.variances)))
-    elif isinstance(model, MVGModel):
-        if x.shape[0] != model.dim:
-            raise DimensionMismatch("coefficient size does not match the model")
+    else:
         if model._chol is None:
             try:
                 model._chol = np.linalg.cholesky(model.covariance)
             except np.linalg.LinAlgError:
                 raise SingularCovariance("covariance is not positive definite") from None
         chol = model._chol
-        y = np.linalg.solve(chol, x)
-        quad = float(y @ y)
+        y = np.ascontiguousarray(np.linalg.solve(chol, x.T).T)
+        quad = np.array([row @ row for row in y])  # one dot each, as for one vector
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    else:
-        raise KindMismatch(f"no density for {type(model).__name__}")
-    d = x.shape[0]
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + quad)
+    return -0.5 * (model.dim * np.log(2.0 * np.pi) + logdet + quad)
+
+
+def loglik(coeff, model) -> float:
+    """Gaussian log-density of one coefficient matrix: the one-element
+    case of logliks."""
+    return float(logliks([coeff], model)[0])
 
 
 @dataclass
@@ -307,6 +322,10 @@ def fit_bundle(fields, spatial: SpatialPCA, fpca: FPCABasis | None, model_type: 
         raise BadTarget(f"unknown start policy {start_policy!r}")
     if model_type not in ("mvg", "ig", "var"):
         raise KindMismatch(f"model type {model_type!r} is not fitted on reduced fields")
+    for i, f in enumerate(fields):
+        if f.start is None:
+            raise DimensionMismatch(f"field {i} has no start posture; the start policy "
+                                    "needs one per training field")
     first = fields[0]
     scores = [dimred.spatial_project(f, spatial) for f in fields]
     starts = np.stack([f.start for f in fields])
@@ -416,12 +435,22 @@ def simulate_sequence(bundle: EmulatorBundle, count: int, seed=None):
                                         template.dt))
 
 
-def sequence_loglik(bundle: EmulatorBundle, seq) -> float:
-    """Log-likelihood of a sequence under a coefficient-model bundle:
-    flatten, project through both reductions, evaluate the Gaussian."""
+def sequence_logliks(bundle: EmulatorBundle, seqs) -> np.ndarray:
+    """Log-likelihoods of sequences under a coefficient-model bundle:
+    flatten and project each through both reductions, then evaluate the
+    Gaussian on the whole batch at once (logliks)."""
     if bundle.model_type not in ("mvg", "ig"):
         raise KindMismatch("log-likelihood needs a coefficient-model bundle")
-    field = flatten.flatten_sequence(np.asarray(seq, dtype=float), bundle.reference, bundle.kind)
-    scores = dimred.spatial_project(field, bundle.spatial)
-    coeff = dimred.fpca_project(scores, bundle.fpca)
-    return loglik(coeff, bundle.model)
+    coeffs = []
+    for seq in seqs:
+        field = flatten.flatten_sequence(np.asarray(seq, dtype=float), bundle.reference,
+                                         bundle.kind)
+        scores = dimred.spatial_project(field, bundle.spatial)
+        coeffs.append(dimred.fpca_project(scores, bundle.fpca))
+    return logliks(coeffs, bundle.model)
+
+
+def sequence_loglik(bundle: EmulatorBundle, seq) -> float:
+    """Log-likelihood of one sequence: the one-element case of
+    sequence_logliks."""
+    return float(sequence_logliks(bundle, [seq])[0])

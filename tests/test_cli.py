@@ -346,10 +346,8 @@ def test_eval_qq_matches_library(tmp_path):
                    "--out", qout) == 0
     from motionemu.persist import load_bundle
     bundle = load_bundle(run / "bundle.txt")
-    ll_a = [models.sequence_loglik(bundle, s)
-            for s in mio.read_posture_sequences(run / "aligned.txt")]
-    ll_b = [models.sequence_loglik(bundle, s)
-            for s in mio.read_posture_sequences(run / "sims.txt")]
+    ll_a = models.sequence_logliks(bundle, mio.read_posture_sequences(run / "aligned.txt"))
+    ll_b = models.sequence_logliks(bundle, mio.read_posture_sequences(run / "sims.txt"))
     pairs = np.loadtxt(qout / "qq.csv", delimiter=",", skiprows=1)
     assert np.array_equal(pairs, evaluate.qq_data(ll_a, ll_b))
 
@@ -381,6 +379,28 @@ def test_error_reports_are_single_json_lines(tmp_path, capsys):
     assert run_cli("synth", "--out", tmp_path / "z", "--amplitude", 2.0) == 1
     err = capsys.readouterr().err
     assert json.loads(err)["error"] == "BadTarget"
+
+
+def test_fit_on_fields_without_start_names_the_missing_start(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert run_cli("pipeline", "--out", run, "--seed", 4, *SYNTH_FLAGS,
+                   "--scheme", "istvf/seqpca/mvg", "--d1", 2, "--d2", 3,
+                   "--count", 2, "--n-perm", 9) == 0
+    fields = mio.read_flatfields(run / "fields.txt")
+    fields[1] = FlatField(fields[1].kind, fields[1].reference, None, fields[1].values,
+                          fields[1].dt)
+    mio.write_flatfields(tmp_path / "fields.txt", fields)
+    capsys.readouterr()
+    for policy in ("fixed", "training-mean"):
+        assert run_cli("fit", "--fields", tmp_path / "fields.txt",
+                       "--reduction", run / "reduction.txt", "--scheme", "istvf/seqpca/mvg",
+                       "--start-policy", policy, "--out", tmp_path / policy) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        report = json.loads(err)
+        assert report["error"] == "DimensionMismatch"
+        assert "field 1 has no start posture" in report["message"]
+        assert not (tmp_path / policy / "bundle.txt").exists()
 
 
 def test_seqpca_on_constant_fields_reports_rank_zero(tmp_path, capsys):

@@ -2,9 +2,13 @@
 variability, roughness, MDS embedding, and Q-Q helpers."""
 
 from itertools import combinations
+from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionemu import evaluate, geometry as geo
 from motionemu.errors import (BadTarget, DimensionMismatch, InsufficientData,
@@ -108,8 +112,8 @@ def test_sequence_distance_matrix_matches_full_rows(monkeypatch):
         assert dmat[1, 5] == 0.0
         for i in range(7):
             for j in range(7):
-                # sequence_dist sums per frame first, so only the last bits differ
-                assert abs(dmat[i, j] - geo.sequence_dist(seqs[i], seqs[j])) <= 1e-14
+                # sequence_dist sums in the matrix's order
+                assert dmat[i, j] == geo.sequence_dist(seqs[i], seqs[j])
 
 
 @pytest.mark.parametrize("bad", [np.zeros((5, 3, 2)), np.zeros((5, 3)), np.zeros((2, 5, 3, 3))])
@@ -247,6 +251,80 @@ def test_disco_test_power_under_strong_shift():
         if p <= 0.01:
             hits += 1
     assert hits >= 0.95 * repeats
+
+
+def loop_group_stat(dmat, idx_a, idx_b):
+    na, nb = idx_a.size, idx_b.size
+    cross = dmat[np.ix_(idx_a, idx_b)].sum()
+    within_a = dmat[np.ix_(idx_a, idx_a)].sum()
+    within_b = dmat[np.ix_(idx_b, idx_b)].sum()
+    return 2.0 * cross / (na * nb) - within_a / (na * na) - within_b / (nb * nb)
+
+
+def loop_disco_test(group_a, group_b, n_perm, seed=None, exhaustive=False):
+    """The permutation test with one gathered statistic per relabeling."""
+    na, nb = len(group_a), len(group_b)
+    total = na + nb
+    dmat = sequence_distance_matrix(list(group_a) + list(group_b))
+    all_idx = np.arange(total)
+    observed = float(loop_group_stat(dmat, all_idx[:na], all_idx[na:]))
+    thresh = observed - 1e-12 * max(1.0, abs(observed))
+    if exhaustive:
+        count_ge = 0
+        for subset in combinations(range(total), na):
+            idx_a = np.array(subset)
+            mask = np.ones(total, dtype=bool)
+            mask[idx_a] = False
+            if loop_group_stat(dmat, idx_a, all_idx[mask]) >= thresh:
+                count_ge += 1
+        splits = comb(total, na)
+        return observed, count_ge / splits, splits - 1
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(n_perm):
+        perm = rng.permutation(total)
+        if loop_group_stat(dmat, perm[:na], perm[na:]) >= thresh:
+            hits += 1
+    return observed, (1 + hits) / (n_perm + 1), n_perm
+
+
+def disco_groups(data_seed, na, nb, shift, twins):
+    """Two groups of short sequences; group b is shifted by `shift`, and
+    with twins it repeats group a's sequences (exact ties)."""
+    rng = np.random.default_rng(data_seed)
+    base = unit(rng.normal(size=(2, 3)))
+    group_a = [rand_seq(rng, t=3, scale=0.3, base=base) for _ in range(na)]
+    moved = unit(base + shift * rng.normal(size=base.shape))
+    group_b = [group_a[i % na].copy() if twins else rand_seq(rng, t=3, scale=0.3, base=moved)
+               for i in range(nb)]
+    return group_a, group_b
+
+
+def as_tuple(result):
+    return result.statistic, result.p_value, result.permutations
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 60), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.3, 1.0]), st.booleans(),
+       st.sampled_from([evaluate.BLOCK_ANGLES, 1, 45, 600]))
+def test_disco_test_equals_per_permutation_loop(na, nb, n_perm, seed, shift, twins, block):
+    group_a, group_b = disco_groups(seed, na, nb, shift, twins)
+    with mock.patch.object(evaluate, "BLOCK_ANGLES", block):
+        result = disco_test(group_a, group_b, n_perm=n_perm, seed=seed)
+    expected = loop_disco_test(group_a, group_b, n_perm, seed=seed)
+    assert np.array(as_tuple(result)).tobytes() == np.array(expected).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.3, 1.0]), st.booleans(), st.sampled_from([evaluate.BLOCK_ANGLES, 1, 30]))
+def test_exhaustive_disco_test_equals_enumeration_loop(na, nb, seed, shift, twins, block):
+    group_a, group_b = disco_groups(seed, na, nb, shift, twins)
+    with mock.patch.object(evaluate, "BLOCK_ANGLES", block):
+        result = disco_test(group_a, group_b, exhaustive=True)
+    expected = loop_disco_test(group_a, group_b, 0, exhaustive=True)
+    assert np.array(as_tuple(result)).tobytes() == np.array(expected).tobytes()
 
 
 # ---------------------------------------------------------------- clustering

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionemu import dimred, flatten
 from motionemu import geometry as geo
@@ -18,9 +20,11 @@ from motionemu.models import (
     fit_pwi,
     fit_var,
     loglik,
+    logliks,
     sample_coeffs,
     sample_pwi,
     sequence_loglik,
+    sequence_logliks,
     simulate_sequence,
     simulate_var,
 )
@@ -432,3 +436,99 @@ def test_mvg_factor_cache_is_not_part_of_the_value():
     assert used._chol is not None and fresh._chol is None
     assert used == fresh
     assert repr(used) == repr(fresh) and "_chol" not in repr(used)
+
+
+# ---- batched densities: one solve per batch ------------------------------
+
+def per_vector_ig_loglik(coeff, model):
+    """IG log-density of one coefficient matrix, one vector at a time."""
+    x = np.asarray(coeff, dtype=float).ravel()
+    quad = float(np.sum(x * x / model.variances))
+    logdet = float(np.sum(np.log(model.variances)))
+    return -0.5 * (x.shape[0] * np.log(2.0 * np.pi) + logdet + quad)
+
+
+def random_models(seed, dim):
+    """An MVG model with a well-conditioned covariance and its IG diagonal."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim + 3))
+    cov = a @ a.T / (dim + 3) + 0.1 * np.eye(dim)
+    mvg = MVGModel(covariance=(cov + cov.T) / 2.0, jitter=0.0, shape=(dim,))
+    ig = IGModel(variances=np.diag(mvg.covariance).copy(), jitter=0.0, shape=(dim,))
+    return mvg, ig, rng
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(0.1, 30.0))
+def test_one_vector_batch_has_the_per_vector_bits(seed, dim, scale):
+    mvg, ig, rng = random_models(seed, dim)
+    x = scale * rng.standard_normal(dim)
+    assert bits(logliks([x], mvg)) == bits([fresh_factor_loglik(x, mvg)])
+    assert bits(logliks([x], ig)) == bits([per_vector_ig_loglik(x, ig)])
+    assert bits([loglik(x, mvg), loglik(x, ig)]) == bits(
+        [fresh_factor_loglik(x, mvg), per_vector_ig_loglik(x, ig)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 80), st.floats(0.1, 30.0))
+def test_batches_match_per_vector_values(seed, dim, count, scale):
+    mvg, ig, rng = random_models(seed, dim)
+    xs = scale * rng.standard_normal((count, dim))
+    assert bits(logliks(xs, ig)) == bits([per_vector_ig_loglik(x, ig) for x in xs])
+    batch = logliks(list(xs), mvg)
+    assert batch.shape == (count,)
+    assert bits(logliks(xs, mvg)) == bits(batch)
+    one_by_one = np.array([fresh_factor_loglik(x, mvg) for x in xs])
+    # a multi-vector solve rounds differently; the terms bound the cancellation
+    logdet = 2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(mvg.covariance))))
+    terms = dim * np.log(2.0 * np.pi) + abs(logdet) + np.sum(xs * xs, axis=1) / 0.1
+    assert np.all(np.abs(batch - one_by_one) <= 1e-10 * np.maximum(np.abs(one_by_one), terms))
+
+
+def test_batch_accepts_coefficient_matrices_and_empty_batches():
+    seqs = training_set(30, t=17, seed=12)
+    bundle = fit_emulator(seqs, kind="istvf", model_type="mvg", d1=3, d2=4)
+    draws = sample_coeffs(bundle.model, 5, seed=4)
+    assert bits(logliks(draws, bundle.model)) == bits(logliks(np.stack(draws), bundle.model))
+    for model in (bundle.model, fit_ig(draws + draws)):
+        for empty in ([], np.empty((0, 3, 4))):
+            out = logliks(empty, model)
+            assert out.shape == (0,) and out.dtype == float
+
+
+def test_singular_covariance_raises_for_a_batch_and_caches_nothing():
+    model = MVGModel(covariance=np.diag([1.0, 0.0, 2.0]), jitter=0.0, shape=(3,))
+    for batch in ([], np.ones((4, 3))):
+        with pytest.raises(SingularCovariance):
+            logliks(batch, model)
+        assert model._chol is None
+    with pytest.raises(SingularCovariance):
+        logliks(np.ones((2, 2)), IGModel(variances=np.array([1.0, 0.0]), jitter=0.0, shape=(2,)))
+
+
+def test_mis_sized_batches_raise():
+    mvg, ig, _ = random_models(3, 4)
+    for model in (mvg, ig):
+        for bad in (np.ones((2, 5)), [np.ones(4), np.ones(3)], np.ones((3, 2, 3)), 1.0):
+            with pytest.raises(DimensionMismatch):
+                logliks(bad, model)
+    with pytest.raises(KindMismatch):
+        logliks(np.ones((1, 4)), VARModel(order=1, coef=np.zeros((1, 4, 4)),
+                                          intercept=np.zeros(4), noise_cov=np.eye(4)))
+
+
+def test_sequence_logliks_is_the_batch_of_sequence_loglik():
+    seqs = training_set(14, t=17, seed=9)
+    for model_type in ("mvg", "ig"):
+        bundle = fit_emulator(seqs, kind="istvf", model_type=model_type, d1=3, d2=3)
+        batch = sequence_logliks(bundle, seqs)
+        single = np.array([sequence_loglik(bundle, s) for s in seqs])
+        np.testing.assert_allclose(batch, single, rtol=1e-10)
+        assert bits(sequence_logliks(bundle, seqs[:1])) == bits(single[:1])
+        assert sequence_logliks(bundle, []).shape == (0,)
+    with pytest.raises(KindMismatch):
+        sequence_logliks(fit_emulator(seqs, model_type="pwi"), seqs)
