@@ -6,9 +6,8 @@ fields with spatial and functional PCA, fits generative models on the
 coefficients, and evaluates simulated motion against training data.
 """
 
-from .alignment import (TSRVFField, align_all, check_warp, optimal_warp,
-                        shooting_vectors, tsrvf, tsrvf_dist, warp_field,
-                        warp_sequence)
+from .alignment import (TSRVFField, align_all, check_warp, optimal_warp, tsrvf,
+                        tsrvf_dist, warp_field, warp_sequence)
 from .datagen import SynthConfig, default_mixture, gen_class, gen_mixture, random_warp
 from .dimred import (FPCABasis, MPCAModel, SpatialPCA, fpca_fit, fpca_project,
                      fpca_reconstruct, mpca_fit, mpca_project, mpca_reconstruct,
@@ -23,9 +22,7 @@ from .evaluate import (ClusterModel, DiscoResult, cluster_postures, disco_stat,
                        mean_label_sequence, posture_distance_matrix, qq_data,
                        quantize, roughness, select_k, sequence_distance_matrix,
                        silhouette_score, variability, variability_stats)
-from .flatten import (FlatField, flatten_sequence, istvf_decode, istvf_encode,
-                      istvf_to_stvf, mtvf_decode, mtvf_encode, recon_error,
-                      siem_decode, siem_encode, stvf_decode, stvf_encode,
+from .flatten import (FlatField, flatten_sequence, recon_error, shooting_vectors,
                       unflatten_batch, unflatten_field)
 from .geometry import (karcher_mean, posture_dist, posture_exp, posture_log,
                        posture_transport, sequence_dist, sphere_dist, sphere_exp,

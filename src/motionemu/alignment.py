@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import BadTarget, DimensionMismatch, ReferenceMismatch
-from .flatten import shooting_vectors, transported_velocities  # noqa: F401  (re-exported)
+from .flatten import transported_velocities
 
 # Lattice steps (di, dj) the warp search may take; slopes stay in [1/3, 3].
 DP_STEPS = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))

@@ -298,11 +298,6 @@ def cmd_fit(args):
 
 
 def _simulate(args, out, bundle, src):
-    sims = models.simulate_sequence(bundle, args.count,
-                                    seed=stage_seed(args.seed, SEED_SIMULATE))
-    sims_path = os.path.join(out, "sims.txt")
-    mio.write_posture_sequences(sims_path, sims)
-    artifacts = [sims_path]
     if args.split:
         head, _, tail = args.split.partition("/")
         try:
@@ -311,6 +306,12 @@ def _simulate(args, out, bundle, src):
             raise BadTarget(f"--split wants FIT/HELD counts, got {args.split!r}")
         if n_fit <= 0 or n_held <= 0 or n_fit + n_held != args.count:
             raise BadTarget(f"split {args.split} does not partition count {args.count}")
+    sims = models.simulate_sequence(bundle, args.count,
+                                    seed=stage_seed(args.seed, SEED_SIMULATE))
+    sims_path = os.path.join(out, "sims.txt")
+    mio.write_posture_sequences(sims_path, sims)
+    artifacts = [sims_path]
+    if args.split:
         fit_path = os.path.join(out, "sims_fit.txt")
         held_path = os.path.join(out, "sims_held.txt")
         mio.write_posture_sequences(fit_path, sims[:n_fit])

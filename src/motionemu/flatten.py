@@ -16,8 +16,10 @@ vector-space statistics apply:
   multi-hop chain (parallel transport is path dependent), so its
   reconstruction error grows along the sequence.
 
-Velocity columns are scaled by 1/dt = T-1; decoding scales them back by
-the field's dt before exponentiating.
+``flatten_sequence`` encodes every kind; ``unflatten_field`` decodes one
+field and ``unflatten_batch`` many fields of one kind at once.  Velocity
+columns are scaled by 1/dt = T-1; decoding scales them back by the
+field's dt before exponentiating.
 """
 
 from dataclasses import dataclass
@@ -63,11 +65,6 @@ def _check_sequence(seq):
     return seq
 
 
-def _require_kind(field: FlatField, kind: str):
-    if field.kind != kind:
-        raise KindMismatch(f"expected a {kind!r} field, got {field.kind!r}")
-
-
 def shooting_vectors(seq):
     """Discrete velocities: log of each frame at its predecessor, scaled
     by 1/dt.  Returns shape (T-1, n-1, 3)."""
@@ -82,102 +79,32 @@ def transported_velocities(seq, reference):
     return geo.posture_transport(seq[:-1], reference, shooting_vectors(seq))
 
 
-def stvf_encode(seq, reference) -> FlatField:
-    """Encode shooting vectors, each transported directly to the
-    reference posture.  Column norms equal the shooting-vector norms
-    because transport and the coordinate map are isometries."""
-    seq = _check_sequence(seq)
-    reference = np.asarray(reference, dtype=float)
-    t = seq.shape[0]
-    coords = geo.tangent_coords(reference, transported_velocities(seq, reference))
-    return FlatField("stvf", reference.copy(), seq[0].copy(), coords.T.copy(), 1.0 / (t - 1))
-
-
-def stvf_decode(field: FlatField):
-    """Invert stvf_encode: transport each column back to the frame being
-    grown and exponentiate the dt-scaled step."""
-    _require_kind(field, "stvf")
-    return unflatten_field(field)
-
-
-def istvf_encode(field: FlatField) -> FlatField:
-    """Integrate an stvf field: column t becomes the Riemann sum of
-    columns 0..t scaled by dt."""
-    _require_kind(field, "stvf")
-    return FlatField("istvf", field.reference, field.start,
-                     np.cumsum(field.values, axis=1) * field.dt, field.dt)
-
-
-def istvf_to_stvf(field: FlatField) -> FlatField:
-    """Differentiate an istvf field back to stvf by first differences."""
-    _require_kind(field, "istvf")
-    values = np.concatenate([field.values[:, :1], np.diff(field.values, axis=1)], axis=1)
-    return FlatField("stvf", field.reference, field.start, values / field.dt, field.dt)
-
-
-def istvf_decode(field: FlatField):
-    """Invert istvf_encode back to a posture sequence."""
-    _require_kind(field, "istvf")
-    return unflatten_field(field)
-
-
-def siem_encode(seq, reference) -> FlatField:
-    """Encode every frame by its log-map coordinates at the reference.
-
-    Produces T columns.  Frames antipodal to the reference are rejected
-    by the log map.
-    """
-    seq = _check_sequence(seq)
-    reference = np.asarray(reference, dtype=float)
-    logs = geo.sphere_log(reference, seq)
-    coords = geo.tangent_coords(reference, logs)
-    t = seq.shape[0]
-    return FlatField("siem", reference.copy(), seq[0].copy(), coords.T.copy(), 1.0 / (t - 1))
-
-
-def siem_decode(field: FlatField):
-    """Invert siem_encode: exponentiate every column at the reference."""
-    _require_kind(field, "siem")
-    return unflatten_field(field)
-
-
-def mtvf_encode(seq, reference) -> FlatField:
-    """Encode shooting vectors transported through every earlier frame
-    before reaching the reference (the multi-hop control)."""
-    seq = _check_sequence(seq)
-    reference = np.asarray(reference, dtype=float)
-    t = seq.shape[0]
-    moved = shooting_vectors(seq)
-    # Walk the chain backwards, dragging every not-yet-finished column
-    # down one hop per iteration so each numpy call stays batched.
-    for s in range(t - 2, 0, -1):
-        moved[s:] = geo.sphere_transport(seq[s], seq[s - 1], moved[s:])
-    moved = geo.sphere_transport(seq[0], reference, moved)
-    coords = geo.tangent_coords(reference, moved)
-    return FlatField("mtvf", reference.copy(), seq[0].copy(), coords.T.copy(), 1.0 / (t - 1))
-
-
-def mtvf_decode(field: FlatField):
-    """Reconstruct from a multi-hop field with the same single-hop-back
-    recursion the velocity kinds share.  A single hop cannot undo the
-    path-dependent multi-hop transport, so the decoded sequence drifts
-    from the original more and more as t grows; the drift is the reason
-    this kind is a control rather than a usable representation."""
-    _require_kind(field, "mtvf")
-    return unflatten_field(field)
-
-
 def flatten_sequence(seq, reference, kind: str) -> FlatField:
-    """Dispatch to the encoder for the requested kind."""
-    if kind == "stvf":
-        return stvf_encode(seq, reference)
-    if kind == "istvf":
-        return istvf_encode(stvf_encode(seq, reference))
+    """Encode a (T, n-1, 3) sequence as a field of the given kind: the
+    kind's tangent vectors, in coordinates at the reference posture and,
+    for istvf, integrated over time.  Transport and the coordinate map are
+    isometries, so stvf column norms equal the shooting-vector norms;
+    siem rejects frames antipodal to the reference."""
+    if kind not in FLATTEN_KINDS:
+        raise KindMismatch(f"unknown flattening kind {kind!r}")
+    seq = _check_sequence(seq)
+    reference = np.asarray(reference, dtype=float)
+    dt = 1.0 / (seq.shape[0] - 1)
     if kind == "siem":
-        return siem_encode(seq, reference)
-    if kind == "mtvf":
-        return mtvf_encode(seq, reference)
-    raise KindMismatch(f"unknown flattening kind {kind!r}")
+        tangents = geo.sphere_log(reference, seq)
+    elif kind == "mtvf":
+        tangents = shooting_vectors(seq)
+        # Walk the chain backwards, dragging every not-yet-finished column
+        # down one hop per iteration so each numpy call stays batched.
+        for s in range(seq.shape[0] - 2, 0, -1):
+            tangents[s:] = geo.sphere_transport(seq[s], seq[s - 1], tangents[s:])
+        tangents = geo.sphere_transport(seq[0], reference, tangents)
+    else:
+        tangents = transported_velocities(seq, reference)
+    values = geo.tangent_coords(reference, tangents).T.copy()
+    if kind == "istvf":
+        values = np.cumsum(values, axis=1) * dt
+    return FlatField(kind, reference.copy(), seq[0].copy(), values, dt)
 
 
 def unflatten_batch(kind: str, reference, starts, values, dt: float):
@@ -188,7 +115,7 @@ def unflatten_batch(kind: str, reference, starts, values, dt: float):
     Every step acts element by element across the batch, so each decoded
     sequence equals decoding its field alone, bit for bit.  The velocity
     kinds grow all N sequences in one loop over the L columns: each column
-    is turned into a step (istvf first differenced as in istvf_to_stvf),
+    is turned into a step (istvf first differenced and divided by dt),
     transported from the reference to the newest frame, scaled by dt and
     exponentiated there.  Only one column of steps exists at a time.
     """

@@ -236,34 +236,48 @@ def write_doc(path, doctype: str, version: int, items):
         fh.write("end\n")
 
 
+class _Doc(dict):
+    """Document entries; a missing one raises DimensionMismatch naming it."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, name):
+        raise DimensionMismatch(f"{self.path}: missing entry {name!r}")
+
+
 def read_doc(path):
-    """Read a tagged document; returns (doctype, version, dict name->value)."""
+    """Read a tagged document; returns (doctype, version, dict name->value).
+    A malformed line raises DimensionMismatch quoting it."""
     src = _Lines(path)
     doctype, version = src.head("doc", 3)
-    out = {}
-    while True:
-        line, = src.take(1)
-        if line.strip() == "end":
-            break
-        tag, rest = line.split(maxsplit=1)
-        if tag == "x":
-            name, _ = rest.split(maxsplit=1)
-            out[name] = None
-        elif tag == "s":
-            parts = rest.split(maxsplit=1)
-            out[parts[0]] = parts[1] if len(parts) > 1 else ""
-        elif tag == "i":
-            name, value = rest.split()
-            out[name] = int(value)
-        elif tag == "f":
-            name, value = rest.split()
-            out[name] = float(value)
-        elif tag == "v":
-            name, count = rest.split()
-            out[name] = src.block(1, int(count))[0]
-        elif tag == "m":
-            name, rows, cols = rest.split()
-            out[name] = src.block(int(rows), int(cols))
-        else:
-            raise DimensionMismatch(f"{path}: unknown tag {tag!r}")
-    return doctype, int(version), out
+    out = _Doc(src.path)
+    line = f"doc {doctype} {version}"
+    try:
+        version = int(version)
+        while (line := src.take(1)[0]).strip() != "end":
+            tag, rest = line.split(maxsplit=1)
+            if tag == "x":
+                name, _ = rest.split(maxsplit=1)
+                out[name] = None
+            elif tag == "s":
+                parts = rest.split(maxsplit=1)
+                out[parts[0]] = parts[1] if len(parts) > 1 else ""
+            elif tag == "i":
+                name, value = rest.split()
+                out[name] = int(value)
+            elif tag == "f":
+                name, value = rest.split()
+                out[name] = float(value)
+            elif tag == "v":
+                name, count = rest.split()
+                out[name] = src.block(1, int(count))[0]
+            elif tag == "m":
+                name, rows, cols = rest.split()
+                out[name] = src.block(int(rows), int(cols))
+            else:
+                raise DimensionMismatch(f"{path}: unknown tag {tag!r}")
+    except ValueError as exc:
+        raise DimensionMismatch(f"{src.path}: bad line {line!r}: {exc}") from None
+    return doctype, version, out

@@ -14,13 +14,13 @@ from motionemu.alignment import (
     check_warp,
     dp_edge_cost,
     optimal_warp,
-    shooting_vectors,
     tsrvf,
     tsrvf_dist,
     warp_field,
     warp_sequence,
 )
 from motionemu.errors import BadTarget, DimensionMismatch, ReferenceMismatch
+from motionemu.flatten import shooting_vectors
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])

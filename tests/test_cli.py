@@ -244,13 +244,39 @@ def test_simulate_split_errors(tmp_path, capsys):
                    "--scheme", "istvf/seqpca/ig", "--d1", 2, "--d2", 2,
                    "--count", 4, "--n-perm", 19) == 0
     capsys.readouterr()
-    bad = tmp_path / "bad"
-    assert run_cli("simulate", "--bundle", out / "bundle.txt", "--count", 5,
-                   "--split", "4/2", "--seed", 9, "--out", bad) == 1
+    for i, split in enumerate(("4/2", "3/3", "5/0", "a/b")):
+        bad = tmp_path / f"bad{i}"
+        assert run_cli("simulate", "--bundle", out / "bundle.txt", "--count", 5,
+                       "--split", split, "--seed", 9, "--out", bad) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "BadTarget"
+        # the split is checked before anything is simulated or written
+        assert not bad.exists() or os.listdir(bad) == []
+
+
+def test_bundle_with_a_missing_entry_reports_one_json_line(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("pipeline", "--out", out, "--seed", 2, *SYNTH_FLAGS,
+                   "--scheme", "istvf/seqpca/ig", "--d1", 2, "--d2", 2,
+                   "--count", 2, "--n-perm", 9) == 0
+    bundle = tmp_path / "bundle.txt"
+    lines = (out / "bundle.txt").read_text().splitlines(keepends=True)
+    bundle.write_text("".join(ln for ln in lines if not ln.startswith("s kind ")))
+    capsys.readouterr()
+    assert run_cli("simulate", "--bundle", bundle, "--count", 2, "--out", tmp_path / "sim") == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    payload = json.loads(err)
-    assert payload["error"] == "BadTarget"
+    report = json.loads(err)
+    assert report["error"] == "DimensionMismatch"
+    assert report["message"] == f"{bundle}: missing entry 'kind'"
+    # a malformed entry line is named along with the file
+    bundle.write_text("".join(ln.replace("i length ", "i length x") for ln in lines))
+    assert run_cli("simulate", "--bundle", bundle, "--count", 2, "--out", tmp_path / "sim") == 1
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "DimensionMismatch"
+    assert report["message"].startswith(f"{bundle}: bad line 'i length x")
 
 
 def test_two_sample_reruns_byte_identical_and_exhaustive(tmp_path):

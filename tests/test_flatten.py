@@ -6,18 +6,10 @@ from hypothesis import strategies as st
 from motionemu import geometry as geo
 from motionemu.errors import DimensionMismatch, KindMismatch
 from motionemu.flatten import (
+    FLATTEN_KINDS,
     FlatField,
     flatten_sequence,
-    istvf_decode,
-    istvf_encode,
-    istvf_to_stvf,
-    mtvf_decode,
-    mtvf_encode,
     recon_error,
-    siem_decode,
-    siem_encode,
-    stvf_decode,
-    stvf_encode,
     unflatten_batch,
     unflatten_field,
 )
@@ -52,13 +44,13 @@ def test_flatfield_validation():
         FlatField("stvf", REF, REF, np.zeros((3, 3)), 0.5)
     field = FlatField("stvf", REF, None, np.zeros((4, 3)), 0.25)
     with pytest.raises(DimensionMismatch):
-        stvf_decode(field)
+        unflatten_field(field)
 
 
 def test_stvf_column_norms_match_velocities():
     ts = np.linspace(0.0, 1.0, 41)
     seq = curved_seq(ts)
-    field = stvf_encode(seq, REF)
+    field = flatten_sequence(seq, REF, "stvf")
     assert field.values.shape == (4, 40)
     assert field.dt == 1.0 / 40
     speed = geo.tangent_norm(geo.posture_log(seq[:-1], seq[1:]) * 40.0)
@@ -68,8 +60,8 @@ def test_stvf_column_norms_match_velocities():
 def test_stvf_single_step_decode_by_hand():
     step = geo.posture_exp(REF, np.stack([0.3 * E2, -0.2 * E2]))
     seq = np.stack([REF, step])
-    field = stvf_encode(seq, REF)
-    decoded = stvf_decode(field)
+    field = flatten_sequence(seq, REF, "stvf")
+    decoded = unflatten_field(field)
     v = geo.coords_to_tangent(REF, field.values.T)[0]
     by_hand = geo.posture_exp(REF, v * field.dt)
     np.testing.assert_allclose(decoded[1], by_hand, atol=1e-15)
@@ -79,47 +71,54 @@ def test_stvf_single_step_decode_by_hand():
 def test_stvf_roundtrip_error_small():
     ts = np.linspace(0.0, 1.0, 101)
     seq = curved_seq(ts)
-    decoded = stvf_decode(stvf_encode(seq, REF))
+    decoded = unflatten_field(flatten_sequence(seq, REF, "stvf"))
     assert np.max(recon_error(seq, decoded)) <= 1e-6
 
 
 def test_istvf_constant_velocity_is_ramp():
-    values = np.tile(np.array([[1.0], [-2.0], [0.5], [3.0]]), (1, 6))
-    field = FlatField("stvf", REF, REF, values, 1.0 / 6)
-    ramp = istvf_encode(field)
-    expected = values[:, :1] * np.arange(1, 7) / 6.0
-    np.testing.assert_allclose(ramp.values, expected, atol=1e-15)
+    seq = curved_seq(np.linspace(0.0, 1.0, 31))
+    stvf = flatten_sequence(seq, REF, "stvf")
+    istvf = flatten_sequence(seq, REF, "istvf")
+    assert istvf.values.tobytes() == (np.cumsum(stvf.values, axis=1) * stvf.dt).tobytes()
+    assert istvf.dt == stvf.dt
+    # a constant-speed geodesic from the reference has constant stvf
+    # columns, so its istvf columns grow linearly
+    v = np.stack([0.6 * E2, -0.9 * E2])
+    geodesic = geo.posture_exp(REF, np.arange(7)[:, None, None] / 6.0 * v)
+    ramp = flatten_sequence(geodesic, REF, "istvf")
+    expected = geo.tangent_coords(REF, v)[:, None] * np.arange(1, 7) / 6.0
+    np.testing.assert_allclose(ramp.values, expected, atol=1e-14)
 
 
 def test_istvf_to_stvf_is_near_exact_inverse():
-    ts = np.linspace(0.0, 1.0, 51)
-    field = stvf_encode(curved_seq(ts), REF)
-    back = istvf_to_stvf(istvf_encode(field))
-    assert back.kind == "stvf"
-    np.testing.assert_allclose(back.values, field.values, atol=1e-14)
+    seq = curved_seq(np.linspace(0.0, 1.0, 51))
+    stvf = flatten_sequence(seq, REF, "stvf")
+    istvf = flatten_sequence(seq, REF, "istvf")
+    diffs = np.diff(istvf.values, axis=1, prepend=0.0) / istvf.dt
+    np.testing.assert_allclose(diffs, stvf.values, atol=1e-14)
 
 
 def test_istvf_decode_matches_stvf_decode():
     ts = np.linspace(0.0, 1.0, 101)
     seq = curved_seq(ts)
-    via_stvf = stvf_decode(stvf_encode(seq, REF))
-    via_istvf = istvf_decode(istvf_encode(stvf_encode(seq, REF)))
+    via_stvf = unflatten_field(flatten_sequence(seq, REF, "stvf"))
+    via_istvf = unflatten_field(flatten_sequence(seq, REF, "istvf"))
     assert np.max(np.abs(via_stvf - via_istvf)) <= 1e-9
 
 
 def test_siem_roundtrip_per_bone():
     ts = np.linspace(0.0, 1.0, 60)
     seq = curved_seq(ts)
-    field = siem_encode(seq, REF)
+    field = flatten_sequence(seq, REF, "siem")
     assert field.values.shape == (4, 60)
-    decoded = siem_decode(field)
+    decoded = unflatten_field(field)
     assert np.max(chord_angles(decoded, seq)) <= 1e-10
 
 
 def test_siem_column_norms_are_root_sum_square_angles():
     ts = np.linspace(0.0, 1.0, 30)
     seq = curved_seq(ts)
-    field = siem_encode(seq, REF)
+    field = flatten_sequence(seq, REF, "siem")
     dots = np.einsum("tkj,kj->tk", seq, REF)
     crosses = np.linalg.norm(np.cross(np.broadcast_to(REF, seq.shape), seq), axis=-1)
     angles = np.arctan2(crosses, dots)
@@ -131,17 +130,16 @@ def test_mtvf_equals_stvf_for_two_frames():
     ts = np.linspace(0.0, 1.0, 2)
     seq = curved_seq(ts)
     np.testing.assert_array_equal(
-        mtvf_encode(seq, REF).values, stvf_encode(seq, REF).values)
+        flatten_sequence(seq, REF, "mtvf").values, flatten_sequence(seq, REF, "stvf").values)
 
 
 def test_mtvf_drift_dominates_stvf_error():
     ts = np.linspace(0.0, 1.0, 101)
     seq = curved_seq(ts)
-    stvf_err = np.max(recon_error(seq, stvf_decode(stvf_encode(seq, REF))))
-    mtvf_err = np.max(recon_error(seq, mtvf_decode(mtvf_encode(seq, REF))))
-    assert mtvf_err > 1000 * stvf_err
+    stvf_err = np.max(recon_error(seq, unflatten_field(flatten_sequence(seq, REF, "stvf"))))
+    per_frame = recon_error(seq, unflatten_field(flatten_sequence(seq, REF, "mtvf")))
+    assert np.max(per_frame) > 1000 * stvf_err
     # drift grows along the sequence
-    per_frame = recon_error(seq, mtvf_decode(mtvf_encode(seq, REF)))
     assert per_frame[-1] > per_frame[20]
 
 
@@ -158,8 +156,56 @@ def test_dispatch_roundtrips():
     assert unflatten_field(control).shape == seq.shape
     with pytest.raises(KindMismatch):
         flatten_sequence(seq, REF, "svf")
-    with pytest.raises(KindMismatch):
-        istvf_to_stvf(flatten_sequence(seq, REF, "stvf"))
+
+
+# ---- the one encoder: the bits of the per-kind encoders it replaced -------
+
+def per_kind_encode(seq, reference, kind):
+    """The encoders as separate per-kind functions, one body each: the
+    reference flatten_sequence must match bit for bit."""
+    seq = np.asarray(seq, dtype=float)
+    reference = np.asarray(reference, dtype=float)
+    t = seq.shape[0]
+
+    def field(kind, coords):
+        return FlatField(kind, reference.copy(), seq[0].copy(), coords.T.copy(), 1.0 / (t - 1))
+
+    shooting = geo.posture_log(seq[:-1], seq[1:]) * float(t - 1)
+    if kind == "siem":
+        return field("siem", geo.tangent_coords(reference, geo.sphere_log(reference, seq)))
+    if kind == "mtvf":
+        moved = shooting.copy()
+        for s in range(t - 2, 0, -1):
+            moved[s:] = geo.sphere_transport(seq[s], seq[s - 1], moved[s:])
+        moved = geo.sphere_transport(seq[0], reference, moved)
+        return field("mtvf", geo.tangent_coords(reference, moved))
+    stvf = field("stvf", geo.tangent_coords(
+        reference, geo.posture_transport(seq[:-1], reference, shooting)))
+    if kind == "stvf":
+        return stvf
+    return FlatField("istvf", stvf.reference, stvf.start,
+                     np.cumsum(stvf.values, axis=1) * stvf.dt, stvf.dt)
+
+
+@given(kind=st.sampled_from(FLATTEN_KINDS), frames=st.integers(2, 9),
+       bones=st.integers(1, 4), spread=st.sampled_from([0.01, 0.15, 0.6]),
+       at_start=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_flatten_sequence_equals_per_kind_encoders(kind, frames, bones, spread, at_start,
+                                                   seed):
+    rng = np.random.default_rng(seed)
+    seq = rng.normal(size=(1, bones, 3)) + np.cumsum(
+        rng.normal(scale=spread, size=(frames, bones, 3)), axis=0)
+    seq /= np.linalg.norm(seq, axis=-1, keepdims=True)
+    reference = seq[0].copy() if at_start else rng.normal(size=(bones, 3))
+    reference /= np.linalg.norm(reference, axis=-1, keepdims=True)
+    got = flatten_sequence(seq, reference, kind)
+    want = per_kind_encode(seq, reference, kind)
+    assert got.kind == want.kind == kind
+    assert got.dt == want.dt
+    for name in ("values", "start", "reference"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert a.flags.c_contiguous == b.flags.c_contiguous, name
 
 
 def test_recon_error_quarter_turn():

@@ -1,4 +1,5 @@
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -8,10 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from motionemu import dimred, io as mio
+from motionemu import dimred, io as mio, models
 from motionemu.errors import DimensionMismatch
 from motionemu.flatten import FlatField
-from motionemu.persist import load_reduction, save_reduction
+from motionemu.persist import load_bundle, load_reduction, save_bundle, save_reduction
 from motionemu.skeleton import SkeletonHierarchy
 
 
@@ -211,6 +212,45 @@ def test_constant_field_reduction_survives_save_and_load(tmp_path):
         a, b = getattr(spatial, name), getattr(back, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
     assert back.total_variance == spatial.total_variance
+
+
+@pytest.mark.parametrize("bad", ["i length abc", "i length", "i length 3 4", "lonely",
+                                 "x gone", "v vec abc", "m mat 2 x", "m mat -1 0"])
+def test_read_doc_names_the_file_and_the_bad_line(tmp_path, bad):
+    path = tmp_path / "doc.txt"
+    mio.write_doc(path, "example", 1, [("length", 3), ("name", "x")])
+    text = path.read_text()
+    path.write_text(text.replace("i length 3", bad))
+    with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: bad line {bad!r}")):
+        mio.read_doc(path)
+    path.write_text(text.replace("doc example 1", "doc example one"))
+    with pytest.raises(DimensionMismatch, match="bad line 'doc example one'"):
+        mio.read_doc(path)
+
+
+def test_missing_entries_name_the_file_and_the_entry(tmp_path):
+    rng = np.random.default_rng(8)
+    seqs = [rand_postures(rng, 1, 2) + np.cumsum(rng.normal(scale=0.05, size=(8, 2, 3)), axis=0)
+            for _ in range(6)]
+    seqs = [s / np.linalg.norm(s, axis=-1, keepdims=True) for s in seqs]
+    bundle = models.fit_emulator(seqs, "istvf", "mvg", d1=2, d2=2)
+    save_bundle(tmp_path / "bundle.txt", bundle)
+    save_reduction(tmp_path / "reduction.txt", bundle.spatial, bundle.fpca)
+    for name, load in (("bundle.txt", load_bundle), ("reduction.txt", load_reduction)):
+        path = tmp_path / name
+        lines = path.read_text().splitlines(keepends=True)
+        load(path)
+        # every scalar entry is read; the reduction's has_mpca is kept for
+        # earlier readers only
+        scalars = [i for i, ln in enumerate(lines)
+                   if ln[:2] in ("s ", "i ", "f ", "x ") and "has_mpca" not in ln]
+        assert len(scalars) >= 4
+        for i in scalars:
+            entry = lines[i].split()[1]
+            path.write_text("".join(lines[:i] + lines[i + 1:]))
+            with pytest.raises(DimensionMismatch,
+                               match=re.escape(f"{path}: missing entry {entry!r}")):
+                load(path)
 
 
 # ---- the row codec: exact bytes, bitwise round trips, rejected rows -------
