@@ -75,6 +75,10 @@ def _check_pair(h1: TSRVFField, h2: TSRVFField):
         raise ReferenceMismatch("fields were built at different reference postures")
     if h1.values.shape != h2.values.shape:
         raise DimensionMismatch(f"field shapes differ: {h1.values.shape} vs {h2.values.shape}")
+    for name, h in (("first", h1), ("second", h2)):
+        bad = ~np.isfinite(h.values).all(axis=1)
+        if bad.any():
+            raise DimensionMismatch(f"{name} field row {int(np.argmax(bad))}: non-finite value")
 
 
 def tsrvf_dist(h1: TSRVFField, h2: TSRVFField) -> float:
@@ -124,40 +128,30 @@ def warp_field(field: TSRVFField, gamma) -> TSRVFField:
     dg = np.gradient(g, grid)
     if np.any(dg <= 0):
         raise BadTarget("warp derivative must stay positive")
-    resampled = _interp_rows(field.values, g * (n - 1))
+    pos = g * (n - 1)
+    idx = np.minimum(pos.astype(int), n - 2)
+    w = (pos - idx)[:, None]
+    resampled = (1.0 - w) * field.values[idx] + w * field.values[idx + 1]
     return TSRVFField(field.reference, resampled * np.sqrt(dg)[:, None], field.dt)
 
 
-def _interp_rows(values, pos):
-    """Linear interpolation of the rows of (L, D) values at fractional row
-    positions."""
-    n = values.shape[0]
-    idx = np.minimum(pos.astype(int), n - 2)
-    w = (pos - idx)[:, None]
-    return (1.0 - w) * values[idx] + w * values[idx + 1]
+def _coord_dots(x, y):
+    """Sums over the last axis of x * y, for x and y broadcasting to (..., D),
+    added one coordinate at a time in index order as _dot's cumulative sum
+    adds them; a BLAS product sums in another order, with other last bits."""
+    total = x[..., 0] * y[..., 0]
+    for d in range(1, x.shape[-1]):
+        total += x[..., d] * y[..., d]
+    return total
 
 
-# Rows of the first operand per block in _pair_norms: a block's (rows, q, D)
-# difference buffer stays cache-sized instead of spanning all p rows.
-NORM_BLOCK_ROWS = 8
+def _dot(x, y):
+    return np.cumsum(x * y)[-1]
 
 
-def _pair_norms(a, b):
-    """Norms ||a_i - b_j|| for all row pairs of (p, D) a and (q, D) b.
-
-    Differences are squared in one reused (NORM_BLOCK_ROWS, q, D) buffer and
-    summed over the contiguous last axis, so every norm has the same bits
-    as ``np.sqrt(((a[:, None] - b[None]) ** 2).sum(-1))``."""
-    p, q = a.shape[0], b.shape[0]
-    out = np.empty((p, q))
-    buf = np.empty((min(NORM_BLOCK_ROWS, p), q, a.shape[1]))
-    for lo in range(0, p, NORM_BLOCK_ROWS):
-        hi = min(lo + NORM_BLOCK_ROWS, p)
-        diff = buf[:hi - lo]
-        np.subtract(a[lo:hi, None, :], b[None, :, :], out=diff)
-        np.multiply(diff, diff, out=diff)
-        diff.sum(axis=-1, out=out[lo:hi])
-    return np.sqrt(out, out=out)
+def _gap(r, root, aa, bb, ab):
+    """||root*a - b|| from r = root**2, ||a||^2, ||b||^2 and a.b; squares below 0 clamp to 0."""
+    return np.sqrt(np.maximum(r * aa + bb - 2.0 * root * ab, 0.0))
 
 
 def _edge_tables(v1, v2, dt):
@@ -167,21 +161,29 @@ def _edge_tables(v1, v2, dt):
     on the target grid.
 
     Term k of step (di, dj) compares sqrt(di/dj) times the first field,
-    shifted by di*k/dj rows, with the second field shifted by k rows.  The
-    integer parts of both shifts only offset rows and columns, so a term
-    is a slice of one norm table per (step, fractional shift).  The two
-    trapezoid ends k = 0 and k = dj both have fraction zero, which leaves
-    13 distinct tables for the 20 terms of DP_STEPS.  Sliced entries are
-    computed from the same rows as dp_edge_cost's, so they match it
-    bitwise."""
+    shifted by di*k/dj rows, with the second field shifted by k rows: a
+    slice of one norm table per (step, fractional shift f), 13 tables for
+    the 20 terms.  Tables are in Gram form: with r = di/dj and
+    a = (1-f)*v1[i] + f*v1[i+1], the squared norm is
+    r*||a||^2 + ||b||^2 - 2*sqrt(r)*a.b, where a.b = (1-f)*G[i, j] +
+    f*G[i+1, j] for G = v1 v2^T.  G and the squared norms are fixed-order
+    coordinate sums, and dp_edge_cost evaluates the same expression in the
+    same order, so the tables equal it bitwise; equal rows give exactly 0.
+    The square cancels: each norm is within sqrt(8*(D+4)*eps)*R of the
+    direct ||sqrt(r)*a - b||, R the largest row norm, so a tiny distance is
+    accurate only to ~1e-8 times the field scale.  Squares overflow beyond
+    ~1e150, far above any unit-bone field."""
     n = v1.shape[0]
+    gram = _coord_dots(v1[:, None], v2[None])
+    bb = _coord_dots(v2, v2)
     tables = []
     for di, dj in DP_STEPS:
         table = np.full((n, n), np.inf)
         tables.append(table)
         if max(di, dj) >= n:
             continue  # no lattice cell can be entered with this step
-        root = np.sqrt(di / dj)
+        r = di / dj
+        root = np.sqrt(r)
         norms = {}
         total = np.zeros((n - di, n - dj))
         for k in range(dj + 1):
@@ -189,8 +191,11 @@ def _edge_tables(v1, v2, dt):
             base = int(np.floor(c))
             frac = c - base
             if frac not in norms:
-                a = (1.0 - frac) * v1[:-1] + frac * v1[1:] if frac > 0 else v1
-                norms[frac] = _pair_norms(root * a, v2)
+                a, ab = v1, gram
+                if frac > 0:
+                    a = (1.0 - frac) * v1[:-1] + frac * v1[1:]
+                    ab = (1.0 - frac) * gram[:-1] + frac * gram[1:]
+                norms[frac] = _gap(r, root, _coord_dots(a, a)[:, None], bb, ab)
             weight = 0.5 if k in (0, dj) else 1.0
             total += weight * norms[frac][base:base + (n - di), k:k + (n - dj)]
         table[di:, dj:] = dt * total
@@ -201,25 +206,26 @@ def dp_edge_cost(v1, v2, dt, start, end):
     """Cost of one lattice edge from start=(i0, j0) to end=(i, j).
 
     The dynamic program reads edge costs from _edge_tables instead; this
-    per-edge form is the reference those tables must equal bitwise, and
+    per-edge form, the tables' Gram-form expression with the same coordinate
+    sums in the same order, is the reference they must equal bitwise, and
     the cost exhaustive path enumeration sums."""
-    i0, j0 = start
-    i, j = end
+    (i0, j0), (i, j) = start, end
     di, dj = i - i0, j - j0
     if (di, dj) not in DP_STEPS:
         raise BadTarget(f"({di}, {dj}) is not an admissible lattice step")
-    root = np.sqrt(di / dj)
-    total = 0.0
+    r, total = di / dj, 0.0
+    root = np.sqrt(r)
     for k in range(dj + 1):
         c = di * k / dj
         base = i0 + int(np.floor(c))
         frac = c - np.floor(c)
+        b = v2[j0 + k]
+        a, ab = v1[base], _dot(v1[base], b)
         if frac > 0:
             a = (1.0 - frac) * v1[base] + frac * v1[base + 1]
-        else:
-            a = v1[base]
+            ab = (1.0 - frac) * ab + frac * _dot(v1[base + 1], b)
         weight = 0.5 if k in (0, dj) else 1.0
-        total += weight * float(_pair_norms((root * a)[None, :], v2[j0 + k][None, :])[0, 0])
+        total += weight * float(_gap(r, root, _dot(a, a), _dot(b, b), ab))
     return dt * total
 
 
@@ -244,18 +250,15 @@ def optimal_warp(h1: TSRVFField, h2: TSRVFField):
     cost = np.full((n, n), np.inf)
     cost[0, 0] = 0.0
     choice = np.full((n, n), -1, dtype=np.int8)
+    # cand[s, j]: cost into (i, j) by step s, inf off the lattice; ties go to the lower s
+    cand = np.full((len(DP_STEPS), n), np.inf)
     for i in range(1, n):
-        best = np.full(n, np.inf)
-        pick = np.full(n, -1, dtype=np.int8)
         for s, (di, dj) in enumerate(DP_STEPS):
-            if i - di < 0:
-                continue
-            cand = cost[i - di, : n - dj] + tables[s][i, dj:]
-            better = cand < best[dj:]
-            best[dj:][better] = cand[better]
-            pick[dj:][better] = s
-        cost[i] = best
-        choice[i] = pick
+            if i >= di:
+                np.add(cost[i - di, : n - dj], tables[s][i, dj:], out=cand[s, dj:])
+        pick = np.argmin(cand, axis=0)
+        cost[i] = cand[pick, np.arange(n)]
+        choice[i] = np.where(np.isinf(cost[i]), -1, pick)
     if not np.isfinite(cost[n - 1, n - 1]):
         raise BadTarget("no admissible warp path reaches the corner")
     knots = [(n - 1, n - 1)]
@@ -263,11 +266,8 @@ def optimal_warp(h1: TSRVFField, h2: TSRVFField):
         i, j = knots[-1]
         di, dj = DP_STEPS[choice[i, j]]
         knots.append((i - di, j - dj))
-    knots.reverse()
-    ki = np.array([k[0] for k in knots], dtype=float) / (n - 1)
-    kj = np.array([k[1] for k in knots], dtype=float) / (n - 1)
-    grid = np.linspace(0.0, 1.0, n + 1)
-    gamma = np.interp(grid, kj, ki)
+    ki, kj = np.array(knots[::-1], dtype=float).T / (n - 1)
+    gamma = np.interp(np.linspace(0.0, 1.0, n + 1), kj, ki)
     gamma[0], gamma[-1] = 0.0, 1.0
     return gamma, float(cost[n - 1, n - 1])
 

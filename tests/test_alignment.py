@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionemu import geometry as geo
 from motionemu.alignment import (
     DP_STEPS,
-    NORM_BLOCK_ROWS,
     TSRVFField,
     _edge_tables,
-    _pair_norms,
     align_all,
     check_warp,
     dp_edge_cost,
@@ -238,8 +236,7 @@ def test_dp_matches_exhaustive_search_on_short_sequences():
 
 
 def test_edge_tables_equal_dp_edge_cost_bitwise():
-    # D >= 8 takes numpy's unrolled pairwise sum; 39 interpolated rows are
-    # not a multiple of the row block
+    # 39 interpolated rows and D = 40 coordinates, the benchmark's field width
     rng = np.random.default_rng(11)
     n, dt = 40, 1.0 / 40
     v1 = rng.standard_normal((n, 40))
@@ -253,17 +250,101 @@ def test_edge_tables_equal_dp_edge_cost_bitwise():
                 assert table[i, j] == edge, ((di, dj), i, j, table[i, j], edge)
 
 
-@given(p=st.sampled_from([1, NORM_BLOCK_ROWS - 1, NORM_BLOCK_ROWS, NORM_BLOCK_ROWS + 1,
-                          3 * NORM_BLOCK_ROWS + 1]),
-       q=st.integers(1, 40), d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
-       scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]))
-def test_pair_norms_blocked_equals_direct_formula_bitwise(p, q, d, seed, scale):
+@settings(max_examples=60)
+@given(n=st.integers(2, 12), d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       same=st.booleans())
+def test_edge_tables_equal_dp_edge_cost_property(n, d, seed, same):
     rng = np.random.default_rng(seed)
-    a = scale * rng.standard_normal((p, d))
-    b = scale * rng.standard_normal((q, d))
-    b[: min(p, q)] = a[: min(p, q)]
-    direct = np.sqrt(((a[:, None] - b[None]) ** 2).sum(-1))
-    assert _pair_norms(a, b).tobytes() == direct.tobytes()
+    v1 = rng.standard_normal((n, d))
+    v2 = v1 if same else rng.standard_normal((n, d))
+    dt = 1.0 / n
+    tables = _edge_tables(v1, v2, dt)
+    for (di, dj), table in zip(DP_STEPS, tables):
+        if max(di, dj) >= n:
+            assert np.all(np.isinf(table))
+            continue
+        assert np.all(np.isinf(table[:di])) and np.all(np.isinf(table[:, :dj]))
+        edges = [dp_edge_cost(v1, v2, dt, (i - di, j - dj), (i, j))
+                 for i in range(di, n) for j in range(dj, n)]
+        assert table[di:, dj:].ravel().tobytes() == np.array(edges).tobytes()
+    if same:
+        h = TSRVFField(REF, v1, dt)
+        gamma, cost = optimal_warp(h, h)
+        assert cost == 0.0
+        assert gamma.tobytes() == np.linspace(0.0, 1.0, n + 1).tobytes()
+
+
+@settings(max_examples=40)
+@given(n=st.integers(2, 10), d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), near=st.booleans())
+def test_edge_tables_within_stated_tolerance_of_direct_norms(n, d, seed, scale, near):
+    # The docstring's bound: each norm is within sqrt(8*(D+4)*eps)*R of the
+    # direct form, R the largest row norm; an entry sums dj weighted norms.
+    rng = np.random.default_rng(seed)
+    v1 = scale * rng.standard_normal((n, d))
+    v2 = v1 + 1e-9 * scale * rng.standard_normal((n, d)) if near else \
+        scale * rng.standard_normal((n, d))
+    dt = 1.0 / n
+    big = max(np.linalg.norm(v1, axis=1).max(), np.linalg.norm(v2, axis=1).max())
+    per_norm = np.sqrt(8 * (d + 4) * np.finfo(float).eps) * big
+    for (di, dj), table in zip(DP_STEPS, _edge_tables(v1, v2, dt)):
+        if max(di, dj) >= n:
+            continue
+        root = np.sqrt(di / dj)
+        direct = np.zeros((n - di, n - dj))
+        for k in range(dj + 1):
+            c = di * k / dj
+            base, frac = int(np.floor(c)), c - np.floor(c)
+            a = (1.0 - frac) * v1[:-1] + frac * v1[1:] if frac > 0 else v1
+            norms = np.sqrt(((root * a[:, None] - v2[None]) ** 2).sum(-1))
+            direct += (0.5 if k in (0, dj) else 1.0) * norms[base:base + n - di, k:k + n - dj]
+        gap = np.abs(table[di:, dj:] - dt * direct)
+        assert np.all(gap <= dt * dj * per_norm + 1e-13 * dt * direct), (di, dj, gap.max())
+
+
+@settings(max_examples=60)
+@given(n=st.integers(2, 12), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_dp_recursion_equals_strict_sweep(n, d, seed):
+    # Small-integer fields make many candidate costs tie, so the oracle's
+    # strict < sweep and the first minimum must pick the same steps.
+    rng = np.random.default_rng(seed)
+    v1 = rng.integers(-1, 2, (n, d)).astype(float)
+    v2 = rng.integers(-1, 2, (n, d)).astype(float)
+    tables = _edge_tables(v1, v2, 1.0 / n)
+    cost = np.full((n, n), np.inf)
+    cost[0, 0] = 0.0
+    choice = np.full((n, n), -1)
+    for i in range(1, n):
+        for s, (di, dj) in enumerate(DP_STEPS):
+            if i - di < 0:
+                continue
+            cand = cost[i - di, : n - dj] + tables[s][i, dj:]
+            better = cand < cost[i, dj:]
+            cost[i, dj:][better] = cand[better]
+            choice[i, dj:][better] = s
+    knots = [(n - 1, n - 1)]
+    while knots[-1] != (0, 0):
+        i, j = knots[-1]
+        knots.append((i - DP_STEPS[choice[i, j]][0], j - DP_STEPS[choice[i, j]][1]))
+    ki, kj = (np.array(k[::-1], dtype=float) / (n - 1) for k in zip(*knots))
+    expected = np.interp(np.linspace(0.0, 1.0, n + 1), kj, ki)
+    expected[0], expected[-1] = 0.0, 1.0
+    gamma, got = optimal_warp(TSRVFField(REF, v1, 1.0 / n), TSRVFField(REF, v2, 1.0 / n))
+    assert got == cost[n - 1, n - 1]
+    assert gamma.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_optimal_warp_rejects_non_finite_fields(bad):
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((10, 4))
+    spoiled = values.copy()
+    spoiled[3, 2] = bad
+    good, broken = TSRVFField(REF, values, 0.1), TSRVFField(REF, spoiled, 0.1)
+    with pytest.raises(DimensionMismatch, match="first field row 3: non-finite value"):
+        optimal_warp(broken, good)
+    with pytest.raises(DimensionMismatch, match="second field row 3: non-finite value"):
+        optimal_warp(good, broken)
 
 
 def test_dp_edge_cost_rejects_inadmissible_step():
