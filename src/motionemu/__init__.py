@@ -15,24 +15,20 @@ from .dimred import (FPCABasis, MPCAModel, SpatialPCA, fpca_fit, fpca_project,
                      spatial_reconstruct)
 from .errors import (AntipodalPoints, BadTarget, DegenerateBone, DimensionMismatch,
                      InsufficientData, KindMismatch, LengthMismatch, MotionError,
-                     NoConvergence, NotTangent, RankDeficient, ReferenceMismatch,
-                     SingularCovariance)
-from .evaluate import (ClusterModel, DiscoResult, cluster_postures, disco_stat,
-                       disco_test, mds_coords, mds_coords_from,
-                       mean_label_sequence, posture_distance_matrix, qq_data,
-                       quantize, roughness, select_k, sequence_distance_matrix,
+                     NoConvergence, NotTangent, ReferenceMismatch, SingularCovariance)
+from .evaluate import (ClusterModel, DiscoResult, cluster_postures, disco_test,
+                       mds_coords_from, mean_label_sequence, posture_distance_matrix,
+                       qq_data, quantize, roughness, select_k, sequence_distance_matrix,
                        silhouette_score, variability, variability_stats)
-from .flatten import (FlatField, flatten_sequence, recon_error, shooting_vectors,
-                      unflatten_batch, unflatten_field)
-from .geometry import (karcher_mean, posture_dist, posture_exp, posture_log,
-                       posture_transport, sequence_dist, sphere_dist, sphere_exp,
+from .flatten import (FlatField, flatten_sequence, shooting_vectors, unflatten_batch,
+                      unflatten_field)
+from .geometry import (karcher_mean, posture_dist, sequence_dist, sphere_dist, sphere_exp,
                        sphere_log, sphere_transport, tangent_coords, tangent_frame,
                        tangent_norm, coords_to_tangent)
 from .models import (EmulatorBundle, IGModel, MVGModel, PWIModel, VARModel,
                      fit_emulator, fit_ig, fit_mvg, fit_pwi, fit_var, loglik,
-                     sample_coeffs, sample_pwi, sequence_loglik, simulate_sequence,
-                     simulate_var)
+                     sample_coeffs, sample_pwi, simulate_sequence, simulate_var)
 from .persist import load_bundle, load_reduction, save_bundle, save_reduction
-from .skeleton import SkeletonHierarchy, downsample, ingest_sequence, to_posture
+from .skeleton import SkeletonHierarchy, downsample, ingest_sequence
 
 __version__ = "0.1.0"

@@ -113,8 +113,8 @@ def warp_sequence(seq, gamma):
     if np.any(rest):
         lo = seq[idx[rest]]
         hi = seq[idx[rest] + 1]
-        step = geo.posture_log(lo, hi)
-        out[rest] = geo.posture_exp(lo, w[rest, None, None] * step)
+        step = geo.sphere_log(lo, hi)
+        out[rest] = geo.sphere_exp(lo, w[rest, None, None] * step)
     return out
 
 

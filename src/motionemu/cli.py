@@ -152,11 +152,10 @@ def _named_sets(pairs):
 def _synth(args, out):
     configs = []
     for k in range(args.classes):
-        child = int(np.random.SeedSequence(args.seed, spawn_key=(k,)).generate_state(1)[0])
         configs.append(datagen.SynthConfig(
             landmarks=args.landmarks, frames=args.frames, count=args.per_class,
-            amplitude=args.amplitude, bandwidth=args.bandwidth,
-            warp_strength=args.warp_strength, noise_scale=args.noise, seed=child))
+            amplitude=args.amplitude, bandwidth=args.bandwidth, warp_strength=args.warp_strength,
+            noise_scale=args.noise, seed=stage_seed(args.seed, k)))
     target = args.target_frames if args.target_frames > 0 else None
     seqs, labels = datagen.gen_mixture(configs, target_frames=target)
     seq_path = os.path.join(out, "sequences.txt")

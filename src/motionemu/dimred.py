@@ -65,7 +65,7 @@ class SpatialPCA:
         return int(self.basis.shape[1])
 
 
-def _pool_fields(fields):
+def _check_fields(fields):
     if not fields:
         raise InsufficientData("no fields to fit")
     kind = fields[0].kind
@@ -75,7 +75,7 @@ def _pool_fields(fields):
             raise KindMismatch(f"mixed field kinds: {kind!r} vs {f.kind!r}")
         if f.values.shape != shape:
             raise DimensionMismatch("fields must share their value shape")
-    return np.concatenate([f.values.T for f in fields], axis=0)
+    return fields
 
 
 def spatial_pca_fit(fields, n_components=None, var_threshold=0.9) -> SpatialPCA:
@@ -90,7 +90,7 @@ def spatial_pca_fit(fields, n_components=None, var_threshold=0.9) -> SpatialPCA:
     var_threshold : float
         Used to select d1 when n_components is None.
     """
-    x = _pool_fields(fields)
+    x = np.concatenate([f.values.T for f in _check_fields(fields)], axis=0)
     if x.shape[0] < 2:
         raise InsufficientData("need at least two pooled columns")
     if np.all(x == x[0]):
@@ -248,7 +248,7 @@ def mpca_fit(fields, d1: int, d2: int, tol: float = 1e-8, max_iter: int = 50) ->
     below tol; hitting max_iter returns the best iterate with
     converged=False.
     """
-    x = np.stack([f.values for f in fields])
+    x = np.stack([f.values for f in _check_fields(fields)])
     m, rows, cols = x.shape
     if m < 2:
         raise InsufficientData("need at least two fields")

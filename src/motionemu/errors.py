@@ -65,7 +65,3 @@ class NoConvergence(MotionError):
 
 class SingularCovariance(MotionError):
     """A covariance matrix is singular where a density or factor is needed."""
-
-
-class RankDeficient(MotionError):
-    """A design matrix does not have full column rank."""

@@ -77,17 +77,6 @@ def _group_stat(dmat, idx_a, idx_b):
     return 2.0 * cross / (na * nb) - within_a / (na * na) - within_b / (nb * nb)
 
 
-def disco_stat(group_a, group_b) -> float:
-    """Energy-style two-sample statistic between two sequence groups:
-    twice the mean cross distance minus both mean within distances."""
-    if not group_a or not group_b:
-        raise InsufficientData("both groups need at least one sequence")
-    dmat = sequence_distance_matrix(list(group_a) + list(group_b))
-    idx_a = np.arange(len(group_a))
-    idx_b = np.arange(len(group_a), len(group_a) + len(group_b))
-    return float(_group_stat(dmat, idx_a, idx_b))
-
-
 @dataclass
 class DiscoResult:
     statistic: float
@@ -281,7 +270,7 @@ def variability_stats(label_set, reference_labels):
 def mean_label_sequence(seqs, model: ClusterModel):
     """Quantized per-frame intrinsic mean of a set of sequences: the
     reference label string for variability summaries."""
-    stack = np.stack([np.asarray(s, dtype=float) for s in seqs])
+    stack = np.stack(geo._check_sequences(seqs))
     means = np.stack([geo.karcher_mean(stack[:, t]) for t in range(stack.shape[1])])
     return quantize(means, model)
 
@@ -294,20 +283,12 @@ def roughness(seq):
     return geo.posture_dist(seq[:-1], seq[1:])
 
 
-def mds_coords(seqs, dims: int = 2):
-    """Classical multidimensional scaling of sequences.
-
-    Double-centers the squared distance matrix, takes the top eigenpairs
-    and scales eigenvectors by root eigenvalues; directions with negative
-    eigenvalues are truncated to zero.  Distances are reproduced exactly
-    whenever the distance matrix is Euclidean-embeddable in `dims`
-    dimensions.
-    """
-    return mds_coords_from(sequence_distance_matrix(seqs), dims=dims)
-
-
 def mds_coords_from(dmat, dims: int = 2):
-    """Classical MDS of a precomputed symmetric distance matrix."""
+    """Classical multidimensional scaling of a symmetric distance matrix
+    (such as sequence_distance_matrix's): double-center the squared
+    distances, keep the top eigenpairs and scale eigenvectors by root
+    eigenvalues, truncating negative ones to zero.  Distances are
+    reproduced exactly when they embed in `dims` dimensions."""
     if dims < 1:
         raise BadTarget("dims must be positive")
     dmat = np.asarray(dmat, dtype=float)

@@ -58,10 +58,13 @@ class FlatField:
         return int(self.values.shape[1])
 
 
-def _check_sequence(seq):
+def _check_sequence(seq, reference=None):
     seq = np.asarray(seq, dtype=float)
     if seq.ndim != 3 or seq.shape[0] < 2 or seq.shape[2] != 3:
         raise DimensionMismatch(f"expected a (T, n-1, 3) sequence with T >= 2, got {seq.shape}")
+    if reference is not None and np.shape(reference) != seq.shape[1:]:
+        raise DimensionMismatch(f"reference {np.shape(reference)} does not match "
+                                f"frames {seq.shape[1:]}")
     return seq
 
 
@@ -69,14 +72,15 @@ def shooting_vectors(seq):
     """Discrete velocities: log of each frame at its predecessor, scaled
     by 1/dt.  Returns shape (T-1, n-1, 3)."""
     seq = _check_sequence(seq)
-    return geo.posture_log(seq[:-1], seq[1:]) * float(seq.shape[0] - 1)
+    return geo.sphere_log(seq[:-1], seq[1:]) * float(seq.shape[0] - 1)
 
 
 def transported_velocities(seq, reference):
     """Shooting vectors, each transported from its own frame straight to
     the reference posture: the columns of stvf and of the alignment's
     square-root velocity field.  Returns shape (T-1, n-1, 3)."""
-    return geo.posture_transport(seq[:-1], reference, shooting_vectors(seq))
+    seq = _check_sequence(seq, reference)
+    return geo.sphere_transport(seq[:-1], reference, shooting_vectors(seq))
 
 
 def flatten_sequence(seq, reference, kind: str) -> FlatField:
@@ -87,7 +91,7 @@ def flatten_sequence(seq, reference, kind: str) -> FlatField:
     siem rejects frames antipodal to the reference."""
     if kind not in FLATTEN_KINDS:
         raise KindMismatch(f"unknown flattening kind {kind!r}")
-    seq = _check_sequence(seq)
+    seq = _check_sequence(seq, reference)
     reference = np.asarray(reference, dtype=float)
     dt = 1.0 / (seq.shape[0] - 1)
     if kind == "siem":
@@ -151,12 +155,3 @@ def unflatten_field(field: FlatField):
     starts = None if field.start is None else field.start[None]
     return unflatten_batch(field.kind, field.reference, starts, field.values[None],
                            field.dt)[0]
-
-
-def recon_error(seq, decoded):
-    """Per-frame posture distance between a sequence and its decoding."""
-    seq = np.asarray(seq, dtype=float)
-    decoded = np.asarray(decoded, dtype=float)
-    if seq.shape != decoded.shape:
-        raise DimensionMismatch(f"shapes differ: {seq.shape} vs {decoded.shape}")
-    return geo.posture_dist(seq, decoded)

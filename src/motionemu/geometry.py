@@ -9,13 +9,14 @@ symmetric and accurate to ~1e-14 rad over [0, pi].  Tangent vectors carry
 the Euclidean (L2) norm of their stacked coordinates, which is what
 transport, flattening and PCA use.
 
-All sphere functions broadcast over leading axes, so a whole sequence of
-postures (shape (T, n-1, 3)) can be pushed through one call.
+All sphere functions broadcast over leading axes: one call acts on a whole
+posture bone by bone, or on a whole (T, n-1, 3) sequence of postures.
 """
 
 import numpy as np
 
-from .errors import AntipodalPoints, DimensionMismatch, NoConvergence, NotTangent
+from .errors import (AntipodalPoints, DimensionMismatch, InsufficientData, NoConvergence,
+                     NotTangent)
 
 # Angles or tangent norms below this are treated as exactly zero.
 EPS_ZERO = 1e-12
@@ -120,42 +121,16 @@ def sphere_transport(y, z, u):
     return out - _dot(out, z)[..., None] * z
 
 
-def _check_posture_pair(a, b):
+def posture_dist(a, b):
+    """Distance between postures: the sum of per-bone geodesic angles."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     try:
         shape = np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise DimensionMismatch(f"posture shapes differ: {a.shape} vs {b.shape}") from None
     if len(shape) < 2 or shape[-1] != 3:
         raise DimensionMismatch(f"not posture-shaped: {a.shape} vs {b.shape}")
-
-
-def posture_dist(a, b):
-    """Distance between postures: the sum of per-bone geodesic angles."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    _check_posture_pair(a, b)
     return np.sum(sphere_dist(a, b), axis=-1)
-
-
-def posture_log(a, b):
-    """Bone-wise inverse exponential map between postures."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    _check_posture_pair(a, b)
-    return sphere_log(a, b)
-
-
-def posture_exp(a, v):
-    """Bone-wise exponential map from posture a along tangent field v."""
-    a, v = np.asarray(a, dtype=float), np.asarray(v, dtype=float)
-    _check_posture_pair(a, v)
-    return sphere_exp(a, v)
-
-
-def posture_transport(a, b, v):
-    """Bone-wise parallel transport of a tangent field from a to b."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_posture_pair(a, b)
-    return sphere_transport(a, b, v)
 
 
 def tangent_norm(v):
@@ -280,6 +255,17 @@ def karcher_mean(postures, tol=1e-9, max_iter=200):
             return mu
         mu = sphere_exp(mu, grad)
     raise NoConvergence("intrinsic mean did not converge", residual=float(residual))
+
+
+def _check_sequences(seqs, least=1):
+    """The sequences as float arrays, checked to be at least `least` of
+    them and to share one shape."""
+    seqs = [np.asarray(s, dtype=float) for s in seqs]
+    if len(seqs) < least:
+        raise InsufficientData(f"got {len(seqs)} sequences, need at least {least}")
+    if any(s.shape != seqs[0].shape for s in seqs):
+        raise DimensionMismatch("sequences must share their shape")
+    return seqs
 
 
 def sequence_dist(a, b):

@@ -14,6 +14,7 @@ Model-like objects (PCA bases, fitted models, emulator bundles) use a
 generic tagged document: a `doc <type> <version>` header, then one entry
 per line (`s`tring, `i`nt, `f`loat, `v`ector, `m`atrix, `x` none), closed
 by `end`.  Vectors and matrices are followed by their payload lines.
+Readers fetch entries with the tags they expect (`_Doc.entry`).
 """
 
 import numpy as np
@@ -237,14 +238,24 @@ def write_doc(path, doctype: str, version: int, items):
 
 
 class _Doc(dict):
-    """Document entries; a missing one raises DimensionMismatch naming it."""
+    """Document entries and their tags; a missing entry, or one whose tag
+    entry() does not accept, raises DimensionMismatch naming it."""
 
     def __init__(self, path):
         super().__init__()
         self.path = path
+        self.tags = {}
 
     def __missing__(self, name):
         raise DimensionMismatch(f"{self.path}: missing entry {name!r}")
+
+    def entry(self, name, tags):
+        """The value of an entry whose tag is one of the letters in tags."""
+        value = self[name]
+        if self.tags[name] not in tags:
+            raise DimensionMismatch(f"{self.path}: entry {name!r} is tagged "
+                                    f"{self.tags[name]!r}, expected one of {tags!r}")
+        return value
 
 
 def read_doc(path):
@@ -262,8 +273,8 @@ def read_doc(path):
                 name, _ = rest.split(maxsplit=1)
                 out[name] = None
             elif tag == "s":
-                parts = rest.split(maxsplit=1)
-                out[parts[0]] = parts[1] if len(parts) > 1 else ""
+                name, *value = rest.split(maxsplit=1)
+                out[name] = value[0] if value else ""
             elif tag == "i":
                 name, value = rest.split()
                 out[name] = int(value)
@@ -278,6 +289,7 @@ def read_doc(path):
                 out[name] = src.block(int(rows), int(cols))
             else:
                 raise DimensionMismatch(f"{path}: unknown tag {tag!r}")
+            out.tags[name] = tag
     except ValueError as exc:
         raise DimensionMismatch(f"{src.path}: bad line {line!r}: {exc}") from None
     return doctype, version, out

@@ -255,10 +255,8 @@ def fit_pwi(seqs, diagonal: bool = False) -> PWIModel:
     """Fit the posture-wise model: per frame, the intrinsic mean of the
     training postures and the covariance of their log coordinates
     (denominator M-1).  diagonal=True keeps only per-coordinate variances."""
-    stack = np.stack([np.asarray(s, dtype=float) for s in seqs])
+    stack = np.stack(geo._check_sequences(seqs, least=2))
     m, t = stack.shape[0], stack.shape[1]
-    if m < 2:
-        raise InsufficientData("need at least two sequences")
     dim = 2 * stack.shape[2]
     means = np.empty((t, stack.shape[2], 3))
     covs = np.empty((t, dim, dim))
@@ -366,12 +364,7 @@ def fit_emulator(seqs, kind: str = "istvf", model_type: str = "ig",
 
     Reduction and fit are dimred.reduce_fields and fit_bundle, as in the CLI.
     """
-    seqs = [np.asarray(s, dtype=float) for s in seqs]
-    if not seqs:
-        raise InsufficientData("no training sequences")
-    for s in seqs:
-        if s.shape != seqs[0].shape:
-            raise DimensionMismatch("training sequences must share their shape")
+    seqs = geo._check_sequences(seqs)
     if model_type not in MODEL_TYPES:
         raise KindMismatch(f"unknown model type {model_type!r}")
 
@@ -448,9 +441,3 @@ def sequence_logliks(bundle: EmulatorBundle, seqs) -> np.ndarray:
         scores = dimred.spatial_project(field, bundle.spatial)
         coeffs.append(dimred.fpca_project(scores, bundle.fpca))
     return logliks(coeffs, bundle.model)
-
-
-def sequence_loglik(bundle: EmulatorBundle, seq) -> float:
-    """Log-likelihood of one sequence: the one-element case of
-    sequence_logliks."""
-    return float(sequence_logliks(bundle, [seq])[0])

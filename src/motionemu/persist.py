@@ -27,9 +27,10 @@ def _spatial_items(prefix, pca: SpatialPCA):
 
 
 def _spatial_from(doc, prefix):
-    return SpatialPCA(mean=doc[f"{prefix}.mean"], basis=doc[f"{prefix}.basis"],
-                      eigenvalues=doc[f"{prefix}.eigenvalues"],
-                      total_variance=doc[f"{prefix}.total_variance"])
+    return SpatialPCA(mean=doc.entry(f"{prefix}.mean", "v"),
+                      basis=doc.entry(f"{prefix}.basis", "m"),
+                      eigenvalues=doc.entry(f"{prefix}.eigenvalues", "v"),
+                      total_variance=doc.entry(f"{prefix}.total_variance", "f"))
 
 
 def _fpca_items(prefix, basis: FPCABasis):
@@ -44,10 +45,11 @@ def _fpca_items(prefix, basis: FPCABasis):
 
 
 def _fpca_from(doc, prefix):
-    d1 = doc[f"{prefix}.rows"]
-    bases = np.stack([doc[f"{prefix}.basis.{i}"] for i in range(d1)])
-    return FPCABasis(means=doc[f"{prefix}.means"], bases=bases,
-                     eigenvalues=doc[f"{prefix}.eigenvalues"], dt=doc[f"{prefix}.dt"])
+    d1 = doc.entry(f"{prefix}.rows", "i")
+    bases = np.stack([doc.entry(f"{prefix}.basis.{i}", "m") for i in range(d1)])
+    return FPCABasis(means=doc.entry(f"{prefix}.means", "m"), bases=bases,
+                     eigenvalues=doc.entry(f"{prefix}.eigenvalues", "m"),
+                     dt=doc.entry(f"{prefix}.dt", "f"))
 
 
 def _model_items(model):
@@ -76,24 +78,26 @@ def _model_items(model):
 
 
 def _model_from(doc):
-    family = doc["model.family"]
+    family = doc.entry("model.family", "s")
+    if family in ("mvg", "ig"):
+        shape = (doc.entry("model.rows", "i"), doc.entry("model.cols", "i"))
+        jitter = doc.entry("model.jitter", "f")
     if family == "mvg":
-        return MVGModel(covariance=doc["model.covariance"], jitter=doc["model.jitter"],
-                        shape=(doc["model.rows"], doc["model.cols"]))
+        return MVGModel(covariance=doc.entry("model.covariance", "m"), jitter=jitter, shape=shape)
     if family == "ig":
-        return IGModel(variances=doc["model.variances"], jitter=doc["model.jitter"],
-                       shape=(doc["model.rows"], doc["model.cols"]))
+        return IGModel(variances=doc.entry("model.variances", "v"), jitter=jitter, shape=shape)
     if family == "var":
-        order = doc["model.order"]
-        coef = np.stack([doc[f"model.coef.{i}"] for i in range(order)])
-        return VARModel(order=order, coef=coef, intercept=doc["model.intercept"],
-                        noise_cov=doc["model.noise_cov"])
+        order = doc.entry("model.order", "i")
+        coef = np.stack([doc.entry(f"model.coef.{i}", "m") for i in range(order)])
+        return VARModel(order=order, coef=coef, intercept=doc.entry("model.intercept", "v"),
+                        noise_cov=doc.entry("model.noise_cov", "m"))
     if family == "pwi":
-        t, k = doc["model.frames"], doc["model.bones"]
-        means = doc["model.means"].reshape(t, k, 3)
+        t, k = doc.entry("model.frames", "i"), doc.entry("model.bones", "i")
+        means = doc.entry("model.means", "m").reshape(t, k, 3)
         d = 2 * k
-        covs = doc["model.covariances"].reshape(t, d, d)
-        return PWIModel(means=means, covariances=covs, diagonal=bool(doc["model.diagonal"]))
+        covs = doc.entry("model.covariances", "m").reshape(t, d, d)
+        return PWIModel(means=means, covariances=covs,
+                        diagonal=bool(doc.entry("model.diagonal", "i")))
     raise KindMismatch(f"unknown model family {family!r}")
 
 
@@ -124,17 +128,19 @@ def load_bundle(path) -> EmulatorBundle:
     if doctype != BUNDLE_DOC or version != VERSION:
         raise DimensionMismatch(f"{path}: not a version-{VERSION} bundle document")
     start = None
-    if doc["start.count"]:
-        s = doc["start.count"]
-        start = doc["start.postures"].reshape(s, -1, 3)
-    spatial = _spatial_from(doc, "spatial") if doc["has_spatial"] else None
-    fpca = _fpca_from(doc, "fpca") if doc["has_fpca"] else None
-    reference = doc["reference"]
-    return EmulatorBundle(kind=doc["kind"], model_type=doc["model_type"],
-                          model=_model_from(doc), length=doc["length"],
-                          reference=reference, spatial=spatial, fpca=fpca,
-                          start_policy=doc["start_policy"], start_postures=start,
-                          var_init=doc["var_init"], meta=json.loads(doc["meta"]))
+    if s := doc.entry("start.count", "i"):
+        start = doc.entry("start.postures", "m").reshape(s, -1, 3)
+    spatial = _spatial_from(doc, "spatial") if doc.entry("has_spatial", "i") else None
+    fpca = _fpca_from(doc, "fpca") if doc.entry("has_fpca", "i") else None
+    # a posture-wise bundle has no reference, and only a VAR bundle has initial lags
+    model_type = doc.entry("model_type", "s")
+    return EmulatorBundle(kind=doc.entry("kind", "s"), model_type=model_type,
+                          model=_model_from(doc), length=doc.entry("length", "i"),
+                          reference=doc.entry("reference", "x" if model_type == "pwi" else "m"),
+                          spatial=spatial, fpca=fpca,
+                          start_policy=doc.entry("start_policy", "s"), start_postures=start,
+                          var_init=doc.entry("var_init", "m" if model_type == "var" else "x"),
+                          meta=json.loads(doc.entry("meta", "s")))
 
 
 def save_reduction(path, spatial: SpatialPCA, fpca: FPCABasis = None):
@@ -154,7 +160,7 @@ def load_reduction(path):
     doctype, version, doc = read_doc(path)
     if doctype != REDUCTION_DOC or version != VERSION:
         raise DimensionMismatch(f"{path}: not a version-{VERSION} reduction document")
-    if not doc["has_spatial"]:
+    if not doc.entry("has_spatial", "i"):
         raise KindMismatch(f"{path}: reduction document lacks a spatial basis")
-    fpca = _fpca_from(doc, "fpca") if doc["has_fpca"] else None
+    fpca = _fpca_from(doc, "fpca") if doc.entry("has_fpca", "i") else None
     return _spatial_from(doc, "spatial"), fpca

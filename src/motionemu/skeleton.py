@@ -60,24 +60,6 @@ class SkeletonHierarchy:
         return np.flatnonzero(self.parent >= 0)
 
 
-def to_posture(frame, hierarchy: SkeletonHierarchy):
-    """Convert one landmark frame to a posture of unit bone directions.
-
-    Raises DegenerateBone (with the offending landmark index) when a bone
-    is shorter than BONE_LENGTH_EPS.
-    """
-    frame = np.asarray(frame, dtype=float)
-    if frame.shape != (hierarchy.n, 3):
-        raise DimensionMismatch(f"expected frame shape {(hierarchy.n, 3)}, got {frame.shape}")
-    bones = hierarchy.bone_order
-    diff = frame[bones] - frame[hierarchy.parent[bones]]
-    lengths = np.linalg.norm(diff, axis=-1)
-    bad = np.flatnonzero(lengths <= BONE_LENGTH_EPS)
-    if bad.size:
-        raise DegenerateBone(int(bones[bad[0]]))
-    return diff / lengths[:, None]
-
-
 def ingest_sequence(frames, hierarchy: SkeletonHierarchy):
     """Convert a (T, n, 3) array of landmark frames to a posture sequence.
 

@@ -67,7 +67,7 @@ def test_shooting_vectors_match_per_frame_logs():
     seq = smooth_seq(ts)
     v = shooting_vectors(seq)
     for k in range(8):
-        step = geo.posture_log(seq[k], seq[k + 1]) * 8.0
+        step = geo.sphere_log(seq[k], seq[k + 1]) * 8.0
         np.testing.assert_allclose(v[k], step, atol=1e-10)
 
 

@@ -279,6 +279,24 @@ def test_bundle_with_a_missing_entry_reports_one_json_line(tmp_path, capsys):
     assert report["message"].startswith(f"{bundle}: bad line 'i length x")
 
 
+def test_bundle_with_a_mistyped_entry_reports_one_json_line(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("pipeline", "--out", out, "--seed", 2, *SYNTH_FLAGS,
+                   "--scheme", "istvf/seqpca/ig", "--d1", 2, "--d2", 2,
+                   "--count", 2, "--n-perm", 9) == 0
+    bundle = tmp_path / "bundle.txt"
+    text = (out / "bundle.txt").read_text()
+    assert "\ni start.count 1\n" in text
+    bundle.write_text(text.replace("\ni start.count 1\n", "\ns start.count 1\n"))
+    capsys.readouterr()
+    assert run_cli("simulate", "--bundle", bundle, "--count", 2, "--out", tmp_path / "sim") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "DimensionMismatch"
+    assert report["message"] == f"{bundle}: entry 'start.count' is tagged 's', expected one of 'i'"
+
+
 def test_two_sample_reruns_byte_identical_and_exhaustive(tmp_path):
     rng = np.random.default_rng(13)
     base = unit(rng.normal(size=(2, 3)))

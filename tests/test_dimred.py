@@ -18,7 +18,7 @@ from motionemu.dimred import (
     spatial_project,
     spatial_reconstruct,
 )
-from motionemu.errors import DimensionMismatch, InsufficientData
+from motionemu.errors import DimensionMismatch, InsufficientData, KindMismatch
 from motionemu.flatten import FlatField, flatten_sequence, unflatten_field
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -260,6 +260,22 @@ def test_mpca_errors():
         mpca_fit(fields, 5, 2)
     with pytest.raises(DimensionMismatch):
         mpca_project(make_field(rng.standard_normal((4, 7))), mpca_fit(fields, 2, 2))
+
+
+def test_mpca_fit_checks_fields_like_spatial_pca():
+    """No fields, mixed kinds and mixed shapes raise MotionErrors, the same
+    ones spatial_pca_fit raises, instead of numpy's stacking errors."""
+    rng = np.random.default_rng(23)
+    fields = [make_field(rng.standard_normal((4, 6))) for _ in range(3)]
+    siem = FlatField("siem", REF, None, rng.standard_normal((4, 6)), 0.2)
+    longer = make_field(rng.standard_normal((4, 7)))
+    for fit in (lambda f: mpca_fit(f, 1, 1), spatial_pca_fit):
+        with pytest.raises(InsufficientData):
+            fit([])
+        with pytest.raises(KindMismatch):
+            fit(fields + [siem])
+        with pytest.raises(DimensionMismatch):
+            fit(fields + [longer])
 
 
 def test_full_dimension_pipeline_reproduces_sequences():

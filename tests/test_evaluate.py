@@ -16,9 +16,7 @@ from motionemu.errors import (BadTarget, DimensionMismatch, InsufficientData,
 from motionemu.evaluate import (
     ClusterModel,
     cluster_postures,
-    disco_stat,
     disco_test,
-    mds_coords,
     mds_coords_from,
     mean_label_sequence,
     posture_distance_matrix,
@@ -160,31 +158,33 @@ def test_sequence_distance_matrix_rejects_non_sequence_arrays(bad):
 def test_disco_stat_identical_groups_is_exactly_zero():
     rng = np.random.default_rng(0)
     group = [rand_seq(rng) for _ in range(3)]
-    assert disco_stat(group, [g.copy() for g in group]) == 0.0
+    assert disco_test(group, [g.copy() for g in group], n_perm=1).statistic == 0.0
 
 
 def test_disco_stat_singletons():
     rng = np.random.default_rng(1)
     a, b = rand_seq(rng), rand_seq(rng)
-    assert disco_stat([a], [b]) == pytest.approx(2.0 * seq_dist(a, b), rel=1e-12)
+    statistic = disco_test([a], [b], n_perm=1).statistic
+    assert statistic == pytest.approx(2.0 * seq_dist(a, b), rel=1e-12)
 
 
 def test_disco_stat_matches_double_loop_oracle():
     rng = np.random.default_rng(2)
     group_a = [rand_seq(rng, t=5, bones=3) for _ in range(4)]
     group_b = [rand_seq(rng, t=5, bones=3) for _ in range(5)]
-    assert disco_stat(group_a, group_b) == pytest.approx(disco_oracle(group_a, group_b), abs=1e-10)
+    statistic = disco_test(group_a, group_b, n_perm=1).statistic
+    assert statistic == pytest.approx(disco_oracle(group_a, group_b), abs=1e-10)
 
 
 def test_disco_stat_errors():
     rng = np.random.default_rng(5)
     good = [rand_seq(rng)]
     with pytest.raises(InsufficientData):
-        disco_stat([], good)
+        disco_test([], good)
     with pytest.raises(InsufficientData):
-        disco_stat(good, [])
+        disco_test(good, [])
     with pytest.raises(DimensionMismatch):
-        disco_stat(good, [rand_seq(rng, t=7)])
+        disco_test(good, [rand_seq(rng, t=7)])
 
 
 # ---------------------------------------------------------------- disco test
@@ -503,6 +503,17 @@ def test_mean_label_sequence_of_identical_set():
     assert np.array_equal(labels, quantize(seq, model))
 
 
+def test_mean_label_sequence_rejects_mixed_shapes_and_no_sequences():
+    rng = np.random.default_rng(18)
+    modes = np.stack([blob(rng, c, 1, scale=0.25)[0] for c in BLOB_CENTERS])
+    model = ClusterModel(modes=modes, medoid_indices=np.arange(3), objective=0.0)
+    seq = blob(rng, BLOB_CENTERS[1], 6, scale=0.05)
+    with pytest.raises(DimensionMismatch):
+        mean_label_sequence([seq, seq[:-1]], model)
+    with pytest.raises(InsufficientData):
+        mean_label_sequence([], model)
+
+
 # ---------------------------------------------------------------- roughness
 
 
@@ -541,7 +552,7 @@ def test_mds_recovers_right_triangle():
     dmat = sequence_distance_matrix(seqs)
     expected = np.array([[0.0, 0.3, 0.4], [0.3, 0.0, 0.5], [0.4, 0.5, 0.0]])
     assert np.allclose(dmat, expected, atol=1e-12)
-    coords = mds_coords(seqs, dims=2)
+    coords = mds_coords_from(dmat, dims=2)
     emb = np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(-1))
     assert np.max(np.abs(emb - expected)) < 1e-8
 
@@ -549,7 +560,7 @@ def test_mds_recovers_right_triangle():
 def test_mds_identical_sequences_embed_at_origin():
     rng = np.random.default_rng(19)
     s = rand_seq(rng, t=4)
-    coords = mds_coords([s, s.copy(), s.copy(), s.copy()], dims=2)
+    coords = mds_coords_from(sequence_distance_matrix([s, s.copy(), s.copy(), s.copy()]), dims=2)
     assert np.array_equal(coords, np.zeros((4, 2)))
 
 
@@ -567,7 +578,6 @@ def test_mds_truncation_never_expands_distances():
             # adding directions never shrinks an embedded distance
             assert float((emb - prev).min()) > -1e-12
         prev = emb
-    assert np.array_equal(mds_coords(seqs, dims=3), mds_coords_from(dmat, dims=3))
     with pytest.raises(BadTarget):
         mds_coords_from(dmat, dims=0)
 

@@ -9,7 +9,7 @@ from motionemu.flatten import (
     FLATTEN_KINDS,
     FlatField,
     flatten_sequence,
-    recon_error,
+    transported_velocities,
     unflatten_batch,
     unflatten_field,
 )
@@ -53,17 +53,17 @@ def test_stvf_column_norms_match_velocities():
     field = flatten_sequence(seq, REF, "stvf")
     assert field.values.shape == (4, 40)
     assert field.dt == 1.0 / 40
-    speed = geo.tangent_norm(geo.posture_log(seq[:-1], seq[1:]) * 40.0)
+    speed = geo.tangent_norm(geo.sphere_log(seq[:-1], seq[1:]) * 40.0)
     np.testing.assert_allclose(np.linalg.norm(field.values, axis=0), speed, rtol=1e-10, atol=1e-12)
 
 
 def test_stvf_single_step_decode_by_hand():
-    step = geo.posture_exp(REF, np.stack([0.3 * E2, -0.2 * E2]))
+    step = geo.sphere_exp(REF, np.stack([0.3 * E2, -0.2 * E2]))
     seq = np.stack([REF, step])
     field = flatten_sequence(seq, REF, "stvf")
     decoded = unflatten_field(field)
     v = geo.coords_to_tangent(REF, field.values.T)[0]
-    by_hand = geo.posture_exp(REF, v * field.dt)
+    by_hand = geo.sphere_exp(REF, v * field.dt)
     np.testing.assert_allclose(decoded[1], by_hand, atol=1e-15)
     np.testing.assert_allclose(decoded, seq, atol=1e-12)
 
@@ -72,7 +72,7 @@ def test_stvf_roundtrip_error_small():
     ts = np.linspace(0.0, 1.0, 101)
     seq = curved_seq(ts)
     decoded = unflatten_field(flatten_sequence(seq, REF, "stvf"))
-    assert np.max(recon_error(seq, decoded)) <= 1e-6
+    assert np.max(geo.posture_dist(seq, decoded)) <= 1e-6
 
 
 def test_istvf_constant_velocity_is_ramp():
@@ -84,7 +84,7 @@ def test_istvf_constant_velocity_is_ramp():
     # a constant-speed geodesic from the reference has constant stvf
     # columns, so its istvf columns grow linearly
     v = np.stack([0.6 * E2, -0.9 * E2])
-    geodesic = geo.posture_exp(REF, np.arange(7)[:, None, None] / 6.0 * v)
+    geodesic = geo.sphere_exp(REF, np.arange(7)[:, None, None] / 6.0 * v)
     ramp = flatten_sequence(geodesic, REF, "istvf")
     expected = geo.tangent_coords(REF, v)[:, None] * np.arange(1, 7) / 6.0
     np.testing.assert_allclose(ramp.values, expected, atol=1e-14)
@@ -136,8 +136,8 @@ def test_mtvf_equals_stvf_for_two_frames():
 def test_mtvf_drift_dominates_stvf_error():
     ts = np.linspace(0.0, 1.0, 101)
     seq = curved_seq(ts)
-    stvf_err = np.max(recon_error(seq, unflatten_field(flatten_sequence(seq, REF, "stvf"))))
-    per_frame = recon_error(seq, unflatten_field(flatten_sequence(seq, REF, "mtvf")))
+    stvf_err = np.max(geo.posture_dist(seq, unflatten_field(flatten_sequence(seq, REF, "stvf"))))
+    per_frame = geo.posture_dist(seq, unflatten_field(flatten_sequence(seq, REF, "mtvf")))
     assert np.max(per_frame) > 1000 * stvf_err
     # drift grows along the sequence
     assert per_frame[-1] > per_frame[20]
@@ -151,7 +151,7 @@ def test_dispatch_roundtrips():
         assert field.kind == kind
         decoded = unflatten_field(field)
         assert decoded.shape == seq.shape
-        assert np.max(recon_error(seq, decoded)) <= 1e-6
+        assert np.max(geo.posture_dist(seq, decoded)) <= 1e-6
     control = flatten_sequence(seq, REF, "mtvf")
     assert unflatten_field(control).shape == seq.shape
     with pytest.raises(KindMismatch):
@@ -170,7 +170,7 @@ def per_kind_encode(seq, reference, kind):
     def field(kind, coords):
         return FlatField(kind, reference.copy(), seq[0].copy(), coords.T.copy(), 1.0 / (t - 1))
 
-    shooting = geo.posture_log(seq[:-1], seq[1:]) * float(t - 1)
+    shooting = geo.sphere_log(seq[:-1], seq[1:]) * float(t - 1)
     if kind == "siem":
         return field("siem", geo.tangent_coords(reference, geo.sphere_log(reference, seq)))
     if kind == "mtvf":
@@ -180,7 +180,7 @@ def per_kind_encode(seq, reference, kind):
         moved = geo.sphere_transport(seq[0], reference, moved)
         return field("mtvf", geo.tangent_coords(reference, moved))
     stvf = field("stvf", geo.tangent_coords(
-        reference, geo.posture_transport(seq[:-1], reference, shooting)))
+        reference, geo.sphere_transport(seq[:-1], reference, shooting)))
     if kind == "stvf":
         return stvf
     return FlatField("istvf", stvf.reference, stvf.start,
@@ -212,9 +212,21 @@ def test_recon_error_quarter_turn():
     a = np.broadcast_to(REF, (4, 2, 3)).copy()
     b = a.copy()
     b[:, 0] = E2
-    np.testing.assert_allclose(recon_error(a, b), np.pi / 2, atol=1e-12)
+    np.testing.assert_allclose(geo.posture_dist(a, b), np.pi / 2, atol=1e-12)
     with pytest.raises(DimensionMismatch):
-        recon_error(a, a[:2])
+        geo.posture_dist(a, a[:2])
+
+
+def test_reference_of_the_wrong_shape_is_a_dimension_mismatch():
+    """Every kind, and the shared transport step, names the two shapes
+    instead of failing inside numpy's broadcasting."""
+    seq = curved_seq(np.linspace(0.0, 1.0, 5))
+    for reference in (REF[:1], REF[None], np.ones((2, 2))):
+        for kind in FLATTEN_KINDS:
+            with pytest.raises(DimensionMismatch, match="does not match frames"):
+                flatten_sequence(seq, reference, kind)
+        with pytest.raises(DimensionMismatch, match="does not match frames"):
+            transported_velocities(seq, reference)
 
 
 # ---- batch decode: one loop over the columns, the same bits per field -----

@@ -187,11 +187,11 @@ def test_posture_roundtrip_and_transport_isometry():
     rng = np.random.default_rng(6)
     a = rand_unit(rng, 6)
     b = rand_unit(rng, 6)
-    v = geo.posture_log(a, b)
-    back = geo.posture_exp(a, v)
+    v = geo.sphere_log(a, b)
+    back = geo.sphere_exp(a, v)
     assert np.max(np.linalg.norm(back - b, axis=-1)) < 1e-10
     w = rand_tangent(rng, a, scale=1.3)
-    moved = geo.posture_transport(a, b, w)
+    moved = geo.sphere_transport(a, b, w)
     assert abs(geo.tangent_norm(moved) - geo.tangent_norm(w)) < 1e-10
 
 

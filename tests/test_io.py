@@ -228,16 +228,24 @@ def test_read_doc_names_the_file_and_the_bad_line(tmp_path, bad):
         mio.read_doc(path)
 
 
-def test_missing_entries_name_the_file_and_the_entry(tmp_path):
+def saved_documents(tmp_path, model_type):
+    """A bundle and a reduction fitted on a small training set, saved under
+    tmp_path; yields (path, loader) pairs."""
     rng = np.random.default_rng(8)
     seqs = [rand_postures(rng, 1, 2) + np.cumsum(rng.normal(scale=0.05, size=(8, 2, 3)), axis=0)
             for _ in range(6)]
     seqs = [s / np.linalg.norm(s, axis=-1, keepdims=True) for s in seqs]
-    bundle = models.fit_emulator(seqs, "istvf", "mvg", d1=2, d2=2)
+    bundle = models.fit_emulator(seqs, "istvf", model_type, d1=2, d2=2, order=1)
     save_bundle(tmp_path / "bundle.txt", bundle)
-    save_reduction(tmp_path / "reduction.txt", bundle.spatial, bundle.fpca)
-    for name, load in (("bundle.txt", load_bundle), ("reduction.txt", load_reduction)):
-        path = tmp_path / name
+    docs = [(tmp_path / "bundle.txt", load_bundle)]
+    if bundle.fpca is not None:
+        save_reduction(tmp_path / "reduction.txt", bundle.spatial, bundle.fpca)
+        docs.append((tmp_path / "reduction.txt", load_reduction))
+    return docs
+
+
+def test_missing_entries_name_the_file_and_the_entry(tmp_path):
+    for path, load in saved_documents(tmp_path, "mvg"):
         lines = path.read_text().splitlines(keepends=True)
         load(path)
         # every scalar entry is read; the reduction's has_mpca is kept for
@@ -250,6 +258,39 @@ def test_missing_entries_name_the_file_and_the_entry(tmp_path):
             path.write_text("".join(lines[:i] + lines[i + 1:]))
             with pytest.raises(DimensionMismatch,
                                match=re.escape(f"{path}: missing entry {entry!r}")):
+                load(path)
+
+
+@pytest.mark.parametrize("model_type", ["mvg", "ig", "var", "pwi"])
+def test_mistyped_entries_name_the_file_and_the_entry(tmp_path, model_type):
+    """Each entry written under another tag that still parses (a scalar as
+    a string, a string as none, a vector as a one-row matrix, an array as
+    none) is refused with a DimensionMismatch naming the file and the
+    entry."""
+    for path, load in saved_documents(tmp_path, model_type):
+        lines = path.read_text().splitlines(keepends=True)
+        load(path)
+        retyped = []  # (line index, replacement, payload lines it replaces)
+        for i, ln in enumerate(lines):
+            tag, entry, *rest = ln.split() + [""]
+            if entry == "has_mpca":
+                continue
+            if tag in ("i", "f", "x"):
+                retyped.append((i, "s" + ln[1:], 0))
+            elif tag == "s" and rest[0]:
+                retyped.append((i, "x" + ln[1:], 0))
+            elif tag in ("v", "m"):
+                shape = [1, int(rest[0])] if tag == "v" else [int(rest[0]), int(rest[1])]
+                payload = shape[0] if shape[0] * shape[1] else 0
+                retyped.append((i, f"x {entry} none\n", payload))
+                if tag == "v":
+                    retyped.append((i, f"m {entry} 1 {rest[0]}\n", 0))
+        assert len(retyped) >= 10
+        for i, line, payload in retyped:
+            entry = line.split()[1]
+            path.write_text("".join(lines[:i] + [line] + lines[i + 1 + payload:]))
+            with pytest.raises(DimensionMismatch,
+                               match=re.escape(f"{path}: entry {entry!r} is tagged")):
                 load(path)
 
 

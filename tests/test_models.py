@@ -23,7 +23,6 @@ from motionemu.models import (
     logliks,
     sample_coeffs,
     sample_pwi,
-    sequence_loglik,
     sequence_logliks,
     simulate_sequence,
     simulate_var,
@@ -222,6 +221,16 @@ def test_pwi_identical_training():
         fit_pwi([seq])
 
 
+def test_pwi_fit_rejects_mixed_shapes_and_no_sequences():
+    seq = curved_seq(np.linspace(0.0, 1.0, 7))
+    with pytest.raises(DimensionMismatch):
+        fit_pwi([seq, seq[:-1]])
+    with pytest.raises(DimensionMismatch):
+        fit_pwi([seq, seq[:, :1]])
+    with pytest.raises(InsufficientData):
+        fit_pwi([])
+
+
 def test_pwi_samples_concentrate_with_variance():
     t = 5
     means = np.broadcast_to(REF, (t, 2, 3)).copy()
@@ -329,11 +338,11 @@ def test_sequence_loglik_matches_manual_projection():
     target = seqs[0]
     field = flatten.flatten_sequence(target, bundle.reference, bundle.kind)
     coeff = dimred.fpca_project(dimred.spatial_project(field, bundle.spatial), bundle.fpca)
-    np.testing.assert_allclose(sequence_loglik(bundle, target), loglik(coeff, bundle.model),
-                               rtol=1e-12)
+    np.testing.assert_allclose(sequence_logliks(bundle, [target])[0],
+                               loglik(coeff, bundle.model), rtol=1e-12)
     pwi_bundle = fit_emulator(seqs, model_type="pwi")
     with pytest.raises(KindMismatch):
-        sequence_loglik(pwi_bundle, target)
+        sequence_logliks(pwi_bundle, [target])
 
 
 # ---- batched simulation: the same bits as decoding one field at a time ----
@@ -526,7 +535,7 @@ def test_sequence_logliks_is_the_batch_of_sequence_loglik():
     for model_type in ("mvg", "ig"):
         bundle = fit_emulator(seqs, kind="istvf", model_type=model_type, d1=3, d2=3)
         batch = sequence_logliks(bundle, seqs)
-        single = np.array([sequence_loglik(bundle, s) for s in seqs])
+        single = np.array([sequence_logliks(bundle, [s])[0] for s in seqs])
         np.testing.assert_allclose(batch, single, rtol=1e-10)
         assert bits(sequence_logliks(bundle, seqs[:1])) == bits(single[:1])
         assert sequence_logliks(bundle, []).shape == (0,)

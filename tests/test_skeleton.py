@@ -3,7 +3,7 @@ import pytest
 
 from motionemu import geometry as geo
 from motionemu.errors import BadTarget, DegenerateBone, DimensionMismatch
-from motionemu.skeleton import SkeletonHierarchy, downsample, ingest_sequence, to_posture
+from motionemu.skeleton import SkeletonHierarchy, downsample, ingest_sequence
 
 CHAIN3 = SkeletonHierarchy(np.array([-1, 0, 1]))
 
@@ -22,17 +22,18 @@ def test_hierarchy_validation():
 
 def test_to_posture_axis_aligned_chain():
     frame = np.array([[0.0, 0, 0], [1.0, 0, 0], [1.0, 2, 0]])
-    posture = to_posture(frame, CHAIN3)
+    posture = ingest_sequence(frame[None], CHAIN3)[0]
     np.testing.assert_allclose(posture, np.array([[1.0, 0, 0], [0.0, 1, 0]]))
 
 
 def test_to_posture_translation_and_scale_invariance():
     rng = np.random.default_rng(0)
     frame = rng.standard_normal((3, 3)) * 10
-    base = to_posture(frame, CHAIN3)
-    shifted = to_posture(frame + np.array([5.0, 5, 5]), CHAIN3)
+    base = ingest_sequence(frame[None], CHAIN3)[0]
+    shifted = ingest_sequence((frame + np.array([5.0, 5, 5]))[None], CHAIN3)[0]
     np.testing.assert_allclose(shifted, base, atol=1e-12)
-    np.testing.assert_allclose(to_posture(frame * 3.0, CHAIN3), base, atol=1e-12)
+    scaled = ingest_sequence((frame * 3.0)[None], CHAIN3)[0]
+    np.testing.assert_allclose(scaled, base, atol=1e-12)
 
 
 def test_to_posture_per_bone_ratio_invariance():
@@ -44,15 +45,15 @@ def test_to_posture_per_bone_ratio_invariance():
     offsets = rng.standard_normal((3, 3))
     frame = np.vstack([root, root + offsets])
     stretched = np.vstack([root, root + offsets * np.array([[0.5], [3.0], [7.5]])])
-    np.testing.assert_allclose(to_posture(stretched, star), to_posture(frame, star),
-                               atol=1e-12)
+    np.testing.assert_allclose(ingest_sequence(stretched[None], star)[0],
+                               ingest_sequence(frame[None], star)[0], atol=1e-12)
 
 
 def test_to_posture_degenerate_bone():
     frame = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0]])
     with pytest.raises(DegenerateBone) as info:
-        to_posture(frame, CHAIN3)
-    assert "1" in str(info.value)
+        ingest_sequence(frame[None], CHAIN3)
+    assert info.value.bone == 1 and info.value.frame == 0
 
 
 def test_ingest_identical_frames():
@@ -68,8 +69,6 @@ def test_ingest_synthetic_chain_unit_bones():
     seq = ingest_sequence(frames, CHAIN3)
     assert seq.shape == (10, 2, 3)
     np.testing.assert_allclose(np.linalg.norm(seq, axis=-1), 1.0, atol=1e-12)
-    for t in range(10):
-        np.testing.assert_allclose(seq[t], to_posture(frames[t], CHAIN3), atol=0)
 
 
 def test_ingest_reports_frame_of_degenerate_bone():
