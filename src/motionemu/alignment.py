@@ -61,20 +61,18 @@ def tsrvf(seq, reference) -> TSRVFField:
     tangent frame at the reference, so ||column||^2 equals the shooting
     vector norm.
     """
-    seq = np.asarray(seq, dtype=float)
     reference = np.asarray(reference, dtype=float)
     moved = transported_velocities(seq, reference)
     norms = geo.tangent_norm(moved)
     scale = np.where(norms < ZERO_VELOCITY, 0.0, 1.0 / np.sqrt(np.where(norms < ZERO_VELOCITY, 1.0, norms)))
     coords = geo.tangent_coords(reference, moved * scale[:, None, None])
-    return TSRVFField(reference.copy(), coords, 1.0 / (seq.shape[0] - 1))
+    return TSRVFField(reference.copy(), coords, 1.0 / moved.shape[0])
 
 
 def _check_pair(h1: TSRVFField, h2: TSRVFField):
     if not np.array_equal(h1.reference, h2.reference):
         raise ReferenceMismatch("fields were built at different reference postures")
-    if h1.values.shape != h2.values.shape:
-        raise DimensionMismatch(f"field shapes differ: {h1.values.shape} vs {h2.values.shape}")
+    geo._check_same_shape((h1.values, h2.values), 2, "fields")
     for name, h in (("first", h1), ("second", h2)):
         bad = ~np.isfinite(h.values).all(axis=1)
         if bad.any():
@@ -96,7 +94,7 @@ def warp_sequence(seq, gamma):
     hit exactly (in particular under the identity warp) are copied
     bit-for-bit.
     """
-    seq = np.asarray(seq, dtype=float)
+    seq = geo._check_postures(seq, least=2)
     gamma = check_warp(gamma)
     t = seq.shape[0]
     if gamma.shape[0] != t:
@@ -280,15 +278,12 @@ def align_all(seqs, ref_index: int = 0, reference=None):
     warps); the reference sequence is returned unchanged with the
     identity warp.
     """
-    seqs = [np.asarray(s, dtype=float) for s in seqs]
+    seqs = geo._check_same_shape(seqs, 0, "sequences")
     if not seqs:
         raise DimensionMismatch("no sequences to align")
     if not 0 <= ref_index < len(seqs):
         raise BadTarget(f"reference index {ref_index} out of range")
-    t = seqs[0].shape[0]
-    for s in seqs:
-        if s.shape != seqs[0].shape:
-            raise DimensionMismatch("sequences must share their shape to be aligned")
+    t = geo._check_postures(seqs[0], least=2).shape[0]
     if reference is None:
         reference = geo.karcher_mean(np.stack([s[0] for s in seqs]))
     href = tsrvf(seqs[ref_index], reference)

@@ -31,6 +31,14 @@ def _fix_signs(basis):
     return basis * signs
 
 
+def _top_eigenpairs(sym, k=None):
+    """Eigenpairs of a symmetric matrix, eigenvalues descending (the top k
+    when k is given), eigenvectors as sign-fixed columns."""
+    w, v = np.linalg.eigh(sym)
+    order = np.argsort(w)[::-1][:k]
+    return w[order], _fix_signs(v[:, order])
+
+
 def select_dims(eigenvalues, threshold: float) -> int:
     """Smallest dimension whose cumulative spectrum share reaches threshold.
 
@@ -65,16 +73,11 @@ class SpatialPCA:
         return int(self.basis.shape[1])
 
 
-def _check_fields(fields):
-    if not fields:
-        raise InsufficientData("no fields to fit")
-    kind = fields[0].kind
-    shape = fields[0].values.shape
+def _check_fields(fields, least=1):
+    geo._check_same_shape([f.values for f in fields], least, "fields")
     for f in fields:
-        if f.kind != kind:
-            raise KindMismatch(f"mixed field kinds: {kind!r} vs {f.kind!r}")
-        if f.values.shape != shape:
-            raise DimensionMismatch("fields must share their value shape")
+        if f.kind != fields[0].kind:
+            raise KindMismatch(f"mixed field kinds: {fields[0].kind!r} vs {f.kind!r}")
     return fields
 
 
@@ -154,9 +157,7 @@ def fpca_fit(score_list, dt: float, n_components=None, var_threshold=0.95) -> FP
     their samples.  When n_components is None, d2 is the largest
     per-row selection at var_threshold so every row reaches it.
     """
-    if len(score_list) < 2:
-        raise InsufficientData("need at least two score matrices")
-    stack = np.stack([np.asarray(h, dtype=float) for h in score_list])
+    stack = np.stack(geo._check_same_shape(score_list, 2, "score matrices"))
     m, d1, length = stack.shape
     if d1 == 0:
         raise InsufficientData("the spatial reduction has rank 0 (d1 = 0, as for constant "
@@ -166,11 +167,9 @@ def fpca_fit(score_list, dt: float, n_components=None, var_threshold=0.95) -> FP
     bases, values = [], []
     for i in range(d1):
         cov = dev[:, i, :].T @ dev[:, i, :] / (m - 1)
-        w, v = np.linalg.eigh(cov)
-        order = np.argsort(w)[::-1]
-        w = np.clip(w[order], 0.0, None) * dt
-        bases.append(_fix_signs(v[:, order]) / np.sqrt(dt))
-        values.append(w)
+        w, v = _top_eigenpairs(cov)
+        values.append(np.clip(w, 0.0, None) * dt)
+        bases.append(v / np.sqrt(dt))
     values = np.stack(values)
     if n_components is None:
         picks = [select_dims(values[i], var_threshold) for i in range(d1)]
@@ -233,12 +232,6 @@ class MPCAModel:
     total_variance: float = 0.0
 
 
-def _top_eigvecs(scatter, k):
-    w, v = np.linalg.eigh(scatter)
-    order = np.argsort(w)[::-1][:k]
-    return _fix_signs(v[:, order])
-
-
 def mpca_fit(fields, d1: int, d2: int, tol: float = 1e-8, max_iter: int = 50) -> MPCAModel:
     """Fit a two-mode multilinear PCA by alternating maximization.
 
@@ -248,24 +241,22 @@ def mpca_fit(fields, d1: int, d2: int, tol: float = 1e-8, max_iter: int = 50) ->
     below tol; hitting max_iter returns the best iterate with
     converged=False.
     """
-    x = np.stack([f.values for f in _check_fields(fields)])
+    x = np.stack([f.values for f in _check_fields(fields, least=2)])
     m, rows, cols = x.shape
-    if m < 2:
-        raise InsufficientData("need at least two fields")
     if not (1 <= d1 <= rows and 1 <= d2 <= cols):
         raise DimensionMismatch(f"target dims ({d1}, {d2}) exceed tensor shape ({rows}, {cols})")
     mean = x.mean(axis=0)
     c = x - mean
     total = float(np.sum(c * c))
-    u2 = _top_eigvecs(np.einsum("mdl,mdk->lk", c, c), d2)
+    u2 = _top_eigenpairs(np.einsum("mdl,mdk->lk", c, c), d2)[1]
     u1 = None
     history = []
     converged = False
     for _ in range(max_iter):
         proj2 = c @ u2
-        u1 = _top_eigvecs(np.einsum("mdj,mej->de", proj2, proj2), d1)
+        u1 = _top_eigenpairs(np.einsum("mdj,mej->de", proj2, proj2), d1)[1]
         proj1 = np.einsum("de,mdl->mel", u1, c)
-        u2 = _top_eigvecs(np.einsum("mil,mik->lk", proj1, proj1), d2)
+        u2 = _top_eigenpairs(np.einsum("mil,mik->lk", proj1, proj1), d2)[1]
         core = np.einsum("mel,lk->mek", proj1, u2)
         history.append(float(np.sum(core * core)))
         if len(history) > 1 and history[-1] - history[-2] <= tol * max(total, 1e-300):

@@ -18,18 +18,11 @@ from math import comb
 import numpy as np
 
 from . import geometry as geo
-from .dimred import _fix_signs
+from .dimred import _top_eigenpairs
 from .errors import BadTarget, DimensionMismatch, InsufficientData, LengthMismatch
 
 
 BLOCK_ANGLES = 2**16  # angles per block; 2**15-2**17 ran equally fast on 2-core x86
-
-
-def _posture_stack(postures):
-    postures = np.asarray(postures, dtype=float)
-    if postures.ndim != 3 or postures.shape[-1] != 3:
-        raise DimensionMismatch(f"expected a (N, n-1, 3) posture stack, got {postures.shape}")
-    return postures
 
 
 def _pairwise(stack):
@@ -54,19 +47,25 @@ def _pairwise(stack):
     return out
 
 
+def _check_square(dmat):
+    dmat = np.asarray(dmat, dtype=float)
+    if dmat.ndim != 2 or dmat.shape[0] != dmat.shape[1]:
+        raise DimensionMismatch(f"expected a square distance matrix, got {dmat.shape}")
+    return dmat
+
+
 def posture_distance_matrix(postures):
     """Pairwise posture_dist of a (N, n-1, 3) posture stack, bit for bit."""
-    return _pairwise(_posture_stack(postures))
+    return _pairwise(geo._check_postures(postures, least=1))
 
 
 def sequence_distance_matrix(seqs):
     """Pairwise mean-posture distances between (T, n-1, 3) sequences."""
-    arrays = [_posture_stack(s) for s in seqs]
-    if len({a.shape for a in arrays}) > 1:
-        raise DimensionMismatch(f"sequences have mixed shapes: {sorted({a.shape for a in arrays})}")
-    if not arrays or arrays[0].shape[0] == 0:
-        raise InsufficientData("need at least one sequence of at least one frame")
-    return _pairwise(np.stack(arrays).reshape(len(arrays), -1, 3)) / arrays[0].shape[0]
+    arrays = geo._check_same_shape(seqs, 1, "sequences")
+    t = geo._check_postures(arrays[0]).shape[0]
+    if t == 0:
+        raise InsufficientData("need sequences of at least one frame")
+    return _pairwise(np.stack(arrays).reshape(len(arrays), -1, 3)) / t
 
 
 def _group_stat(dmat, idx_a, idx_b):
@@ -155,7 +154,7 @@ def cluster_postures(postures, k: int, seed=None, max_sweeps: int = 200) -> Clus
     the total assignment distance.  Deterministic for a given seed; the
     objective never increases.
     """
-    postures = _posture_stack(postures)
+    postures = geo._check_postures(postures)
     n = postures.shape[0]
     if k < 1:
         raise BadTarget(f"k={k} must be positive")
@@ -197,8 +196,10 @@ def _swap_descent(dmat, k, rng, max_sweeps=200):
 def silhouette_score(dmat, labels) -> float:
     """Mean silhouette width for a labelling under a precomputed distance
     matrix.  Singleton clusters contribute zero."""
-    dmat = np.asarray(dmat, dtype=float)
+    dmat = _check_square(dmat)
     labels = np.asarray(labels)
+    if labels.shape != dmat.shape[:1]:
+        raise LengthMismatch(f"{labels.shape} labels for a {dmat.shape} distance matrix")
     values = np.unique(labels)
     if values.size < 2:
         raise BadTarget("silhouette needs at least two clusters")
@@ -221,7 +222,7 @@ def select_k(postures, k_min: int = 2, k_max: int = 15, seed=None):
     Returns (best_k, scores) where scores maps each swept k to its mean
     silhouette width.  Ties keep the smaller k.
     """
-    postures = _posture_stack(postures)
+    postures = geo._check_postures(postures)
     n = postures.shape[0]
     k_max = min(k_max, n - 1)
     if k_min < 2 or k_min > k_max:
@@ -242,7 +243,7 @@ def select_k(postures, k_min: int = 2, k_max: int = 15, seed=None):
 def quantize(seq, model: ClusterModel):
     """Label every frame with its nearest mode (1-based); ties keep the
     lowest mode index."""
-    seq = np.asarray(seq, dtype=float)
+    seq = geo._check_postures(seq, least=1)
     if seq.shape[1:] != model.modes.shape[1:]:
         raise DimensionMismatch(
             f"sequence bones {seq.shape[1:]} do not match modes {model.modes.shape[1:]}")
@@ -270,16 +271,15 @@ def variability_stats(label_set, reference_labels):
 def mean_label_sequence(seqs, model: ClusterModel):
     """Quantized per-frame intrinsic mean of a set of sequences: the
     reference label string for variability summaries."""
-    stack = np.stack(geo._check_sequences(seqs))
-    means = np.stack([geo.karcher_mean(stack[:, t]) for t in range(stack.shape[1])])
+    stack = np.stack(geo._check_same_shape(seqs, 1, "sequences"))
+    frames = geo._check_postures(stack[0], least=1).shape[0]
+    means = np.stack([geo.karcher_mean(stack[:, t]) for t in range(frames)])
     return quantize(means, model)
 
 
 def roughness(seq):
     """Distances between successive frames, shape (T-1,)."""
-    seq = np.asarray(seq, dtype=float)
-    if seq.ndim != 3 or seq.shape[0] < 2:
-        raise DimensionMismatch(f"expected (T, n-1, 3) with T >= 2, got {seq.shape}")
+    seq = geo._check_postures(seq, least=2)
     return geo.posture_dist(seq[:-1], seq[1:])
 
 
@@ -291,14 +291,11 @@ def mds_coords_from(dmat, dims: int = 2):
     reproduced exactly when they embed in `dims` dimensions."""
     if dims < 1:
         raise BadTarget("dims must be positive")
-    dmat = np.asarray(dmat, dtype=float)
+    dmat = _check_square(dmat)
     m = dmat.shape[0]
     j = np.eye(m) - np.ones((m, m)) / m
     b = -0.5 * j @ (dmat * dmat) @ j
-    w, v = np.linalg.eigh((b + b.T) / 2.0)
-    order = np.argsort(w)[::-1][:dims]
-    w = w[order]
-    v = _fix_signs(v[:, order])
+    w, v = _top_eigenpairs((b + b.T) / 2.0, dims)
     coords = np.zeros((m, dims))
     keep = w > 0
     coords[:, keep] = v[:, keep] * np.sqrt(w[keep])

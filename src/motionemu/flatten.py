@@ -59,9 +59,7 @@ class FlatField:
 
 
 def _check_sequence(seq, reference=None):
-    seq = np.asarray(seq, dtype=float)
-    if seq.ndim != 3 or seq.shape[0] < 2 or seq.shape[2] != 3:
-        raise DimensionMismatch(f"expected a (T, n-1, 3) sequence with T >= 2, got {seq.shape}")
+    seq = geo._check_postures(seq, least=2)
     if reference is not None and np.shape(reference) != seq.shape[1:]:
         raise DimensionMismatch(f"reference {np.shape(reference)} does not match "
                                 f"frames {seq.shape[1:]}")

@@ -236,9 +236,7 @@ def karcher_mean(postures, tol=1e-9, max_iter=200):
     -------
     ndarray, shape (n-1, 3)
     """
-    postures = np.asarray(postures, dtype=float)
-    if postures.ndim != 3 or postures.shape[-1] != 3:
-        raise DimensionMismatch(f"expected (M, n-1, 3), got {postures.shape}")
+    postures = _check_postures(postures, least=1)
     chordal = postures.mean(axis=0)
     norms = np.linalg.norm(chordal, axis=-1, keepdims=True)
     # Renormalizing a row that is already unit length must not perturb it,
@@ -257,24 +255,28 @@ def karcher_mean(postures, tol=1e-9, max_iter=200):
     raise NoConvergence("intrinsic mean did not converge", residual=float(residual))
 
 
-def _check_sequences(seqs, least=1):
-    """The sequences as float arrays, checked to be at least `least` of
-    them and to share one shape."""
-    seqs = [np.asarray(s, dtype=float) for s in seqs]
-    if len(seqs) < least:
-        raise InsufficientData(f"got {len(seqs)} sequences, need at least {least}")
-    if any(s.shape != seqs[0].shape for s in seqs):
-        raise DimensionMismatch("sequences must share their shape")
-    return seqs
+def _check_postures(x, least=0):
+    """x as a float (N, n-1, 3) array of postures (or frames), N >= least."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 3 or x.shape[0] < least or x.shape[2] != 3:
+        raise DimensionMismatch(f"expected (N, n-1, 3) postures with N >= {least}, got {x.shape}")
+    return x
+
+
+def _check_same_shape(arrays, least, what):
+    """The arrays as floats: at least `least` of them, of one shape; `what` names them."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    if len(arrays) < least:
+        raise InsufficientData(f"got {len(arrays)} {what}, need at least {least}")
+    if any(a.shape != arrays[0].shape for a in arrays):
+        raise DimensionMismatch(f"{what} have mixed shapes: {sorted({a.shape for a in arrays})}")
+    return arrays
 
 
 def sequence_dist(a, b):
     """Mean posture distance between two (T, n-1, 3) sequences on a shared
     time grid: all T*(n-1) bone angles in one sum, divided by T, which is
     evaluate.sequence_distance_matrix's order, bit for bit."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"sequence shapes differ: {a.shape} vs {b.shape}")
-    if a.ndim != 3 or a.shape[0] == 0 or a.shape[2] != 3:
-        raise DimensionMismatch(f"expected (T, n-1, 3) sequences with T >= 1, got {a.shape}")
+    a, b = _check_same_shape((a, b), 2, "sequences")
+    _check_postures(a, least=1)
     return float(sphere_dist(a.reshape(-1, 3), b.reshape(-1, 3)).sum() / a.shape[0])

@@ -31,10 +31,6 @@ JITTER_SCALE = 1e-10
 START_POLICIES = ("training-mean", "fixed", "sampled-from-training")
 
 
-def _vec(a):
-    return np.asarray(a, dtype=float).ravel()
-
-
 @dataclass
 class MVGModel:
     """Zero-mean Gaussian over vectorized (row-major) coefficient matrices.
@@ -68,17 +64,13 @@ class IGModel:
 def fit_mvg(coeffs) -> MVGModel:
     """Sample covariance of vectorized coefficients about zero mean
     (denominator M-1), plus a relative jitter used only when sampling."""
-    if len(coeffs) < 2:
-        raise InsufficientData("need at least two coefficient matrices")
-    shape = np.asarray(coeffs[0]).shape
-    for a in coeffs:
-        if np.asarray(a).shape != shape:
-            raise DimensionMismatch("coefficient matrices must share their shape")
-    v = np.stack([_vec(a) for a in coeffs])
+    coeffs = geo._check_same_shape(coeffs, 2, "coefficient matrices")
+    v = np.stack([a.ravel() for a in coeffs])
     cov = v.T @ v / (len(coeffs) - 1)
     cov = (cov + cov.T) / 2.0
     d = cov.shape[0]
-    return MVGModel(covariance=cov, jitter=JITTER_SCALE * float(np.trace(cov)) / d, shape=tuple(shape))
+    return MVGModel(covariance=cov, jitter=JITTER_SCALE * float(np.trace(cov)) / d,
+                    shape=coeffs[0].shape)
 
 
 def fit_ig(coeffs) -> IGModel:
@@ -186,6 +178,8 @@ def fit_var(scores, order: int = 4) -> VARModel:
         raise BadTarget("order must be at least 1")
     matrices = [np.asarray(scores, dtype=float)] if not isinstance(scores, (list, tuple)) \
         else [np.asarray(s, dtype=float) for s in scores]
+    if not matrices:
+        raise InsufficientData("no score matrices to fit")
     d1 = matrices[0].shape[0]
     xs, ys = [], []
     for h in matrices:
@@ -255,10 +249,10 @@ def fit_pwi(seqs, diagonal: bool = False) -> PWIModel:
     """Fit the posture-wise model: per frame, the intrinsic mean of the
     training postures and the covariance of their log coordinates
     (denominator M-1).  diagonal=True keeps only per-coordinate variances."""
-    stack = np.stack(geo._check_sequences(seqs, least=2))
-    m, t = stack.shape[0], stack.shape[1]
-    dim = 2 * stack.shape[2]
-    means = np.empty((t, stack.shape[2], 3))
+    stack = np.stack(geo._check_same_shape(seqs, 2, "sequences"))
+    t, bones, _ = geo._check_postures(stack[0], least=1).shape
+    m, dim = stack.shape[0], 2 * bones
+    means = np.empty((t, bones, 3))
     covs = np.empty((t, dim, dim))
     for k in range(t):
         mu = geo.karcher_mean(stack[:, k])
@@ -364,7 +358,7 @@ def fit_emulator(seqs, kind: str = "istvf", model_type: str = "ig",
 
     Reduction and fit are dimred.reduce_fields and fit_bundle, as in the CLI.
     """
-    seqs = geo._check_sequences(seqs)
+    seqs = geo._check_same_shape(seqs, 1, "sequences")
     if model_type not in MODEL_TYPES:
         raise KindMismatch(f"unknown model type {model_type!r}")
 
@@ -436,8 +430,7 @@ def sequence_logliks(bundle: EmulatorBundle, seqs) -> np.ndarray:
         raise KindMismatch("log-likelihood needs a coefficient-model bundle")
     coeffs = []
     for seq in seqs:
-        field = flatten.flatten_sequence(np.asarray(seq, dtype=float), bundle.reference,
-                                         bundle.kind)
+        field = flatten.flatten_sequence(seq, bundle.reference, bundle.kind)
         scores = dimred.spatial_project(field, bundle.spatial)
         coeffs.append(dimred.fpca_project(scores, bundle.fpca))
     return logliks(coeffs, bundle.model)

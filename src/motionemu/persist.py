@@ -11,12 +11,20 @@ import numpy as np
 
 from .dimred import FPCABasis, SpatialPCA
 from .errors import DimensionMismatch, KindMismatch
+from .flatten import VELOCITY_KINDS
 from .io import read_doc, write_doc
 from .models import EmulatorBundle, IGModel, MVGModel, PWIModel, VARModel
 
 BUNDLE_DOC = "emulator-bundle"
 REDUCTION_DOC = "reduction"
 VERSION = 1
+
+
+def _check_sizes(doc, names, ok, what):
+    """Refuse size entries that disagree with what they size, naming them."""
+    if not ok:
+        given = ", ".join(f"{name!r} = {doc[name]}" for name in names)
+        raise DimensionMismatch(f"{doc.path}: entry {given} does not match {what}")
 
 
 def _spatial_items(prefix, pca: SpatialPCA):
@@ -45,9 +53,10 @@ def _fpca_items(prefix, basis: FPCABasis):
 
 
 def _fpca_from(doc, prefix):
-    d1 = doc.entry(f"{prefix}.rows", "i")
+    d1, means = doc.entry(f"{prefix}.rows", "i"), doc.entry(f"{prefix}.means", "m")
+    _check_sizes(doc, [f"{prefix}.rows"], means.shape[0] == d1, f"'{prefix}.means' {means.shape}")
     bases = np.stack([doc.entry(f"{prefix}.basis.{i}", "m") for i in range(d1)])
-    return FPCABasis(means=doc.entry(f"{prefix}.means", "m"), bases=bases,
+    return FPCABasis(means=means, bases=bases,
                      eigenvalues=doc.entry(f"{prefix}.eigenvalues", "m"),
                      dt=doc.entry(f"{prefix}.dt", "f"))
 
@@ -93,10 +102,11 @@ def _model_from(doc):
                         noise_cov=doc.entry("model.noise_cov", "m"))
     if family == "pwi":
         t, k = doc.entry("model.frames", "i"), doc.entry("model.bones", "i")
-        means = doc.entry("model.means", "m").reshape(t, k, 3)
-        d = 2 * k
-        covs = doc.entry("model.covariances", "m").reshape(t, d, d)
-        return PWIModel(means=means, covariances=covs,
+        means, covs = doc.entry("model.means", "m"), doc.entry("model.covariances", "m")
+        _check_sizes(doc, ["model.frames", "model.bones"],
+                     means.shape == (t * k, 3) and covs.shape == (2 * t * k, 2 * k),
+                     f"'model.means' {means.shape} and 'model.covariances' {covs.shape}")
+        return PWIModel(means=means.reshape(t, k, 3), covariances=covs.reshape(t, 2 * k, 2 * k),
                         diagonal=bool(doc.entry("model.diagonal", "i")))
     raise KindMismatch(f"unknown model family {family!r}")
 
@@ -127,20 +137,33 @@ def load_bundle(path) -> EmulatorBundle:
     doctype, version, doc = read_doc(path)
     if doctype != BUNDLE_DOC or version != VERSION:
         raise DimensionMismatch(f"{path}: not a version-{VERSION} bundle document")
+    # a posture-wise bundle has no reference, and only a VAR bundle has initial lags
+    model_type, kind = doc.entry("model_type", "s"), doc.entry("kind", "s")
+    reference = doc.entry("reference", "x" if model_type == "pwi" else "m")
+    var_init = doc.entry("var_init", "m" if model_type == "var" else "x")
+    if var_init is not None:
+        _check_sizes(doc, ["model.order"], var_init.shape[1] == doc.entry("model.order", "i"),
+                     f"'var_init' {var_init.shape}")
     start = None
     if s := doc.entry("start.count", "i"):
-        start = doc.entry("start.postures", "m").reshape(s, -1, 3)
+        start = doc.entry("start.postures", "m")
+        bones = start.shape[0] // s if reference is None else reference.shape[0]
+        _check_sizes(doc, ["start.count"], start.shape == (s * bones, 3),
+                     f"'start.postures' {start.shape} for {bones} bones")
+        start = start.reshape(s, bones, 3)
     spatial = _spatial_from(doc, "spatial") if doc.entry("has_spatial", "i") else None
     fpca = _fpca_from(doc, "fpca") if doc.entry("has_fpca", "i") else None
-    # a posture-wise bundle has no reference, and only a VAR bundle has initial lags
-    model_type = doc.entry("model_type", "s")
-    return EmulatorBundle(kind=doc.entry("kind", "s"), model_type=model_type,
-                          model=_model_from(doc), length=doc.entry("length", "i"),
-                          reference=doc.entry("reference", "x" if model_type == "pwi" else "m"),
-                          spatial=spatial, fpca=fpca,
+    model, length = _model_from(doc), doc.entry("length", "i")
+    if fpca is not None:
+        cols = length - 1 if kind in VELOCITY_KINDS else length
+        _check_sizes(doc, ["length"], cols == fpca.means.shape[1], f"'fpca.means' {fpca.means.shape}")
+        if isinstance(model, (MVGModel, IGModel)):
+            _check_sizes(doc, ["model.rows", "model.cols"], model.shape == fpca.dims,
+                         f"the FPCA's {fpca.dims} coefficients")
+    return EmulatorBundle(kind=kind, model_type=model_type, model=model, length=length,
+                          reference=reference, spatial=spatial, fpca=fpca,
                           start_policy=doc.entry("start_policy", "s"), start_postures=start,
-                          var_init=doc.entry("var_init", "m" if model_type == "var" else "x"),
-                          meta=json.loads(doc.entry("meta", "s")))
+                          var_init=var_init, meta=json.loads(doc.entry("meta", "s")))
 
 
 def save_reduction(path, spatial: SpatialPCA, fpca: FPCABasis = None):

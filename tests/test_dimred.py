@@ -213,6 +213,15 @@ def test_fpca_errors():
         fpca_reconstruct(np.zeros((2, 5)), basis)
 
 
+def test_fpca_fit_rejects_score_matrices_of_mixed_shapes():
+    rng = np.random.default_rng(16)
+    for other in ((3, 5), (2, 6)):
+        scores = [rng.standard_normal((2, 5)), rng.standard_normal((2, 5)),
+                  rng.standard_normal(other)]
+        with pytest.raises(DimensionMismatch, match="mixed shapes"):
+            fpca_fit(scores, dt=0.2)
+
+
 def test_functional_reduction_of_constant_fields_names_rank_zero():
     # constant fields have a (4, 0) spatial basis, so no score rows
     fields = [FlatField("istvf", REF, None, np.ones((4, 6)), 0.2) for _ in range(3)]

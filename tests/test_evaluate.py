@@ -582,6 +582,21 @@ def test_mds_truncation_never_expands_distances():
         mds_coords_from(dmat, dims=0)
 
 
+@pytest.mark.parametrize("dmat", [np.zeros((3, 4)), np.zeros(3), np.zeros((3, 3, 1))])
+def test_distance_matrix_entry_points_reject_non_square_matrices(dmat):
+    with pytest.raises(DimensionMismatch, match="square distance matrix"):
+        mds_coords_from(dmat)
+    with pytest.raises(DimensionMismatch, match="square distance matrix"):
+        silhouette_score(dmat, np.array([0, 1, 1]))
+
+
+def test_silhouette_rejects_labels_of_the_wrong_length():
+    dmat = 1.0 - np.eye(4)
+    for labels in ([0, 1, 1], [0, 1, 1, 0, 1], np.zeros((4, 1))):
+        with pytest.raises(LengthMismatch):
+            silhouette_score(dmat, labels)
+
+
 # ---------------------------------------------------------------- Q-Q data
 
 

@@ -294,6 +294,28 @@ def test_mistyped_entries_name_the_file_and_the_entry(tmp_path, model_type):
                 load(path)
 
 
+@pytest.mark.parametrize("model_type, entry, new", [
+    ("ig", "start.count", 2), ("mvg", "start.count", 3), ("mvg", "model.rows", 1),
+    ("ig", "model.cols", 3), ("ig", "length", 6), ("mvg", "length", 9), ("mvg", "fpca.rows", 1),
+    ("var", "model.order", 2), ("pwi", "model.frames", 7), ("pwi", "model.bones", 3)])
+def test_size_entries_that_disagree_with_their_arrays_name_the_file_and_the_entry(
+        tmp_path, model_type, entry, new):
+    """A bundle whose size entry no longer matches the arrays it sizes is
+    refused on loading, naming the file and the entry, rather than loading
+    and failing later inside simulate.  Unedited bundles load and write
+    back the same bytes."""
+    path = saved_documents(tmp_path, model_type)[0][0]
+    text = path.read_text()
+    save_bundle(tmp_path / "again.txt", load_bundle(path))
+    assert (tmp_path / "again.txt").read_text() == text
+    old = re.search(rf"^i {re.escape(entry)} (\d+)$", text, re.M)
+    assert int(old.group(1)) != new
+    path.write_text(text.replace(old.group(0), f"i {entry} {new}"))
+    named = re.escape(f"{path}: entry ") + ".*" + re.escape(f"{entry!r} = {new}")
+    with pytest.raises(DimensionMismatch, match=named):
+        load_bundle(path)
+
+
 # ---- the row codec: exact bytes, bitwise round trips, rejected rows -------
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.225073858507201e-308,

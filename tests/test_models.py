@@ -209,6 +209,12 @@ def test_var_validation():
         simulate_var(model, 1, np.zeros((2, 2)))
 
 
+def test_fit_var_without_score_matrices_is_insufficient_data():
+    for empty in ([], ()):
+        with pytest.raises(InsufficientData):
+            fit_var(empty, order=1)
+
+
 def test_pwi_identical_training():
     ts = np.linspace(0.0, 1.0, 7)
     seq = curved_seq(ts)
