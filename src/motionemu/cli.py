@@ -2,11 +2,13 @@
 
 Commands: synth, ingest, align, flatten, reduce, fit, simulate, eval
 (two-sample, quantize, roughness, mds, qq), pipeline, twolevel.  Each
-command writes its artifacts plus a `manifest_<command>.json` into the
---out directory.  The manifest records the command, its configuration,
-and SHA-256 checksums of inputs and artifacts, with all paths reduced to
-basenames; it carries no timestamps, so a rerun with the same seed and
-inputs reproduces every artifact and manifest byte for byte.
+command hands its files to one writer, `_emit`, which writes them into
+the --out directory and then a `manifest_<command>.json` over exactly
+those files.  The manifest records the command, its configuration (built
+by `_config` from the command's flags), and SHA-256 checksums of inputs
+and artifacts, with all paths reduced to basenames; it carries no
+timestamps, so a rerun with the same seed and inputs reproduces every
+artifact and manifest byte for byte.
 
 `pipeline` calls the stage commands' own functions in one process and
 hands each stage's results to the next in memory, reading back none of
@@ -57,6 +59,11 @@ SEED_TL_LEVEL1 = 110
 SEED_TL_SIM = 111
 SEED_TL_DISCO = 112
 
+# synth's flags (dashes for underscores) and their defaults
+SYNTH_DEFAULTS = {"landmarks": 21, "frames": 1000, "target_frames": 301, "classes": 5,
+                  "per_class": 60, "amplitude": 0.8, "bandwidth": 0.05,
+                  "warp_strength": 0.5, "noise": 0.0}
+
 
 def stage_seed(root, stage, extra=()):
     """Derive a stage's generator seed from the root seed."""
@@ -93,12 +100,6 @@ def _resolve(path):
     return path
 
 
-def _out_dir(args):
-    out = _resolve(args.out)
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -124,6 +125,27 @@ def _manifest(outdir, command, config, inputs, artifacts):
     return path
 
 
+def _emit(out, command, config, inputs, files):
+    """Write each (name, writer, *data) of files as writer(out/name, *data),
+    in order, then manifest_<command>.json over exactly those paths, which
+    are returned."""
+    paths = [os.path.join(out, name) for name, *_ in files]
+    for path, (_, writer, *data) in zip(paths, files):
+        writer(path, *data)
+    _manifest(out, command, config, inputs, paths)
+    return paths
+
+
+def _config(args, *flags, **extra):
+    """A manifest config: the named flags' values, with None as -1 and
+    booleans as 0/1, plus the extra entries."""
+    config = {}
+    for flag in flags:
+        value = getattr(args, flag)
+        config[flag] = -1 if value is None else int(value) if isinstance(value, bool) else value
+    return {**config, **extra}
+
+
 def _cell(value):
     if isinstance(value, str):
         return value
@@ -140,72 +162,56 @@ def _write_csv(path, header, rows):
 
 
 def _named_sets(pairs):
+    """(name, resolved path, sequences) of each --set name=path."""
     out = []
     for pair in pairs:
         name, _, path = pair.partition("=")
         if not name or not path:
             raise BadTarget(f"--set wants name=path, got {pair!r}")
-        out.append((name, mio.read_posture_sequences(_resolve(path))))
+        path = _resolve(path)
+        out.append((name, path, mio.read_posture_sequences(path)))
     return out
 
 
 def _synth(args, out):
-    configs = []
-    for k in range(args.classes):
-        configs.append(datagen.SynthConfig(
-            landmarks=args.landmarks, frames=args.frames, count=args.per_class,
-            amplitude=args.amplitude, bandwidth=args.bandwidth, warp_strength=args.warp_strength,
-            noise_scale=args.noise, seed=stage_seed(args.seed, k)))
+    configs = [datagen.SynthConfig(
+        landmarks=args.landmarks, frames=args.frames, count=args.per_class,
+        amplitude=args.amplitude, bandwidth=args.bandwidth, warp_strength=args.warp_strength,
+        noise_scale=args.noise, seed=stage_seed(args.seed, k)) for k in range(args.classes)]
     target = args.target_frames if args.target_frames > 0 else None
     seqs, labels = datagen.gen_mixture(configs, target_frames=target)
-    seq_path = os.path.join(out, "sequences.txt")
-    mio.write_posture_sequences(seq_path, list(seqs))
-    label_path = os.path.join(out, "labels.csv")
-    _write_csv(label_path, ["index", "label"], [(i, int(v)) for i, v in enumerate(labels)])
-    config = {"landmarks": args.landmarks, "frames": args.frames,
-              "target_frames": args.target_frames, "classes": args.classes,
-              "per_class": args.per_class, "amplitude": args.amplitude,
-              "bandwidth": args.bandwidth, "warp_strength": args.warp_strength,
-              "noise": args.noise, "seed": args.seed}
-    _manifest(out, "synth", config, [], [seq_path, label_path])
-    print(f"synth: {seqs.shape[0]} sequences of {seqs.shape[1]} frames, "
+    seqs = list(seqs)
+    paths = _emit(out, "synth", _config(args, *SYNTH_DEFAULTS, "seed"), [], [
+        ("sequences.txt", mio.write_posture_sequences, seqs),
+        ("labels.csv", _write_csv, ["index", "label"],
+         [(i, int(v)) for i, v in enumerate(labels)])])
+    print(f"synth: {len(seqs)} sequences of {seqs[0].shape[0]} frames, "
           f"{args.classes} classes")
-    return list(seqs), [seq_path, label_path]
+    return seqs, paths
 
 
-def cmd_synth(args):
-    _synth(args, _out_dir(args))
-
-
-def cmd_ingest(args):
-    out = _out_dir(args)
+def cmd_ingest(args, out):
     src = _resolve(args.input)
     frames_list, hierarchy = mio.read_raw_sequences(src)
     seqs = [ingest_sequence(f, hierarchy) for f in frames_list]
     if args.target_frames > 0:
         seqs = [downsample(s, args.target_frames) for s in seqs]
-    seq_path = os.path.join(out, "sequences.txt")
-    mio.write_posture_sequences(seq_path, seqs)
-    config = {"input": os.path.basename(src), "target_frames": args.target_frames}
-    _manifest(out, "ingest", config, [src], [seq_path])
+    _emit(out, "ingest", _config(args, "target_frames", input=os.path.basename(src)), [src],
+          [("sequences.txt", mio.write_posture_sequences, seqs)])
     print(f"ingest: {len(seqs)} sequences, {seqs[0].shape[0]} frames, "
           f"{hierarchy.n} landmarks")
 
 
 def _align(args, out, seqs, src):
     aligned, warps = align_all(seqs, ref_index=args.ref_index)
-    aligned_path = os.path.join(out, "aligned.txt")
-    warps_path = os.path.join(out, "warps.txt")
-    mio.write_posture_sequences(aligned_path, aligned)
-    mio.write_warps(warps_path, warps)
-    config = {"input": os.path.basename(src), "ref_index": args.ref_index}
-    _manifest(out, "align", config, [src], [aligned_path, warps_path])
+    paths = _emit(out, "align", _config(args, "ref_index", input=os.path.basename(src)), [src],
+                  [("aligned.txt", mio.write_posture_sequences, aligned),
+                   ("warps.txt", mio.write_warps, warps)])
     print(f"align: {len(aligned)} sequences warped onto index {args.ref_index}")
-    return aligned, [aligned_path, warps_path]
+    return aligned, paths
 
 
-def cmd_align(args):
-    out = _out_dir(args)
+def cmd_align(args, out):
     src = _resolve(args.input)
     _align(args, out, mio.read_posture_sequences(src), src)
 
@@ -215,20 +221,17 @@ def _flatten(args, out, seqs, inputs, reference=None):
     if reference is None:
         reference = geo.karcher_mean(np.concatenate(seqs, axis=0))
     fields = [flatten.flatten_sequence(s, reference, args.kind) for s in seqs]
-    fields_path = os.path.join(out, "fields.txt")
-    mio.write_flatfields(fields_path, fields)
-    ref_path = os.path.join(out, "reference.txt")
-    mio.write_posture_sequences(ref_path, [reference[None]])
-    config = {"input": os.path.basename(inputs[0]), "kind": args.kind,
-              "reference": os.path.basename(args.reference) if args.reference else ""}
-    _manifest(out, "flatten", config, inputs, [fields_path, ref_path])
+    config = _config(args, "kind", input=os.path.basename(inputs[0]),
+                     reference=os.path.basename(args.reference))
+    paths = _emit(out, "flatten", config, inputs,
+                  [("fields.txt", mio.write_flatfields, fields),
+                   ("reference.txt", mio.write_posture_sequences, [reference[None]])])
     print(f"flatten: {len(fields)} {args.kind} fields of "
           f"{fields[0].values.shape[1]} columns")
-    return fields, [fields_path, ref_path]
+    return fields, paths
 
 
-def cmd_flatten(args):
-    out = _out_dir(args)
+def cmd_flatten(args, out):
     inputs = [_resolve(p) for p in (args.input, args.reference) if p]
     seqs = mio.read_posture_sequences(inputs[0])
     reference = mio.read_posture_sequences(inputs[1])[0][0] if args.reference else None
@@ -236,22 +239,16 @@ def cmd_flatten(args):
 
 
 def _reduce(args, out, fields, src):
-    red_path = os.path.join(out, "reduction.txt")
     spatial, fpca = dimred.reduce_fields(fields, args.method == "seqpca", args.d1, args.d2,
                                          args.var1, args.var2)
-    save_reduction(red_path, spatial, fpca)
+    config = _config(args, "method", "d1", "d2", "var1", "var2", input=os.path.basename(src))
+    paths = _emit(out, "reduce", config, [src], [("reduction.txt", save_reduction, spatial, fpca)])
     d2 = "" if fpca is None else f" d2={fpca.dims[1]}"
     print(f"reduce: {args.method} d1={spatial.dim}{d2}")
-    config = {"input": os.path.basename(src), "method": args.method,
-              "d1": args.d1 if args.d1 is not None else -1,
-              "d2": args.d2 if args.d2 is not None else -1,
-              "var1": args.var1, "var2": args.var2}
-    _manifest(out, "reduce", config, [src], [red_path])
-    return (spatial, fpca), [red_path]
+    return (spatial, fpca), paths
 
 
-def cmd_reduce(args):
-    out = _out_dir(args)
+def cmd_reduce(args, out):
     src = _resolve(args.input)
     _reduce(args, out, mio.read_flatfields(src), src)
 
@@ -267,19 +264,15 @@ def _fit(args, out, inputs, seqs=None, fields=None, reduction=None):
             raise KindMismatch(f"fields are {fields[0].kind!r}, scheme wants {kind!r}")
         bundle = models.fit_bundle(fields, *reduction, model_type, args.order,
                                    args.var_index, args.start_policy)
-    bundle_path = os.path.join(out, "bundle.txt")
-    save_bundle(bundle_path, bundle)
-    config = {"scheme": args.scheme.lower(), "order": args.order,
-              "var_index": args.var_index, "start_policy": args.start_policy,
-              "diagonal": int(args.diagonal)}
-    _manifest(out, "fit", config, inputs, [bundle_path])
+    config = _config(args, "order", "var_index", "start_policy", "diagonal",
+                     scheme=args.scheme.lower())
+    paths = _emit(out, "fit", config, inputs, [("bundle.txt", save_bundle, bundle)])
     print(f"fit: {bundle.model_type} bundle over {bundle.length} frames "
           f"({bundle.meta.get('count', 0)} training sequences)")
-    return bundle, [bundle_path]
+    return bundle, paths
 
 
-def cmd_fit(args):
-    out = _out_dir(args)
+def cmd_fit(args, out):
     _, _, model_type = parse_scheme(args.scheme)
     if model_type == "pwi":
         if not args.input:
@@ -307,24 +300,17 @@ def _simulate(args, out, bundle, src):
             raise BadTarget(f"split {args.split} does not partition count {args.count}")
     sims = models.simulate_sequence(bundle, args.count,
                                     seed=stage_seed(args.seed, SEED_SIMULATE))
-    sims_path = os.path.join(out, "sims.txt")
-    mio.write_posture_sequences(sims_path, sims)
-    artifacts = [sims_path]
+    files = [("sims.txt", mio.write_posture_sequences, sims)]
     if args.split:
-        fit_path = os.path.join(out, "sims_fit.txt")
-        held_path = os.path.join(out, "sims_held.txt")
-        mio.write_posture_sequences(fit_path, sims[:n_fit])
-        mio.write_posture_sequences(held_path, sims[n_fit:])
-        artifacts += [fit_path, held_path]
-    config = {"bundle": os.path.basename(src), "count": args.count,
-              "split": args.split or "", "seed": args.seed}
-    _manifest(out, "simulate", config, [src], artifacts)
+        files += [("sims_fit.txt", mio.write_posture_sequences, sims[:n_fit]),
+                  ("sims_held.txt", mio.write_posture_sequences, sims[n_fit:])]
+    config = _config(args, "count", "split", "seed", bundle=os.path.basename(src))
+    paths = _emit(out, "simulate", config, [src], files)
     print(f"simulate: {len(sims)} sequences from {bundle.model_type} bundle")
-    return sims, artifacts
+    return sims, paths
 
 
-def cmd_simulate(args):
-    out = _out_dir(args)
+def cmd_simulate(args, out):
     src = _resolve(args.bundle)
     _simulate(args, out, load_bundle(src), src)
 
@@ -333,28 +319,26 @@ def _two_sample(args, out, group_a, group_b, a_src, b_src):
     res = evaluate.disco_test(group_a, group_b, n_perm=args.n_perm,
                               seed=stage_seed(args.seed, SEED_EVAL_PERM),
                               exhaustive=args.exhaustive)
-    csv_path = os.path.join(out, "two_sample.csv")
-    _write_csv(csv_path, ["statistic", "p_value", "permutations"],
-               [(res.statistic, res.p_value, res.permutations)])
-    config = {"a": os.path.basename(a_src), "b": os.path.basename(b_src),
-              "n_perm": args.n_perm, "exhaustive": int(args.exhaustive),
-              "seed": args.seed}
-    _manifest(out, "eval-two-sample", config, [a_src, b_src], [csv_path])
+    config = _config(args, "n_perm", "exhaustive", "seed", a=os.path.basename(a_src),
+                     b=os.path.basename(b_src))
+    paths = _emit(out, "eval-two-sample", config, [a_src, b_src],
+                  [("two_sample.csv", _write_csv, ["statistic", "p_value", "permutations"],
+                    [(res.statistic, res.p_value, res.permutations)])])
     print(f"two-sample: statistic {res.statistic:.6g}, p {res.p_value:.4g} "
           f"({res.permutations} shuffles)")
-    return res, [csv_path]
+    return res, paths
 
 
-def _eval_two_sample(args, out):
+def cmd_two_sample(args, out):
     a_src, b_src = _resolve(args.a), _resolve(args.b)
     _two_sample(args, out, mio.read_posture_sequences(a_src),
                 mio.read_posture_sequences(b_src), a_src, b_src)
 
 
-def _eval_quantize(args, out):
+def cmd_quantize(args, out):
     train_src = _resolve(args.train)
     train = mio.read_posture_sequences(train_src)
-    sets = _named_sets(args.set or [])
+    sets = [("train", train_src, train)] + _named_sets(args.set or [])
     pool = np.concatenate([np.asarray(s) for s in train], axis=0)
     if pool.shape[0] > args.sample:
         rng = np.random.default_rng(stage_seed(args.seed, SEED_EVAL_SAMPLE))
@@ -369,33 +353,28 @@ def _eval_quantize(args, out):
     reference_labels = evaluate.mean_label_sequence(train, model)
     rows = []
     label_rows = []
-    for name, seqs in [("train", train)] + sets:
+    for name, _, seqs in sets:
         labels = [evaluate.quantize(s, model) for s in seqs]
         label_rows += [(name, i, " ".join(str(int(v)) for v in lab))
                        for i, lab in enumerate(labels)]
         mean, var = evaluate.variability_stats(labels, reference_labels)
         rows.append((name, len(seqs), mean, var))
-    csv_path = os.path.join(out, "quantize.csv")
-    _write_csv(csv_path, ["set", "sequences", "mean_variability", "variance"], rows)
-    labels_path = os.path.join(out, "mean_labels.csv")
-    _write_csv(labels_path, ["frame", "label"],
-               [(i, int(v)) for i, v in enumerate(reference_labels)])
-    series_path = os.path.join(out, "label_sequences.csv")
-    _write_csv(series_path, ["set", "index", "labels"], label_rows)
-    config = {"train": os.path.basename(train_src), "k": args.k,
-              "sample": args.sample, "seed": args.seed,
-              "sets": ",".join(name for name, _ in sets)}
-    inputs = [train_src] + [_resolve(p.partition("=")[2]) for p in (args.set or [])]
-    _manifest(out, "eval-quantize", config, inputs, [csv_path, labels_path, series_path])
+    config = _config(args, "k", "sample", "seed", train=os.path.basename(train_src),
+                     sets=",".join(name for name, _, _ in sets[1:]))
+    _emit(out, "eval-quantize", config, [path for _, path, _ in sets], [
+        ("quantize.csv", _write_csv, ["set", "sequences", "mean_variability", "variance"], rows),
+        ("mean_labels.csv", _write_csv, ["frame", "label"],
+         [(i, int(v)) for i, v in enumerate(reference_labels)]),
+        ("label_sequences.csv", _write_csv, ["set", "index", "labels"], label_rows)])
     for row in rows:
         print(f"quantize: {row[0]} mean variability {row[2]:.4f}")
 
 
-def _eval_roughness(args, out):
+def cmd_roughness(args, out):
     sets = _named_sets(args.set)
     rows = []
     series_rows = []
-    for name, seqs in sets:
+    for name, _, seqs in sets:
         per_seq = []
         for i, s in enumerate(seqs):
             series = evaluate.roughness(s)
@@ -404,57 +383,41 @@ def _eval_roughness(args, out):
         per_seq = np.asarray(per_seq)
         sd = float(per_seq.std(ddof=1)) if per_seq.size > 1 else 0.0
         rows.append((name, len(seqs), float(per_seq.mean()), sd))
-    csv_path = os.path.join(out, "roughness.csv")
-    _write_csv(csv_path, ["set", "sequences", "mean", "sd"], rows)
-    series_path = os.path.join(out, "roughness_series.csv")
-    _write_csv(series_path, ["set", "index", "series"], series_rows)
-    config = {"sets": ",".join(name for name, _ in sets)}
-    inputs = [_resolve(p.partition("=")[2]) for p in args.set]
-    _manifest(out, "eval-roughness", config, inputs, [csv_path, series_path])
+    _emit(out, "eval-roughness", _config(args, sets=",".join(name for name, _, _ in sets)),
+          [path for _, path, _ in sets],
+          [("roughness.csv", _write_csv, ["set", "sequences", "mean", "sd"], rows),
+           ("roughness_series.csv", _write_csv, ["set", "index", "series"], series_rows)])
     for row in rows:
         print(f"roughness: {row[0]} mean {row[2]:.6g}")
 
 
-def _eval_mds(args, out):
+def cmd_mds(args, out):
     src = _resolve(args.input)
-    seqs = mio.read_posture_sequences(src)
-    dmat = evaluate.sequence_distance_matrix(seqs)
+    dmat = evaluate.sequence_distance_matrix(mio.read_posture_sequences(src))
     coords = evaluate.mds_coords_from(dmat, dims=args.dims)
-    csv_path = os.path.join(out, "mds.csv")
-    header = ["index"] + [f"c{i}" for i in range(args.dims)]
-    _write_csv(csv_path, header, [(i, *row) for i, row in enumerate(coords)])
-    dmat_path = os.path.join(out, "dmat.csv")
-    _write_csv(dmat_path, [f"d{i}" for i in range(dmat.shape[0])],
-               [tuple(row) for row in dmat])
-    config = {"input": os.path.basename(src), "dims": args.dims}
-    _manifest(out, "eval-mds", config, [src], [csv_path, dmat_path])
+    _emit(out, "eval-mds", _config(args, "dims", input=os.path.basename(src)), [src], [
+        ("mds.csv", _write_csv, ["index"] + [f"c{i}" for i in range(args.dims)],
+         [(i, *row) for i, row in enumerate(coords)]),
+        ("dmat.csv", _write_csv, [f"d{i}" for i in range(dmat.shape[0])],
+         [tuple(row) for row in dmat])])
     print(f"mds: {coords.shape[0]} sequences embedded in {args.dims} dimensions")
 
 
-def _eval_qq(args, out):
-    bundle_src = _resolve(args.bundle)
-    a_src, b_src = _resolve(args.a), _resolve(args.b)
+def cmd_qq(args, out):
+    bundle_src, a_src, b_src = (_resolve(p) for p in (args.bundle, args.a, args.b))
     bundle = load_bundle(bundle_src)
     ll_a = models.sequence_logliks(bundle, mio.read_posture_sequences(a_src))
     ll_b = models.sequence_logliks(bundle, mio.read_posture_sequences(b_src))
     pairs = evaluate.qq_data(ll_a, ll_b)
-    csv_path = os.path.join(out, "qq.csv")
-    _write_csv(csv_path, ["a_quantile", "b_quantile"], [tuple(r) for r in pairs])
-    config = {"bundle": os.path.basename(bundle_src), "a": os.path.basename(a_src),
-              "b": os.path.basename(b_src)}
-    _manifest(out, "eval-qq", config, [bundle_src, a_src, b_src], [csv_path])
+    config = _config(args, bundle=os.path.basename(bundle_src), a=os.path.basename(a_src),
+                     b=os.path.basename(b_src))
+    _emit(out, "eval-qq", config, [bundle_src, a_src, b_src],
+          [("qq.csv", _write_csv, ["a_quantile", "b_quantile"], [tuple(r) for r in pairs])])
     print(f"qq: {pairs.shape[0]} quantile pairs, medians "
           f"{np.median(ll_a):.6g} vs {np.median(ll_b):.6g}")
 
 
-def cmd_eval(args):
-    handlers = {"two-sample": _eval_two_sample, "quantize": _eval_quantize,
-                "roughness": _eval_roughness, "mds": _eval_mds, "qq": _eval_qq}
-    handlers[args.eval_cmd](args, _out_dir(args))
-
-
-def cmd_pipeline(args):
-    out = _out_dir(args)
+def cmd_pipeline(args, out):
     kind, red, model_type = parse_scheme(args.scheme)
     args.kind, args.method = kind, red
     artifacts = []
@@ -481,12 +444,8 @@ def cmd_pipeline(args):
                                     reduction=reduction)
     sims, sims_path = stage(_simulate, bundle, bundle_path)
     stage(_two_sample, sims, aligned, sims_path, aligned_path)
-    config = {"scheme": args.scheme.lower(), "seed": args.seed,
-              "input": os.path.basename(args.input) if args.input else "",
-              "count": args.count, "n_perm": args.n_perm,
-              "d1": args.d1 if args.d1 is not None else -1,
-              "d2": args.d2 if args.d2 is not None else -1,
-              "var1": args.var1, "var2": args.var2}
+    config = _config(args, "seed", "count", "n_perm", "d1", "d2", "var1", "var2",
+                     scheme=args.scheme.lower(), input=os.path.basename(args.input))
     _manifest(out, "pipeline", config, inputs, artifacts)
     print(f"pipeline: {args.scheme.lower()} run complete in {out}")
 
@@ -545,8 +504,7 @@ def run_twolevel(seqs, kind="istvf", model_type="ig", d1=4, d2=4,
             "qq": qq, "loglik_test": ll_test, "loglik_sim": ll_sim}
 
 
-def cmd_twolevel(args):
-    out = _out_dir(args)
+def cmd_twolevel(args, out):
     src = _resolve(args.input)
     seqs = mio.read_posture_sequences(src)
     kind, _, model_type = parse_scheme(args.scheme)
@@ -560,22 +518,16 @@ def cmd_twolevel(args):
                           d1=args.d1, d2=args.d2, total=args.total,
                           holdout=args.holdout, emulators=emulators,
                           n_perm=args.n_perm, seed=args.seed)
-    csv_path = os.path.join(out, "twolevel.csv")
-    _write_csv(csv_path,
-               ["emulator", "statistic", "p_value", "median_loglik", "median_loglik_test"],
-               [(r["emulator"], r["statistic"], r["p_value"],
-                 r["median_loglik"], r["median_loglik_test"]) for r in report["rows"]])
-    artifacts = [csv_path]
-    for name in emulators:
-        qq_path = os.path.join(out, f"qq_{name}.csv")
-        _write_csv(qq_path, ["test_quantile", "sim_quantile"],
-                   [tuple(r) for r in report["qq"][name]])
-        artifacts.append(qq_path)
-    config = {"input": os.path.basename(src), "scheme": args.scheme.lower(),
-              "d1": args.d1, "d2": args.d2, "total": args.total,
-              "holdout": args.holdout, "emulators": ",".join(emulators),
-              "n_perm": args.n_perm, "seed": args.seed}
-    _manifest(out, "twolevel", config, [src], artifacts)
+    table = ("twolevel.csv", _write_csv,
+             ["emulator", "statistic", "p_value", "median_loglik", "median_loglik_test"],
+             [(r["emulator"], r["statistic"], r["p_value"],
+               r["median_loglik"], r["median_loglik_test"]) for r in report["rows"]])
+    qq = [(f"qq_{name}.csv", _write_csv, ["test_quantile", "sim_quantile"],
+           [tuple(r) for r in report["qq"][name]]) for name in emulators]
+    config = _config(args, "d1", "d2", "total", "holdout", "n_perm", "seed",
+                     input=os.path.basename(src), scheme=args.scheme.lower(),
+                     emulators=",".join(emulators))
+    _emit(out, "twolevel", config, [src], [table, *qq])
     for r in report["rows"]:
         print(f"twolevel: {r['emulator']} p {r['p_value']:.4g} "
               f"median loglik {r['median_loglik']:.6g} "
@@ -583,15 +535,8 @@ def cmd_twolevel(args):
 
 
 def _add_synth_flags(p):
-    p.add_argument("--landmarks", type=int, default=21)
-    p.add_argument("--frames", type=int, default=1000)
-    p.add_argument("--target-frames", type=int, default=301)
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--per-class", type=int, default=60)
-    p.add_argument("--amplitude", type=float, default=0.8)
-    p.add_argument("--bandwidth", type=float, default=0.05)
-    p.add_argument("--warp-strength", type=float, default=0.5)
-    p.add_argument("--noise", type=float, default=0.0)
+    for name, default in SYNTH_DEFAULTS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
 
 def _add_fit_flags(p):
@@ -605,102 +550,85 @@ def build_parser():
     root = argparse.ArgumentParser(prog="motionemu",
                                    description="Skeletal motion emulation pipeline.")
     sub = root.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", required=True)
 
-    p = sub.add_parser("synth", help="generate synthetic motion classes")
+    def leaf(group, name, func, about):  # a command: --out plus its own flags
+        p = group.add_parser(name, help=about, parents=[common])
+        p.set_defaults(func=func)
+        return p
+
+    p = leaf(sub, "synth", _synth, "generate synthetic motion classes")
     _add_synth_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="convert landmark files to posture sequences")
+    p = leaf(sub, "ingest", cmd_ingest, "convert landmark files to posture sequences")
     p.add_argument("--input", required=True)
     p.add_argument("--target-frames", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("align", help="register sequences to a common timing")
+    p = leaf(sub, "align", cmd_align, "register sequences to a common timing")
     p.add_argument("--input", required=True)
     p.add_argument("--ref-index", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_align)
 
-    p = sub.add_parser("flatten", help="map sequences to Euclidean fields")
+    p = leaf(sub, "flatten", cmd_flatten, "map sequences to Euclidean fields")
     p.add_argument("--input", required=True)
     p.add_argument("--kind", default="istvf", choices=flatten.FLATTEN_KINDS)
     p.add_argument("--reference", default="")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_flatten)
 
-    p = sub.add_parser("reduce", help="fit dimension reductions on fields")
+    p = leaf(sub, "reduce", cmd_reduce, "fit dimension reductions on fields")
     p.add_argument("--input", required=True)
     p.add_argument("--method", default="seqpca", choices=("seqpca", "spatialpca"))
     p.add_argument("--d1", type=int, default=None)
     p.add_argument("--d2", type=int, default=None)
     p.add_argument("--var1", type=float, default=0.9)
     p.add_argument("--var2", type=float, default=0.95)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("fit", help="fit an emulator bundle")
+    p = leaf(sub, "fit", cmd_fit, "fit an emulator bundle")
     p.add_argument("--scheme", required=True)
     p.add_argument("--fields", default="")
     p.add_argument("--reduction", default="")
     p.add_argument("--input", default="")
     p.add_argument("--diagonal", action="store_true")
     _add_fit_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("simulate", help="draw sequences from a bundle")
+    p = leaf(sub, "simulate", cmd_simulate, "draw sequences from a bundle")
     p.add_argument("--bundle", required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--split", default="", metavar="FIT/HELD",
                    help="also write the draws partitioned into two files")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("eval", help="evaluation reports")
-    esub = p.add_subparsers(dest="eval_cmd", required=True)
+    esub = sub.add_parser("eval", help="evaluation reports").add_subparsers(
+        dest="eval_cmd", required=True)
 
-    e = esub.add_parser("two-sample", help="permutation two-sample test")
+    e = leaf(esub, "two-sample", cmd_two_sample, "permutation two-sample test")
     e.add_argument("--a", required=True)
     e.add_argument("--b", required=True)
     e.add_argument("--n-perm", type=int, default=999)
     e.add_argument("--exhaustive", action="store_true")
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--out", required=True)
-    e.set_defaults(func=cmd_eval)
 
-    e = esub.add_parser("quantize", help="posture-code variability summaries")
+    e = leaf(esub, "quantize", cmd_quantize, "posture-code variability summaries")
     e.add_argument("--train", required=True)
     e.add_argument("--set", action="append", metavar="NAME=PATH")
     e.add_argument("--k", type=int, default=9,
                    help="cluster count; 0 sweeps 2..15 by silhouette")
     e.add_argument("--sample", type=int, default=5000)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--out", required=True)
-    e.set_defaults(func=cmd_eval)
 
-    e = esub.add_parser("roughness", help="successive-frame distance summaries")
+    e = leaf(esub, "roughness", cmd_roughness, "successive-frame distance summaries")
     e.add_argument("--set", action="append", required=True, metavar="NAME=PATH")
-    e.add_argument("--out", required=True)
-    e.set_defaults(func=cmd_eval)
 
-    e = esub.add_parser("mds", help="classical scaling of sequence distances")
+    e = leaf(esub, "mds", cmd_mds, "classical scaling of sequence distances")
     e.add_argument("--input", required=True)
     e.add_argument("--dims", type=int, default=2)
-    e.add_argument("--out", required=True)
-    e.set_defaults(func=cmd_eval)
 
-    e = esub.add_parser("qq", help="log-likelihood quantile pairs under a bundle")
+    e = leaf(esub, "qq", cmd_qq, "log-likelihood quantile pairs under a bundle")
     e.add_argument("--bundle", required=True)
     e.add_argument("--a", required=True)
     e.add_argument("--b", required=True)
-    e.add_argument("--out", required=True)
-    e.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("pipeline", help="run the full chain in one directory")
+    p = leaf(sub, "pipeline", cmd_pipeline, "run the full chain in one directory")
     p.add_argument("--input", default="")
     _add_synth_flags(p)
     p.add_argument("--scheme", default="istvf/seqpca/ig")
@@ -713,12 +641,10 @@ def build_parser():
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--n-perm", type=int, default=199)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     # the stage settings pipeline does not expose
-    p.set_defaults(func=cmd_pipeline, diagonal=False, reference="", split="",
-                   exhaustive=False)
+    p.set_defaults(diagonal=False, reference="", split="", exhaustive=False)
 
-    p = sub.add_parser("twolevel", help="second-level emulator adequacy report")
+    p = leaf(sub, "twolevel", cmd_twolevel, "second-level emulator adequacy report")
     p.add_argument("--input", required=True)
     p.add_argument("--scheme", default="istvf/seqpca/ig")
     p.add_argument("--d1", type=int, default=4)
@@ -728,17 +654,16 @@ def build_parser():
     p.add_argument("--emulators", default="ig,mvg,pwi")
     p.add_argument("--n-perm", type=int, default=999)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_twolevel)
 
     return root
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        out = _resolve(args.out)
+        os.makedirs(out, exist_ok=True)
+        args.func(args, out)
     except (MotionError, OSError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -158,6 +158,9 @@ def fpca_fit(score_list, dt: float, n_components=None, var_threshold=0.95) -> FP
     per-row selection at var_threshold so every row reaches it.
     """
     stack = np.stack(geo._check_same_shape(score_list, 2, "score matrices"))
+    if stack.ndim != 3:
+        raise DimensionMismatch(f"score matrices must be 2-d (d1, T), got shape "
+                                f"{stack.shape[1:]}")
     m, d1, length = stack.shape
     if d1 == 0:
         raise InsufficientData("the spatial reduction has rank 0 (d1 = 0, as for constant "

@@ -293,6 +293,8 @@ def mds_coords_from(dmat, dims: int = 2):
         raise BadTarget("dims must be positive")
     dmat = _check_square(dmat)
     m = dmat.shape[0]
+    if dims > m:
+        raise BadTarget(f"dims = {dims} exceeds the {m} points to embed")
     j = np.eye(m) - np.ones((m, m)) / m
     b = -0.5 * j @ (dmat * dmat) @ j
     w, v = _top_eigenpairs((b + b.T) / 2.0, dims)

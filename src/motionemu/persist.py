@@ -21,7 +21,7 @@ VERSION = 1
 
 
 def _check_sizes(doc, names, ok, what):
-    """Refuse size entries that disagree with what they size, naming them."""
+    """Refuse entries that disagree with what they size or describe, naming them."""
     if not ok:
         given = ", ".join(f"{name!r} = {doc[name]}" for name in names)
         raise DimensionMismatch(f"{doc.path}: entry {given} does not match {what}")
@@ -137,8 +137,16 @@ def load_bundle(path) -> EmulatorBundle:
     doctype, version, doc = read_doc(path)
     if doctype != BUNDLE_DOC or version != VERSION:
         raise DimensionMismatch(f"{path}: not a version-{VERSION} bundle document")
-    # a posture-wise bundle has no reference, and only a VAR bundle has initial lags
+    # model_type fixes the stages: pwi has no reduction, var a spatial one
+    # only, mvg and ig both; a posture-wise bundle has no reference, and
+    # only a VAR bundle has initial lags
     model_type, kind = doc.entry("model_type", "s"), doc.entry("kind", "s")
+    has_spatial, has_fpca = model_type != "pwi", model_type in ("mvg", "ig")
+    wrong = [name for name, tag, want in [("has_spatial", "i", has_spatial),
+                                          ("has_fpca", "i", has_fpca),
+                                          ("model.family", "s", model_type)]
+             if doc.entry(name, tag) != want]
+    _check_sizes(doc, wrong, not wrong, f"'model_type' = {model_type}")
     reference = doc.entry("reference", "x" if model_type == "pwi" else "m")
     var_init = doc.entry("var_init", "m" if model_type == "var" else "x")
     if var_init is not None:
@@ -151,8 +159,8 @@ def load_bundle(path) -> EmulatorBundle:
         _check_sizes(doc, ["start.count"], start.shape == (s * bones, 3),
                      f"'start.postures' {start.shape} for {bones} bones")
         start = start.reshape(s, bones, 3)
-    spatial = _spatial_from(doc, "spatial") if doc.entry("has_spatial", "i") else None
-    fpca = _fpca_from(doc, "fpca") if doc.entry("has_fpca", "i") else None
+    spatial = _spatial_from(doc, "spatial") if has_spatial else None
+    fpca = _fpca_from(doc, "fpca") if has_fpca else None
     model, length = _model_from(doc), doc.entry("length", "i")
     if fpca is not None:
         cols = length - 1 if kind in VELOCITY_KINDS else length

@@ -524,3 +524,100 @@ def test_twolevel_cli_matches_library(tmp_path, capsys):
     for name in ("ig", "pwi"):
         pairs = np.loadtxt(out / f"qq_{name}.csv", delimiter=",", skiprows=1)
         assert np.array_equal(pairs, report["qq"][name])
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    """One small mvg pipeline run plus a raw landmark file: an input for
+    every command."""
+    root = tmp_path_factory.mktemp("inputs")
+    assert run_cli("pipeline", "--out", root, "--seed", 2, *SYNTH_FLAGS,
+                   "--scheme", "istvf/seqpca/mvg", "--d1", 2, "--d2", 3,
+                   "--count", 4, "--n-perm", 9) == 0
+    rng = np.random.default_rng(5)
+    mio.write_raw_sequences(root / "raw.txt", [rng.normal(size=(9, 4, 3)) for _ in range(3)],
+                            SkeletonHierarchy([-1, 0, 1, 1]))
+    return root
+
+
+# id -> (argv before --out, with {i} the input directory; the manifests the
+# command writes, its own first)
+COMMAND_RUNS = {
+    "synth": (["synth", "--seed", 3, *SYNTH_FLAGS], ["synth"]),
+    "ingest": (["ingest", "--input", "{i}/raw.txt", "--target-frames", 5], ["ingest"]),
+    "align": (["align", "--input", "{i}/sequences.txt", "--ref-index", 1], ["align"]),
+    "flatten": (["flatten", "--input", "{i}/aligned.txt", "--kind", "siem"], ["flatten"]),
+    "flatten-reference": (["flatten", "--input", "{i}/aligned.txt",
+                           "--reference", "{i}/reference.txt"], ["flatten"]),
+    "reduce": (["reduce", "--input", "{i}/fields.txt", "--method", "spatialpca"], ["reduce"]),
+    "fit-pwi": (["fit", "--scheme", "pwi", "--input", "{i}/aligned.txt", "--diagonal"], ["fit"]),
+    "fit-mvg": (["fit", "--scheme", "istvf/seqpca/mvg", "--fields", "{i}/fields.txt",
+                 "--reduction", "{i}/reduction.txt"], ["fit"]),
+    "simulate-split": (["simulate", "--bundle", "{i}/bundle.txt", "--count", 3,
+                        "--split", "2/1", "--seed", 4], ["simulate"]),
+    "eval-two-sample": (["eval", "two-sample", "--a", "{i}/sims.txt", "--b", "{i}/aligned.txt",
+                         "--exhaustive"], ["eval-two-sample"]),
+    "eval-quantize": (["eval", "quantize", "--train", "{i}/aligned.txt",
+                       "--set", "sims={i}/sims.txt", "--k", 3, "--sample", 50],
+                      ["eval-quantize"]),
+    "eval-roughness": (["eval", "roughness", "--set", "train={i}/aligned.txt",
+                        "--set", "sims={i}/sims.txt"], ["eval-roughness"]),
+    "eval-mds": (["eval", "mds", "--input", "{i}/aligned.txt", "--dims", 3], ["eval-mds"]),
+    "eval-qq": (["eval", "qq", "--bundle", "{i}/bundle.txt", "--a", "{i}/aligned.txt",
+                 "--b", "{i}/sims.txt"], ["eval-qq"]),
+    "pipeline": (["pipeline", "--seed", 3, *SYNTH_FLAGS, "--scheme", "istvf/spatialpca/var",
+                  "--count", 3, "--n-perm", 9],
+                 ["pipeline", "synth", "align", "flatten", "reduce", "fit", "simulate",
+                  "eval-two-sample"]),
+    "twolevel": (["twolevel", "--input", "{i}/aligned.txt", "--scheme", "istvf/seqpca/ig",
+                  "--d1", 2, "--d2", 2, "--total", 12, "--holdout", 4,
+                  "--emulators", "ig,pwi", "--n-perm", 9], ["twolevel"]),
+}
+
+
+@pytest.mark.parametrize("run", list(COMMAND_RUNS))
+def test_every_command_manifest_lists_exactly_what_it_wrote(stage_inputs, tmp_path, run):
+    """The --out directory holds the command's manifest and exactly the
+    artifacts it lists (a pipeline also holds its stages' manifests, whose
+    inputs are earlier stages' artifacts); every digest matches its file
+    and config_hash matches config."""
+    argv, commands = COMMAND_RUNS[run]
+    out = tmp_path / "out"
+    assert run_cli(*[str(a).format(i=stage_inputs) for a in argv], "--out", out) == 0
+    names = sorted(os.listdir(out))
+    assert [n for n in names if n.startswith("manifest_")] == \
+        sorted(f"manifest_{c}.json" for c in commands)
+    for i, command in enumerate(commands):
+        with open(out / f"manifest_{command}.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["command"] == command
+        blob = json.dumps(manifest["config"], sort_keys=True).encode()
+        assert manifest["config_hash"] == hashlib.sha256(blob).hexdigest()
+        read_from = stage_inputs if i == 0 else out
+        for where, listed in ((read_from, manifest["inputs"]), (out, manifest["artifacts"])):
+            for name, digest in listed.items():
+                assert digest == hashlib.sha256(read_bytes(where / name)).hexdigest(), name
+        if i == 0:
+            assert sorted(manifest["artifacts"]) == \
+                [n for n in names if not n.startswith("manifest_")]
+
+
+def test_inconsistent_bundle_and_excess_mds_dims_report_one_json_line(stage_inputs, tmp_path,
+                                                                      capsys):
+    text = (stage_inputs / "bundle.txt").read_text()
+    assert "\ni has_fpca 1\n" in text
+    bundle = tmp_path / "bundle.txt"
+    bundle.write_text(text.replace("\ni has_fpca 1\n", "\ni has_fpca 0\n"))
+    capsys.readouterr()
+    assert run_cli("simulate", "--bundle", bundle, "--count", 2, "--out", tmp_path / "sim") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "DimensionMismatch", "message":
+                               f"{bundle}: entry 'has_fpca' = 0 does not match "
+                               "'model_type' = mvg"}
+    assert run_cli("eval", "mds", "--input", stage_inputs / "aligned.txt", "--dims", 12,
+                   "--out", tmp_path / "mds") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "BadTarget",
+                               "message": "dims = 12 exceeds the 5 points to embed"}

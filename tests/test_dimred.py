@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,9 @@ def test_fpca_fit_rejects_score_matrices_of_mixed_shapes():
                   rng.standard_normal(other)]
         with pytest.raises(DimensionMismatch, match="mixed shapes"):
             fpca_fit(scores, dt=0.2)
+    # one shape, but score vectors rather than (d1, T) matrices
+    with pytest.raises(DimensionMismatch, match=re.escape("must be 2-d (d1, T), got shape (5,)")):
+        fpca_fit([np.zeros(5)] * 3, dt=0.2)
 
 
 def test_functional_reduction_of_constant_fields_names_rank_zero():

@@ -3,6 +3,7 @@ variability, roughness, MDS embedding, and Q-Q helpers."""
 
 from itertools import combinations
 from math import comb
+import re
 from unittest import mock
 
 import numpy as np
@@ -580,6 +581,13 @@ def test_mds_truncation_never_expands_distances():
         prev = emb
     with pytest.raises(BadTarget):
         mds_coords_from(dmat, dims=0)
+
+
+def test_mds_with_more_dims_than_points_names_both_numbers():
+    dmat = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert mds_coords_from(dmat, dims=2).shape == (2, 2)
+    with pytest.raises(BadTarget, match="dims = 3 exceeds the 2 points"):
+        mds_coords_from(dmat, dims=3)
 
 
 @pytest.mark.parametrize("dmat", [np.zeros((3, 4)), np.zeros(3), np.zeros((3, 3, 1))])

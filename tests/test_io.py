@@ -297,10 +297,14 @@ def test_mistyped_entries_name_the_file_and_the_entry(tmp_path, model_type):
 @pytest.mark.parametrize("model_type, entry, new", [
     ("ig", "start.count", 2), ("mvg", "start.count", 3), ("mvg", "model.rows", 1),
     ("ig", "model.cols", 3), ("ig", "length", 6), ("mvg", "length", 9), ("mvg", "fpca.rows", 1),
-    ("var", "model.order", 2), ("pwi", "model.frames", 7), ("pwi", "model.bones", 3)])
+    ("var", "model.order", 2), ("pwi", "model.frames", 7), ("pwi", "model.bones", 3),
+    ("mvg", "has_fpca", 0), ("ig", "has_spatial", 0), ("var", "has_fpca", 1),
+    ("var", "has_spatial", 0), ("pwi", "has_spatial", 1), ("ig", "model_type", "mvg"),
+    ("mvg", "model_type", "var"), ("mvg", "model.family", "ig"), ("pwi", "model.family", "var")])
 def test_size_entries_that_disagree_with_their_arrays_name_the_file_and_the_entry(
         tmp_path, model_type, entry, new):
-    """A bundle whose size entry no longer matches the arrays it sizes is
+    """A bundle whose size entry no longer matches the arrays it sizes, or
+    whose stage flags or model family disagree with its model_type, is
     refused on loading, naming the file and the entry, rather than loading
     and failing later inside simulate.  Unedited bundles load and write
     back the same bytes."""
@@ -308,9 +312,9 @@ def test_size_entries_that_disagree_with_their_arrays_name_the_file_and_the_entr
     text = path.read_text()
     save_bundle(tmp_path / "again.txt", load_bundle(path))
     assert (tmp_path / "again.txt").read_text() == text
-    old = re.search(rf"^i {re.escape(entry)} (\d+)$", text, re.M)
-    assert int(old.group(1)) != new
-    path.write_text(text.replace(old.group(0), f"i {entry} {new}"))
+    old = re.search(rf"^([is]) {re.escape(entry)} (\S+)$", text, re.M)
+    assert old.group(2) != str(new)
+    path.write_text(text.replace(old.group(0), f"{old.group(1)} {entry} {new}"))
     named = re.escape(f"{path}: entry ") + ".*" + re.escape(f"{entry!r} = {new}")
     with pytest.raises(DimensionMismatch, match=named):
         load_bundle(path)
