@@ -108,11 +108,8 @@ def warp_sequence(seq, gamma):
     out = np.empty_like(seq)
     out[exact] = seq[idx[exact]]
     rest = ~exact
-    if np.any(rest):
-        lo = seq[idx[rest]]
-        hi = seq[idx[rest] + 1]
-        step = geo.sphere_log(lo, hi)
-        out[rest] = geo.sphere_exp(lo, w[rest, None, None] * step)
+    lo, hi = seq[idx[rest]], seq[idx[rest] + 1]
+    out[rest] = geo.sphere_exp(lo, w[rest, None, None] * geo.sphere_log(lo, hi))
     return out
 
 

@@ -464,32 +464,29 @@ def run_twolevel(seqs, kind="istvf", model_type="ig", d1=4, d2=4,
     """
     if not 0 < holdout < total:
         raise BadTarget("holdout must be positive and smaller than total")
+    if not emulators:
+        raise BadTarget("no emulators to score")
+    for name in emulators:
+        if name not in models.MODEL_TYPES:
+            raise KindMismatch(f"unknown emulator {name!r}")
+    if model_type not in ("mvg", "ig"):
+        raise KindMismatch(f"level-one model {model_type!r} has no density to score draws "
+                           "with; the scheme must be <repr>/seqpca/mvg or <repr>/seqpca/ig")
     level_one = models.fit_emulator(seqs, kind=kind, model_type=model_type,
                                     d1=d1, d2=d2)
     sims = models.simulate_sequence(level_one, total,
                                     seed=stage_seed(seed, SEED_TL_LEVEL1))
     train2, test2 = sims[:total - holdout], sims[total - holdout:]
-
-    bundles = {}
-
-    def fit_two(name):
-        if name not in bundles:
-            if name == "pwi":
-                bundles[name] = models.fit_emulator(train2, model_type="pwi")
-            else:
-                # level-two refits share the level-one chart so the closure
-                # comparison is not confounded by reference drift
-                bundles[name] = models.fit_emulator(train2, kind=kind,
-                                                    model_type=name, d1=d1, d2=d2,
-                                                    reference=level_one.reference)
-        return bundles[name]
-
-    reference = fit_two(model_type)
+    # level-two refits share the level-one chart so the closure comparison
+    # is not confounded by reference drift ('pwi' ignores the chart)
+    bundles = {name: models.fit_emulator(train2, kind=kind, model_type=name, d1=d1, d2=d2,
+                                         reference=level_one.reference)
+               for name in dict.fromkeys((model_type, *emulators))}
+    reference = bundles[model_type]
     ll_test = models.sequence_logliks(reference, test2)
     rows, qq, ll_sim = [], {}, {}
     for j, name in enumerate(emulators):
-        bundle = fit_two(name)
-        draws = models.simulate_sequence(bundle, holdout,
+        draws = models.simulate_sequence(bundles[name], holdout,
                                          seed=stage_seed(seed, SEED_TL_SIM, (j,)))
         res = evaluate.disco_test(draws, test2, n_perm=n_perm,
                                   seed=stage_seed(seed, SEED_TL_DISCO, (j,)))
@@ -508,12 +505,7 @@ def cmd_twolevel(args, out):
     src = _resolve(args.input)
     seqs = mio.read_posture_sequences(src)
     kind, _, model_type = parse_scheme(args.scheme)
-    if model_type == "pwi":
-        raise KindMismatch("the level-one scheme must be a coefficient model")
     emulators = tuple(e.strip() for e in args.emulators.split(",") if e.strip())
-    for name in emulators:
-        if name not in models.MODEL_TYPES:
-            raise KindMismatch(f"unknown emulator {name!r}")
     report = run_twolevel(seqs, kind=kind, model_type=model_type,
                           d1=args.d1, d2=args.d2, total=args.total,
                           holdout=args.holdout, emulators=emulators,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .errors import DimensionMismatch, InsufficientData, KindMismatch
+from .errors import DimensionMismatch, InsufficientData, KindMismatch, ReferenceMismatch
 from .flatten import FlatField
 
 # Relative eigenvalue threshold under which spectrum entries count as zero rank.
@@ -74,10 +74,14 @@ class SpatialPCA:
 
 
 def _check_fields(fields, least=1):
+    """Fields pooled into one fit: one kind, one shape, one reference, one dt."""
     geo._check_same_shape([f.values for f in fields], least, "fields")
-    for f in fields:
+    for i, f in enumerate(fields):
         if f.kind != fields[0].kind:
             raise KindMismatch(f"mixed field kinds: {fields[0].kind!r} vs {f.kind!r}")
+        if not np.array_equal(f.reference, fields[0].reference) or f.dt != fields[0].dt:
+            raise ReferenceMismatch(f"field {i} was flattened at another reference or "
+                                    "time grid than field 0")
     return fields
 
 
@@ -181,7 +185,7 @@ def fpca_fit(score_list, dt: float, n_components=None, var_threshold=0.95) -> FP
         d2 = int(n_components)
         if d2 < 1:
             raise DimensionMismatch("n_components must be positive")
-    d2 = min(d2, length, m - 1 if m - 1 > 0 else 1)
+    d2 = min(d2, length, m - 1)
     # C order, like a reloaded basis, so fpca_project gives both the same bits
     return FPCABasis(means=means,
                      bases=np.ascontiguousarray(np.stack([b[:, :d2] for b in bases])),

@@ -33,15 +33,11 @@ START_POLICIES = ("training-mean", "fixed", "sampled-from-training")
 
 @dataclass
 class MVGModel:
-    """Zero-mean Gaussian over vectorized (row-major) coefficient matrices.
-
-    loglik computes the Cholesky factor of the covariance on first use and
-    keeps it; replace the model rather than editing its covariance."""
+    """Zero-mean Gaussian over vectorized (row-major) coefficient matrices."""
 
     covariance: np.ndarray
     jitter: float
     shape: tuple
-    _chol: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -81,9 +77,10 @@ def fit_ig(coeffs) -> IGModel:
 
 
 def _gaussian_factor(cov):
-    """Symmetric factor F with F F^T = cov (eigenvalues clamped at zero)."""
-    w, q = np.linalg.eigh((cov + cov.T) / 2.0)
-    return q * np.sqrt(np.clip(w, 0.0, None))
+    """Symmetric factor F with F F^T = cov (eigenvalues clamped at zero), of
+    one covariance or of each in a stack, with the bits of one call each."""
+    w, q = np.linalg.eigh((cov + np.swapaxes(cov, -1, -2)) / 2.0)
+    return q * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
 def sample_coeffs(model, count: int, seed=None):
@@ -134,12 +131,10 @@ def logliks(coeffs, model) -> np.ndarray:
         quad = np.sum(x * x / model.variances, axis=1)
         logdet = float(np.sum(np.log(model.variances)))
     else:
-        if model._chol is None:
-            try:
-                model._chol = np.linalg.cholesky(model.covariance)
-            except np.linalg.LinAlgError:
-                raise SingularCovariance("covariance is not positive definite") from None
-        chol = model._chol
+        try:
+            chol = np.linalg.cholesky(model.covariance)
+        except np.linalg.LinAlgError:
+            raise SingularCovariance("covariance is not positive definite") from None
         y = np.ascontiguousarray(np.linalg.solve(chol, x.T).T)
         quad = np.array([row @ row for row in y])  # one dot each, as for one vector
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
@@ -238,7 +233,6 @@ class PWIModel:
     means: np.ndarray       # (T, n-1, 3)
     covariances: np.ndarray  # (T, D, D) with D = 2*(n-1)
     diagonal: bool
-    _factors: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
 
     @property
     def length(self) -> int:
@@ -265,15 +259,19 @@ def fit_pwi(seqs, diagonal: bool = False) -> PWIModel:
     return PWIModel(means=means, covariances=covs, diagonal=diagonal)
 
 
-def sample_pwi(model: PWIModel, seed=None):
-    """Draw one sequence: every frame is the exponential of independent
-    zero-mean tangent noise at that frame's mean posture."""
-    rng = np.random.default_rng(seed)
-    if model._factors is None:
-        model._factors = np.stack([_gaussian_factor(c) for c in model.covariances])
-    z = rng.standard_normal((model.length, model.covariances.shape[1]))
-    coords = np.einsum("tij,tj->ti", model._factors, z)
+def _pwi_draws(model: PWIModel, count: int, rng):
+    """count sequences as one (count, T, n-1, 3) array: every frame is the
+    exponential of independent zero-mean tangent noise at that frame's mean
+    posture.  One normal block holds the stream of count one-sequence draws."""
+    z = rng.standard_normal((count, model.length, model.covariances.shape[1]))
+    coords = np.einsum("tij,ntj->nti", _gaussian_factor(model.covariances), z)
     return geo.sphere_exp(model.means, geo.coords_to_tangent(model.means, coords))
+
+
+def sample_pwi(model: PWIModel, seed=None):
+    """Draw one sequence from the posture-wise model: the one-sequence case
+    of simulate_sequence on a 'pwi' bundle."""
+    return _pwi_draws(model, 1, np.random.default_rng(seed))[0]
 
 
 MODEL_TYPES = ("mvg", "ig", "var", "pwi")
@@ -314,7 +312,7 @@ def fit_bundle(fields, spatial: SpatialPCA, fpca: FPCABasis | None, model_type: 
         raise BadTarget(f"unknown start policy {start_policy!r}")
     if model_type not in ("mvg", "ig", "var"):
         raise KindMismatch(f"model type {model_type!r} is not fitted on reduced fields")
-    for i, f in enumerate(fields):
+    for i, f in enumerate(dimred._check_fields(fields)):
         if f.start is None:
             raise DimensionMismatch(f"field {i} has no start posture; the start policy "
                                     "needs one per training field")
@@ -397,14 +395,14 @@ def simulate_sequence(bundle: EmulatorBundle, count: int, seed=None):
     the seed; coefficient models run sample -> functional rebuild ->
     spatial rebuild -> unflatten, the VAR iterates its recursion, and the
     posture-wise model samples frames independently.  The rebuilt fields
-    are decoded as one batch (flatten.unflatten_batch), and the returned
-    sequences are views into that batch.
+    are decoded as one batch (flatten.unflatten_batch), posture-wise draws
+    are made as one batch, and the returned sequences are views into it.
     """
     if count < 0:
         raise BadTarget("count must be nonnegative")
     rng = np.random.default_rng(seed)
     if bundle.model_type == "pwi":
-        return [sample_pwi(bundle.model, rng) for _ in range(count)]
+        return list(_pwi_draws(bundle.model, count, rng))
     template = _template_field(bundle)
     values = np.empty((count,) + template.values.shape)
     starts = np.empty((count,) + bundle.reference.shape)

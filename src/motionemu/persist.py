@@ -29,7 +29,7 @@ def _check_sizes(doc, names, ok, what):
 
 def _spatial_items(prefix, pca: SpatialPCA):
     return [(f"{prefix}.mean", pca.mean),
-            (f"{prefix}.basis", pca.basis if pca.basis.size else np.zeros((pca.mean.shape[0], 0))),
+            (f"{prefix}.basis", pca.basis),
             (f"{prefix}.eigenvalues", pca.eigenvalues),
             (f"{prefix}.total_variance", float(pca.total_variance))]
 

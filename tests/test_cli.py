@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from motionemu import cli, evaluate, io as mio, models
+from motionemu import cli, evaluate, flatten, io as mio, models
 from motionemu.cli import (SEED_EVAL_PERM, SEED_SIMULATE, main, parse_scheme,
                            run_twolevel, stage_seed)
 from motionemu.datagen import SynthConfig, gen_mixture
@@ -621,3 +621,42 @@ def test_inconsistent_bundle_and_excess_mds_dims_report_one_json_line(stage_inpu
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": "BadTarget",
                                "message": "dims = 12 exceeds the 5 points to embed"}
+
+
+def test_twolevel_refuses_what_it_cannot_score_before_fitting(stage_inputs, tmp_path, capsys,
+                                                               monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("twolevel fitted a model before refusing its input")
+
+    monkeypatch.setattr(models, "fit_emulator", no_fit)
+    cases = [(["istvf/seqpca/ig", ","], "BadTarget", "no emulators"),
+             (["istvf/spatialpca/var", "ig"], "KindMismatch", "level-one model 'var'"),
+             (["pwi", "pwi"], "KindMismatch", "level-one model 'pwi'"),
+             (["istvf/seqpca/mvg", "mvg,gp"], "KindMismatch", "unknown emulator 'gp'")]
+    capsys.readouterr()
+    for i, ((scheme, emulators), error, cause) in enumerate(cases):
+        out = tmp_path / str(i)
+        assert run_cli("twolevel", "--input", stage_inputs / "aligned.txt", "--scheme", scheme,
+                       "--emulators", emulators, "--d1", 2, "--d2", 2, "--total", 12,
+                       "--holdout", 4, "--n-perm", 9, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        report = json.loads(err)
+        assert report["error"] == error and cause in report["message"]
+        assert not (out / "twolevel.csv").exists()
+
+
+def test_fit_refuses_fields_flattened_at_two_references(stage_inputs, tmp_path, capsys):
+    seqs = mio.read_posture_sequences(stage_inputs / "aligned.txt")
+    fields = mio.read_flatfields(stage_inputs / "fields.txt")
+    fields[1] = flatten.flatten_sequence(seqs[1], seqs[0][0], fields[1].kind)
+    mio.write_flatfields(tmp_path / "fields.txt", fields)
+    capsys.readouterr()
+    assert run_cli("fit", "--fields", tmp_path / "fields.txt", "--reduction",
+                   stage_inputs / "reduction.txt", "--scheme", "istvf/seqpca/mvg",
+                   "--out", tmp_path / "fit") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "ReferenceMismatch" and "field 1" in report["message"]
+    assert not (tmp_path / "fit" / "bundle.txt").exists()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from motionemu import dimred, flatten
 from motionemu import geometry as geo
 from motionemu.errors import (BadTarget, DimensionMismatch, InsufficientData,
-                              KindMismatch, SingularCovariance)
+                              KindMismatch, ReferenceMismatch, SingularCovariance)
 from motionemu.models import (
     START_POLICIES,
     EmulatorBundle,
@@ -14,6 +16,7 @@ from motionemu.models import (
     MVGModel,
     PWIModel,
     VARModel,
+    fit_bundle,
     fit_emulator,
     fit_ig,
     fit_mvg,
@@ -398,6 +401,21 @@ def test_simulate_sequence_equals_per_sequence_decode(model_type, kind, policy):
         assert sim.tobytes() == exp.tobytes()
 
 
+def test_fit_bundle_refuses_fields_at_two_references_or_time_grids():
+    seqs = training_set(6, t=11, seed=4)
+    ref = geo.karcher_mean(np.concatenate(seqs))
+    fields = [flatten.flatten_sequence(s, ref, "istvf") for s in seqs]
+    spatial, fpca = dimred.reduce_fields(fields, True, 2, 2)
+    moved = flatten.flatten_sequence(seqs[2], seqs[0][0], "istvf")
+    regrid = flatten.FlatField("istvf", ref, fields[2].start, fields[2].values,
+                               2.0 * fields[2].dt)
+    for odd in (moved, regrid):
+        with pytest.raises(ReferenceMismatch, match="field 2"):
+            fit_bundle(fields[:2] + [odd] + fields[3:], spatial, fpca, "mvg")
+    with pytest.raises(InsufficientData):
+        fit_bundle([], spatial, fpca, "mvg")
+
+
 def test_simulate_zero_sequences_is_empty():
     seqs = training_set(8, t=13, seed=5)
     for model_type in ("mvg", "ig", "var", "pwi"):
@@ -407,7 +425,7 @@ def test_simulate_zero_sequences_is_empty():
         simulate_sequence(bundle, -1)
 
 
-# ---- the MVG factor: computed once, the same bits on every call -----------
+# ---- the MVG factor: the same bits on every call ----------------------------
 
 def fresh_factor_loglik(coeff, model):
     """loglik with a Cholesky factor computed for this call alone."""
@@ -423,13 +441,10 @@ def test_mvg_loglik_same_bits_fresh_reused_and_reloaded(tmp_path):
     bundle = fit_emulator(seqs, kind="istvf", model_type="mvg", d1=3, d2=4)
     draws = sample_coeffs(bundle.model, 6, seed=4)
     expected = [fresh_factor_loglik(c, bundle.model) for c in draws]
-    assert bundle.model._chol is None
     first = [loglik(c, bundle.model) for c in draws]
-    assert bundle.model._chol is not None
     again = [loglik(c, bundle.model) for c in draws]
     save_bundle(tmp_path / "bundle.txt", bundle)
     reloaded = load_bundle(tmp_path / "bundle.txt").model
-    assert reloaded._chol is None
     back = [loglik(c, reloaded) for c in draws]
     for values in (first, again, back):
         assert np.array(values).tobytes() == np.array(expected).tobytes()
@@ -440,7 +455,6 @@ def test_singular_covariance_raises_every_call_and_caches_nothing():
     for _ in range(3):
         with pytest.raises(SingularCovariance):
             loglik(np.ones(3), model)
-        assert model._chol is None
 
 
 def test_mvg_factor_cache_is_not_part_of_the_value():
@@ -448,9 +462,69 @@ def test_mvg_factor_cache_is_not_part_of_the_value():
     used = MVGModel(covariance=cov, jitter=1e-10, shape=(2,))
     loglik(np.ones(2), used)
     fresh = MVGModel(covariance=cov, jitter=1e-10, shape=(2,))
-    assert used._chol is not None and fresh._chol is None
     assert used == fresh
-    assert repr(used) == repr(fresh) and "_chol" not in repr(used)
+    assert repr(used) == repr(fresh)
+
+
+# ---- fitted models are plain data ---------------------------------------
+
+def test_fitted_models_hold_only_their_data():
+    assert [f.name for f in dataclasses.fields(MVGModel)] == ["covariance", "jitter", "shape"]
+    assert [f.name for f in dataclasses.fields(PWIModel)] == ["means", "covariances",
+                                                              "diagonal"]
+
+
+def test_editing_a_fitted_model_changes_its_next_result():
+    mvg, _, rng = random_models(5, 6)
+    xs = rng.standard_normal((4, 6))
+    logliks(xs, mvg)
+    other, _, _ = random_models(6, 6)
+    mvg.covariance = other.covariance
+    assert bits(logliks(xs, mvg)) == bits(logliks(xs, MVGModel(other.covariance, 0.0, (6,))))
+
+    seqs = training_set(6, t=9, seed=3)
+    bundle = fit_emulator(seqs, model_type="pwi")
+    simulate_sequence(bundle, 3, seed=2)
+    covs = 4.0 * bundle.model.covariances
+    bundle.model.covariances = covs
+    fresh = EmulatorBundle(kind="intrinsic", model_type="pwi", length=bundle.length,
+                           model=PWIModel(bundle.model.means, covs, diagonal=False))
+    assert bits(simulate_sequence(bundle, 3, seed=2)) == bits(simulate_sequence(fresh, 3,
+                                                                                seed=2))
+
+
+def per_draw_pwi(model, count, seed):
+    """The posture-wise sampler one draw at a time: per-frame eigh factors
+    and one (T, D) normal block per sequence."""
+    rng = np.random.default_rng(seed)
+    factors = []
+    for cov in model.covariances:
+        w, q = np.linalg.eigh((cov + cov.T) / 2.0)
+        factors.append(q * np.sqrt(np.clip(w, 0.0, None)))
+    factors = np.stack(factors)
+    out = []
+    for _ in range(count):
+        z = rng.standard_normal((model.length, model.covariances.shape[1]))
+        coords = np.einsum("tij,tj->ti", factors, z)
+        out.append(geo.sphere_exp(model.means, geo.coords_to_tangent(model.means, coords)))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(2, 9), st.integers(1, 4),
+       st.booleans())
+def test_pwi_batch_draw_equals_per_draw_sampler(seed, count, t, bones, diagonal):
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((t, bones, 3))
+    seqs = [base + 0.3 * rng.standard_normal((t, bones, 3)) for _ in range(2 * bones + 2)]
+    seqs = [s / np.linalg.norm(s, axis=-1, keepdims=True) for s in seqs]
+    bundle = fit_emulator(seqs, model_type="pwi", diagonal=diagonal)
+    sims = simulate_sequence(bundle, count, seed=seed)
+    expected = per_draw_pwi(bundle.model, count, seed)
+    assert len(sims) == count
+    assert bits(sims) == bits(expected)
+    if count:
+        assert bits(sample_pwi(bundle.model, seed=seed)) == bits(expected[0])
 
 
 # ---- batched densities: one solve per batch ------------------------------
@@ -520,7 +594,6 @@ def test_singular_covariance_raises_for_a_batch_and_caches_nothing():
     for batch in ([], np.ones((4, 3))):
         with pytest.raises(SingularCovariance):
             logliks(batch, model)
-        assert model._chol is None
     with pytest.raises(SingularCovariance):
         logliks(np.ones((2, 2)), IGModel(variances=np.array([1.0, 0.0]), jitter=0.0, shape=(2,)))
 
