@@ -419,6 +419,8 @@ def cmd_qq(args, out):
 
 def cmd_pipeline(args, out):
     kind, red, model_type = parse_scheme(args.scheme)
+    if args.n_perm < 1:
+        raise BadTarget("n_perm must be positive")
     args.kind, args.method = kind, red
     artifacts = []
 
@@ -466,6 +468,8 @@ def run_twolevel(seqs, kind="istvf", model_type="ig", d1=4, d2=4,
         raise BadTarget("holdout must be positive and smaller than total")
     if not emulators:
         raise BadTarget("no emulators to score")
+    if n_perm < 1:
+        raise BadTarget("n_perm must be positive")
     for name in emulators:
         if name not in models.MODEL_TYPES:
             raise KindMismatch(f"unknown emulator {name!r}")

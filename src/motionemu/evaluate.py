@@ -22,22 +22,20 @@ from .dimred import _top_eigenpairs
 from .errors import BadTarget, DimensionMismatch, InsufficientData, LengthMismatch
 
 
-BLOCK_ANGLES = 2**16  # angles per block; 2**15-2**17 ran equally fast on 2-core x86
-
-
 def _pairwise(stack):
     """Summed bone angles between all row pairs of a (N, K, 3) stack.
 
-    Blocks hold about BLOCK_ANGLES angles: several rows by all columns, or
-    one row by a run of columns when a row alone is longer.  sphere_dist is
+    Blocks fit geometry.BLOCK_BYTES at 32 bytes an angle (sphere_dist's
+    three work arrays and its output): several rows by all columns, or one
+    row by a run of columns when a row alone is longer.  sphere_dist is
     exactly symmetric, so only blocks on or above the diagonal are computed
     and each is mirrored below it.  Every entry sums the same K angles in
     the same order, whatever the blocks.
     """
     n, k = stack.shape[:2]
     out = np.empty((n, n))
-    rows = max(1, BLOCK_ANGLES // max(n * k, 1))
-    cols = max(1, BLOCK_ANGLES // max(rows * k, 1))
+    rows = geo._block_items(32 * n * k)
+    cols = geo._block_items(32 * rows * k)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         for c in range(lo, n, cols):
@@ -104,9 +102,11 @@ def disco_test(group_a, group_b, n_perm: int = 999, seed=None, exhaustive: bool 
     The pooled distance matrix is computed once and only labels are
     permuted.  p = (1 + #{permuted >= observed}) / (n_perm + 1).  With
     exhaustive=True all distinct label splits are enumerated instead, in
-    which case p is exact.  Splits are scored in blocks of about
-    BLOCK_ANGLES label entries (_split_stats).
+    which case p is exact.  Splits are scored in blocks that fit
+    geometry.BLOCK_BYTES at 48 bytes a label entry (_split_stats).
     """
+    if not exhaustive and n_perm < 1:
+        raise BadTarget("n_perm must be positive")
     if not group_a or not group_b:
         raise InsufficientData("both groups need at least one sequence")
     na, nb = len(group_a), len(group_b)
@@ -117,7 +117,7 @@ def disco_test(group_a, group_b, n_perm: int = 999, seed=None, exhaustive: bool 
     # relabelings that tie the observed split in exact arithmetic must count
     # as hits even when resummation shifts them a few ulps below it
     thresh = observed - 1e-12 * max(1.0, abs(observed))
-    rows = max(1, BLOCK_ANGLES // total)
+    rows = geo._block_items(48 * total)
 
     def hits(members):
         return int(np.count_nonzero(_split_stats(dmat, members, na, nb) >= thresh))
@@ -129,8 +129,6 @@ def disco_test(group_a, group_b, n_perm: int = 999, seed=None, exhaustive: bool 
             count += hits(np.array(block))
         splits = comb(total, na)
         return DiscoResult(statistic=observed, p_value=count / splits, permutations=splits - 1)
-    if n_perm < 1:
-        raise BadTarget("n_perm must be positive")
     rng = np.random.default_rng(seed)
     for lo in range(0, n_perm, rows):
         count += hits(np.stack([rng.permutation(total)[:na] for _ in range(min(rows, n_perm - lo))]))
@@ -170,7 +168,7 @@ def _swap_descent(dmat, k, rng, max_sweeps=200):
     n = dmat.shape[0]
     medoids = np.sort(rng.choice(n, size=k, replace=False))
     objective = float(dmat[:, medoids].min(axis=1).sum())
-    chunk = max(1, int(2**22 // max(n, 1)))
+    chunk = geo._block_items(8 * n)
     for _ in range(max_sweeps):
         best_gain, best_slot, best_cand = 0.0, -1, -1
         for slot in range(k):
@@ -273,7 +271,10 @@ def mean_label_sequence(seqs, model: ClusterModel):
     reference label string for variability summaries."""
     stack = np.stack(geo._check_same_shape(seqs, 1, "sequences"))
     frames = geo._check_postures(stack[0], least=1).shape[0]
-    means = np.stack([geo.karcher_mean(stack[:, t]) for t in range(frames)])
+    # sphere_log keeps about six frames' worth of temporaries live
+    step = geo._block_items(6 * stack[:, 0].nbytes)
+    means = np.concatenate([geo._karcher_means(stack[:, lo:lo + step])
+                            for lo in range(0, frames, step)])
     return quantize(means, model)
 
 

@@ -248,14 +248,18 @@ def fit_pwi(seqs, diagonal: bool = False) -> PWIModel:
     m, dim = stack.shape[0], 2 * bones
     means = np.empty((t, bones, 3))
     covs = np.empty((t, dim, dim))
-    for k in range(t):
-        mu = geo.karcher_mean(stack[:, k])
-        coords = geo.tangent_coords(mu, geo.sphere_log(mu, stack[:, k]))
-        cov = coords.T @ coords / (m - 1)
+    # sphere_log keeps about six frames' worth of temporaries live
+    step = geo._block_items(6 * stack[:, 0].nbytes)
+    for lo in range(0, t, step):
+        frames = stack[:, lo:lo + step]
+        mu = geo._karcher_means(frames)
+        coords = np.swapaxes(geo.tangent_coords(mu, geo.sphere_log(mu, frames)), 0, 1)
+        cov = np.swapaxes(coords, -1, -2) @ coords / (m - 1)
         if diagonal:
-            cov = np.diag(np.diag(cov))
-        means[k] = mu
-        covs[k] = (cov + cov.T) / 2.0
+            # where() keeps the off-diagonal zeros positive, as written to files
+            cov = np.where(np.eye(dim, dtype=bool), cov, 0.0)
+        means[lo:lo + step] = mu
+        covs[lo:lo + step] = (cov + np.swapaxes(cov, -1, -2)) / 2.0
     return PWIModel(means=means, covariances=covs, diagonal=diagonal)
 
 

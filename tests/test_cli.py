@@ -646,6 +646,28 @@ def test_twolevel_refuses_what_it_cannot_score_before_fitting(stage_inputs, tmp_
         assert not (out / "twolevel.csv").exists()
 
 
+def test_pipeline_and_twolevel_refuse_n_perm_before_any_work(stage_inputs, tmp_path, capsys,
+                                                              monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before n_perm was checked")
+
+    for space, name in [(models, "fit_emulator"), (models, "fit_bundle"),
+                        (evaluate, "sequence_distance_matrix"), (cli, "align_all")]:
+        monkeypatch.setattr(space, name, no_work)
+    runs = [["twolevel", "--input", stage_inputs / "aligned.txt", "--d1", 2, "--d2", 2,
+             "--total", 12, "--holdout", 4],
+            ["pipeline", *SYNTH_FLAGS, "--count", 2],
+            ["pipeline", "--input", stage_inputs / "sequences.txt", "--scheme", "pwi"]]
+    capsys.readouterr()
+    for i, argv in enumerate(runs):
+        out = tmp_path / str(i)
+        assert run_cli(*argv, "--n-perm", 0, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "BadTarget", "message": "n_perm must be positive"}
+        assert os.listdir(out) == []
+
+
 def test_fit_refuses_fields_flattened_at_two_references(stage_inputs, tmp_path, capsys):
     seqs = mio.read_posture_sequences(stage_inputs / "aligned.txt")
     fields = mio.read_flatfields(stage_inputs / "fields.txt")

@@ -79,10 +79,11 @@ def test_posture_distance_matrix_matches_pairwise_metric(monkeypatch):
     rng = np.random.default_rng(3)
     postures = unit(rng.normal(size=(9, 3, 3)))
     postures[4] = postures[2]
-    # 27 angles a row: one block, then blocks of 1, 2 and 6 rows (the last
-    # two ragged at 1 and 3 rows), then one row by 1, 2 or 4 columns
-    for block in (evaluate.BLOCK_ANGLES, 27, 54, 162, 3, 6, 12):
-        monkeypatch.setattr(evaluate, "BLOCK_ANGLES", block)
+    # 27 angles a row at 32 bytes an angle: one block, then blocks of 1, 2
+    # and 6 rows (the last two ragged at 1 and 3 rows), then one row by 1, 2
+    # or 4 columns
+    for budget in (geo.BLOCK_BYTES, *(32 * a for a in (27, 54, 162, 3, 6, 12))):
+        monkeypatch.setattr(geo, "BLOCK_BYTES", budget)
         dmat = posture_distance_matrix(postures)
         assert np.array_equal(np.diag(dmat), np.zeros(9))
         assert np.array_equal(dmat, dmat.T)
@@ -99,11 +100,11 @@ def test_sequence_distance_matrix_matches_full_rows(monkeypatch):
     flat = seqs.reshape(7, -1, 3)
     # each row in full, with every angle of the pair in one sum
     rows = np.stack([geo.sphere_dist(flat[i], flat).sum(axis=-1) for i in range(7)]) / 4
-    # 84 angles a row: one block, then blocks of 1, 2, 3 and 5 rows (the
-    # last three ragged at 1, 1 and 2 rows), then one row by 1, 2 or 4
-    # columns (the last two ragged)
-    for block in (evaluate.BLOCK_ANGLES, 84, 168, 252, 420, 12, 24, 48):
-        monkeypatch.setattr(evaluate, "BLOCK_ANGLES", block)
+    # 84 angles a row at 32 bytes an angle: one block, then blocks of 1, 2,
+    # 3 and 5 rows (the last three ragged at 1, 1 and 2 rows), then one row
+    # by 1, 2 or 4 columns (the last two ragged)
+    for budget in (geo.BLOCK_BYTES, *(32 * a for a in (84, 168, 252, 420, 12, 24, 48))):
+        monkeypatch.setattr(geo, "BLOCK_BYTES", budget)
         dmat = sequence_distance_matrix(list(seqs))
         assert dmat.tobytes() == rows.tobytes()
         assert np.array_equal(dmat, dmat.T)
@@ -225,6 +226,18 @@ def test_disco_test_seeded_and_add_one():
         disco_test(group_a, group_b, n_perm=0)
 
 
+def test_disco_test_refuses_n_perm_before_any_distance(monkeypatch):
+    def no_distances(seqs):
+        raise AssertionError("disco_test computed distances before checking n_perm")
+
+    monkeypatch.setattr(evaluate, "sequence_distance_matrix", no_distances)
+    rng = np.random.default_rng(7)
+    group = [rand_seq(rng) for _ in range(3)]
+    for n_perm in (0, -5):
+        with pytest.raises(BadTarget, match="n_perm must be positive"):
+            disco_test(group, group, n_perm=n_perm)
+
+
 def test_disco_test_calibrated_under_the_null():
     rng = np.random.default_rng(8)
     rejections = 0
@@ -308,10 +321,11 @@ def as_tuple(result):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 60), st.integers(0, 2**32 - 1),
        st.sampled_from([0.0, 0.3, 1.0]), st.booleans(),
-       st.sampled_from([evaluate.BLOCK_ANGLES, 1, 45, 600]))
-def test_disco_test_equals_per_permutation_loop(na, nb, n_perm, seed, shift, twins, block):
+       st.sampled_from([geo.BLOCK_BYTES, 48, 48 * 45, 48 * 600]))
+def test_disco_test_equals_per_permutation_loop(na, nb, n_perm, seed, shift, twins, budget):
+    # 48 bytes a label entry: one split a block, then 45 or 600 entries
     group_a, group_b = disco_groups(seed, na, nb, shift, twins)
-    with mock.patch.object(evaluate, "BLOCK_ANGLES", block):
+    with mock.patch.object(geo, "BLOCK_BYTES", budget):
         result = disco_test(group_a, group_b, n_perm=n_perm, seed=seed)
     expected = loop_disco_test(group_a, group_b, n_perm, seed=seed)
     assert np.array(as_tuple(result)).tobytes() == np.array(expected).tobytes()
@@ -319,10 +333,11 @@ def test_disco_test_equals_per_permutation_loop(na, nb, n_perm, seed, shift, twi
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1),
-       st.sampled_from([0.0, 0.3, 1.0]), st.booleans(), st.sampled_from([evaluate.BLOCK_ANGLES, 1, 30]))
-def test_exhaustive_disco_test_equals_enumeration_loop(na, nb, seed, shift, twins, block):
+       st.sampled_from([0.0, 0.3, 1.0]), st.booleans(),
+       st.sampled_from([geo.BLOCK_BYTES, 48, 48 * 30]))
+def test_exhaustive_disco_test_equals_enumeration_loop(na, nb, seed, shift, twins, budget):
     group_a, group_b = disco_groups(seed, na, nb, shift, twins)
-    with mock.patch.object(evaluate, "BLOCK_ANGLES", block):
+    with mock.patch.object(geo, "BLOCK_BYTES", budget):
         result = disco_test(group_a, group_b, exhaustive=True)
     expected = loop_disco_test(group_a, group_b, 0, exhaustive=True)
     assert np.array(as_tuple(result)).tobytes() == np.array(expected).tobytes()
@@ -366,6 +381,24 @@ def test_cluster_determinism_and_objective_consistency():
     # descent never ends worse than its seeded start
     start = np.sort(np.random.default_rng(3).choice(25, size=4, replace=False))
     assert m1.objective <= dmat[:, start].min(axis=1).sum() + 1e-12
+
+
+def test_swap_scan_blocks_keep_medoids_and_objective_bits(monkeypatch):
+    rng = np.random.default_rng(16)
+    postures = unit(rng.normal(size=(25, 2, 3)))
+    runs = []
+    # 8 bytes an entry of a 25-row column: scans of 1 column, ragged runs of
+    # 4 and 7 columns (the last 1 and 4 wide), and the whole matrix at once
+    for budget in (8 * 25, 8 * 25 * 4, 8 * 25 * 7, geo.BLOCK_BYTES):
+        monkeypatch.setattr(geo, "BLOCK_BYTES", budget)
+        model = cluster_postures(postures, k=4, seed=3)
+        best_k, scores = select_k(postures, k_min=2, k_max=6, seed=5)
+        runs.append((model.medoid_indices.tolist(), np.float64(model.objective).tobytes(),
+                     best_k, np.array(list(scores.values())).tobytes()))
+    assert all(run == runs[-1] for run in runs)
+    # the descent moved: the medoids are not its seeded start
+    start = np.sort(np.random.default_rng(3).choice(25, size=4, replace=False))
+    assert runs[-1][0] != start.tolist()
 
 
 def test_cluster_errors():
@@ -513,6 +546,21 @@ def test_mean_label_sequence_rejects_mixed_shapes_and_no_sequences():
         mean_label_sequence([seq, seq[:-1]], model)
     with pytest.raises(InsufficientData):
         mean_label_sequence([], model)
+
+
+def test_mean_label_sequence_means_equal_per_frame_karcher_means(monkeypatch):
+    rng = np.random.default_rng(19)
+    base = unit(rng.normal(size=(3, 3)))
+    seqs = [unit(base + 0.4 * rng.normal(size=(7, 3, 3))) for _ in range(5)]
+    stack = np.stack(seqs)
+    expected = np.stack([geo.karcher_mean(stack[:, t]) for t in range(7)])
+    # quantize's input is the stack of per-frame means
+    monkeypatch.setattr(evaluate, "quantize", lambda means, model: means)
+    frame = 6 * stack[:, 0].nbytes
+    # blocks of 1 frame, of 3 (the last ragged at 1) and of all 7
+    for budget in (frame, 3 * frame, 7 * frame, geo.BLOCK_BYTES):
+        monkeypatch.setattr(geo, "BLOCK_BYTES", budget)
+        assert mean_label_sequence(seqs, None).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------- roughness

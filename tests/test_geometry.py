@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from motionemu import geometry as geo
-from motionemu.errors import (AntipodalPoints, DimensionMismatch, NoConvergence,
-                              NotTangent)
+from motionemu.errors import (AntipodalPoints, DimensionMismatch, MotionError,
+                              NoConvergence, NotTangent)
 
 E1, E2, E3 = np.eye(3)
 
@@ -295,6 +295,60 @@ def test_karcher_reports_nonconvergence():
     with pytest.raises(NoConvergence) as info:
         geo.karcher_mean(cloud, max_iter=1)
     assert info.value.residual > 0.0
+
+
+def stacked_sets(rng, m, b, bones, spread):
+    """A (m, b, bones, 3) stack of b posture sets: set 0 holds m copies of
+    one posture, set 1 (with m a multiple of 3) has a first bone whose
+    samples sit 120 degrees apart on a great circle, so that its chordal
+    mean collapses, and the others scatter by their own random spread, so
+    that they converge after different numbers of iterations."""
+    base = rand_unit(rng, b, bones)
+    scales = spread * rng.uniform(size=(b, 1, 1))
+    stack = base + scales * rng.standard_normal((m, b, bones, 3))
+    stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
+    stack[:, 0] = stack[0, 0]
+    if b > 1 and m % 3 == 0:
+        u, w = np.linalg.qr(rng.standard_normal((3, 2)))[0].T
+        angles = 2 * np.pi * np.arange(m) / 3
+        stack[:, 1, 0] = np.cos(angles)[:, None] * u + np.sin(angles)[:, None] * w
+    return stack
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 5), st.integers(1, 4), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_stacked_means_equal_one_set_calls_bitwise(m, b, bones, spread, seed):
+    stack = stacked_sets(np.random.default_rng(seed), m, b, bones, spread)
+    try:
+        expected = np.stack([geo.karcher_mean(stack[:, j]) for j in range(b)])
+    except MotionError as exc:
+        with pytest.raises(type(exc)):
+            geo._karcher_means(stack)
+        return
+    assert geo._karcher_means(stack).tobytes() == expected.tobytes()
+    if m in (1, 2):  # the chordal mean of one or two copies is exact
+        assert expected[0].tobytes() == stack[0, 0].tobytes()
+
+
+def test_stacked_means_report_the_largest_unconverged_residual():
+    stack = stacked_sets(np.random.default_rng(15), 9, 4, 1, 0.8)
+    residuals = []
+    for j in range(4):
+        try:
+            geo.karcher_mean(stack[:, j], max_iter=2)
+        except NoConvergence as exc:
+            residuals.append(exc.residual)
+    # the identical and collapsed sets converge, the other two do not
+    assert len(residuals) == 2 and residuals[0] != residuals[1]
+    with pytest.raises(NoConvergence) as info:
+        geo._karcher_means(stack, max_iter=2)
+    assert info.value.residual == max(residuals)
+    for run in (lambda: geo._karcher_means(stack, max_iter=0),
+                lambda: geo.karcher_mean(stack[:, 0], max_iter=0)):
+        with pytest.raises(NoConvergence) as info:
+            run()
+        assert info.value.residual == np.inf
 
 
 def test_sequence_dist_mean_over_frames():

@@ -230,6 +230,38 @@ def test_pwi_identical_training():
         fit_pwi([seq])
 
 
+def pwi_per_frame(seqs, diagonal):
+    """fit_pwi's means and covariances, one frame at a time."""
+    stack = np.stack(seqs)
+    means, covs = [], []
+    for k in range(stack.shape[1]):
+        mu = geo.karcher_mean(stack[:, k])
+        coords = geo.tangent_coords(mu, geo.sphere_log(mu, stack[:, k]))
+        cov = coords.T @ coords / (len(seqs) - 1)
+        if diagonal:
+            cov = np.diag(np.diag(cov))
+        means.append(mu)
+        covs.append((cov + cov.T) / 2.0)
+    return np.stack(means), np.stack(covs)
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_pwi_fit_equals_per_frame_loop_at_every_block_height(diagonal, monkeypatch):
+    seqs = training_set(5, t=7, seed=41)
+    means, covs = pwi_per_frame(seqs, diagonal)
+    frame = 6 * np.stack(seqs)[:, 0].nbytes
+    # blocks of 1 frame, of 3 (the last ragged at 1) and of all 7
+    for budget in (frame, 3 * frame, 7 * frame, geo.BLOCK_BYTES):
+        monkeypatch.setattr(geo, "BLOCK_BYTES", budget)
+        model = fit_pwi(seqs, diagonal=diagonal)
+        assert model.means.tobytes() == means.tobytes()
+        assert model.covariances.tobytes() == covs.tobytes()
+    if diagonal:
+        off = ~np.eye(4, dtype=bool)
+        assert np.all(model.covariances[:, off] == 0.0)
+        assert not np.signbit(model.covariances[:, off]).any()
+
+
 def test_pwi_fit_rejects_mixed_shapes_and_no_sequences():
     seq = curved_seq(np.linspace(0.0, 1.0, 7))
     with pytest.raises(DimensionMismatch):
