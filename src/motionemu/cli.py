@@ -535,6 +535,12 @@ def _add_synth_flags(p):
         p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
 
+def _add_reduce_flags(p):
+    for name, kind, default in (("d1", int, None), ("d2", int, None),
+                                ("var1", float, 0.9), ("var2", float, 0.95)):
+        p.add_argument("--" + name, type=kind, default=default)
+
+
 def _add_fit_flags(p):
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--var-index", type=int, default=0)
@@ -574,10 +580,7 @@ def build_parser():
     p = leaf(sub, "reduce", cmd_reduce, "fit dimension reductions on fields")
     p.add_argument("--input", required=True)
     p.add_argument("--method", default="seqpca", choices=("seqpca", "spatialpca"))
-    p.add_argument("--d1", type=int, default=None)
-    p.add_argument("--d2", type=int, default=None)
-    p.add_argument("--var1", type=float, default=0.9)
-    p.add_argument("--var2", type=float, default=0.95)
+    _add_reduce_flags(p)
 
     p = leaf(sub, "fit", cmd_fit, "fit an emulator bundle")
     p.add_argument("--scheme", required=True)
@@ -629,10 +632,7 @@ def build_parser():
     _add_synth_flags(p)
     p.add_argument("--scheme", default="istvf/seqpca/ig")
     p.add_argument("--ref-index", type=int, default=0)
-    p.add_argument("--d1", type=int, default=None)
-    p.add_argument("--d2", type=int, default=None)
-    p.add_argument("--var1", type=float, default=0.9)
-    p.add_argument("--var2", type=float, default=0.95)
+    _add_reduce_flags(p)
     _add_fit_flags(p)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--n-perm", type=int, default=199)

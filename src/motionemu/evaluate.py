@@ -21,6 +21,8 @@ from . import geometry as geo
 from .dimred import _top_eigenpairs
 from .errors import BadTarget, DimensionMismatch, InsufficientData, LengthMismatch
 
+MAX_SWEEPS = 200  # most swaps one k-medoids descent applies
+
 
 def _pairwise(stack):
     """Summed bone angles between all row pairs of a (N, K, 3) stack.
@@ -144,14 +146,13 @@ class ClusterModel:
     objective: float
 
 
-def cluster_postures(postures, k: int, seed=None, max_sweeps: int = 200) -> ClusterModel:
+def cluster_postures(postures, k: int, seed=None) -> ClusterModel:
     """K-medoids under the intrinsic posture distance (swap descent).
 
-    Starts from a seeded random draw of k distinct medoids and repeatedly
-    applies the best single medoid/non-medoid swap until no swap lowers
-    the total assignment distance.  Deterministic for a given seed; the
-    objective never increases.
-    """
+    Starts from a seeded random draw of k distinct medoids and applies the
+    best single medoid/non-medoid swap, at most MAX_SWEEPS times, until no
+    swap lowers the total assignment distance.  Deterministic for a given
+    seed; the objective never increases."""
     postures = geo._check_postures(postures)
     n = postures.shape[0]
     if k < 1:
@@ -159,36 +160,34 @@ def cluster_postures(postures, k: int, seed=None, max_sweeps: int = 200) -> Clus
     if k > n:
         raise InsufficientData(f"need at least {k} postures, got {n}")
     dmat = posture_distance_matrix(postures)
-    medoids, objective = _swap_descent(dmat, k, np.random.default_rng(seed), max_sweeps)
+    medoids, objective = _swap_descent(dmat, k, np.random.default_rng(seed))
     return ClusterModel(modes=postures[medoids].copy(), medoid_indices=medoids.copy(),
                         objective=objective)
 
 
-def _swap_descent(dmat, k, rng, max_sweeps=200):
+def _swap_descent(dmat, k, rng):
+    """Each sweep fills the (k, n) objective change of every slot/candidate
+    swap (FastPAM1; Schubert & Rousseeuw, SISAP 2019) in column blocks at 24
+    bytes an entry, and applies its row-major argmin if that gains > 1e-15."""
     n = dmat.shape[0]
     medoids = np.sort(rng.choice(n, size=k, replace=False))
-    objective = float(dmat[:, medoids].min(axis=1).sum())
-    chunk = geo._block_items(8 * n)
-    for _ in range(max_sweeps):
-        best_gain, best_slot, best_cand = 0.0, -1, -1
-        for slot in range(k):
-            others = np.delete(medoids, slot)
-            rest = dmat[:, others].min(axis=1) if others.size else np.full(n, np.inf)
-            cand_obj = np.empty(n)
-            for lo in range(0, n, chunk):
-                hi = min(lo + chunk, n)
-                cand_obj[lo:hi] = np.minimum(rest[:, None], dmat[:, lo:hi]).sum(axis=0)
-            cand = int(np.argmin(cand_obj))
-            gain = objective - float(cand_obj[cand])
-            if gain > best_gain + 1e-15:
-                best_gain, best_slot, best_cand = gain, slot, cand
-        if best_slot < 0:
+    cols = geo._block_items(24 * n)  # two minima and their difference
+    delta = np.empty((k, n))
+    for _ in range(MAX_SWEEPS):
+        # nearest and second-nearest medoid distances; inf when k = 1
+        near = np.column_stack([dmat[:, medoids], np.full(n, np.inf)])
+        d1, d2 = np.partition(near, 1, axis=1)[:, :2].T[:, :, None]
+        owner = (near.argmin(axis=1) == np.arange(k)[:, None]).astype(float)
+        for lo in range(0, n, cols):
+            kept = np.minimum(dmat[:, lo:lo + cols], d1)
+            lost = np.minimum(dmat[:, lo:lo + cols], d2) - kept
+            delta[:, lo:lo + cols] = (kept - d1).sum(axis=0) + owner @ lost
+        slot, cand = np.unravel_index(np.argmin(delta), delta.shape)
+        if not delta[slot, cand] < -1e-15:
             break
-        medoids[best_slot] = best_cand
-        medoids = np.sort(medoids)
-        objective -= best_gain
-    objective = float(dmat[:, medoids].min(axis=1).sum())
-    return medoids, objective
+        medoids[slot] = cand
+        medoids.sort()
+    return medoids, float(dmat[:, medoids].min(axis=1).sum())
 
 
 def silhouette_score(dmat, labels) -> float:

@@ -2,7 +2,7 @@
 variability, roughness, MDS embedding, and Q-Q helpers."""
 
 from itertools import combinations
-from math import comb
+from math import comb, fsum
 import re
 from unittest import mock
 
@@ -387,9 +387,9 @@ def test_swap_scan_blocks_keep_medoids_and_objective_bits(monkeypatch):
     rng = np.random.default_rng(16)
     postures = unit(rng.normal(size=(25, 2, 3)))
     runs = []
-    # 8 bytes an entry of a 25-row column: scans of 1 column, ragged runs of
-    # 4 and 7 columns (the last 1 and 4 wide), and the whole matrix at once
-    for budget in (8 * 25, 8 * 25 * 4, 8 * 25 * 7, geo.BLOCK_BYTES):
+    # 24 bytes an entry of a 25-row column: tables filled 1 column at a time,
+    # in ragged runs of 4 and 7 columns (the last 1 and 4 wide), and at once
+    for budget in (24 * 25, 24 * 25 * 4, 24 * 25 * 7, geo.BLOCK_BYTES):
         monkeypatch.setattr(geo, "BLOCK_BYTES", budget)
         model = cluster_postures(postures, k=4, seed=3)
         best_k, scores = select_k(postures, k_min=2, k_max=6, seed=5)
@@ -399,6 +399,87 @@ def test_swap_scan_blocks_keep_medoids_and_objective_bits(monkeypatch):
     # the descent moved: the medoids are not its seeded start
     start = np.sort(np.random.default_rng(3).choice(25, size=4, replace=False))
     assert runs[-1][0] != start.tolist()
+
+
+def point_distances(seed, n):
+    """Euclidean distances of n random points in R^3: exactly symmetric,
+    zero on the diagonal."""
+    x = np.random.default_rng(seed).normal(size=(n, 3))
+    return np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=2))
+
+
+def slot_scan_descent(dmat, k, rng):
+    """The slot-by-slot swap descent the swap table replaced, kept as the
+    reference.  Also reports whether some sweep met a near-tie, where
+    rounding rather than the objective picks the move: a best swap gain
+    within 1e-9 of zero (a two-point cluster whose medoid and member trade
+    places gains exactly nothing), or two gains of a sweep that moves
+    within 1e-9 of each other."""
+    n = dmat.shape[0]
+    medoids = np.sort(rng.choice(n, size=k, replace=False))
+    objective = float(dmat[:, medoids].min(axis=1).sum())
+    tied = False
+    for _ in range(evaluate.MAX_SWEEPS):
+        best_gain, best_slot, best_cand = 0.0, -1, -1
+        gains = []
+        for slot in range(k):
+            others = np.delete(medoids, slot)
+            rest = dmat[:, others].min(axis=1) if others.size else np.full(n, np.inf)
+            cand_obj = np.minimum(rest[:, None], dmat).sum(axis=0)
+            gains.append(np.delete(objective - cand_obj, medoids))
+            cand = int(np.argmin(cand_obj))
+            gain = objective - float(cand_obj[cand])
+            if gain > best_gain + 1e-15:
+                best_gain, best_slot, best_cand = gain, slot, cand
+        top = np.sort(np.concatenate(gains))[::-1][:2]
+        if top.size:
+            tied |= bool(abs(top[0]) < 1e-9 or top[0] > 0 and top.size > 1
+                         and top[0] - top[1] < 1e-9)
+        if best_slot < 0:
+            break
+        medoids[best_slot] = best_cand
+        medoids = np.sort(medoids)
+        objective -= best_gain
+    return medoids, float(dmat[:, medoids].min(axis=1).sum()), tied
+
+
+def assert_swap_stable(dmat, medoids):
+    """No single medoid/non-medoid swap lowers the exactly summed objective
+    by more than 1e-15."""
+    def cost(m):
+        return fsum(dmat[:, m].min(axis=1))
+
+    base = cost(medoids)
+    for slot in range(medoids.size):
+        for cand in np.setdiff1d(np.arange(dmat.shape[0]), medoids):
+            assert cost(np.append(np.delete(medoids, slot), cand)) >= base - 1e-15
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 40), st.data())
+def test_swap_table_matches_slot_scan(n, data):
+    k = data.draw(st.integers(1, n))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    dmat = point_distances(seed, n)
+    medoids, objective = evaluate._swap_descent(dmat, k, np.random.default_rng(seed))
+    expected, expected_objective, tied = slot_scan_descent(dmat, k, np.random.default_rng(seed))
+    if not tied:
+        assert medoids.tolist() == expected.tolist()
+        assert np.float64(objective).tobytes() == np.float64(expected_objective).tobytes()
+    assert objective == float(dmat[:, medoids].min(axis=1).sum())
+    assert_swap_stable(dmat, medoids)
+
+
+def test_one_medoid_takes_least_distance_sum():
+    rng = np.random.default_rng(17)
+    for seed in range(6):
+        dmat = point_distances(seed, 5 + 7 * seed)
+        medoids, _ = evaluate._swap_descent(dmat, 1, np.random.default_rng(seed))
+        assert medoids.tolist() == [int(np.argmin(dmat.sum(axis=0)))]
+        postures = unit(rng.normal(size=(5 + 7 * seed, 3, 3)))
+        model = cluster_postures(postures, k=1, seed=seed)
+        sums = posture_distance_matrix(postures).sum(axis=0)
+        assert model.medoid_indices.tolist() == [int(np.argmin(sums))]
 
 
 def test_cluster_errors():
