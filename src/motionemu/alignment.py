@@ -132,16 +132,12 @@ def warp_field(field: TSRVFField, gamma) -> TSRVFField:
 
 def _coord_dots(x, y):
     """Sums over the last axis of x * y, for x and y broadcasting to (..., D),
-    added one coordinate at a time in index order as _dot's cumulative sum
-    adds them; a BLAS product sums in another order, with other last bits."""
+    added one coordinate at a time in index order; a BLAS product sums in
+    another order, with other last bits."""
     total = x[..., 0] * y[..., 0]
     for d in range(1, x.shape[-1]):
         total += x[..., d] * y[..., d]
     return total
-
-
-def _dot(x, y):
-    return np.cumsum(x * y)[-1]
 
 
 def _gap(r, root, aa, bb, ab):
@@ -215,12 +211,12 @@ def dp_edge_cost(v1, v2, dt, start, end):
         base = i0 + int(np.floor(c))
         frac = c - np.floor(c)
         b = v2[j0 + k]
-        a, ab = v1[base], _dot(v1[base], b)
+        a, ab = v1[base], _coord_dots(v1[base], b)
         if frac > 0:
             a = (1.0 - frac) * v1[base] + frac * v1[base + 1]
-            ab = (1.0 - frac) * ab + frac * _dot(v1[base + 1], b)
+            ab = (1.0 - frac) * ab + frac * _coord_dots(v1[base + 1], b)
         weight = 0.5 if k in (0, dj) else 1.0
-        total += weight * float(_gap(r, root, _dot(a, a), _dot(b, b), ab))
+        total += weight * float(_gap(r, root, _coord_dots(a, a), _coord_dots(b, b), ab))
     return dt * total
 
 

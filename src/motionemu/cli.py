@@ -80,7 +80,7 @@ def parse_scheme(text: str):
     if len(parts) != 3:
         raise KindMismatch(f"scheme {text!r} is not <repr>/<dimred>/<model> or 'pwi'")
     kind, red, model = parts
-    if kind not in ("istvf", "siem"):
+    if kind not in models.EMULATOR_KINDS:
         raise KindMismatch(f"unknown representation {kind!r}")
     if red not in ("seqpca", "spatialpca"):
         raise KindMismatch(f"unknown reduction {red!r}")

@@ -269,12 +269,8 @@ def mean_label_sequence(seqs, model: ClusterModel):
     """Quantized per-frame intrinsic mean of a set of sequences: the
     reference label string for variability summaries."""
     stack = np.stack(geo._check_same_shape(seqs, 1, "sequences"))
-    frames = geo._check_postures(stack[0], least=1).shape[0]
-    # sphere_log keeps about six frames' worth of temporaries live
-    step = geo._block_items(6 * stack[:, 0].nbytes)
-    means = np.concatenate([geo._karcher_means(stack[:, lo:lo + step])
-                            for lo in range(0, frames, step)])
-    return quantize(means, model)
+    geo._check_postures(stack[0], least=1)
+    return quantize(geo.karcher_mean(stack), model)
 
 
 def roughness(seq):

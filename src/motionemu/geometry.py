@@ -150,9 +150,10 @@ def tangent_frame(base):
     """Deterministic orthonormal basis of the tangent plane at each bone.
 
     For every unit vector the two frame vectors come from Gram-Schmidt of
-    the global coordinate axes against it: the axes are visited in order
-    of increasing |dot| with the bone direction (ties broken by axis
-    index) and the first two with a non-negligible residual are kept.
+    the two global coordinate axes least aligned with it (|dot| ascending,
+    ties broken by axis index) against it.  The second axis keeps a
+    residual of norm |base.ax2| / sqrt(1 - (base.ax0)^2) >= 1/sqrt(2),
+    ax2 being the most aligned axis, so the frame never degenerates.
 
     Parameters
     ----------
@@ -163,24 +164,12 @@ def tangent_frame(base):
     (b1, b2) : pair of ndarray, shape (..., 3)
     """
     base = np.asarray(base, dtype=float)
-    absdot = np.abs(base)
-    order = np.argsort(absdot, axis=-1, kind="stable")
+    order = np.argsort(np.abs(base), axis=-1, kind="stable")
     eye = np.eye(3)
-    ax0 = eye[order[..., 0]]
-    ax1 = eye[order[..., 1]]
-    ax2 = eye[order[..., 2]]
-
+    ax0, ax1 = eye[order[..., 0]], eye[order[..., 1]]
     b1 = ax0 - _dot(ax0, base)[..., None] * base
     b1 = b1 / np.linalg.norm(b1, axis=-1, keepdims=True)
-
-    def residual(ax):
-        r = ax - _dot(ax, base)[..., None] * base - _dot(ax, b1)[..., None] * b1
-        return r, np.linalg.norm(r, axis=-1)
-
-    r1, n1 = residual(ax1)
-    r2, _ = residual(ax2)
-    use_next = n1 < 1e-6
-    b2 = np.where(use_next[..., None], r2, r1)
+    b2 = ax1 - _dot(ax1, base)[..., None] * base - _dot(ax1, b1)[..., None] * b1
     b2 = b2 / np.linalg.norm(b2, axis=-1, keepdims=True)
     return b1, b2
 
@@ -206,11 +195,9 @@ def tangent_coords(base, v):
     v = np.asarray(v, dtype=float)
     if base.shape[-2:] != v.shape[-2:]:
         raise DimensionMismatch(f"tangent shape {v.shape} does not match base {base.shape}")
-    lead = np.broadcast_shapes(base.shape[:-2], v.shape[:-2])
     b1, b2 = tangent_frame(base)
     c = np.stack([_dot(v, b1), _dot(v, b2)], axis=-1)
-    c = np.broadcast_to(c, lead + c.shape[-2:])
-    return c.reshape(lead + (2 * base.shape[-2],))
+    return c.reshape(c.shape[:-2] + (2 * base.shape[-2],))
 
 
 def coords_to_tangent(base, coords):
@@ -226,54 +213,64 @@ def coords_to_tangent(base, coords):
 
 
 def karcher_mean(postures, tol=1e-9, max_iter=200):
-    """Intrinsic mean of a set of postures by Riemannian gradient descent.
+    """Intrinsic mean of a set of postures, or of each set of a stack, by
+    Riemannian gradient descent.
 
     Starts from the bone-wise normalized extrinsic mean and repeatedly
     shoots along the mean tangent vector (unit step) until the gradient
-    norm drops below tol.
+    norm drops below tol.  A stack is iterated in blocks of sets sized by
+    BLOCK_BYTES; within a block a set stops moving once it converges, so
+    every mean keeps the bits of its own one-set call.
 
     Parameters
     ----------
-    postures : ndarray, shape (M, n-1, 3)
+    postures : ndarray, shape (M, n-1, 3) or (M, B, n-1, 3)
+        One set of M postures, or B sets, set b being postures[:, b].
     tol : float
         Convergence threshold on the norm of the mean log.
     max_iter : int
-        Iteration budget; NoConvergence carries the last residual.
+        Iteration budget; NoConvergence carries the largest residual of
+        the unconverged sets of the first block that does not converge.
 
     Returns
     -------
-    ndarray, shape (n-1, 3)
+    ndarray, shape (n-1, 3) or (B, n-1, 3)
     """
-    return _karcher_means(_check_postures(postures, least=1)[:, None], tol, max_iter)[0]
-
-
-def _karcher_means(stack, tol=1e-9, max_iter=200):
-    """karcher_mean of each set of a (M, B, n-1, 3) stack, set b being
-    stack[:, b], in one iteration over all B sets; returns (B, n-1, 3).  A
-    set stops moving once its residual is below tol, so every mean keeps
-    the bits of its own karcher_mean call.  NoConvergence carries the
-    largest residual of the sets that did not converge."""
-    chordal = stack.mean(axis=0)
-    norms = np.linalg.norm(chordal, axis=-1, keepdims=True)
-    # Renormalizing a row that is already unit length must not perturb it,
-    # so the mean of identical postures whose sum divides back exactly (one
-    # or two copies, say) is that posture bitwise.
-    norms = np.where(np.abs(norms - 1.0) <= 4 * np.finfo(float).eps, 1.0, norms)
-    # A collapsed extrinsic mean gives no usable direction; start from a sample.
-    degenerate = norms[..., 0] < EPS_ZERO
-    mu = np.where(degenerate[..., None], stack[0], chordal / np.where(norms < EPS_ZERO, 1.0, norms))
-    residual = np.full(stack.shape[1], np.inf)
-    moving = np.ones(stack.shape[1], dtype=bool)
-    for _ in range(max_iter):
-        grad = sphere_log(mu, stack).mean(axis=0)
-        residual = tangent_norm(grad)
-        # a NaN residual never converges
-        moving &= ~(residual < tol)
-        if not moving.any():
-            return mu
-        mu = np.where(moving[:, None, None], sphere_exp(mu, grad), mu)
-    raise NoConvergence("intrinsic mean did not converge",
-                        residual=float(residual[moving].max()))
+    x = np.asarray(postures, dtype=float)
+    if x.ndim not in (3, 4) or x.shape[0] < 1 or x.shape[-1] != 3:
+        raise DimensionMismatch("expected (M, n-1, 3) postures or an (M, B, n-1, 3) stack "
+                                f"with M >= 1, got {x.shape}")
+    stack = x[:, None] if x.ndim == 3 else x
+    means = np.empty(stack.shape[1:])
+    # sphere_log keeps about six sets' worth of temporaries live
+    step = _block_items(6 * stack[:, 0].nbytes)
+    for lo in range(0, stack.shape[1], step):
+        sets = stack[:, lo:lo + step]
+        chordal = sets.mean(axis=0)
+        norms = np.linalg.norm(chordal, axis=-1, keepdims=True)
+        # Renormalizing a row that is already unit length must not perturb it,
+        # so the mean of identical postures whose sum divides back exactly (one
+        # or two copies, say) is that posture bitwise.
+        norms = np.where(np.abs(norms - 1.0) <= 4 * np.finfo(float).eps, 1.0, norms)
+        # A collapsed extrinsic mean gives no usable direction; start from a sample.
+        degenerate = norms[..., 0] < EPS_ZERO
+        mu = np.where(degenerate[..., None], sets[0],
+                      chordal / np.where(norms < EPS_ZERO, 1.0, norms))
+        residual = np.full(sets.shape[1], np.inf)
+        moving = np.ones(sets.shape[1], dtype=bool)
+        for _ in range(max_iter):
+            grad = sphere_log(mu, sets).mean(axis=0)
+            residual = tangent_norm(grad)
+            # a NaN residual never converges
+            moving &= ~(residual < tol)
+            if not moving.any():
+                break
+            mu = np.where(moving[:, None, None], sphere_exp(mu, grad), mu)
+        else:
+            raise NoConvergence("intrinsic mean did not converge",
+                                residual=float(residual[moving].max()))
+        means[lo:lo + step] = mu
+    return means[0] if x.ndim == 3 else means
 
 
 def _check_postures(x, least=0):

@@ -246,19 +246,17 @@ def fit_pwi(seqs, diagonal: bool = False) -> PWIModel:
     stack = np.stack(geo._check_same_shape(seqs, 2, "sequences"))
     t, bones, _ = geo._check_postures(stack[0], least=1).shape
     m, dim = stack.shape[0], 2 * bones
-    means = np.empty((t, bones, 3))
+    means = geo.karcher_mean(stack)
     covs = np.empty((t, dim, dim))
     # sphere_log keeps about six frames' worth of temporaries live
     step = geo._block_items(6 * stack[:, 0].nbytes)
     for lo in range(0, t, step):
-        frames = stack[:, lo:lo + step]
-        mu = geo._karcher_means(frames)
+        frames, mu = stack[:, lo:lo + step], means[lo:lo + step]
         coords = np.swapaxes(geo.tangent_coords(mu, geo.sphere_log(mu, frames)), 0, 1)
         cov = np.swapaxes(coords, -1, -2) @ coords / (m - 1)
         if diagonal:
             # where() keeps the off-diagonal zeros positive, as written to files
             cov = np.where(np.eye(dim, dtype=bool), cov, 0.0)
-        means[lo:lo + step] = mu
         covs[lo:lo + step] = (cov + np.swapaxes(cov, -1, -2)) / 2.0
     return PWIModel(means=means, covariances=covs, diagonal=diagonal)
 
@@ -279,6 +277,8 @@ def sample_pwi(model: PWIModel, seed=None):
 
 
 MODEL_TYPES = ("mvg", "ig", "var", "pwi")
+# flattenings that back a reduced-field emulator; mtvf decodes lossily
+EMULATOR_KINDS = ("istvf", "siem")
 
 
 @dataclass
@@ -321,6 +321,8 @@ def fit_bundle(fields, spatial: SpatialPCA, fpca: FPCABasis | None, model_type: 
             raise DimensionMismatch(f"field {i} has no start posture; the start policy "
                                     "needs one per training field")
     first = fields[0]
+    if first.kind not in EMULATOR_KINDS:
+        raise KindMismatch(f"flattening kind {first.kind!r} cannot back an emulator")
     scores = [dimred.spatial_project(f, spatial) for f in fields]
     starts = np.stack([f.start for f in fields])
     if start_policy == "training-mean":
@@ -369,7 +371,7 @@ def fit_emulator(seqs, kind: str = "istvf", model_type: str = "ig",
         return EmulatorBundle(kind="intrinsic", model_type="pwi", model=model,
                               length=seqs[0].shape[0], meta={"count": len(seqs)})
 
-    if kind not in ("istvf", "siem"):
+    if kind not in EMULATOR_KINDS:
         raise KindMismatch(f"flattening kind {kind!r} cannot back an emulator")
     if reference is None:
         reference = geo.karcher_mean(np.concatenate(seqs, axis=0))

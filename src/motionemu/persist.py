@@ -13,7 +13,7 @@ from .dimred import FPCABasis, SpatialPCA
 from .errors import DimensionMismatch, KindMismatch
 from .flatten import VELOCITY_KINDS
 from .io import read_doc, write_doc
-from .models import EmulatorBundle, IGModel, MVGModel, PWIModel, VARModel
+from .models import EMULATOR_KINDS, EmulatorBundle, IGModel, MVGModel, PWIModel, VARModel
 
 BUNDLE_DOC = "emulator-bundle"
 REDUCTION_DOC = "reduction"
@@ -137,9 +137,10 @@ def load_bundle(path) -> EmulatorBundle:
     doctype, version, doc = read_doc(path)
     if doctype != BUNDLE_DOC or version != VERSION:
         raise DimensionMismatch(f"{path}: not a version-{VERSION} bundle document")
-    # model_type fixes the stages: pwi has no reduction, var a spatial one
-    # only, mvg and ig both; a posture-wise bundle has no reference, and
-    # only a VAR bundle has initial lags
+    # model_type fixes the stages and the kind: pwi has no reduction and is
+    # 'intrinsic', var a spatial one only, mvg and ig both, and those three
+    # need an emulator flattening; a posture-wise bundle has no reference,
+    # and only a VAR bundle has initial lags
     model_type, kind = doc.entry("model_type", "s"), doc.entry("kind", "s")
     has_spatial, has_fpca = model_type != "pwi", model_type in ("mvg", "ig")
     wrong = [name for name, tag, want in [("has_spatial", "i", has_spatial),
@@ -147,6 +148,8 @@ def load_bundle(path) -> EmulatorBundle:
                                           ("model.family", "s", model_type)]
              if doc.entry(name, tag) != want]
     _check_sizes(doc, wrong, not wrong, f"'model_type' = {model_type}")
+    kinds = ("intrinsic",) if model_type == "pwi" else EMULATOR_KINDS
+    _check_sizes(doc, ["kind"], kind in kinds, f"'model_type' = {model_type}")
     reference = doc.entry("reference", "x" if model_type == "pwi" else "m")
     var_init = doc.entry("var_init", "m" if model_type == "var" else "x")
     if var_init is not None:

@@ -21,12 +21,17 @@ def stack_shaped(shape):
     return len(shape) == 3 and shape[0] >= 1 and shape[2] == 3
 
 
+def set_or_stack_shaped(shape):
+    """(M, n-1, 3) or a stack of sets (M, B, n-1, 3), with M >= 1."""
+    return len(shape) in (3, 4) and shape[0] >= 1 and shape[-1] == 3
+
+
 def broadcast_posture_shaped(shape):
     return len(shape) >= 2 and shape[-1] == 3
 
 
 CALLS = {
-    "karcher_mean": (geometry.karcher_mean, stack_shaped),
+    "karcher_mean": (geometry.karcher_mean, set_or_stack_shaped),
     "posture_dist": (lambda x: geometry.posture_dist(x, x), broadcast_posture_shaped),
     "sequence_dist": (lambda x: geometry.sequence_dist(x, x), stack_shaped),
     "flatten_sequence": (lambda x: flatten.flatten_sequence(x, REF, "istvf"), stack_shaped),

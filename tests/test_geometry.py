@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -243,6 +245,81 @@ def test_tangent_frame_orthonormal():
     assert np.max(np.abs(np.sum(b1 * b2, axis=-1))) < 1e-12
 
 
+# Bones anywhere, with tied components (|x| = |y|), on an axis or on a
+# diagonal, in any axis order and with any signs; off_unit scales them by up
+# to 1e-9 off unit length.
+RAW_BONE = st.one_of(
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(lambda t: (t[0], t[0], t[1])),
+    st.sampled_from([(1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 1.0, 1.0)]))
+
+
+@st.composite
+def any_bone(draw, off_unit=True):
+    raw = np.array(draw(RAW_BONE))[draw(st.permutations(range(3)))]
+    raw *= [draw(st.sampled_from([1.0, -1.0])) for _ in range(3)]
+    norm = np.linalg.norm(raw)
+    assume(norm > 1e-6)
+    return raw / norm * (1.0 + (draw(st.floats(-1e-9, 1e-9)) if off_unit else 0.0))
+
+
+def postures(off_unit=True, most=6):
+    return st.lists(any_bone(off_unit), min_size=1, max_size=most).map(np.array)
+
+
+def off_unit_tol(base):
+    """A bone d off unit length leaves its frame off the tangent plane by ~2d."""
+    return 1e-12 + 4.0 * np.abs(np.sum(base * base, axis=-1) - 1.0)
+
+
+@settings(max_examples=300)
+@given(postures(most=8))
+def test_tangent_frame_orthonormal_and_tangent_on_any_bone(base):
+    b1, b2 = geo.tangent_frame(base)
+    tol = off_unit_tol(base)
+    for vec in (b1, b2):
+        assert np.all(np.abs(np.linalg.norm(vec, axis=-1) - 1.0) <= 1e-12)
+        assert np.all(np.abs(np.sum(vec * base, axis=-1)) <= tol)
+    assert np.all(np.abs(np.sum(b1 * b2, axis=-1)) <= tol)
+
+
+@given(postures(), st.integers(0, 2**32 - 1), st.floats(1e-3, 10.0))
+def test_tangent_coords_round_trip_isometrically(base, seed, scale):
+    v = rand_tangent(np.random.default_rng(seed), base, scale)
+    coords = geo.tangent_coords(base, v)
+    assert coords.shape == (2 * len(base),)
+    tol = np.max(off_unit_tol(base)) * (1.0 + geo.tangent_norm(v))
+    assert np.max(np.abs(geo.coords_to_tangent(base, coords) - v)) <= tol
+    assert abs(np.linalg.norm(coords) - geo.tangent_norm(v)) <= tol
+
+
+def unit_pairs():
+    return st.lists(st.tuples(any_bone(False), any_bone(False)), min_size=1, max_size=8).map(
+        lambda pairs: tuple(np.array(p) for p in zip(*pairs)))
+
+
+@given(unit_pairs())
+def test_exp_inverts_log_away_from_antipodes(pair):
+    y, z = pair
+    keep = geo.sphere_dist(y, z) < np.pi - 1e-3
+    assume(keep.any())
+    y, z = y[keep], z[keep]
+    assert np.max(np.linalg.norm(geo.sphere_exp(y, geo.sphere_log(y, z)) - z, axis=-1)) < 1e-10
+
+
+@given(unit_pairs(), st.integers(0, 2**32 - 1), st.floats(1e-3, 10.0))
+def test_transport_is_an_isometry_into_the_tangent_plane(pair, seed, scale):
+    y, z = pair
+    keep = geo.sphere_dist(y, z) < np.pi - 1e-3
+    assume(keep.any())
+    y, z = y[keep], z[keep]
+    u = rand_tangent(np.random.default_rng(seed), y, scale)
+    out = geo.sphere_transport(y, z, u)
+    norm = np.linalg.norm(u, axis=-1)
+    assert np.all(np.abs(np.linalg.norm(out, axis=-1) - norm) <= 1e-12 * (1.0 + norm))
+    assert np.all(np.abs(np.sum(out * z, axis=-1)) <= 1e-12 * (1.0 + norm))
+
+
 def test_karcher_identical_inputs():
     rng = np.random.default_rng(11)
     p = rand_unit(rng, 5)
@@ -317,16 +394,20 @@ def stacked_sets(rng, m, b, bones, spread):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 7), st.integers(1, 5), st.integers(1, 4), st.floats(0.0, 1.0),
-       st.integers(0, 2**32 - 1))
-def test_stacked_means_equal_one_set_calls_bitwise(m, b, bones, spread, seed):
+       st.integers(0, 2**32 - 1), st.integers(0, 5))
+def test_stacked_means_equal_one_set_calls_bitwise(m, b, bones, spread, seed, per_block):
+    """Blocks of 1 to 5 sets (0: the default budget) give every set the
+    bits of its own call."""
     stack = stacked_sets(np.random.default_rng(seed), m, b, bones, spread)
+    budget = per_block * 6 * stack[:, 0].nbytes or geo.BLOCK_BYTES
     try:
         expected = np.stack([geo.karcher_mean(stack[:, j]) for j in range(b)])
     except MotionError as exc:
-        with pytest.raises(type(exc)):
-            geo._karcher_means(stack)
+        with mock.patch.object(geo, "BLOCK_BYTES", budget), pytest.raises(type(exc)):
+            geo.karcher_mean(stack)
         return
-    assert geo._karcher_means(stack).tobytes() == expected.tobytes()
+    with mock.patch.object(geo, "BLOCK_BYTES", budget):
+        assert geo.karcher_mean(stack).tobytes() == expected.tobytes()
     if m in (1, 2):  # the chordal mean of one or two copies is exact
         assert expected[0].tobytes() == stack[0, 0].tobytes()
 
@@ -342,9 +423,14 @@ def test_stacked_means_report_the_largest_unconverged_residual():
     # the identical and collapsed sets converge, the other two do not
     assert len(residuals) == 2 and residuals[0] != residuals[1]
     with pytest.raises(NoConvergence) as info:
-        geo._karcher_means(stack, max_iter=2)
+        geo.karcher_mean(stack, max_iter=2)
     assert info.value.residual == max(residuals)
-    for run in (lambda: geo._karcher_means(stack, max_iter=0),
+    # with one set a block, the first unconverged set's block raises
+    with mock.patch.object(geo, "BLOCK_BYTES", 6 * stack[:, 0].nbytes), \
+            pytest.raises(NoConvergence) as info:
+        geo.karcher_mean(stack, max_iter=2)
+    assert info.value.residual == residuals[0]
+    for run in (lambda: geo.karcher_mean(stack, max_iter=0),
                 lambda: geo.karcher_mean(stack[:, 0], max_iter=0)):
         with pytest.raises(NoConvergence) as info:
             run()

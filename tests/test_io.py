@@ -300,11 +300,13 @@ def test_mistyped_entries_name_the_file_and_the_entry(tmp_path, model_type):
     ("var", "model.order", 2), ("pwi", "model.frames", 7), ("pwi", "model.bones", 3),
     ("mvg", "has_fpca", 0), ("ig", "has_spatial", 0), ("var", "has_fpca", 1),
     ("var", "has_spatial", 0), ("pwi", "has_spatial", 1), ("ig", "model_type", "mvg"),
-    ("mvg", "model_type", "var"), ("mvg", "model.family", "ig"), ("pwi", "model.family", "var")])
+    ("mvg", "model_type", "var"), ("mvg", "model.family", "ig"), ("pwi", "model.family", "var"),
+    ("mvg", "kind", "mtvf"), ("ig", "kind", "stvf"), ("var", "kind", "intrinsic"),
+    ("pwi", "kind", "istvf"), ("mvg", "kind", "bogus")])
 def test_size_entries_that_disagree_with_their_arrays_name_the_file_and_the_entry(
         tmp_path, model_type, entry, new):
     """A bundle whose size entry no longer matches the arrays it sizes, or
-    whose stage flags or model family disagree with its model_type, is
+    whose stage flags, model family or kind disagree with its model_type, is
     refused on loading, naming the file and the entry, rather than loading
     and failing later inside simulate.  Unedited bundles load and write
     back the same bytes."""
@@ -316,8 +318,10 @@ def test_size_entries_that_disagree_with_their_arrays_name_the_file_and_the_entr
     assert old.group(2) != str(new)
     path.write_text(text.replace(old.group(0), f"{old.group(1)} {entry} {new}"))
     named = re.escape(f"{path}: entry ") + ".*" + re.escape(f"{entry!r} = {new}")
-    with pytest.raises(DimensionMismatch, match=named):
+    with pytest.raises(DimensionMismatch, match=named) as info:
         load_bundle(path)
+    if entry == "kind":
+        assert f"'model_type' = {model_type}" in str(info.value)
 
 
 # ---- the row codec: exact bytes, bitwise round trips, rejected rows -------

@@ -448,6 +448,16 @@ def test_fit_bundle_refuses_fields_at_two_references_or_time_grids():
         fit_bundle([], spatial, fpca, "mvg")
 
 
+@pytest.mark.parametrize("kind", ["stvf", "mtvf"])
+def test_fit_bundle_refuses_flattenings_that_cannot_back_an_emulator(kind):
+    seqs = training_set(6, t=11, seed=4)
+    fields = [flatten.flatten_sequence(s, seqs[0][0], kind) for s in seqs]
+    spatial, fpca = dimred.reduce_fields(fields, True, 2, 2)
+    for model_type in ("mvg", "ig", "var"):
+        with pytest.raises(KindMismatch, match=f"kind '{kind}'"):
+            fit_bundle(fields, spatial, fpca, model_type)
+
+
 def test_simulate_zero_sequences_is_empty():
     seqs = training_set(8, t=13, seed=5)
     for model_type in ("mvg", "ig", "var", "pwi"):
