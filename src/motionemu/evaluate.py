@@ -11,6 +11,8 @@ sequences for plotting, and sorted-quantile pairs support likelihood Q-Q
 comparisons.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
@@ -22,28 +24,51 @@ from .dimred import _top_eigenpairs
 from .errors import BadTarget, DimensionMismatch, InsufficientData, LengthMismatch
 
 MAX_SWEEPS = 200  # most swaps one k-medoids descent applies
+MAX_WORKERS = 4  # most threads one distance matrix runs on
+
+
+def _workers():
+    """Threads that compute one distance matrix: the cores this process may
+    run on, at most MAX_WORKERS."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(MAX_WORKERS, len(os.sched_getaffinity(0)))
+    return min(MAX_WORKERS, os.cpu_count() or 1)
 
 
 def _pairwise(stack):
-    """Summed bone angles between all row pairs of a (N, K, 3) stack.
+    """Summed angles between all pairs of items of a contiguous,
+    coordinate-major (3, N, K) stack: stack[c, i, j] is coordinate c of
+    vector j of item i.
 
-    Blocks fit geometry.BLOCK_BYTES at 32 bytes an angle (sphere_dist's
-    three work arrays and its output): several rows by all columns, or one
-    row by a run of columns when a row alone is longer.  sphere_dist is
-    exactly symmetric, so only blocks on or above the diagonal are computed
-    and each is mirrored below it.  Every entry sums the same K angles in
-    the same order, whatever the blocks.
+    Blocks fit geometry.BLOCK_BYTES at 32 bytes an angle (the kernel's three
+    work arrays take 24 of them): several rows by all columns, or one row
+    by a run of columns when a row alone is longer.
+    geometry._angles is exactly symmetric, so only blocks on or above the
+    diagonal are computed and each is mirrored below it.  The blocks are
+    dealt round-robin to up to _workers() threads, and each thread reuses
+    one set of work arrays for all of its blocks.  Every entry sums the same
+    K angles in the same order, whatever the blocks and the thread count.
     """
-    n, k = stack.shape[:2]
+    n, k = stack.shape[1:]
     out = np.empty((n, n))
     rows = geo._block_items(32 * n * k)
     cols = geo._block_items(32 * rows * k)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        for c in range(lo, n, cols):
-            block = geo.sphere_dist(stack[lo:hi, None], stack[None, c:c + cols]).sum(axis=2)
-            out[lo:hi, c:c + cols] = block
-            out[c:c + cols, lo:hi] = block.T
+    blocks = [(lo, c) for lo in range(0, n, rows) for c in range(lo, n, cols)]
+    size = min(rows, n) * min(cols, n) * k
+
+    def run(mine):
+        work = [np.empty(size) for _ in range(3)]
+        for lo, c in mine:
+            y, z = stack[:, lo:lo + rows, None], stack[:, None, c:c + cols]
+            shape = (y.shape[1], z.shape[2], k)
+            count = shape[0] * shape[1] * k
+            block = geo._angles(y, z, [w[:count].reshape(shape) for w in work]).sum(axis=2)
+            out[lo:lo + rows, c:c + cols] = block
+            out[c:c + cols, lo:lo + rows] = block.T
+
+    workers = _workers()
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(run, [blocks[w::workers] for w in range(min(workers, len(blocks)))]))
     return out
 
 
@@ -56,16 +81,23 @@ def _check_square(dmat):
 
 def posture_distance_matrix(postures):
     """Pairwise posture_dist of a (N, n-1, 3) posture stack, bit for bit."""
-    return _pairwise(geo._check_postures(postures, least=1))
+    postures = geo._check_postures(postures, least=1)
+    return _pairwise(np.ascontiguousarray(np.moveaxis(postures, -1, 0)))
 
 
 def sequence_distance_matrix(seqs):
-    """Pairwise mean-posture distances between (T, n-1, 3) sequences."""
+    """Pairwise mean-posture distances between (T, n-1, 3) sequences: each
+    entry sums a pair's T*(n-1) bone angles in one sum and divides by T, as
+    geometry.sequence_dist does.  The sequences are copied once, straight
+    into the coordinate-major stack that _pairwise reads."""
     arrays = geo._check_same_shape(seqs, 1, "sequences")
     t = geo._check_postures(arrays[0]).shape[0]
     if t == 0:
         raise InsufficientData("need sequences of at least one frame")
-    return _pairwise(np.stack(arrays).reshape(len(arrays), -1, 3)) / t
+    stack = np.empty((3, len(arrays), arrays[0][..., 0].size))
+    for i, seq in enumerate(arrays):
+        stack[:, i] = seq.reshape(-1, 3).T
+    return _pairwise(stack) / t
 
 
 def _group_stat(dmat, idx_a, idx_b):

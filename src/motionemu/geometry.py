@@ -4,10 +4,10 @@ A posture is an array of shape (n-1, 3) whose rows are unit vectors, one
 per bone of a skeleton with n landmarks.  The posture space is the product
 of n-1 copies of the 2-sphere; all product-manifold operations act
 bone-wise.  Distances between postures add the per-bone angles of
-sphere_dist, the one angle kernel: exactly zero for equal vectors, exactly
-symmetric and accurate to ~1e-14 rad over [0, pi].  Tangent vectors carry
-the Euclidean (L2) norm of their stacked coordinates, which is what
-transport, flattening and PCA use.
+sphere_dist, a wrapper of _angles, the one angle kernel: exactly zero for
+equal vectors, exactly symmetric and accurate to ~1e-14 rad over [0, pi].
+Tangent vectors carry the Euclidean (L2) norm of their stacked coordinates,
+which is what transport, flattening and PCA use.
 
 All sphere functions broadcast over leading axes: one call acts on a whole
 posture bone by bone, or on a whole (T, n-1, 3) sequence of postures.
@@ -24,8 +24,9 @@ EPS_ZERO = 1e-12
 ANTIPODAL_MARGIN = 1e-9
 # Maximum tolerated component of a "tangent" vector along its base point.
 TANGENCY_TOL = 1e-8
-# Bytes of kernel temporaries one block of a blocked loop keeps live; 2**23
-# raised the peak memory of a paper-scale pipeline run by 6-8 MiB.
+# Bytes of kernel temporaries one block of a blocked loop keeps live, per
+# worker where the blocks run on a thread pool; 2**23 raised the peak memory
+# of a paper-scale pipeline run by 6-8 MiB.
 BLOCK_BYTES = 2**21
 
 
@@ -38,11 +39,36 @@ def _dot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
+def _angles(y, z, work=None):
+    """The angle kernel on coordinate-major operands: y[c] and z[c] are the
+    c-th coordinates, broadcast against each other.  work, if given, is
+    three arrays of the broadcast shape that the kernel overwrites; the
+    angles land in work[0], which is returned.  Each per-coordinate pass
+    reads contiguous memory when y and z are contiguous (3, ...) arrays."""
+    if work is None:
+        shape = np.broadcast_shapes(np.shape(y[0]), np.shape(z[0]))
+        work = np.empty(shape), np.empty(shape), np.empty(shape)
+    diff, total, term = work
+    for op, acc in ((np.subtract, diff), (np.add, total)):
+        op(y[0], z[0], out=acc)
+        acc *= acc
+        for c in (1, 2):
+            op(y[c], z[c], out=term)
+            term *= term
+            acc += term
+    np.sqrt(diff, out=diff)
+    np.sqrt(total, out=total)
+    np.arctan2(diff, total, out=diff)
+    diff *= 2.0
+    return diff
+
+
 def sphere_dist(y, z):
     """Geodesic distance between unit vectors of shape (..., 3), broadcast
     over leading axes: 2*atan2(|y-z|, |y+z|) (Kahan, "How Futile are
     Mindless Assessments of Roundoff", 2006), with the norms summed one
-    coordinate at a time so that no (..., 3) temporary is built.
+    coordinate at a time by the coordinate-major kernel _angles, which
+    reads y[..., c] and z[..., c] in place.
 
     Within ~1e-14 rad of the true angle on [0, pi] (9e-15 at most over 2e5
     pairs at known angles in [1e-12, pi - 1e-6]; arccos of the dot product
@@ -52,14 +78,7 @@ def sphere_dist(y, z):
     the same bits.
     """
     y, z = np.asarray(y, dtype=float), np.asarray(z, dtype=float)
-    shape = np.broadcast_shapes(y.shape, z.shape)[:-1]
-    diff, total, term = np.zeros(shape), np.zeros(shape), np.empty(shape)
-    for c in range(3):
-        for op, acc in ((np.subtract, diff), (np.add, total)):
-            op(y[..., c], z[..., c], out=term)
-            term *= term
-            acc += term
-    return 2.0 * np.arctan2(np.sqrt(diff, out=diff), np.sqrt(total, out=total))
+    return _angles(np.moveaxis(y, -1, 0), np.moveaxis(z, -1, 0))[()]
 
 
 def sphere_log(y, z):

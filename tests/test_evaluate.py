@@ -4,6 +4,9 @@ variability, roughness, MDS embedding, and Q-Q helpers."""
 from itertools import combinations
 from math import comb, fsum
 import re
+import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -75,6 +78,19 @@ BLOB_CENTERS = np.array([
 # ---------------------------------------------------------------- distance matrices
 
 
+def on_each_worker_count(monkeypatch, matrix, items):
+    """matrix(items) on 1 and on 3 threads: the same bits, and no thread
+    left running after either call."""
+    results = []
+    for workers in (1, 3):
+        monkeypatch.setattr(evaluate, "_workers", lambda: workers)
+        threads = threading.active_count()
+        results.append(matrix(items))
+        assert threading.active_count() == threads
+    assert results[0].tobytes() == results[1].tobytes()
+    return results[0]
+
+
 def test_posture_distance_matrix_matches_pairwise_metric(monkeypatch):
     rng = np.random.default_rng(3)
     postures = unit(rng.normal(size=(9, 3, 3)))
@@ -84,7 +100,7 @@ def test_posture_distance_matrix_matches_pairwise_metric(monkeypatch):
     # or 4 columns
     for budget in (geo.BLOCK_BYTES, *(32 * a for a in (27, 54, 162, 3, 6, 12))):
         monkeypatch.setattr(geo, "BLOCK_BYTES", budget)
-        dmat = posture_distance_matrix(postures)
+        dmat = on_each_worker_count(monkeypatch, posture_distance_matrix, postures)
         assert np.array_equal(np.diag(dmat), np.zeros(9))
         assert np.array_equal(dmat, dmat.T)
         assert dmat[2, 4] == 0.0
@@ -105,7 +121,7 @@ def test_sequence_distance_matrix_matches_full_rows(monkeypatch):
     # by 1, 2 or 4 columns (the last two ragged)
     for budget in (geo.BLOCK_BYTES, *(32 * a for a in (84, 168, 252, 420, 12, 24, 48))):
         monkeypatch.setattr(geo, "BLOCK_BYTES", budget)
-        dmat = sequence_distance_matrix(list(seqs))
+        dmat = on_each_worker_count(monkeypatch, sequence_distance_matrix, list(seqs))
         assert dmat.tobytes() == rows.tobytes()
         assert np.array_equal(dmat, dmat.T)
         assert np.array_equal(np.diag(dmat), np.zeros(7))
@@ -114,6 +130,43 @@ def test_sequence_distance_matrix_matches_full_rows(monkeypatch):
             for j in range(7):
                 # sequence_dist sums in the matrix's order
                 assert dmat[i, j] == geo.sequence_dist(seqs[i], seqs[j])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from([None, 1, 2, 7]), st.sampled_from([1, 2, 3]))
+def test_posture_distance_matrix_equals_posture_dist_entrywise(n, bones, seed, per_block,
+                                                               workers):
+    # per_block postures' angles at 32 bytes an angle: with fewer than n of
+    # them, one row by runs of per_block columns
+    postures = unit(np.random.default_rng(seed).normal(size=(n, bones, 3)))
+    postures[n // 2] = postures[0]
+    budget = geo.BLOCK_BYTES if per_block is None else 32 * per_block * bones
+    with mock.patch.object(geo, "BLOCK_BYTES", budget), \
+            mock.patch.object(evaluate, "_workers", lambda: workers):
+        dmat = posture_distance_matrix(postures)
+    expected = np.array([[geo.posture_dist(a, b) for b in postures] for a in postures])
+    assert dmat.tobytes() == expected.tobytes()
+    assert dmat[0, n // 2] == 0.0
+
+
+def test_distance_matrix_threads_under_frequent_switches(monkeypatch):
+    # more threads than cores, switching every microsecond, over 210 blocks
+    # of at most 5 angles: a lost or misplaced block write changes the bits
+    seqs = list(unit(np.random.default_rng(21).normal(size=(20, 5, 1, 3))))
+    monkeypatch.setattr(geo, "BLOCK_BYTES", 32 * 5)
+    monkeypatch.setattr(evaluate, "_workers", lambda: 1)
+    expected = sequence_distance_matrix(seqs)
+    monkeypatch.setattr(evaluate, "_workers", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.perf_counter()
+        for _ in range(20):
+            assert sequence_distance_matrix(seqs).tobytes() == expected.tobytes()
+        assert time.perf_counter() - start < 60.0
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("bad", [np.zeros((5, 3, 2)), np.zeros((5, 3)), np.zeros((2, 5, 3, 3))])

@@ -88,6 +88,57 @@ def test_dist_accurate_at_known_angles(log_theta, seed):
     assert np.max(np.abs(geo.sphere_dist(y, z) - theta)) <= 1e-13
 
 
+def coordinate_major(x):
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
+
+
+# pairs of broadcastable leading shapes for (..., 3) operands
+BROADCAST_SHAPES = [((), ()), ((5,), (5,)), ((), (6,)), ((4, 1), (1, 6)), ((1,), (7,)),
+                    ((2, 3, 1), (3, 4)), ((3, 1, 5), (1, 2, 5))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(BROADCAST_SHAPES),
+       st.sampled_from(["random", "equal", "opposite", "near-antipodal"]),
+       st.floats(np.log(1e-9), np.log(1e-2)))
+def test_sphere_dist_is_the_coordinate_major_kernel(seed, shapes, kind, log_gap):
+    rng = np.random.default_rng(seed)
+    y = rand_unit(rng, *shapes[0])
+    z = rand_unit(rng, *shapes[1])
+    full = np.broadcast_shapes(y.shape, z.shape)
+    if kind == "equal":
+        z = np.broadcast_to(y, full).copy()
+    elif kind == "opposite":
+        z = -np.broadcast_to(y, full)
+    elif kind == "near-antipodal":
+        # pi - gap away from y, along a random tangent direction
+        base = np.broadcast_to(y, full)
+        u = rand_tangent(rng, base)
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        z = np.cos(np.pi - np.exp(log_gap)) * base + np.sin(np.pi - np.exp(log_gap)) * u
+    dist = geo.sphere_dist(y, z)
+    kernel = geo._angles(coordinate_major(y), coordinate_major(z))
+    assert np.shape(dist) == kernel.shape == full[:-1]
+    assert np.asarray(dist).tobytes() == kernel.tobytes()
+    assert np.asarray(geo.sphere_dist(z, y)).tobytes() == kernel.tobytes()
+    assert np.all((0.0 <= kernel) & (kernel <= np.pi))
+    if kind == "equal":
+        assert np.array_equal(kernel, np.zeros(full[:-1]))
+    elif kind == "opposite":
+        assert np.array_equal(kernel, np.full(full[:-1], np.pi))
+    elif kind == "near-antipodal":
+        assert np.max(np.abs(kernel - (np.pi - np.exp(log_gap)))) <= 1e-13
+
+
+def test_angle_kernel_writes_into_given_work_arrays():
+    rng = np.random.default_rng(4)
+    y, z = rand_unit(rng, 4, 1, 5), rand_unit(rng, 1, 3, 5)
+    work = [np.full((4, 3, 5), np.nan) for _ in range(3)]
+    angles = geo._angles(coordinate_major(y), coordinate_major(z), work)
+    assert angles is work[0]
+    assert angles.tobytes() == geo.sphere_dist(y, z).tobytes()
+
+
 def test_log_examples():
     assert np.allclose(geo.sphere_log(E1, E1), 0.0)
     np.testing.assert_allclose(geo.sphere_log(E1, E2), (np.pi / 2) * E2, atol=1e-15)
