@@ -72,9 +72,9 @@ def tsrvf(seq, reference) -> TSRVFField:
 def _check_pair(h1: TSRVFField, h2: TSRVFField):
     if not np.array_equal(h1.reference, h2.reference):
         raise ReferenceMismatch("fields were built at different reference postures")
-    geo._check_same_shape((h1.values, h2.values), 2, "fields")
-    for name, h in (("first", h1), ("second", h2)):
-        bad = ~np.isfinite(h.values).all(axis=1)
+    values = geo._check_set((h1.values, h2.values), 2, "fields")
+    for name, v in zip(("first", "second"), values):
+        bad = ~np.isfinite(v).all(axis=1)
         if bad.any():
             raise DimensionMismatch(f"{name} field row {int(np.argmax(bad))}: non-finite value")
 
@@ -264,30 +264,27 @@ def optimal_warp(h1: TSRVFField, h2: TSRVFField):
 
 
 def align_all(seqs, ref_index: int = 0, reference=None):
-    """Warp every sequence onto the one at ref_index.
+    """Warp every sequence of a set onto the one at ref_index.
 
     The shared reference posture for the velocity fields defaults to the
-    intrinsic mean of all first frames.  Returns (aligned sequences,
-    warps); the reference sequence is returned unchanged with the
-    identity warp.
+    intrinsic mean of all first frames.  Returns (aligned, warps), shapes
+    (M, T, n-1, 3) and (M, T): the set copied once, each sequence warped in
+    place but the reference, which keeps the identity warp.
     """
-    seqs = geo._check_same_shape(seqs, 0, "sequences")
-    if not seqs:
+    aligned = geo._check_set(seqs, 0, "sequences")
+    if isinstance(seqs, np.ndarray) and np.may_share_memory(aligned, seqs):
+        aligned = aligned.copy()  # warp a copy, never the caller's array
+    if not len(aligned):
         raise DimensionMismatch("no sequences to align")
-    if not 0 <= ref_index < len(seqs):
+    if not 0 <= ref_index < len(aligned):
         raise BadTarget(f"reference index {ref_index} out of range")
-    t = geo._check_postures(seqs[0], least=2).shape[0]
+    t = geo._check_postures(aligned[0], least=2).shape[0]
     if reference is None:
-        reference = geo.karcher_mean(np.stack([s[0] for s in seqs]))
-    href = tsrvf(seqs[ref_index], reference)
-    identity = np.linspace(0.0, 1.0, t)
-    aligned, warps = [], []
-    for m, seq in enumerate(seqs):
-        if m == ref_index:
-            aligned.append(seq.copy())
-            warps.append(identity.copy())
-            continue
-        gamma, _ = optimal_warp(tsrvf(seq, reference), href)
-        aligned.append(warp_sequence(seq, gamma))
-        warps.append(gamma)
+        reference = geo.karcher_mean(aligned[:, 0])
+    href = tsrvf(aligned[ref_index], reference)
+    warps = np.tile(np.linspace(0.0, 1.0, t), (len(aligned), 1))
+    for m, seq in enumerate(aligned):
+        if m != ref_index:
+            warps[m], _ = optimal_warp(tsrvf(seq, reference), href)
+            seq[...] = warp_sequence(seq, warps[m])
     return aligned, warps

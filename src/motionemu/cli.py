@@ -180,7 +180,6 @@ def _synth(args, out):
         noise_scale=args.noise, seed=stage_seed(args.seed, k)) for k in range(args.classes)]
     target = args.target_frames if args.target_frames > 0 else None
     seqs, labels = datagen.gen_mixture(configs, target_frames=target)
-    seqs = list(seqs)
     paths = _emit(out, "synth", _config(args, *SYNTH_DEFAULTS, "seed"), [], [
         ("sequences.txt", mio.write_posture_sequences, seqs),
         ("labels.csv", _write_csv, ["index", "label"],
@@ -437,6 +436,7 @@ def cmd_pipeline(args, out):
         seqs, seq_src = stage(_synth)
         inputs = []
     aligned, aligned_path = stage(_align, seqs, seq_src)
+    del seqs  # every later stage reads the aligned copy; keeping both raises the peak
     if model_type == "pwi":
         bundle, bundle_path = stage(_fit, [aligned_path], seqs=aligned)
     else:

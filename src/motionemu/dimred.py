@@ -75,7 +75,7 @@ class SpatialPCA:
 
 def _check_fields(fields, least=1):
     """Fields pooled into one fit: one kind, one shape, one reference, one dt."""
-    geo._check_same_shape([f.values for f in fields], least, "fields")
+    geo._check_set([f.values for f in fields], least, "fields")
     for i, f in enumerate(fields):
         if f.kind != fields[0].kind:
             raise KindMismatch(f"mixed field kinds: {fields[0].kind!r} vs {f.kind!r}")
@@ -161,7 +161,7 @@ def fpca_fit(score_list, dt: float, n_components=None, var_threshold=0.95) -> FP
     their samples.  When n_components is None, d2 is the largest
     per-row selection at var_threshold so every row reaches it.
     """
-    stack = np.stack(geo._check_same_shape(score_list, 2, "score matrices"))
+    stack = geo._check_set(score_list, 2, "score matrices")
     if stack.ndim != 3:
         raise DimensionMismatch(f"score matrices must be 2-d (d1, T), got shape "
                                 f"{stack.shape[1:]}")

@@ -35,10 +35,10 @@ def _workers():
     return min(MAX_WORKERS, os.cpu_count() or 1)
 
 
-def _pairwise(stack):
-    """Summed angles between all pairs of items of a contiguous,
-    coordinate-major (3, N, K) stack: stack[c, i, j] is coordinate c of
-    vector j of item i.
+def _pairwise(planes):
+    """Summed angles between all pairs of N items of K unit vectors, given
+    as three contiguous (N, K) coordinate planes (a (3, N, K) array or a
+    list): planes[c][i, j] is coordinate c of vector j of item i.
 
     Blocks fit geometry.BLOCK_BYTES at 32 bytes an angle (the kernel's three
     work arrays take 24 of them): several rows by all columns, or one row
@@ -49,7 +49,7 @@ def _pairwise(stack):
     one set of work arrays for all of its blocks.  Every entry sums the same
     K angles in the same order, whatever the blocks and the thread count.
     """
-    n, k = stack.shape[1:]
+    n, k = planes[0].shape
     out = np.empty((n, n))
     rows = geo._block_items(32 * n * k)
     cols = geo._block_items(32 * rows * k)
@@ -59,8 +59,8 @@ def _pairwise(stack):
     def run(mine):
         work = [np.empty(size) for _ in range(3)]
         for lo, c in mine:
-            y, z = stack[:, lo:lo + rows, None], stack[:, None, c:c + cols]
-            shape = (y.shape[1], z.shape[2], k)
+            y, z = [p[lo:lo + rows, None] for p in planes], [p[None, c:c + cols] for p in planes]
+            shape = (y[0].shape[0], z[0].shape[1], k)
             count = shape[0] * shape[1] * k
             block = geo._angles(y, z, [w[:count].reshape(shape) for w in work]).sum(axis=2)
             out[lo:lo + rows, c:c + cols] = block
@@ -88,16 +88,14 @@ def posture_distance_matrix(postures):
 def sequence_distance_matrix(seqs):
     """Pairwise mean-posture distances between (T, n-1, 3) sequences: each
     entry sums a pair's T*(n-1) bone angles in one sum and divides by T, as
-    geometry.sequence_dist does.  The sequences are copied once, straight
-    into the coordinate-major stack that _pairwise reads."""
-    arrays = geo._check_same_shape(seqs, 1, "sequences")
-    t = geo._check_postures(arrays[0]).shape[0]
+    geometry.sequence_dist does.  The set check stacks each coordinate into
+    an (N, T, n-1) plane, so the set is copied once, into _pairwise's layout."""
+    views = [np.moveaxis(geo._check_postures(s), -1, 0) for s in seqs]
+    planes = [geo._check_set([v[c] for v in views], 1, "sequences") for c in range(3)]
+    n, t, bones = planes[0].shape
     if t == 0:
         raise InsufficientData("need sequences of at least one frame")
-    stack = np.empty((3, len(arrays), arrays[0][..., 0].size))
-    for i, seq in enumerate(arrays):
-        stack[:, i] = seq.reshape(-1, 3).T
-    return _pairwise(stack) / t
+    return _pairwise([p.reshape(n, t * bones) for p in planes]) / t
 
 
 def _group_stat(dmat, idx_a, idx_b):
@@ -141,11 +139,11 @@ def disco_test(group_a, group_b, n_perm: int = 999, seed=None, exhaustive: bool 
     """
     if not exhaustive and n_perm < 1:
         raise BadTarget("n_perm must be positive")
-    if not group_a or not group_b:
-        raise InsufficientData("both groups need at least one sequence")
     na, nb = len(group_a), len(group_b)
+    if not (na and nb):
+        raise InsufficientData("both groups need at least one sequence")
     total = na + nb
-    dmat = sequence_distance_matrix(list(group_a) + list(group_b))
+    dmat = sequence_distance_matrix([*group_a, *group_b])
     all_idx = np.arange(total)
     observed = float(_group_stat(dmat, all_idx[:na], all_idx[na:]))
     # relabelings that tie the observed split in exact arithmetic must count
@@ -300,9 +298,7 @@ def variability_stats(label_set, reference_labels):
 def mean_label_sequence(seqs, model: ClusterModel):
     """Quantized per-frame intrinsic mean of a set of sequences: the
     reference label string for variability summaries."""
-    stack = np.stack(geo._check_same_shape(seqs, 1, "sequences"))
-    geo._check_postures(stack[0], least=1)
-    return quantize(geo.karcher_mean(stack), model)
+    return quantize(geo.karcher_mean(geo._check_set(seqs, 1, "sequences")), model)
 
 
 def roughness(seq):

@@ -262,7 +262,7 @@ def karcher_mean(postures, tol=1e-9, max_iter=200):
     stack = x[:, None] if x.ndim == 3 else x
     means = np.empty(stack.shape[1:])
     # sphere_log keeps about six sets' worth of temporaries live
-    step = _block_items(6 * stack[:, 0].nbytes)
+    step = _block_items(6 * stack[:, :1].nbytes)
     for lo in range(0, stack.shape[1], step):
         sets = stack[:, lo:lo + step]
         chordal = sets.mean(axis=0)
@@ -300,20 +300,26 @@ def _check_postures(x, least=0):
     return x
 
 
-def _check_same_shape(arrays, least, what):
-    """The arrays as floats: at least `least` of them, of one shape; `what` names them."""
-    arrays = [np.asarray(a, dtype=float) for a in arrays]
-    if len(arrays) < least:
-        raise InsufficientData(f"got {len(arrays)} {what}, need at least {least}")
-    if any(a.shape != arrays[0].shape for a in arrays):
-        raise DimensionMismatch(f"{what} have mixed shapes: {sorted({a.shape for a in arrays})}")
-    return arrays
+def _check_set(arrays, least, what):
+    """The set as one C-ordered float (M, ...) array, such an ndarray as it
+    is and anything else copied once: at least `least` members of one
+    shape, named `what`."""
+    try:
+        x = np.ascontiguousarray(arrays, dtype=float)
+    except ValueError:
+        shapes = sorted({np.shape(a) for a in arrays})
+        if len(shapes) < 2:
+            raise
+        raise DimensionMismatch(f"{what} have mixed shapes: {shapes}") from None
+    if len(x) < least:
+        raise InsufficientData(f"got {len(x)} {what}, need at least {least}")
+    return x
 
 
 def sequence_dist(a, b):
     """Mean posture distance between two (T, n-1, 3) sequences on a shared
     time grid: all T*(n-1) bone angles in one sum, divided by T, which is
     evaluate.sequence_distance_matrix's order, bit for bit."""
-    a, b = _check_same_shape((a, b), 2, "sequences")
-    _check_postures(a, least=1)
-    return float(sphere_dist(a.reshape(-1, 3), b.reshape(-1, 3)).sum() / a.shape[0])
+    pair = _check_set((a, b), 2, "sequences")
+    t = _check_postures(pair[0], least=1).shape[0]
+    return float(sphere_dist(pair[0].reshape(-1, 3), pair[1].reshape(-1, 3)).sum() / t)

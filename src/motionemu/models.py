@@ -60,13 +60,13 @@ class IGModel:
 def fit_mvg(coeffs) -> MVGModel:
     """Sample covariance of vectorized coefficients about zero mean
     (denominator M-1), plus a relative jitter used only when sampling."""
-    coeffs = geo._check_same_shape(coeffs, 2, "coefficient matrices")
-    v = np.stack([a.ravel() for a in coeffs])
+    coeffs = geo._check_set(coeffs, 2, "coefficient matrices")
+    v = coeffs.reshape(len(coeffs), -1)
     cov = v.T @ v / (len(coeffs) - 1)
     cov = (cov + cov.T) / 2.0
     d = cov.shape[0]
     return MVGModel(covariance=cov, jitter=JITTER_SCALE * float(np.trace(cov)) / d,
-                    shape=coeffs[0].shape)
+                    shape=coeffs.shape[1:])
 
 
 def fit_ig(coeffs) -> IGModel:
@@ -84,7 +84,8 @@ def _gaussian_factor(cov):
 
 
 def sample_coeffs(model, count: int, seed=None):
-    """Draw coefficient matrices from a fitted MVG or IG model.
+    """Draw a (count, d1, d2) array of coefficient matrices from a fitted
+    MVG or IG model.
 
     Deterministic for a given seed; the jitter recorded on the model is
     added to the covariance diagonal before factorization.
@@ -100,7 +101,7 @@ def sample_coeffs(model, count: int, seed=None):
         draws = z @ factor.T
     else:
         draws = z * np.sqrt(model.variances + model.jitter)
-    return [d.reshape(model.shape) for d in draws]
+    return draws.reshape((count,) + tuple(model.shape))
 
 
 def logliks(coeffs, model) -> np.ndarray:
@@ -163,16 +164,18 @@ class VARModel:
 
 
 def fit_var(scores, order: int = 4) -> VARModel:
-    """Least-squares fit of a VAR(p) to one score matrix (d1, L) or a
-    list of them (regressions pooled across sequences).
+    """Least-squares fit of a VAR(p) to one score matrix (d1, L) or a set
+    of them (regressions pooled across sequences): an (M, d1, L) array or
+    a list, whose matrices may differ in length.
 
     Rank-deficient designs (for example a constant series, whose lags are
     collinear with the intercept) fall back to the minimum-norm solution.
     """
     if order < 1:
         raise BadTarget("order must be at least 1")
-    matrices = [np.asarray(scores, dtype=float)] if not isinstance(scores, (list, tuple)) \
-        else [np.asarray(s, dtype=float) for s in scores]
+    if not isinstance(scores, (list, tuple)) and np.ndim(scores) != 3:
+        scores = [scores]
+    matrices = [np.asarray(s, dtype=float) for s in scores]
     if not matrices:
         raise InsufficientData("no score matrices to fit")
     d1 = matrices[0].shape[0]
@@ -243,7 +246,7 @@ def fit_pwi(seqs, diagonal: bool = False) -> PWIModel:
     """Fit the posture-wise model: per frame, the intrinsic mean of the
     training postures and the covariance of their log coordinates
     (denominator M-1).  diagonal=True keeps only per-coordinate variances."""
-    stack = np.stack(geo._check_same_shape(seqs, 2, "sequences"))
+    stack = geo._check_set(seqs, 2, "sequences")
     t, bones, _ = geo._check_postures(stack[0], least=1).shape
     m, dim = stack.shape[0], 2 * bones
     means = geo.karcher_mean(stack)
@@ -362,19 +365,18 @@ def fit_emulator(seqs, kind: str = "istvf", model_type: str = "ig",
 
     Reduction and fit are dimred.reduce_fields and fit_bundle, as in the CLI.
     """
-    seqs = geo._check_same_shape(seqs, 1, "sequences")
+    seqs = geo._check_set(seqs, 1, "sequences")
     if model_type not in MODEL_TYPES:
         raise KindMismatch(f"unknown model type {model_type!r}")
 
     if model_type == "pwi":
-        model = fit_pwi(seqs, diagonal=diagonal)
-        return EmulatorBundle(kind="intrinsic", model_type="pwi", model=model,
-                              length=seqs[0].shape[0], meta={"count": len(seqs)})
+        return EmulatorBundle(kind="intrinsic", model_type="pwi", model=fit_pwi(seqs, diagonal),
+                              length=seqs.shape[1], meta={"count": len(seqs)})
 
     if kind not in EMULATOR_KINDS:
         raise KindMismatch(f"flattening kind {kind!r} cannot back an emulator")
     if reference is None:
-        reference = geo.karcher_mean(np.concatenate(seqs, axis=0))
+        reference = geo.karcher_mean(seqs.reshape((-1,) + seqs.shape[2:]))
     reference = np.asarray(reference, dtype=float)
     fields = [flatten.flatten_sequence(s, reference, kind) for s in seqs]
     spatial, fpca = dimred.reduce_fields(fields, model_type != "var", d1, d2, var1, var2)
@@ -397,18 +399,18 @@ def _pick_start(bundle: EmulatorBundle, rng):
 def simulate_sequence(bundle: EmulatorBundle, count: int, seed=None):
     """Simulate new sequences from a fitted bundle.
 
-    Returns a list of count posture sequences.  All randomness flows from
-    the seed; coefficient models run sample -> functional rebuild ->
-    spatial rebuild -> unflatten, the VAR iterates its recursion, and the
+    Returns one (count, T, n-1, 3) array.  All randomness flows from the
+    seed; coefficient models run sample -> functional rebuild -> spatial
+    rebuild -> unflatten, the VAR iterates its recursion, and the
     posture-wise model samples frames independently.  The rebuilt fields
     are decoded as one batch (flatten.unflatten_batch), posture-wise draws
-    are made as one batch, and the returned sequences are views into it.
+    are made as one batch, and that batch is returned.
     """
     if count < 0:
         raise BadTarget("count must be nonnegative")
     rng = np.random.default_rng(seed)
     if bundle.model_type == "pwi":
-        return list(_pwi_draws(bundle.model, count, rng))
+        return _pwi_draws(bundle.model, count, rng)
     template = _template_field(bundle)
     values = np.empty((count,) + template.values.shape)
     starts = np.empty((count,) + bundle.reference.shape)
@@ -422,8 +424,7 @@ def simulate_sequence(bundle: EmulatorBundle, count: int, seed=None):
             scores = dimred.fpca_reconstruct(coeff, bundle.fpca)
             values[i] = dimred.spatial_reconstruct(scores, bundle.spatial, template).values
             starts[i] = _pick_start(bundle, rng)
-    return list(flatten.unflatten_batch(bundle.kind, bundle.reference, starts, values,
-                                        template.dt))
+    return flatten.unflatten_batch(bundle.kind, bundle.reference, starts, values, template.dt)
 
 
 def sequence_logliks(bundle: EmulatorBundle, seqs) -> np.ndarray:

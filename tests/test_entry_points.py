@@ -1,14 +1,21 @@
 """Every public function that takes postures, sequences or sets of
 sequences refuses an array of the wrong shape with a MotionError: it
-neither returns a result nor lets a numpy error through."""
+neither returns a result nor lets a numpy error through.  Every function
+that takes a set gives the same bits on an (M, ...) array as on the list
+of its rows, and copies the set no more than once."""
+
+import dataclasses
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from motionemu import alignment, evaluate, flatten, geometry, models
-from motionemu.errors import MotionError
+from motionemu import alignment, dimred, evaluate, flatten, geometry, models
+from motionemu.datagen import SynthConfig, gen_class
+from motionemu.errors import DimensionMismatch, MotionError
 
 REF = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 MODES = evaluate.ClusterModel(modes=np.stack([REF, REF[::-1]]), medoid_indices=np.arange(2),
@@ -69,3 +76,119 @@ def test_wrong_shapes_raise_motion_errors(name, shape):
     x = np.full(shape, 1.0 / np.sqrt(3.0))
     with pytest.raises(MotionError):
         call(x)
+
+
+# ---- a set of sequences is one array -----------------------------------------
+
+def bits(obj):
+    """Everything a result holds, arrays as their shape, dtype and bytes."""
+    if dataclasses.is_dataclass(obj):
+        return bits(vars(obj))
+    if isinstance(obj, dict):
+        return {k: bits(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [bits(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.shape, obj.dtype.str, obj.tobytes()
+    return repr(obj)
+
+
+def synth_set(seed, count=6, landmarks=4, frames=16):
+    cfg = SynthConfig(landmarks=landmarks, frames=frames, count=count, seed=seed)
+    return gen_class(cfg)[0]
+
+
+def modes_for(x):
+    return evaluate.cluster_postures(x.reshape((-1,) + x.shape[2:]), k=2, seed=0)
+
+
+# every public function that takes a set: name -> (builder of its set from a
+# seed, call on the set)
+SET_CALLS = {
+    "align_all": (synth_set, alignment.align_all),
+    "fit_pwi": (synth_set, models.fit_pwi),
+    "fit_emulator": (synth_set, lambda s: models.fit_emulator(s, model_type="mvg", d1=2, d2=3)),
+    "disco_test": (synth_set, lambda s: evaluate.disco_test(s[:3], s[3:], n_perm=19, seed=0)),
+    "sequence_distance_matrix": (synth_set, evaluate.sequence_distance_matrix),
+    "mean_label_sequence": (synth_set,
+                            lambda s: evaluate.mean_label_sequence(s, modes_for(np.asarray(s)))),
+    "fit_mvg": (lambda seed: np.random.default_rng(seed).standard_normal((6, 2, 3)),
+                models.fit_mvg),
+    "fit_ig": (lambda seed: np.random.default_rng(seed).standard_normal((6, 2, 3)),
+               models.fit_ig),
+    "fpca_fit": (lambda seed: np.random.default_rng(seed).standard_normal((6, 2, 15)),
+                 lambda s: dimred.fpca_fit(s, dt=0.1)),
+    "fit_var": (lambda seed: np.random.default_rng(seed).standard_normal((6, 2, 15)),
+                lambda s: models.fit_var(s, order=2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SET_CALLS))
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_an_array_set_gives_the_bits_of_the_list_of_its_rows(name, seed):
+    build, call = SET_CALLS[name]
+    x = build(seed)
+    before = x.copy()
+    assert bits(call(x)) == bits(call(list(x)))
+    assert np.array_equal(x, before)  # the caller's set is left as it was
+
+
+def test_sets_come_back_as_arrays():
+    x = synth_set(1, count=8)
+    m, t, bones, _ = x.shape
+    aligned, warps = alignment.align_all(list(x))
+    assert aligned.shape == x.shape and warps.shape == (m, t)
+    for model_type in ("mvg", "ig", "var", "pwi"):
+        bundle = models.fit_emulator(x, model_type=model_type, d1=2, d2=3, order=1)
+        for count in (0, 3):
+            assert models.simulate_sequence(bundle, count, seed=2).shape == (count, t, bones, 3)
+        if model_type in ("mvg", "ig"):
+            for count in (0, 3):
+                assert models.sample_coeffs(bundle.model, count, seed=2).shape == (count, 2, 3)
+
+
+def traced_peak(call):
+    """Peak bytes that call allocates on top of what is live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_set_check_copies_a_list_once_and_an_array_never():
+    x = synth_set(2, count=40, landmarks=11, frames=40)
+    assert geometry._check_set(x, 1, "sequences") is x
+    assert np.shares_memory(geometry._check_set(x[1:4], 1, "sequences"), x)
+    rows = list(x)
+    assert traced_peak(lambda: geometry._check_set(rows, 1, "sequences")) < 1.2 * x.nbytes
+    with pytest.raises(DimensionMismatch, match=re.escape("[(3, 10, 3), (40, 10, 3)]")):
+        geometry._check_set([x[0], x[0], x[1, :3]], 1, "sequences")
+
+
+def test_array_sets_reach_their_karcher_means_uncopied(monkeypatch):
+    x = synth_set(3, count=6)
+    seen = []
+    original = geometry.karcher_mean
+
+    def spy(postures, *args, **kwargs):
+        seen.append(postures)
+        return original(postures, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "karcher_mean", spy)
+    models.fit_pwi(x)
+    evaluate.mean_label_sequence(x, modes_for(x))
+    models.fit_emulator(x, model_type="mvg", d1=2, d2=3)  # first mean: the reference
+    assert len(seen) >= 3 and all(np.shares_memory(p, x) for p in seen[:3])
+
+
+@pytest.mark.parametrize("as_list", [False, True])
+def test_align_all_and_sequence_distance_matrix_copy_a_set_once(monkeypatch, as_list):
+    monkeypatch.setattr(geometry, "BLOCK_BYTES", 2**12)
+    x = synth_set(4, count=30, landmarks=21, frames=30)
+    s = list(x) if as_list else x
+    for call in (alignment.align_all, evaluate.sequence_distance_matrix):
+        assert traced_peak(lambda: call(s)) < 1.5 * x.nbytes

@@ -462,7 +462,7 @@ def test_simulate_zero_sequences_is_empty():
     seqs = training_set(8, t=13, seed=5)
     for model_type in ("mvg", "ig", "var", "pwi"):
         bundle = fit_emulator(seqs, model_type=model_type, d1=2, d2=2, order=2)
-        assert simulate_sequence(bundle, 0, seed=1) == []
+        assert simulate_sequence(bundle, 0, seed=1).shape == (0,) + seqs[0].shape
     with pytest.raises(BadTarget):
         simulate_sequence(bundle, -1)
 
@@ -625,7 +625,7 @@ def test_batch_accepts_coefficient_matrices_and_empty_batches():
     bundle = fit_emulator(seqs, kind="istvf", model_type="mvg", d1=3, d2=4)
     draws = sample_coeffs(bundle.model, 5, seed=4)
     assert bits(logliks(draws, bundle.model)) == bits(logliks(np.stack(draws), bundle.model))
-    for model in (bundle.model, fit_ig(draws + draws)):
+    for model in (bundle.model, fit_ig(np.concatenate((draws, draws)))):
         for empty in ([], np.empty((0, 3, 4))):
             out = logliks(empty, model)
             assert out.shape == (0,) and out.dtype == float
