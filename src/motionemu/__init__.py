@@ -20,8 +20,7 @@ from .evaluate import (ClusterModel, DiscoResult, cluster_postures, disco_test,
                        mds_coords_from, mean_label_sequence, posture_distance_matrix,
                        qq_data, quantize, roughness, select_k, sequence_distance_matrix,
                        silhouette_score, variability, variability_stats)
-from .flatten import (FlatField, flatten_sequence, shooting_vectors, unflatten_batch,
-                      unflatten_field)
+from .flatten import FlatFields, flatten_sequence, shooting_vectors, unflatten_field
 from .geometry import (karcher_mean, posture_dist, sequence_dist, sphere_dist, sphere_exp,
                        sphere_log, sphere_transport, tangent_coords, tangent_frame,
                        tangent_norm, coords_to_tangent)

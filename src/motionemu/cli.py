@@ -217,16 +217,16 @@ def cmd_align(args, out):
 
 def _flatten(args, out, seqs, inputs, reference=None):
     """inputs are the paths of seqs and, when given, of the reference."""
+    seqs = geo._check_set(seqs, 1, "sequences")
     if reference is None:
-        reference = geo.karcher_mean(np.concatenate(seqs, axis=0))
-    fields = [flatten.flatten_sequence(s, reference, args.kind) for s in seqs]
+        reference = geo.karcher_mean(seqs.reshape((-1,) + seqs.shape[2:]))
+    fields = flatten.flatten_sequence(seqs, reference, args.kind)
     config = _config(args, "kind", input=os.path.basename(inputs[0]),
                      reference=os.path.basename(args.reference))
     paths = _emit(out, "flatten", config, inputs,
                   [("fields.txt", mio.write_flatfields, fields),
                    ("reference.txt", mio.write_posture_sequences, [reference[None]])])
-    print(f"flatten: {len(fields)} {args.kind} fields of "
-          f"{fields[0].values.shape[1]} columns")
+    print(f"flatten: {len(fields)} {args.kind} fields of {fields.length} columns")
     return fields, paths
 
 
@@ -259,8 +259,8 @@ def _fit(args, out, inputs, seqs=None, fields=None, reduction=None):
     if model_type == "pwi":
         bundle = models.fit_emulator(seqs, model_type="pwi", diagonal=args.diagonal)
     else:
-        if fields[0].kind != kind:
-            raise KindMismatch(f"fields are {fields[0].kind!r}, scheme wants {kind!r}")
+        if fields.kind != kind:
+            raise KindMismatch(f"fields are {fields.kind!r}, scheme wants {kind!r}")
         bundle = models.fit_bundle(fields, *reduction, model_type, args.order,
                                    args.var_index, args.start_policy)
     config = _config(args, "order", "var_index", "start_policy", "diagonal",

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .errors import DimensionMismatch, InsufficientData, KindMismatch, ReferenceMismatch
-from .flatten import FlatField
+from .errors import DimensionMismatch, InsufficientData
+from .flatten import FlatFields
 
 # Relative eigenvalue threshold under which spectrum entries count as zero rank.
 RANK_RTOL = 1e-12
@@ -73,40 +73,30 @@ class SpatialPCA:
         return int(self.basis.shape[1])
 
 
-def _check_fields(fields, least=1):
-    """Fields pooled into one fit: one kind, one shape, one reference, one dt."""
-    geo._check_set([f.values for f in fields], least, "fields")
-    for i, f in enumerate(fields):
-        if f.kind != fields[0].kind:
-            raise KindMismatch(f"mixed field kinds: {fields[0].kind!r} vs {f.kind!r}")
-        if not np.array_equal(f.reference, fields[0].reference) or f.dt != fields[0].dt:
-            raise ReferenceMismatch(f"field {i} was flattened at another reference or "
-                                    "time grid than field 0")
-    return fields
-
-
-def spatial_pca_fit(fields, n_components=None, var_threshold=0.9) -> SpatialPCA:
+def spatial_pca_fit(fields: FlatFields, n_components=None, var_threshold=0.9) -> SpatialPCA:
     """Fit the pooled spatial PCA over all columns of all fields.
 
     Parameters
     ----------
-    fields : list of FlatField
-        Same kind and shape; their columns are pooled.
+    fields : FlatFields
+        Their columns are pooled, field by field.
     n_components : int, optional
         Fixed d1; capped at the numerical rank of the pooled data.
     var_threshold : float
         Used to select d1 when n_components is None.
     """
-    x = np.concatenate([f.values.T for f in _check_fields(fields)], axis=0)
-    if x.shape[0] < 2:
+    if len(fields) * fields.length < 2:
         raise InsufficientData("need at least two pooled columns")
+    # the fields' columns as rows; concatenating per field keeps the memory
+    # order of their values, which the fit's bits depend on
+    x = np.concatenate(np.swapaxes(fields.values, 1, 2), axis=0)
     if np.all(x == x[0]):
         # constant data: the mean is the shared column and the rank is zero
         return SpatialPCA(mean=x[0].copy(), basis=np.zeros((x.shape[1], 0)),
                           eigenvalues=np.zeros(0), total_variance=0.0)
     mean = x.mean(axis=0)
-    centered = x - mean
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    x -= mean  # x is this fit's own copy, so centre it in place
+    _, svals, vt = np.linalg.svd(x, full_matrices=False)
     eigenvalues = svals**2 / (x.shape[0] - 1)
     rank = int(np.sum(eigenvalues > eigenvalues.max() * RANK_RTOL)) if eigenvalues.size else 0
     if n_components is None:
@@ -122,21 +112,20 @@ def spatial_pca_fit(fields, n_components=None, var_threshold=0.9) -> SpatialPCA:
                       total_variance=float(eigenvalues.sum()))
 
 
-def spatial_project(field: FlatField, pca: SpatialPCA):
-    """Scores H = basis^T (values - mean), shape (d1, L)."""
-    if field.values.shape[0] != pca.mean.shape[0]:
-        raise DimensionMismatch("field does not match the fitted spatial PCA")
-    return pca.basis.T @ (field.values - pca.mean[:, None])
+def spatial_project(fields: FlatFields, pca: SpatialPCA):
+    """Scores H = basis^T (values - mean) of every field, shape (M, d1, L)."""
+    if fields.values.shape[1] != pca.mean.shape[0]:
+        raise DimensionMismatch("fields do not match the fitted spatial PCA")
+    return pca.basis.T @ (fields.values - pca.mean[:, None])
 
 
-def spatial_reconstruct(scores, pca: SpatialPCA, like: FlatField) -> FlatField:
-    """Rebuild a field from scores; kind, reference, start and dt are
-    copied from the template field."""
+def spatial_reconstruct(scores, pca: SpatialPCA):
+    """Field values mean + basis H from scores H: (..., d1, L) scores give
+    (..., D, L) values."""
     scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 2 or scores.shape[0] != pca.dim:
-        raise DimensionMismatch(f"scores must be (d1, L) with d1={pca.dim}, got {scores.shape}")
-    values = pca.mean[:, None] + pca.basis @ scores
-    return FlatField(like.kind, like.reference, like.start, values, like.dt)
+    if scores.ndim < 2 or scores.shape[-2] != pca.dim:
+        raise DimensionMismatch(f"scores must be (..., d1, L) with d1={pca.dim}, got {scores.shape}")
+    return pca.mean[:, None] + pca.basis @ scores
 
 
 @dataclass
@@ -195,21 +184,22 @@ def fpca_fit(score_list, dt: float, n_components=None, var_threshold=0.95) -> FP
 
 def fpca_project(scores, basis: FPCABasis):
     """Coefficients a[i, j] = <row_i - mean_i, basis_ij> under the
-    dt-weighted inner product; shape (d1, d2)."""
+    dt-weighted inner product: (..., d1, L) scores give (..., d1, d2)."""
     scores = np.asarray(scores, dtype=float)
-    if scores.shape != basis.means.shape:
+    if scores.shape[-2:] != basis.means.shape:
         raise DimensionMismatch(f"scores shape {scores.shape} does not match fit {basis.means.shape}")
     dev = scores - basis.means
-    return np.einsum("il,ilj->ij", dev, basis.bases) * basis.dt
+    return np.einsum("...il,ilj->...ij", dev, basis.bases) * basis.dt
 
 
 def fpca_reconstruct(coeffs, basis: FPCABasis):
-    """Rebuild score rows from coefficients: mean_i + sum_j a_ij basis_ij."""
+    """Rebuild score rows from coefficients, mean_i + sum_j a_ij basis_ij:
+    (..., d1, d2) coefficients give (..., d1, L)."""
     coeffs = np.asarray(coeffs, dtype=float)
     d1, d2 = basis.dims
-    if coeffs.shape != (d1, d2):
-        raise DimensionMismatch(f"coefficients must be ({d1}, {d2}), got {coeffs.shape}")
-    return basis.means + np.einsum("ij,ilj->il", coeffs, basis.bases)
+    if coeffs.shape[-2:] != (d1, d2):
+        raise DimensionMismatch(f"coefficients must be (..., {d1}, {d2}), got {coeffs.shape}")
+    return basis.means + np.einsum("...ij,ilj->...il", coeffs, basis.bases)
 
 
 def reduce_fields(fields, functional: bool, d1=None, d2=None, var1=0.9, var2=0.95):
@@ -222,8 +212,8 @@ def reduce_fields(fields, functional: bool, d1=None, d2=None, var1=0.9, var2=0.9
     spatial = spatial_pca_fit(fields, n_components=d1, var_threshold=var1)
     if not functional:
         return spatial, None
-    scores = [spatial_project(f, spatial) for f in fields]
-    return spatial, fpca_fit(scores, dt=fields[0].dt, n_components=d2, var_threshold=var2)
+    scores = spatial_project(fields, spatial)
+    return spatial, fpca_fit(scores, dt=fields.dt, n_components=d2, var_threshold=var2)
 
 
 @dataclass
@@ -248,8 +238,10 @@ def mpca_fit(fields, d1: int, d2: int, tol: float = 1e-8, max_iter: int = 50) ->
     below tol; hitting max_iter returns the best iterate with
     converged=False.
     """
-    x = np.stack([f.values for f in _check_fields(fields, least=2)])
+    x = fields.values
     m, rows, cols = x.shape
+    if m < 2:
+        raise InsufficientData(f"got {m} fields, need at least 2")
     if not (1 <= d1 <= rows and 1 <= d2 <= cols):
         raise DimensionMismatch(f"target dims ({d1}, {d2}) exceed tensor shape ({rows}, {cols})")
     mean = x.mean(axis=0)
@@ -274,21 +266,21 @@ def mpca_fit(fields, d1: int, d2: int, tol: float = 1e-8, max_iter: int = 50) ->
                      total_variance=total)
 
 
-def mpca_project(field: FlatField, model: MPCAModel):
-    """Core tensor Z = U1^T (X - mean) U2, shape (d1, d2)."""
-    if field.values.shape != model.mean.shape:
-        raise DimensionMismatch("field does not match the fitted MPCA")
-    return model.row_basis.T @ (field.values - model.mean) @ model.col_basis
+def mpca_project(fields: FlatFields, model: MPCAModel):
+    """Core tensors Z = U1^T (X - mean) U2 of every field, shape (M, d1, d2)."""
+    if fields.values.shape[1:] != model.mean.shape:
+        raise DimensionMismatch("fields do not match the fitted MPCA")
+    return model.row_basis.T @ (fields.values - model.mean) @ model.col_basis
 
 
-def mpca_reconstruct(core, model: MPCAModel, like: FlatField) -> FlatField:
-    """Rebuild a field from its core tensor using the template's metadata."""
+def mpca_reconstruct(core, model: MPCAModel):
+    """Field values mean + U1 Z U2^T from core tensors: (..., d1, d2) cores
+    give (..., D, L) values."""
     core = np.asarray(core, dtype=float)
     expected = (model.row_basis.shape[1], model.col_basis.shape[1])
-    if core.shape != expected:
-        raise DimensionMismatch(f"core must be {expected}, got {core.shape}")
-    values = model.mean + model.row_basis @ core @ model.col_basis.T
-    return FlatField(like.kind, like.reference, like.start, values, like.dt)
+    if core.shape[-2:] != expected:
+        raise DimensionMismatch(f"core must end in {expected}, got {core.shape}")
+    return model.mean + model.row_basis @ core @ model.col_basis.T
 
 
 def seq_recon_error(seq, reconstructed) -> float:

@@ -16,10 +16,13 @@ vector-space statistics apply:
   multi-hop chain (parallel transport is path dependent), so its
   reconstruction error grows along the sequence.
 
-``flatten_sequence`` encodes every kind; ``unflatten_field`` decodes one
-field and ``unflatten_batch`` many fields of one kind at once.  Velocity
-columns are scaled by 1/dt = T-1; decoding scales them back by the
-field's dt before exponentiating.
+A set of M flattened sequences is one ``FlatFields``: one kind, one
+reference, one dt, the M start postures as one (M, n-1, 3) array and the
+M value matrices as one (M, 2*(n-1), L) array.  ``flatten_sequence``
+encodes a set of sequences of any kind into one, and ``unflatten_field``
+decodes one back into an (M, T, n-1, 3) array.  Velocity columns are
+scaled by 1/dt = T-1; decoding scales them back by dt before
+exponentiating.
 """
 
 from dataclasses import dataclass
@@ -34,28 +37,33 @@ VELOCITY_KINDS = ("stvf", "istvf", "mtvf")
 
 
 @dataclass
-class FlatField:
-    """A flattened sequence: kind tag, reference posture, start posture
-    (needed to invert the velocity kinds), value matrix of shape
-    (2*(n-1), L) and grid spacing dt."""
+class FlatFields:
+    """A set of M flattened sequences of one kind at one reference posture
+    (n-1, 3) and on one time grid dt: their start postures (M, n-1, 3),
+    needed to invert the velocity kinds, and their value matrices
+    (M, 2*(n-1), L)."""
 
     kind: str
     reference: np.ndarray
-    start: np.ndarray | None
+    starts: np.ndarray
     values: np.ndarray
     dt: float
 
     def __post_init__(self):
         if self.kind not in FLATTEN_KINDS:
             raise KindMismatch(f"unknown flattening kind {self.kind!r}")
-        k = self.reference.shape[0]
-        if self.values.ndim != 2 or self.values.shape[0] != 2 * k:
-            raise DimensionMismatch(
-                f"values must have {2 * k} rows for {k} bones, got {self.values.shape}")
+        k, m = self.reference.shape[0], len(self.values)
+        if (self.values.ndim != 3 or self.values.shape[1] != 2 * k
+                or np.shape(self.starts) != (m,) + self.reference.shape):
+            raise DimensionMismatch(f"expected (M, {k}, 3) start postures and (M, {2 * k}, L) "
+                                    f"values, got {np.shape(self.starts)} and {self.values.shape}")
+
+    def __len__(self):
+        return len(self.values)
 
     @property
     def length(self) -> int:
-        return int(self.values.shape[1])
+        return int(self.values.shape[2])
 
 
 def _check_sequence(seq, reference=None):
@@ -81,75 +89,62 @@ def transported_velocities(seq, reference):
     return geo.sphere_transport(seq[:-1], reference, shooting_vectors(seq))
 
 
-def flatten_sequence(seq, reference, kind: str) -> FlatField:
-    """Encode a (T, n-1, 3) sequence as a field of the given kind: the
-    kind's tangent vectors, in coordinates at the reference posture and,
-    for istvf, integrated over time.  Transport and the coordinate map are
-    isometries, so stvf column norms equal the shooting-vector norms;
-    siem rejects frames antipodal to the reference."""
+def flatten_sequence(seqs, reference, kind: str) -> FlatFields:
+    """Encode a set of (T, n-1, 3) sequences (an (M, T, n-1, 3) array or a
+    list) as fields of the given kind: the kind's tangent vectors, in
+    coordinates at the reference posture and, for istvf, integrated over
+    time.  Transport and the coordinate map are isometries, so stvf column
+    norms equal the shooting-vector norms; siem rejects frames antipodal to
+    the reference.  Sequences are encoded one at a time, into one array."""
     if kind not in FLATTEN_KINDS:
         raise KindMismatch(f"unknown flattening kind {kind!r}")
-    seq = _check_sequence(seq, reference)
-    reference = np.asarray(reference, dtype=float)
-    dt = 1.0 / (seq.shape[0] - 1)
-    if kind == "siem":
-        tangents = geo.sphere_log(reference, seq)
-    elif kind == "mtvf":
-        tangents = shooting_vectors(seq)
-        # Walk the chain backwards, dragging every not-yet-finished column
-        # down one hop per iteration so each numpy call stays batched.
-        for s in range(seq.shape[0] - 2, 0, -1):
-            tangents[s:] = geo.sphere_transport(seq[s], seq[s - 1], tangents[s:])
-        tangents = geo.sphere_transport(seq[0], reference, tangents)
-    else:
-        tangents = transported_velocities(seq, reference)
-    values = geo.tangent_coords(reference, tangents).T.copy()
-    if kind == "istvf":
-        values = np.cumsum(values, axis=1) * dt
-    return FlatField(kind, reference.copy(), seq[0].copy(), values, dt)
+    seqs = geo._check_set(seqs, 0, "sequences")
+    if seqs.ndim != 4 or seqs.shape[1] < 2:
+        raise DimensionMismatch(f"expected (M, T, n-1, 3) sequences with T >= 2, got {seqs.shape}")
+    reference = np.array(reference, dtype=float)
+    t = seqs.shape[1]
+    dt = 1.0 / (t - 1)
+    values = np.empty((len(seqs), 2 * seqs.shape[2], t if kind == "siem" else t - 1))
+    for seq, out in zip(seqs, values):
+        seq = _check_sequence(seq, reference)
+        if kind == "siem":
+            tangents = geo.sphere_log(reference, seq)
+        elif kind == "mtvf":
+            tangents = shooting_vectors(seq)
+            # Walk the chain backwards, dragging every not-yet-finished column
+            # down one hop per iteration so each numpy call stays batched.
+            for s in range(t - 2, 0, -1):
+                tangents[s:] = geo.sphere_transport(seq[s], seq[s - 1], tangents[s:])
+            tangents = geo.sphere_transport(seq[0], reference, tangents)
+        else:
+            tangents = transported_velocities(seq, reference)
+        coords = geo.tangent_coords(reference, tangents).T
+        out[:] = np.cumsum(coords, axis=1) * dt if kind == "istvf" else coords
+    return FlatFields(kind, reference, seqs[:, 0].copy(), values, dt)
 
 
-def unflatten_batch(kind: str, reference, starts, values, dt: float):
-    """Decode N fields that share their kind, reference and dt at once.
+def unflatten_field(fields: FlatFields):
+    """Decode a set of fields into an (M, T, n-1, 3) array.
 
-    values has shape (N, 2*(n-1), L) and starts (N, n-1, 3); siem does not
-    use starts, which may then be None.  Returns shape (N, T, n-1, 3).
-    Every step acts element by element across the batch, so each decoded
-    sequence equals decoding its field alone, bit for bit.  The velocity
-    kinds grow all N sequences in one loop over the L columns: each column
-    is turned into a step (istvf first differenced and divided by dt),
-    transported from the reference to the newest frame, scaled by dt and
-    exponentiated there.  Only one column of steps exists at a time.
+    siem does not use the start postures.  Every step acts element by
+    element across the set, so each decoded sequence equals decoding its
+    field alone, bit for bit.  The velocity kinds grow all M sequences in
+    one loop over the L columns: each column is turned into a step (istvf
+    first differenced and divided by dt), transported from the reference
+    to the newest frame, scaled by dt and exponentiated there.  Only one
+    column of steps exists at a time.
     """
-    if kind not in FLATTEN_KINDS:
-        raise KindMismatch(f"unknown flattening kind {kind!r}")
-    reference = np.asarray(reference, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 3:
-        raise DimensionMismatch(f"expected (N, 2*(n-1), L) values, got {values.shape}")
-    if kind == "siem":
+    reference, values, dt = fields.reference, fields.values, fields.dt
+    if fields.kind == "siem":
         return geo.sphere_exp(reference, geo.coords_to_tangent(reference,
                                                                np.swapaxes(values, 1, 2)))
-    if starts is None:
-        raise DimensionMismatch(f"{kind} field is missing its start posture")
-    starts = np.asarray(starts, dtype=float)
-    if starts.shape != (values.shape[0],) + reference.shape:
-        raise DimensionMismatch(f"starts {starts.shape} do not match {values.shape[0]} fields "
-                                f"of {reference.shape[0]} bones")
-    out = np.empty((values.shape[0], values.shape[2] + 1) + reference.shape)
-    out[:, 0] = starts
+    out = np.empty((len(values), values.shape[2] + 1) + reference.shape)
+    out[:, 0] = fields.starts
     for t in range(values.shape[2]):
         coords = values[:, :, t]
-        if kind == "istvf":
+        if fields.kind == "istvf":
             coords = (coords - values[:, :, t - 1] if t else coords) / dt
         step = geo.coords_to_tangent(reference, coords)
         v = geo.sphere_transport(reference, out[:, t], step)
         out[:, t + 1] = geo.sphere_exp(out[:, t], v * dt)
     return out
-
-
-def unflatten_field(field: FlatField):
-    """Decode one field of any kind: the one-field case of unflatten_batch."""
-    starts = None if field.start is None else field.start[None]
-    return unflatten_batch(field.kind, field.reference, starts, field.values[None],
-                           field.dt)[0]

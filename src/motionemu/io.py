@@ -8,7 +8,8 @@ block's rows in one `np.array(..., dtype=float)` call.  A block with no
 entries (a length-0 vector, a (D, 0) matrix) has no payload lines.  Bad
 headers, short files, ragged rows and non-numeric tokens raise
 `DimensionMismatch` naming the file, as do non-finite posture or field
-values and bones off the unit sphere (`UNIT_TOL`).
+values and bones off the unit sphere (`UNIT_TOL`).  Files are read one
+line at a time, so a reader holds one block's lines, not the file's.
 
 Model-like objects (PCA bases, fitted models, emulator bundles) use a
 generic tagged document: a `doc <type> <version>` header, then one entry
@@ -17,10 +18,12 @@ by `end`.  Vectors and matrices are followed by their payload lines.
 Readers fetch entries with the tags they expect (`_Doc.entry`).
 """
 
+from itertools import islice
+
 import numpy as np
 
-from .errors import DimensionMismatch, KindMismatch
-from .flatten import FLATTEN_KINDS, FlatField
+from .errors import DimensionMismatch, KindMismatch, ReferenceMismatch
+from .flatten import FLATTEN_KINDS, FlatFields
 from .skeleton import SkeletonHierarchy
 
 # Largest | |bone| - 1 | a posture read from a file may show; the program's
@@ -68,23 +71,31 @@ def _check_postures(path, where, postures):
     _first_bad(path, where, off.any(axis=1), f"bone norm off 1 by more than {UNIT_TOL:g}")
 
 
+def _nonempty_lines(path):
+    with open(path) as fh:
+        yield from (ln.rstrip("\n") for ln in fh if ln.strip())
+
+
 class _Lines:
-    """The non-empty lines of a file, consumed front to back."""
+    """The non-empty lines of a file, read and consumed front to back, with
+    one line of lookahead."""
 
     def __init__(self, path):
         self.path = str(path)
-        with open(path) as fh:
-            self.lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-        self.pos = 0
+        self.lines = _nonempty_lines(path)
+        self.ahead = list(islice(self.lines, 1))
 
     def left(self):
-        return len(self.lines) - self.pos
+        return bool(self.ahead)
 
     def take(self, count):
-        if self.left() < count:
+        if not count:
+            return []
+        lines = self.ahead + list(islice(self.lines, count - 1))
+        if len(lines) < count:
             raise DimensionMismatch(f"{self.path}: unexpected end of file")
-        self.pos += count
-        return self.lines[self.pos - count:self.pos]
+        self.ahead = list(islice(self.lines, 1))
+        return lines
 
     def head(self, tag, size=None):
         """Tokens after tag of the next line, which starts with tag and,
@@ -164,49 +175,64 @@ def write_warps(path, warps):
 
 
 def read_warps(path):
+    """Read a set of warps as one (M, T) array."""
     src = _Lines(path)
     m, t = (int(v) for v in src.head("warps", 3))
-    return list(src.block(m, t))
+    return src.block(m, t)
 
 
-def write_flatfields(path, fields):
-    """Write flattened fields, one block per field."""
+# a fields file's header entries, which every block shares with block 0
+_FIELD_HEAD = (("kind", KindMismatch), ("landmark count", DimensionMismatch),
+               ("column count", DimensionMismatch), ("dt", ReferenceMismatch))
+
+
+def write_flatfields(path, fields: FlatFields):
+    """Write a set of flattened fields, one block per field, each with the
+    set's kind, dt and reference."""
+    k = fields.reference.shape[0]
+    head = (f"flatfield {fields.kind} {k + 1} {fields.length} {fmt(fields.dt)}\n"
+            f"reference {' '.join(map(fmt, fields.reference.ravel()))}\nstart ")
     with open(path, "w") as fh:
-        for field in fields:
-            k = field.reference.shape[0]
-            fh.write(f"flatfield {field.kind} {k + 1} {field.values.shape[1]} {fmt(field.dt)}\n")
-            fh.write("reference ")
-            _write_rows(fh, field.reference.reshape(1, 3 * k))
-            if field.start is None:
-                fh.write("start none\n")
-            else:
-                fh.write("start ")
-                _write_rows(fh, field.start.reshape(1, 3 * k))
-            _write_rows(fh, field.values)
+        for start, values in zip(fields.starts, fields.values):
+            fh.write(head)
+            _write_rows(fh, start.reshape(1, 3 * k))
+            _write_rows(fh, values)
 
 
-def read_flatfields(path):
+def read_flatfields(path) -> FlatFields:
+    """Read a set of flattened fields.  Every block must hold a start
+    posture and agree with block 0 on kind (else KindMismatch), bones and
+    columns (DimensionMismatch), dt and reference (ReferenceMismatch); the
+    error names the field."""
     src = _Lines(path)
-    out = []
+    heads, starts, values = [], [], []
     while src.left():
+        i = len(heads)
         kind, n, cols, dt = src.head("flatfield", 5)
         if kind not in FLATTEN_KINDS:
             raise KindMismatch(f"{path}: unknown field kind {kind!r}")
-        k, cols, dt = int(n) - 1, int(cols), float(dt)
-        reference = _parse_rows(path, [src.head("reference")], 1, 3 * k).reshape(k, 3)
+        heads.append((kind, int(n), int(cols), float(dt)))
+        for (name, error), mine, first in zip(_FIELD_HEAD, heads[-1], heads[0]):
+            if mine != first:
+                raise error(f"{path}: field {i} has {name} {mine!r}, field 0 {first!r}")
+        k, cols = heads[0][1] - 1, heads[0][2]
+        ref = _parse_rows(path, [src.head("reference")], 1, 3 * k).reshape(k, 3)
+        _check_postures(path, f"block {i}, reference bone", ref[:, None])
+        if not i:
+            reference = ref
+        elif not np.array_equal(ref, reference):
+            raise ReferenceMismatch(f"{path}: field {i} has another reference than field 0")
         start = src.head("start")
-        start = None if start == ["none"] else _parse_rows(path, [start], 1, 3 * k).reshape(k, 3)
-        values = src.block(2 * k, cols)
-        block = f"block {len(out)},"
-        _check_postures(path, f"{block} reference bone", reference[:, None])
-        if start is not None:
-            _check_postures(path, f"{block} start bone", start[:, None])
-        _first_bad(path, f"{block} values row", ~np.isfinite(values).all(axis=1),
+        if start == ["none"]:
+            raise DimensionMismatch(f"{path}: field {i} has no start posture")
+        starts.append(_parse_rows(path, [start], 1, 3 * k).reshape(k, 3))
+        _check_postures(path, f"block {i}, start bone", starts[-1][:, None])
+        values.append(src.block(2 * k, cols))
+        _first_bad(path, f"block {i}, values row", ~np.isfinite(values[-1]).all(axis=1),
                    "non-finite value")
-        out.append(FlatField(kind=kind, reference=reference, start=start, values=values, dt=dt))
-    if not out:
+    if not heads:
         raise DimensionMismatch(f"{path}: no fields found")
-    return out
+    return FlatFields(heads[0][0], reference, np.stack(starts), np.stack(values), heads[0][3])
 
 
 def write_doc(path, doctype: str, version: int, items):

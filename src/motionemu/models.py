@@ -23,7 +23,7 @@ from . import geometry as geo
 from .dimred import FPCABasis, SpatialPCA
 from .errors import (BadTarget, DimensionMismatch, InsufficientData, KindMismatch,
                      SingularCovariance)
-from .flatten import FlatField
+from .flatten import FlatFields
 
 # Relative diagonal jitter applied to covariances before factorization.
 JITTER_SCALE = 1e-10
@@ -308,8 +308,8 @@ class EmulatorBundle:
     meta: dict = dc_field(default_factory=dict)
 
 
-def fit_bundle(fields, spatial: SpatialPCA, fpca: FPCABasis | None, model_type: str,
-               order: int = 4, var_index: int = 0,
+def fit_bundle(fields: FlatFields, spatial: SpatialPCA, fpca: FPCABasis | None,
+               model_type: str, order: int = 4, var_index: int = 0,
                start_policy: str = "training-mean") -> EmulatorBundle:
     """Fit a route's model on flattened fields through a fitted reduction
     and package the route as a bundle.  The fields' start postures back
@@ -319,20 +319,17 @@ def fit_bundle(fields, spatial: SpatialPCA, fpca: FPCABasis | None, model_type: 
         raise BadTarget(f"unknown start policy {start_policy!r}")
     if model_type not in ("mvg", "ig", "var"):
         raise KindMismatch(f"model type {model_type!r} is not fitted on reduced fields")
-    for i, f in enumerate(dimred._check_fields(fields)):
-        if f.start is None:
-            raise DimensionMismatch(f"field {i} has no start posture; the start policy "
-                                    "needs one per training field")
-    first = fields[0]
-    if first.kind not in EMULATOR_KINDS:
-        raise KindMismatch(f"flattening kind {first.kind!r} cannot back an emulator")
-    scores = [dimred.spatial_project(f, spatial) for f in fields]
-    starts = np.stack([f.start for f in fields])
+    if not len(fields):
+        raise InsufficientData("no fields to fit")
+    if fields.kind not in EMULATOR_KINDS:
+        raise KindMismatch(f"flattening kind {fields.kind!r} cannot back an emulator")
+    scores = dimred.spatial_project(fields, spatial)
+    starts = fields.starts
     if start_policy == "training-mean":
         starts = geo.karcher_mean(starts)[None]
-    length = first.length + 1 if first.kind in flatten.VELOCITY_KINDS else first.length
-    route = dict(kind=first.kind, model_type=model_type, length=length,
-                 reference=first.reference, spatial=spatial,
+    length = fields.length + 1 if fields.kind in flatten.VELOCITY_KINDS else fields.length
+    route = dict(kind=fields.kind, model_type=model_type, length=length,
+                 reference=fields.reference, spatial=spatial,
                  start_policy=start_policy, start_postures=starts)
     if model_type == "var":
         if not 0 <= var_index < len(fields):
@@ -342,7 +339,7 @@ def fit_bundle(fields, spatial: SpatialPCA, fpca: FPCABasis | None, model_type: 
                               meta={"count": len(fields), "var_index": var_index}, **route)
     if fpca is None:
         raise KindMismatch("reduction lacks a functional basis")
-    coeffs = [dimred.fpca_project(h, fpca) for h in scores]
+    coeffs = dimred.fpca_project(scores, fpca)
     model = fit_mvg(coeffs) if model_type == "mvg" else fit_ig(coeffs)
     return EmulatorBundle(model=model, fpca=fpca, meta={"count": len(fields)}, **route)
 
@@ -377,17 +374,9 @@ def fit_emulator(seqs, kind: str = "istvf", model_type: str = "ig",
         raise KindMismatch(f"flattening kind {kind!r} cannot back an emulator")
     if reference is None:
         reference = geo.karcher_mean(seqs.reshape((-1,) + seqs.shape[2:]))
-    reference = np.asarray(reference, dtype=float)
-    fields = [flatten.flatten_sequence(s, reference, kind) for s in seqs]
+    fields = flatten.flatten_sequence(seqs, reference, kind)
     spatial, fpca = dimred.reduce_fields(fields, model_type != "var", d1, d2, var1, var2)
     return fit_bundle(fields, spatial, fpca, model_type, order, var_index, start_policy)
-
-
-def _template_field(bundle: EmulatorBundle) -> FlatField:
-    cols = bundle.length - 1 if bundle.kind in flatten.VELOCITY_KINDS else bundle.length
-    return FlatField(bundle.kind, bundle.reference, None,
-                     np.zeros((bundle.reference.shape[0] * 2, cols)),
-                     1.0 / (bundle.length - 1))
 
 
 def _pick_start(bundle: EmulatorBundle, rng):
@@ -403,7 +392,7 @@ def simulate_sequence(bundle: EmulatorBundle, count: int, seed=None):
     seed; coefficient models run sample -> functional rebuild -> spatial
     rebuild -> unflatten, the VAR iterates its recursion, and the
     posture-wise model samples frames independently.  The rebuilt fields
-    are decoded as one batch (flatten.unflatten_batch), posture-wise draws
+    are decoded as one set (flatten.unflatten_field), posture-wise draws
     are made as one batch, and that batch is returned.
     """
     if count < 0:
@@ -411,31 +400,29 @@ def simulate_sequence(bundle: EmulatorBundle, count: int, seed=None):
     rng = np.random.default_rng(seed)
     if bundle.model_type == "pwi":
         return _pwi_draws(bundle.model, count, rng)
-    template = _template_field(bundle)
-    values = np.empty((count,) + template.values.shape)
-    starts = np.empty((count,) + bundle.reference.shape)
+    cols = bundle.length - 1 if bundle.kind in flatten.VELOCITY_KINDS else bundle.length
     if bundle.model_type == "var":
-        for i in range(count):
-            starts[i] = _pick_start(bundle, rng)
-            scores = simulate_var(bundle.model, template.length, bundle.var_init, rng)
-            values[i] = dimred.spatial_reconstruct(scores, bundle.spatial, template).values
+        scores = np.empty((count, bundle.spatial.dim, cols))
     else:
-        for i, coeff in enumerate(sample_coeffs(bundle.model, count, rng)):
-            scores = dimred.fpca_reconstruct(coeff, bundle.fpca)
-            values[i] = dimred.spatial_reconstruct(scores, bundle.spatial, template).values
-            starts[i] = _pick_start(bundle, rng)
-    return flatten.unflatten_batch(bundle.kind, bundle.reference, starts, values, template.dt)
+        scores = dimred.fpca_reconstruct(sample_coeffs(bundle.model, count, rng), bundle.fpca)
+    starts = np.empty((count,) + bundle.reference.shape)
+    for i in range(count):  # a VAR path is drawn after its start is picked
+        starts[i] = _pick_start(bundle, rng)
+        if bundle.model_type == "var":
+            scores[i] = simulate_var(bundle.model, cols, bundle.var_init, rng)
+    values = dimred.spatial_reconstruct(scores, bundle.spatial)
+    return flatten.unflatten_field(FlatFields(bundle.kind, bundle.reference, starts, values,
+                                              1.0 / (bundle.length - 1)))
 
 
 def sequence_logliks(bundle: EmulatorBundle, seqs) -> np.ndarray:
-    """Log-likelihoods of sequences under a coefficient-model bundle:
-    flatten and project each through both reductions, then evaluate the
-    Gaussian on the whole batch at once (logliks)."""
+    """Log-likelihoods of a set of sequences under a coefficient-model
+    bundle: flatten the set and project it through both reductions, then
+    evaluate the Gaussian on the whole batch at once (logliks)."""
     if bundle.model_type not in ("mvg", "ig"):
         raise KindMismatch("log-likelihood needs a coefficient-model bundle")
-    coeffs = []
-    for seq in seqs:
-        field = flatten.flatten_sequence(seq, bundle.reference, bundle.kind)
-        scores = dimred.spatial_project(field, bundle.spatial)
-        coeffs.append(dimred.fpca_project(scores, bundle.fpca))
-    return logliks(coeffs, bundle.model)
+    if not len(seqs):  # an empty list has no sequence shape to flatten
+        return logliks([], bundle.model)
+    fields = flatten.flatten_sequence(seqs, bundle.reference, bundle.kind)
+    scores = dimred.spatial_project(fields, bundle.spatial)
+    return logliks(dimred.fpca_project(scores, bundle.fpca), bundle.model)

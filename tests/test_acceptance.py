@@ -5,6 +5,7 @@ single "[criterion N] PASS/FAIL" line with the observed numbers, then
 asserts, so the verdict reaches the log either way.
 """
 
+import dataclasses
 import time
 from itertools import combinations
 
@@ -105,10 +106,9 @@ def test_criterion_2_flatten_bijectivity(capsys):
     errs = {}
     for kind in ("stvf", "istvf", "siem", "mtvf"):
         worst = 0.0
-        for s in seqs:
-            field = flatten.flatten_sequence(s, ref, kind)
-            worst = max(worst, float(
-                np.max(geo.posture_dist(s, flatten.unflatten_field(field)))))
+        decoded = flatten.unflatten_field(flatten.flatten_sequence(seqs, ref, kind))
+        for s, d in zip(seqs, decoded):
+            worst = max(worst, float(np.max(geo.posture_dist(s, d))))
         errs[kind] = worst
     elapsed = time.time() - start
     ok = (errs["stvf"] <= 1e-6 and errs["istvf"] <= 1e-6
@@ -187,15 +187,15 @@ def test_criterion_4_dimension_reduction(capsys):
     seqs, _ = gen_class(cfg)
     seqs = [np.asarray(s) for s in seqs]
     ref = seqs[0][0]
-    fields = [flatten.flatten_sequence(s, ref, "istvf") for s in seqs]
-    d_full, length = fields[0].values.shape
+    fields = flatten.flatten_sequence(seqs, ref, "istvf")
+    d_full, length = fields.values.shape[1:]
 
     checks = {}
     spca = dimred.spatial_pca_fit(fields, n_components=d_full)
     checks["spatial_orthonormal"] = float(np.max(np.abs(
         spca.basis.T @ spca.basis - np.eye(spca.dim)))) <= 1e-10
-    scores = [dimred.spatial_project(f, spca) for f in fields]
-    basis = dimred.fpca_fit(scores, fields[0].dt, n_components=length)
+    scores = dimred.spatial_project(fields, spca)
+    basis = dimred.fpca_fit(scores, fields.dt, n_components=length)
     d2 = basis.dims[1]
     gram_dev = max(float(np.max(np.abs(
         basis.bases[i].T @ basis.bases[i] * basis.dt - np.eye(d2))))
@@ -203,21 +203,20 @@ def test_criterion_4_dimension_reduction(capsys):
     checks["fpca_orthonormal"] = gram_dev <= 1e-10
 
     worst_field = worst_ey = worst_h = 0.0
-    for s, f, h in zip(seqs, fields, scores):
-        h2 = dimred.fpca_reconstruct(dimred.fpca_project(h, basis), basis)
+    h2s = dimred.fpca_reconstruct(dimred.fpca_project(scores, basis), basis)
+    f2s = dimred.spatial_reconstruct(h2s, spca)
+    decoded = flatten.unflatten_field(dataclasses.replace(fields, values=f2s))
+    for s, f, h, h2, f2, d in zip(seqs, fields.values, scores, h2s, f2s, decoded):
         worst_h = max(worst_h, float(np.max(np.abs(h2 - h))))
-        f2 = dimred.spatial_reconstruct(h2, spca, f)
-        worst_field = max(worst_field, float(np.max(np.abs(f2.values - f.values))))
-        worst_ey = max(worst_ey, float(
-            np.max(geo.posture_dist(s, flatten.unflatten_field(f2)))))
+        worst_field = max(worst_field, float(np.max(np.abs(f2 - f))))
+        worst_ey = max(worst_ey, float(np.max(geo.posture_dist(s, d))))
     checks["full_dim_field"] = worst_field <= 1e-8
     checks["full_dim_sequence"] = worst_ey <= 1e-6
     checks["fpca_full_scores"] = worst_h <= 1e-9
 
     mp_full = dimred.mpca_fit(fields, d1=d_full, d2=length)
-    worst_mp = max(float(np.max(np.abs(
-        dimred.mpca_reconstruct(dimred.mpca_project(f, mp_full), mp_full,
-                                f).values - f.values))) for f in fields)
+    worst_mp = max(float(np.max(np.abs(f2 - f))) for f, f2 in zip(
+        fields.values, dimred.mpca_reconstruct(dimred.mpca_project(fields, mp_full), mp_full)))
     checks["mpca_full"] = worst_mp <= 1e-9
     mp_red = dimred.mpca_fit(fields, d1=3, d2=4)
     for mp in (mp_full, mp_red):
@@ -229,9 +228,9 @@ def test_criterion_4_dimension_reduction(capsys):
     planted, _ = np.linalg.qr(rng.standard_normal((d_full, 3)))
     coeff = rng.standard_normal((300, 3)) * np.array([3.0, 2.0, 1.0])
     values = (0.1 * rng.standard_normal(d_full))[:, None] + (coeff @ planted.T).T
-    one = flatten.FlatField(fields[0].kind, fields[0].reference,
-                            fields[0].start, values, fields[0].dt)
-    fitted = dimred.spatial_pca_fit([one], n_components=3)
+    one = flatten.FlatFields(fields.kind, fields.reference,
+                             fields.starts[:1], values[None], fields.dt)
+    fitted = dimred.spatial_pca_fit(one, n_components=3)
     sv = np.linalg.svd(planted.T @ fitted.basis, compute_uv=False)
     spatial_angle = float(np.max(np.arccos(np.clip(sv, -1.0, 1.0))))
 
@@ -256,16 +255,15 @@ def test_criterion_4_dimension_reduction(capsys):
                         seed=400 + trial)
         ss, _ = gen_class(c)
         ss = [np.asarray(s) for s in ss]
-        ff = [flatten.flatten_sequence(s, ss[0][0], "istvf") for s in ss]
+        ff = flatten.flatten_sequence(ss, ss[0][0], "istvf")
         sp = dimred.spatial_pca_fit(ff, n_components=6)
-        hh = [dimred.spatial_project(f, sp) for f in ff]
+        hh = dimred.spatial_project(ff, sp)
         for gi, d2v in enumerate(grid):
-            fbv = dimred.fpca_fit(hh, ff[0].dt, n_components=d2v)
-            errs = [dimred.seq_recon_error(
-                s, flatten.unflatten_field(dimred.spatial_reconstruct(
-                    dimred.fpca_reconstruct(dimred.fpca_project(h, fbv), fbv),
-                    sp, f)))
-                for s, f, h in zip(ss, ff, hh)]
+            fbv = dimred.fpca_fit(hh, ff.dt, n_components=d2v)
+            back = dimred.spatial_reconstruct(
+                dimred.fpca_reconstruct(dimred.fpca_project(hh, fbv), fbv), sp)
+            rebuilt = flatten.unflatten_field(dataclasses.replace(ff, values=back))
+            errs = [dimred.seq_recon_error(s, r) for s, r in zip(ss, rebuilt)]
             sums[gi] += np.mean(errs)
     means = sums / 20
     checks["nested_error_monotone"] = bool(np.all(np.diff(means) <= 0))

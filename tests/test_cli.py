@@ -4,6 +4,7 @@ artifacts, manifests, determinism, and the two-level report."""
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -13,12 +14,17 @@ from motionemu.cli import (SEED_EVAL_PERM, SEED_SIMULATE, main, parse_scheme,
                            run_twolevel, stage_seed)
 from motionemu.datagen import SynthConfig, gen_mixture
 from motionemu.errors import KindMismatch
-from motionemu.flatten import FlatField
+from motionemu.flatten import FlatFields
 from motionemu.skeleton import SkeletonHierarchy, downsample, ingest_sequence
 
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def field_blocks(path):
+    """The text of each block of a fields file."""
+    return re.split(r"(?m)^(?=flatfield )", path.read_text())[1:]
 
 
 def read_bytes(path):
@@ -430,10 +436,9 @@ def test_fit_on_fields_without_start_names_the_missing_start(tmp_path, capsys):
     assert run_cli("pipeline", "--out", run, "--seed", 4, *SYNTH_FLAGS,
                    "--scheme", "istvf/seqpca/mvg", "--d1", 2, "--d2", 3,
                    "--count", 2, "--n-perm", 9) == 0
-    fields = mio.read_flatfields(run / "fields.txt")
-    fields[1] = FlatField(fields[1].kind, fields[1].reference, None, fields[1].values,
-                          fields[1].dt)
-    mio.write_flatfields(tmp_path / "fields.txt", fields)
+    blocks = field_blocks(run / "fields.txt")
+    blocks[1] = re.sub(r"(?m)^start .*$", "start none", blocks[1])
+    (tmp_path / "fields.txt").write_text("".join(blocks))
     capsys.readouterr()
     for policy in ("fixed", "training-mean"):
         assert run_cli("fit", "--fields", tmp_path / "fields.txt",
@@ -449,7 +454,7 @@ def test_fit_on_fields_without_start_names_the_missing_start(tmp_path, capsys):
 
 def test_seqpca_on_constant_fields_reports_rank_zero(tmp_path, capsys):
     ref = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    fields = [FlatField("istvf", ref, ref, np.ones((4, 6)), 0.2) for _ in range(3)]
+    fields = FlatFields("istvf", ref, np.stack([ref] * 3), np.ones((3, 4, 6)), 0.2)
     mio.write_flatfields(tmp_path / "fields.txt", fields)
     assert run_cli("reduce", "--input", tmp_path / "fields.txt", "--method", "seqpca",
                    "--out", tmp_path / "out") == 1
@@ -670,9 +675,11 @@ def test_pipeline_and_twolevel_refuse_n_perm_before_any_work(stage_inputs, tmp_p
 
 def test_fit_refuses_fields_flattened_at_two_references(stage_inputs, tmp_path, capsys):
     seqs = mio.read_posture_sequences(stage_inputs / "aligned.txt")
-    fields = mio.read_flatfields(stage_inputs / "fields.txt")
-    fields[1] = flatten.flatten_sequence(seqs[1], seqs[0][0], fields[1].kind)
-    mio.write_flatfields(tmp_path / "fields.txt", fields)
+    blocks = field_blocks(stage_inputs / "fields.txt")
+    moved = flatten.flatten_sequence(seqs[1:2], seqs[0][0], "istvf")
+    mio.write_flatfields(tmp_path / "fields.txt", moved)
+    blocks[1] = field_blocks(tmp_path / "fields.txt")[0]
+    (tmp_path / "fields.txt").write_text("".join(blocks))
     capsys.readouterr()
     assert run_cli("fit", "--fields", tmp_path / "fields.txt", "--reduction",
                    stage_inputs / "reduction.txt", "--scheme", "istvf/seqpca/mvg",

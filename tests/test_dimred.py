@@ -1,7 +1,10 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionemu.dimred import (
     FPCABasis,
@@ -20,8 +23,8 @@ from motionemu.dimred import (
     spatial_project,
     spatial_reconstruct,
 )
-from motionemu.errors import DimensionMismatch, InsufficientData, KindMismatch
-from motionemu.flatten import FlatField, flatten_sequence, unflatten_field
+from motionemu.errors import DimensionMismatch, InsufficientData
+from motionemu.flatten import FlatFields, flatten_sequence, unflatten_field
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -30,10 +33,13 @@ REF = np.stack([E1, E3])
 REF4 = np.stack([E1, E3, E2, np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)])
 
 
-def make_field(values, reference=REF, dt=None):
+def make_fields(values, reference=REF, dt=None):
+    """A set of istvf fields from a list or an (M, D, L) array of value
+    matrices, every one starting at the reference."""
     values = np.asarray(values, dtype=float)
-    return FlatField("istvf", reference, reference, values,
-                     dt if dt is not None else 1.0 / values.shape[1])
+    starts = np.broadcast_to(reference, (len(values),) + reference.shape)
+    return FlatFields("istvf", reference, starts, values,
+                      dt if dt is not None else 1.0 / values.shape[2])
 
 
 def curved_seq(ts, p1=0.0, p2=0.0, w=0.3):
@@ -64,7 +70,7 @@ def test_select_dims_examples():
 
 def test_spatial_pca_identical_columns():
     column = np.array([0.4, -1.0, 0.2, 0.9])
-    fields = [make_field(np.tile(column[:, None], (1, 6))) for _ in range(3)]
+    fields = make_fields([np.tile(column[:, None], (1, 6)) for _ in range(3)])
     pca = spatial_pca_fit(fields)
     assert pca.dim == 0
     assert pca.total_variance == 0.0
@@ -75,10 +81,8 @@ def test_spatial_pca_recovers_planted_subspace():
     rng = np.random.default_rng(5)
     u0, _ = np.linalg.qr(rng.standard_normal((8, 3)))
     mean = rng.standard_normal(8)
-    fields = []
-    for _ in range(6):
-        coeffs = rng.standard_normal((3, 10))
-        fields.append(make_field(mean[:, None] + u0 @ coeffs, reference=REF4))
+    fields = make_fields([mean[:, None] + u0 @ rng.standard_normal((3, 10)) for _ in range(6)],
+                         reference=REF4)
     pca = spatial_pca_fit(fields, n_components=3)
     assert pca.basis.shape == (8, 3)
     assert max_principal_angle(pca.basis, u0) < 1e-6
@@ -88,7 +92,7 @@ def test_spatial_pca_recovers_planted_subspace():
 
 def test_spatial_pca_variance_accounting():
     rng = np.random.default_rng(6)
-    fields = [make_field(rng.standard_normal((4, 7))) for _ in range(4)]
+    fields = make_fields([rng.standard_normal((4, 7)) for _ in range(4)])
     pca = spatial_pca_fit(fields, n_components=4)
     assert pca.dim == 4
     np.testing.assert_allclose(pca.eigenvalues.sum(), pca.total_variance, rtol=1e-10)
@@ -96,39 +100,38 @@ def test_spatial_pca_variance_accounting():
 
 def test_spatial_project_mean_field_is_zero():
     rng = np.random.default_rng(7)
-    fields = [make_field(rng.standard_normal((4, 5))) for _ in range(3)]
+    fields = make_fields([rng.standard_normal((4, 5)) for _ in range(3)])
     pca = spatial_pca_fit(fields, n_components=2)
-    centered = make_field(np.tile(pca.mean[:, None], (1, 5)))
-    np.testing.assert_array_equal(spatial_project(centered, pca), np.zeros((2, 5)))
+    centered = make_fields([np.tile(pca.mean[:, None], (1, 5))])
+    np.testing.assert_array_equal(spatial_project(centered, pca), np.zeros((1, 2, 5)))
 
 
 def test_spatial_full_rank_roundtrip_and_pythagoras():
     rng = np.random.default_rng(8)
-    fields = [make_field(rng.standard_normal((4, 6))) for _ in range(4)]
+    fields = make_fields([rng.standard_normal((4, 6)) for _ in range(4)])
     full = spatial_pca_fit(fields, n_components=4)
-    for f in fields:
-        rebuilt = spatial_reconstruct(spatial_project(f, full), full, f)
-        np.testing.assert_allclose(rebuilt.values, f.values, atol=1e-10)
+    rebuilt = spatial_reconstruct(spatial_project(fields, full), full)
+    np.testing.assert_allclose(rebuilt, fields.values, atol=1e-10)
 
     partial = spatial_pca_fit(fields, n_components=2)
-    f = fields[0]
-    rebuilt = spatial_reconstruct(spatial_project(f, partial), partial, f)
-    err = np.linalg.norm(f.values - rebuilt.values)
-    centered = f.values - partial.mean[:, None]
+    f = fields.values[0]
+    rebuilt = spatial_reconstruct(spatial_project(fields, partial), partial)[0]
+    err = np.linalg.norm(f - rebuilt)
+    centered = f - partial.mean[:, None]
     orth = centered - partial.basis @ (partial.basis.T @ centered)
     np.testing.assert_allclose(err, np.linalg.norm(orth), atol=1e-10)
 
 
 def test_spatial_pca_errors():
     with pytest.raises(InsufficientData):
-        spatial_pca_fit([])
+        spatial_pca_fit(make_fields(np.zeros((0, 4, 5))))
     rng = np.random.default_rng(9)
-    fields = [make_field(rng.standard_normal((4, 5))) for _ in range(3)]
+    fields = make_fields([rng.standard_normal((4, 5)) for _ in range(3)])
     pca = spatial_pca_fit(fields, n_components=2)
     with pytest.raises(DimensionMismatch):
-        spatial_project(make_field(rng.standard_normal((8, 5)), reference=REF4), pca)
+        spatial_project(make_fields([rng.standard_normal((8, 5))], reference=REF4), pca)
     with pytest.raises(DimensionMismatch):
-        spatial_reconstruct(np.zeros((3, 5)), pca, fields[0])
+        spatial_reconstruct(np.zeros((3, 5)), pca)
 
 
 def test_fpca_identical_inputs_give_zero_coefficients():
@@ -229,7 +232,7 @@ def test_fpca_fit_rejects_score_matrices_of_mixed_shapes():
 
 def test_functional_reduction_of_constant_fields_names_rank_zero():
     # constant fields have a (4, 0) spatial basis, so no score rows
-    fields = [FlatField("istvf", REF, None, np.ones((4, 6)), 0.2) for _ in range(3)]
+    fields = make_fields(np.ones((3, 4, 6)), dt=0.2)
     with pytest.raises(InsufficientData, match="rank 0"):
         reduce_fields(fields, True)
     with pytest.raises(InsufficientData, match="rank 0"):
@@ -240,7 +243,7 @@ def test_mpca_rank_one_captured_in_one_pass():
     rng = np.random.default_rng(16)
     u = rng.standard_normal(4)
     v = rng.standard_normal(9)
-    fields = [make_field(np.outer(u, v) * s) for s in (1.0, -0.5, 2.0, 0.3)]
+    fields = make_fields([np.outer(u, v) * s for s in (1.0, -0.5, 2.0, 0.3)])
     model = mpca_fit(fields, 1, 1)
     assert model.converged
     np.testing.assert_allclose(model.captured[0], model.total_variance, rtol=1e-10)
@@ -248,18 +251,17 @@ def test_mpca_rank_one_captured_in_one_pass():
 
 def test_mpca_full_dims_reconstruct():
     rng = np.random.default_rng(17)
-    fields = [make_field(rng.standard_normal((4, 6))) for _ in range(5)]
+    fields = make_fields([rng.standard_normal((4, 6)) for _ in range(5)])
     model = mpca_fit(fields, 4, 6)
-    for f in fields:
-        rebuilt = mpca_reconstruct(mpca_project(f, model), model, f)
-        np.testing.assert_allclose(rebuilt.values, f.values, atol=1e-9)
+    rebuilt = mpca_reconstruct(mpca_project(fields, model), model)
+    np.testing.assert_allclose(rebuilt, fields.values, atol=1e-9)
     np.testing.assert_allclose(model.row_basis.T @ model.row_basis, np.eye(4), atol=1e-10)
     np.testing.assert_allclose(model.col_basis.T @ model.col_basis, np.eye(6), atol=1e-10)
 
 
 def test_mpca_captured_variance_is_monotone():
     rng = np.random.default_rng(18)
-    fields = [make_field(rng.standard_normal((4, 12))) for _ in range(10)]
+    fields = make_fields([rng.standard_normal((4, 12)) for _ in range(10)])
     model = mpca_fit(fields, 2, 3)
     assert np.all(np.diff(model.captured) >= -1e-10 * model.total_variance)
     assert model.captured[-1] <= model.total_variance + 1e-9
@@ -267,29 +269,15 @@ def test_mpca_captured_variance_is_monotone():
 
 def test_mpca_errors():
     rng = np.random.default_rng(19)
-    fields = [make_field(rng.standard_normal((4, 6))) for _ in range(3)]
-    with pytest.raises(InsufficientData):
-        mpca_fit(fields[:1], 1, 1)
+    values = rng.standard_normal((3, 4, 6))
+    fields = make_fields(values)
+    for few in (values[:0], values[:1]):
+        with pytest.raises(InsufficientData):
+            mpca_fit(make_fields(few), 1, 1)
     with pytest.raises(DimensionMismatch):
         mpca_fit(fields, 5, 2)
     with pytest.raises(DimensionMismatch):
-        mpca_project(make_field(rng.standard_normal((4, 7))), mpca_fit(fields, 2, 2))
-
-
-def test_mpca_fit_checks_fields_like_spatial_pca():
-    """No fields, mixed kinds and mixed shapes raise MotionErrors, the same
-    ones spatial_pca_fit raises, instead of numpy's stacking errors."""
-    rng = np.random.default_rng(23)
-    fields = [make_field(rng.standard_normal((4, 6))) for _ in range(3)]
-    siem = FlatField("siem", REF, None, rng.standard_normal((4, 6)), 0.2)
-    longer = make_field(rng.standard_normal((4, 7)))
-    for fit in (lambda f: mpca_fit(f, 1, 1), spatial_pca_fit):
-        with pytest.raises(InsufficientData):
-            fit([])
-        with pytest.raises(KindMismatch):
-            fit(fields + [siem])
-        with pytest.raises(DimensionMismatch):
-            fit(fields + [longer])
+        mpca_project(make_fields([rng.standard_normal((4, 7))]), mpca_fit(fields, 2, 2))
 
 
 def test_full_dimension_pipeline_reproduces_sequences():
@@ -297,22 +285,54 @@ def test_full_dimension_pipeline_reproduces_sequences():
     ts = np.linspace(0.0, 1.0, 13)
     seqs = [curved_seq(ts, p1=rng.uniform(-0.5, 0.5), p2=rng.uniform(-0.5, 0.5),
                        w=rng.uniform(0.2, 0.4)) for _ in range(14)]
-    fields = [flatten_sequence(s, REF, "istvf") for s in seqs]
+    fields = flatten_sequence(seqs, REF, "istvf")
     pca = spatial_pca_fit(fields, n_components=4)
     assert pca.dim == 4
-    hs = [spatial_project(f, pca) for f in fields]
-    basis = fpca_fit(hs, dt=fields[0].dt, n_components=12)
+    hs = spatial_project(fields, pca)
+    basis = fpca_fit(hs, dt=fields.dt, n_components=12)
     assert basis.dims == (4, 12)
-    for seq, field, h in zip(seqs, fields, hs):
-        h_back = fpca_reconstruct(fpca_project(h, basis), basis)
-        np.testing.assert_allclose(h_back, h, atol=1e-9)
-        rebuilt = spatial_reconstruct(h_back, pca, field)
-        np.testing.assert_allclose(rebuilt.values, field.values, atol=1e-8)
-        decoded = unflatten_field(rebuilt)
-        assert seq_recon_error(seq, decoded) <= 1e-6
+    h_back = fpca_reconstruct(fpca_project(hs, basis), basis)
+    np.testing.assert_allclose(h_back, hs, atol=1e-9)
+    rebuilt = spatial_reconstruct(h_back, pca)
+    np.testing.assert_allclose(rebuilt, fields.values, atol=1e-8)
+    decoded = unflatten_field(dataclasses.replace(fields, values=rebuilt))
+    for seq, sequence in zip(seqs, decoded):
+        assert seq_recon_error(seq, sequence) <= 1e-6
 
 
 def test_seq_recon_error_identical_is_zero():
     ts = np.linspace(0.0, 1.0, 9)
     seq = curved_seq(ts)
     assert seq_recon_error(seq, seq.copy()) == 0.0
+
+
+# ---- set products: the bits of one product per field ----------------------
+
+@settings(max_examples=30, deadline=None)
+@given(count=st.integers(2, 6), bones=st.integers(1, 12), length=st.integers(2, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_set_products_give_the_per_field_bits(count, bones, length, seed):
+    """Each set product equals the one-field product written out."""
+    rng = np.random.default_rng(seed)
+    fields = make_fields(rng.standard_normal((count, 2 * bones, length)),
+                         reference=np.tile(E1, (bones, 1)))
+    d1, d2 = min(2 * bones, 3), min(length, 4)
+    pca = spatial_pca_fit(fields, n_components=d1)
+    scores = spatial_project(fields, pca)
+    basis = fpca_fit(scores, dt=fields.dt, n_components=d2)
+    coeffs = fpca_project(scores, basis)
+    rows = fpca_reconstruct(coeffs, basis)
+    model = mpca_fit(fields, d1, d2)
+    cores = mpca_project(fields, model)
+    sets = [scores, coeffs, rows, spatial_reconstruct(rows, pca), cores,
+            mpca_reconstruct(cores, model)]
+    for i, v in enumerate(fields.values):
+        fields_alone = [
+            pca.basis.T @ (v - pca.mean[:, None]),
+            np.einsum("il,ilj->ij", scores[i] - basis.means, basis.bases) * basis.dt,
+            basis.means + np.einsum("ij,ilj->il", coeffs[i], basis.bases),
+            pca.mean[:, None] + pca.basis @ rows[i],
+            model.row_basis.T @ (v - model.mean) @ model.col_basis,
+            model.mean + model.row_basis @ cores[i] @ model.col_basis.T]
+        for got, want in zip(sets, fields_alone):
+            assert got[i].shape == want.shape and got[i].tobytes() == want.tobytes()

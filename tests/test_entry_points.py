@@ -41,7 +41,8 @@ CALLS = {
     "karcher_mean": (geometry.karcher_mean, set_or_stack_shaped),
     "posture_dist": (lambda x: geometry.posture_dist(x, x), broadcast_posture_shaped),
     "sequence_dist": (lambda x: geometry.sequence_dist(x, x), stack_shaped),
-    "flatten_sequence": (lambda x: flatten.flatten_sequence(x, REF, "istvf"), stack_shaped),
+    "flatten_sequence": (lambda x: flatten.flatten_sequence([x, x], REF, "istvf"),
+                         stack_shaped),
     "tsrvf": (lambda x: alignment.tsrvf(x, REF), stack_shaped),
     "warp_sequence": (lambda x: alignment.warp_sequence(x, np.linspace(0.0, 1.0, max(len(x), 2))),
                       stack_shaped),
@@ -108,6 +109,7 @@ SET_CALLS = {
     "align_all": (synth_set, alignment.align_all),
     "fit_pwi": (synth_set, models.fit_pwi),
     "fit_emulator": (synth_set, lambda s: models.fit_emulator(s, model_type="mvg", d1=2, d2=3)),
+    "flatten_sequence": (synth_set, lambda s: flatten.flatten_sequence(s, s[0][0], "istvf")),
     "disco_test": (synth_set, lambda s: evaluate.disco_test(s[:3], s[3:], n_perm=19, seed=0)),
     "sequence_distance_matrix": (synth_set, evaluate.sequence_distance_matrix),
     "mean_label_sequence": (synth_set,
@@ -192,3 +194,31 @@ def test_align_all_and_sequence_distance_matrix_copy_a_set_once(monkeypatch, as_
     s = list(x) if as_list else x
     for call in (alignment.align_all, evaluate.sequence_distance_matrix):
         assert traced_peak(lambda: call(s)) < 1.5 * x.nbytes
+
+
+def test_reduce_fields_and_fit_bundle_read_the_set_uncopied(monkeypatch):
+    x = synth_set(5, count=40, landmarks=11, frames=40)
+    fields = flatten.flatten_sequence(x, x[0, 0], "istvf")
+    seen = []
+    for name in ("spatial_pca_fit", "spatial_project", "mpca_fit"):
+        original = getattr(dimred, name)
+
+        def spy(f, *args, original=original, **kwargs):
+            seen.append(f)
+            return original(f, *args, **kwargs)
+
+        monkeypatch.setattr(dimred, name, spy)
+    spatial, fpca = dimred.reduce_fields(fields, True, 3, 4)
+    bundle = models.fit_bundle(fields, spatial, fpca, "mvg", start_policy="fixed")
+    dimred.mpca_fit(fields, 3, 4)
+    assert len(seen) == 4 and all(f is fields for f in seen)
+    assert np.shares_memory(bundle.start_postures, fields.starts)
+    # each holds its own set-sized arrays (the spatial fit its pooled columns,
+    # their centred copy and the SVD's factor; MPCA the centred tensors and
+    # one projection; fit_bundle the centred values of one projection) and
+    # no copy of the set beside them
+    size = fields.values.nbytes
+    assert traced_peak(lambda: dimred.reduce_fields(fields, True, 3, 4)) < 3.5 * size
+    assert traced_peak(lambda: dimred.mpca_fit(fields, 3, 4)) < 2.5 * size
+    assert traced_peak(lambda: models.fit_bundle(fields, spatial, fpca, "mvg",
+                                                 start_policy="fixed")) < 1.5 * size

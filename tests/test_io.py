@@ -1,6 +1,7 @@
 import io
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from motionemu import dimred, io as mio, models
-from motionemu.errors import DimensionMismatch
-from motionemu.flatten import FlatField
+from motionemu.errors import DimensionMismatch, KindMismatch, ReferenceMismatch
+from motionemu.flatten import FLATTEN_KINDS, FlatFields
 from motionemu.persist import load_bundle, load_reduction, save_bundle, save_reduction
 from motionemu.skeleton import SkeletonHierarchy
 
@@ -27,6 +28,21 @@ def rand_postures(rng, t, k):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
+def one_field(kind, reference, start, values, dt):
+    """A set of one field."""
+    return FlatFields(kind, reference, start[None], values[None], dt)
+
+
+def write_blocks(path, *sets):
+    """One fields file holding the blocks of several sets, in order: a file
+    whose blocks need not agree, as one written by hand may."""
+    text = ""
+    for fields in sets:
+        mio.write_flatfields(path, fields)
+        text += Path(path).read_text()
+    Path(path).write_text(text)
+
+
 def test_posture_sequences_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     seqs = [rand_postures(rng, 5, 3), rand_postures(rng, 5, 3)]
@@ -39,6 +55,23 @@ def test_posture_sequences_roundtrip_bit_exact(tmp_path):
     second = tmp_path / "again.txt"
     mio.write_posture_sequences(second, back)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_the_line_reader_holds_one_block_not_the_file(tmp_path):
+    """A reader keeps the arrays it returns and one block's lines and
+    tokens, not every line of the file (about 2.6 times the arrays here)."""
+    rng = np.random.default_rng(10)
+    seqs = [rand_postures(rng, 30, 20) for _ in range(40)]
+    path = tmp_path / "seqs.txt"
+    mio.write_posture_sequences(path, seqs)
+    tracemalloc.start()
+    try:
+        back = mio.read_posture_sequences(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(map(np.array_equal, seqs, back))
+    assert peak < 2.0 * sum(s.nbytes for s in seqs)
 
 
 def test_raw_sequences_roundtrip(tmp_path):
@@ -60,30 +93,23 @@ def test_warps_roundtrip(tmp_path):
     path = tmp_path / "warps.txt"
     mio.write_warps(path, warps)
     back = mio.read_warps(path)
-    for a, b in zip(warps, back):
-        np.testing.assert_array_equal(a, b)
+    assert isinstance(back, np.ndarray) and back.shape == (3, 11)
+    np.testing.assert_array_equal(back, np.stack(warps))
 
 
 def test_flatfields_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     ref = rand_postures(rng, 1, 4)[0]
-    start = rand_postures(rng, 1, 4)[0]
-    fields = [
-        FlatField("stvf", ref, start, rng.standard_normal((8, 6)), 1.0 / 6),
-        FlatField("siem", ref, None, rng.standard_normal((8, 7)), 1.0 / 6),
-    ]
-    path = tmp_path / "fields.txt"
-    mio.write_flatfields(path, fields)
-    back = mio.read_flatfields(path)
-    for a, b in zip(fields, back):
-        assert a.kind == b.kind
-        assert a.dt == b.dt
-        np.testing.assert_array_equal(a.reference, b.reference)
-        np.testing.assert_array_equal(a.values, b.values)
-        if a.start is None:
-            assert b.start is None
-        else:
-            np.testing.assert_array_equal(a.start, b.start)
+    for kind, cols in (("stvf", 6), ("siem", 7)):
+        fields = FlatFields(kind, ref, rand_postures(rng, 2, 4),
+                            rng.standard_normal((2, 8, cols)), 1.0 / 6)
+        path = tmp_path / f"{kind}.txt"
+        mio.write_flatfields(path, fields)
+        back = mio.read_flatfields(path)
+        assert back.kind == kind
+        assert back.dt == fields.dt
+        for name in ("reference", "starts", "values"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(fields, name))
 
 
 def test_doc_roundtrip_all_tags(tmp_path):
@@ -168,18 +194,52 @@ def test_read_flatfields_rejects_non_finite_and_non_unit_postures(tmp_path):
     rng = np.random.default_rng(7)
     ref = rand_postures(rng, 1, 4)[0]
     start = rand_postures(rng, 1, 4)[0]
-    good = FlatField("istvf", ref, start, rng.standard_normal((8, 6)), 1.0 / 6)
+    values = rng.standard_normal((8, 6))
+    good = one_field("istvf", ref, start, values, 1.0 / 6)
     path = tmp_path / "fields.txt"
     cases = [
-        (FlatField("istvf", ref, start, good.values.copy(), good.dt), "values row 3: non-finite"),
-        (FlatField("istvf", 2.0 * ref, start, good.values, good.dt), "reference bone 0: bone norm"),
-        (FlatField("istvf", ref, 0.5 * start, good.values, good.dt), "start bone 0: bone norm"),
+        (one_field("istvf", ref, start, values.copy(), good.dt), "values row 3: non-finite"),
+        (one_field("istvf", 2.0 * ref, start, values, good.dt), "reference bone 0: bone norm"),
+        (one_field("istvf", ref, 0.5 * start, values, good.dt), "start bone 0: bone norm"),
     ]
-    cases[0][0].values[3, 1] = np.inf
+    cases[0][0].values[0, 3, 1] = np.inf
     for bad, message in cases:
-        mio.write_flatfields(path, [good, bad])
+        write_blocks(path, good, bad)
         with pytest.raises(DimensionMismatch, match=f"block 1, {message}"):
             mio.read_flatfields(path)
+
+
+@pytest.mark.parametrize("case", ["kind", "reference", "dt", "bones", "columns", "start none"])
+def test_read_flatfields_refuses_a_block_that_disagrees_with_block_0(tmp_path, case):
+    """A set has one kind, reference, bone count, column count and dt, and
+    a start posture per field: a hand-edited file whose block 2 breaks
+    that is refused, naming field 2."""
+    rng = np.random.default_rng(9)
+    ref, other, start = rand_postures(rng, 3, 4)
+    values = rng.standard_normal((8, 6))
+    good = one_field("istvf", ref, start, values, 0.2)
+    bad, error, message = {
+        "kind": (one_field("siem", ref, start, values, 0.2), KindMismatch,
+                 "field 2 has kind 'siem', field 0 'istvf'"),
+        "reference": (one_field("istvf", other, start, values, 0.2), ReferenceMismatch,
+                      "field 2 has another reference than field 0"),
+        "dt": (one_field("istvf", ref, start, values, 0.25), ReferenceMismatch,
+               "field 2 has dt 0.25, field 0 0.2"),
+        "bones": (one_field("istvf", ref[:3], start[:3], values[:6], 0.2), DimensionMismatch,
+                  "field 2 has landmark count 4, field 0 5"),
+        "columns": (one_field("istvf", ref, start, values[:, :5], 0.2), DimensionMismatch,
+                    "field 2 has column count 5, field 0 6"),
+        "start none": (good, DimensionMismatch, "field 2 has no start posture"),
+    }[case]
+    path = tmp_path / "fields.txt"
+    write_blocks(path, good, good, bad)
+    if case == "start none":
+        lines = path.read_text().splitlines(keepends=True)
+        starts = [i for i, ln in enumerate(lines) if ln.startswith("start ")]
+        lines[starts[2]] = "start none\n"
+        path.write_text("".join(lines))
+    with pytest.raises(error, match=message):
+        mio.read_flatfields(path)
 
 
 @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4), st.just(3)),
@@ -201,7 +261,7 @@ def test_posture_sequences_roundtrip_bitwise_property(raw, count):
 def test_constant_field_reduction_survives_save_and_load(tmp_path):
     # constant fields have rank zero: the spatial basis is (4, 0)
     ref = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    fields = [FlatField("istvf", ref, None, np.ones((4, 6)), 0.2) for _ in range(3)]
+    fields = FlatFields("istvf", ref, np.stack([ref] * 3), np.ones((3, 4, 6)), 0.2)
     spatial, fpca = dimred.reduce_fields(fields, False)
     assert spatial.basis.shape == (4, 0) and fpca is None
     path = tmp_path / "reduction.txt"
@@ -373,29 +433,28 @@ def test_warps_roundtrip_bitwise_property(warps):
         path = Path(tmp) / "warps.txt"
         mio.write_warps(path, list(warps))
         back = mio.read_warps(path)
-    assert len(back) == len(warps) and all(map(same_bits, warps, back))
+    assert same_bits(warps, back)
 
 
-@given(arrays(np.float64, st.tuples(st.just(2), st.integers(1, 4), st.just(3)),
+@given(arrays(np.float64, st.tuples(st.integers(2, 5), st.integers(1, 4), st.just(3)),
               elements=st.floats(-1.0, 1.0)),
        arrays(np.float64, shapes((1, 3), (1, 6)), elements=FINITE),
-       st.booleans())
-def test_flatfields_roundtrip_bitwise_property(postures, cols, with_start):
-    ref, start = unit_rows(postures)
-    k = ref.shape[0]
-    values = np.resize(cols.ravel(), (2 * k, cols.shape[1]))
-    fields = [FlatField("istvf" if with_start else "siem", ref, start if with_start else None,
-                        values, float(cols.flat[0])),
-              FlatField("stvf", start, ref, -values, 0.125)]
+       st.sampled_from(FLATTEN_KINDS))
+def test_flatfields_roundtrip_bitwise_property(postures, cols, kind):
+    ref, *starts = unit_rows(postures)
+    k, m = ref.shape[0], len(starts)
+    values = np.resize(cols.ravel(), (m, 2 * k, cols.shape[1]))
+    values[1::2] *= -1.0
+    fields = FlatFields(kind, ref, np.stack(starts), values, float(cols.flat[0]))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fields.txt"
         mio.write_flatfields(path, fields)
         back = mio.read_flatfields(path)
-    for a, b in zip(fields, back):
-        assert (a.kind, same_bits(a.dt, b.dt)) == (b.kind, True)
-        assert same_bits(a.reference, b.reference) and same_bits(a.values, b.values)
-        assert (a.start is None) == (b.start is None)
-        assert a.start is None or same_bits(a.start, b.start)
+        mio.write_flatfields(Path(tmp) / "again.txt", back)
+        assert path.read_bytes() == (Path(tmp) / "again.txt").read_bytes()
+    assert (back.kind, len(back), same_bits(fields.dt, back.dt)) == (kind, m, True)
+    for name in ("reference", "starts", "values"):
+        assert same_bits(getattr(fields, name), getattr(back, name)), name
 
 
 @given(st.lists(st.one_of(arrays(np.float64, st.tuples(st.integers(0, 4)), elements=NUMBER),

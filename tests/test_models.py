@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from motionemu import dimred, flatten
 from motionemu import geometry as geo
 from motionemu.errors import (BadTarget, DimensionMismatch, InsufficientData,
-                              KindMismatch, ReferenceMismatch, SingularCovariance)
+                              KindMismatch, SingularCovariance)
 from motionemu.models import (
     START_POLICIES,
     EmulatorBundle,
@@ -321,10 +321,9 @@ def test_zero_covariance_bundle_simulates_mean_sequence():
     assert np.max(np.abs(bundle.model.covariance)) < 1e-30
     sims = simulate_sequence(bundle, 3, seed=9)
     scores = dimred.fpca_reconstruct(np.zeros(bundle.model.shape), bundle.fpca)
-    template = flatten.FlatField(bundle.kind, bundle.reference, bundle.start_postures[0],
-                                 np.zeros((4, 10)), 1.0 / 10)
-    expected = flatten.unflatten_field(
-        dimred.spatial_reconstruct(scores, bundle.spatial, template))
+    expected = flatten.unflatten_field(flatten.FlatFields(
+        bundle.kind, bundle.reference, bundle.start_postures[:1],
+        dimred.spatial_reconstruct(scores, bundle.spatial)[None], 1.0 / 10))[0]
     for sim in sims:
         np.testing.assert_allclose(sim, expected, atol=1e-12)
 
@@ -335,14 +334,10 @@ def test_simulation_closure_recovers_sampled_coefficients():
     count = 60
     sims = simulate_sequence(bundle, count, seed=42)
     sampled = sample_coeffs(bundle.model, count, np.random.default_rng(42))
-    recovered = []
-    for sim, coeff in zip(sims, sampled):
-        field = flatten.flatten_sequence(sim, bundle.reference, bundle.kind)
-        h = dimred.spatial_project(field, bundle.spatial)
-        back = dimred.fpca_project(h, bundle.fpca)
-        recovered.append(back)
-        np.testing.assert_allclose(back, coeff, atol=1e-6)
-    emp = np.stack([_r.ravel() for _r in recovered])
+    fields = flatten.flatten_sequence(sims, bundle.reference, bundle.kind)
+    recovered = dimred.fpca_project(dimred.spatial_project(fields, bundle.spatial), bundle.fpca)
+    np.testing.assert_allclose(recovered, sampled, atol=1e-6)
+    emp = recovered.reshape(count, -1)
     emp_var = np.sum(emp * emp, axis=0) / count
     sig = bundle.model.variances
     se = np.sqrt(2.0 / count) * sig
@@ -377,8 +372,8 @@ def test_sequence_loglik_matches_manual_projection():
     seqs = training_set(12, t=17, seed=9)
     bundle = fit_emulator(seqs, kind="siem", model_type="mvg", d1=3, d2=3)
     target = seqs[0]
-    field = flatten.flatten_sequence(target, bundle.reference, bundle.kind)
-    coeff = dimred.fpca_project(dimred.spatial_project(field, bundle.spatial), bundle.fpca)
+    field = flatten.flatten_sequence([target], bundle.reference, bundle.kind)
+    coeff = dimred.fpca_project(dimred.spatial_project(field, bundle.spatial), bundle.fpca)[0]
     np.testing.assert_allclose(sequence_logliks(bundle, [target])[0],
                                loglik(coeff, bundle.model), rtol=1e-12)
     pwi_bundle = fit_emulator(seqs, model_type="pwi")
@@ -394,27 +389,26 @@ def per_sequence_simulation(bundle, count, seed):
     rng = np.random.default_rng(seed)
     cols = bundle.length - 1 if bundle.kind in flatten.VELOCITY_KINDS else bundle.length
 
-    def template():
+    def pick_start():
         if bundle.start_policy == "sampled-from-training":
-            start = bundle.start_postures[rng.integers(bundle.start_postures.shape[0])]
-        else:
-            start = bundle.start_postures[0]
-        return flatten.FlatField(bundle.kind, bundle.reference, start,
-                                 np.zeros((2 * bundle.reference.shape[0], cols)),
-                                 1.0 / (bundle.length - 1))
+            return bundle.start_postures[rng.integers(bundle.start_postures.shape[0])]
+        return bundle.start_postures[0]
+
+    def decode(scores, start):
+        values = dimred.spatial_reconstruct(scores, bundle.spatial)
+        return flatten.unflatten_field(flatten.FlatFields(
+            bundle.kind, bundle.reference, start[None], values[None],
+            1.0 / (bundle.length - 1)))[0]
 
     out = []
     if bundle.model_type == "var":
         for _ in range(count):
-            like = template()
-            scores = simulate_var(bundle.model, cols, bundle.var_init, rng)
-            out.append(flatten.unflatten_field(
-                dimred.spatial_reconstruct(scores, bundle.spatial, like)))
+            start = pick_start()
+            out.append(decode(simulate_var(bundle.model, cols, bundle.var_init, rng), start))
         return out
     for coeff in sample_coeffs(bundle.model, count, rng):
         scores = dimred.fpca_reconstruct(coeff, bundle.fpca)
-        out.append(flatten.unflatten_field(
-            dimred.spatial_reconstruct(scores, bundle.spatial, template())))
+        out.append(decode(scores, pick_start()))
     return out
 
 
@@ -433,25 +427,20 @@ def test_simulate_sequence_equals_per_sequence_decode(model_type, kind, policy):
         assert sim.tobytes() == exp.tobytes()
 
 
-def test_fit_bundle_refuses_fields_at_two_references_or_time_grids():
+def test_fit_bundle_refuses_an_empty_set():
     seqs = training_set(6, t=11, seed=4)
-    ref = geo.karcher_mean(np.concatenate(seqs))
-    fields = [flatten.flatten_sequence(s, ref, "istvf") for s in seqs]
+    fields = flatten.flatten_sequence(seqs, seqs[0][0], "istvf")
     spatial, fpca = dimred.reduce_fields(fields, True, 2, 2)
-    moved = flatten.flatten_sequence(seqs[2], seqs[0][0], "istvf")
-    regrid = flatten.FlatField("istvf", ref, fields[2].start, fields[2].values,
-                               2.0 * fields[2].dt)
-    for odd in (moved, regrid):
-        with pytest.raises(ReferenceMismatch, match="field 2"):
-            fit_bundle(fields[:2] + [odd] + fields[3:], spatial, fpca, "mvg")
-    with pytest.raises(InsufficientData):
-        fit_bundle([], spatial, fpca, "mvg")
+    empty = dataclasses.replace(fields, starts=fields.starts[:0], values=fields.values[:0])
+    for model_type in ("mvg", "ig", "var"):
+        with pytest.raises(InsufficientData):
+            fit_bundle(empty, spatial, fpca, model_type)
 
 
 @pytest.mark.parametrize("kind", ["stvf", "mtvf"])
 def test_fit_bundle_refuses_flattenings_that_cannot_back_an_emulator(kind):
     seqs = training_set(6, t=11, seed=4)
-    fields = [flatten.flatten_sequence(s, seqs[0][0], kind) for s in seqs]
+    fields = flatten.flatten_sequence(seqs, seqs[0][0], kind)
     spatial, fpca = dimred.reduce_fields(fields, True, 2, 2)
     for model_type in ("mvg", "ig", "var"):
         with pytest.raises(KindMismatch, match=f"kind '{kind}'"):
