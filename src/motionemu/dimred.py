@@ -121,11 +121,13 @@ def spatial_project(fields: FlatFields, pca: SpatialPCA):
 
 def spatial_reconstruct(scores, pca: SpatialPCA):
     """Field values mean + basis H from scores H: (..., d1, L) scores give
-    (..., D, L) values."""
+    (..., D, L) values; the mean is added in place."""
     scores = np.asarray(scores, dtype=float)
     if scores.ndim < 2 or scores.shape[-2] != pca.dim:
         raise DimensionMismatch(f"scores must be (..., d1, L) with d1={pca.dim}, got {scores.shape}")
-    return pca.mean[:, None] + pca.basis @ scores
+    values = pca.basis @ scores
+    values += pca.mean[:, None]
+    return values
 
 
 @dataclass

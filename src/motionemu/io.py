@@ -4,7 +4,7 @@ Files hold blocks (`rawseq`, `postureseq`, `warps`, `flatfield`, `doc`),
 each introduced by a header line naming its type and dimensions.  One
 codec handles every float row: the writer fills one `%.17g` template per
 row, which round-trips IEEE doubles bit-exactly, and the reader parses a
-block's rows in one `np.array(..., dtype=float)` call.  A block with no
+block's lines in one `np.loadtxt` call.  A block with no
 entries (a length-0 vector, a (D, 0) matrix) has no payload lines.  Bad
 headers, short files, ragged rows and non-numeric tokens raise
 `DimensionMismatch` naming the file, as do non-finite posture or field
@@ -44,13 +44,13 @@ def _write_rows(fh, rows):
         fh.writelines(line % tuple(row) for row in rows.tolist())
 
 
-def _parse_rows(path, tokens, rows, cols):
-    """Parse per-row lists of float tokens into a (rows, cols) array."""
+def _parse_rows(path, lines, rows, cols):
+    """Parse lines of whitespace-separated floats into a (rows, cols) array."""
     if not (rows and cols):
         return np.zeros((rows, cols))
     what = f"{path}: expected {rows} rows of {cols} numbers"
     try:
-        values = np.array(tokens, dtype=float)
+        values = np.loadtxt(lines, dtype=float, ndmin=2, comments=None)
     except ValueError as exc:
         raise DimensionMismatch(f"{what}: {exc}") from None
     if values.shape != (rows, cols):
@@ -108,7 +108,7 @@ class _Lines:
     def block(self, rows, cols):
         """Parse the next rows x cols block; a block with no entries has no lines."""
         lines = self.take(rows if cols else 0)
-        return _parse_rows(self.path, [ln.split() for ln in lines], rows, cols)
+        return _parse_rows(self.path, lines, rows, cols)
 
 
 def write_raw_sequences(path, frames_list, hierarchy: SkeletonHierarchy):
@@ -216,7 +216,7 @@ def read_flatfields(path) -> FlatFields:
             if mine != first:
                 raise error(f"{path}: field {i} has {name} {mine!r}, field 0 {first!r}")
         k, cols = heads[0][1] - 1, heads[0][2]
-        ref = _parse_rows(path, [src.head("reference")], 1, 3 * k).reshape(k, 3)
+        ref = _parse_rows(path, [" ".join(src.head("reference"))], 1, 3 * k).reshape(k, 3)
         _check_postures(path, f"block {i}, reference bone", ref[:, None])
         if not i:
             reference = ref
@@ -225,7 +225,7 @@ def read_flatfields(path) -> FlatFields:
         start = src.head("start")
         if start == ["none"]:
             raise DimensionMismatch(f"{path}: field {i} has no start posture")
-        starts.append(_parse_rows(path, [start], 1, 3 * k).reshape(k, 3))
+        starts.append(_parse_rows(path, [" ".join(start)], 1, 3 * k).reshape(k, 3))
         _check_postures(path, f"block {i}, start bone", starts[-1][:, None])
         values.append(src.block(2 * k, cols))
         _first_bad(path, f"block {i}, values row", ~np.isfinite(values[-1]).all(axis=1),

@@ -411,6 +411,7 @@ def simulate_sequence(bundle: EmulatorBundle, count: int, seed=None):
         if bundle.model_type == "var":
             scores[i] = simulate_var(bundle.model, cols, bundle.var_init, rng)
     values = dimred.spatial_reconstruct(scores, bundle.spatial)
+    del scores  # the decode reads only the rebuilt fields
     return flatten.unflatten_field(FlatFields(bundle.kind, bundle.reference, starts, values,
                                               1.0 / (bundle.length - 1)))
 

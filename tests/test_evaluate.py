@@ -461,39 +461,29 @@ def point_distances(seed, n):
     return np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=2))
 
 
-def slot_scan_descent(dmat, k, rng):
-    """The slot-by-slot swap descent the swap table replaced, kept as the
-    reference.  Also reports whether some sweep met a near-tie, where
-    rounding rather than the objective picks the move: a best swap gain
-    within 1e-9 of zero (a two-point cluster whose medoid and member trade
-    places gains exactly nothing), or two gains of a sweep that moves
-    within 1e-9 of each other."""
-    n = dmat.shape[0]
-    medoids = np.sort(rng.choice(n, size=k, replace=False))
-    objective = float(dmat[:, medoids].min(axis=1).sum())
-    tied = False
+def fastpam1_descent(dmat, medoids):
+    """The best-swap-per-sweep descent the eager swaps replaced, kept as the
+    reference: each sweep fills the (k, n) objective change of every
+    slot/candidate swap (FastPAM1; Schubert & Rousseeuw, SISAP 2019) in
+    column blocks and applies its row-major argmin if that gains > 1e-15."""
+    n, k = dmat.shape[0], medoids.size
+    medoids = np.sort(medoids)
+    cols = geo._block_items(24 * n)
+    delta = np.empty((k, n))
     for _ in range(evaluate.MAX_SWEEPS):
-        best_gain, best_slot, best_cand = 0.0, -1, -1
-        gains = []
-        for slot in range(k):
-            others = np.delete(medoids, slot)
-            rest = dmat[:, others].min(axis=1) if others.size else np.full(n, np.inf)
-            cand_obj = np.minimum(rest[:, None], dmat).sum(axis=0)
-            gains.append(np.delete(objective - cand_obj, medoids))
-            cand = int(np.argmin(cand_obj))
-            gain = objective - float(cand_obj[cand])
-            if gain > best_gain + 1e-15:
-                best_gain, best_slot, best_cand = gain, slot, cand
-        top = np.sort(np.concatenate(gains))[::-1][:2]
-        if top.size:
-            tied |= bool(abs(top[0]) < 1e-9 or top[0] > 0 and top.size > 1
-                         and top[0] - top[1] < 1e-9)
-        if best_slot < 0:
+        near = np.column_stack([dmat[:, medoids], np.full(n, np.inf)])
+        d1, d2 = np.partition(near, 1, axis=1)[:, :2].T[:, :, None]
+        owner = (near.argmin(axis=1) == np.arange(k)[:, None]).astype(float)
+        for lo in range(0, n, cols):
+            kept = np.minimum(dmat[:, lo:lo + cols], d1)
+            lost = np.minimum(dmat[:, lo:lo + cols], d2) - kept
+            delta[:, lo:lo + cols] = (kept - d1).sum(axis=0) + owner @ lost
+        slot, cand = np.unravel_index(np.argmin(delta), delta.shape)
+        if not delta[slot, cand] < -1e-15:
             break
-        medoids[best_slot] = best_cand
-        medoids = np.sort(medoids)
-        objective -= best_gain
-    return medoids, float(dmat[:, medoids].min(axis=1).sum()), tied
+        medoids[slot] = cand
+        medoids.sort()
+    return medoids, float(dmat[:, medoids].min(axis=1).sum())
 
 
 def assert_swap_stable(dmat, medoids):
@@ -510,17 +500,20 @@ def assert_swap_stable(dmat, medoids):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(2, 40), st.data())
-def test_swap_table_matches_slot_scan(n, data):
+def test_eager_swaps_end_swap_stable(n, data):
     k = data.draw(st.integers(1, n))
     seed = data.draw(st.integers(0, 2**32 - 1))
     dmat = point_distances(seed, n)
     medoids, objective = evaluate._swap_descent(dmat, k, np.random.default_rng(seed))
-    expected, expected_objective, tied = slot_scan_descent(dmat, k, np.random.default_rng(seed))
-    if not tied:
-        assert medoids.tolist() == expected.tolist()
-        assert np.float64(objective).tobytes() == np.float64(expected_objective).tobytes()
+    again, again_objective = evaluate._swap_descent(dmat, k, np.random.default_rng(seed))
+    assert medoids.tolist() == again.tolist()
+    assert np.float64(objective).tobytes() == np.float64(again_objective).tobytes()
     assert objective == float(dmat[:, medoids].min(axis=1).sum())
+    start = np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
+    assert objective <= float(dmat[:, start].min(axis=1).sum()) + 1e-12
     assert_swap_stable(dmat, medoids)
+    # the replaced best-swap descent finds nothing to gain from the result
+    assert fastpam1_descent(dmat, medoids.copy())[1] >= objective - 1e-12
 
 
 def test_one_medoid_takes_least_distance_sum():
