@@ -343,12 +343,12 @@ def cmd_quantize(args, out):
         rng = np.random.default_rng(stage_seed(args.seed, SEED_EVAL_SAMPLE))
         keep = rng.choice(pool.shape[0], size=args.sample, replace=False)
         pool = pool[np.sort(keep)]
-    k = args.k
-    if k == 0:
-        k, _ = evaluate.select_k(pool, seed=stage_seed(args.seed, SEED_EVAL_CLUSTER))
+    seed = stage_seed(args.seed, SEED_EVAL_CLUSTER)
+    if args.k == 0:
+        k, _, model = evaluate.select_k(pool, seed=seed)
         print(f"quantize: silhouette sweep picked k={k}")
-    model = evaluate.cluster_postures(pool, k=k,
-                                      seed=stage_seed(args.seed, SEED_EVAL_CLUSTER))
+    else:
+        model = evaluate.cluster_postures(pool, k=args.k, seed=seed)
     reference_labels = evaluate.mean_label_sequence(train, model)
     rows = []
     label_rows = []

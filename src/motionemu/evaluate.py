@@ -189,10 +189,14 @@ def cluster_postures(postures, k: int, seed=None) -> ClusterModel:
         raise BadTarget(f"k={k} must be positive")
     if k > n:
         raise InsufficientData(f"need at least {k} postures, got {n}")
-    dmat = posture_distance_matrix(postures)
+    return _clustered(postures, posture_distance_matrix(postures), k, seed)
+
+
+def _clustered(postures, dmat, k, seed):
+    """The k-medoids model of postures under their distance matrix, from a
+    fresh seeded start."""
     medoids, objective = _swap_descent(dmat, k, np.random.default_rng(seed))
-    return ClusterModel(modes=postures[medoids].copy(), medoid_indices=medoids.copy(),
-                        objective=objective)
+    return ClusterModel(modes=postures[medoids], medoid_indices=medoids, objective=objective)
 
 
 def _swap_descent(dmat, k, rng):
@@ -250,8 +254,10 @@ def silhouette_score(dmat, labels) -> float:
 def select_k(postures, k_min: int = 2, k_max: int = 15, seed=None):
     """Sweep cluster counts and keep the one with the best silhouette.
 
-    Returns (best_k, scores) where scores maps each swept k to its mean
-    silhouette width.  Ties keep the smaller k.
+    Returns (best_k, scores, model): scores maps each swept k to its mean
+    silhouette width, ties keep the smaller k, and model is
+    cluster_postures(postures, best_k, seed), fitted on the sweep's
+    distance matrix.
     """
     postures = geo._check_postures(postures)
     n = postures.shape[0]
@@ -268,7 +274,7 @@ def select_k(postures, k_min: int = 2, k_max: int = 15, seed=None):
         scores[k] = silhouette_score(dmat, labels)
         if scores[k] > scores[best_k]:
             best_k = k
-    return best_k, scores
+    return best_k, scores, _clustered(postures, dmat, best_k, seed)
 
 
 def quantize(seq, model: ClusterModel):

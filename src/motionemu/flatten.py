@@ -53,10 +53,11 @@ class FlatFields:
         if self.kind not in FLATTEN_KINDS:
             raise KindMismatch(f"unknown flattening kind {self.kind!r}")
         k, m = self.reference.shape[0], len(self.values)
-        if (self.values.ndim != 3 or self.values.shape[1] != 2 * k
-                or np.shape(self.starts) != (m,) + self.reference.shape):
-            raise DimensionMismatch(f"expected (M, {k}, 3) start postures and (M, {2 * k}, L) "
-                                    f"values, got {np.shape(self.starts)} and {self.values.shape}")
+        if (self.reference.shape != (k, 3) or self.values.ndim != 3
+                or self.values.shape[1] != 2 * k or np.shape(self.starts) != (m, k, 3)):
+            raise DimensionMismatch(f"expected a ({k}, 3) reference, (M, {k}, 3) start postures "
+                                    f"and (M, {2 * k}, L) values, got {self.reference.shape}, "
+                                    f"{np.shape(self.starts)} and {self.values.shape}")
 
     def __len__(self):
         return len(self.values)

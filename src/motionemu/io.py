@@ -1,34 +1,39 @@
 """Line-delimited text formats for sequences, warps, fields and models.
 
-Files hold blocks (`rawseq`, `postureseq`, `warps`, `flatfield`, `doc`),
-each introduced by a header line naming its type and dimensions.  One
-codec handles every float row: the writer fills one `%.17g` template per
-row, which round-trips IEEE doubles bit-exactly, and the reader parses a
-block's lines in one `np.loadtxt` call.  A block with no
-entries (a length-0 vector, a (D, 0) matrix) has no payload lines.  Bad
-headers, short files, ragged rows and non-numeric tokens raise
-`DimensionMismatch` naming the file, as do non-finite posture or field
-values and bones off the unit sphere (`UNIT_TOL`).  Files are read one
-line at a time, so a reader holds one block's lines, not the file's.
+Files hold blocks (`rawseq`, `postureseq`, `warps`, `doc`), each opened
+by a header line naming its type and dimensions.  One codec handles
+every float row: the writer fills one `%.17g` template per row, which
+round-trips IEEE doubles bit-exactly, and the reader parses rows with
+`np.loadtxt`; both take a run of rows at a time (`VALUE_BYTES`), so a
+reader holds one run's lines, not the file's.  Bad headers, short files,
+ragged rows and non-numeric tokens raise `DimensionMismatch` naming the
+file, as do non-finite values and bones off the unit sphere (`UNIT_TOL`).
 
-Model-like objects (PCA bases, fitted models, emulator bundles) use a
-generic tagged document: a `doc <type> <version>` header, then one entry
-per line (`s`tring, `i`nt, `f`loat, `v`ector, `m`atrix, `x` none), closed
-by `end`.  Vectors and matrices are followed by their payload lines.
-Readers fetch entries with the tags they expect (`_Doc.entry`).
+Fields, reductions and bundles are tagged documents: a `doc <type>
+<version>` header, one entry per line (`s`tring, `i`nt, `f`loat, `x`
+none, `a`rray) and `end`.  An array entry `a NAME d0 ... dk` is followed
+by d0*...*d(k-1) rows of dk values, none when a dimension is 0.  Readers
+fetch entries with the tags and ranks they expect (`_Doc.entry`,
+`_Doc.array`).
 """
 
+import math
+import os
 from itertools import islice
 
 import numpy as np
 
-from .errors import DimensionMismatch, KindMismatch, ReferenceMismatch
-from .flatten import FLATTEN_KINDS, FlatFields
+from . import geometry as geo
+from .errors import DimensionMismatch, MotionError
+from .flatten import FlatFields
 from .skeleton import SkeletonHierarchy
 
 # Largest | |bone| - 1 | a posture read from a file may show; the program's
 # own writes stay within about 1e-15 of unit length.
 UNIT_TOL = 1e-9
+# Bytes one value keeps live while its run of rows is formatted or parsed
+# (a Python float and its list slot, or its share of a line and its token).
+VALUE_BYTES = 64
 
 
 def fmt(x) -> str:
@@ -36,26 +41,16 @@ def fmt(x) -> str:
 
 
 def _write_rows(fh, rows):
-    """Write a 2-d array, one line of %.17g values per row; an array with
-    no entries writes no lines."""
+    """Write an array of rank 1 or more, one line of %.17g values per
+    vector along its last axis, formatting a run of lines at a time; an
+    array with no entries writes no lines."""
     rows = np.asarray(rows, dtype=float)
     if rows.size:
+        rows = rows.reshape(-1, rows.shape[-1])
         line = " ".join(["%.17g"] * rows.shape[1]) + "\n"
-        fh.writelines(line % tuple(row) for row in rows.tolist())
-
-
-def _parse_rows(path, lines, rows, cols):
-    """Parse lines of whitespace-separated floats into a (rows, cols) array."""
-    if not (rows and cols):
-        return np.zeros((rows, cols))
-    what = f"{path}: expected {rows} rows of {cols} numbers"
-    try:
-        values = np.loadtxt(lines, dtype=float, ndmin=2, comments=None)
-    except ValueError as exc:
-        raise DimensionMismatch(f"{what}: {exc}") from None
-    if values.shape != (rows, cols):
-        raise DimensionMismatch(f"{what}, got shape {values.shape}")
-    return values
+        step = geo._block_items(VALUE_BYTES * rows.shape[1])
+        for lo in range(0, len(rows), step):
+            fh.writelines(line % tuple(row) for row in rows[lo:lo + step].tolist())
 
 
 def _first_bad(path, where, bad, what):
@@ -63,10 +58,15 @@ def _first_bad(path, where, bad, what):
         raise DimensionMismatch(f"{path}: {where} {int(np.argmax(bad))}: {what}")
 
 
+def _non_finite(path, where, values):
+    """Reject (R, a, b) values with a non-finite entry, naming the first of the R."""
+    _first_bad(path, where, ~np.isfinite(values).all(axis=(1, 2)), "non-finite value")
+
+
 def _check_postures(path, where, postures):
     """Reject (R, k, 3) postures with a non-finite entry or a bone off the
     unit sphere, naming the first offending one of the R."""
-    _first_bad(path, where, ~np.isfinite(postures).all(axis=(1, 2)), "non-finite value")
+    _non_finite(path, where, postures)
     off = np.abs(np.linalg.norm(postures, axis=-1) - 1.0) > UNIT_TOL
     _first_bad(path, where, off.any(axis=1), f"bone norm off 1 by more than {UNIT_TOL:g}")
 
@@ -82,6 +82,7 @@ class _Lines:
 
     def __init__(self, path):
         self.path = str(path)
+        self.size = os.path.getsize(path)
         self.lines = _nonempty_lines(path)
         self.ahead = list(islice(self.lines, 1))
 
@@ -106,9 +107,23 @@ class _Lines:
         return head[1:]
 
     def block(self, rows, cols):
-        """Parse the next rows x cols block; a block with no entries has no lines."""
-        lines = self.take(rows if cols else 0)
-        return _parse_rows(self.path, lines, rows, cols)
+        """Parse the next rows x cols block a run of rows at a time; a block
+        with no entries has no lines."""
+        if rows * cols > self.size:  # every number takes a byte at least
+            raise DimensionMismatch(f"{self.path}: unexpected end of file")
+        out = np.empty((rows, cols))
+        what = f"{self.path}: expected {rows} rows of {cols} numbers"
+        step = geo._block_items(VALUE_BYTES * cols)
+        for lo in range(0, rows if cols else 0, step):
+            lines = self.take(min(step, rows - lo))
+            try:
+                run = np.loadtxt(lines, dtype=float, ndmin=2, comments=None)
+            except ValueError as exc:
+                raise DimensionMismatch(f"{what}: {exc}") from None
+            if run.shape != (len(lines), cols):
+                raise DimensionMismatch(f"{what}, got shape {run.shape} from row {lo}")
+            out[lo:lo + len(lines)] = run
+        return out
 
 
 def write_raw_sequences(path, frames_list, hierarchy: SkeletonHierarchy):
@@ -135,6 +150,7 @@ def read_raw_sequences(path):
         elif not np.array_equal(h.parent, hierarchy.parent):
             raise DimensionMismatch(f"{path}: blocks disagree on hierarchy")
         out.append(src.block(t, 3 * n).reshape(t, n, 3))
+        _non_finite(path, f"block {len(out) - 1}, row", out[-1])
     if hierarchy is None:
         raise DimensionMismatch(f"{path}: no sequences found")
     return out, hierarchy
@@ -181,64 +197,37 @@ def read_warps(path):
     return src.block(m, t)
 
 
-# a fields file's header entries, which every block shares with block 0
-_FIELD_HEAD = (("kind", KindMismatch), ("landmark count", DimensionMismatch),
-               ("column count", DimensionMismatch), ("dt", ReferenceMismatch))
-
-
 def write_flatfields(path, fields: FlatFields):
-    """Write a set of flattened fields, one block per field, each with the
-    set's kind, dt and reference."""
-    k = fields.reference.shape[0]
-    head = (f"flatfield {fields.kind} {k + 1} {fields.length} {fmt(fields.dt)}\n"
-            f"reference {' '.join(map(fmt, fields.reference.ravel()))}\nstart ")
-    with open(path, "w") as fh:
-        for start, values in zip(fields.starts, fields.values):
-            fh.write(head)
-            _write_rows(fh, start.reshape(1, 3 * k))
-            _write_rows(fh, values)
+    """Write a set of flattened fields as one document."""
+    write_doc(path, "flatfields", 1, [
+        ("kind", fields.kind), ("dt", float(fields.dt)), ("reference", fields.reference),
+        ("starts", fields.starts), ("values", fields.values)])
 
 
 def read_flatfields(path) -> FlatFields:
-    """Read a set of flattened fields.  Every block must hold a start
-    posture and agree with block 0 on kind (else KindMismatch), bones and
-    columns (DimensionMismatch), dt and reference (ReferenceMismatch); the
-    error names the field."""
-    src = _Lines(path)
-    heads, starts, values = [], [], []
-    while src.left():
-        i = len(heads)
-        kind, n, cols, dt = src.head("flatfield", 5)
-        if kind not in FLATTEN_KINDS:
-            raise KindMismatch(f"{path}: unknown field kind {kind!r}")
-        heads.append((kind, int(n), int(cols), float(dt)))
-        for (name, error), mine, first in zip(_FIELD_HEAD, heads[-1], heads[0]):
-            if mine != first:
-                raise error(f"{path}: field {i} has {name} {mine!r}, field 0 {first!r}")
-        k, cols = heads[0][1] - 1, heads[0][2]
-        ref = _parse_rows(path, [" ".join(src.head("reference"))], 1, 3 * k).reshape(k, 3)
-        _check_postures(path, f"block {i}, reference bone", ref[:, None])
-        if not i:
-            reference = ref
-        elif not np.array_equal(ref, reference):
-            raise ReferenceMismatch(f"{path}: field {i} has another reference than field 0")
-        start = src.head("start")
-        if start == ["none"]:
-            raise DimensionMismatch(f"{path}: field {i} has no start posture")
-        starts.append(_parse_rows(path, [" ".join(start)], 1, 3 * k).reshape(k, 3))
-        _check_postures(path, f"block {i}, start bone", starts[-1][:, None])
-        values.append(src.block(2 * k, cols))
-        _first_bad(path, f"block {i}, values row", ~np.isfinite(values[-1]).all(axis=1),
-                   "non-finite value")
-    if not heads:
-        raise DimensionMismatch(f"{path}: no fields found")
-    return FlatFields(heads[0][0], reference, np.stack(starts), np.stack(values), heads[0][3])
+    """Read a set of flattened fields.  Non-finite values and bones off the
+    unit sphere are refused naming the field (or the reference bone), and
+    an unknown kind or arrays of disagreeing shapes naming the file."""
+    doctype, version, doc = read_doc(path)
+    if (doctype, version) != ("flatfields", 1):
+        raise DimensionMismatch(f"{path}: not a version-1 flatfields document")
+    reference, starts = doc.array("reference", 2), doc.array("starts", 3)
+    values = doc.array("values", 3)
+    try:
+        fields = FlatFields(doc.entry("kind", "s"), reference, starts, values,
+                            doc.entry("dt", "f"))
+    except MotionError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    _check_postures(path, "reference bone", reference[:, None])
+    _check_postures(path, "start posture of field", starts)
+    _non_finite(path, "values of field", values)
+    return fields
 
 
 def write_doc(path, doctype: str, version: int, items):
     """Write a tagged document.  items is a list of (name, value) pairs;
     the tag is inferred from the value's type (None, str, int, float,
-    1-d array, 2-d array)."""
+    array of rank 1 or more)."""
     with open(path, "w") as fh:
         fh.write(f"doc {doctype} {version}\n")
         for name, value in items:
@@ -252,20 +241,17 @@ def write_doc(path, doctype: str, version: int, items):
                 fh.write(f"f {name} {fmt(value)}\n")
             else:
                 arr = np.asarray(value, dtype=float)
-                if arr.ndim == 1:
-                    fh.write(f"v {name} {arr.shape[0]}\n")
-                    arr = arr[None]
-                elif arr.ndim == 2:
-                    fh.write(f"m {name} {arr.shape[0]} {arr.shape[1]}\n")
-                else:
-                    raise DimensionMismatch(f"cannot serialize {name}: ndim {arr.ndim}")
+                if not arr.ndim:
+                    raise DimensionMismatch(f"cannot serialize {name}: ndim 0")
+                fh.write(f"a {name} {' '.join(map(str, arr.shape))}\n")
                 _write_rows(fh, arr)
         fh.write("end\n")
 
 
 class _Doc(dict):
     """Document entries and their tags; a missing entry, or one whose tag
-    entry() does not accept, raises DimensionMismatch naming it."""
+    or rank entry() or array() does not accept, raises DimensionMismatch
+    naming it."""
 
     def __init__(self, path):
         super().__init__()
@@ -281,6 +267,15 @@ class _Doc(dict):
         if self.tags[name] not in tags:
             raise DimensionMismatch(f"{self.path}: entry {name!r} is tagged "
                                     f"{self.tags[name]!r}, expected one of {tags!r}")
+        return value
+
+    def array(self, name, ndim, none=False):
+        """The value of an array entry with ndim axes, or, when none is
+        true, of an `x` entry."""
+        value, tag = self[name], self.tags[name]
+        if (tag != "a" or value.ndim != ndim) and not (none and tag == "x"):
+            raise DimensionMismatch(f"{self.path}: entry {name!r} is tagged {tag!r} with "
+                                    f"shape {np.shape(value)}, expected an array of rank {ndim}")
         return value
 
 
@@ -307,14 +302,14 @@ def read_doc(path):
             elif tag == "f":
                 name, value = rest.split()
                 out[name] = float(value)
-            elif tag == "v":
-                name, count = rest.split()
-                out[name] = src.block(1, int(count))[0]
-            elif tag == "m":
-                name, rows, cols = rest.split()
-                out[name] = src.block(int(rows), int(cols))
+            elif tag == "a":
+                name, *dims = rest.split()
+                shape = [int(d) for d in dims]
+                if not shape or min(shape) < 0:
+                    raise ValueError("an array needs one or more dimensions, none negative")
+                out[name] = src.block(math.prod(shape[:-1]), shape[-1]).reshape(shape)
             else:
-                raise DimensionMismatch(f"{path}: unknown tag {tag!r}")
+                raise ValueError(f"unknown tag {tag!r}")
             out.tags[name] = tag
     except ValueError as exc:
         raise DimensionMismatch(f"{src.path}: bad line {line!r}: {exc}") from None

@@ -4,12 +4,11 @@ artifacts, manifests, determinism, and the two-level report."""
 import hashlib
 import json
 import os
-import re
 
 import numpy as np
 import pytest
 
-from motionemu import cli, evaluate, flatten, io as mio, models
+from motionemu import cli, evaluate, io as mio, models
 from motionemu.cli import (SEED_EVAL_PERM, SEED_SIMULATE, main, parse_scheme,
                            run_twolevel, stage_seed)
 from motionemu.datagen import SynthConfig, gen_mixture
@@ -20,11 +19,6 @@ from motionemu.skeleton import SkeletonHierarchy, downsample, ingest_sequence
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
-
-
-def field_blocks(path):
-    """The text of each block of a fields file."""
-    return re.split(r"(?m)^(?=flatfield )", path.read_text())[1:]
 
 
 def read_bytes(path):
@@ -110,6 +104,18 @@ def test_ingest_converts_and_downsamples(tmp_path):
     seqs = mio.read_posture_sequences(out / "sequences.txt")
     for got, frames in zip(seqs, frames_list):
         assert np.array_equal(got, downsample(ingest_sequence(frames, hierarchy), 5))
+
+
+def test_ingest_refuses_a_non_finite_coordinate(tmp_path, capsys):
+    frames_list = [np.random.default_rng(5).normal(size=(9, 4, 3)) for _ in range(2)]
+    frames_list[1][3, 2, 0] = np.nan
+    raw = tmp_path / "raw.txt"
+    mio.write_raw_sequences(raw, frames_list, SkeletonHierarchy([-1, 0, 1, 1]))
+    capsys.readouterr()
+    assert run_cli("ingest", "--input", raw, "--out", tmp_path / "ing") == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DimensionMismatch", "message": f"{raw}: block 1, row 3: non-finite value"}
+    assert not (tmp_path / "ing" / "sequences.txt").exists()
 
 
 PIPELINE_SCHEMES = [
@@ -292,15 +298,17 @@ def test_bundle_with_a_mistyped_entry_reports_one_json_line(tmp_path, capsys):
                    "--count", 2, "--n-perm", 9) == 0
     bundle = tmp_path / "bundle.txt"
     text = (out / "bundle.txt").read_text()
-    assert "\ni start.count 1\n" in text
-    bundle.write_text(text.replace("\ni start.count 1\n", "\ns start.count 1\n"))
+    # the same payload lines read as a (4, 3) array: one start posture without its axis
+    assert "\na start.postures 1 4 3\n" in text
+    bundle.write_text(text.replace("\na start.postures 1 4 3\n", "\na start.postures 4 3\n"))
     capsys.readouterr()
     assert run_cli("simulate", "--bundle", bundle, "--count", 2, "--out", tmp_path / "sim") == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     report = json.loads(err)
     assert report["error"] == "DimensionMismatch"
-    assert report["message"] == f"{bundle}: entry 'start.count' is tagged 's', expected one of 'i'"
+    assert report["message"] == (f"{bundle}: entry 'start.postures' is tagged 'a' with shape "
+                                 "(4, 3), expected an array of rank 3")
 
 
 def test_two_sample_reruns_byte_identical_and_exhaustive(tmp_path):
@@ -436,9 +444,9 @@ def test_fit_on_fields_without_start_names_the_missing_start(tmp_path, capsys):
     assert run_cli("pipeline", "--out", run, "--seed", 4, *SYNTH_FLAGS,
                    "--scheme", "istvf/seqpca/mvg", "--d1", 2, "--d2", 3,
                    "--count", 2, "--n-perm", 9) == 0
-    blocks = field_blocks(run / "fields.txt")
-    blocks[1] = re.sub(r"(?m)^start .*$", "start none", blocks[1])
-    (tmp_path / "fields.txt").write_text("".join(blocks))
+    doctype, version, doc = mio.read_doc(run / "fields.txt")
+    doc["starts"] = None
+    mio.write_doc(tmp_path / "fields.txt", doctype, version, list(doc.items()))
     capsys.readouterr()
     for policy in ("fixed", "training-mean"):
         assert run_cli("fit", "--fields", tmp_path / "fields.txt",
@@ -448,7 +456,8 @@ def test_fit_on_fields_without_start_names_the_missing_start(tmp_path, capsys):
         assert err.count("\n") == 1
         report = json.loads(err)
         assert report["error"] == "DimensionMismatch"
-        assert "field 1 has no start posture" in report["message"]
+        assert report["message"].startswith(f"{tmp_path / 'fields.txt'}: entry 'starts' is "
+                                            "tagged 'x'")
         assert not (tmp_path / policy / "bundle.txt").exists()
 
 
@@ -610,15 +619,15 @@ def test_every_command_manifest_lists_exactly_what_it_wrote(stage_inputs, tmp_pa
 def test_inconsistent_bundle_and_excess_mds_dims_report_one_json_line(stage_inputs, tmp_path,
                                                                       capsys):
     text = (stage_inputs / "bundle.txt").read_text()
-    assert "\ni has_fpca 1\n" in text
+    assert "\ns kind istvf\n" in text
     bundle = tmp_path / "bundle.txt"
-    bundle.write_text(text.replace("\ni has_fpca 1\n", "\ni has_fpca 0\n"))
+    bundle.write_text(text.replace("\ns kind istvf\n", "\ns kind intrinsic\n"))
     capsys.readouterr()
     assert run_cli("simulate", "--bundle", bundle, "--count", 2, "--out", tmp_path / "sim") == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": "DimensionMismatch", "message":
-                               f"{bundle}: entry 'has_fpca' = 0 does not match "
+                               f"{bundle}: entry 'kind' = intrinsic does not match "
                                "'model_type' = mvg"}
     assert run_cli("eval", "mds", "--input", stage_inputs / "aligned.txt", "--dims", 12,
                    "--out", tmp_path / "mds") == 1
@@ -671,21 +680,3 @@ def test_pipeline_and_twolevel_refuse_n_perm_before_any_work(stage_inputs, tmp_p
         assert err.count("\n") == 1
         assert json.loads(err) == {"error": "BadTarget", "message": "n_perm must be positive"}
         assert os.listdir(out) == []
-
-
-def test_fit_refuses_fields_flattened_at_two_references(stage_inputs, tmp_path, capsys):
-    seqs = mio.read_posture_sequences(stage_inputs / "aligned.txt")
-    blocks = field_blocks(stage_inputs / "fields.txt")
-    moved = flatten.flatten_sequence(seqs[1:2], seqs[0][0], "istvf")
-    mio.write_flatfields(tmp_path / "fields.txt", moved)
-    blocks[1] = field_blocks(tmp_path / "fields.txt")[0]
-    (tmp_path / "fields.txt").write_text("".join(blocks))
-    capsys.readouterr()
-    assert run_cli("fit", "--fields", tmp_path / "fields.txt", "--reduction",
-                   stage_inputs / "reduction.txt", "--scheme", "istvf/seqpca/mvg",
-                   "--out", tmp_path / "fit") == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    report = json.loads(err)
-    assert report["error"] == "ReferenceMismatch" and "field 1" in report["message"]
-    assert not (tmp_path / "fit" / "bundle.txt").exists()

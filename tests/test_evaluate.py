@@ -445,7 +445,7 @@ def test_swap_scan_blocks_keep_medoids_and_objective_bits(monkeypatch):
     for budget in (24 * 25, 24 * 25 * 4, 24 * 25 * 7, geo.BLOCK_BYTES):
         monkeypatch.setattr(geo, "BLOCK_BYTES", budget)
         model = cluster_postures(postures, k=4, seed=3)
-        best_k, scores = select_k(postures, k_min=2, k_max=6, seed=5)
+        best_k, scores, _ = select_k(postures, k_min=2, k_max=6, seed=5)
         runs.append((model.medoid_indices.tolist(), np.float64(model.objective).tobytes(),
                      best_k, np.array(list(scores.values())).tobytes()))
     assert all(run == runs[-1] for run in runs)
@@ -566,10 +566,15 @@ def test_silhouette_matches_hand_formula():
 def test_select_k_finds_planted_count():
     rng = np.random.default_rng(15)
     postures = np.concatenate([blob(rng, c, 8) for c in BLOB_CENTERS])
-    best_k, scores = select_k(postures, k_min=2, k_max=6, seed=0)
+    best_k, scores, model = select_k(postures, k_min=2, k_max=6, seed=0)
     assert best_k == 3
     assert sorted(scores) == [2, 3, 4, 5, 6]
     assert scores[3] == max(scores.values())
+    # the chosen k's model is the one cluster_postures fits from the same seed
+    alone = cluster_postures(postures, k=3, seed=0)
+    assert model.medoid_indices.tolist() == alone.medoid_indices.tolist()
+    assert model.modes.tobytes() == alone.modes.tobytes()
+    assert np.float64(model.objective).tobytes() == np.float64(alone.objective).tobytes()
 
 
 # ---------------------------------------------------------------- quantize

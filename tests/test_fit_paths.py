@@ -115,10 +115,11 @@ def test_fit_needs_a_spatial_basis(tmp_path, aligned, capsys):
     assert run_cli("flatten", "--input", aligned, "--kind", "istvf", "--out", tmp_path) == 0
     # no spatial basis, like the MPCA-only reductions of earlier releases
     red = tmp_path / "reduction.txt"
-    mio.write_doc(red, "reduction", 1, [("has_spatial", 0), ("has_fpca", 0), ("has_mpca", 1)])
+    mio.write_doc(red, "reduction", 2, [("has_fpca", 0)])
     capsys.readouterr()
     assert run_cli("fit", "--scheme", "istvf/seqpca/ig", "--fields", tmp_path / "fields.txt",
                    "--reduction", red, "--out", tmp_path) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert json.loads(err)["error"] == "KindMismatch"
+    assert json.loads(err) == {"error": "DimensionMismatch",
+                               "message": f"{red}: missing entry 'spatial.mean'"}

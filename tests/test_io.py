@@ -1,4 +1,5 @@
 import io
+import math
 import re
 import tempfile
 import tracemalloc
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from motionemu import dimred, io as mio, models
+from motionemu import dimred, flatten, io as mio, models
 from motionemu.errors import DimensionMismatch, KindMismatch, ReferenceMismatch
 from motionemu.flatten import FLATTEN_KINDS, FlatFields
 from motionemu.persist import load_bundle, load_reduction, save_bundle, save_reduction
@@ -26,21 +27,6 @@ def unit_rows(raw):
 def rand_postures(rng, t, k):
     v = rng.standard_normal((t, k, 3))
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-
-def one_field(kind, reference, start, values, dt):
-    """A set of one field."""
-    return FlatFields(kind, reference, start[None], values[None], dt)
-
-
-def write_blocks(path, *sets):
-    """One fields file holding the blocks of several sets, in order: a file
-    whose blocks need not agree, as one written by hand may."""
-    text = ""
-    for fields in sets:
-        mio.write_flatfields(path, fields)
-        text += Path(path).read_text()
-    Path(path).write_text(text)
 
 
 def test_posture_sequences_roundtrip_bit_exact(tmp_path):
@@ -126,13 +112,19 @@ def test_doc_roundtrip_all_tags(tmp_path):
         ("after_vec", 7),
         ("no_cols", np.zeros((3, 0))),
         ("after_mat", "tail"),
+        ("cube", rng.standard_normal((2, 3, 4))),
+        ("hollow", np.zeros((2, 0, 4))),
+        ("last", 1),
     ]
     path = tmp_path / "doc.txt"
     mio.write_doc(path, "example", 2, items)
-    # an entry with no numbers has no payload lines, blank or otherwise
-    assert path.read_text().splitlines()[-6:] == [
-        "m empty 0 4", "v empty_vec 0", "i after_vec 7", "m no_cols 3 0", "s after_mat tail",
-        "end"]
+    # an entry with no numbers has no payload lines, blank or otherwise, and
+    # a (2, 3, 4) array has 2 * 3 lines of 4 numbers
+    lines = path.read_text().splitlines()
+    assert lines[-15:-9] == ["a empty 0 4", "a empty_vec 0", "i after_vec 7", "a no_cols 3 0",
+                             "s after_mat tail", "a cube 2 3 4"]
+    assert [len(ln.split()) for ln in lines[-9:-3]] == [4] * 6
+    assert lines[-3:] == ["a hollow 2 0 4", "i last 1", "end"]
     doctype, version, data = mio.read_doc(path)
     assert doctype == "example" and version == 2
     assert data["nothing"] is None
@@ -144,6 +136,8 @@ def test_doc_roundtrip_all_tags(tmp_path):
     assert data["empty"].shape == (0, 4)
     assert data["empty_vec"].shape == (0,) and data["after_vec"] == 7
     assert data["no_cols"].shape == (3, 0) and data["after_mat"] == "tail"
+    np.testing.assert_array_equal(data["cube"], items[11][1])
+    assert data["hollow"].shape == (2, 0, 4) and data["last"] == 1
 
 
 def test_doc_float_bit_exactness(tmp_path):
@@ -164,6 +158,39 @@ def test_read_errors(tmp_path):
     empty.write_text("\n")
     with pytest.raises(DimensionMismatch):
         mio.read_posture_sequences(empty)
+
+
+def test_read_raw_sequences_rejects_non_finite_coordinates(tmp_path):
+    rng = np.random.default_rng(12)
+    frames = [rng.standard_normal((5, 4, 3)) for _ in range(2)]
+    frames[1][3, 2, 0] = np.nan
+    path = tmp_path / "raw.txt"
+    mio.write_raw_sequences(path, frames, SkeletonHierarchy(np.array([-1, 0, 1, 1])))
+    with pytest.raises(DimensionMismatch,
+                       match=re.escape(f"{path}: block 1, row 3: non-finite value")):
+        mio.read_raw_sequences(path)
+
+
+def test_fields_read_and_write_hold_one_run_of_rows(tmp_path):
+    """Reading a fields document of paper-scale size holds its arrays and
+    one run of lines and tokens (about 1.6 MB; a reader that stacked
+    per-field blocks held twice the values), and writing one holds one run
+    of formatted rows."""
+    rng = np.random.default_rng(11)
+    fields = FlatFields("istvf", rand_postures(rng, 1, 20)[0], rand_postures(rng, 60, 20),
+                        rng.standard_normal((60, 40, 300)), 1.0 / 300)
+    path = tmp_path / "fields.txt"
+    peaks = []
+    for step in (lambda: mio.write_flatfields(path, fields), lambda: mio.read_flatfields(path)):
+        tracemalloc.start()
+        try:
+            back = step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert same_bits(back.values, fields.values) and same_bits(back.starts, fields.starts)
+    assert peaks[0] < fields.values.nbytes
+    assert peaks[1] < 1.6 * fields.values.nbytes
 
 
 def test_read_posture_sequences_rejects_non_finite_and_off_unit_bones(tmp_path):
@@ -190,56 +217,42 @@ def test_read_posture_sequences_rejects_non_finite_and_off_unit_bones(tmp_path):
         mio.read_posture_sequences(path)
 
 
+def rewrite(path, name, value):
+    """Rewrite one entry of a document in place, keeping the others."""
+    doctype, version, doc = mio.read_doc(path)
+    doc[name] = value
+    mio.write_doc(path, doctype, version, list(doc.items()))
+
+
 def test_read_flatfields_rejects_non_finite_and_non_unit_postures(tmp_path):
+    """Non-finite values and bones off the unit sphere are refused naming
+    the field (or the reference bone); an unknown kind and arrays whose
+    shapes disagree are refused naming the file."""
     rng = np.random.default_rng(7)
     ref = rand_postures(rng, 1, 4)[0]
-    start = rand_postures(rng, 1, 4)[0]
-    values = rng.standard_normal((8, 6))
-    good = one_field("istvf", ref, start, values, 1.0 / 6)
+    starts = rand_postures(rng, 3, 4)
+    values = rng.standard_normal((3, 8, 6))
+    bad_values, bad_starts = values.copy(), starts.copy()
+    bad_values[1, 3, 1] = np.inf
+    bad_starts[1, 2] *= 0.5
     path = tmp_path / "fields.txt"
-    cases = [
-        (one_field("istvf", ref, start, values.copy(), good.dt), "values row 3: non-finite"),
-        (one_field("istvf", 2.0 * ref, start, values, good.dt), "reference bone 0: bone norm"),
-        (one_field("istvf", ref, 0.5 * start, values, good.dt), "start bone 0: bone norm"),
-    ]
-    cases[0][0].values[0, 3, 1] = np.inf
-    for bad, message in cases:
-        write_blocks(path, good, bad)
-        with pytest.raises(DimensionMismatch, match=f"block 1, {message}"):
+    for fields, message in [
+            (FlatFields("istvf", ref, starts, bad_values, 0.2), "values of field 1: non-finite"),
+            (FlatFields("istvf", 2.0 * ref, starts, values, 0.2), "reference bone 0: bone norm"),
+            (FlatFields("istvf", ref, bad_starts, values, 0.2), "start posture of field 1: bone"),
+    ]:
+        mio.write_flatfields(path, fields)
+        with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: {message}")):
             mio.read_flatfields(path)
-
-
-@pytest.mark.parametrize("case", ["kind", "reference", "dt", "bones", "columns", "start none"])
-def test_read_flatfields_refuses_a_block_that_disagrees_with_block_0(tmp_path, case):
-    """A set has one kind, reference, bone count, column count and dt, and
-    a start posture per field: a hand-edited file whose block 2 breaks
-    that is refused, naming field 2."""
-    rng = np.random.default_rng(9)
-    ref, other, start = rand_postures(rng, 3, 4)
-    values = rng.standard_normal((8, 6))
-    good = one_field("istvf", ref, start, values, 0.2)
-    bad, error, message = {
-        "kind": (one_field("siem", ref, start, values, 0.2), KindMismatch,
-                 "field 2 has kind 'siem', field 0 'istvf'"),
-        "reference": (one_field("istvf", other, start, values, 0.2), ReferenceMismatch,
-                      "field 2 has another reference than field 0"),
-        "dt": (one_field("istvf", ref, start, values, 0.25), ReferenceMismatch,
-               "field 2 has dt 0.25, field 0 0.2"),
-        "bones": (one_field("istvf", ref[:3], start[:3], values[:6], 0.2), DimensionMismatch,
-                  "field 2 has landmark count 4, field 0 5"),
-        "columns": (one_field("istvf", ref, start, values[:, :5], 0.2), DimensionMismatch,
-                    "field 2 has column count 5, field 0 6"),
-        "start none": (good, DimensionMismatch, "field 2 has no start posture"),
-    }[case]
-    path = tmp_path / "fields.txt"
-    write_blocks(path, good, good, bad)
-    if case == "start none":
-        lines = path.read_text().splitlines(keepends=True)
-        starts = [i for i, ln in enumerate(lines) if ln.startswith("start ")]
-        lines[starts[2]] = "start none\n"
-        path.write_text("".join(lines))
-    with pytest.raises(error, match=message):
-        mio.read_flatfields(path)
+    for name, value, error, message in [
+            ("kind", "svf", KindMismatch, "unknown flattening kind 'svf'"),
+            ("starts", starts[:2], DimensionMismatch, "(M, 4, 3) start postures"),
+            ("values", values[:, :7], DimensionMismatch, "(M, 8, L) values"),
+            ("reference", ref[:, :2], DimensionMismatch, "a (4, 3) reference")]:
+        mio.write_flatfields(path, FlatFields("istvf", ref, starts, values, 0.2))
+        rewrite(path, name, value)
+        with pytest.raises(error, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+            mio.read_flatfields(path)
 
 
 @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4), st.just(3)),
@@ -275,8 +288,12 @@ def test_constant_field_reduction_survives_save_and_load(tmp_path):
 
 
 @pytest.mark.parametrize("bad", ["i length abc", "i length", "i length 3 4", "lonely",
-                                 "x gone", "v vec abc", "m mat 2 x", "m mat -1 0"])
+                                 "x gone", "v vec abc", "m mat 2 x", "m mat -1 0", "a",
+                                 "a arr", "a arr 2 x", "a arr -1 2", "a arr 1.5"])
 def test_read_doc_names_the_file_and_the_bad_line(tmp_path, bad):
+    """A malformed entry line, an unknown tag (`v` and `m` belonged to an
+    earlier format) and an array header without dimensions, or with a
+    negative or non-integer one, are refused quoting the line."""
     path = tmp_path / "doc.txt"
     mio.write_doc(path, "example", 1, [("length", 3), ("name", "x")])
     text = path.read_text()
@@ -288,64 +305,92 @@ def test_read_doc_names_the_file_and_the_bad_line(tmp_path, bad):
         mio.read_doc(path)
 
 
+def test_write_doc_refuses_0d_arrays_and_read_doc_arrays_longer_than_the_file(tmp_path):
+    path = tmp_path / "doc.txt"
+    with pytest.raises(DimensionMismatch, match="cannot serialize scalar: ndim 0"):
+        mio.write_doc(path, "bad", 1, [("scalar", np.array(1.5))])
+    # a header that sizes more numbers than the file holds allocates nothing
+    path.write_text("doc bad 1\na huge 100000 100000 100000\nend\n")
+    with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: unexpected end of file")):
+        mio.read_doc(path)
+
+
 def saved_documents(tmp_path, model_type):
-    """A bundle and a reduction fitted on a small training set, saved under
-    tmp_path; yields (path, loader) pairs."""
+    """A bundle, its reduction and the fields it was fitted on, from a small
+    training set, saved under tmp_path; returns (path, load, save) triples."""
     rng = np.random.default_rng(8)
     seqs = [rand_postures(rng, 1, 2) + np.cumsum(rng.normal(scale=0.05, size=(8, 2, 3)), axis=0)
             for _ in range(6)]
     seqs = [s / np.linalg.norm(s, axis=-1, keepdims=True) for s in seqs]
     bundle = models.fit_emulator(seqs, "istvf", model_type, d1=2, d2=2, order=1)
     save_bundle(tmp_path / "bundle.txt", bundle)
-    docs = [(tmp_path / "bundle.txt", load_bundle)]
-    if bundle.fpca is not None:
+    docs = [(tmp_path / "bundle.txt", load_bundle, save_bundle)]
+    if bundle.spatial is not None:
         save_reduction(tmp_path / "reduction.txt", bundle.spatial, bundle.fpca)
-        docs.append((tmp_path / "reduction.txt", load_reduction))
+        mio.write_flatfields(tmp_path / "fields.txt",
+                             flatten.flatten_sequence(seqs, bundle.reference, bundle.kind))
+        docs += [(tmp_path / "reduction.txt", load_reduction,
+                  lambda path, loaded: save_reduction(path, *loaded)),
+                 (tmp_path / "fields.txt", mio.read_flatfields, mio.write_flatfields)]
     return docs
 
 
+def doc_entries(lines):
+    """(line index, tag, name, dimensions, payload line count) of each entry
+    of a document's lines."""
+    out, i = [], 1
+    while i < len(lines) - 1:
+        tag, name, *dims = lines[i].split()
+        dims = [int(d) for d in dims] if tag == "a" else []
+        rows = math.prod(dims[:-1]) if tag == "a" and math.prod(dims) else 0
+        out.append((i, tag, name, dims, rows))
+        i += 1 + rows
+    return out
+
+
+@pytest.mark.parametrize("model_type", ["mvg", "ig", "var", "pwi"])
+def test_load_then_save_reproduces_every_document(tmp_path, model_type):
+    for path, load, save in saved_documents(tmp_path, model_type):
+        save(tmp_path / "again.txt", load(path))
+        assert (tmp_path / "again.txt").read_bytes() == path.read_bytes(), path.name
+
+
 def test_missing_entries_name_the_file_and_the_entry(tmp_path):
-    for path, load in saved_documents(tmp_path, "mvg"):
-        lines = path.read_text().splitlines(keepends=True)
-        load(path)
-        # every scalar entry is read; the reduction's has_mpca is kept for
-        # earlier readers only
-        scalars = [i for i, ln in enumerate(lines)
-                   if ln[:2] in ("s ", "i ", "f ", "x ") and "has_mpca" not in ln]
-        assert len(scalars) >= 4
-        for i in scalars:
-            entry = lines[i].split()[1]
-            path.write_text("".join(lines[:i] + lines[i + 1:]))
-            with pytest.raises(DimensionMismatch,
-                               match=re.escape(f"{path}: missing entry {entry!r}")):
-                load(path)
+    for model_type in ("mvg", "ig", "var", "pwi"):
+        for path, load, _ in saved_documents(tmp_path, model_type):
+            lines = path.read_text().splitlines(keepends=True)
+            load(path)
+            # every entry, arrays and all, is read
+            entries = doc_entries(lines)
+            assert len(entries) >= 5
+            for i, _, entry, _, rows in entries:
+                path.write_text("".join(lines[:i] + lines[i + 1 + rows:]))
+                with pytest.raises(DimensionMismatch,
+                                   match=re.escape(f"{path}: missing entry {entry!r}")):
+                    load(path)
 
 
 @pytest.mark.parametrize("model_type", ["mvg", "ig", "var", "pwi"])
 def test_mistyped_entries_name_the_file_and_the_entry(tmp_path, model_type):
-    """Each entry written under another tag that still parses (a scalar as
-    a string, a string as none, a vector as a one-row matrix, an array as
-    none) is refused with a DimensionMismatch naming the file and the
-    entry."""
-    for path, load in saved_documents(tmp_path, model_type):
+    """Each entry written under another tag or rank that still parses (a
+    scalar as a string, a string as none, an array as none, an array with
+    one more axis of length 1) is refused with a DimensionMismatch naming
+    the file and the entry."""
+    for path, load, _ in saved_documents(tmp_path, model_type):
         lines = path.read_text().splitlines(keepends=True)
         load(path)
         retyped = []  # (line index, replacement, payload lines it replaces)
-        for i, ln in enumerate(lines):
-            tag, entry, *rest = ln.split() + [""]
-            if entry == "has_mpca":
-                continue
+        for i, tag, entry, dims, rows in doc_entries(lines):
             if tag in ("i", "f", "x"):
-                retyped.append((i, "s" + ln[1:], 0))
-            elif tag == "s" and rest[0]:
-                retyped.append((i, "x" + ln[1:], 0))
-            elif tag in ("v", "m"):
-                shape = [1, int(rest[0])] if tag == "v" else [int(rest[0]), int(rest[1])]
-                payload = shape[0] if shape[0] * shape[1] else 0
-                retyped.append((i, f"x {entry} none\n", payload))
-                if tag == "v":
-                    retyped.append((i, f"m {entry} 1 {rest[0]}\n", 0))
-        assert len(retyped) >= 10
+                retyped.append((i, "s" + lines[i][1:], 0))
+            elif tag == "s" and len(lines[i].split()) > 2:
+                retyped.append((i, "x" + lines[i][1:], 0))
+            elif tag == "a":
+                retyped.append((i, f"a {entry} 1 {' '.join(map(str, dims))}\n", 0))
+                # none is a valid start, for a bundle without start postures
+                if entry != "start.postures":
+                    retyped.append((i, f"x {entry} none\n", rows))
+        assert len(retyped) >= 5
         for i, line, payload in retyped:
             entry = line.split()[1]
             path.write_text("".join(lines[:i] + [line] + lines[i + 1 + payload:]))
@@ -354,34 +399,47 @@ def test_mistyped_entries_name_the_file_and_the_entry(tmp_path, model_type):
                 load(path)
 
 
+# (model_type, entry) -> what the refusal says after the file name
+DISAGREEMENTS = {
+    ("ig", "length"): "entry 'length' = 6 does not match 'fpca.means' (2, 7)",
+    ("mvg", "length"): "entry 'length' = 9 does not match 'fpca.means' (2, 7)",
+    ("ig", "model_type"): "missing entry 'model.covariance'",
+    ("mvg", "model_type"): "missing entry 'model.coef'",
+    ("mvg", "fpca.bases"): "entry 'fpca.bases' (2, 6, 2) does not match 'fpca.means' (2, 7)",
+    ("mvg", "model.covariance"):
+        "entry 'model.covariance' (3, 3) does not match 'fpca.bases' (2, 7, 2)",
+    ("ig", "model.variances"): "entry 'model.variances' (3,) does not match 'fpca.bases' (2, 7, 2)",
+    ("var", "model.coef"): "entry 'var_init' (2, 1) does not match 'model.coef' (2, 2, 2)",
+    ("pwi", "model.covariances"):
+        "entry 'model.covariances' (7, 4, 4) does not match 'model.means' (8, 2, 3)",
+    ("mvg", "start.postures"): "entry 'start.postures' (1, 1, 3) does not match 'reference' (2, 3)",
+    ("ig", "start.postures"): "entry 'start.postures' (1, 2, 2) does not match 'reference' (2, 3)",
+}
+
+
 @pytest.mark.parametrize("model_type, entry, new", [
-    ("ig", "start.count", 2), ("mvg", "start.count", 3), ("mvg", "model.rows", 1),
-    ("ig", "model.cols", 3), ("ig", "length", 6), ("mvg", "length", 9), ("mvg", "fpca.rows", 1),
-    ("var", "model.order", 2), ("pwi", "model.frames", 7), ("pwi", "model.bones", 3),
-    ("mvg", "has_fpca", 0), ("ig", "has_spatial", 0), ("var", "has_fpca", 1),
-    ("var", "has_spatial", 0), ("pwi", "has_spatial", 1), ("ig", "model_type", "mvg"),
-    ("mvg", "model_type", "var"), ("mvg", "model.family", "ig"), ("pwi", "model.family", "var"),
+    ("ig", "length", 6), ("mvg", "length", 9), ("ig", "model_type", "mvg"),
+    ("mvg", "model_type", "var"), ("mvg", "fpca.bases", lambda a: a[:, 1:]),
+    ("mvg", "model.covariance", lambda a: a[1:, 1:]), ("ig", "model.variances", lambda a: a[1:]),
+    ("var", "model.coef", lambda a: np.concatenate([a, a])),
+    ("pwi", "model.covariances", lambda a: a[1:]), ("mvg", "start.postures", lambda a: a[:, 1:]),
+    ("ig", "start.postures", lambda a: a[..., :2]),
     ("mvg", "kind", "mtvf"), ("ig", "kind", "stvf"), ("var", "kind", "intrinsic"),
     ("pwi", "kind", "istvf"), ("mvg", "kind", "bogus")])
 def test_size_entries_that_disagree_with_their_arrays_name_the_file_and_the_entry(
         tmp_path, model_type, entry, new):
-    """A bundle whose size entry no longer matches the arrays it sizes, or
-    whose stage flags, model family or kind disagree with its model_type, is
-    refused on loading, naming the file and the entry, rather than loading
-    and failing later inside simulate.  Unedited bundles load and write
-    back the same bytes."""
+    """A bundle whose length (the one size entry left) disagrees with its
+    FPCA curves, whose arrays stored as separate entries disagree in shape,
+    or whose kind or model entries disagree with its model_type, is refused
+    on loading, naming the file and the entries, rather than loading and
+    failing later inside simulate."""
     path = saved_documents(tmp_path, model_type)[0][0]
-    text = path.read_text()
-    save_bundle(tmp_path / "again.txt", load_bundle(path))
-    assert (tmp_path / "again.txt").read_text() == text
-    old = re.search(rf"^([is]) {re.escape(entry)} (\S+)$", text, re.M)
-    assert old.group(2) != str(new)
-    path.write_text(text.replace(old.group(0), f"{old.group(1)} {entry} {new}"))
-    named = re.escape(f"{path}: entry ") + ".*" + re.escape(f"{entry!r} = {new}")
-    with pytest.raises(DimensionMismatch, match=named) as info:
+    _, _, doc = mio.read_doc(path)
+    rewrite(path, entry, new(doc[entry]) if callable(new) else new)
+    message = DISAGREEMENTS.get((model_type, entry),
+                                f"entry 'kind' = {new} does not match 'model_type' = {model_type}")
+    with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: {message}")):
         load_bundle(path)
-    if entry == "kind":
-        assert f"'model_type' = {model_type}" in str(info.value)
 
 
 # ---- the row codec: exact bytes, bitwise round trips, rejected rows -------
@@ -457,11 +515,11 @@ def test_flatfields_roundtrip_bitwise_property(postures, cols, kind):
         assert same_bits(getattr(fields, name), getattr(back, name)), name
 
 
-@given(st.lists(st.one_of(arrays(np.float64, st.tuples(st.integers(0, 4)), elements=NUMBER),
-                          arrays(np.float64, shapes((0, 3), (0, 4)), elements=NUMBER)),
-                min_size=1, max_size=4))
+@given(st.lists(arrays(np.float64, array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3),
+                       elements=NUMBER), min_size=1, max_size=4))
 def test_doc_vectors_and_matrices_roundtrip_bitwise_property(values):
-    # every array is followed by another entry, so a stray payload line shows
+    # arrays of rank 1 to 4, zero dimensions included; every array is
+    # followed by another entry, so a stray payload line shows
     items = []
     for i, v in enumerate(values):
         items += [(f"a{i}", v), (f"n{i}", i)]
