@@ -1,13 +1,13 @@
 """Line-delimited text formats for sequences, warps, fields and models.
 
 Files hold blocks (`rawseq`, `postureseq`, `warps`, `doc`), each opened
-by a header line naming its type and dimensions.  One codec handles
-every float row: the writer fills one `%.17g` template per row, which
-round-trips IEEE doubles bit-exactly, and the reader parses rows with
-`np.loadtxt`; both take a run of rows at a time (`VALUE_BYTES`), so a
-reader holds one run's lines, not the file's.  Bad headers, short files,
-ragged rows and non-numeric tokens raise `DimensionMismatch` naming the
-file, as do non-finite values and bones off the unit sphere (`UNIT_TOL`).
+by a header line naming its type and sizes.  One codec handles every
+float row: the writer formats one line per row with one `%.17g` template,
+which round-trips IEEE doubles bit-exactly, and the reader hands each
+block's lines to one `np.loadtxt` as it reads them from the open file.
+Bad headers, short files, ragged rows and non-numeric tokens raise
+`DimensionMismatch` naming the file, as do non-finite values and bones
+off the unit sphere (`UNIT_TOL`).
 
 Fields, reductions and bundles are tagged documents: a `doc <type>
 <version>` header, one entry per line (`s`tring, `i`nt, `f`loat, `x`
@@ -19,11 +19,10 @@ fetch entries with the tags and ranks they expect (`_Doc.entry`,
 
 import math
 import os
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
-from . import geometry as geo
 from .errors import DimensionMismatch, MotionError
 from .flatten import FlatFields
 from .skeleton import SkeletonHierarchy
@@ -31,9 +30,6 @@ from .skeleton import SkeletonHierarchy
 # Largest | |bone| - 1 | a posture read from a file may show; the program's
 # own writes stay within about 1e-15 of unit length.
 UNIT_TOL = 1e-9
-# Bytes one value keeps live while its run of rows is formatted or parsed
-# (a Python float and its list slot, or its share of a line and its token).
-VALUE_BYTES = 64
 
 
 def fmt(x) -> str:
@@ -42,15 +38,12 @@ def fmt(x) -> str:
 
 def _write_rows(fh, rows):
     """Write an array of rank 1 or more, one line of %.17g values per
-    vector along its last axis, formatting a run of lines at a time; an
-    array with no entries writes no lines."""
+    vector along its last axis; an array with no entries writes no lines."""
     rows = np.asarray(rows, dtype=float)
     if rows.size:
-        rows = rows.reshape(-1, rows.shape[-1])
-        line = " ".join(["%.17g"] * rows.shape[1]) + "\n"
-        step = geo._block_items(VALUE_BYTES * rows.shape[1])
-        for lo in range(0, len(rows), step):
-            fh.writelines(line % tuple(row) for row in rows[lo:lo + step].tolist())
+        line = " ".join(["%.17g"] * rows.shape[-1]) + "\n"
+        fh.writelines(line % tuple(row)
+                      for row in map(np.ndarray.tolist, rows.reshape(-1, rows.shape[-1])))
 
 
 def _first_bad(path, where, bad, what):
@@ -71,58 +64,52 @@ def _check_postures(path, where, postures):
     _first_bad(path, where, off.any(axis=1), f"bone norm off 1 by more than {UNIT_TOL:g}")
 
 
-def _nonempty_lines(path):
-    with open(path) as fh:
-        yield from (ln.rstrip("\n") for ln in fh if ln.strip())
-
-
 class _Lines:
-    """The non-empty lines of a file, read and consumed front to back, with
-    one line of lookahead."""
+    """The non-empty lines of an open file, consumed front to back."""
 
-    def __init__(self, path):
-        self.path = str(path)
-        self.size = os.path.getsize(path)
-        self.lines = _nonempty_lines(path)
-        self.ahead = list(islice(self.lines, 1))
+    def __init__(self, fh):
+        self.path = fh.name
+        self.size = os.fstat(fh.fileno()).st_size
+        self.lines = (ln.rstrip("\n") for ln in fh if ln.strip())
 
-    def left(self):
-        return bool(self.ahead)
-
-    def take(self, count):
-        if not count:
-            return []
-        lines = self.ahead + list(islice(self.lines, count - 1))
-        if len(lines) < count:
+    def next(self):
+        line = next(self.lines, None)
+        if line is None:
             raise DimensionMismatch(f"{self.path}: unexpected end of file")
-        self.ahead = list(islice(self.lines, 1))
-        return lines
+        return line
 
-    def head(self, tag, size=None):
-        """Tokens after tag of the next line, which starts with tag and,
-        when size is given, holds size tokens in all."""
-        head = self.take(1)[0].split()
-        if head[0] != tag or (size is not None and len(head) != size):
-            raise DimensionMismatch(f"{self.path}: bad {tag} line")
-        return head[1:]
+    def head(self, line, tag, *least):
+        """The sizes after tag on a header line: integers, one per entry of
+        least and none below it; another line raises DimensionMismatch
+        quoting it."""
+        head = line.split()
+        try:
+            sizes = [int(v) for v in head[1:]]
+        except ValueError:
+            sizes = None
+        if (sizes is None or head[0] != tag or len(sizes) != len(least)
+                or any(s < lo for s, lo in zip(sizes, least))):
+            raise DimensionMismatch(f"{self.path}: bad {tag} line {line!r}")
+        return sizes
 
     def block(self, rows, cols):
-        """Parse the next rows x cols block a run of rows at a time; a block
-        with no entries has no lines."""
+        """Parse the next rows x cols block with one np.loadtxt over its
+        lines; a block with no entries has no lines."""
         if rows * cols > self.size:  # every number takes a byte at least
             raise DimensionMismatch(f"{self.path}: unexpected end of file")
-        out = np.empty((rows, cols))
+        if not rows * cols:
+            return np.empty((rows, cols))
+        # a first line is taken here, as np.loadtxt warns on no lines
+        lines = chain([self.next()], islice(self.lines, rows - 1))
         what = f"{self.path}: expected {rows} rows of {cols} numbers"
-        step = geo._block_items(VALUE_BYTES * cols)
-        for lo in range(0, rows if cols else 0, step):
-            lines = self.take(min(step, rows - lo))
-            try:
-                run = np.loadtxt(lines, dtype=float, ndmin=2, comments=None)
-            except ValueError as exc:
-                raise DimensionMismatch(f"{what}: {exc}") from None
-            if run.shape != (len(lines), cols):
-                raise DimensionMismatch(f"{what}, got shape {run.shape} from row {lo}")
-            out[lo:lo + len(lines)] = run
+        try:
+            out = np.loadtxt(lines, dtype=float, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise DimensionMismatch(f"{what}: {exc}") from None
+        if len(out) < rows:
+            raise DimensionMismatch(f"{self.path}: unexpected end of file")
+        if out.shape != (rows, cols):
+            raise DimensionMismatch(f"{what}, got shape {out.shape}")
         return out
 
 
@@ -139,18 +126,18 @@ def write_raw_sequences(path, frames_list, hierarchy: SkeletonHierarchy):
 
 def read_raw_sequences(path):
     """Read landmark sequences; returns (list of (T, n, 3), hierarchy)."""
-    src = _Lines(path)
-    out = []
-    hierarchy = None
-    while src.left():
-        n, t = (int(v) for v in src.head("rawseq", 3))
-        h = SkeletonHierarchy(np.array([int(p) for p in src.head("parents", n + 1)]))
-        if hierarchy is None:
-            hierarchy = h
-        elif not np.array_equal(h.parent, hierarchy.parent):
-            raise DimensionMismatch(f"{path}: blocks disagree on hierarchy")
-        out.append(src.block(t, 3 * n).reshape(t, n, 3))
-        _non_finite(path, f"block {len(out) - 1}, row", out[-1])
+    out, hierarchy = [], None
+    with open(path) as fh:
+        src = _Lines(fh)
+        for line in src.lines:
+            n, t = src.head(line, "rawseq", 0, 0)
+            h = SkeletonHierarchy(np.array(src.head(src.next(), "parents", *[-math.inf] * n)))
+            if hierarchy is None:
+                hierarchy = h
+            elif not np.array_equal(h.parent, hierarchy.parent):
+                raise DimensionMismatch(f"{path}: blocks disagree on hierarchy")
+            out.append(src.block(t, 3 * n).reshape(t, n, 3))
+            _non_finite(path, f"block {len(out) - 1}, row", out[-1])
     if hierarchy is None:
         raise DimensionMismatch(f"{path}: no sequences found")
     return out, hierarchy
@@ -168,13 +155,14 @@ def write_posture_sequences(path, seqs):
 
 def read_posture_sequences(path):
     """Read posture sequences; returns a list of (T, n-1, 3) arrays."""
-    src = _Lines(path)
     out = []
-    while src.left():
-        n, t = (int(v) for v in src.head("postureseq", 3))
-        seq = src.block(t, 3 * (n - 1)).reshape(t, n - 1, 3)
-        _check_postures(path, f"block {len(out)}, row", seq)
-        out.append(seq)
+    with open(path) as fh:
+        src = _Lines(fh)
+        for line in src.lines:
+            n, t = src.head(line, "postureseq", 1, 0)
+            seq = src.block(t, 3 * (n - 1)).reshape(t, n - 1, 3)
+            _check_postures(path, f"block {len(out)}, row", seq)
+            out.append(seq)
     if not out:
         raise DimensionMismatch(f"{path}: no sequences found")
     return out
@@ -192,9 +180,9 @@ def write_warps(path, warps):
 
 def read_warps(path):
     """Read a set of warps as one (M, T) array."""
-    src = _Lines(path)
-    m, t = (int(v) for v in src.head("warps", 3))
-    return src.block(m, t)
+    with open(path) as fh:
+        src = _Lines(fh)
+        return src.block(*src.head(src.next(), "warps", 0, 0))
 
 
 def write_flatfields(path, fields: FlatFields):
@@ -269,11 +257,10 @@ class _Doc(dict):
                                     f"{self.tags[name]!r}, expected one of {tags!r}")
         return value
 
-    def array(self, name, ndim, none=False):
-        """The value of an array entry with ndim axes, or, when none is
-        true, of an `x` entry."""
+    def array(self, name, ndim):
+        """The value of an array entry with ndim axes."""
         value, tag = self[name], self.tags[name]
-        if (tag != "a" or value.ndim != ndim) and not (none and tag == "x"):
+        if tag != "a" or value.ndim != ndim:
             raise DimensionMismatch(f"{self.path}: entry {name!r} is tagged {tag!r} with "
                                     f"shape {np.shape(value)}, expected an array of rank {ndim}")
         return value
@@ -282,35 +269,38 @@ class _Doc(dict):
 def read_doc(path):
     """Read a tagged document; returns (doctype, version, dict name->value).
     A malformed line raises DimensionMismatch quoting it."""
-    src = _Lines(path)
-    doctype, version = src.head("doc", 3)
-    out = _Doc(src.path)
-    line = f"doc {doctype} {version}"
-    try:
-        version = int(version)
-        while (line := src.take(1)[0]).strip() != "end":
-            tag, rest = line.split(maxsplit=1)
-            if tag == "x":
-                name, _ = rest.split(maxsplit=1)
-                out[name] = None
-            elif tag == "s":
-                name, *value = rest.split(maxsplit=1)
-                out[name] = value[0] if value else ""
-            elif tag == "i":
-                name, value = rest.split()
-                out[name] = int(value)
-            elif tag == "f":
-                name, value = rest.split()
-                out[name] = float(value)
-            elif tag == "a":
-                name, *dims = rest.split()
-                shape = [int(d) for d in dims]
-                if not shape or min(shape) < 0:
-                    raise ValueError("an array needs one or more dimensions, none negative")
-                out[name] = src.block(math.prod(shape[:-1]), shape[-1]).reshape(shape)
-            else:
-                raise ValueError(f"unknown tag {tag!r}")
-            out.tags[name] = tag
-    except ValueError as exc:
-        raise DimensionMismatch(f"{src.path}: bad line {line!r}: {exc}") from None
+    with open(path) as fh:
+        src = _Lines(fh)
+        out = _Doc(src.path)
+        line = src.next()
+        try:
+            tag, doctype, version = line.split()
+            if tag != "doc":
+                raise ValueError("not a doc header")
+            version = int(version)
+            while (line := src.next()).strip() != "end":
+                tag, rest = line.split(maxsplit=1)
+                if tag == "x":
+                    name, _ = rest.split(maxsplit=1)
+                    out[name] = None
+                elif tag == "s":
+                    name, *value = rest.split(maxsplit=1)
+                    out[name] = value[0] if value else ""
+                elif tag == "i":
+                    name, value = rest.split()
+                    out[name] = int(value)
+                elif tag == "f":
+                    name, value = rest.split()
+                    out[name] = float(value)
+                elif tag == "a":
+                    name, *dims = rest.split()
+                    shape = [int(d) for d in dims]
+                    if not shape or min(shape) < 0:
+                        raise ValueError("an array needs one or more dimensions, none negative")
+                    out[name] = src.block(math.prod(shape[:-1]), shape[-1]).reshape(shape)
+                else:
+                    raise ValueError(f"unknown tag {tag!r}")
+                out.tags[name] = tag
+        except ValueError as exc:
+            raise DimensionMismatch(f"{src.path}: bad line {line!r}: {exc}") from None
     return doctype, version, out

@@ -119,14 +119,15 @@ def load_bundle(path) -> EmulatorBundle:
     doc = _read(path, BUNDLE_DOC)
     # model_type fixes the stages and the kind: pwi has no reduction and is
     # 'intrinsic', var a spatial one only, mvg and ig both, and those three
-    # need an emulator flattening; a posture-wise bundle has no reference,
-    # and only a VAR bundle has initial lags
+    # need an emulator flattening; a posture-wise bundle has no reference
+    # and no start postures, and only a VAR bundle has initial lags
     model_type, kind = doc.entry("model_type", "s"), doc.entry("kind", "s")
     pwi = model_type == "pwi"
     _agree(doc, kind in (("intrinsic",) if pwi else EMULATOR_KINDS), "kind", "model_type")
-    reference = doc.entry("reference", "x") if pwi else doc.array("reference", 2)
-    start = doc.array("start.postures", 3, none=True)
-    if start is not None and reference is not None:
+    if pwi:
+        reference, start = doc.entry("reference", "x"), doc.entry("start.postures", "x")
+    else:
+        reference, start = doc.array("reference", 2), doc.array("start.postures", 3)
         _agree(doc, start.shape[1:] == reference.shape, "start.postures", "reference")
     spatial = None if pwi else _spatial_from(doc)
     fpca = _fpca_from(doc) if model_type in ("mvg", "ig") else None
@@ -137,10 +138,16 @@ def load_bundle(path) -> EmulatorBundle:
     var_init = doc.array("var_init", 2) if model_type == "var" else doc.entry("var_init", "x")
     if var_init is not None:
         _agree(doc, var_init.shape == (model.coef.shape[1], model.order), "var_init", "model.coef")
+    try:
+        meta = json.loads(doc.entry("meta", "s"))
+    except ValueError:
+        meta = None
+    if not isinstance(meta, dict):
+        raise DimensionMismatch(f"{doc.path}: entry 'meta' is not a JSON object")
     return EmulatorBundle(kind=kind, model_type=model_type, model=model, length=length,
                           reference=reference, spatial=spatial, fpca=fpca,
                           start_policy=doc.entry("start_policy", "s"), start_postures=start,
-                          var_init=var_init, meta=json.loads(doc.entry("meta", "s")))
+                          var_init=var_init, meta=meta)
 
 
 def save_reduction(path, spatial: SpatialPCA, fpca: FPCABasis = None):

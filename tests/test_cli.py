@@ -422,21 +422,32 @@ def test_pwi_scheme_through_cli(tmp_path):
     assert not (out / "fields.txt").exists()
 
 
-def test_error_reports_are_single_json_lines(tmp_path, capsys):
-    assert run_cli("fit", "--scheme", "istvf/seqpca/gp", "--out", tmp_path / "x") == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert json.loads(err)["error"] == "KindMismatch"
-
-    assert run_cli("align", "--input", tmp_path / "missing.txt",
-                   "--out", tmp_path / "y") == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert json.loads(err)["error"] in ("FileNotFoundError", "OSError")
-
-    assert run_cli("synth", "--out", tmp_path / "z", "--amplitude", 2.0) == 1
-    err = capsys.readouterr().err
-    assert json.loads(err)["error"] == "BadTarget"
+def test_error_reports_are_single_json_lines(stage_inputs, tmp_path, capsys):
+    """Bad arguments and bad input files end the command with exit code 1
+    and one JSON line on stderr naming the error and its cause."""
+    bad = tmp_path / "bad.txt"
+    text = (stage_inputs / "aligned.txt").read_text()
+    bad.write_text(text.replace("postureseq 5", "postureseq x"))
+    fields, reduction = stage_inputs / "fields.txt", stage_inputs / "reduction.txt"
+    cases = [
+        (["fit", "--scheme", "istvf/seqpca/gp"], "KindMismatch", "unknown model 'gp'"),
+        (["align", "--input", tmp_path / "missing.txt"], "FileNotFoundError", "missing.txt"),
+        (["align", "--input", bad], "DimensionMismatch",
+         f"{bad}: bad postureseq line 'postureseq x"),
+        (["synth", "--amplitude", 2.0], "BadTarget", "amplitude"),
+        (["eval", "roughness", "--set", fields], "BadTarget", "--set wants name=path"),
+        (["fit", "--scheme", "pwi"], "BadTarget", "pass --input"),
+        (["fit", "--scheme", "istvf/seqpca/mvg", "--fields", fields], "BadTarget",
+         "pass --fields and --reduction"),
+        (["fit", "--scheme", "siem/seqpca/mvg", "--fields", fields, "--reduction", reduction],
+         "KindMismatch", "fields are 'istvf', scheme wants 'siem'")]
+    capsys.readouterr()
+    for i, (argv, error, cause) in enumerate(cases):
+        assert run_cli(*argv, "--out", tmp_path / str(i)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        report = json.loads(err)
+        assert report["error"] == error and cause in report["message"], report
 
 
 def test_fit_on_fields_without_start_names_the_missing_start(tmp_path, capsys):
@@ -643,16 +654,20 @@ def test_twolevel_refuses_what_it_cannot_score_before_fitting(stage_inputs, tmp_
         raise AssertionError("twolevel fitted a model before refusing its input")
 
     monkeypatch.setattr(models, "fit_emulator", no_fit)
-    cases = [(["istvf/seqpca/ig", ","], "BadTarget", "no emulators"),
-             (["istvf/spatialpca/var", "ig"], "KindMismatch", "level-one model 'var'"),
-             (["pwi", "pwi"], "KindMismatch", "level-one model 'pwi'"),
-             (["istvf/seqpca/mvg", "mvg,gp"], "KindMismatch", "unknown emulator 'gp'")]
+    # each case's flags override the valid run's
+    cases = [(["--emulators", ","], "BadTarget", "no emulators"),
+             (["--scheme", "istvf/spatialpca/var"], "KindMismatch", "level-one model 'var'"),
+             (["--scheme", "pwi", "--emulators", "pwi"], "KindMismatch", "level-one model 'pwi'"),
+             (["--emulators", "mvg,gp"], "KindMismatch", "unknown emulator 'gp'"),
+             (["--holdout", 12], "BadTarget", "holdout must be positive and smaller than total"),
+             (["--holdout", 0], "BadTarget", "holdout must be positive and smaller than total")]
     capsys.readouterr()
-    for i, ((scheme, emulators), error, cause) in enumerate(cases):
+    for i, (flags, error, cause) in enumerate(cases):
         out = tmp_path / str(i)
-        assert run_cli("twolevel", "--input", stage_inputs / "aligned.txt", "--scheme", scheme,
-                       "--emulators", emulators, "--d1", 2, "--d2", 2, "--total", 12,
-                       "--holdout", 4, "--n-perm", 9, "--out", out) == 1
+        assert run_cli("twolevel", "--input", stage_inputs / "aligned.txt",
+                       "--scheme", "istvf/seqpca/mvg", "--emulators", "mvg", "--d1", 2,
+                       "--d2", 2, "--total", 12, "--holdout", 4, "--n-perm", 9, *flags,
+                       "--out", out) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         report = json.loads(err)

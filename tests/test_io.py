@@ -3,6 +3,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -150,14 +151,61 @@ def test_doc_float_bit_exactness(tmp_path):
 
 
 def test_read_errors(tmp_path):
+    """Malformed headers (sizes that are not integers, a count of sizes
+    other than the type's, a negative size, a posture block without a
+    landmark), short blocks and files without blocks are refused naming the
+    file, and a bad header line is quoted."""
+    raw = "rawseq 2 1\nparents -1 0\n0 0 0 1 0 0\n"
     path = tmp_path / "bad.txt"
-    path.write_text("postureseq 3 2\n1 0 0\n")
-    with pytest.raises(DimensionMismatch):
-        mio.read_posture_sequences(path)
-    empty = tmp_path / "empty.txt"
-    empty.write_text("\n")
-    with pytest.raises(DimensionMismatch):
-        mio.read_posture_sequences(empty)
+    cases = [
+        (mio.read_posture_sequences, "postureseq 3 2\n1 0 0\n", "unexpected end of file"),
+        (mio.read_posture_sequences, "\n", "no sequences found"),
+        (mio.read_posture_sequences, "postureseq x 3\n1 0 0\n",
+         "bad postureseq line 'postureseq x 3'"),
+        (mio.read_posture_sequences, "postureseq 0 2\n", "bad postureseq line 'postureseq 0 2'"),
+        (mio.read_posture_sequences, "postureseq 2 -1\n",
+         "bad postureseq line 'postureseq 2 -1'"),
+        (mio.read_posture_sequences, "postureseq 2 1 1\n1 0 0\n", "bad postureseq line"),
+        (mio.read_posture_sequences, "rawseq 2 1\n1 0 0\n", "bad postureseq line 'rawseq 2 1'"),
+        (mio.read_warps, "warps 2\n0 1\n", "bad warps line 'warps 2'"),
+        (mio.read_warps, "warps 1 1.5\n0 1\n", "bad warps line 'warps 1 1.5'"),
+        (mio.read_warps, "", "unexpected end of file"),
+        (mio.read_raw_sequences, raw.replace("rawseq 2 1", "rawseq -2 1"), "bad rawseq line"),
+        (mio.read_raw_sequences, raw.replace("-1 0", "-1 x"), "bad parents line 'parents -1 x'"),
+        (mio.read_raw_sequences, raw.replace("-1 0", "-1 0 1"), "bad parents line"),
+        (mio.read_raw_sequences, "rawseq 2 1\n", "unexpected end of file"),
+        (mio.read_raw_sequences, raw + raw.replace("-1 0", "1 -1"),
+         "blocks disagree on hierarchy"),
+        (mio.read_raw_sequences, "\n\n", "no sequences found")]
+    for read, text, message in cases:
+        path.write_text(text)
+        with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: {message}")):
+            read(path)
+
+
+def test_write_warps_refuses_warps_of_unequal_sample_counts(tmp_path):
+    with pytest.raises(DimensionMismatch, match="share their sample count"):
+        mio.write_warps(tmp_path / "warps.txt", [np.linspace(0, 1, 5), np.linspace(0, 1, 6)])
+    assert not (tmp_path / "warps.txt").exists()
+
+
+def test_blank_lines_in_a_block_and_a_block_cut_short_raise_no_warning(tmp_path):
+    """The reader skips blank lines inside a block, and reports a block cut
+    short by the end of the file as such, without a numpy warning."""
+    rng = np.random.default_rng(9)
+    seqs = [rand_postures(rng, 4, 2), rand_postures(rng, 3, 2)]
+    path = tmp_path / "seqs.txt"
+    mio.write_posture_sequences(path, seqs)
+    lines = path.read_text().splitlines(keepends=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path.write_text("".join(ln + "\n  \n" for ln in lines))
+        assert all(map(same_bits, seqs, mio.read_posture_sequences(path)))
+        for cut in (lines[:7], lines[:6]):  # inside the last block, and right after its header
+            path.write_text("".join(cut))
+            with pytest.raises(DimensionMismatch,
+                               match=re.escape(f"{path}: unexpected end of file")):
+                mio.read_posture_sequences(path)
 
 
 def test_read_raw_sequences_rejects_non_finite_coordinates(tmp_path):
@@ -171,11 +219,11 @@ def test_read_raw_sequences_rejects_non_finite_coordinates(tmp_path):
         mio.read_raw_sequences(path)
 
 
-def test_fields_read_and_write_hold_one_run_of_rows(tmp_path):
-    """Reading a fields document of paper-scale size holds its arrays and
-    one run of lines and tokens (about 1.6 MB; a reader that stacked
-    per-field blocks held twice the values), and writing one holds one run
-    of formatted rows."""
+def test_fields_read_and_write_hold_one_line_of_text_at_a_time(tmp_path):
+    """Writing a fields document of paper-scale size formats one row at a
+    time, holding under a tenth of the values' bytes (a writer that
+    formatted runs of rows held a fifth), and reading one holds its arrays
+    and numpy's parse buffers, not the file's lines."""
     rng = np.random.default_rng(11)
     fields = FlatFields("istvf", rand_postures(rng, 1, 20)[0], rand_postures(rng, 60, 20),
                         rng.standard_normal((60, 40, 300)), 1.0 / 300)
@@ -189,7 +237,7 @@ def test_fields_read_and_write_hold_one_run_of_rows(tmp_path):
         finally:
             tracemalloc.stop()
     assert same_bits(back.values, fields.values) and same_bits(back.starts, fields.starts)
-    assert peaks[0] < fields.values.nbytes
+    assert peaks[0] < 0.1 * fields.values.nbytes
     assert peaks[1] < 1.6 * fields.values.nbytes
 
 
@@ -387,9 +435,7 @@ def test_mistyped_entries_name_the_file_and_the_entry(tmp_path, model_type):
                 retyped.append((i, "x" + lines[i][1:], 0))
             elif tag == "a":
                 retyped.append((i, f"a {entry} 1 {' '.join(map(str, dims))}\n", 0))
-                # none is a valid start, for a bundle without start postures
-                if entry != "start.postures":
-                    retyped.append((i, f"x {entry} none\n", rows))
+                retyped.append((i, f"x {entry} none\n", rows))
         assert len(retyped) >= 5
         for i, line, payload in retyped:
             entry = line.split()[1]
@@ -414,6 +460,8 @@ DISAGREEMENTS = {
         "entry 'model.covariances' (7, 4, 4) does not match 'model.means' (8, 2, 3)",
     ("mvg", "start.postures"): "entry 'start.postures' (1, 1, 3) does not match 'reference' (2, 3)",
     ("ig", "start.postures"): "entry 'start.postures' (1, 2, 2) does not match 'reference' (2, 3)",
+    ("mvg", "meta"): "entry 'meta' is not a JSON object",
+    ("pwi", "meta"): "entry 'meta' is not a JSON object",
 }
 
 
@@ -424,21 +472,45 @@ DISAGREEMENTS = {
     ("var", "model.coef", lambda a: np.concatenate([a, a])),
     ("pwi", "model.covariances", lambda a: a[1:]), ("mvg", "start.postures", lambda a: a[:, 1:]),
     ("ig", "start.postures", lambda a: a[..., :2]),
+    ("mvg", "meta", "{bad"), ("pwi", "meta", "[1]"),
     ("mvg", "kind", "mtvf"), ("ig", "kind", "stvf"), ("var", "kind", "intrinsic"),
     ("pwi", "kind", "istvf"), ("mvg", "kind", "bogus")])
 def test_size_entries_that_disagree_with_their_arrays_name_the_file_and_the_entry(
         tmp_path, model_type, entry, new):
     """A bundle whose length (the one size entry left) disagrees with its
     FPCA curves, whose arrays stored as separate entries disagree in shape,
-    or whose kind or model entries disagree with its model_type, is refused
-    on loading, naming the file and the entries, rather than loading and
-    failing later inside simulate."""
+    whose kind or model entries disagree with its model_type, or whose meta
+    is not a JSON object, is refused on loading, naming the file and the
+    entries, rather than loading and failing later inside simulate."""
     path = saved_documents(tmp_path, model_type)[0][0]
     _, _, doc = mio.read_doc(path)
     rewrite(path, entry, new(doc[entry]) if callable(new) else new)
     message = DISAGREEMENTS.get((model_type, entry),
                                 f"entry 'kind' = {new} does not match 'model_type' = {model_type}")
     with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: {message}")):
+        load_bundle(path)
+
+
+def test_readers_refuse_other_document_types_versions_and_model_types(tmp_path):
+    """Each document reader refuses a document of another type, or of its
+    own type at another version, naming the file; a bundle of an unknown
+    model_type is refused naming the file and the model_type."""
+    docs = {path.name: (path, load) for path, load, _ in saved_documents(tmp_path, "mvg")}
+    for name, other, wanted in [("bundle.txt", "reduction.txt", "version-2 emulator-bundle"),
+                                ("reduction.txt", "fields.txt", "version-2 reduction"),
+                                ("fields.txt", "bundle.txt", "version-1 flatfields")]:
+        path, load = docs[name]
+        head, rest = path.read_text().split("\n", 1)
+        tag, doctype, version = head.split()
+        path.write_text(f"{tag} {doctype} {int(version) + 1}\n{rest}")
+        for bad in (docs[other][0], path):
+            with pytest.raises(DimensionMismatch,
+                               match=re.escape(f"{bad}: not a {wanted} document")):
+                load(bad)
+        path.write_text(f"{head}\n{rest}")
+    path = docs["bundle.txt"][0]
+    rewrite(path, "model_type", "gp")
+    with pytest.raises(KindMismatch, match=re.escape(f"{path}: unknown model_type 'gp'")):
         load_bundle(path)
 
 
