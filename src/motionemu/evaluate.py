@@ -11,8 +11,6 @@ sequences for plotting, and sorted-quantile pairs support likelihood Q-Q
 comparisons.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
@@ -24,15 +22,6 @@ from .dimred import _top_eigenpairs
 from .errors import BadTarget, DimensionMismatch, InsufficientData, LengthMismatch
 
 MAX_SWEEPS = 200  # most passes over the candidates of one k-medoids descent
-MAX_WORKERS = 4  # most threads one distance matrix runs on
-
-
-def _workers():
-    """Threads that compute one distance matrix: the cores this process may
-    run on, at most MAX_WORKERS."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(MAX_WORKERS, len(os.sched_getaffinity(0)))
-    return min(MAX_WORKERS, os.cpu_count() or 1)
 
 
 def _pairwise(planes):
@@ -45,7 +34,7 @@ def _pairwise(planes):
     by a run of columns when a row alone is longer.
     geometry._angles is exactly symmetric, so only blocks on or above the
     diagonal are computed and each is mirrored below it.  The blocks are
-    dealt round-robin to up to _workers() threads, and each thread reuses
+    dealt round-robin to threads by geometry._deal, and each thread reuses
     one set of work arrays for all of its blocks.  Every entry sums the same
     K angles in the same order, whatever the blocks and the thread count.
     """
@@ -56,8 +45,7 @@ def _pairwise(planes):
     blocks = [(lo, c) for lo in range(0, n, rows) for c in range(lo, n, cols)]
     size = min(rows, n) * min(cols, n) * k
 
-    def run(mine):
-        work = [np.empty(size) for _ in range(3)]
+    def run(mine, work):
         for lo, c in mine:
             y, z = [p[lo:lo + rows, None] for p in planes], [p[None, c:c + cols] for p in planes]
             shape = (y[0].shape[0], z[0].shape[1], k)
@@ -66,9 +54,7 @@ def _pairwise(planes):
             out[lo:lo + rows, c:c + cols] = block
             out[c:c + cols, lo:lo + rows] = block.T
 
-    workers = _workers()
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(run, [blocks[w::workers] for w in range(min(workers, len(blocks)))]))
+    geo._deal(run, blocks, [[np.empty(size) for _ in range(3)] for _ in range(geo._workers())])
     return out
 
 

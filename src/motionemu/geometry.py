@@ -13,6 +13,9 @@ All sphere functions broadcast over leading axes: one call acts on a whole
 posture bone by bone, or on a whole (T, n-1, 3) sequence of postures.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from .errors import (AntipodalPoints, DimensionMismatch, InsufficientData, NoConvergence,
@@ -28,11 +31,36 @@ TANGENCY_TOL = 1e-8
 # worker where the blocks run on a thread pool; 2**23 raised the peak memory
 # of a paper-scale pipeline run by 6-8 MiB.
 BLOCK_BYTES = 2**21
+MAX_WORKERS = 4  # most threads one pooled loop runs on
 
 
 def _block_items(item_bytes):
     """Items per block of a loop whose kernel keeps item_bytes live per item."""
     return max(1, BLOCK_BYTES // max(item_bytes, 1))
+
+
+def _workers():
+    """Threads of one pooled loop: the cores this process may run on, at
+    most MAX_WORKERS."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(MAX_WORKERS, len(os.sched_getaffinity(0)))
+    return min(MAX_WORKERS, os.cpu_count() or 1)
+
+
+def _deal(run, items, spaces):
+    """Deal items round-robin to one thread per workspace of spaces, at
+    most one per item: thread w calls run(items[w::workers], spaces[w])
+    once.  Callers build the spaces on their own thread, as arrays
+    allocated on a worker thread come from that thread's malloc arena,
+    which keeps what they free resident.  A worker's exception is raised
+    here, after every thread has finished."""
+    workers = min(len(spaces), len(items))
+    if not workers:
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        done = [pool.submit(run, items[w::workers], spaces[w]) for w in range(workers)]
+    for future in done:
+        future.result()
 
 
 def _dot(a, b):
@@ -92,16 +120,20 @@ def sphere_log(y, z):
     if np.any(dot <= -1.0 + ANTIPODAL_MARGIN):
         raise AntipodalPoints("log map undefined for antipodal points")
     theta = np.arccos(dot)
-    perp = z - dot[..., None] * y
+    # one array of the broadcast shape, updated in place: z - dot*y, then scaled
+    perp = dot[..., None] * y
+    np.subtract(z, perp, out=perp)
     # normalize by the perpendicular norm rather than sin(arccos(dot)),
     # which loses ~1e-10 to cancellation close to the antipodal margin;
     # a norm below EPS_ZERO is rounding noise from coincident points and
-    # must not be rescaled to theta
-    norm = np.linalg.norm(perp, axis=-1)
+    # must not be rescaled to theta.  The norm is np.linalg.norm's sum
+    # without its copy of perp.
+    norm = np.sqrt(np.add.reduce(perp * perp, axis=-1))
     small = norm < EPS_ZERO
     safe = np.where(small, 1.0, norm)
     scale = np.where(small, 0.0, theta / safe)
-    return scale[..., None] * perp
+    perp *= scale[..., None]
+    return perp
 
 
 def sphere_exp(y, v):
@@ -261,8 +293,9 @@ def karcher_mean(postures, tol=1e-9, max_iter=200):
                                 f"with M >= 1, got {x.shape}")
     stack = x[:, None] if x.ndim == 3 else x
     means = np.empty(stack.shape[1:])
-    # sphere_log keeps about six sets' worth of temporaries live
-    step = _block_items(6 * stack[:, :1].nbytes)
+    # a block keeps about three sets' worth of temporaries live (3.04 by
+    # tracemalloc on 18060 postures in one set)
+    step = _block_items(3 * stack[:, :1].nbytes)
     for lo in range(0, stack.shape[1], step):
         sets = stack[:, lo:lo + step]
         chordal = sets.mean(axis=0)

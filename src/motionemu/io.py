@@ -78,6 +78,12 @@ class _Lines:
             raise DimensionMismatch(f"{self.path}: unexpected end of file")
         return line
 
+    def end(self, after):
+        """Refuse a non-empty line left after the last thing read."""
+        line = next(self.lines, None)
+        if line is not None:
+            raise DimensionMismatch(f"{self.path}: line {line!r} after {after}")
+
     def head(self, line, tag, *least):
         """The sizes after tag on a header line: integers, one per entry of
         least and none below it; another line raises DimensionMismatch
@@ -131,7 +137,11 @@ def read_raw_sequences(path):
         src = _Lines(fh)
         for line in src.lines:
             n, t = src.head(line, "rawseq", 0, 0)
-            h = SkeletonHierarchy(np.array(src.head(src.next(), "parents", *[-math.inf] * n)))
+            parents = src.head(src.next(), "parents", *[-math.inf] * n)
+            try:
+                h = SkeletonHierarchy(np.array(parents))
+            except DimensionMismatch as exc:
+                raise DimensionMismatch(f"{path}: block {len(out)}: {exc}") from None
             if hierarchy is None:
                 hierarchy = h
             elif not np.array_equal(h.parent, hierarchy.parent):
@@ -182,7 +192,10 @@ def read_warps(path):
     """Read a set of warps as one (M, T) array."""
     with open(path) as fh:
         src = _Lines(fh)
-        return src.block(*src.head(src.next(), "warps", 0, 0))
+        m, t = src.head(src.next(), "warps", 0, 0)
+        warps = src.block(m, t)
+        src.end(f"the {m} warps of its header")
+    return warps
 
 
 def write_flatfields(path, fields: FlatFields):
@@ -303,4 +316,5 @@ def read_doc(path):
                 out.tags[name] = tag
         except ValueError as exc:
             raise DimensionMismatch(f"{src.path}: bad line {line!r}: {exc}") from None
+        src.end("end")
     return doctype, version, out

@@ -120,7 +120,8 @@ def load_bundle(path) -> EmulatorBundle:
     # model_type fixes the stages and the kind: pwi has no reduction and is
     # 'intrinsic', var a spatial one only, mvg and ig both, and those three
     # need an emulator flattening; a posture-wise bundle has no reference
-    # and no start postures, and only a VAR bundle has initial lags
+    # and no start postures, any other at least one, and only a VAR bundle
+    # has initial lags
     model_type, kind = doc.entry("model_type", "s"), doc.entry("kind", "s")
     pwi = model_type == "pwi"
     _agree(doc, kind in (("intrinsic",) if pwi else EMULATOR_KINDS), "kind", "model_type")
@@ -129,6 +130,8 @@ def load_bundle(path) -> EmulatorBundle:
     else:
         reference, start = doc.array("reference", 2), doc.array("start.postures", 3)
         _agree(doc, start.shape[1:] == reference.shape, "start.postures", "reference")
+        if not len(start):
+            raise DimensionMismatch(f"{doc.path}: entry 'start.postures' holds no posture")
     spatial = None if pwi else _spatial_from(doc)
     fpca = _fpca_from(doc) if model_type in ("mvg", "ig") else None
     model, length = _model_from(doc, model_type, fpca), doc.entry("length", "i")

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +11,10 @@ from motionemu import geometry as geo
 from motionemu.alignment import (
     DP_STEPS,
     TSRVFField,
+    _Band,
+    _edge_band,
     _edge_tables,
+    _row_squares,
     align_all,
     check_warp,
     dp_edge_cost,
@@ -274,6 +281,38 @@ def test_edge_tables_equal_dp_edge_cost_property(n, d, seed, same):
         assert gamma.tobytes() == np.linspace(0.0, 1.0, n + 1).tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       same=st.booleans())
+def test_edge_tables_assembled_from_bands_of_every_size_are_bitwise_equal(n, d, seed, same):
+    # n = T-1 field samples; at T <= 3 some steps enter no cell at all
+    rng = np.random.default_rng(seed)
+    v1 = rng.standard_normal((n, d))
+    v2 = v1 if same else rng.standard_normal((n, d))
+    expected = np.asarray(_edge_tables(v1, v2, 1.0 / n))
+    squares = _row_squares(v1, v2)
+    for rows in range(1, n + 1):
+        tables = np.full_like(expected, np.nan)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            tables[:, lo:hi] = _edge_band(_Band(n, rows), v1, v2, squares, 1.0 / n, lo, hi)
+        assert tables.tobytes() == expected.tobytes(), rows
+
+
+def test_optimal_warp_is_bitwise_equal_on_every_thread_count(monkeypatch):
+    # 1 to 4 threads: bands from a whole lattice down to single rows, and
+    # at L = 2 and 3 fewer bands than threads
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 5, 12):
+        h1, h2 = (TSRVFField(REF, rng.standard_normal((n, 4)), 1.0 / n) for _ in range(2))
+        results = []
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(geo, "_workers", lambda: workers)
+            results.append(optimal_warp(h1, h2))
+        for gamma, cost in results[1:]:
+            assert gamma.tobytes() == results[0][0].tobytes() and cost == results[0][1], n
+
+
 @settings(max_examples=40)
 @given(n=st.integers(2, 10), d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
        scale=st.sampled_from([1e-3, 1.0, 1e3]), near=st.booleans())
@@ -392,3 +431,49 @@ def test_align_all_validates_inputs():
         align_all([seq], ref_index=3)
     with pytest.raises(DimensionMismatch):
         align_all([seq, seq[:5]])
+
+
+def warped_class(count, t, seed):
+    ts = np.linspace(0.0, 1.0, t)
+    rng = np.random.default_rng(seed)
+    return [warp_sequence(wobble_seq(ts, phase=0.1 * m),
+                          pinned_warp(ts.copy(), rng.uniform(0.02, 0.1))) for m in range(count)]
+
+
+def test_align_all_is_bitwise_equal_on_1_and_3_workers(monkeypatch):
+    # 30 lattice rows: one band of 30, or three bands of 10
+    seqs = warped_class(7, 31, 4)
+    results = []
+    for workers in (1, 3):
+        monkeypatch.setattr(geo, "_workers", lambda: workers)
+        threads = threading.active_count()
+        results.append(align_all(seqs, ref_index=2))
+        assert threading.active_count() == threads
+    (aligned, warps), (again, warps3) = results
+    assert aligned.tobytes() == again.tobytes()
+    assert warps.tobytes() == warps3.tobytes()
+    # each warp is optimal_warp's, bit for bit
+    reference = geo.karcher_mean(np.stack([s[0] for s in seqs]))
+    href = tsrvf(seqs[2], reference)
+    for m, seq in enumerate(seqs):
+        if m != 2:
+            assert warps[m].tobytes() == optimal_warp(tsrvf(seq, reference), href)[0].tobytes()
+
+
+def test_align_all_threads_under_frequent_switches(monkeypatch):
+    # more threads than cores, switching every microsecond: a band built
+    # into another band's arrays, or read before it is built, moves bits
+    seqs = warped_class(12, 16, 9)
+    monkeypatch.setattr(geo, "_workers", lambda: 1)
+    aligned, warps = align_all(seqs)
+    monkeypatch.setattr(geo, "_workers", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.perf_counter()
+        for _ in range(5):
+            again, warps8 = align_all(seqs)
+            assert again.tobytes() == aligned.tobytes() and warps8.tobytes() == warps.tobytes()
+        assert time.perf_counter() - start < 60.0
+    finally:
+        sys.setswitchinterval(interval)

@@ -291,6 +291,24 @@ def test_bundle_with_a_missing_entry_reports_one_json_line(tmp_path, capsys):
     assert report["message"].startswith(f"{bundle}: bad line 'i length x")
 
 
+def test_bundle_without_start_postures_reports_one_json_line(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("pipeline", "--out", out, "--seed", 2, *SYNTH_FLAGS,
+                   "--scheme", "istvf/seqpca/mvg", "--d1", 2, "--d2", 2,
+                   "--count", 2, "--n-perm", 9) == 0
+    bundle = tmp_path / "bundle.txt"
+    doctype, version, doc = mio.read_doc(out / "bundle.txt")
+    mio.write_doc(bundle, doctype, version,
+                  [*{**doc, "start.postures": doc["start.postures"][:0]}.items()])
+    capsys.readouterr()
+    assert run_cli("simulate", "--bundle", bundle, "--count", 2, "--out", tmp_path / "sim") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "DimensionMismatch"
+    assert report["message"] == f"{bundle}: entry 'start.postures' holds no posture"
+
+
 def test_bundle_with_a_mistyped_entry_reports_one_json_line(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli("pipeline", "--out", out, "--seed", 2, *SYNTH_FLAGS,

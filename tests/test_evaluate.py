@@ -83,7 +83,7 @@ def on_each_worker_count(monkeypatch, matrix, items):
     left running after either call."""
     results = []
     for workers in (1, 3):
-        monkeypatch.setattr(evaluate, "_workers", lambda: workers)
+        monkeypatch.setattr(geo, "_workers", lambda: workers)
         threads = threading.active_count()
         results.append(matrix(items))
         assert threading.active_count() == threads
@@ -143,7 +143,7 @@ def test_posture_distance_matrix_equals_posture_dist_entrywise(n, bones, seed, p
     postures[n // 2] = postures[0]
     budget = geo.BLOCK_BYTES if per_block is None else 32 * per_block * bones
     with mock.patch.object(geo, "BLOCK_BYTES", budget), \
-            mock.patch.object(evaluate, "_workers", lambda: workers):
+            mock.patch.object(geo, "_workers", lambda: workers):
         dmat = posture_distance_matrix(postures)
     expected = np.array([[geo.posture_dist(a, b) for b in postures] for a in postures])
     assert dmat.tobytes() == expected.tobytes()
@@ -155,9 +155,9 @@ def test_distance_matrix_threads_under_frequent_switches(monkeypatch):
     # of at most 5 angles: a lost or misplaced block write changes the bits
     seqs = list(unit(np.random.default_rng(21).normal(size=(20, 5, 1, 3))))
     monkeypatch.setattr(geo, "BLOCK_BYTES", 32 * 5)
-    monkeypatch.setattr(evaluate, "_workers", lambda: 1)
+    monkeypatch.setattr(geo, "_workers", lambda: 1)
     expected = sequence_distance_matrix(seqs)
-    monkeypatch.setattr(evaluate, "_workers", lambda: 8)
+    monkeypatch.setattr(geo, "_workers", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -183,6 +183,50 @@ def test_read_errors(tmp_path):
             read(path)
 
 
+def test_read_doc_refuses_lines_after_end(tmp_path):
+    path = tmp_path / "doc.txt"
+    mio.write_doc(path, "example", 1, [("length", 3)])
+    text = path.read_text()
+    path.write_text(text + "\n  \n")  # blank lines after end are no entries
+    assert mio.read_doc(path)[2] == {"length": 3}
+    path.write_text(text + "i m 2\n")
+    with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: line 'i m 2' after end")):
+        mio.read_doc(path)
+
+
+def test_read_warps_refuses_rows_beyond_its_header_count(tmp_path):
+    path = tmp_path / "warps.txt"
+    mio.write_warps(path, [np.linspace(0, 1, 3)] * 2)
+    path.write_text(path.read_text() + "0 0.25 1\n")
+    with pytest.raises(DimensionMismatch,
+                       match=re.escape(f"{path}: line '0 0.25 1' after the 2 warps of its header")):
+        mio.read_warps(path)
+
+
+@pytest.mark.parametrize("parents, message", [
+    ("-1", "hierarchy needs a 1-d parent array with n >= 2"),
+    ("-1 -1", "hierarchy must have exactly one root, found 2"),
+    ("-1 2 1", "hierarchy contains a cycle"),
+    ("-1 3", "parent index out of range")])
+def test_read_raw_sequences_names_the_file_of_an_invalid_hierarchy(tmp_path, parents, message):
+    n = len(parents.split())
+    path = tmp_path / "raw.txt"
+    path.write_text(f"rawseq {n} 1\nparents {parents}\n" + " ".join(["0"] * 3 * n) + "\n")
+    with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: block 0: {message}")):
+        mio.read_raw_sequences(path)
+
+
+def test_load_bundle_refuses_a_start_entry_without_postures(tmp_path):
+    path = tmp_path / "bundle.txt"
+    bundle = load_bundle(saved_documents(tmp_path, "mvg")[0][0])
+    bundle.start_postures = bundle.start_postures[:0]
+    save_bundle(path, bundle)
+    assert "\na start.postures 0 2 3\n" in path.read_text()
+    with pytest.raises(DimensionMismatch,
+                       match=re.escape(f"{path}: entry 'start.postures' holds no posture")):
+        load_bundle(path)
+
+
 def test_write_warps_refuses_warps_of_unequal_sample_counts(tmp_path):
     with pytest.raises(DimensionMismatch, match="share their sample count"):
         mio.write_warps(tmp_path / "warps.txt", [np.linspace(0, 1, 5), np.linspace(0, 1, 6)])
