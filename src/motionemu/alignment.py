@@ -150,20 +150,6 @@ def _gap(r, root, aa, bb, ab):
     return np.sqrt(np.maximum(r * aa + bb - 2.0 * root * ab, 0.0))
 
 
-class _Band:
-    """The arrays one thread fills with one band of edge tables: `rows`
-    rows of an n x n lattice, with the Gram rows, norms and work rows they
-    read, which reach up to 3 rows before the band."""
-
-    def __init__(self, n, rows):
-        self.gram, self.scratch = np.empty((rows + 3, n)), np.empty((rows + 3, n))
-        # a step's unshifted norms serve its first and last terms, and each
-        # shifted set one term between them (di and dj are coprime)
-        self.norms = np.empty((2, rows + 3, n))
-        self.tables = np.empty((len(DP_STEPS), rows, n))
-        self.spare = np.empty(rows + 3)
-
-
 def _row_squares(v1, v2):
     """(aa, bb): aa[s, i] = ||a||^2 for the shifted rows a = (1-f)*v1[i] +
     f*v1[i+1] at shift f = _SHIFTS[s] (0 in the last row for f > 0), and
@@ -180,38 +166,38 @@ def _row_squares(v1, v2):
     return _coord_dots(shifted, shifted), _coord_dots(v2, v2)
 
 
-def _band_norms(band, gram, aa, bb, r, frac, out):
+def _band_norms(gram, scratch, aa, bb, r, frac, out):
     """_edge_tables' norm table for one step ratio r and shift frac, on
-    the first-field rows of gram, in place into out; aa holds the squared
-    norms of the same rows at that shift."""
+    the first-field rows of gram, in place into out, with scratch as work
+    rows; aa holds the squared norms of the same rows at that shift."""
     rows = gram.shape[0]
     ab = gram
     if frac > 0:
         rows -= 1  # a shifted row reads the next one
-        ab, term = band.scratch[:rows], out[:rows]
+        ab, term = scratch[:rows], out[:rows]
         np.multiply(1.0 - frac, gram[:-1], out=ab)
         ab += np.multiply(frac, gram[1:], out=term)
     norm = out[:rows]
-    np.add(np.multiply(r, aa[:rows], out=band.spare[:rows])[:, None], bb, out=norm)
-    norm -= np.multiply(2.0 * np.sqrt(r), ab, out=band.scratch[:rows])
+    np.add((r * aa[:rows])[:, None], bb, out=norm)
+    norm -= np.multiply(2.0 * np.sqrt(r), ab, out=scratch[:rows])
     np.maximum(norm, 0.0, out=norm)
     return np.sqrt(norm, out=norm)
 
 
-def _edge_band(band, v1, v2, squares, dt, lo, hi):
-    """Rows lo to hi-1 of _edge_tables, filled into band.tables by the
-    same operations in the same order, so with the same bits: table s holds
-    C[s][i, j] at [s, i - lo, j], inf where step s enters no cell.  squares
-    is _row_squares(v1, v2), which the band only reads."""
+def _edge_band(work, v1, v2, squares, dt, lo, hi, tables):
+    """Rows lo to hi-1 of _edge_tables, filled into its lattice tables in
+    place by the same operations.  work is a (4, rows + 3, L) array for
+    bands of up to rows rows, which read up to 3 field rows before them:
+    Gram rows, work rows and two norm sets.  squares is
+    _row_squares(v1, v2), which the band only reads."""
     n, width = v1.shape
     aa, bb = squares
     p0 = max(lo - 3, 0)
-    gram, term = band.gram[:hi - p0], band.scratch[:hi - p0]
+    gram, scratch = work[0, :hi - p0], work[1]
     np.multiply(v1[p0:hi, 0, None], v2[:, 0], out=gram)
     for d in range(1, width):
-        gram += np.multiply(v1[p0:hi, d, None], v2[:, d], out=term)
-    tables = band.tables[:, :hi - lo]
-    for (di, dj), table in zip(DP_STEPS, tables):
+        gram += np.multiply(v1[p0:hi, d, None], v2[:, d], out=scratch[:hi - p0])
+    for (di, dj), table in zip(DP_STEPS, tables[:, lo:hi]):
         first = max(lo, di)
         if max(di, dj) >= n or first >= hi:
             table.fill(np.inf)
@@ -219,6 +205,8 @@ def _edge_band(band, v1, v2, squares, dt, lo, hi):
         table[:first - lo] = np.inf
         table[:, :dj] = np.inf
         r = di / dj
+        # a step's unshifted norms serve its first and last terms, and each
+        # shifted set one term between them (di and dj are coprime)
         norms = {}
         total = table[first - lo:, dj:]
         total.fill(0.0)
@@ -227,23 +215,26 @@ def _edge_band(band, v1, v2, squares, dt, lo, hi):
             base = int(np.floor(c))
             frac = c - base
             if frac not in norms:
-                norms[frac] = _band_norms(band, gram, aa[_SHIFTS.index(frac), p0:hi], bb, r,
-                                          frac, band.norms[int(frac > 0)])
+                norms[frac] = _band_norms(gram, scratch, aa[_SHIFTS.index(frac), p0:hi], bb,
+                                          r, frac, work[3 if frac > 0 else 2])
             rows = norms[frac][base + first - di - p0:base + hi - di - p0, k:k + (n - dj)]
             if k in (0, dj):
-                total += np.multiply(0.5, rows, out=band.scratch[:hi - first, :n - dj])
+                total += np.multiply(0.5, rows, out=scratch[:hi - first, :n - dj])
             else:
                 total += rows  # weight 1.0, and 1.0 * x is x
         total *= dt
-    return tables
 
 
 def _edge_tables(v1, v2, dt):
     """Per-step tables C[s][i, j]: cost of entering lattice cell (i, j)
-    with step DP_STEPS[s].  Each edge integrates the pointwise norm gap
-    between the warped first field and the second by the trapezoid rule
-    on the target grid.  This is the one-band form of _edge_band, with
-    inf where a step enters no cell.
+    with step DP_STEPS[s], inf where a step enters no cell, as one
+    (len(DP_STEPS), L, L) lattice.  Each edge integrates the pointwise norm
+    gap between the warped first field and the second by the trapezoid
+    rule on the target grid.
+
+    The lattice and each band's work array are allocated on the calling
+    thread; _edge_band fills bands of ceil(L/threads) rows, one per thread
+    of geometry._deal.  The tables do not depend on the band size.
 
     Term k of step (di, dj) compares sqrt(di/dj) times the first field,
     shifted by di*k/dj rows, with the second field shifted by k rows: a
@@ -259,17 +250,27 @@ def _edge_tables(v1, v2, dt):
     accurate only to ~1e-8 times the field scale.  Squares overflow beyond
     ~1e150, far above any unit-bone field."""
     n = v1.shape[0]
-    return _edge_band(_Band(n, n), v1, v2, _row_squares(v1, v2), dt, 0, n)
+    squares = _row_squares(v1, v2)
+    rows = -(-n // geo._workers())
+    starts = range(0, n, rows)
+    tables = np.empty((len(DP_STEPS), n, n))
+    works = [np.empty((4, rows + 3, n)) for _ in starts]
+
+    def build(mine, work):
+        for lo in mine:
+            _edge_band(work, v1, v2, squares, dt, lo, min(lo + rows, n), tables)
+
+    geo._deal(build, starts, works)
+    return tables
 
 
 def dp_edge_cost(v1, v2, dt, start, end):
     """Cost of one lattice edge from start=(i0, j0) to end=(i, j).
 
-    The dynamic program reads edge costs from the bands of _edge_band
-    instead; this per-edge form, the tables' Gram-form expression with the
-    same coordinate sums in the same order, is the reference that
-    _edge_tables, their one-band form, must equal bitwise, and the cost
-    exhaustive path enumeration sums."""
+    The dynamic program reads edge costs from _edge_tables instead; this
+    per-edge form, the tables' Gram-form expression with the same
+    coordinate sums in the same order, is the reference that the tables
+    must equal bitwise, and the cost exhaustive path enumeration sums."""
     (i0, j0), (i, j) = start, end
     di, dj = i - i0, j - j0
     if (di, dj) not in DP_STEPS:
@@ -295,11 +296,11 @@ def optimal_warp(h1: TSRVFField, h2: TSRVFField):
 
     Runs dynamic programming over the full lattice of field samples with
     steps limited to DP_STEPS (slopes in [1/3, 3]), endpoints pinned.  The
-    edge tables are built in bands of ceil(L/threads) lattice rows, one per
-    thread of geometry._deal, into arrays allocated on the calling thread,
-    which together hold one lattice of tables; the program then runs down
-    the bands in order.  The warp and its cost do not depend on the band
-    size.
+    edge tables come from _edge_tables, whose bands are the only part that
+    runs on worker threads; the program then runs down the lattice rows on
+    the calling thread, and one pass over the lattice reads off the step
+    into each cell.  The warp and its cost do not depend on the thread
+    count.
 
     Returns
     -------
@@ -312,16 +313,7 @@ def optimal_warp(h1: TSRVFField, h2: TSRVFField):
     n, v1, v2 = h1.length, h1.values, h2.values
     if n < 2:
         raise DimensionMismatch("need at least two field samples to align")
-    squares = _row_squares(v1, v2)
-    rows = -(-n // geo._workers())
-    starts = range(0, n, rows)
-    bands = [_Band(n, rows) for _ in starts]
-
-    def build(mine, band):
-        for lo in mine:
-            _edge_band(band, v1, v2, squares, h1.dt, lo, min(lo + rows, n))
-
-    geo._deal(build, starts, bands)
+    tables = _edge_tables(v1, v2, h1.dt)
     # cost[i, j] sits at padded[i + 3, j + 3], below 3 rows and right of 3
     # columns of inf, so that every step into a cell has a predecessor entry
     wide = n + 3
@@ -332,25 +324,20 @@ def optimal_warp(h1: TSRVFField, h2: TSRVFField):
     reach = np.array([(3 - di) * wide + 3 - dj for di, dj in DP_STEPS])[:, None] + np.arange(n)
     # cand[s, j]: cost into (i, j) by step s, inf off the lattice
     cand = np.empty((len(DP_STEPS), n))
+    for i in range(1, n):
+        # every offset is in range: clip only skips the bounds check and
+        # the copy of out that mode "raise" makes
+        np.take(flat[i * wide:], reach, out=cand, mode="clip")
+        cand += tables[:, i]
+        # the minimum is the candidate argmin picks, as no cost is -0.0
+        np.minimum.reduce(cand, axis=0, out=cost[i])
+    # the step each cost came from, the lowest on ties: the candidates,
+    # summed in place of the tables, that equal it
     choice = np.empty((n, n), dtype=np.int8)
-    ties = np.empty((rows, n), dtype=bool)
-    for lo, band in zip(starts, bands):
-        hi = min(lo + rows, n)
-        tables = band.tables[:, :hi - lo]
-        for i in range(max(lo, 1), hi):
-            # every offset is in range: clip only skips the bounds check
-            # and the copy of out that mode "raise" makes
-            np.take(flat[i * wide:], reach, out=cand, mode="clip")
-            cand += tables[:, i - lo]
-            # the minimum is the candidate argmin picks, as no cost is -0.0
-            np.minimum.reduce(cand, axis=0, out=cost[i])
-        # the step each cost of the band came from, the lowest on ties: the
-        # band's candidates, summed in place of its tables, that equal it
-        for s in reversed(range(len(DP_STEPS))):
-            di, dj = DP_STEPS[s]
-            tables[s] += padded[lo - di + 3:hi - di + 3, 3 - dj:wide - dj]
-            np.equal(tables[s], cost[lo:hi], out=ties[:hi - lo])
-            np.copyto(choice[lo:hi], s, where=ties[:hi - lo])
+    for s in reversed(range(len(DP_STEPS))):
+        di, dj = DP_STEPS[s]
+        tables[s] += padded[3 - di:wide - di, 3 - dj:wide - dj]
+        np.copyto(choice, s, where=tables[s] == cost)
     if not np.isfinite(cost[n - 1, n - 1]):
         raise BadTarget("no admissible warp path reaches the corner")
     knots = [(n - 1, n - 1)]

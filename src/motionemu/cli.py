@@ -45,7 +45,7 @@ import sys
 
 import numpy as np
 
-from . import datagen, dimred, evaluate, flatten, geometry as geo, io as mio, models
+from . import datagen, dimred, evaluate, flatten, io as mio, models
 from .alignment import align_all
 from .errors import BadTarget, KindMismatch, MotionError
 from .persist import load_bundle, load_reduction, save_bundle, save_reduction
@@ -217,15 +217,12 @@ def cmd_align(args, out):
 
 def _flatten(args, out, seqs, inputs, reference=None):
     """inputs are the paths of seqs and, when given, of the reference."""
-    seqs = geo._check_set(seqs, 1, "sequences")
-    if reference is None:
-        reference = geo.karcher_mean(seqs.reshape((-1,) + seqs.shape[2:]))
     fields = flatten.flatten_sequence(seqs, reference, args.kind)
     config = _config(args, "kind", input=os.path.basename(inputs[0]),
                      reference=os.path.basename(args.reference))
     paths = _emit(out, "flatten", config, inputs,
                   [("fields.txt", mio.write_flatfields, fields),
-                   ("reference.txt", mio.write_posture_sequences, [reference[None]])])
+                   ("reference.txt", mio.write_posture_sequences, [fields.reference[None]])])
     print(f"flatten: {len(fields)} {args.kind} fields of {fields.length} columns")
     return fields, paths
 
@@ -310,6 +307,8 @@ def _simulate(args, out, bundle, src):
 
 
 def cmd_simulate(args, out):
+    if args.count < 1:
+        raise BadTarget("count must be positive")
     src = _resolve(args.bundle)
     _simulate(args, out, load_bundle(src), src)
 
@@ -418,8 +417,9 @@ def cmd_qq(args, out):
 
 def cmd_pipeline(args, out):
     kind, red, model_type = parse_scheme(args.scheme)
-    if args.n_perm < 1:
-        raise BadTarget("n_perm must be positive")
+    for flag in ("count", "n_perm"):
+        if getattr(args, flag) < 1:
+            raise BadTarget(f"{flag} must be positive")
     args.kind, args.method = kind, red
     artifacts = []
 

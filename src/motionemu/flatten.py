@@ -94,14 +94,18 @@ def flatten_sequence(seqs, reference, kind: str) -> FlatFields:
     """Encode a set of (T, n-1, 3) sequences (an (M, T, n-1, 3) array or a
     list) as fields of the given kind: the kind's tangent vectors, in
     coordinates at the reference posture and, for istvf, integrated over
-    time.  Transport and the coordinate map are isometries, so stvf column
-    norms equal the shooting-vector norms; siem rejects frames antipodal to
-    the reference.  Sequences are encoded one at a time, into one array."""
+    time.  A reference of None is the default chart: the intrinsic mean of
+    every frame of the set.  Transport and the coordinate map are
+    isometries, so stvf column norms equal the shooting-vector norms; siem
+    rejects frames antipodal to the reference.  Sequences are encoded one
+    at a time, into one array."""
     if kind not in FLATTEN_KINDS:
         raise KindMismatch(f"unknown flattening kind {kind!r}")
     seqs = geo._check_set(seqs, 0, "sequences")
     if seqs.ndim != 4 or seqs.shape[1] < 2:
         raise DimensionMismatch(f"expected (M, T, n-1, 3) sequences with T >= 2, got {seqs.shape}")
+    if reference is None:
+        reference = geo.karcher_mean(seqs.reshape((-1,) + seqs.shape[2:]))
     reference = np.array(reference, dtype=float)
     t = seqs.shape[1]
     dt = 1.0 / (t - 1)

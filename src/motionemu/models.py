@@ -372,8 +372,6 @@ def fit_emulator(seqs, kind: str = "istvf", model_type: str = "ig",
 
     if kind not in EMULATOR_KINDS:
         raise KindMismatch(f"flattening kind {kind!r} cannot back an emulator")
-    if reference is None:
-        reference = geo.karcher_mean(seqs.reshape((-1,) + seqs.shape[2:]))
     fields = flatten.flatten_sequence(seqs, reference, kind)
     spatial, fpca = dimred.reduce_fields(fields, model_type != "var", d1, d2, var1, var2)
     return fit_bundle(fields, spatial, fpca, model_type, order, var_index, start_policy)

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from motionemu import geometry as geo
 from motionemu.alignment import (
     DP_STEPS,
     TSRVFField,
-    _Band,
     _edge_band,
     _edge_tables,
     _row_squares,
@@ -259,13 +259,15 @@ def test_edge_tables_equal_dp_edge_cost_bitwise():
 
 @settings(max_examples=60)
 @given(n=st.integers(2, 12), d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
-       same=st.booleans())
-def test_edge_tables_equal_dp_edge_cost_property(n, d, seed, same):
+       same=st.booleans(), workers=st.integers(1, 4))
+def test_edge_tables_equal_dp_edge_cost_property(n, d, seed, same, workers):
+    # the tables optimal_warp reads, in bands of ceil(n / workers) rows
     rng = np.random.default_rng(seed)
     v1 = rng.standard_normal((n, d))
     v2 = v1 if same else rng.standard_normal((n, d))
     dt = 1.0 / n
-    tables = _edge_tables(v1, v2, dt)
+    with mock.patch.object(geo, "_workers", lambda: workers):
+        tables = _edge_tables(v1, v2, dt)
     for (di, dj), table in zip(DP_STEPS, tables):
         if max(di, dj) >= n:
             assert np.all(np.isinf(table))
@@ -289,13 +291,15 @@ def test_edge_tables_assembled_from_bands_of_every_size_are_bitwise_equal(n, d, 
     rng = np.random.default_rng(seed)
     v1 = rng.standard_normal((n, d))
     v2 = v1 if same else rng.standard_normal((n, d))
-    expected = np.asarray(_edge_tables(v1, v2, 1.0 / n))
+    with mock.patch.object(geo, "_workers", lambda: 1):
+        expected = _edge_tables(v1, v2, 1.0 / n)
     squares = _row_squares(v1, v2)
     for rows in range(1, n + 1):
         tables = np.full_like(expected, np.nan)
+        # one work array for every band, as a thread reuses its own
+        work = np.full((4, rows + 3, n), np.nan)
         for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            tables[:, lo:hi] = _edge_band(_Band(n, rows), v1, v2, squares, 1.0 / n, lo, hi)
+            _edge_band(work, v1, v2, squares, 1.0 / n, lo, min(lo + rows, n), tables)
         assert tables.tobytes() == expected.tobytes(), rows
 
 

@@ -268,6 +268,33 @@ def test_simulate_split_errors(tmp_path, capsys):
         assert not bad.exists() or os.listdir(bad) == []
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_simulate_refuses_a_count_below_one(stage_inputs, tmp_path, capsys, count):
+    out = tmp_path / "sim"
+    capsys.readouterr()
+    assert run_cli("simulate", "--bundle", stage_inputs / "bundle.txt", "--count", count,
+                   "--seed", 9, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "BadTarget" and report["message"] == "count must be positive"
+    # refused before anything is simulated or written
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_pipeline_refuses_a_count_below_one_before_any_stage(tmp_path, capsys):
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run_cli("pipeline", "--out", out, "--seed", 2, *SYNTH_FLAGS,
+                   "--scheme", "istvf/seqpca/ig", "--d1", 2, "--d2", 2,
+                   "--count", 0, "--n-perm", 9) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "BadTarget" and report["message"] == "count must be positive"
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_bundle_with_a_missing_entry_reports_one_json_line(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli("pipeline", "--out", out, "--seed", 2, *SYNTH_FLAGS,

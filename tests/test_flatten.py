@@ -220,6 +220,16 @@ def test_flatten_sequence_equals_per_kind_encoders(kind, count, frames, bones, s
             assert a.flags.c_contiguous == b.flags.c_contiguous, name
 
 
+@pytest.mark.parametrize("kind", FLATTEN_KINDS)
+def test_flatten_sequence_without_reference_uses_the_mean_of_every_frame(kind):
+    ts = np.linspace(0.0, 1.0, 7)
+    seqs = np.stack([curved_seq(ts), curved_seq(0.8 * ts + 0.1)])
+    got = flatten_sequence(seqs, None, kind)
+    want = flatten_sequence(seqs, geo.karcher_mean(seqs.reshape(-1, 2, 3)), kind)
+    for name in ("reference", "starts", "values"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def test_recon_error_quarter_turn():
     a = np.broadcast_to(REF, (4, 2, 3)).copy()
     b = a.copy()
