@@ -17,8 +17,8 @@ from .errors import (AntipodalPoints, BadTarget, DegenerateBone, DimensionMismat
                      InsufficientData, KindMismatch, LengthMismatch, MotionError,
                      NoConvergence, NotTangent, ReferenceMismatch, SingularCovariance)
 from .evaluate import (ClusterModel, DiscoResult, cluster_postures, disco_test,
-                       mds_coords_from, mean_label_sequence, posture_distance_matrix,
-                       qq_data, quantize, roughness, select_k, sequence_distance_matrix,
+                       mds_coords_from, mean_label_sequence, permutation_test,
+                       posture_distance_matrix, qq_data, quantize, roughness, select_k, sequence_distance_matrix,
                        silhouette_score, variability, variability_stats)
 from .flatten import FlatFields, flatten_sequence, shooting_vectors, unflatten_field
 from .geometry import (karcher_mean, posture_dist, sequence_dist, sphere_dist, sphere_exp,

@@ -67,7 +67,7 @@ def tsrvf(seq, reference) -> TSRVFField:
     vector norm.
     """
     reference = np.asarray(reference, dtype=float)
-    moved = transported_velocities(seq, reference)
+    moved = transported_velocities(geo._check_postures(seq, least=2), reference)
     norms = geo.tangent_norm(moved)
     scale = np.where(norms < ZERO_VELOCITY, 0.0, 1.0 / np.sqrt(np.where(norms < ZERO_VELOCITY, 1.0, norms)))
     coords = geo.tangent_coords(reference, moved * scale[:, None, None])

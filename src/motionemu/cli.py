@@ -462,7 +462,10 @@ def run_twolevel(seqs, kind="istvf", model_type="ig", d1=4, d2=4,
     parts, refits each candidate emulator on the fitting part, and
     scores its draws against the held-out part: a two-sample permutation
     test plus log-likelihood quantile pairs under the matched-family
-    reference model refit on the fitting part.
+    reference model refit on the fitting part.  The held-out part's
+    distance block is computed once and shared by every emulator's test.
+    An emulator listed twice is refused, as is anything else that cannot
+    be scored, before any fit.
     """
     if not 0 < holdout < total:
         raise BadTarget("holdout must be positive and smaller than total")
@@ -470,9 +473,12 @@ def run_twolevel(seqs, kind="istvf", model_type="ig", d1=4, d2=4,
         raise BadTarget("no emulators to score")
     if n_perm < 1:
         raise BadTarget("n_perm must be positive")
-    for name in emulators:
+    for j, name in enumerate(emulators):
         if name not in models.MODEL_TYPES:
             raise KindMismatch(f"unknown emulator {name!r}")
+        if name in emulators[:j]:
+            # two rows of one name would share, and overwrite, one qq file
+            raise BadTarget(f"emulator {name!r} is listed more than once")
     if model_type not in ("mvg", "ig"):
         raise KindMismatch(f"level-one model {model_type!r} has no density to score draws "
                            "with; the scheme must be <repr>/seqpca/mvg or <repr>/seqpca/ig")
@@ -488,12 +494,19 @@ def run_twolevel(seqs, kind="istvf", model_type="ig", d1=4, d2=4,
                for name in dict.fromkeys((model_type, *emulators))}
     reference = bundles[model_type]
     ll_test = models.sequence_logliks(reference, test2)
+    # the pooled distance matrix of draws (first) and held-out sequences: the
+    # held-out block is computed once, each emulator's draws fill the rest
+    pooled = np.empty((2 * holdout, 2 * holdout))
+    pooled[holdout:, holdout:] = evaluate.sequence_distance_matrix(test2)
     rows, qq, ll_sim = [], {}, {}
     for j, name in enumerate(emulators):
         draws = models.simulate_sequence(bundles[name], holdout,
                                          seed=stage_seed(seed, SEED_TL_SIM, (j,)))
-        res = evaluate.disco_test(draws, test2, n_perm=n_perm,
-                                  seed=stage_seed(seed, SEED_TL_DISCO, (j,)))
+        pooled[:holdout, :holdout] = evaluate.sequence_distance_matrix(draws)
+        pooled[:holdout, holdout:] = evaluate.sequence_distance_matrix(draws, test2)
+        pooled[holdout:, :holdout] = pooled[:holdout, holdout:].T
+        res = evaluate.permutation_test(pooled, holdout, n_perm,
+                                        stage_seed(seed, SEED_TL_DISCO, (j,)))
         ll = models.sequence_logliks(reference, draws)
         qq[name] = evaluate.qq_data(ll_test, ll)
         ll_sim[name] = ll

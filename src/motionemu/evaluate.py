@@ -3,7 +3,9 @@
 The two-sample statistic contrasts mean cross-group sequence distance
 with the two within-group means (all double sums run over every ordered
 pair, diagonal included) and is calibrated by a label-permutation test on
-a distance matrix computed once.  Clustering of postures uses k-medoids
+a pooled distance matrix computed once (permutation_test), which callers
+may assemble from the square and rectangular blocks of
+sequence_distance_matrix.  Clustering of postures uses k-medoids
 under the intrinsic posture distance; quantizing sequences against the
 fitted modes turns them into label strings whose disagreement rates
 summarize motion variability.  Classical multidimensional scaling embeds
@@ -24,35 +26,43 @@ from .errors import BadTarget, DimensionMismatch, InsufficientData, LengthMismat
 MAX_SWEEPS = 200  # most passes over the candidates of one k-medoids descent
 
 
-def _pairwise(planes):
+def _pairwise(planes, others=None):
     """Summed angles between all pairs of N items of K unit vectors, given
     as three contiguous (N, K) coordinate planes (a (3, N, K) array or a
-    list): planes[c][i, j] is coordinate c of vector j of item i.
+    list): planes[c][i, j] is coordinate c of vector j of item i.  With
+    others, planes of M items of the same K vectors, the (N, M) sums
+    between every item of planes (rows) and every item of others
+    (columns) instead.
 
     Blocks fit geometry.BLOCK_BYTES at 32 bytes an angle (the kernel's three
     work arrays take 24 of them): several rows by all columns, or one row
     by a run of columns when a row alone is longer.
-    geometry._angles is exactly symmetric, so only blocks on or above the
-    diagonal are computed and each is mirrored below it.  The blocks are
-    dealt round-robin to threads by geometry._deal, and each thread reuses
-    one set of work arrays for all of its blocks.  Every entry sums the same
-    K angles in the same order, whatever the blocks and the thread count.
+    geometry._angles is exactly symmetric, so for one set only blocks on or
+    above the diagonal are computed and each is mirrored below it.  The
+    blocks are dealt round-robin to threads by geometry._deal, and each
+    thread reuses one set of work arrays for all of its blocks.  Every
+    entry sums the same K angles in the same order, whatever the blocks,
+    the thread count and the form, so an entry of the rectangular form
+    equals the matching entry of the square form of both sets pooled.
     """
-    n, k = planes[0].shape
-    out = np.empty((n, n))
-    rows = geo._block_items(32 * n * k)
+    square = others is None
+    others = planes if square else others
+    (n, k), m = planes[0].shape, others[0].shape[0]
+    out = np.empty((n, m))
+    rows = geo._block_items(32 * m * k)
     cols = geo._block_items(32 * rows * k)
-    blocks = [(lo, c) for lo in range(0, n, rows) for c in range(lo, n, cols)]
-    size = min(rows, n) * min(cols, n) * k
+    blocks = [(lo, c) for lo in range(0, n, rows) for c in range(lo if square else 0, m, cols)]
+    size = min(rows, n) * min(cols, m) * k
 
     def run(mine, work):
         for lo, c in mine:
-            y, z = [p[lo:lo + rows, None] for p in planes], [p[None, c:c + cols] for p in planes]
+            y, z = [p[lo:lo + rows, None] for p in planes], [p[None, c:c + cols] for p in others]
             shape = (y[0].shape[0], z[0].shape[1], k)
             count = shape[0] * shape[1] * k
             block = geo._angles(y, z, [w[:count].reshape(shape) for w in work]).sum(axis=2)
             out[lo:lo + rows, c:c + cols] = block
-            out[c:c + cols, lo:lo + rows] = block.T
+            if square:
+                out[c:c + cols, lo:lo + rows] = block.T
 
     geo._deal(run, blocks, [[np.empty(size) for _ in range(3)] for _ in range(geo._workers())])
     return out
@@ -71,17 +81,33 @@ def posture_distance_matrix(postures):
     return _pairwise(np.ascontiguousarray(np.moveaxis(postures, -1, 0)))
 
 
-def sequence_distance_matrix(seqs):
-    """Pairwise mean-posture distances between (T, n-1, 3) sequences: each
-    entry sums a pair's T*(n-1) bone angles in one sum and divides by T, as
-    geometry.sequence_dist does.  The set check stacks each coordinate into
-    an (N, T, n-1) plane, so the set is copied once, into _pairwise's layout."""
+def _sequence_planes(seqs):
+    """A set of (T, n-1, 3) sequences as _pairwise's three (N, T*(n-1))
+    coordinate planes, and (T, n-1).  The set check stacks each coordinate
+    into an (N, T, n-1) plane, so the set is copied once."""
     views = [np.moveaxis(geo._check_postures(s), -1, 0) for s in seqs]
     planes = [geo._check_set([v[c] for v in views], 1, "sequences") for c in range(3)]
     n, t, bones = planes[0].shape
     if t == 0:
         raise InsufficientData("need sequences of at least one frame")
-    return _pairwise([p.reshape(n, t * bones) for p in planes]) / t
+    return [p.reshape(n, t * bones) for p in planes], (t, bones)
+
+
+def sequence_distance_matrix(seqs, others=None):
+    """Pairwise mean-posture distances between (T, n-1, 3) sequences: each
+    entry sums a pair's T*(n-1) bone angles in one sum and divides by T, as
+    geometry.sequence_dist does.  Given a second set of the same frame
+    shape, the rectangular (len(seqs), len(others)) block of distances
+    from each of seqs to each of others instead, entry for entry the bits
+    of the square matrix of both sets pooled.  Each set is copied once,
+    into _pairwise's layout."""
+    planes, shape = _sequence_planes(seqs)
+    columns = None
+    if others is not None:
+        columns, other = _sequence_planes(others)
+        if other != shape:
+            raise DimensionMismatch(f"(T, n-1) = {shape} sequences against {other} ones")
+    return _pairwise(planes, columns) / shape[0]
 
 
 def _group_stat(dmat, idx_a, idx_b):
@@ -114,22 +140,28 @@ def _split_stats(dmat, members, na, nb):
     return 2.0 * cross / (na * nb) - within_a / (na * na) - within_b / (nb * nb)
 
 
-def disco_test(group_a, group_b, n_perm: int = 999, seed=None, exhaustive: bool = False) -> DiscoResult:
-    """Permutation test of the two-sample statistic.
-
-    The pooled distance matrix is computed once and only labels are
-    permuted.  p = (1 + #{permuted >= observed}) / (n_perm + 1).  With
-    exhaustive=True all distinct label splits are enumerated instead, in
-    which case p is exact.  Splits are scored in blocks that fit
-    geometry.BLOCK_BYTES at 48 bytes a label entry (_split_stats).
-    """
+def _check_groups(na, nb, n_perm, exhaustive):
     if not exhaustive and n_perm < 1:
         raise BadTarget("n_perm must be positive")
-    na, nb = len(group_a), len(group_b)
-    if not (na and nb):
+    if not (na > 0 and nb > 0):
         raise InsufficientData("both groups need at least one sequence")
-    total = na + nb
-    dmat = sequence_distance_matrix([*group_a, *group_b])
+
+
+def permutation_test(dmat, na: int, n_perm: int = 999, seed=None,
+                     exhaustive: bool = False) -> DiscoResult:
+    """Permutation test of the two-sample statistic on a pooled distance
+    matrix whose first na rows and columns are group a and the rest group
+    b: only labels are permuted.  p = (1 + #{permuted >= observed}) /
+    (n_perm + 1), the permutations drawn from default_rng(seed).  With
+    exhaustive=True all distinct label splits are enumerated instead, in
+    which case p is exact.  Splits are scored in blocks that fit
+    geometry.BLOCK_BYTES at 48 bytes a label entry (_split_stats).  The
+    same matrix, na, n_perm and seed give the same bits however the
+    matrix was assembled."""
+    dmat = _check_square(dmat)
+    total = dmat.shape[0]
+    nb = total - na
+    _check_groups(na, nb, n_perm, exhaustive)
     all_idx = np.arange(total)
     observed = float(_group_stat(dmat, all_idx[:na], all_idx[na:]))
     # relabelings that tie the observed split in exact arithmetic must count
@@ -151,6 +183,17 @@ def disco_test(group_a, group_b, n_perm: int = 999, seed=None, exhaustive: bool 
     for lo in range(0, n_perm, rows):
         count += hits(np.stack([rng.permutation(total)[:na] for _ in range(min(rows, n_perm - lo))]))
     return DiscoResult(statistic=observed, p_value=(1 + count) / (n_perm + 1), permutations=n_perm)
+
+
+def disco_test(group_a, group_b, n_perm: int = 999, seed=None, exhaustive: bool = False) -> DiscoResult:
+    """Permutation test of the two-sample statistic between two sets of
+    sequences: permutation_test on the pooled sequence_distance_matrix of
+    [*group_a, *group_b], computed once, after n_perm and the group sizes
+    are checked."""
+    na, nb = len(group_a), len(group_b)
+    _check_groups(na, nb, n_perm, exhaustive)
+    return permutation_test(sequence_distance_matrix([*group_a, *group_b]), na, n_perm, seed,
+                            exhaustive)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from motionemu import cli, evaluate, io as mio, models
 from motionemu.cli import (SEED_EVAL_PERM, SEED_SIMULATE, main, parse_scheme,
                            run_twolevel, stage_seed)
 from motionemu.datagen import SynthConfig, gen_mixture
-from motionemu.errors import KindMismatch
+from motionemu.errors import BadTarget, KindMismatch
 from motionemu.flatten import FlatFields
 from motionemu.skeleton import SkeletonHierarchy, downsample, ingest_sequence
 
@@ -574,6 +574,33 @@ def test_run_twolevel_structure_and_determinism():
     assert np.array_equal(report["qq"]["pwi"], again["qq"]["pwi"])
 
 
+def test_run_twolevel_tests_equal_disco_test_on_the_same_draws():
+    # every emulator's test reads the one held-out block run_twolevel shares
+    seqs = smooth_training_set()
+    report = run_twolevel(seqs, kind="istvf", model_type="ig", d1=2, d2=2, total=30,
+                          holdout=10, emulators=("ig", "mvg", "pwi"), n_perm=19, seed=4)
+    sims = models.simulate_sequence(report["level_one"], 30,
+                                    seed=stage_seed(4, cli.SEED_TL_LEVEL1))
+    for j, row in enumerate(report["rows"]):
+        draws = models.simulate_sequence(report["bundles"][row["emulator"]], 10,
+                                         seed=stage_seed(4, cli.SEED_TL_SIM, (j,)))
+        res = evaluate.disco_test(draws, sims[20:], n_perm=19,
+                                  seed=stage_seed(4, cli.SEED_TL_DISCO, (j,)))
+        assert (row["statistic"], row["p_value"]) == (res.statistic, res.p_value)
+
+
+def test_run_twolevel_refuses_a_repeated_emulator_before_fitting(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("run_twolevel fitted a model before refusing its emulators")
+
+    monkeypatch.setattr(models, "fit_emulator", no_fit)
+    seqs = smooth_training_set()
+    # two rows of one name would write one qq file twice
+    for emulators in (("mvg", "mvg"), ["ig", "pwi", "ig"]):
+        with pytest.raises(BadTarget, match=f"emulator '{emulators[0]}' is listed more than once"):
+            run_twolevel(seqs, model_type="mvg", total=30, holdout=10, emulators=emulators)
+
+
 def test_twolevel_cli_matches_library(tmp_path, capsys):
     seqs = smooth_training_set()
     path = tmp_path / "train.txt"
@@ -705,7 +732,9 @@ def test_twolevel_refuses_what_it_cannot_score_before_fitting(stage_inputs, tmp_
              (["--scheme", "pwi", "--emulators", "pwi"], "KindMismatch", "level-one model 'pwi'"),
              (["--emulators", "mvg,gp"], "KindMismatch", "unknown emulator 'gp'"),
              (["--holdout", 12], "BadTarget", "holdout must be positive and smaller than total"),
-             (["--holdout", 0], "BadTarget", "holdout must be positive and smaller than total")]
+             (["--holdout", 0], "BadTarget", "holdout must be positive and smaller than total"),
+             (["--emulators", "mvg,pwi,mvg"], "BadTarget",
+              "emulator 'mvg' is listed more than once")]
     capsys.readouterr()
     for i, (flags, error, cause) in enumerate(cases):
         out = tmp_path / str(i)
@@ -717,7 +746,7 @@ def test_twolevel_refuses_what_it_cannot_score_before_fitting(stage_inputs, tmp_
         assert err.count("\n") == 1
         report = json.loads(err)
         assert report["error"] == error and cause in report["message"]
-        assert not (out / "twolevel.csv").exists()
+        assert os.listdir(out) == []
 
 
 def test_pipeline_and_twolevel_refuse_n_perm_before_any_work(stage_inputs, tmp_path, capsys,

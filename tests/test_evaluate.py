@@ -23,6 +23,7 @@ from motionemu.evaluate import (
     disco_test,
     mds_coords_from,
     mean_label_sequence,
+    permutation_test,
     posture_distance_matrix,
     qq_data,
     quantize,
@@ -130,6 +131,31 @@ def test_sequence_distance_matrix_matches_full_rows(monkeypatch):
             for j in range(7):
                 # sequence_dist sums in the matrix's order
                 assert dmat[i, j] == geo.sequence_dist(seqs[i], seqs[j])
+
+
+def test_rectangular_sequence_distances_equal_the_pooled_square_block(monkeypatch):
+    rng = np.random.default_rng(12)
+    a, b = unit(rng.normal(size=(5, 4, 3, 3))), unit(rng.normal(size=(7, 4, 3, 3)))
+    b[2] = a[1]
+    # 7 columns of 12 angles, 84 angles a row at 32 bytes an angle: one
+    # block, then blocks of 1 and 3 rows (the last ragged at 2), then one
+    # row by 2 columns (the last ragged at 1)
+    for budget in (geo.BLOCK_BYTES, 32 * 84, 32 * 252, 32 * 24):
+        monkeypatch.setattr(geo, "BLOCK_BYTES", budget)
+        rect = on_each_worker_count(monkeypatch, lambda s: sequence_distance_matrix(*s), (a, b))
+        square = on_each_worker_count(monkeypatch, sequence_distance_matrix, [*a, *b])
+        assert rect.shape == (5, 7)
+        assert rect.tobytes() == square[:5, 5:].tobytes() == square[5:, :5].T.tobytes()
+        assert rect[1, 2] == 0.0
+        for i in range(5):
+            for j in range(7):
+                assert rect[i, j] == geo.sequence_dist(a[i], b[j])
+    with pytest.raises(DimensionMismatch):
+        sequence_distance_matrix(a, b[:, :3])
+    with pytest.raises(DimensionMismatch):
+        sequence_distance_matrix(a, b[:, :, :2])
+    with pytest.raises(InsufficientData):
+        sequence_distance_matrix(a, [])
 
 
 @settings(max_examples=40, deadline=None)
@@ -277,6 +303,35 @@ def test_disco_test_seeded_and_add_one():
     assert round(r1.p_value * 50) == pytest.approx(r1.p_value * 50, abs=1e-12)
     with pytest.raises(BadTarget):
         disco_test(group_a, group_b, n_perm=0)
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_permutation_test_on_a_pooled_matrix_from_blocks_equals_disco_test(exhaustive):
+    rng = np.random.default_rng(13)
+    group_a = [rand_seq(rng, t=5) for _ in range(4)]
+    group_b = [rand_seq(rng, t=5, scale=0.6) for _ in range(5)]
+    pooled = np.empty((9, 9))
+    pooled[:4, :4] = sequence_distance_matrix(group_a)
+    pooled[4:, 4:] = sequence_distance_matrix(group_b)
+    pooled[:4, 4:] = sequence_distance_matrix(group_a, group_b)
+    pooled[4:, :4] = pooled[:4, 4:].T
+    assert pooled.tobytes() == sequence_distance_matrix([*group_a, *group_b]).tobytes()
+    want = disco_test(group_a, group_b, n_perm=49, seed=3, exhaustive=exhaustive)
+    got = permutation_test(pooled, 4, n_perm=49, seed=3, exhaustive=exhaustive)
+    assert (got.statistic, got.p_value, got.permutations) == (
+        want.statistic, want.p_value, want.permutations)
+    assert got.permutations == (125 if exhaustive else 49)
+
+
+def test_permutation_test_refusals():
+    dmat = sequence_distance_matrix([rand_seq(np.random.default_rng(14)) for _ in range(4)])
+    with pytest.raises(DimensionMismatch):
+        permutation_test(dmat[:3], 2)
+    for na in (0, 4, 5, -1):
+        with pytest.raises(InsufficientData):
+            permutation_test(dmat, na)
+    with pytest.raises(BadTarget, match="n_perm must be positive"):
+        permutation_test(dmat, 2, n_perm=0)
 
 
 def test_disco_test_refuses_n_perm_before_any_distance(monkeypatch):

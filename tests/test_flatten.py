@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -197,18 +199,23 @@ def per_kind_encode(seq, reference, kind):
     return stvf
 
 
-@given(kind=st.sampled_from(FLATTEN_KINDS), count=st.integers(1, 3), frames=st.integers(2, 9),
+@given(kind=st.sampled_from(FLATTEN_KINDS), count=st.integers(1, 7), frames=st.integers(2, 9),
        bones=st.integers(1, 4), spread=st.sampled_from([0.01, 0.15, 0.6]),
-       at_start=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       at_start=st.booleans(), per_block=st.one_of(st.none(), st.integers(1, 7)),
+       seed=st.integers(0, 2**32 - 1))
 def test_flatten_sequence_equals_per_kind_encoders(kind, count, frames, bones, spread,
-                                                   at_start, seed):
+                                                   at_start, per_block, seed):
     rng = np.random.default_rng(seed)
     seqs = rng.normal(size=(count, 1, bones, 3)) + np.cumsum(
         rng.normal(scale=spread, size=(count, frames, bones, 3)), axis=1)
     seqs /= np.linalg.norm(seqs, axis=-1, keepdims=True)
     reference = seqs[0, 0].copy() if at_start else rng.normal(size=(bones, 3))
     reference /= np.linalg.norm(reference, axis=-1, keepdims=True)
-    got = flatten_sequence(seqs, reference, kind)
+    # the encoder budgets nine times a sequence's bytes for each one: blocks
+    # of per_block sequences, the last one ragged, or the default budget
+    budget = geo.BLOCK_BYTES if per_block is None else per_block * 9 * seqs[0].nbytes
+    with mock.patch.object(geo, "BLOCK_BYTES", budget):
+        got = flatten_sequence(seqs, reference, kind)
     assert got.kind == kind and len(got) == count
     assert got.dt == 1.0 / (frames - 1)
     for i, seq in enumerate(seqs):
