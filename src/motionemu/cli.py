@@ -334,6 +334,8 @@ def cmd_two_sample(args, out):
 
 
 def cmd_quantize(args, out):
+    if args.sample < 1:
+        raise BadTarget("sample must be positive")
     train_src = _resolve(args.train)
     train = mio.read_posture_sequences(train_src)
     sets = [("train", train_src, train)] + _named_sets(args.set or [])

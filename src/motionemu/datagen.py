@@ -6,13 +6,13 @@ exponentiated from a random base posture.  Samples are warped copies of
 the template (random monotone time warps, blended with the identity by a
 strength knob) with optional smoothed tangent noise added frame by frame.
 With zero warp strength and zero noise every sample is the template,
-bit for bit.
+bit for bit.  The module needs numpy alone: the smoothing is a numpy twin
+of scipy's Gaussian filter, equal to it bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
 
 from . import geometry as geo
 from .alignment import warp_sequence
@@ -65,7 +65,25 @@ def _random_posture(rng, bones: int):
 
 
 def _smooth(values, sigma):
-    return gaussian_filter1d(values, sigma=sigma, axis=0, mode="reflect")
+    """Gaussian smoothing along axis 0 with half-sample reflecting ends.
+
+    Gives the same bits as scipy.ndimage.gaussian_filter1d(values, sigma,
+    axis=0, mode="reflect"), so every synthetic class, and every test and
+    benchmark input built from one, keeps its bytes without scipy: the same
+    kernel (radius int(4 sigma + 0.5), normalized by its sum), the same ends
+    (numpy's 'symmetric' pad, repeated when the radius exceeds the axis) and
+    scipy's summation order for a symmetric kernel (centre term first, then
+    the pairs of taps from the outermost inwards).
+    """
+    r = int(4.0 * sigma + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = w / w.sum()
+    n = len(values)
+    x = np.pad(values, [(r, r)] + [(0, 0)] * (values.ndim - 1), mode="symmetric")
+    out = x[r:r + n] * w[r]
+    for j in range(r, 0, -1):
+        out += (x[r - j:r - j + n] + x[r + j:r + j + n]) * w[r + j]
+    return out
 
 
 def make_template(cfg: SynthConfig, rng=None):

@@ -44,9 +44,11 @@ def _spatial_items(pca: SpatialPCA):
 
 
 def _spatial_from(doc):
-    return SpatialPCA(mean=doc.array("spatial.mean", 1), basis=doc.array("spatial.basis", 2),
-                      eigenvalues=doc.array("spatial.eigenvalues", 1),
-                      total_variance=doc.entry("spatial.total_variance", "f"))
+    spatial = SpatialPCA(mean=doc.array("spatial.mean", 1), basis=doc.array("spatial.basis", 2),
+                         eigenvalues=doc.array("spatial.eigenvalues", 1),
+                         total_variance=doc.entry("spatial.total_variance", "f"))
+    _agree(doc, len(spatial.mean) == len(spatial.basis), "spatial.mean", "spatial.basis")
+    return spatial
 
 
 def _fpca_items(basis: FPCABasis):
@@ -54,10 +56,12 @@ def _fpca_items(basis: FPCABasis):
             ("fpca.eigenvalues", basis.eigenvalues), ("fpca.dt", float(basis.dt))]
 
 
-def _fpca_from(doc):
+def _fpca_from(doc, spatial):
+    """The FPCA, with one curve row per spatial basis column."""
     fpca = FPCABasis(means=doc.array("fpca.means", 2), bases=doc.array("fpca.bases", 3),
                      eigenvalues=doc.array("fpca.eigenvalues", 2), dt=doc.entry("fpca.dt", "f"))
     _agree(doc, fpca.bases.shape[:2] == fpca.means.shape, "fpca.bases", "fpca.means")
+    _agree(doc, len(fpca.means) == spatial.dim, "fpca.means", "spatial.basis")
     return fpca
 
 
@@ -75,9 +79,10 @@ def _model_items(model):
     raise KindMismatch(f"cannot serialize model {type(model).__name__}")
 
 
-def _model_from(doc, model_type, fpca):
+def _model_from(doc, model_type, spatial, fpca):
     """The model_type's model; a Gaussian's size must be the FPCA's
-    coefficient count, and PWI covariances must match the means."""
+    coefficient count, a VAR's the spatial basis's column count, and PWI
+    covariances must match the means."""
     if model_type in ("mvg", "ig"):
         size, jitter = int(np.prod(fpca.dims)), doc.entry("model.jitter", "f")
     if model_type == "mvg":
@@ -89,9 +94,12 @@ def _model_from(doc, model_type, fpca):
         _agree(doc, variances.shape == (size,), "model.variances", "fpca.bases")
         return IGModel(variances=variances, jitter=jitter, shape=fpca.dims)
     if model_type == "var":
-        coef = doc.array("model.coef", 3)
-        return VARModel(order=len(coef), coef=coef, intercept=doc.array("model.intercept", 1),
-                        noise_cov=doc.array("model.noise_cov", 2))
+        coef, intercept = doc.array("model.coef", 3), doc.array("model.intercept", 1)
+        noise_cov, d1 = doc.array("model.noise_cov", 2), spatial.dim
+        _agree(doc, coef.shape[1:] == (d1, d1), "model.coef", "spatial.basis")
+        _agree(doc, intercept.shape == (d1,), "model.intercept", "spatial.basis")
+        _agree(doc, noise_cov.shape == (d1, d1), "model.noise_cov", "spatial.basis")
+        return VARModel(order=len(coef), coef=coef, intercept=intercept, noise_cov=noise_cov)
     if model_type == "pwi":
         means, covs = doc.array("model.means", 3), doc.array("model.covariances", 3)
         t, k, c = means.shape
@@ -121,7 +129,7 @@ def load_bundle(path) -> EmulatorBundle:
     # 'intrinsic', var a spatial one only, mvg and ig both, and those three
     # need an emulator flattening; a posture-wise bundle has no reference
     # and no start postures, any other at least one, and only a VAR bundle
-    # has initial lags
+    # has initial lags; a spatial mean has two coordinates per reference bone
     model_type, kind = doc.entry("model_type", "s"), doc.entry("kind", "s")
     pwi = model_type == "pwi"
     _agree(doc, kind in (("intrinsic",) if pwi else EMULATOR_KINDS), "kind", "model_type")
@@ -133,8 +141,10 @@ def load_bundle(path) -> EmulatorBundle:
         if not len(start):
             raise DimensionMismatch(f"{doc.path}: entry 'start.postures' holds no posture")
     spatial = None if pwi else _spatial_from(doc)
-    fpca = _fpca_from(doc) if model_type in ("mvg", "ig") else None
-    model, length = _model_from(doc, model_type, fpca), doc.entry("length", "i")
+    if spatial is not None:
+        _agree(doc, len(spatial.mean) == 2 * len(reference), "spatial.mean", "reference")
+    fpca = _fpca_from(doc, spatial) if model_type in ("mvg", "ig") else None
+    model, length = _model_from(doc, model_type, spatial, fpca), doc.entry("length", "i")
     if fpca is not None:
         cols = length - 1 if kind in VELOCITY_KINDS else length
         _agree(doc, cols == fpca.means.shape[1], "length", "fpca.means")
@@ -163,4 +173,5 @@ def save_reduction(path, spatial: SpatialPCA, fpca: FPCABasis = None):
 def load_reduction(path):
     """Read a reduction document; returns (spatial, fpca or None)."""
     doc = _read(path, REDUCTION_DOC)
-    return _spatial_from(doc), _fpca_from(doc) if doc.entry("has_fpca", "i") else None
+    spatial = _spatial_from(doc)
+    return spatial, _fpca_from(doc, spatial) if doc.entry("has_fpca", "i") else None

@@ -282,6 +282,20 @@ def test_simulate_refuses_a_count_below_one(stage_inputs, tmp_path, capsys, coun
     assert not out.exists() or os.listdir(out) == []
 
 
+@pytest.mark.parametrize("sample", [0, -1])
+def test_quantize_refuses_a_sample_below_one(stage_inputs, tmp_path, capsys, sample):
+    out = tmp_path / "quantize"
+    capsys.readouterr()
+    assert run_cli("eval", "quantize", "--train", stage_inputs / "aligned.txt",
+                   "--sample", sample, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "BadTarget" and report["message"] == "sample must be positive"
+    # refused before anything is clustered or written
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_pipeline_refuses_a_count_below_one_before_any_stage(tmp_path, capsys):
     out = tmp_path / "run"
     capsys.readouterr()

@@ -1,12 +1,19 @@
 """Tests for the synthetic motion generator: template shaping, warps,
 noise, mixtures, and the statistical probes the generator must support."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import motionemu
 from motionemu import geometry as geo
 from motionemu.alignment import align_all
-from motionemu.datagen import (SynthConfig, default_mixture, gen_class,
+from motionemu.datagen import (SynthConfig, _smooth, default_mixture, gen_class,
                                gen_mixture, make_template, random_warp)
 from motionemu.errors import BadTarget
 from motionemu.evaluate import disco_test, roughness, sequence_distance_matrix
@@ -16,6 +23,38 @@ from motionemu.skeleton import downsample
 def offdiag_mean(dmat):
     m = dmat.shape[0]
     return dmat.sum() / (m * m - m)
+
+
+@pytest.fixture(scope="module")
+def gaussian_filter1d():
+    """scipy's filter, the smoothing's oracle; scipy is a test dependency only."""
+    return pytest.importorskip("scipy.ndimage").gaussian_filter1d
+
+
+SMOOTH_SHAPES = st.tuples(st.integers(1, 40), st.lists(st.integers(1, 3), max_size=2)).map(
+    lambda t: (t[0], *t[1]))
+
+
+@given(arrays(np.float64, SMOOTH_SHAPES, elements=st.floats(-1e6, 1e6)), st.floats(0.01, 4.0))
+def test_smooth_equals_scipys_gaussian_filter_bitwise(gaussian_filter1d, values, scale):
+    """The numpy smoothing gives scipy's bits, for sigma from a fraction of
+    a frame to four times the axis, where the kernel radius spans several
+    reflections of the axis."""
+    sigma = max(scale * len(values), 0.05)
+    expected = gaussian_filter1d(values, sigma, axis=0, mode="reflect")
+    got = _smooth(values, sigma)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_the_package_imports_without_scipy():
+    """A fresh interpreter that imports the command line loads no scipy
+    module: numpy is the only runtime dependency."""
+    src = os.path.dirname(os.path.dirname(motionemu.__file__))
+    code = ("import sys, motionemu.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_config_validation():

@@ -506,7 +506,19 @@ DISAGREEMENTS = {
     ("ig", "start.postures"): "entry 'start.postures' (1, 2, 2) does not match 'reference' (2, 3)",
     ("mvg", "meta"): "entry 'meta' is not a JSON object",
     ("pwi", "meta"): "entry 'meta' is not a JSON object",
+    ("ig", "spatial.mean"): "entry 'spatial.mean' (3,) does not match 'spatial.basis' (4, 2)",
+    ("mvg", "spatial.mean"): "entry 'spatial.mean' (6,) does not match 'reference' (2, 3)",
+    ("mvg", "spatial.basis"): "entry 'fpca.means' (2, 7) does not match 'spatial.basis' (4, 1)",
+    ("var", "spatial.basis"): "entry 'model.coef' (1, 2, 2) does not match 'spatial.basis' (4, 1)",
+    ("var", "model.intercept"):
+        "entry 'model.intercept' (3,) does not match 'spatial.basis' (4, 2)",
+    ("var", "model.noise_cov"):
+        "entry 'model.noise_cov' (1, 1) does not match 'spatial.basis' (4, 2)",
 }
+
+
+def two_more_rows(a):
+    return np.concatenate([a, a[:2]])
 
 
 @pytest.mark.parametrize("model_type, entry, new", [
@@ -518,21 +530,41 @@ DISAGREEMENTS = {
     ("ig", "start.postures", lambda a: a[..., :2]),
     ("mvg", "meta", "{bad"), ("pwi", "meta", "[1]"),
     ("mvg", "kind", "mtvf"), ("ig", "kind", "stvf"), ("var", "kind", "intrinsic"),
-    ("pwi", "kind", "istvf"), ("mvg", "kind", "bogus")])
+    ("pwi", "kind", "istvf"), ("mvg", "kind", "bogus"),
+    ("ig", "spatial.mean", lambda a: a[:-1]),
+    ("mvg", "spatial.mean", {"spatial.mean": two_more_rows, "spatial.basis": two_more_rows}),
+    ("mvg", "spatial.basis", lambda a: a[:, :1]), ("var", "spatial.basis", lambda a: a[:, :1]),
+    ("var", "model.intercept", lambda a: np.append(a, 0.0)),
+    ("var", "model.noise_cov", lambda a: a[:1, :1])])
 def test_size_entries_that_disagree_with_their_arrays_name_the_file_and_the_entry(
         tmp_path, model_type, entry, new):
     """A bundle whose length (the one size entry left) disagrees with its
-    FPCA curves, whose arrays stored as separate entries disagree in shape,
-    whose kind or model entries disagree with its model_type, or whose meta
-    is not a JSON object, is refused on loading, naming the file and the
-    entries, rather than loading and failing later inside simulate."""
+    FPCA curves, whose arrays stored as separate entries disagree in shape
+    (a spatial mean with its basis rows and with the reference's bones, the
+    FPCA and VAR arrays with the basis columns), whose kind or model
+    entries disagree with its model_type, or whose meta is not a JSON
+    object, is refused on loading, naming the file and the entries, rather
+    than loading and failing later inside simulate.  A dict rewrites
+    several entries."""
     path = saved_documents(tmp_path, model_type)[0][0]
     _, _, doc = mio.read_doc(path)
-    rewrite(path, entry, new(doc[entry]) if callable(new) else new)
+    for name, value in (new if isinstance(new, dict) else {entry: new}).items():
+        rewrite(path, name, value(doc[name]) if callable(value) else value)
     message = DISAGREEMENTS.get((model_type, entry),
                                 f"entry 'kind' = {new} does not match 'model_type' = {model_type}")
     with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: {message}")):
         load_bundle(path)
+
+
+def test_a_reduction_whose_spatial_basis_disagrees_with_its_fpca_is_refused(tmp_path):
+    """Refused on loading, naming the file and the entries, rather than
+    loading and failing later inside fit."""
+    path = saved_documents(tmp_path, "mvg")[1][0]
+    _, _, doc = mio.read_doc(path)
+    rewrite(path, "spatial.basis", doc["spatial.basis"][:, :1])
+    message = "entry 'fpca.means' (2, 7) does not match 'spatial.basis' (4, 1)"
+    with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: {message}")):
+        load_reduction(path)
 
 
 def test_readers_refuse_other_document_types_versions_and_model_types(tmp_path):
