@@ -351,11 +351,11 @@ def optimal_warp(h1: TSRVFField, h2: TSRVFField):
     return gamma, float(cost[n - 1, n - 1])
 
 
-def align_all(seqs, ref_index: int = 0, reference=None):
+def align_all(seqs, ref_index: int = 0):
     """Warp every sequence of a set onto the one at ref_index.
 
-    The shared reference posture for the velocity fields defaults to the
-    intrinsic mean of all first frames.  Returns (aligned, warps), shapes
+    The shared reference posture for the velocity fields is the intrinsic
+    mean of all first frames.  Returns (aligned, warps), shapes
     (M, T, n-1, 3) and (M, T): the set copied once, each sequence warped in
     place but the reference, which keeps the identity warp.  The warps are
     searched one after another, each on every thread optimal_warp uses.
@@ -368,8 +368,7 @@ def align_all(seqs, ref_index: int = 0, reference=None):
     if not 0 <= ref_index < len(aligned):
         raise BadTarget(f"reference index {ref_index} out of range")
     t = geo._check_postures(aligned[0], least=2).shape[0]
-    if reference is None:
-        reference = geo.karcher_mean(aligned[:, 0])
+    reference = geo.karcher_mean(aligned[:, 0])
     href = tsrvf(aligned[ref_index], reference)
     warps = np.tile(np.linspace(0.0, 1.0, t), (len(aligned), 1))
     for m, seq in enumerate(aligned):

@@ -15,10 +15,10 @@ hands each stage's results to the next in memory, reading back none of
 its artifacts; it writes and hashes the same files as the hand-run stages.
 
 Emulation schemes are written `<repr>/<dimred>/<model>` and parsed
-case-insensitively: repr is `istvf` or `siem`, dimred is `seqpca`
-(spatial + functional PCA, for mvg/ig) or `spatialpca` (spatial only,
-for var), model is `mvg`, `ig` or `var`.  The bare scheme `pwi` selects
-the posture-wise intrinsic model, which needs no flattening.
+case-insensitively: repr is `istvf` or `siem`, model `mvg`, `ig` or `var`,
+and dimred the model's reduction in models.REDUCTIONS.  The bare scheme
+`pwi` selects the posture-wise intrinsic model, which needs no
+flattening.
 
 All randomness expands from the single --seed through fixed spawn keys
 of numpy's SeedSequence:
@@ -82,14 +82,12 @@ def parse_scheme(text: str):
     kind, red, model = parts
     if kind not in models.EMULATOR_KINDS:
         raise KindMismatch(f"unknown representation {kind!r}")
-    if red not in ("seqpca", "spatialpca"):
-        raise KindMismatch(f"unknown reduction {red!r}")
-    if model not in ("mvg", "ig", "var"):
+    wanted = models.REDUCTIONS.get(model, "none")
+    if wanted == "none":  # the posture-wise model is the bare scheme
         raise KindMismatch(f"unknown model {model!r}")
-    if model == "var" and red != "spatialpca":
-        raise KindMismatch("var models run on spatial scores; use <repr>/spatialpca/var")
-    if model in ("mvg", "ig") and red != "seqpca":
-        raise KindMismatch(f"{model} models need both reductions; use <repr>/seqpca/{model}")
+    if red != wanted:
+        raise KindMismatch(f"{model} models are fitted through {wanted}, not {red!r}; "
+                           f"use <repr>/{wanted}/{model}")
     return kind, red, model
 
 
@@ -476,14 +474,14 @@ def run_twolevel(seqs, kind="istvf", model_type="ig", d1=4, d2=4,
     if n_perm < 1:
         raise BadTarget("n_perm must be positive")
     for j, name in enumerate(emulators):
-        if name not in models.MODEL_TYPES:
+        if name not in models.REDUCTIONS:
             raise KindMismatch(f"unknown emulator {name!r}")
         if name in emulators[:j]:
             # two rows of one name would share, and overwrite, one qq file
             raise BadTarget(f"emulator {name!r} is listed more than once")
-    if model_type not in ("mvg", "ig"):
+    if model_type not in models.DENSITY_MODELS:
         raise KindMismatch(f"level-one model {model_type!r} has no density to score draws "
-                           "with; the scheme must be <repr>/seqpca/mvg or <repr>/seqpca/ig")
+                           f"with; it must be one of {models.DENSITY_MODELS}")
     level_one = models.fit_emulator(seqs, kind=kind, model_type=model_type,
                                     d1=d1, d2=d2)
     sims = models.simulate_sequence(level_one, total,

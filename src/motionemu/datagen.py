@@ -119,11 +119,11 @@ def random_warp(rng, frames: int, strength: float):
     return gamma
 
 
-def gen_class(cfg: SynthConfig, rng=None):
-    """Generate one class: (sequences, template) with sequences of shape
-    (count, T, n-1, 3)."""
+def gen_class(cfg: SynthConfig):
+    """Generate one class from its seed: (sequences, template) with
+    sequences of shape (count, T, n-1, 3)."""
     cfg.validate()
-    rng = np.random.default_rng(cfg.seed if rng is None else rng)
+    rng = np.random.default_rng(cfg.seed)
     template = make_template(cfg, rng)
     bones = cfg.landmarks - 1
     sigma = cfg.bandwidth * cfg.frames
@@ -160,16 +160,3 @@ def gen_mixture(configs, target_frames=None):
         seqs.append(block)
         labels.extend([label] * block.shape[0])
     return np.concatenate(seqs, axis=0), np.array(labels, dtype=int)
-
-
-def default_mixture(seed: int = 0, classes: int = 5, count: int = 60,
-                    landmarks: int = 21, base_frames: int = 1000, target_frames: int = 301):
-    """Benchmark-shaped mixture: several classes generated on a dense
-    grid and downsampled.  Class k derives its seed from the root seed by
-    spawn key (k,)."""
-    configs = []
-    for k in range(classes):
-        child = np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(1)[0]
-        configs.append(SynthConfig(landmarks=landmarks, frames=base_frames, count=count,
-                                   seed=int(child)))
-    return gen_mixture(configs, target_frames=target_frames)

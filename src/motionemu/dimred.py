@@ -21,6 +21,8 @@ from .flatten import FlatFields
 
 # Relative eigenvalue threshold under which spectrum entries count as zero rank.
 RANK_RTOL = 1e-12
+MPCA_TOL = 1e-8  # MPCA stops once an iteration gains under this share of the total variance
+MPCA_MAX_ITER = 50  # or after this many iterations
 
 
 def _fix_signs(basis):
@@ -231,14 +233,14 @@ class MPCAModel:
     total_variance: float = 0.0
 
 
-def mpca_fit(fields, d1: int, d2: int, tol: float = 1e-8, max_iter: int = 50) -> MPCAModel:
+def mpca_fit(fields, d1: int, d2: int) -> MPCAModel:
     """Fit a two-mode multilinear PCA by alternating maximization.
 
     Each half-step fixes one mode's basis and takes the top eigenvectors
     of the other mode's partially projected scatter, so the captured
-    variance never decreases.  Stops when its relative improvement falls
-    below tol; hitting max_iter returns the best iterate with
-    converged=False.
+    variance never decreases.  Stops when its improvement falls below
+    MPCA_TOL of the total variance; MPCA_MAX_ITER iterations without that
+    return the best iterate with converged=False.
     """
     x = fields.values
     m, rows, cols = x.shape
@@ -253,14 +255,14 @@ def mpca_fit(fields, d1: int, d2: int, tol: float = 1e-8, max_iter: int = 50) ->
     u1 = None
     history = []
     converged = False
-    for _ in range(max_iter):
+    for _ in range(MPCA_MAX_ITER):
         proj2 = c @ u2
         u1 = _top_eigenpairs(np.einsum("mdj,mej->de", proj2, proj2), d1)[1]
         proj1 = np.einsum("de,mdl->mel", u1, c)
         u2 = _top_eigenpairs(np.einsum("mil,mik->lk", proj1, proj1), d2)[1]
         core = np.einsum("mel,lk->mek", proj1, u2)
         history.append(float(np.sum(core * core)))
-        if len(history) > 1 and history[-1] - history[-2] <= tol * max(total, 1e-300):
+        if len(history) > 1 and history[-1] - history[-2] <= MPCA_TOL * max(total, 1e-300):
             converged = True
             break
     return MPCAModel(mean=mean, row_basis=u1, col_basis=u2,

@@ -154,35 +154,29 @@ def permutation_test(dmat, na: int, n_perm: int = 999, seed=None,
     b: only labels are permuted.  p = (1 + #{permuted >= observed}) /
     (n_perm + 1), the permutations drawn from default_rng(seed).  With
     exhaustive=True all distinct label splits are enumerated instead, in
-    which case p is exact.  Splits are scored in blocks that fit
-    geometry.BLOCK_BYTES at 48 bytes a label entry (_split_stats).  The
+    which case p is exact.  Either way one loop takes the splits from
+    their iterator in blocks that fit geometry.BLOCK_BYTES at 48 bytes a
+    label entry and scores each block at once (_split_stats).  The
     same matrix, na, n_perm and seed give the same bits however the
     matrix was assembled."""
     dmat = _check_square(dmat)
     total = dmat.shape[0]
     nb = total - na
     _check_groups(na, nb, n_perm, exhaustive)
-    all_idx = np.arange(total)
-    observed = float(_group_stat(dmat, all_idx[:na], all_idx[na:]))
+    observed = float(_group_stat(dmat, np.arange(na), np.arange(na, total)))
     # relabelings that tie the observed split in exact arithmetic must count
     # as hits even when resummation shifts them a few ulps below it
     thresh = observed - 1e-12 * max(1.0, abs(observed))
     rows = geo._block_items(48 * total)
-
-    def hits(members):
-        return int(np.count_nonzero(_split_stats(dmat, members, na, nb) >= thresh))
-
-    count = 0
+    # the observed split is one hit: the enumeration holds it, the draws add it
     if exhaustive:
-        subsets = combinations(range(total), na)
-        while block := list(islice(subsets, rows)):
-            count += hits(np.array(block))
-        splits = comb(total, na)
-        return DiscoResult(statistic=observed, p_value=count / splits, permutations=splits - 1)
-    rng = np.random.default_rng(seed)
-    for lo in range(0, n_perm, rows):
-        count += hits(np.stack([rng.permutation(total)[:na] for _ in range(min(rows, n_perm - lo))]))
-    return DiscoResult(statistic=observed, p_value=(1 + count) / (n_perm + 1), permutations=n_perm)
+        splits, n_perm, count = combinations(range(total), na), comb(total, na) - 1, 0
+    else:
+        rng = np.random.default_rng(seed)
+        splits, count = (rng.permutation(total)[:na] for _ in range(n_perm)), 1
+    while block := list(islice(splits, rows)):
+        count += int(np.count_nonzero(_split_stats(dmat, np.array(block), na, nb) >= thresh))
+    return DiscoResult(statistic=observed, p_value=count / (n_perm + 1), permutations=n_perm)
 
 
 def disco_test(group_a, group_b, n_perm: int = 999, seed=None, exhaustive: bool = False) -> DiscoResult:

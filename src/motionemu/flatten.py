@@ -17,15 +17,15 @@ vector-space statistics apply:
   reconstruction error grows along the sequence.
 
 A set of M flattened sequences is one ``FlatFields``: one kind, one
-reference, one dt, the M start postures as one (M, n-1, 3) array and the
-M value matrices as one (M, 2*(n-1), L) array.  ``flatten_sequence``
+reference, one dt, the M start postures as one (M, n-1, 3) array and the M
+value matrices as one (M, 2*(n-1), L) array, on the time grid stated once by
+``field_columns``, ``FlatFields.frames`` and ``grid_dt``.  ``flatten_sequence``
 encodes a set of sequences of any kind into one, a block of sequences per
 batch of numpy calls (``shooting_vectors`` and ``transported_velocities``
-take a (B, T, n-1, 3) block as well as one sequence), and
-``unflatten_field`` decodes one back into an (M, T, n-1, 3) array.  Either
-way each sequence keeps the bits of its own call.  Velocity columns are
-scaled by 1/dt = T-1; decoding scales them back by dt before
-exponentiating.
+take a (B, T, n-1, 3) block as well as one sequence), and ``unflatten_field``
+decodes one back into an (M, T, n-1, 3) array.  Either way each sequence
+keeps the bits of its own call.  Velocity columns are scaled by 1/dt = T-1;
+decoding scales them back by dt before exponentiating.
 """
 
 from dataclasses import dataclass
@@ -36,7 +36,19 @@ from . import geometry as geo
 from .errors import DimensionMismatch, KindMismatch
 
 FLATTEN_KINDS = ("stvf", "istvf", "siem", "mtvf")
-VELOCITY_KINDS = ("stvf", "istvf", "mtvf")
+
+
+def field_columns(kind: str, frames: int) -> int:
+    """The columns of a kind's field of a frames-frame sequence: siem keeps
+    one per frame, the velocity kinds one per step."""
+    return frames if kind == "siem" else frames - 1
+
+
+def grid_dt(frames: int) -> float:
+    """The step of a frames-frame time grid on [0, 1]."""
+    if frames < 2:
+        raise DimensionMismatch(f"a time grid needs at least two frames, got {frames}")
+    return 1.0 / (frames - 1)
 
 
 @dataclass
@@ -68,6 +80,11 @@ class FlatFields:
     @property
     def length(self) -> int:
         return int(self.values.shape[2])
+
+    @property
+    def frames(self) -> int:
+        """The frame count of the encoded sequences: field_columns inverted."""
+        return self.length if self.kind == "siem" else self.length + 1
 
 
 def _check_sequence(seq, reference=None):
@@ -121,13 +138,12 @@ def flatten_sequence(seqs, reference, kind: str) -> FlatFields:
     reference = np.array(reference, dtype=float)
     _check_sequence(seqs, reference)
     t = seqs.shape[1]
-    dt = 1.0 / (t - 1)
-    values = np.empty((len(seqs), 2 * seqs.shape[2], t if kind == "siem" else t - 1))
-    # a block keeps at most about nine sequences' worth of temporaries live
-    # (8.3 by tracemalloc for stvf and istvf, on 64 50-frame, 5-bone
-    # sequences in blocks of 4, the previous block's last arrays included;
-    # siem and mtvf keep less)
-    step = geo._block_items(9 * seqs[:1].nbytes)
+    dt = grid_dt(t)
+    values = np.empty((len(seqs), 2 * seqs.shape[2], field_columns(kind, t)))
+    # about seven sequences' worth of temporaries per sequence of a block (6.8
+    # by tracemalloc for stvf and istvf, numpy's buffers included, in blocks
+    # of 2 to 64 50-frame, 5-bone sequences; siem and mtvf keep less)
+    step = geo._block_items(7 * seqs[:1].nbytes)
     for lo in range(0, len(seqs), step):
         block, out = seqs[lo:lo + step], values[lo:lo + step]
         if kind == "siem":
@@ -148,6 +164,7 @@ def flatten_sequence(seqs, reference, kind: str) -> FlatFields:
             out *= dt
         else:
             out[:] = coords
+        del tangents, coords  # the next block's arrays take their place
     return FlatFields(kind, reference, seqs[:, 0].copy(), values, dt)
 
 
@@ -166,7 +183,7 @@ def unflatten_field(fields: FlatFields):
     if fields.kind == "siem":
         return geo.sphere_exp(reference, geo.coords_to_tangent(reference,
                                                                np.swapaxes(values, 1, 2)))
-    out = np.empty((len(values), values.shape[2] + 1) + reference.shape)
+    out = np.empty((len(values), fields.frames) + reference.shape)
     out[:, 0] = fields.starts
     for t in range(values.shape[2]):
         coords = values[:, :, t]

@@ -24,7 +24,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import DimensionMismatch, MotionError
-from .flatten import FlatFields
+from .flatten import FlatFields, grid_dt
 from .skeleton import SkeletonHierarchy
 
 # Largest | |bone| - 1 | a posture read from a file may show; the program's
@@ -208,7 +208,8 @@ def write_flatfields(path, fields: FlatFields):
 def read_flatfields(path) -> FlatFields:
     """Read a set of flattened fields.  Non-finite values and bones off the
     unit sphere are refused naming the field (or the reference bone), and
-    an unknown kind or arrays of disagreeing shapes naming the file."""
+    an unknown kind, arrays of disagreeing shapes or a dt off the values'
+    time grid naming the file."""
     doctype, version, doc = read_doc(path)
     if (doctype, version) != ("flatfields", 1):
         raise DimensionMismatch(f"{path}: not a version-1 flatfields document")
@@ -217,6 +218,9 @@ def read_flatfields(path) -> FlatFields:
     try:
         fields = FlatFields(doc.entry("kind", "s"), reference, starts, values,
                             doc.entry("dt", "f"))
+        if fields.dt != grid_dt(fields.frames):
+            raise DimensionMismatch(f"entry 'dt' = {fields.dt!r} is off the {fields.frames}-frame "
+                                    f"grid of {fields.kind} entry 'values' {values.shape}")
     except MotionError as exc:
         raise type(exc)(f"{path}: {exc}") from None
     _check_postures(path, "reference bone", reference[:, None])

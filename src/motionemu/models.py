@@ -279,7 +279,10 @@ def sample_pwi(model: PWIModel, seed=None):
     return _pwi_draws(model, 1, np.random.default_rng(seed))[0]
 
 
-MODEL_TYPES = ("mvg", "ig", "var", "pwi")
+# The reduction each model is fitted through (spatial + functional PCA, the
+# spatial scores alone, or none) and the models with a density.
+REDUCTIONS = {"mvg": "seqpca", "ig": "seqpca", "var": "spatialpca", "pwi": "none"}
+DENSITY_MODELS = ("mvg", "ig")
 # flattenings that back a reduced-field emulator; mtvf decodes lossily
 EMULATOR_KINDS = ("istvf", "siem")
 
@@ -314,21 +317,26 @@ def fit_bundle(fields: FlatFields, spatial: SpatialPCA, fpca: FPCABasis | None,
     """Fit a route's model on flattened fields through a fitted reduction
     and package the route as a bundle.  The fields' start postures back
     the start policy; 'var' fits the scores of field var_index, 'mvg' and
-    'ig' the coefficient matrices (fpca is required for them)."""
+    'ig' the coefficient matrices (fpca is required for them, on the fields'
+    time grid)."""
     if start_policy not in START_POLICIES:
         raise BadTarget(f"unknown start policy {start_policy!r}")
-    if model_type not in ("mvg", "ig", "var"):
+    if REDUCTIONS.get(model_type, "none") == "none":
         raise KindMismatch(f"model type {model_type!r} is not fitted on reduced fields")
     if not len(fields):
         raise InsufficientData("no fields to fit")
     if fields.kind not in EMULATOR_KINDS:
         raise KindMismatch(f"flattening kind {fields.kind!r} cannot back an emulator")
+    if REDUCTIONS[model_type] == "seqpca":
+        if fpca is None:
+            raise KindMismatch("reduction lacks a functional basis")
+        if fpca.dt != fields.dt:  # a reduction fitted on another time grid
+            raise DimensionMismatch(f"fpca.dt {fpca.dt!r} is not the fields' dt {fields.dt!r}")
     scores = dimred.spatial_project(fields, spatial)
     starts = fields.starts
     if start_policy == "training-mean":
         starts = geo.karcher_mean(starts)[None]
-    length = fields.length + 1 if fields.kind in flatten.VELOCITY_KINDS else fields.length
-    route = dict(kind=fields.kind, model_type=model_type, length=length,
+    route = dict(kind=fields.kind, model_type=model_type, length=fields.frames,
                  reference=fields.reference, spatial=spatial,
                  start_policy=start_policy, start_postures=starts)
     if model_type == "var":
@@ -337,8 +345,6 @@ def fit_bundle(fields: FlatFields, spatial: SpatialPCA, fpca: FPCABasis | None,
         return EmulatorBundle(model=fit_var(scores[var_index], order=order),
                               var_init=scores[var_index][:, :order].copy(),
                               meta={"count": len(fields), "var_index": var_index}, **route)
-    if fpca is None:
-        raise KindMismatch("reduction lacks a functional basis")
     coeffs = dimred.fpca_project(scores, fpca)
     model = fit_mvg(coeffs) if model_type == "mvg" else fit_ig(coeffs)
     return EmulatorBundle(model=model, fpca=fpca, meta={"count": len(fields)}, **route)
@@ -348,22 +354,15 @@ def fit_emulator(seqs, kind: str = "istvf", model_type: str = "ig",
                  d1=None, d2=None, var1: float = 0.9, var2: float = 0.95,
                  reference=None, order: int = 4, var_index: int = 0,
                  start_policy: str = "training-mean", diagonal: bool = False) -> EmulatorBundle:
-    """Fit a full emulation route on training sequences.
-
-    Sequences are flattened at the reference posture (default: intrinsic
-    mean of all training frames pooled), reduced by spatial then
-    functional PCA (explicit d1/d2 or variance thresholds var1/var2), and
-    capped per model_type:
-
-    * 'mvg' / 'ig': Gaussian on the coefficient matrices.
-    * 'var': autoregression of the spatial scores of one training
-      sequence (var_index), simulated from its observed initial lags.
-    * 'pwi': posture-wise intrinsic model; no flattening involved.
-
-    Reduction and fit are dimred.reduce_fields and fit_bundle, as in the CLI.
-    """
+    """Fit a full emulation route on training sequences: 'pwi' by fit_pwi,
+    on the sequences themselves; any other model_type as in the CLI, on
+    the sequences flattened at the reference posture (default: the
+    intrinsic mean of all training frames pooled), reduced through the
+    model's REDUCTIONS entry by dimred.reduce_fields (explicit d1/d2 or
+    variance thresholds var1/var2) and fitted by fit_bundle ('var' on the
+    spatial scores of training sequence var_index)."""
     seqs = geo._check_set(seqs, 1, "sequences")
-    if model_type not in MODEL_TYPES:
+    if model_type not in REDUCTIONS:
         raise KindMismatch(f"unknown model type {model_type!r}")
 
     if model_type == "pwi":
@@ -373,7 +372,8 @@ def fit_emulator(seqs, kind: str = "istvf", model_type: str = "ig",
     if kind not in EMULATOR_KINDS:
         raise KindMismatch(f"flattening kind {kind!r} cannot back an emulator")
     fields = flatten.flatten_sequence(seqs, reference, kind)
-    spatial, fpca = dimred.reduce_fields(fields, model_type != "var", d1, d2, var1, var2)
+    spatial, fpca = dimred.reduce_fields(fields, REDUCTIONS[model_type] == "seqpca", d1, d2,
+                                         var1, var2)
     return fit_bundle(fields, spatial, fpca, model_type, order, var_index, start_policy)
 
 
@@ -398,7 +398,7 @@ def simulate_sequence(bundle: EmulatorBundle, count: int, seed=None):
     rng = np.random.default_rng(seed)
     if bundle.model_type == "pwi":
         return _pwi_draws(bundle.model, count, rng)
-    cols = bundle.length - 1 if bundle.kind in flatten.VELOCITY_KINDS else bundle.length
+    cols = flatten.field_columns(bundle.kind, bundle.length)
     if bundle.model_type == "var":
         scores = np.empty((count, bundle.spatial.dim, cols))
     else:
@@ -411,14 +411,14 @@ def simulate_sequence(bundle: EmulatorBundle, count: int, seed=None):
     values = dimred.spatial_reconstruct(scores, bundle.spatial)
     del scores  # the decode reads only the rebuilt fields
     return flatten.unflatten_field(FlatFields(bundle.kind, bundle.reference, starts, values,
-                                              1.0 / (bundle.length - 1)))
+                                              flatten.grid_dt(bundle.length)))
 
 
 def sequence_logliks(bundle: EmulatorBundle, seqs) -> np.ndarray:
     """Log-likelihoods of a set of sequences under a coefficient-model
     bundle: flatten the set and project it through both reductions, then
     evaluate the Gaussian on the whole batch at once (logliks)."""
-    if bundle.model_type not in ("mvg", "ig"):
+    if bundle.model_type not in DENSITY_MODELS:
         raise KindMismatch("log-likelihood needs a coefficient-model bundle")
     if not len(seqs):  # an empty list has no sequence shape to flatten
         return logliks([], bundle.model)

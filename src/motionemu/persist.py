@@ -11,9 +11,10 @@ import numpy as np
 
 from .dimred import FPCABasis, SpatialPCA
 from .errors import DimensionMismatch, KindMismatch
-from .flatten import VELOCITY_KINDS
+from .flatten import field_columns, grid_dt
 from .io import read_doc, write_doc
-from .models import EMULATOR_KINDS, EmulatorBundle, IGModel, MVGModel, PWIModel, VARModel
+from .models import (EMULATOR_KINDS, REDUCTIONS, EmulatorBundle, IGModel, MVGModel, PWIModel,
+                     VARModel)
 
 BUNDLE_DOC = "emulator-bundle"
 REDUCTION_DOC = "reduction"
@@ -80,10 +81,10 @@ def _model_items(model):
 
 
 def _model_from(doc, model_type, spatial, fpca):
-    """The model_type's model; a Gaussian's size must be the FPCA's
+    """The model of a known model_type; a Gaussian's size must be the FPCA's
     coefficient count, a VAR's the spatial basis's column count, and PWI
     covariances must match the means."""
-    if model_type in ("mvg", "ig"):
+    if fpca is not None:
         size, jitter = int(np.prod(fpca.dims)), doc.entry("model.jitter", "f")
     if model_type == "mvg":
         cov = doc.array("model.covariance", 2)
@@ -100,14 +101,10 @@ def _model_from(doc, model_type, spatial, fpca):
         _agree(doc, intercept.shape == (d1,), "model.intercept", "spatial.basis")
         _agree(doc, noise_cov.shape == (d1, d1), "model.noise_cov", "spatial.basis")
         return VARModel(order=len(coef), coef=coef, intercept=intercept, noise_cov=noise_cov)
-    if model_type == "pwi":
-        means, covs = doc.array("model.means", 3), doc.array("model.covariances", 3)
-        t, k, c = means.shape
-        _agree(doc, c == 3 and covs.shape == (t, 2 * k, 2 * k), "model.covariances",
-               "model.means")
-        return PWIModel(means=means, covariances=covs,
-                        diagonal=bool(doc.entry("model.diagonal", "i")))
-    raise KindMismatch(f"{doc.path}: unknown model_type {model_type!r}")
+    means, covs = doc.array("model.means", 3), doc.array("model.covariances", 3)
+    t, k, c = means.shape
+    _agree(doc, c == 3 and covs.shape == (t, 2 * k, 2 * k), "model.covariances", "model.means")
+    return PWIModel(means=means, covariances=covs, diagonal=bool(doc.entry("model.diagonal", "i")))
 
 
 def save_bundle(path, bundle: EmulatorBundle):
@@ -125,13 +122,14 @@ def save_bundle(path, bundle: EmulatorBundle):
 
 def load_bundle(path) -> EmulatorBundle:
     doc = _read(path, BUNDLE_DOC)
-    # model_type fixes the stages and the kind: pwi has no reduction and is
-    # 'intrinsic', var a spatial one only, mvg and ig both, and those three
-    # need an emulator flattening; a posture-wise bundle has no reference
-    # and no start postures, any other at least one, and only a VAR bundle
-    # has initial lags; a spatial mean has two coordinates per reference bone
+    # model_type fixes the reduction (REDUCTIONS); with none, the kind is
+    # 'intrinsic' with no reference or start posture, else an emulator
+    # flattening with at least one; only a VAR has initial lags; a spatial
+    # mean has two coordinates per reference bone; an FPCA is on length's grid
     model_type, kind = doc.entry("model_type", "s"), doc.entry("kind", "s")
-    pwi = model_type == "pwi"
+    if model_type not in REDUCTIONS:
+        raise KindMismatch(f"{doc.path}: unknown model_type {model_type!r}")
+    pwi = REDUCTIONS[model_type] == "none"
     _agree(doc, kind in (("intrinsic",) if pwi else EMULATOR_KINDS), "kind", "model_type")
     if pwi:
         reference, start = doc.entry("reference", "x"), doc.entry("start.postures", "x")
@@ -143,11 +141,11 @@ def load_bundle(path) -> EmulatorBundle:
     spatial = None if pwi else _spatial_from(doc)
     if spatial is not None:
         _agree(doc, len(spatial.mean) == 2 * len(reference), "spatial.mean", "reference")
-    fpca = _fpca_from(doc, spatial) if model_type in ("mvg", "ig") else None
+    fpca = _fpca_from(doc, spatial) if REDUCTIONS[model_type] == "seqpca" else None
     model, length = _model_from(doc, model_type, spatial, fpca), doc.entry("length", "i")
     if fpca is not None:
-        cols = length - 1 if kind in VELOCITY_KINDS else length
-        _agree(doc, cols == fpca.means.shape[1], "length", "fpca.means")
+        _agree(doc, field_columns(kind, length) == fpca.means.shape[1], "length", "fpca.means")
+        _agree(doc, length >= 2 and fpca.dt == grid_dt(length), "fpca.dt", "length")
     var_init = doc.array("var_init", 2) if model_type == "var" else doc.entry("var_init", "x")
     if var_init is not None:
         _agree(doc, var_init.shape == (model.coef.shape[1], model.order), "var_init", "model.coef")

@@ -11,7 +11,7 @@ import pytest
 from motionemu import cli, evaluate, io as mio, models
 from motionemu.cli import (SEED_EVAL_PERM, SEED_SIMULATE, main, parse_scheme,
                            run_twolevel, stage_seed)
-from motionemu.datagen import SynthConfig, gen_mixture
+from motionemu.datagen import SynthConfig, gen_class, gen_mixture
 from motionemu.errors import BadTarget, KindMismatch
 from motionemu.flatten import FlatFields
 from motionemu.skeleton import SkeletonHierarchy, downsample, ingest_sequence
@@ -75,6 +75,22 @@ def test_synth_reproduces_library_output(tmp_path):
     header, rows = read_csv(out / "labels.csv")
     assert header == ["index", "label"]
     assert [r[1] for r in rows] == ["0"] * 5
+
+
+def test_synth_class_k_reproduces_from_spawn_key_k(tmp_path):
+    """Each class of a multi-class synth is gen_class on the seed of spawn
+    key (k,), downsampled, in class order."""
+    assert run_cli("synth", "--out", tmp_path, "--seed", 5, "--landmarks", 6, "--frames", 90,
+                   "--target-frames", 31, "--classes", 3, "--per-class", 4) == 0
+    seqs = mio.read_posture_sequences(tmp_path / "sequences.txt")
+    assert np.shape(seqs) == (12, 31, 5, 3)
+    assert np.max(np.abs(np.linalg.norm(seqs, axis=-1) - 1.0)) < 1e-12
+    _, rows = read_csv(tmp_path / "labels.csv")
+    assert [int(r[1]) for r in rows] == [k for k in range(3) for _ in range(4)]
+    for k in range(3):
+        child = np.random.SeedSequence(5, spawn_key=(k,)).generate_state(1)[0]
+        block, _ = gen_class(SynthConfig(landmarks=6, frames=90, count=4, seed=int(child)))
+        assert np.array_equal(seqs[4 * k:4 * k + 4], [downsample(s, 31) for s in block])
 
 
 def test_manifest_checksums_and_rerun_identity(tmp_path):
@@ -533,7 +549,7 @@ def test_fit_on_fields_without_start_names_the_missing_start(tmp_path, capsys):
 
 def test_seqpca_on_constant_fields_reports_rank_zero(tmp_path, capsys):
     ref = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    fields = FlatFields("istvf", ref, np.stack([ref] * 3), np.ones((3, 4, 6)), 0.2)
+    fields = FlatFields("istvf", ref, np.stack([ref] * 3), np.ones((3, 4, 6)), 1.0 / 6)
     mio.write_flatfields(tmp_path / "fields.txt", fields)
     assert run_cli("reduce", "--input", tmp_path / "fields.txt", "--method", "seqpca",
                    "--out", tmp_path / "out") == 1

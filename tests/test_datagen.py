@@ -13,8 +13,8 @@ from hypothesis.extra.numpy import arrays
 import motionemu
 from motionemu import geometry as geo
 from motionemu.alignment import align_all
-from motionemu.datagen import (SynthConfig, _smooth, default_mixture, gen_class,
-                               gen_mixture, make_template, random_warp)
+from motionemu.datagen import (SynthConfig, _smooth, gen_class, gen_mixture, make_template,
+                               random_warp)
 from motionemu.errors import BadTarget
 from motionemu.evaluate import disco_test, roughness, sequence_distance_matrix
 from motionemu.skeleton import downsample
@@ -177,19 +177,6 @@ def test_split_half_calibration():
         if p < 0.05:
             rejections += 1
     assert 0.01 <= rejections / repeats <= 0.12
-
-
-def test_default_mixture_shape_and_spawned_seeds():
-    seqs, labels = default_mixture(seed=0)
-    assert seqs.shape == (300, 301, 20, 3)
-    assert np.array_equal(np.bincount(labels), np.full(5, 60))
-    assert np.max(np.abs(np.linalg.norm(seqs, axis=-1) - 1.0)) < 1e-12
-    # class k is reproducible in isolation through its spawn key
-    child = np.random.SeedSequence(0, spawn_key=(2,)).generate_state(1)[0]
-    cfg = SynthConfig(landmarks=21, frames=1000, count=60, seed=int(child))
-    block, _ = gen_class(cfg)
-    downsampled = np.stack([downsample(s, 301) for s in block])
-    assert np.array_equal(seqs[120:180], downsampled)
 
 
 def test_mixture_downsampling_matches_per_sequence():

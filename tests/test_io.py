@@ -327,11 +327,11 @@ def test_read_flatfields_rejects_non_finite_and_non_unit_postures(tmp_path):
     bad_values, bad_starts = values.copy(), starts.copy()
     bad_values[1, 3, 1] = np.inf
     bad_starts[1, 2] *= 0.5
-    path = tmp_path / "fields.txt"
+    path, dt = tmp_path / "fields.txt", 1.0 / 6
     for fields, message in [
-            (FlatFields("istvf", ref, starts, bad_values, 0.2), "values of field 1: non-finite"),
-            (FlatFields("istvf", 2.0 * ref, starts, values, 0.2), "reference bone 0: bone norm"),
-            (FlatFields("istvf", ref, bad_starts, values, 0.2), "start posture of field 1: bone"),
+            (FlatFields("istvf", ref, starts, bad_values, dt), "values of field 1: non-finite"),
+            (FlatFields("istvf", 2.0 * ref, starts, values, dt), "reference bone 0: bone norm"),
+            (FlatFields("istvf", ref, bad_starts, values, dt), "start posture of field 1: bone"),
     ]:
         mio.write_flatfields(path, fields)
         with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: {message}")):
@@ -341,10 +341,34 @@ def test_read_flatfields_rejects_non_finite_and_non_unit_postures(tmp_path):
             ("starts", starts[:2], DimensionMismatch, "(M, 4, 3) start postures"),
             ("values", values[:, :7], DimensionMismatch, "(M, 8, L) values"),
             ("reference", ref[:, :2], DimensionMismatch, "a (4, 3) reference")]:
-        mio.write_flatfields(path, FlatFields("istvf", ref, starts, values, 0.2))
+        mio.write_flatfields(path, FlatFields("istvf", ref, starts, values, dt))
         rewrite(path, name, value)
         with pytest.raises(error, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
             mio.read_flatfields(path)
+
+
+def test_read_flatfields_refuses_a_dt_off_the_grid_of_its_values(tmp_path):
+    """dt must be 1/(frames - 1) for the frames the values encode (one per
+    siem column, one more than the velocity kinds' columns); a grid under
+    two frames is refused before any division."""
+    rng = np.random.default_rng(7)
+    ref = rand_postures(rng, 1, 4)[0]
+    starts = rand_postures(rng, 3, 4)
+    path = tmp_path / "fields.txt"
+    for kind, cols, dt, message in [
+            ("istvf", 39, 0.5, "entry 'dt' = 0.5 is off the 40-frame grid of "
+                               "istvf entry 'values' (3, 8, 39)"),
+            ("siem", 39, 1.0 / 39, "entry 'dt' = 0.02564102564102564 is off "
+                                   "the 39-frame grid of siem entry 'values' (3, 8, 39)"),
+            ("siem", 1, 1.0, "a time grid needs at least two frames, got 1"),
+            ("stvf", 0, 1.0, "a time grid needs at least two frames, got 1")]:
+        values = rng.standard_normal((3, 8, cols))
+        mio.write_flatfields(path, FlatFields(kind, ref, starts, values, dt))
+        with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: {message}")):
+            mio.read_flatfields(path)
+    fields = FlatFields("istvf", ref, starts, rng.standard_normal((3, 8, 39)), 1.0 / 39)
+    mio.write_flatfields(path, fields)
+    assert mio.read_flatfields(path).dt == 1.0 / 39
 
 
 @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4), st.just(3)),
@@ -514,6 +538,8 @@ DISAGREEMENTS = {
         "entry 'model.intercept' (3,) does not match 'spatial.basis' (4, 2)",
     ("var", "model.noise_cov"):
         "entry 'model.noise_cov' (1, 1) does not match 'spatial.basis' (4, 2)",
+    ("mvg", "fpca.dt"): "entry 'fpca.dt' = 0.25 does not match 'length' = 8",
+    ("ig", "fpca.dt"): "entry 'fpca.dt' = 0.125 does not match 'length' = 8",
 }
 
 
@@ -535,11 +561,12 @@ def two_more_rows(a):
     ("mvg", "spatial.mean", {"spatial.mean": two_more_rows, "spatial.basis": two_more_rows}),
     ("mvg", "spatial.basis", lambda a: a[:, :1]), ("var", "spatial.basis", lambda a: a[:, :1]),
     ("var", "model.intercept", lambda a: np.append(a, 0.0)),
-    ("var", "model.noise_cov", lambda a: a[:1, :1])])
+    ("var", "model.noise_cov", lambda a: a[:1, :1]),
+    ("mvg", "fpca.dt", 0.25), ("ig", "fpca.dt", 0.125)])
 def test_size_entries_that_disagree_with_their_arrays_name_the_file_and_the_entry(
         tmp_path, model_type, entry, new):
     """A bundle whose length (the one size entry left) disagrees with its
-    FPCA curves, whose arrays stored as separate entries disagree in shape
+    FPCA curves or their time step, whose arrays stored as separate entries disagree in shape
     (a spatial mean with its basis rows and with the reference's bones, the
     FPCA and VAR arrays with the basis columns), whose kind or model
     entries disagree with its model_type, or whose meta is not a JSON
@@ -644,14 +671,15 @@ def test_warps_roundtrip_bitwise_property(warps):
 
 @given(arrays(np.float64, st.tuples(st.integers(2, 5), st.integers(1, 4), st.just(3)),
               elements=st.floats(-1.0, 1.0)),
-       arrays(np.float64, shapes((1, 3), (1, 6)), elements=FINITE),
+       arrays(np.float64, shapes((1, 3), (2, 6)), elements=FINITE),
        st.sampled_from(FLATTEN_KINDS))
 def test_flatfields_roundtrip_bitwise_property(postures, cols, kind):
     ref, *starts = unit_rows(postures)
     k, m = ref.shape[0], len(starts)
     values = np.resize(cols.ravel(), (m, 2 * k, cols.shape[1]))
     values[1::2] *= -1.0
-    fields = FlatFields(kind, ref, np.stack(starts), values, float(cols.flat[0]))
+    fields = FlatFields(kind, ref, np.stack(starts), values, 0.0)
+    fields.dt = flatten.grid_dt(fields.frames)  # the one dt the reader takes
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fields.txt"
         mio.write_flatfields(path, fields)

@@ -387,7 +387,7 @@ def per_sequence_simulation(bundle, count, seed):
     """simulate_sequence as one rebuilt field and one decode per sequence,
     with the same rng calls in the same order."""
     rng = np.random.default_rng(seed)
-    cols = bundle.length - 1 if bundle.kind in flatten.VELOCITY_KINDS else bundle.length
+    cols = flatten.field_columns(bundle.kind, bundle.length)
 
     def pick_start():
         if bundle.start_policy == "sampled-from-training":
@@ -435,6 +435,21 @@ def test_fit_bundle_refuses_an_empty_set():
     for model_type in ("mvg", "ig", "var"):
         with pytest.raises(InsufficientData):
             fit_bundle(empty, spatial, fpca, model_type)
+
+
+def test_fit_bundle_refuses_a_reduction_fitted_on_another_time_grid():
+    """siem fields of 11 frames and istvf fields of 12 both have 11
+    columns; a reduction of the first is on dt 1/10, the second on 1/11."""
+    seqs = training_set(6, t=12, seed=4)
+    siem = flatten.flatten_sequence([s[:11] for s in seqs], seqs[0][0], "siem")
+    istvf = flatten.flatten_sequence(seqs, seqs[0][0], "istvf")
+    assert siem.values.shape == istvf.values.shape
+    spatial, fpca = dimred.reduce_fields(siem, True, 2, 2)
+    for model_type in ("mvg", "ig"):
+        with pytest.raises(DimensionMismatch, match=r"fpca\.dt 0\.1 is not the fields. dt "
+                                                     r"0\.09090909090909091"):
+            fit_bundle(istvf, spatial, fpca, model_type)
+    fit_bundle(istvf, spatial, None, "var")  # a VAR has no time grid of its own
 
 
 @pytest.mark.parametrize("kind", ["stvf", "mtvf"])
