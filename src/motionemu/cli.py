@@ -2,39 +2,23 @@
 
 Commands: synth, ingest, align, flatten, reduce, fit, simulate, eval
 (two-sample, quantize, roughness, mds, qq), pipeline, twolevel.  Each
-command hands its files to one writer, `_emit`, which writes them into
-the --out directory and then a `manifest_<command>.json` over exactly
-those files.  The manifest records the command, its configuration (built
-by `_config` from the command's flags), and SHA-256 checksums of inputs
-and artifacts, with all paths reduced to basenames; it carries no
-timestamps, so a rerun with the same seed and inputs reproduces every
-artifact and manifest byte for byte.
+command reads its files, makes its library call and hands the result to
+`_emit`, which writes the files into --out and then manifest_<command>.json:
+the command, its configuration (`_config`, from its flags) and SHA-256
+checksums of its inputs (by basename) and of exactly the files it wrote
+(by path under --out).  No timestamps: a rerun with the same seed and
+inputs reproduces every file byte for byte.
 
-`pipeline` calls the stage commands' own functions in one process and
-hands each stage's results to the next in memory, reading back none of
-its artifacts; it writes and hashes the same files as the hand-run stages.
-
-Emulation schemes are written `<repr>/<dimred>/<model>` and parsed
-case-insensitively: repr is `istvf` or `siem`, model `mvg`, `ig` or `var`,
-and dimred the model's reduction in models.REDUCTIONS.  The bare scheme
-`pwi` selects the posture-wise intrinsic model, which needs no
-flattening.
-
-All randomness expands from the single --seed through fixed spawn keys
-of numpy's SeedSequence:
-
-    class k of synth          (k,)      (the datagen convention)
-    simulate                  (100,)
-    eval two-sample shuffles  (101,)
-    eval quantize clustering  (102,)
-    eval quantize subsample   (103,)
-    twolevel level-one draws  (110,)
-    twolevel emulator j draws (111, j)
-    twolevel emulator j test  (112, j)
-
-If the environment variable MOTIONEMU_DATA_DIR is set, relative input
-and --out paths are resolved against it.  Errors print a single JSON
-line (error type and message) to stderr and exit with status 1.
+`pipeline` hands each stage's result of route.run_route to that stage's
+writer, reading none back.  With --classes above one it runs the route
+once per synthetic class k, in class_k/ from the root seed
+stage_seed(seed, 120, (k,)), as `pipeline --input class_k/sequences.txt`
+with that seed would.  Schemes are `<repr>/<dimred>/<model>` (any case)
+with the model's reduction from models.REDUCTIONS, or the bare `pwi`.
+Seeds derive from --seed by the spawn keys the `route` module lists.
+Relative paths resolve against MOTIONEMU_DATA_DIR when it is set.
+Errors print one JSON line (error type and message) to stderr and exit
+with status 1.
 """
 
 import argparse
@@ -47,28 +31,17 @@ import numpy as np
 
 from . import datagen, dimred, evaluate, flatten, io as mio, models
 from .alignment import align_all
-from .errors import BadTarget, KindMismatch, MotionError
+from .errors import BadTarget, DimensionMismatch, KindMismatch, MotionError
 from .persist import load_bundle, load_reduction, save_bundle, save_reduction
+from .route import (SEED_CLASS, SEED_EVAL_CLUSTER, SEED_EVAL_PERM,  # noqa: F401  re-exported
+                    SEED_EVAL_SAMPLE, SEED_SIMULATE, SEED_TL_DISCO, SEED_TL_LEVEL1, SEED_TL_SIM,
+                    run_route, run_twolevel, stage_seed)
 from .skeleton import downsample, ingest_sequence
-
-SEED_SIMULATE = 100
-SEED_EVAL_PERM = 101
-SEED_EVAL_CLUSTER = 102
-SEED_EVAL_SAMPLE = 103
-SEED_TL_LEVEL1 = 110
-SEED_TL_SIM = 111
-SEED_TL_DISCO = 112
 
 # synth's flags (dashes for underscores) and their defaults
 SYNTH_DEFAULTS = {"landmarks": 21, "frames": 1000, "target_frames": 301, "classes": 5,
                   "per_class": 60, "amplitude": 0.8, "bandwidth": 0.05,
                   "warp_strength": 0.5, "noise": 0.0}
-
-
-def stage_seed(root, stage, extra=()):
-    """Derive a stage's generator seed from the root seed."""
-    key = (int(stage),) + tuple(int(x) for x in extra)
-    return int(np.random.SeedSequence(int(root), spawn_key=key).generate_state(1)[0])
 
 
 def parse_scheme(text: str):
@@ -114,7 +87,7 @@ def _manifest(outdir, command, config, inputs, artifacts):
         "config_hash": hashlib.sha256(blob).hexdigest(),
         "seed": config.get("seed"),
         "inputs": {os.path.basename(p): _sha256(p) for p in inputs},
-        "artifacts": {os.path.basename(p): _sha256(p) for p in artifacts},
+        "artifacts": {os.path.relpath(p, outdir): _sha256(p) for p in artifacts},
     }
     path = os.path.join(outdir, f"manifest_{command}.json")
     with open(path, "w") as fh:
@@ -172,6 +145,7 @@ def _named_sets(pairs):
 
 
 def _synth(args, out):
+    """Write the mixture; return its classes (one pooled set for one class) and the paths."""
     configs = [datagen.SynthConfig(
         landmarks=args.landmarks, frames=args.frames, count=args.per_class,
         amplitude=args.amplitude, bandwidth=args.bandwidth, warp_strength=args.warp_strength,
@@ -184,7 +158,7 @@ def _synth(args, out):
          [(i, int(v)) for i, v in enumerate(labels)])])
     print(f"synth: {len(seqs)} sequences of {seqs[0].shape[0]} frames, "
           f"{args.classes} classes")
-    return seqs, paths
+    return [seqs] if args.classes == 1 else [seqs[labels == k] for k in range(args.classes)], paths
 
 
 def cmd_ingest(args, out):
@@ -199,91 +173,100 @@ def cmd_ingest(args, out):
           f"{hierarchy.n} landmarks")
 
 
-def _align(args, out, seqs, src):
-    aligned, warps = align_all(seqs, ref_index=args.ref_index)
-    paths = _emit(out, "align", _config(args, "ref_index", input=os.path.basename(src)), [src],
-                  [("aligned.txt", mio.write_posture_sequences, aligned),
-                   ("warps.txt", mio.write_warps, warps)])
+# Stage writers: print, write and hash what they are given; return the paths.
+
+def _align(args, out, aligned, warps, src):
     print(f"align: {len(aligned)} sequences warped onto index {args.ref_index}")
-    return aligned, paths
+    return _emit(out, "align", _config(args, "ref_index", input=os.path.basename(src)), [src],
+                 [("aligned.txt", mio.write_posture_sequences, aligned),
+                  ("warps.txt", mio.write_warps, warps)])
 
 
 def cmd_align(args, out):
     src = _resolve(args.input)
-    _align(args, out, mio.read_posture_sequences(src), src)
+    _align(args, out, *align_all(mio.read_posture_sequences(src), ref_index=args.ref_index), src)
 
 
-def _flatten(args, out, seqs, inputs, reference=None):
-    """inputs are the paths of seqs and, when given, of the reference."""
-    fields = flatten.flatten_sequence(seqs, reference, args.kind)
-    config = _config(args, "kind", input=os.path.basename(inputs[0]),
+def _flatten(args, out, fields, inputs):
+    """inputs are the paths of the sequences and, when given, of the reference."""
+    config = _config(args, kind=fields.kind, input=os.path.basename(inputs[0]),
                      reference=os.path.basename(args.reference))
-    paths = _emit(out, "flatten", config, inputs,
-                  [("fields.txt", mio.write_flatfields, fields),
-                   ("reference.txt", mio.write_posture_sequences, [fields.reference[None]])])
-    print(f"flatten: {len(fields)} {args.kind} fields of {fields.length} columns")
-    return fields, paths
+    print(f"flatten: {len(fields)} {fields.kind} fields of {fields.length} columns")
+    return _emit(out, "flatten", config, inputs,
+                 [("fields.txt", mio.write_flatfields, fields),
+                  ("reference.txt", mio.write_posture_sequences, [fields.reference[None]])])
 
 
 def cmd_flatten(args, out):
     inputs = [_resolve(p) for p in (args.input, args.reference) if p]
     seqs = mio.read_posture_sequences(inputs[0])
     reference = mio.read_posture_sequences(inputs[1])[0][0] if args.reference else None
-    _flatten(args, out, seqs, inputs, reference)
+    _flatten(args, out, flatten.flatten_sequence(seqs, reference, args.kind), inputs)
 
 
-def _reduce(args, out, fields, src):
-    spatial, fpca = dimred.reduce_fields(fields, args.method == "seqpca", args.d1, args.d2,
-                                         args.var1, args.var2)
-    config = _config(args, "method", "d1", "d2", "var1", "var2", input=os.path.basename(src))
-    paths = _emit(out, "reduce", config, [src], [("reduction.txt", save_reduction, spatial, fpca)])
+def _reduce(args, out, reduction, src):
+    spatial, fpca = reduction
+    method = "spatialpca" if fpca is None else "seqpca"
+    config = _config(args, "d1", "d2", "var1", "var2", method=method,
+                     input=os.path.basename(src))
     d2 = "" if fpca is None else f" d2={fpca.dims[1]}"
-    print(f"reduce: {args.method} d1={spatial.dim}{d2}")
-    return (spatial, fpca), paths
+    print(f"reduce: {method} d1={spatial.dim}{d2}")
+    return _emit(out, "reduce", config, [src], [("reduction.txt", save_reduction, spatial, fpca)])
 
 
 def cmd_reduce(args, out):
     src = _resolve(args.input)
-    _reduce(args, out, mio.read_flatfields(src), src)
+    _reduce(args, out, dimred.reduce_fields(mio.read_flatfields(src), args.method == "seqpca",
+                                            args.d1, args.d2, args.var1, args.var2), src)
 
 
-def _fit(args, out, inputs, seqs=None, fields=None, reduction=None):
-    """Fit pwi on seqs, other models on fields through reduction, a
-    (spatial, fpca) pair; inputs are the paths of what was fitted on."""
-    kind, _, model_type = parse_scheme(args.scheme)
-    if model_type == "pwi":
-        bundle = models.fit_emulator(seqs, model_type="pwi", diagonal=args.diagonal)
-    else:
-        if fields.kind != kind:
-            raise KindMismatch(f"fields are {fields.kind!r}, scheme wants {kind!r}")
-        bundle = models.fit_bundle(fields, *reduction, model_type, args.order,
-                                   args.var_index, args.start_policy)
+def _fit(args, out, bundle, inputs):
     config = _config(args, "order", "var_index", "start_policy", "diagonal",
                      scheme=args.scheme.lower())
-    paths = _emit(out, "fit", config, inputs, [("bundle.txt", save_bundle, bundle)])
     print(f"fit: {bundle.model_type} bundle over {bundle.length} frames "
           f"({bundle.meta.get('count', 0)} training sequences)")
-    return bundle, paths
+    return _emit(out, "fit", config, inputs, [("bundle.txt", save_bundle, bundle)])
 
 
 def cmd_fit(args, out):
-    _, _, model_type = parse_scheme(args.scheme)
+    kind, _, model_type = parse_scheme(args.scheme)
     if model_type == "pwi":
         if not args.input:
             raise BadTarget("scheme pwi fits from sequences; pass --input")
         src = _resolve(args.input)
-        _fit(args, out, [src], seqs=mio.read_posture_sequences(src))
+        _fit(args, out, models.fit_emulator(mio.read_posture_sequences(src), model_type="pwi",
+                                            diagonal=args.diagonal), [src])
         return
     if not args.fields or not args.reduction:
         raise BadTarget(f"scheme {args.scheme} fits from artifacts; "
                         "pass --fields and --reduction")
-    fields_src = _resolve(args.fields)
-    red_src = _resolve(args.reduction)
-    _fit(args, out, [fields_src, red_src], fields=mio.read_flatfields(fields_src),
-         reduction=load_reduction(red_src))
+    inputs = [_resolve(args.fields), _resolve(args.reduction)]
+    fields, reduction = mio.read_flatfields(inputs[0]), load_reduction(inputs[1])
+    if fields.kind != kind:
+        raise KindMismatch(f"fields are {fields.kind!r}, scheme wants {kind!r}")
+    try:
+        bundle = models.fit_bundle(fields, *reduction, model_type, args.order, args.var_index,
+                                   args.start_policy)
+    except DimensionMismatch as exc:  # the two files disagree, say, on their time grid
+        raise type(exc)(f"{inputs[0]} and {inputs[1]}: {exc}") from None
+    _fit(args, out, bundle, inputs)
 
 
-def _simulate(args, out, bundle, src):
+def _simulate(args, out, sims, model_type, src, n_fit=None):
+    files = [("sims.txt", mio.write_posture_sequences, sims)]
+    if n_fit is not None:
+        files += [("sims_fit.txt", mio.write_posture_sequences, sims[:n_fit]),
+                  ("sims_held.txt", mio.write_posture_sequences, sims[n_fit:])]
+    config = _config(args, "count", "split", "seed", bundle=os.path.basename(src))
+    print(f"simulate: {len(sims)} sequences from {model_type} bundle")
+    return _emit(out, "simulate", config, [src], files)
+
+
+def cmd_simulate(args, out):
+    if args.count < 1:
+        raise BadTarget("count must be positive")
+    src = _resolve(args.bundle)
+    bundle, n_fit = load_bundle(src), None
     if args.split:
         head, _, tail = args.split.partition("/")
         try:
@@ -292,43 +275,26 @@ def _simulate(args, out, bundle, src):
             raise BadTarget(f"--split wants FIT/HELD counts, got {args.split!r}")
         if n_fit <= 0 or n_held <= 0 or n_fit + n_held != args.count:
             raise BadTarget(f"split {args.split} does not partition count {args.count}")
-    sims = models.simulate_sequence(bundle, args.count,
-                                    seed=stage_seed(args.seed, SEED_SIMULATE))
-    files = [("sims.txt", mio.write_posture_sequences, sims)]
-    if args.split:
-        files += [("sims_fit.txt", mio.write_posture_sequences, sims[:n_fit]),
-                  ("sims_held.txt", mio.write_posture_sequences, sims[n_fit:])]
-    config = _config(args, "count", "split", "seed", bundle=os.path.basename(src))
-    paths = _emit(out, "simulate", config, [src], files)
-    print(f"simulate: {len(sims)} sequences from {bundle.model_type} bundle")
-    return sims, paths
+    sims = models.simulate_sequence(bundle, args.count, seed=stage_seed(args.seed, SEED_SIMULATE))
+    _simulate(args, out, sims, bundle.model_type, src, n_fit)
 
 
-def cmd_simulate(args, out):
-    if args.count < 1:
-        raise BadTarget("count must be positive")
-    src = _resolve(args.bundle)
-    _simulate(args, out, load_bundle(src), src)
-
-
-def _two_sample(args, out, group_a, group_b, a_src, b_src):
-    res = evaluate.disco_test(group_a, group_b, n_perm=args.n_perm,
-                              seed=stage_seed(args.seed, SEED_EVAL_PERM),
-                              exhaustive=args.exhaustive)
+def _two_sample(args, out, res, a_src, b_src):
     config = _config(args, "n_perm", "exhaustive", "seed", a=os.path.basename(a_src),
                      b=os.path.basename(b_src))
-    paths = _emit(out, "eval-two-sample", config, [a_src, b_src],
-                  [("two_sample.csv", _write_csv, ["statistic", "p_value", "permutations"],
-                    [(res.statistic, res.p_value, res.permutations)])])
     print(f"two-sample: statistic {res.statistic:.6g}, p {res.p_value:.4g} "
           f"({res.permutations} shuffles)")
-    return res, paths
+    return _emit(out, "eval-two-sample", config, [a_src, b_src],
+                 [("two_sample.csv", _write_csv, ["statistic", "p_value", "permutations"],
+                   [(res.statistic, res.p_value, res.permutations)])])
 
 
 def cmd_two_sample(args, out):
     a_src, b_src = _resolve(args.a), _resolve(args.b)
-    _two_sample(args, out, mio.read_posture_sequences(a_src),
-                mio.read_posture_sequences(b_src), a_src, b_src)
+    res = evaluate.disco_test(mio.read_posture_sequences(a_src), mio.read_posture_sequences(b_src),
+                              n_perm=args.n_perm, seed=stage_seed(args.seed, SEED_EVAL_PERM),
+                              exhaustive=args.exhaustive)
+    _two_sample(args, out, res, a_src, b_src)
 
 
 def cmd_quantize(args, out):
@@ -415,107 +381,59 @@ def cmd_qq(args, out):
           f"{np.median(ll_a):.6g} vs {np.median(ll_b):.6g}")
 
 
-def cmd_pipeline(args, out):
-    kind, red, model_type = parse_scheme(args.scheme)
-    for flag in ("count", "n_perm"):
-        if getattr(args, flag) < 1:
-            raise BadTarget(f"{flag} must be positive")
-    args.kind, args.method = kind, red
-    artifacts = []
+def _route(args, out, sets, src, inputs, before=()):
+    """Run the route on sets.pop(0), read from src, with args' settings; write
+    its files into out and manifest_pipeline.json over before and them, and
+    return them.  Popped in the call, the set is freed after its alignment."""
+    kind, _, model_type = parse_scheme(args.scheme)
+    route = run_route(sets.pop(0), kind=kind, model_type=model_type, ref_index=args.ref_index,
+                      d1=args.d1, d2=args.d2, var1=args.var1, var2=args.var2, order=args.order,
+                      var_index=args.var_index, start_policy=args.start_policy,
+                      count=args.count, n_perm=args.n_perm, seed=args.seed)
+    align = _align(args, out, route["aligned"], route["warps"], src)
+    fit_on, chart = align[:1], []
+    if route["fields"] is not None:  # a 'pwi' route fits on the aligned sequences
+        chart = _flatten(args, out, route["fields"], align[:1])
+        chart += _reduce(args, out, route["reduction"], chart[0])
+        fit_on = [chart[0], chart[-1]]
+    fit = _fit(args, out, route["bundle"], fit_on)
+    sims = _simulate(args, out, route["sims"], route["bundle"].model_type, fit[0])
+    written = align + chart + fit + sims + _two_sample(args, out, route["two_sample"], sims[0],
+                                                       align[0])
+    _pipeline_manifest(args, out, inputs, [*before, *written])
+    return written
 
-    def stage(run, *loaded, **more):  # -> result, path the next stage hashes
-        result, paths = run(args, out, *loaded, **more)
-        artifacts.extend(paths)
-        return result, paths[0]
 
-    if args.input:
-        seq_src = _resolve(args.input)
-        seqs = mio.read_posture_sequences(seq_src)
-        inputs = [seq_src]
-    else:
-        seqs, seq_src = stage(_synth)
-        inputs = []
-    aligned, aligned_path = stage(_align, seqs, seq_src)
-    del seqs  # every later stage reads the aligned copy; keeping both raises the peak
-    if model_type == "pwi":
-        bundle, bundle_path = stage(_fit, [aligned_path], seqs=aligned)
-    else:
-        fields, fields_path = stage(_flatten, aligned, [aligned_path])
-        reduction, red_path = stage(_reduce, fields, fields_path)
-        bundle, bundle_path = stage(_fit, [fields_path, red_path], fields=fields,
-                                    reduction=reduction)
-    sims, sims_path = stage(_simulate, bundle, bundle_path)
-    stage(_two_sample, sims, aligned, sims_path, aligned_path)
+def _pipeline_manifest(args, out, inputs, artifacts):
     config = _config(args, "seed", "count", "n_perm", "d1", "d2", "var1", "var2",
                      scheme=args.scheme.lower(), input=os.path.basename(args.input))
     _manifest(out, "pipeline", config, inputs, artifacts)
     print(f"pipeline: {args.scheme.lower()} run complete in {out}")
 
 
-def run_twolevel(seqs, kind="istvf", model_type="ig", d1=4, d2=4,
-                 total=1000, holdout=200, emulators=("ig", "mvg", "pwi"),
-                 n_perm=999, seed=0):
-    """Second-level adequacy check of an emulator family.
-
-    Fits a level-one emulator on the training sequences, simulates a
-    large synthetic population, splits it into fitting and held-out
-    parts, refits each candidate emulator on the fitting part, and
-    scores its draws against the held-out part: a two-sample permutation
-    test plus log-likelihood quantile pairs under the matched-family
-    reference model refit on the fitting part.  The held-out part's
-    distance block is computed once and shared by every emulator's test.
-    An emulator listed twice is refused, as is anything else that cannot
-    be scored, before any fit.
-    """
-    if not 0 < holdout < total:
-        raise BadTarget("holdout must be positive and smaller than total")
-    if not emulators:
-        raise BadTarget("no emulators to score")
-    if n_perm < 1:
-        raise BadTarget("n_perm must be positive")
-    for j, name in enumerate(emulators):
-        if name not in models.REDUCTIONS:
-            raise KindMismatch(f"unknown emulator {name!r}")
-        if name in emulators[:j]:
-            # two rows of one name would share, and overwrite, one qq file
-            raise BadTarget(f"emulator {name!r} is listed more than once")
-    if model_type not in models.DENSITY_MODELS:
-        raise KindMismatch(f"level-one model {model_type!r} has no density to score draws "
-                           f"with; it must be one of {models.DENSITY_MODELS}")
-    level_one = models.fit_emulator(seqs, kind=kind, model_type=model_type,
-                                    d1=d1, d2=d2)
-    sims = models.simulate_sequence(level_one, total,
-                                    seed=stage_seed(seed, SEED_TL_LEVEL1))
-    train2, test2 = sims[:total - holdout], sims[total - holdout:]
-    # level-two refits share the level-one chart so the closure comparison
-    # is not confounded by reference drift ('pwi' ignores the chart)
-    bundles = {name: models.fit_emulator(train2, kind=kind, model_type=name, d1=d1, d2=d2,
-                                         reference=level_one.reference)
-               for name in dict.fromkeys((model_type, *emulators))}
-    reference = bundles[model_type]
-    ll_test = models.sequence_logliks(reference, test2)
-    # the pooled distance matrix of draws (first) and held-out sequences: the
-    # held-out block is computed once, each emulator's draws fill the rest
-    pooled = np.empty((2 * holdout, 2 * holdout))
-    pooled[holdout:, holdout:] = evaluate.sequence_distance_matrix(test2)
-    rows, qq, ll_sim = [], {}, {}
-    for j, name in enumerate(emulators):
-        draws = models.simulate_sequence(bundles[name], holdout,
-                                         seed=stage_seed(seed, SEED_TL_SIM, (j,)))
-        pooled[:holdout, :holdout] = evaluate.sequence_distance_matrix(draws)
-        pooled[:holdout, holdout:] = evaluate.sequence_distance_matrix(draws, test2)
-        pooled[holdout:, :holdout] = pooled[:holdout, holdout:].T
-        res = evaluate.permutation_test(pooled, holdout, n_perm,
-                                        stage_seed(seed, SEED_TL_DISCO, (j,)))
-        ll = models.sequence_logliks(reference, draws)
-        qq[name] = evaluate.qq_data(ll_test, ll)
-        ll_sim[name] = ll
-        rows.append({"emulator": name, "statistic": res.statistic,
-                     "p_value": res.p_value,
-                     "median_loglik": float(np.median(ll)),
-                     "median_loglik_test": float(np.median(ll_test))})
-    return {"level_one": level_one, "bundles": bundles, "rows": rows,
-            "qq": qq, "loglik_test": ll_test, "loglik_sim": ll_sim}
+def cmd_pipeline(args, out):
+    parse_scheme(args.scheme)  # refused before synth writes anything
+    for flag in ("count", "n_perm"):
+        if getattr(args, flag) < 1:
+            raise BadTarget(f"{flag} must be positive")
+    if args.input:
+        src = _resolve(args.input)
+        sets, inputs, artifacts = [mio.read_posture_sequences(src)], [src], []
+    else:
+        sets, artifacts = _synth(args, out)
+        src, inputs = artifacts[0], []
+    if len(sets) == 1:
+        _route(args, out, sets, src, inputs, artifacts)
+        return
+    for k in range(len(sets)):  # one route per class, as an --input run on its file
+        sub = os.path.join(out, f"class_{k}")
+        os.makedirs(sub, exist_ok=True)
+        src = os.path.join(sub, "sequences.txt")
+        mio.write_posture_sequences(src, sets[0])
+        run = argparse.Namespace(**{**vars(args), "input": src,
+                                    "seed": stage_seed(args.seed, SEED_CLASS, (k,))})
+        artifacts += [src, *_route(run, sub, sets, src, [src])]
+    _pipeline_manifest(args, out, [], artifacts)
 
 
 def cmd_twolevel(args, out):

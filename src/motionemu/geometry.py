@@ -280,8 +280,9 @@ def karcher_mean(postures, tol=1e-9, max_iter=200):
     tol : float
         Convergence threshold on the norm of the mean log.
     max_iter : int
-        Iteration budget; NoConvergence carries the largest residual of
-        the unconverged sets of the first block that does not converge.
+        Iteration budget.  When it runs out, or a step leaves the sphere,
+        NoConvergence names the bone spread furthest from the start and
+        carries the largest residual of the first unconverged block.
 
     Returns
     -------
@@ -308,7 +309,7 @@ def karcher_mean(postures, tol=1e-9, max_iter=200):
         degenerate = norms[..., 0] < EPS_ZERO
         mu = np.where(degenerate[..., None], sets[0],
                       chordal / np.where(norms < EPS_ZERO, 1.0, norms))
-        residual = np.full(sets.shape[1], np.inf)
+        start, residual = mu, np.full(sets.shape[1], np.inf)
         moving = np.ones(sets.shape[1], dtype=bool)
         for _ in range(max_iter):
             grad = sphere_log(mu, sets).mean(axis=0)
@@ -317,9 +318,14 @@ def karcher_mean(postures, tol=1e-9, max_iter=200):
             moving &= ~(residual < tol)
             if not moving.any():
                 break
-            mu = np.where(moving[:, None, None], sphere_exp(mu, grad), mu)
-        else:
-            raise NoConvergence("intrinsic mean did not converge",
+            try:
+                mu = np.where(moving[:, None, None], sphere_exp(mu, grad), mu)
+            except NotTangent:  # the step drifted off the sphere
+                break
+        if moving.any():
+            spread = sphere_dist(start[moving], sets[:, moving]).max(axis=(0, 1))
+            raise NoConvergence(f"intrinsic mean did not converge: bone {spread.argmax()} "
+                                f"spreads {spread.max():.3g} rad from the chordal start",
                                 residual=float(residual[moving].max()))
         means[lo:lo + step] = mu
     return means[0] if x.ndim == 3 else means

@@ -350,31 +350,36 @@ def fit_bundle(fields: FlatFields, spatial: SpatialPCA, fpca: FPCABasis | None,
     return EmulatorBundle(model=model, fpca=fpca, meta={"count": len(fields)}, **route)
 
 
+def fit_stages(seqs, kind, model_type, d1, d2, var1, var2, reference, order, var_index,
+               start_policy, diagonal=False):
+    """fit_emulator, returning (fields, (spatial, fpca), bundle); (None, None, bundle) for pwi."""
+    seqs = geo._check_set(seqs, 1, "sequences")
+    if model_type not in REDUCTIONS:
+        raise KindMismatch(f"unknown model type {model_type!r}")
+    if model_type == "pwi":
+        return None, None, EmulatorBundle(kind="intrinsic", model_type="pwi",
+                                          model=fit_pwi(seqs, diagonal), length=seqs.shape[1],
+                                          meta={"count": len(seqs)})
+    if kind not in EMULATOR_KINDS:
+        raise KindMismatch(f"flattening kind {kind!r} cannot back an emulator")
+    fields = flatten.flatten_sequence(seqs, reference, kind)
+    reduction = dimred.reduce_fields(fields, REDUCTIONS[model_type] == "seqpca", d1, d2,
+                                     var1, var2)
+    return fields, reduction, fit_bundle(fields, *reduction, model_type, order, var_index,
+                                         start_policy)
+
+
 def fit_emulator(seqs, kind: str = "istvf", model_type: str = "ig",
                  d1=None, d2=None, var1: float = 0.9, var2: float = 0.95,
                  reference=None, order: int = 4, var_index: int = 0,
                  start_policy: str = "training-mean", diagonal: bool = False) -> EmulatorBundle:
-    """Fit a full emulation route on training sequences: 'pwi' by fit_pwi,
-    on the sequences themselves; any other model_type as in the CLI, on
-    the sequences flattened at the reference posture (default: the
-    intrinsic mean of all training frames pooled), reduced through the
-    model's REDUCTIONS entry by dimred.reduce_fields (explicit d1/d2 or
-    variance thresholds var1/var2) and fitted by fit_bundle ('var' on the
-    spatial scores of training sequence var_index)."""
-    seqs = geo._check_set(seqs, 1, "sequences")
-    if model_type not in REDUCTIONS:
-        raise KindMismatch(f"unknown model type {model_type!r}")
-
-    if model_type == "pwi":
-        return EmulatorBundle(kind="intrinsic", model_type="pwi", model=fit_pwi(seqs, diagonal),
-                              length=seqs.shape[1], meta={"count": len(seqs)})
-
-    if kind not in EMULATOR_KINDS:
-        raise KindMismatch(f"flattening kind {kind!r} cannot back an emulator")
-    fields = flatten.flatten_sequence(seqs, reference, kind)
-    spatial, fpca = dimred.reduce_fields(fields, REDUCTIONS[model_type] == "seqpca", d1, d2,
-                                         var1, var2)
-    return fit_bundle(fields, spatial, fpca, model_type, order, var_index, start_policy)
+    """Fit a full emulation route on training sequences: 'pwi' by fit_pwi on
+    the sequences, any other model by fit_bundle ('var' on the scores of
+    sequence var_index) on their flattening at the reference (default: the
+    intrinsic mean of all frames), reduced through its REDUCTIONS entry by
+    dimred.reduce_fields (d1/d2 or var1/var2).  route.run_route shares it."""
+    return fit_stages(seqs, kind, model_type, d1, d2, var1, var2, reference, order, var_index,
+                      start_policy, diagonal)[2]
 
 
 def _pick_start(bundle: EmulatorBundle, rng):

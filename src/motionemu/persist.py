@@ -124,8 +124,8 @@ def load_bundle(path) -> EmulatorBundle:
     doc = _read(path, BUNDLE_DOC)
     # model_type fixes the reduction (REDUCTIONS); with none, the kind is
     # 'intrinsic' with no reference or start posture, else an emulator
-    # flattening with at least one; only a VAR has initial lags; a spatial
-    # mean has two coordinates per reference bone; an FPCA is on length's grid
+    # flattening with at least one; only a VAR has initial lags and needs as
+    # many columns; a spatial mean has two coordinates per bone; an FPCA is on length's grid
     model_type, kind = doc.entry("model_type", "s"), doc.entry("kind", "s")
     if model_type not in REDUCTIONS:
         raise KindMismatch(f"{doc.path}: unknown model_type {model_type!r}")
@@ -149,6 +149,8 @@ def load_bundle(path) -> EmulatorBundle:
     var_init = doc.array("var_init", 2) if model_type == "var" else doc.entry("var_init", "x")
     if var_init is not None:
         _agree(doc, var_init.shape == (model.coef.shape[1], model.order), "var_init", "model.coef")
+        _agree(doc, length >= 2 and field_columns(kind, length) >= model.order, "length",
+               "model.coef")
     try:
         meta = json.loads(doc.entry("meta", "s"))
     except ValueError:

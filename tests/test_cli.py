@@ -4,16 +4,18 @@ artifacts, manifests, determinism, and the two-level report."""
 import hashlib
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-from motionemu import cli, evaluate, io as mio, models
-from motionemu.cli import (SEED_EVAL_PERM, SEED_SIMULATE, main, parse_scheme,
+from motionemu import cli, dimred, evaluate, io as mio, models
+from motionemu.cli import (SEED_CLASS, SEED_EVAL_PERM, SEED_SIMULATE, main, parse_scheme,
                            run_twolevel, stage_seed)
 from motionemu.datagen import SynthConfig, gen_class, gen_mixture
 from motionemu.errors import BadTarget, KindMismatch
-from motionemu.flatten import FlatFields
+from motionemu.flatten import FlatFields, flatten_sequence
+from motionemu.persist import save_reduction
 from motionemu.skeleton import SkeletonHierarchy, downsample, ingest_sequence
 
 
@@ -244,6 +246,79 @@ def test_pipeline_manifest_lists_only_files_this_run_wrote(tmp_path):
     assert sorted(manifest["artifacts"]) == ["aligned.txt", "bundle.txt", "fields.txt",
                                              "reduction.txt", "reference.txt", "sims.txt",
                                              "two_sample.csv", "warps.txt"]
+
+
+def test_pipeline_runs_the_route_once_per_class(tmp_path):
+    """With several synthetic classes, class_k/ holds class k's sequences
+    and exactly what a pipeline --input run on them writes with class k's
+    seed, stage_seed(seed, SEED_CLASS, (k,)); the top-level manifest lists
+    every artifact by its path under --out."""
+    out = tmp_path / "pipe"
+    synth = ["--landmarks", 5, "--frames", 40, "--target-frames", 0, "--classes", 2,
+             "--per-class", 5]
+    route = ["--scheme", "istvf/seqpca/mvg", "--d1", 2, "--d2", 3, "--count", 4,
+             "--n-perm", 19]
+    assert run_cli("pipeline", "--out", out, "--seed", 3, *synth, *route) == 0
+    assert sorted(os.listdir(out)) == ["class_0", "class_1", "labels.csv",
+                                       "manifest_pipeline.json", "manifest_synth.json",
+                                       "sequences.txt"]
+    pooled = mio.read_posture_sequences(out / "sequences.txt")
+    listed = ["labels.csv", "sequences.txt"]
+    for k in range(2):
+        cls, rerun = out / f"class_{k}", tmp_path / f"rerun{k}"
+        assert np.array_equal(mio.read_posture_sequences(cls / "sequences.txt"),
+                              pooled[5 * k:5 * k + 5])
+        rerun.mkdir()
+        (rerun / "sequences.txt").write_bytes(read_bytes(cls / "sequences.txt"))
+        assert run_cli("pipeline", "--out", rerun, "--input", rerun / "sequences.txt",
+                       "--seed", stage_seed(3, SEED_CLASS, (k,)), *route) == 0
+        names = sorted(os.listdir(cls))
+        assert names == sorted(os.listdir(rerun)) and "manifest_pipeline.json" in names
+        for name in names:
+            assert read_bytes(cls / name) == read_bytes(rerun / name), (k, name)
+        listed += [f"class_{k}/{n}" for n in names if not n.startswith("manifest_")]
+    with open(out / "manifest_pipeline.json") as fh:
+        manifest = json.load(fh)
+    assert manifest["seed"] == 3 and sorted(manifest["artifacts"]) == sorted(listed)
+    for name, digest in manifest["artifacts"].items():
+        assert digest == hashlib.sha256(read_bytes(out / name)).hexdigest(), name
+
+
+def test_pipeline_frees_the_raw_set_after_alignment(stage_inputs, tmp_path, monkeypatch):
+    """Nothing but the route holds the sequences read from --input or made
+    by synth, and the route drops them once aligned, so no stage after
+    alignment keeps two copies of the set alive."""
+    class Raw(list):  # a list a weak reference can watch
+        pass
+
+    made, alive = [], []
+    real_read, real_mix = mio.read_posture_sequences, cli.datagen.gen_mixture
+    real_fit = models.fit_stages
+
+    def read(path):
+        seqs = Raw(real_read(path))
+        made.append(weakref.ref(seqs))
+        return seqs
+
+    def mix(*args, **kwargs):
+        seqs, labels = real_mix(*args, **kwargs)
+        made.append(weakref.ref(seqs))
+        return seqs, labels
+
+    def fit(*args):
+        alive.append(made[-1]() is not None)
+        return real_fit(*args)
+
+    monkeypatch.setattr(mio, "read_posture_sequences", read)
+    monkeypatch.setattr(cli.datagen, "gen_mixture", mix)
+    monkeypatch.setattr(models, "fit_stages", fit)
+    for scheme in ("istvf/seqpca/mvg", "pwi"):
+        out = tmp_path / scheme.replace("/", "-")
+        flags = ["--scheme", scheme, "--d1", 2, "--d2", 2, "--count", 3, "--n-perm", 9]
+        assert run_cli("pipeline", "--input", stage_inputs / "sequences.txt", *flags,
+                       "--out", out / "input") == 0
+        assert run_cli("pipeline", *SYNTH_FLAGS, *flags, "--out", out / "synth") == 0
+    assert alive == [False] * 4
 
 
 def test_simulate_split_and_seed_expansion(tmp_path):
@@ -504,6 +579,11 @@ def test_error_reports_are_single_json_lines(stage_inputs, tmp_path, capsys):
     text = (stage_inputs / "aligned.txt").read_text()
     bad.write_text(text.replace("postureseq 5", "postureseq x"))
     fields, reduction = stage_inputs / "fields.txt", stage_inputs / "reduction.txt"
+    aligned, other = np.stack(mio.read_posture_sequences(stage_inputs / "aligned.txt")), {}
+    for frames in (60, 59):
+        other[frames] = tmp_path / f"siem{frames}.txt"
+        siem = flatten_sequence(aligned[:, :frames], None, "siem")
+        save_reduction(other[frames], *dimred.reduce_fields(siem, True, 2, 3))
     cases = [
         (["fit", "--scheme", "istvf/seqpca/gp"], "KindMismatch", "unknown model 'gp'"),
         (["align", "--input", tmp_path / "missing.txt"], "FileNotFoundError", "missing.txt"),
@@ -515,7 +595,15 @@ def test_error_reports_are_single_json_lines(stage_inputs, tmp_path, capsys):
         (["fit", "--scheme", "istvf/seqpca/mvg", "--fields", fields], "BadTarget",
          "pass --fields and --reduction"),
         (["fit", "--scheme", "siem/seqpca/mvg", "--fields", fields, "--reduction", reduction],
-         "KindMismatch", "fields are 'istvf', scheme wants 'siem'")]
+         "KindMismatch", "fields are 'istvf', scheme wants 'siem'"),
+        # reductions of siem fields: 60 columns like the fields' 60 frames, and
+        # 59 like their 59 columns, but on the 59-frame grid
+        (["fit", "--scheme", "istvf/seqpca/mvg", "--fields", fields, "--reduction", other[60]],
+         "DimensionMismatch", f"{fields} and {other[60]}: scores shape (5, 2, 59) does not "
+         "match fit (2, 60)"),
+        (["fit", "--scheme", "istvf/seqpca/mvg", "--fields", fields, "--reduction", other[59]],
+         "DimensionMismatch", f"{fields} and {other[59]}: fpca.dt 0.017241379310344827 is not "
+         "the fields' dt 0.01694915254237288")]
     capsys.readouterr()
     for i, (argv, error, cause) in enumerate(cases):
         assert run_cli(*argv, "--out", tmp_path / str(i)) == 1

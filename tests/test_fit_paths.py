@@ -1,9 +1,10 @@
 """The library's fit_emulator and the CLI's flatten -> reduce -> fit chain
 share one reduction (dimred.reduce_fields) and one model fit
 (models.fit_bundle), so they must build the same bundle from the same
-aligned sequences.  A fitted object and its reloaded copy must also
-compute the same bits, since `pipeline` keeps in memory what the stage
-commands read back from files."""
+aligned sequences, and the library route (route.run_route) must give the
+hand-run stage commands' artifacts bit for bit.  A fitted object and its
+reloaded copy must also compute the same bits, since `pipeline` keeps in
+memory what the stage commands read back from files."""
 
 import json
 
@@ -12,7 +13,9 @@ import pytest
 
 from motionemu import io as mio, models
 from motionemu.cli import main, parse_scheme
-from motionemu.persist import load_bundle, save_bundle
+from motionemu.cli import _write_csv
+from motionemu.persist import load_bundle, save_bundle, save_reduction
+from motionemu.route import run_route
 
 SYNTH_FLAGS = ["--classes", 1, "--amplitude", 0.7, "--target-frames", 0,
                "--bandwidth", 0.1, "--warp-strength", 0.3, "--noise", 0.02]
@@ -90,6 +93,54 @@ def test_cli_chain_matches_fit_emulator(tmp_path, aligned_at, scheme, policy, si
     stat = "covariance" if model_type == "mvg" else "variances"
     assert np.array_equal(getattr(cli.model, stat), getattr(lib.model, stat)), stat
     assert cli.model.shape == lib.model.shape
+
+
+@pytest.mark.parametrize("scheme", ["istvf/seqpca/mvg", "istvf/spatialpca/var", "pwi"])
+def test_library_route_gives_the_stage_commands_artifacts(tmp_path, scheme):
+    """run_route's results, written by the artifact writers, equal byte for
+    byte what align, flatten, reduce, fit, simulate and eval two-sample
+    write when run by hand on the same sequences with the same seed."""
+    src = tmp_path / "synth"
+    assert run_cli("synth", "--out", src, "--seed", 6, *SYNTH_FLAGS, "--landmarks", 5,
+                   "--frames", 30, "--per-class", 6) == 0
+    cli, lib = tmp_path / "cli", tmp_path / "lib"
+    lib.mkdir()
+    kind, red, model_type = parse_scheme(scheme)
+    assert run_cli("align", "--input", src / "sequences.txt", "--ref-index", 1, "--out", cli) == 0
+    if model_type == "pwi":
+        assert run_cli("fit", "--scheme", scheme, "--input", cli / "aligned.txt",
+                       "--out", cli) == 0
+    else:
+        assert run_cli("flatten", "--input", cli / "aligned.txt", "--kind", kind,
+                       "--out", cli) == 0
+        assert run_cli("reduce", "--input", cli / "fields.txt", "--method", red, "--d1", 3,
+                       "--var2", 0.8, "--out", cli) == 0
+        assert run_cli("fit", "--scheme", scheme, "--fields", cli / "fields.txt",
+                       "--reduction", cli / "reduction.txt", "--order", 2,
+                       "--start-policy", "sampled-from-training", "--out", cli) == 0
+    assert run_cli("simulate", "--bundle", cli / "bundle.txt", "--count", 5, "--seed", 8,
+                   "--out", cli) == 0
+    assert run_cli("eval", "two-sample", "--a", cli / "sims.txt", "--b", cli / "aligned.txt",
+                   "--n-perm", 29, "--seed", 8, "--out", cli) == 0
+
+    route = run_route(mio.read_posture_sequences(src / "sequences.txt"), kind=kind,
+                      model_type=model_type, ref_index=1, d1=3, var2=0.8, order=2,
+                      start_policy="sampled-from-training", count=5, n_perm=29, seed=8)
+    test = route["two_sample"]
+    files = [("aligned.txt", mio.write_posture_sequences, route["aligned"]),
+             ("warps.txt", mio.write_warps, route["warps"]),
+             ("bundle.txt", save_bundle, route["bundle"]),
+             ("sims.txt", mio.write_posture_sequences, route["sims"]),
+             ("two_sample.csv", _write_csv, ["statistic", "p_value", "permutations"],
+              [(test.statistic, test.p_value, test.permutations)])]
+    if model_type == "pwi":
+        assert route["fields"] is None and route["reduction"] is None
+    else:
+        files += [("fields.txt", mio.write_flatfields, route["fields"]),
+                  ("reduction.txt", save_reduction, *route["reduction"])]
+    for name, write, *data in files:
+        write(lib / name, *data)
+        assert (lib / name).read_bytes() == (cli / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("model_type", ["mvg", "ig", "var", "pwi"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from motionemu import geometry as geo
+from motionemu.datagen import SynthConfig, gen_mixture
 from motionemu.errors import (AntipodalPoints, DimensionMismatch, MotionError,
                               NoConvergence, NotTangent)
 
@@ -423,6 +424,31 @@ def test_karcher_reports_nonconvergence():
     with pytest.raises(NoConvergence) as info:
         geo.karcher_mean(cloud, max_iter=1)
     assert info.value.residual > 0.0
+
+
+@pytest.mark.parametrize("landmarks, frames, amplitude", [
+    (4, 60, 1.5),  # a step drifts off the sphere (sphere_exp's NotTangent)
+    (6, 150, 0.8),  # the iteration budget runs out
+])
+def test_pooled_classes_fail_naming_the_bone_spread_furthest(landmarks, frames, amplitude):
+    """Pooled over two synthetic classes, a bone spreads past a hemisphere
+    and the descent fails; NoConvergence names that bone and its largest
+    angle from the chordal start.  Each class alone converges."""
+    seqs, labels = gen_mixture([SynthConfig(landmarks=landmarks, frames=frames, count=4,
+                                            amplitude=amplitude, seed=190 + k)
+                                for k in range(2)])
+    bones = landmarks - 1
+    for k in range(2):
+        geo.karcher_mean(seqs[labels == k].reshape(-1, bones, 3))
+    pooled = seqs.reshape(-1, bones, 3)
+    start = pooled.mean(axis=0)
+    start /= np.linalg.norm(start, axis=-1, keepdims=True)
+    spread = np.arccos(np.clip(np.sum(pooled * start, axis=-1), -1.0, 1.0)).max(axis=0)
+    worst = int(spread.argmax())
+    assert spread[worst] > np.pi / 2
+    with pytest.raises(NoConvergence, match=f"bone {worst} spreads {spread[worst]:.3g} rad "
+                                            "from the chordal start"):
+        geo.karcher_mean(pooled)
 
 
 def stacked_sets(rng, m, b, bones, spread):

@@ -539,6 +539,8 @@ DISAGREEMENTS = {
     ("var", "model.noise_cov"):
         "entry 'model.noise_cov' (1, 1) does not match 'spatial.basis' (4, 2)",
     ("mvg", "fpca.dt"): "entry 'fpca.dt' = 0.25 does not match 'length' = 8",
+    # a VAR path of order 1 needs one column, which a 1-frame istvf grid lacks
+    ("var", "length"): "entry 'length' = 1 does not match 'model.coef' (1, 2, 2)",
     ("ig", "fpca.dt"): "entry 'fpca.dt' = 0.125 does not match 'length' = 8",
 }
 
@@ -562,11 +564,12 @@ def two_more_rows(a):
     ("mvg", "spatial.basis", lambda a: a[:, :1]), ("var", "spatial.basis", lambda a: a[:, :1]),
     ("var", "model.intercept", lambda a: np.append(a, 0.0)),
     ("var", "model.noise_cov", lambda a: a[:1, :1]),
-    ("mvg", "fpca.dt", 0.25), ("ig", "fpca.dt", 0.125)])
+    ("mvg", "fpca.dt", 0.25), ("ig", "fpca.dt", 0.125), ("var", "length", 1)])
 def test_size_entries_that_disagree_with_their_arrays_name_the_file_and_the_entry(
         tmp_path, model_type, entry, new):
     """A bundle whose length (the one size entry left) disagrees with its
-    FPCA curves or their time step, whose arrays stored as separate entries disagree in shape
+    FPCA curves or their time step, or gives a VAR fewer columns than its
+    order, whose arrays stored as separate entries disagree in shape
     (a spatial mean with its basis rows and with the reference's bones, the
     FPCA and VAR arrays with the basis columns), whose kind or model
     entries disagree with its model_type, or whose meta is not a JSON
