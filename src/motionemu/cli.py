@@ -5,17 +5,17 @@ Commands: synth, ingest, align, flatten, reduce, fit, simulate, eval
 command reads its files, makes its library call and hands the result to
 `_emit`, which writes the files into --out and then manifest_<command>.json:
 the command, its configuration (`_config`, from its flags) and SHA-256
-checksums of its inputs (by basename) and of exactly the files it wrote
-(by path under --out).  No timestamps: a rerun with the same seed and
-inputs reproduces every file byte for byte.
+checksums of its inputs as read, before any write (by basename), and of
+exactly the files it wrote (by path under --out).  No timestamps: a rerun
+with the same seed and inputs reproduces every file byte for byte.
 
 `pipeline` hands each stage's result of route.run_route to that stage's
 writer, reading none back.  With --classes above one it runs the route
 once per synthetic class k, in class_k/ from the root seed
-stage_seed(seed, 120, (k,)), as `pipeline --input class_k/sequences.txt`
+route.class_seed(seed, k), as `pipeline --input class_k/sequences.txt`
 with that seed would.  Schemes are `<repr>/<dimred>/<model>` (any case)
 with the model's reduction from models.REDUCTIONS, or the bare `pwi`.
-Seeds derive from --seed by the spawn keys the `route` module lists.
+Seeded commands pass --seed to the `route` function that draws their streams.
 Relative paths resolve against MOTIONEMU_DATA_DIR when it is set.
 Errors print one JSON line (error type and message) to stderr and exit
 with status 1.
@@ -29,13 +29,11 @@ import sys
 
 import numpy as np
 
-from . import datagen, dimred, evaluate, flatten, io as mio, models
+from . import dimred, evaluate, flatten, io as mio, models, route
 from .alignment import align_all
 from .errors import BadTarget, DimensionMismatch, KindMismatch, MotionError
 from .persist import load_bundle, load_reduction, save_bundle, save_reduction
-from .route import (SEED_CLASS, SEED_EVAL_CLUSTER, SEED_EVAL_PERM,  # noqa: F401  re-exported
-                    SEED_EVAL_SAMPLE, SEED_SIMULATE, SEED_TL_DISCO, SEED_TL_LEVEL1, SEED_TL_SIM,
-                    run_route, run_twolevel, stage_seed)
+from .route import run_twolevel  # criterion 7 imports it from here
 from .skeleton import downsample, ingest_sequence
 
 # synth's flags (dashes for underscores) and their defaults
@@ -79,14 +77,18 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _manifest(outdir, command, config, inputs, artifacts):
+def _digests(inputs):  # {basename: SHA-256}, taken before any write: --out may hold an input
+    return {os.path.basename(p): _sha256(p) for p in inputs}
+
+
+def _manifest(outdir, command, config, digests, artifacts):
     blob = json.dumps(config, sort_keys=True).encode()
     payload = {
         "command": command,
         "config": config,
         "config_hash": hashlib.sha256(blob).hexdigest(),
         "seed": config.get("seed"),
-        "inputs": {os.path.basename(p): _sha256(p) for p in inputs},
+        "inputs": digests,
         "artifacts": {os.path.relpath(p, outdir): _sha256(p) for p in artifacts},
     }
     path = os.path.join(outdir, f"manifest_{command}.json")
@@ -97,13 +99,14 @@ def _manifest(outdir, command, config, inputs, artifacts):
 
 
 def _emit(out, command, config, inputs, files):
-    """Write each (name, writer, *data) of files as writer(out/name, *data),
-    in order, then manifest_<command>.json over exactly those paths, which
-    are returned."""
+    """Hash the input paths, write each (name, writer, *data) of files as
+    writer(out/name, *data), in order, then manifest_<command>.json over
+    exactly those paths, which are returned."""
+    digests = _digests(inputs)
     paths = [os.path.join(out, name) for name, *_ in files]
     for path, (_, writer, *data) in zip(paths, files):
         writer(path, *data)
-    _manifest(out, command, config, inputs, paths)
+    _manifest(out, command, config, digests, paths)
     return paths
 
 
@@ -146,18 +149,16 @@ def _named_sets(pairs):
 
 def _synth(args, out):
     """Write the mixture; return its classes (one pooled set for one class) and the paths."""
-    configs = [datagen.SynthConfig(
+    seqs, labels = route.synth(
+        args.seed, args.classes, args.target_frames if args.target_frames > 0 else None,
         landmarks=args.landmarks, frames=args.frames, count=args.per_class,
         amplitude=args.amplitude, bandwidth=args.bandwidth, warp_strength=args.warp_strength,
-        noise_scale=args.noise, seed=stage_seed(args.seed, k)) for k in range(args.classes)]
-    target = args.target_frames if args.target_frames > 0 else None
-    seqs, labels = datagen.gen_mixture(configs, target_frames=target)
+        noise_scale=args.noise)
     paths = _emit(out, "synth", _config(args, *SYNTH_DEFAULTS, "seed"), [], [
         ("sequences.txt", mio.write_posture_sequences, seqs),
         ("labels.csv", _write_csv, ["index", "label"],
          [(i, int(v)) for i, v in enumerate(labels)])])
-    print(f"synth: {len(seqs)} sequences of {seqs[0].shape[0]} frames, "
-          f"{args.classes} classes")
+    print(f"synth: {len(seqs)} sequences of {seqs[0].shape[0]} frames, {args.classes} classes")
     return [seqs] if args.classes == 1 else [seqs[labels == k] for k in range(args.classes)], paths
 
 
@@ -275,7 +276,7 @@ def cmd_simulate(args, out):
             raise BadTarget(f"--split wants FIT/HELD counts, got {args.split!r}")
         if n_fit <= 0 or n_held <= 0 or n_fit + n_held != args.count:
             raise BadTarget(f"split {args.split} does not partition count {args.count}")
-    sims = models.simulate_sequence(bundle, args.count, seed=stage_seed(args.seed, SEED_SIMULATE))
+    sims = route.simulate(bundle, args.count, args.seed)
     _simulate(args, out, sims, bundle.model_type, src, n_fit)
 
 
@@ -291,47 +292,31 @@ def _two_sample(args, out, res, a_src, b_src):
 
 def cmd_two_sample(args, out):
     a_src, b_src = _resolve(args.a), _resolve(args.b)
-    res = evaluate.disco_test(mio.read_posture_sequences(a_src), mio.read_posture_sequences(b_src),
-                              n_perm=args.n_perm, seed=stage_seed(args.seed, SEED_EVAL_PERM),
-                              exhaustive=args.exhaustive)
+    res = route.two_sample(mio.read_posture_sequences(a_src), mio.read_posture_sequences(b_src),
+                           args.n_perm, args.seed, args.exhaustive)
     _two_sample(args, out, res, a_src, b_src)
 
 
 def cmd_quantize(args, out):
-    if args.sample < 1:
-        raise BadTarget("sample must be positive")
     train_src = _resolve(args.train)
-    train = mio.read_posture_sequences(train_src)
-    sets = [("train", train_src, train)] + _named_sets(args.set or [])
-    pool = np.concatenate([np.asarray(s) for s in train], axis=0)
-    if pool.shape[0] > args.sample:
-        rng = np.random.default_rng(stage_seed(args.seed, SEED_EVAL_SAMPLE))
-        keep = rng.choice(pool.shape[0], size=args.sample, replace=False)
-        pool = pool[np.sort(keep)]
-    seed = stage_seed(args.seed, SEED_EVAL_CLUSTER)
+    sets = [("train", train_src, mio.read_posture_sequences(train_src))]
+    sets += _named_sets(args.set or [])
+    res = route.run_quantize(sets[0][2], [(name, seqs) for name, _, seqs in sets], args.k,
+                             args.sample, args.seed)
     if args.k == 0:
-        k, _, model = evaluate.select_k(pool, seed=seed)
-        print(f"quantize: silhouette sweep picked k={k}")
-    else:
-        model = evaluate.cluster_postures(pool, k=args.k, seed=seed)
-    reference_labels = evaluate.mean_label_sequence(train, model)
-    rows = []
-    label_rows = []
-    for name, _, seqs in sets:
-        labels = [evaluate.quantize(s, model) for s in seqs]
-        label_rows += [(name, i, " ".join(str(int(v)) for v in lab))
-                       for i, lab in enumerate(labels)]
-        mean, var = evaluate.variability_stats(labels, reference_labels)
-        rows.append((name, len(seqs), mean, var))
+        print(f"quantize: silhouette sweep picked k={res['k']}")
     config = _config(args, "k", "sample", "seed", train=os.path.basename(train_src),
                      sets=",".join(name for name, _, _ in sets[1:]))
     _emit(out, "eval-quantize", config, [path for _, path, _ in sets], [
-        ("quantize.csv", _write_csv, ["set", "sequences", "mean_variability", "variance"], rows),
+        ("quantize.csv", _write_csv, ["set", "sequences", "mean_variability", "variance"],
+         [(name, len(labels), mean, var) for name, labels, mean, var in res["sets"]]),
         ("mean_labels.csv", _write_csv, ["frame", "label"],
-         [(i, int(v)) for i, v in enumerate(reference_labels)]),
-        ("label_sequences.csv", _write_csv, ["set", "index", "labels"], label_rows)])
-    for row in rows:
-        print(f"quantize: {row[0]} mean variability {row[2]:.4f}")
+         [(i, int(v)) for i, v in enumerate(res["mean_labels"])]),
+        ("label_sequences.csv", _write_csv, ["set", "index", "labels"],
+         [(name, i, " ".join(str(int(v)) for v in lab))
+          for name, labels, _, _ in res["sets"] for i, lab in enumerate(labels)])])
+    for name, _, mean, _ in res["sets"]:
+        print(f"quantize: {name} mean variability {mean:.4f}")
 
 
 def cmd_roughness(args, out):
@@ -381,33 +366,35 @@ def cmd_qq(args, out):
           f"{np.median(ll_a):.6g} vs {np.median(ll_b):.6g}")
 
 
-def _route(args, out, sets, src, inputs, before=()):
+def _pipeline(args, out, sets, src, digests, before=()):
     """Run the route on sets.pop(0), read from src, with args' settings; write
-    its files into out and manifest_pipeline.json over before and them, and
-    return them.  Popped in the call, the set is freed after its alignment."""
+    its files into out and manifest_pipeline.json (the inputs' digests, then
+    before and them) and return them.  Popped in the call, the set is freed once aligned."""
     kind, _, model_type = parse_scheme(args.scheme)
-    route = run_route(sets.pop(0), kind=kind, model_type=model_type, ref_index=args.ref_index,
-                      d1=args.d1, d2=args.d2, var1=args.var1, var2=args.var2, order=args.order,
-                      var_index=args.var_index, start_policy=args.start_policy,
-                      count=args.count, n_perm=args.n_perm, seed=args.seed)
-    align = _align(args, out, route["aligned"], route["warps"], src)
+    run = route.run_route(sets.pop(0), kind=kind, model_type=model_type, ref_index=args.ref_index,
+                          d1=args.d1, d2=args.d2, var1=args.var1, var2=args.var2, order=args.order,
+                          var_index=args.var_index, start_policy=args.start_policy, seed=args.seed,
+                          count=args.count, n_perm=args.n_perm)
+    align = _align(args, out, run["aligned"], run["warps"], src)
     fit_on, chart = align[:1], []
-    if route["fields"] is not None:  # a 'pwi' route fits on the aligned sequences
-        chart = _flatten(args, out, route["fields"], align[:1])
-        chart += _reduce(args, out, route["reduction"], chart[0])
+    if run["fields"] is not None:  # a 'pwi' route fits on the aligned sequences
+        chart = _flatten(args, out, run["fields"], align[:1])
+        chart += _reduce(args, out, run["reduction"], chart[0])
         fit_on = [chart[0], chart[-1]]
-    fit = _fit(args, out, route["bundle"], fit_on)
-    sims = _simulate(args, out, route["sims"], route["bundle"].model_type, fit[0])
-    written = align + chart + fit + sims + _two_sample(args, out, route["two_sample"], sims[0],
+    fit = _fit(args, out, run["bundle"], fit_on)
+    sims = _simulate(args, out, run["sims"], run["bundle"].model_type, fit[0])
+    written = align + chart + fit + sims + _two_sample(args, out, run["two_sample"], sims[0],
                                                        align[0])
-    _pipeline_manifest(args, out, inputs, [*before, *written])
+    _pipeline_manifest(args, out, digests, [*before, *written])
     return written
 
 
-def _pipeline_manifest(args, out, inputs, artifacts):
-    config = _config(args, "seed", "count", "n_perm", "d1", "d2", "var1", "var2",
+def _pipeline_manifest(args, out, digests, artifacts):
+    synth = () if args.input else SYNTH_DEFAULTS  # synth's flags when synth made the input
+    config = _config(args, "seed", "count", "n_perm", "d1", "d2", "var1", "var2", "ref_index",
+                     "order", "var_index", "start_policy", *synth,
                      scheme=args.scheme.lower(), input=os.path.basename(args.input))
-    _manifest(out, "pipeline", config, inputs, artifacts)
+    _manifest(out, "pipeline", config, digests, artifacts)
     print(f"pipeline: {args.scheme.lower()} run complete in {out}")
 
 
@@ -418,12 +405,12 @@ def cmd_pipeline(args, out):
             raise BadTarget(f"{flag} must be positive")
     if args.input:
         src = _resolve(args.input)
-        sets, inputs, artifacts = [mio.read_posture_sequences(src)], [src], []
+        sets, digests, artifacts = [mio.read_posture_sequences(src)], _digests([src]), []
     else:
         sets, artifacts = _synth(args, out)
-        src, inputs = artifacts[0], []
+        src, digests = artifacts[0], {}
     if len(sets) == 1:
-        _route(args, out, sets, src, inputs, artifacts)
+        _pipeline(args, out, sets, src, digests, artifacts)
         return
     for k in range(len(sets)):  # one route per class, as an --input run on its file
         sub = os.path.join(out, f"class_{k}")
@@ -431,9 +418,9 @@ def cmd_pipeline(args, out):
         src = os.path.join(sub, "sequences.txt")
         mio.write_posture_sequences(src, sets[0])
         run = argparse.Namespace(**{**vars(args), "input": src,
-                                    "seed": stage_seed(args.seed, SEED_CLASS, (k,))})
-        artifacts += [src, *_route(run, sub, sets, src, [src])]
-    _pipeline_manifest(args, out, [], artifacts)
+                                    "seed": route.class_seed(args.seed, k)})
+        artifacts += [src, *_pipeline(run, sub, sets, src, _digests([src]))]
+    _pipeline_manifest(args, out, {}, artifacts)
 
 
 def cmd_twolevel(args, out):
@@ -485,15 +472,16 @@ def build_parser():
     sub = root.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
 
-    def leaf(group, name, func, about):  # a command: --out plus its own flags
-        p = group.add_parser(name, help=about, parents=[common])
+    def leaf(group, name, func, about, *parents):  # a command: --out plus its own flags
+        p = group.add_parser(name, help=about, parents=[common, *parents])
         p.set_defaults(func=func)
         return p
 
-    p = leaf(sub, "synth", _synth, "generate synthetic motion classes")
+    p = leaf(sub, "synth", _synth, "generate synthetic motion classes", seeded)
     _add_synth_flags(p)
-    p.add_argument("--seed", type=int, default=0)
 
     p = leaf(sub, "ingest", cmd_ingest, "convert landmark files to posture sequences")
     p.add_argument("--input", required=True)
@@ -521,30 +509,28 @@ def build_parser():
     p.add_argument("--diagonal", action="store_true")
     _add_fit_flags(p)
 
-    p = leaf(sub, "simulate", cmd_simulate, "draw sequences from a bundle")
+    p = leaf(sub, "simulate", cmd_simulate, "draw sequences from a bundle", seeded)
     p.add_argument("--bundle", required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--split", default="", metavar="FIT/HELD",
                    help="also write the draws partitioned into two files")
-    p.add_argument("--seed", type=int, default=0)
 
     esub = sub.add_parser("eval", help="evaluation reports").add_subparsers(
         dest="eval_cmd", required=True)
 
-    e = leaf(esub, "two-sample", cmd_two_sample, "permutation two-sample test")
+    e = leaf(esub, "two-sample", cmd_two_sample, "permutation two-sample test", seeded)
     e.add_argument("--a", required=True)
     e.add_argument("--b", required=True)
     e.add_argument("--n-perm", type=int, default=999)
     e.add_argument("--exhaustive", action="store_true")
-    e.add_argument("--seed", type=int, default=0)
 
-    e = leaf(esub, "quantize", cmd_quantize, "posture-code variability summaries")
+    e = leaf(esub, "quantize", cmd_quantize, "posture-code variability summaries", seeded)
     e.add_argument("--train", required=True)
     e.add_argument("--set", action="append", metavar="NAME=PATH")
     e.add_argument("--k", type=int, default=9,
-                   help="cluster count; 0 sweeps 2..15 by silhouette")
+                   help=f"cluster count; 0 sweeps {evaluate.K_SWEEP[0]}..{evaluate.K_SWEEP[-1]} "
+                        "by silhouette")
     e.add_argument("--sample", type=int, default=5000)
-    e.add_argument("--seed", type=int, default=0)
 
     e = leaf(esub, "roughness", cmd_roughness, "successive-frame distance summaries")
     e.add_argument("--set", action="append", required=True, metavar="NAME=PATH")
@@ -558,7 +544,7 @@ def build_parser():
     e.add_argument("--a", required=True)
     e.add_argument("--b", required=True)
 
-    p = leaf(sub, "pipeline", cmd_pipeline, "run the full chain in one directory")
+    p = leaf(sub, "pipeline", cmd_pipeline, "run the full chain in one directory", seeded)
     p.add_argument("--input", default="")
     _add_synth_flags(p)
     p.add_argument("--scheme", default="istvf/seqpca/ig")
@@ -567,11 +553,10 @@ def build_parser():
     _add_fit_flags(p)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--n-perm", type=int, default=199)
-    p.add_argument("--seed", type=int, default=0)
     # the stage settings pipeline does not expose
     p.set_defaults(diagonal=False, reference="", split="", exhaustive=False)
 
-    p = leaf(sub, "twolevel", cmd_twolevel, "second-level emulator adequacy report")
+    p = leaf(sub, "twolevel", cmd_twolevel, "second-level emulator adequacy report", seeded)
     p.add_argument("--input", required=True)
     p.add_argument("--scheme", default="istvf/seqpca/ig")
     p.add_argument("--d1", type=int, default=4)
@@ -580,7 +565,6 @@ def build_parser():
     p.add_argument("--holdout", type=int, default=200)
     p.add_argument("--emulators", default="ig,mvg,pwi")
     p.add_argument("--n-perm", type=int, default=999)
-    p.add_argument("--seed", type=int, default=0)
 
     return root
 

@@ -24,6 +24,7 @@ from .dimred import _top_eigenpairs
 from .errors import BadTarget, DimensionMismatch, InsufficientData, LengthMismatch
 
 MAX_SWEEPS = 200  # most passes over the candidates of one k-medoids descent
+K_SWEEP = range(2, 16)  # the cluster counts select_k tries
 
 
 def _pairwise(planes, others=None):
@@ -274,8 +275,8 @@ def silhouette_score(dmat, labels) -> float:
     return float(scores.mean())
 
 
-def select_k(postures, k_min: int = 2, k_max: int = 15, seed=None):
-    """Sweep cluster counts and keep the one with the best silhouette.
+def select_k(postures, seed=None):
+    """Pick the cluster count of K_SWEEP, below the posture count, by silhouette.
 
     Returns (best_k, scores, model): scores maps each swept k to its mean
     silhouette width, ties keep the smaller k, and model is
@@ -284,14 +285,14 @@ def select_k(postures, k_min: int = 2, k_max: int = 15, seed=None):
     """
     postures = geo._check_postures(postures)
     n = postures.shape[0]
-    k_max = min(k_max, n - 1)
-    if k_min < 2 or k_min > k_max:
-        raise BadTarget(f"empty sweep range [{k_min}, {k_max}] for {n} postures")
+    ks = range(K_SWEEP[0], min(K_SWEEP[-1], n - 1) + 1)
+    if not ks:
+        raise BadTarget(f"empty sweep range [{ks.start}, {ks.stop - 1}] for {n} postures")
     dmat = posture_distance_matrix(postures)
     rng = np.random.default_rng(seed)
     scores = {}
-    best_k = k_min
-    for k in range(k_min, k_max + 1):
+    best_k = ks[0]
+    for k in ks:
         medoids, _ = _swap_descent(dmat, k, rng)
         labels = np.argmin(dmat[:, medoids], axis=1)
         scores[k] = silhouette_score(dmat, labels)

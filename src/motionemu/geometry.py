@@ -32,6 +32,8 @@ TANGENCY_TOL = 1e-8
 # of a paper-scale pipeline run by 6-8 MiB.
 BLOCK_BYTES = 2**21
 MAX_WORKERS = 4  # most threads one pooled loop runs on
+KARCHER_TOL = 1e-9  # karcher_mean converges once the mean log's norm is below this
+KARCHER_MAX_ITER = 200  # karcher_mean's iteration budget
 
 
 def _block_items(item_bytes):
@@ -263,26 +265,23 @@ def coords_to_tangent(base, coords):
     return c[..., 0, None] * b1 + c[..., 1, None] * b2
 
 
-def karcher_mean(postures, tol=1e-9, max_iter=200):
+def karcher_mean(postures):
     """Intrinsic mean of a set of postures, or of each set of a stack, by
     Riemannian gradient descent.
 
     Starts from the bone-wise normalized extrinsic mean and repeatedly
     shoots along the mean tangent vector (unit step) until the gradient
-    norm drops below tol.  A stack is iterated in blocks of sets sized by
-    BLOCK_BYTES; within a block a set stops moving once it converges, so
-    every mean keeps the bits of its own one-set call.
+    norm drops below KARCHER_TOL.  A stack is iterated in blocks of sets
+    sized by BLOCK_BYTES; within a block a set stops moving once it
+    converges, so every mean keeps the bits of its own one-set call.  When
+    KARCHER_MAX_ITER steps are spent, or a step leaves the sphere,
+    NoConvergence names the bone spread furthest from the start and carries
+    the largest residual of the first unconverged block.
 
     Parameters
     ----------
     postures : ndarray, shape (M, n-1, 3) or (M, B, n-1, 3)
         One set of M postures, or B sets, set b being postures[:, b].
-    tol : float
-        Convergence threshold on the norm of the mean log.
-    max_iter : int
-        Iteration budget.  When it runs out, or a step leaves the sphere,
-        NoConvergence names the bone spread furthest from the start and
-        carries the largest residual of the first unconverged block.
 
     Returns
     -------
@@ -311,11 +310,11 @@ def karcher_mean(postures, tol=1e-9, max_iter=200):
                       chordal / np.where(norms < EPS_ZERO, 1.0, norms))
         start, residual = mu, np.full(sets.shape[1], np.inf)
         moving = np.ones(sets.shape[1], dtype=bool)
-        for _ in range(max_iter):
+        for _ in range(KARCHER_MAX_ITER):
             grad = sphere_log(mu, sets).mean(axis=0)
             residual = tangent_norm(grad)
             # a NaN residual never converges
-            moving &= ~(residual < tol)
+            moving &= ~(residual < KARCHER_TOL)
             if not moving.any():
                 break
             try:

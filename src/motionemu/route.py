@@ -1,18 +1,18 @@
-"""The emulation route (`run_route`) and the two-level check (`run_twolevel`)
-on arrays; the CLI's `pipeline` and `twolevel` write what they return."""
+"""The library calls that draw random streams, on arrays: the synthetic mixture
+(`synth`), the route (`run_route`), posture codes (`run_quantize`) and the
+two-level check (`run_twolevel`).  One function here applies each SeedSequence
+spawn key below (stage_seed); the CLI passes --seed through and writes results."""
 
 import numpy as np
 
-from . import evaluate, models
+from . import datagen, evaluate, models
 from .alignment import align_all
 from .errors import BadTarget, KindMismatch
 
-# All randomness expands from one root seed through these spawn keys of
-# numpy's SeedSequence (stage_seed); synth's class k takes the key (k,).
 SEED_SIMULATE = 100      # simulate
-SEED_EVAL_PERM = 101     # eval two-sample shuffles
-SEED_EVAL_CLUSTER = 102  # eval quantize clustering
-SEED_EVAL_SAMPLE = 103   # eval quantize subsample
+SEED_EVAL_PERM = 101     # two_sample shuffles
+SEED_EVAL_CLUSTER = 102  # run_quantize clustering
+SEED_EVAL_SAMPLE = 103   # run_quantize subsample
 SEED_TL_LEVEL1 = 110     # twolevel level-one draws
 SEED_TL_SIM = 111        # twolevel emulator j's draws: (111, j)
 SEED_TL_DISCO = 112      # twolevel emulator j's test: (112, j)
@@ -23,6 +23,53 @@ def stage_seed(root, stage, extra=()):
     """Derive a stage's generator seed from the root seed."""
     key = (int(stage),) + tuple(int(x) for x in extra)
     return int(np.random.SeedSequence(int(root), spawn_key=key).generate_state(1)[0])
+
+
+def synth(seed, classes, target_frames=None, **settings):
+    """datagen.gen_mixture's (seqs, labels): class k of `classes` from spawn key
+    (k,) of seed, with the other SynthConfig fields from settings."""
+    configs = [datagen.SynthConfig(**settings, seed=stage_seed(seed, k)) for k in range(classes)]
+    return datagen.gen_mixture(configs, target_frames=target_frames)
+
+
+def class_seed(seed, k):
+    """The root seed of class k's route in a multi-class pipeline."""
+    return stage_seed(seed, SEED_CLASS, (k,))
+
+
+def simulate(bundle, count, seed):
+    """count draws from the bundle."""
+    return models.simulate_sequence(bundle, count, seed=stage_seed(seed, SEED_SIMULATE))
+
+
+def two_sample(a, b, n_perm, seed, exhaustive=False):
+    """The permutation two-sample test of a against b (evaluate.disco_test)."""
+    return evaluate.disco_test(a, b, n_perm=n_perm, seed=stage_seed(seed, SEED_EVAL_PERM),
+                               exhaustive=exhaustive)
+
+
+def run_quantize(train, sets, k, sample, seed):
+    """Posture codes: cluster up to `sample` postures drawn from the training
+    sequences into k modes (k=0: evaluate.select_k's silhouette sweep picks k),
+    take the training set's per-frame mean labels and label each (name,
+    sequences) pair of sets.  Returns k, model, mean_labels and, per set in
+    order, (name, label strings, mean variability, its variance)."""
+    if sample < 1:
+        raise BadTarget("sample must be positive")
+    pool = np.concatenate([np.asarray(s) for s in train], axis=0)
+    if pool.shape[0] > sample:
+        rng = np.random.default_rng(stage_seed(seed, SEED_EVAL_SAMPLE))
+        pool = pool[np.sort(rng.choice(pool.shape[0], size=sample, replace=False))]
+    cluster_seed = stage_seed(seed, SEED_EVAL_CLUSTER)
+    if k == 0:
+        k, _, model = evaluate.select_k(pool, seed=cluster_seed)
+    else:
+        model = evaluate.cluster_postures(pool, k=k, seed=cluster_seed)
+    mean_labels = evaluate.mean_label_sequence(train, model)
+    labelled = [(name, [evaluate.quantize(s, model) for s in seqs]) for name, seqs in sets]
+    rows = [(name, labels, *evaluate.variability_stats(labels, mean_labels))
+            for name, labels in labelled]
+    return {"k": k, "model": model, "mean_labels": mean_labels, "sets": rows}
 
 
 def run_route(seqs, kind="istvf", model_type="ig", ref_index=0, d1=None, d2=None,
@@ -37,9 +84,8 @@ def run_route(seqs, kind="istvf", model_type="ig", ref_index=0, d1=None, d2=None
     del seqs  # every later stage reads the aligned copy; keeping both raises the peak
     fields, reduction, bundle = models.fit_stages(aligned, kind, model_type, d1, d2, var1, var2,
                                                   None, order, var_index, start_policy)
-    sims = models.simulate_sequence(bundle, count, seed=stage_seed(seed, SEED_SIMULATE))
-    test = evaluate.disco_test(sims, aligned, n_perm=n_perm,
-                               seed=stage_seed(seed, SEED_EVAL_PERM))
+    sims = simulate(bundle, count, seed)
+    test = two_sample(sims, aligned, n_perm, seed)
     return {"aligned": aligned, "warps": warps, "fields": fields, "reduction": reduction,
             "bundle": bundle, "sims": sims, "two_sample": test}
 

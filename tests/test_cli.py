@@ -9,9 +9,9 @@ import weakref
 import numpy as np
 import pytest
 
-from motionemu import cli, dimred, evaluate, io as mio, models
-from motionemu.cli import (SEED_CLASS, SEED_EVAL_PERM, SEED_SIMULATE, main, parse_scheme,
-                           run_twolevel, stage_seed)
+from motionemu import cli, dimred, evaluate, io as mio, models, route
+from motionemu.cli import main, parse_scheme, run_twolevel
+from motionemu.route import SEED_CLASS, SEED_EVAL_PERM, SEED_SIMULATE, stage_seed
 from motionemu.datagen import SynthConfig, gen_class, gen_mixture
 from motionemu.errors import BadTarget, KindMismatch
 from motionemu.flatten import FlatFields, flatten_sequence
@@ -248,6 +248,72 @@ def test_pipeline_manifest_lists_only_files_this_run_wrote(tmp_path):
                                              "two_sample.csv", "warps.txt"]
 
 
+def test_the_cli_derives_no_seed_itself():
+    """route applies every spawn key; the CLI passes --seed through."""
+    assert not hasattr(cli, "stage_seed")
+    assert [name for name in vars(cli) if name.startswith("SEED_")] == []
+
+
+def sha256(path):
+    return hashlib.sha256(read_bytes(path)).hexdigest()
+
+
+def manifest_of(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def test_a_stage_rerun_into_its_own_out_records_its_input_as_read(stage_inputs, tmp_path):
+    out = tmp_path / "align"
+    assert run_cli("align", "--input", stage_inputs / "sequences.txt", "--out", out) == 0
+    read = sha256(out / "aligned.txt")
+    assert run_cli("align", "--input", out / "aligned.txt", "--ref-index", 2, "--out", out) == 0
+    manifest = manifest_of(out / "manifest_align.json")
+    assert manifest["inputs"] == {"aligned.txt": read}
+    assert manifest["artifacts"]["aligned.txt"] == sha256(out / "aligned.txt") != read
+
+
+def test_pipeline_on_an_artifact_named_input_records_it_as_read(stage_inputs, tmp_path):
+    """A pipeline whose --input is named like an artifact in --out records
+    the input it read, and writes what the same run from elsewhere writes."""
+    flags = ["--scheme", "istvf/seqpca/mvg", "--d1", 2, "--d2", 3, "--count", 4, "--n-perm", 9]
+    inside, outside, fresh = tmp_path / "inside", tmp_path / "outside", tmp_path / "fresh"
+    for where in (inside, outside):
+        where.mkdir()
+        (where / "aligned.txt").write_bytes(read_bytes(stage_inputs / "sequences.txt"))
+    read = sha256(inside / "aligned.txt")
+    assert run_cli("pipeline", "--input", inside / "aligned.txt", *flags, "--out", inside) == 0
+    assert run_cli("pipeline", "--input", outside / "aligned.txt", *flags, "--out", fresh) == 0
+    for name in ("manifest_align.json", "manifest_pipeline.json"):
+        assert manifest_of(inside / name)["inputs"] == {"aligned.txt": read}, name
+    assert sorted(os.listdir(inside)) == sorted(os.listdir(fresh))
+    for name in os.listdir(fresh):
+        assert read_bytes(inside / name) == read_bytes(fresh / name), name
+
+
+def test_pipeline_config_holds_every_route_setting(stage_inputs, tmp_path):
+    """Pipelines that differ in one route setting record different configs;
+    a synthesizing run also records synth's flags, an --input run none."""
+    base = ["pipeline", "--input", stage_inputs / "sequences.txt", "--scheme",
+            "istvf/spatialpca/var", "--d1", 2, "--count", 3, "--n-perm", 9]
+    variants = {"base": [], "order": ["--order", 2], "ref-index": ["--ref-index", 1],
+                "var-index": ["--var-index", 1], "start-policy": ["--start-policy", "fixed"]}
+    hashes = set()
+    for name, flags in variants.items():
+        assert run_cli(*base, *flags, "--out", tmp_path / name) == 0
+        manifest = manifest_of(tmp_path / name / "manifest_pipeline.json")
+        assert not set(cli.SYNTH_DEFAULTS) & set(manifest["config"])
+        hashes.add(manifest["config_hash"])
+    assert len(hashes) == len(variants)
+    out = tmp_path / "synth"
+    assert run_cli("pipeline", "--seed", 3, *SYNTH_FLAGS, "--d1", 2, "--count", 3,
+                   "--n-perm", 9, "--out", out) == 0
+    config = manifest_of(out / "manifest_pipeline.json")["config"]
+    assert {flag: config[flag] for flag in cli.SYNTH_DEFAULTS} == {
+        "landmarks": 5, "frames": 60, "target_frames": 0, "classes": 1, "per_class": 5,
+        "amplitude": 0.7, "bandwidth": 0.1, "warp_strength": 0.3, "noise": 0.02}
+
+
 def test_pipeline_runs_the_route_once_per_class(tmp_path):
     """With several synthetic classes, class_k/ holds class k's sequences
     and exactly what a pipeline --input run on them writes with class k's
@@ -292,7 +358,7 @@ def test_pipeline_frees_the_raw_set_after_alignment(stage_inputs, tmp_path, monk
         pass
 
     made, alive = [], []
-    real_read, real_mix = mio.read_posture_sequences, cli.datagen.gen_mixture
+    real_read, real_mix = mio.read_posture_sequences, route.datagen.gen_mixture
     real_fit = models.fit_stages
 
     def read(path):
@@ -310,7 +376,7 @@ def test_pipeline_frees_the_raw_set_after_alignment(stage_inputs, tmp_path, monk
         return real_fit(*args)
 
     monkeypatch.setattr(mio, "read_posture_sequences", read)
-    monkeypatch.setattr(cli.datagen, "gen_mixture", mix)
+    monkeypatch.setattr(route.datagen, "gen_mixture", mix)
     monkeypatch.setattr(models, "fit_stages", fit)
     for scheme in ("istvf/seqpca/mvg", "pwi"):
         out = tmp_path / scheme.replace("/", "-")
@@ -698,12 +764,12 @@ def test_run_twolevel_tests_equal_disco_test_on_the_same_draws():
     report = run_twolevel(seqs, kind="istvf", model_type="ig", d1=2, d2=2, total=30,
                           holdout=10, emulators=("ig", "mvg", "pwi"), n_perm=19, seed=4)
     sims = models.simulate_sequence(report["level_one"], 30,
-                                    seed=stage_seed(4, cli.SEED_TL_LEVEL1))
+                                    seed=stage_seed(4, route.SEED_TL_LEVEL1))
     for j, row in enumerate(report["rows"]):
         draws = models.simulate_sequence(report["bundles"][row["emulator"]], 10,
-                                         seed=stage_seed(4, cli.SEED_TL_SIM, (j,)))
+                                         seed=stage_seed(4, route.SEED_TL_SIM, (j,)))
         res = evaluate.disco_test(draws, sims[20:], n_perm=19,
-                                  seed=stage_seed(4, cli.SEED_TL_DISCO, (j,)))
+                                  seed=stage_seed(4, route.SEED_TL_DISCO, (j,)))
         assert (row["statistic"], row["p_value"]) == (res.statistic, res.p_value)
 
 

@@ -202,7 +202,7 @@ def test_posture_distance_entry_points_reject_non_posture_stacks(bad):
     with pytest.raises(DimensionMismatch):
         cluster_postures(bad, k=2)
     with pytest.raises(DimensionMismatch):
-        select_k(bad, k_min=2, k_max=3)
+        select_k(bad)
 
 
 def test_sequence_distance_matrix_identical_rows_are_exact_zero():
@@ -497,10 +497,11 @@ def test_swap_scan_blocks_keep_medoids_and_objective_bits(monkeypatch):
     runs = []
     # 24 bytes an entry of a 25-row column: tables filled 1 column at a time,
     # in ragged runs of 4 and 7 columns (the last 1 and 4 wide), and at once
+    monkeypatch.setattr(evaluate, "K_SWEEP", range(2, 7))
     for budget in (24 * 25, 24 * 25 * 4, 24 * 25 * 7, geo.BLOCK_BYTES):
         monkeypatch.setattr(geo, "BLOCK_BYTES", budget)
         model = cluster_postures(postures, k=4, seed=3)
-        best_k, scores, _ = select_k(postures, k_min=2, k_max=6, seed=5)
+        best_k, scores, _ = select_k(postures, seed=5)
         runs.append((model.medoid_indices.tolist(), np.float64(model.objective).tobytes(),
                      best_k, np.array(list(scores.values())).tobytes()))
     assert all(run == runs[-1] for run in runs)
@@ -618,10 +619,11 @@ def test_silhouette_matches_hand_formula():
         silhouette_score(dmat, np.zeros(7, dtype=int))
 
 
-def test_select_k_finds_planted_count():
+def test_select_k_finds_planted_count(monkeypatch):
     rng = np.random.default_rng(15)
     postures = np.concatenate([blob(rng, c, 8) for c in BLOB_CENTERS])
-    best_k, scores, model = select_k(postures, k_min=2, k_max=6, seed=0)
+    monkeypatch.setattr(evaluate, "K_SWEEP", range(2, 7))
+    best_k, scores, model = select_k(postures, seed=0)
     assert best_k == 3
     assert sorted(scores) == [2, 3, 4, 5, 6]
     assert scores[3] == max(scores.values())

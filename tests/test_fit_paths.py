@@ -1,10 +1,11 @@
 """The library's fit_emulator and the CLI's flatten -> reduce -> fit chain
 share one reduction (dimred.reduce_fields) and one model fit
 (models.fit_bundle), so they must build the same bundle from the same
-aligned sequences, and the library route (route.run_route) must give the
-hand-run stage commands' artifacts bit for bit.  A fitted object and its
-reloaded copy must also compute the same bits, since `pipeline` keeps in
-memory what the stage commands read back from files."""
+aligned sequences, and the library route (route.run_route) and posture
+codes (route.run_quantize) must give the stage commands' artifacts bit for
+bit.  A fitted object and its reloaded copy must also compute the same
+bits, since `pipeline` keeps in memory what the stage commands read back
+from files."""
 
 import json
 
@@ -15,7 +16,7 @@ from motionemu import io as mio, models
 from motionemu.cli import main, parse_scheme
 from motionemu.cli import _write_csv
 from motionemu.persist import load_bundle, save_bundle, save_reduction
-from motionemu.route import run_route
+from motionemu.route import run_quantize, run_route
 
 SYNTH_FLAGS = ["--classes", 1, "--amplitude", 0.7, "--target-frames", 0,
                "--bandwidth", 0.1, "--warp-strength", 0.3, "--noise", 0.02]
@@ -140,6 +141,30 @@ def test_library_route_gives_the_stage_commands_artifacts(tmp_path, scheme):
                   ("reduction.txt", save_reduction, *route["reduction"])]
     for name, write, *data in files:
         write(lib / name, *data)
+        assert (lib / name).read_bytes() == (cli / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_library_quantize_gives_the_eval_quantize_files(tmp_path, aligned, k):
+    """run_quantize's results, written by the CSV writer, equal byte for byte
+    what eval quantize writes from the same sets and seed."""
+    train = mio.read_posture_sequences(aligned)
+    mio.write_posture_sequences(tmp_path / "other.txt", train[3:])
+    cli, lib = tmp_path / "cli", tmp_path / "lib"
+    lib.mkdir()
+    assert run_cli("eval", "quantize", "--train", aligned, "--set",
+                   f"other={tmp_path / 'other.txt'}", "--k", k, "--sample", 100, "--seed", 4,
+                   "--out", cli) == 0
+    res = run_quantize(train, [("train", train), ("other", train[3:])], k, 100, 4)
+    assert k == 0 or res["k"] == k
+    files = [("quantize.csv", ["set", "sequences", "mean_variability", "variance"],
+              [(name, len(labels), mean, var) for name, labels, mean, var in res["sets"]]),
+             ("mean_labels.csv", ["frame", "label"], list(enumerate(res["mean_labels"]))),
+             ("label_sequences.csv", ["set", "index", "labels"],
+              [(name, i, " ".join(str(v) for v in lab))
+               for name, labels, _, _ in res["sets"] for i, lab in enumerate(labels)])]
+    for name, header, rows in files:
+        _write_csv(lib / name, header, rows)
         assert (lib / name).read_bytes() == (cli / name).read_bytes(), name
 
 

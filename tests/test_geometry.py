@@ -421,8 +421,8 @@ def test_karcher_local_optimality():
 def test_karcher_reports_nonconvergence():
     rng = np.random.default_rng(14)
     cloud = rand_unit(rng, 8, 3)
-    with pytest.raises(NoConvergence) as info:
-        geo.karcher_mean(cloud, max_iter=1)
+    with mock.patch.object(geo, "KARCHER_MAX_ITER", 1), pytest.raises(NoConvergence) as info:
+        geo.karcher_mean(cloud)
     assert info.value.residual > 0.0
 
 
@@ -492,26 +492,27 @@ def test_stacked_means_equal_one_set_calls_bitwise(m, b, bones, spread, seed, pe
 def test_stacked_means_report_the_largest_unconverged_residual():
     stack = stacked_sets(np.random.default_rng(15), 9, 4, 1, 0.8)
     residuals = []
-    for j in range(4):
-        try:
-            geo.karcher_mean(stack[:, j], max_iter=2)
-        except NoConvergence as exc:
-            residuals.append(exc.residual)
-    # the identical and collapsed sets converge, the other two do not
-    assert len(residuals) == 2 and residuals[0] != residuals[1]
-    with pytest.raises(NoConvergence) as info:
-        geo.karcher_mean(stack, max_iter=2)
-    assert info.value.residual == max(residuals)
-    # with one set a block, the first unconverged set's block raises
-    with mock.patch.object(geo, "BLOCK_BYTES", 6 * stack[:, 0].nbytes), \
-            pytest.raises(NoConvergence) as info:
-        geo.karcher_mean(stack, max_iter=2)
-    assert info.value.residual == residuals[0]
-    for run in (lambda: geo.karcher_mean(stack, max_iter=0),
-                lambda: geo.karcher_mean(stack[:, 0], max_iter=0)):
+    with mock.patch.object(geo, "KARCHER_MAX_ITER", 2):
+        for j in range(4):
+            try:
+                geo.karcher_mean(stack[:, j])
+            except NoConvergence as exc:
+                residuals.append(exc.residual)
+        # the identical and collapsed sets converge, the other two do not
+        assert len(residuals) == 2 and residuals[0] != residuals[1]
         with pytest.raises(NoConvergence) as info:
-            run()
-        assert info.value.residual == np.inf
+            geo.karcher_mean(stack)
+        assert info.value.residual == max(residuals)
+        # with one set a block, the first unconverged set's block raises
+        with mock.patch.object(geo, "BLOCK_BYTES", 6 * stack[:, 0].nbytes), \
+                pytest.raises(NoConvergence) as info:
+            geo.karcher_mean(stack)
+        assert info.value.residual == residuals[0]
+    with mock.patch.object(geo, "KARCHER_MAX_ITER", 0):
+        for run in (lambda: geo.karcher_mean(stack), lambda: geo.karcher_mean(stack[:, 0])):
+            with pytest.raises(NoConvergence) as info:
+                run()
+            assert info.value.residual == np.inf
 
 
 def test_sequence_dist_mean_over_frames():
