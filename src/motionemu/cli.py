@@ -8,9 +8,12 @@ the command, its configuration (`_config`, from its flags) and SHA-256
 checksums of its inputs as read, before any write (by basename), and of
 exactly the files it wrote (by path under --out).  No timestamps: a rerun
 with the same seed and inputs reproduces every file byte for byte.
+Inputs and written files travel as (path, SHA-256) pairs, so a command
+hashes each file once.
 
 `pipeline` hands each stage's result of route.run_route to that stage's
-writer, reading none back.  With --classes above one it runs the route
+writer, reading none back; a later stage's inputs are the pairs an
+earlier stage returned.  With --classes above one it runs the route
 once per synthetic class k, in class_k/ from the root seed
 route.class_seed(seed, k), as `pipeline --input class_k/sequences.txt`
 with that seed would.  Schemes are `<repr>/<dimred>/<model>` (any case)
@@ -77,19 +80,21 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _digests(inputs):  # {basename: SHA-256}, taken before any write: --out may hold an input
-    return {os.path.basename(p): _sha256(p) for p in inputs}
+def _digests(paths):  # (path, SHA-256) pairs, taken before any write: --out may hold an input
+    return [(p, _sha256(p)) for p in paths]
 
 
-def _manifest(outdir, command, config, digests, artifacts):
+def _manifest(outdir, command, config, inputs, artifacts):
+    """inputs and artifacts are (path, SHA-256) pairs, recorded by basename
+    and by path under outdir."""
     blob = json.dumps(config, sort_keys=True).encode()
     payload = {
         "command": command,
         "config": config,
         "config_hash": hashlib.sha256(blob).hexdigest(),
         "seed": config.get("seed"),
-        "inputs": digests,
-        "artifacts": {os.path.relpath(p, outdir): _sha256(p) for p in artifacts},
+        "inputs": {os.path.basename(p): digest for p, digest in inputs},
+        "artifacts": {os.path.relpath(p, outdir): digest for p, digest in artifacts},
     }
     path = os.path.join(outdir, f"manifest_{command}.json")
     with open(path, "w") as fh:
@@ -99,15 +104,17 @@ def _manifest(outdir, command, config, digests, artifacts):
 
 
 def _emit(out, command, config, inputs, files):
-    """Hash the input paths, write each (name, writer, *data) of files as
-    writer(out/name, *data), in order, then manifest_<command>.json over
-    exactly those paths, which are returned."""
-    digests = _digests(inputs)
-    paths = [os.path.join(out, name) for name, *_ in files]
-    for path, (_, writer, *data) in zip(paths, files):
+    """Write each (name, writer, *data) of files as writer(out/name, *data),
+    in order, hashing each file once written, then manifest_<command>.json
+    over the (path, SHA-256) pairs of inputs and of exactly those files;
+    return the files' pairs."""
+    written = []
+    for name, writer, *data in files:
+        path = os.path.join(out, name)
         writer(path, *data)
-    _manifest(out, command, config, digests, paths)
-    return paths
+        written.append((path, _sha256(path)))
+    _manifest(out, command, config, inputs, written)
+    return written
 
 
 def _config(args, *flags, **extra):
@@ -148,7 +155,8 @@ def _named_sets(pairs):
 
 
 def _synth(args, out):
-    """Write the mixture; return its classes (one pooled set for one class) and the paths."""
+    """Write the mixture; return its classes (one pooled set for one class)
+    and the written (path, SHA-256) pairs."""
     seqs, labels = route.synth(
         args.seed, args.classes, args.target_frames if args.target_frames > 0 else None,
         landmarks=args.landmarks, frames=args.frames, count=args.per_class,
@@ -168,29 +176,33 @@ def cmd_ingest(args, out):
     seqs = [ingest_sequence(f, hierarchy) for f in frames_list]
     if args.target_frames > 0:
         seqs = [downsample(s, args.target_frames) for s in seqs]
-    _emit(out, "ingest", _config(args, "target_frames", input=os.path.basename(src)), [src],
+    _emit(out, "ingest", _config(args, "target_frames", input=os.path.basename(src)),
+          _digests([src]),
           [("sequences.txt", mio.write_posture_sequences, seqs)])
     print(f"ingest: {len(seqs)} sequences, {seqs[0].shape[0]} frames, "
           f"{hierarchy.n} landmarks")
 
 
-# Stage writers: print, write and hash what they are given; return the paths.
+# Stage writers: print, write and hash what they are given, with the (path,
+# SHA-256) pairs of their inputs; return the written pairs.
 
-def _align(args, out, aligned, warps, src):
+def _align(args, out, aligned, warps, inputs):
     print(f"align: {len(aligned)} sequences warped onto index {args.ref_index}")
-    return _emit(out, "align", _config(args, "ref_index", input=os.path.basename(src)), [src],
+    config = _config(args, "ref_index", input=os.path.basename(inputs[0][0]))
+    return _emit(out, "align", config, inputs,
                  [("aligned.txt", mio.write_posture_sequences, aligned),
                   ("warps.txt", mio.write_warps, warps)])
 
 
 def cmd_align(args, out):
     src = _resolve(args.input)
-    _align(args, out, *align_all(mio.read_posture_sequences(src), ref_index=args.ref_index), src)
+    aligned, warps = align_all(mio.read_posture_sequences(src), ref_index=args.ref_index)
+    _align(args, out, aligned, warps, _digests([src]))
 
 
 def _flatten(args, out, fields, inputs):
-    """inputs are the paths of the sequences and, when given, of the reference."""
-    config = _config(args, kind=fields.kind, input=os.path.basename(inputs[0]),
+    """inputs are the pairs of the sequences and, when given, of the reference."""
+    config = _config(args, kind=fields.kind, input=os.path.basename(inputs[0][0]),
                      reference=os.path.basename(args.reference))
     print(f"flatten: {len(fields)} {fields.kind} fields of {fields.length} columns")
     return _emit(out, "flatten", config, inputs,
@@ -202,23 +214,25 @@ def cmd_flatten(args, out):
     inputs = [_resolve(p) for p in (args.input, args.reference) if p]
     seqs = mio.read_posture_sequences(inputs[0])
     reference = mio.read_posture_sequences(inputs[1])[0][0] if args.reference else None
-    _flatten(args, out, flatten.flatten_sequence(seqs, reference, args.kind), inputs)
+    _flatten(args, out, flatten.flatten_sequence(seqs, reference, args.kind), _digests(inputs))
 
 
-def _reduce(args, out, reduction, src):
+def _reduce(args, out, reduction, inputs):
     spatial, fpca = reduction
     method = "spatialpca" if fpca is None else "seqpca"
     config = _config(args, "d1", "d2", "var1", "var2", method=method,
-                     input=os.path.basename(src))
+                     input=os.path.basename(inputs[0][0]))
     d2 = "" if fpca is None else f" d2={fpca.dims[1]}"
     print(f"reduce: {method} d1={spatial.dim}{d2}")
-    return _emit(out, "reduce", config, [src], [("reduction.txt", save_reduction, spatial, fpca)])
+    return _emit(out, "reduce", config, inputs,
+                 [("reduction.txt", save_reduction, spatial, fpca)])
 
 
 def cmd_reduce(args, out):
     src = _resolve(args.input)
     _reduce(args, out, dimred.reduce_fields(mio.read_flatfields(src), args.method == "seqpca",
-                                            args.d1, args.d2, args.var1, args.var2), src)
+                                            args.d1, args.d2, args.var1, args.var2),
+            _digests([src]))
 
 
 def _fit(args, out, bundle, inputs):
@@ -236,7 +250,7 @@ def cmd_fit(args, out):
             raise BadTarget("scheme pwi fits from sequences; pass --input")
         src = _resolve(args.input)
         _fit(args, out, models.fit_emulator(mio.read_posture_sequences(src), model_type="pwi",
-                                            diagonal=args.diagonal), [src])
+                                            diagonal=args.diagonal), _digests([src]))
         return
     if not args.fields or not args.reduction:
         raise BadTarget(f"scheme {args.scheme} fits from artifacts; "
@@ -250,17 +264,17 @@ def cmd_fit(args, out):
                                    args.start_policy)
     except DimensionMismatch as exc:  # the two files disagree, say, on their time grid
         raise type(exc)(f"{inputs[0]} and {inputs[1]}: {exc}") from None
-    _fit(args, out, bundle, inputs)
+    _fit(args, out, bundle, _digests(inputs))
 
 
-def _simulate(args, out, sims, model_type, src, n_fit=None):
+def _simulate(args, out, sims, model_type, inputs, n_fit=None):
     files = [("sims.txt", mio.write_posture_sequences, sims)]
     if n_fit is not None:
         files += [("sims_fit.txt", mio.write_posture_sequences, sims[:n_fit]),
                   ("sims_held.txt", mio.write_posture_sequences, sims[n_fit:])]
-    config = _config(args, "count", "split", "seed", bundle=os.path.basename(src))
+    config = _config(args, "count", "split", "seed", bundle=os.path.basename(inputs[0][0]))
     print(f"simulate: {len(sims)} sequences from {model_type} bundle")
-    return _emit(out, "simulate", config, [src], files)
+    return _emit(out, "simulate", config, inputs, files)
 
 
 def cmd_simulate(args, out):
@@ -277,15 +291,16 @@ def cmd_simulate(args, out):
         if n_fit <= 0 or n_held <= 0 or n_fit + n_held != args.count:
             raise BadTarget(f"split {args.split} does not partition count {args.count}")
     sims = route.simulate(bundle, args.count, args.seed)
-    _simulate(args, out, sims, bundle.model_type, src, n_fit)
+    _simulate(args, out, sims, bundle.model_type, _digests([src]), n_fit)
 
 
-def _two_sample(args, out, res, a_src, b_src):
+def _two_sample(args, out, res, inputs):
+    (a_src, _), (b_src, _) = inputs
     config = _config(args, "n_perm", "exhaustive", "seed", a=os.path.basename(a_src),
                      b=os.path.basename(b_src))
     print(f"two-sample: statistic {res.statistic:.6g}, p {res.p_value:.4g} "
           f"({res.permutations} shuffles)")
-    return _emit(out, "eval-two-sample", config, [a_src, b_src],
+    return _emit(out, "eval-two-sample", config, inputs,
                  [("two_sample.csv", _write_csv, ["statistic", "p_value", "permutations"],
                    [(res.statistic, res.p_value, res.permutations)])])
 
@@ -294,7 +309,7 @@ def cmd_two_sample(args, out):
     a_src, b_src = _resolve(args.a), _resolve(args.b)
     res = route.two_sample(mio.read_posture_sequences(a_src), mio.read_posture_sequences(b_src),
                            args.n_perm, args.seed, args.exhaustive)
-    _two_sample(args, out, res, a_src, b_src)
+    _two_sample(args, out, res, _digests([a_src, b_src]))
 
 
 def cmd_quantize(args, out):
@@ -307,7 +322,7 @@ def cmd_quantize(args, out):
         print(f"quantize: silhouette sweep picked k={res['k']}")
     config = _config(args, "k", "sample", "seed", train=os.path.basename(train_src),
                      sets=",".join(name for name, _, _ in sets[1:]))
-    _emit(out, "eval-quantize", config, [path for _, path, _ in sets], [
+    _emit(out, "eval-quantize", config, _digests([path for _, path, _ in sets]), [
         ("quantize.csv", _write_csv, ["set", "sequences", "mean_variability", "variance"],
          [(name, len(labels), mean, var) for name, labels, mean, var in res["sets"]]),
         ("mean_labels.csv", _write_csv, ["frame", "label"],
@@ -333,7 +348,7 @@ def cmd_roughness(args, out):
         sd = float(per_seq.std(ddof=1)) if per_seq.size > 1 else 0.0
         rows.append((name, len(seqs), float(per_seq.mean()), sd))
     _emit(out, "eval-roughness", _config(args, sets=",".join(name for name, _, _ in sets)),
-          [path for _, path, _ in sets],
+          _digests([path for _, path, _ in sets]),
           [("roughness.csv", _write_csv, ["set", "sequences", "mean", "sd"], rows),
            ("roughness_series.csv", _write_csv, ["set", "index", "series"], series_rows)])
     for row in rows:
@@ -344,7 +359,8 @@ def cmd_mds(args, out):
     src = _resolve(args.input)
     dmat = evaluate.sequence_distance_matrix(mio.read_posture_sequences(src))
     coords = evaluate.mds_coords_from(dmat, dims=args.dims)
-    _emit(out, "eval-mds", _config(args, "dims", input=os.path.basename(src)), [src], [
+    config = _config(args, "dims", input=os.path.basename(src))
+    _emit(out, "eval-mds", config, _digests([src]), [
         ("mds.csv", _write_csv, ["index"] + [f"c{i}" for i in range(args.dims)],
          [(i, *row) for i, row in enumerate(coords)]),
         ("dmat.csv", _write_csv, [f"d{i}" for i in range(dmat.shape[0])],
@@ -360,41 +376,42 @@ def cmd_qq(args, out):
     pairs = evaluate.qq_data(ll_a, ll_b)
     config = _config(args, bundle=os.path.basename(bundle_src), a=os.path.basename(a_src),
                      b=os.path.basename(b_src))
-    _emit(out, "eval-qq", config, [bundle_src, a_src, b_src],
+    _emit(out, "eval-qq", config, _digests([bundle_src, a_src, b_src]),
           [("qq.csv", _write_csv, ["a_quantile", "b_quantile"], [tuple(r) for r in pairs])])
     print(f"qq: {pairs.shape[0]} quantile pairs, medians "
           f"{np.median(ll_a):.6g} vs {np.median(ll_b):.6g}")
 
 
-def _pipeline(args, out, sets, src, digests, before=()):
-    """Run the route on sets.pop(0), read from src, with args' settings; write
-    its files into out and manifest_pipeline.json (the inputs' digests, then
-    before and them) and return them.  Popped in the call, the set is freed once aligned."""
+def _pipeline(args, out, sets, source, inputs, before=()):
+    """Run the route on sets.pop(0), read from the (path, SHA-256) pair
+    source, with args' settings; write its files into out and
+    manifest_pipeline.json (the pairs of inputs, then before and them) and
+    return their pairs.  Popped in the call, the set is freed once aligned."""
     kind, _, model_type = parse_scheme(args.scheme)
     run = route.run_route(sets.pop(0), kind=kind, model_type=model_type, ref_index=args.ref_index,
                           d1=args.d1, d2=args.d2, var1=args.var1, var2=args.var2, order=args.order,
                           var_index=args.var_index, start_policy=args.start_policy, seed=args.seed,
                           count=args.count, n_perm=args.n_perm)
-    align = _align(args, out, run["aligned"], run["warps"], src)
+    align = _align(args, out, run["aligned"], run["warps"], [source])
     fit_on, chart = align[:1], []
     if run["fields"] is not None:  # a 'pwi' route fits on the aligned sequences
         chart = _flatten(args, out, run["fields"], align[:1])
-        chart += _reduce(args, out, run["reduction"], chart[0])
+        chart += _reduce(args, out, run["reduction"], chart[:1])
         fit_on = [chart[0], chart[-1]]
     fit = _fit(args, out, run["bundle"], fit_on)
-    sims = _simulate(args, out, run["sims"], run["bundle"].model_type, fit[0])
-    written = align + chart + fit + sims + _two_sample(args, out, run["two_sample"], sims[0],
-                                                       align[0])
-    _pipeline_manifest(args, out, digests, [*before, *written])
+    sims = _simulate(args, out, run["sims"], run["bundle"].model_type, fit)
+    written = align + chart + fit + sims + _two_sample(args, out, run["two_sample"],
+                                                       [sims[0], align[0]])
+    _pipeline_manifest(args, out, inputs, [*before, *written])
     return written
 
 
-def _pipeline_manifest(args, out, digests, artifacts):
+def _pipeline_manifest(args, out, inputs, artifacts):
     synth = () if args.input else SYNTH_DEFAULTS  # synth's flags when synth made the input
     config = _config(args, "seed", "count", "n_perm", "d1", "d2", "var1", "var2", "ref_index",
                      "order", "var_index", "start_policy", *synth,
                      scheme=args.scheme.lower(), input=os.path.basename(args.input))
-    _manifest(out, "pipeline", config, digests, artifacts)
+    _manifest(out, "pipeline", config, inputs, artifacts)
     print(f"pipeline: {args.scheme.lower()} run complete in {out}")
 
 
@@ -405,12 +422,13 @@ def cmd_pipeline(args, out):
             raise BadTarget(f"{flag} must be positive")
     if args.input:
         src = _resolve(args.input)
-        sets, digests, artifacts = [mio.read_posture_sequences(src)], _digests([src]), []
+        sets, inputs, artifacts = [mio.read_posture_sequences(src)], _digests([src]), []
+        source = inputs[0]
     else:
         sets, artifacts = _synth(args, out)
-        src, digests = artifacts[0], {}
+        inputs, source = [], artifacts[0]
     if len(sets) == 1:
-        _pipeline(args, out, sets, src, digests, artifacts)
+        _pipeline(args, out, sets, source, inputs, artifacts)
         return
     for k in range(len(sets)):  # one route per class, as an --input run on its file
         sub = os.path.join(out, f"class_{k}")
@@ -419,8 +437,9 @@ def cmd_pipeline(args, out):
         mio.write_posture_sequences(src, sets[0])
         run = argparse.Namespace(**{**vars(args), "input": src,
                                     "seed": route.class_seed(args.seed, k)})
-        artifacts += [src, *_pipeline(run, sub, sets, src, _digests([src]))]
-    _pipeline_manifest(args, out, {}, artifacts)
+        source = _digests([src])
+        artifacts += [*source, *_pipeline(run, sub, sets, source[0], source)]
+    _pipeline_manifest(args, out, [], artifacts)
 
 
 def cmd_twolevel(args, out):
@@ -441,7 +460,7 @@ def cmd_twolevel(args, out):
     config = _config(args, "d1", "d2", "total", "holdout", "n_perm", "seed",
                      input=os.path.basename(src), scheme=args.scheme.lower(),
                      emulators=",".join(emulators))
-    _emit(out, "twolevel", config, [src], [table, *qq])
+    _emit(out, "twolevel", config, _digests([src]), [table, *qq])
     for r in report["rows"]:
         print(f"twolevel: {r['emulator']} p {r['p_value']:.4g} "
               f"median loglik {r['median_loglik']:.6g} "

@@ -2,9 +2,13 @@
 
 Files hold blocks (`rawseq`, `postureseq`, `warps`, `doc`), each opened
 by a header line naming its type and sizes.  One codec handles every
-float row: the writer formats one line per row with one `%.17g` template,
-which round-trips IEEE doubles bit-exactly, and the reader hands each
-block's lines to one `np.loadtxt` as it reads them from the open file.
+float row.  The writer's bytes equal `'%.17g' % v` for every value, which
+round-trips IEEE doubles bit-exactly: numpy computes the digits of zeros
+and of 1e-4 <= |v| < 1e16 (the range `%.17g` prints positionally) exactly,
+with Dekker's two-product, and `'%.17g' % v` itself formats the rest (nan,
+inf, subnormals, smaller and larger magnitudes).  It writes blocks of
+values as it formats them.  The reader hands each block's lines to one
+`np.loadtxt` as it reads them from the open file.
 Bad headers, short files, ragged rows and non-numeric tokens raise
 `DimensionMismatch` naming the file, as do non-finite values and bones
 off the unit sphere (`UNIT_TOL`).
@@ -36,14 +40,151 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+# ---- the row writer: Python's own '%.17g' digits, computed with numpy ------
+#
+# Each value gets a row of _W bytes, first Z = "0000000", its 17 significant
+# digits D (D[0] in column 7) and a zero pad.  '%.17g' prints a value of
+# exponent k in -4..15 as Z[7 + min(k, 0):8 + k], then '.' and the fraction
+# Z[8 + k:24 - trailing zeros] when that is not empty.  So column c of the
+# token row takes Z[c] left of the point and Z[c - 1] right of it (the 0/1
+# masks _LEFT and _RIGHT, per k and trailing zeros); the sign, the point and
+# the separator are written into their columns, every other byte is zero,
+# and the block's bytes drop the zeros.
+_W = 28
+_POW10 = np.array([float(10 ** p) for p in range(23)])  # exact doubles
+_SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter: 26 + 26 bits, sign bit spare
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _four_digits():
+    """The 4 ASCII digits of each of 0..9999 as one word, and their trailing
+    zeros.  Built by broadcast copies alone: other numpy kernels touched at
+    import would stay in every command's resident memory."""
+    digits = np.empty((10,) * 4 + (4,), np.uint8)  # [thousands, hundreds, tens, ones, position]
+    ascii = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for j in range(4):
+        digits[..., j] = ascii[(slice(None),) + (None,) * (3 - j)]
+    zeros = np.zeros((10,) * 4, np.int8)
+    for j in range(1, 5):
+        zeros[(...,) + (0,) * j] += 1
+    return digits.view(np.uint32).ravel(), zeros.ravel()
+
+
+_DIGITS4, _ZEROS4 = _four_digits()
+
+
+def _digit_masks():
+    """Row (k + 4) * 17 + trailing zeros: the token row's integer digits and
+    its fraction digits, as 0/1 bytes."""
+    left, right = np.zeros((2, 20, 17, _W), np.uint8)
+    for k in range(-4, 16):
+        left[k + 4, :, 7 + min(k, 0):8 + k] = 1
+        for tz in range(17):
+            right[k + 4, tz, 9 + k:25 - tz] = 1
+    return left.reshape(-1, _W), right.reshape(-1, _W)
+
+
+_LEFT, _RIGHT = _digit_masks()
+# Bytes each value keeps live while its block is formatted (tracemalloc
+# reads 250-265); a block holds 384 KiB of them.
+_LIVE_BYTES = 256
+_BLOCK = 384 * 1024 // _LIVE_BYTES
+
+
+def _scaled(a, k):
+    """round(a * 10**(16 - k)), half to even, exactly: Dekker's two-product
+    hi + lo of a and the power; where hi >= 2**53 it is an even integer, so
+    rint(lo) rounds the sum."""
+    p = 16 - k
+    b, bh, bl = (table.take(p, mode="clip") for table in (_POW10, _POW10_HI, _POW10_LO))
+    hi = a * b
+    ah = _SPLIT * a
+    ah -= ah - a
+    al = a - ah
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _digits(a):
+    """(k, d, bad) for doubles 1e-4 <= a < 1e16: d in [1e16, 1e17) holds the
+    17 significant digits of a and k its decimal exponent, except at the
+    indices bad.  k starts at floor(log10 a), which is one off at most;
+    where d falls outside the range, k moves one step towards it, which also
+    takes a 17th digit that rounded up into an 18th."""
+    k = np.floor(np.log10(a)).astype(np.intp)
+    d = _scaled(a, k)
+    off = np.flatnonzero((d < 10 ** 16) | (d >= 10 ** 17))
+    if off.size:
+        k[off] += np.where(d[off] < 10 ** 16, -1, 1)
+        d[off] = _scaled(a[off], k[off])
+        ko, do = k[off], d[off]
+        off = off[(do < 10 ** 16) | (do >= 10 ** 17) | (ko < -4) | (ko > 15)]
+    return k, d, off
+
+
+def _format_block(v, sep):
+    """The bytes of '%.17g' % x, then its byte of sep, for each x of the
+    float64 vector v."""
+    n = len(v)
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)
+    k, d, bad = _digits(np.where(fast, a, 1.0))  # zeros and the slow go as 1.0
+    fast[bad] = False
+    slow = np.flatnonzero(~fast)
+    zero, slow = slow[v[slow] == 0], slow[v[slow] != 0]
+    k[slow], d[slow] = 0, 10 ** 16
+    hi, lo = np.divmod(d, 10 ** 8)
+    first, hi = np.divmod(hi.astype(np.int32), 10 ** 8)
+    groups = [first, *np.divmod(hi, 10 ** 4), *np.divmod(lo.astype(np.int32), 10 ** 4)]
+    tz = _ZEROS4[groups[4]]
+    rows = np.flatnonzero(groups[4] == 0)
+    for g in groups[3:0:-1]:
+        tz[rows] += _ZEROS4[g[rows]]
+        rows = rows[g[rows] == 0]
+    raw = np.empty(4 + n * _W, np.uint8)  # raw[3] is read for column -1, never kept
+    z = raw[4:].view(np.uint32).reshape(n, _W // 4)
+    z[:, 0], z[:, 6] = _DIGITS4[0], 0
+    for j, g in enumerate(groups):
+        z[:, 1 + j] = _DIGITS4[g]
+    combo = (k + 4) * 17 + tz
+    out = _LEFT.take(combo, axis=0).reshape(-1)
+    out *= raw[4:]
+    shifted = _RIGHT.take(combo, axis=0).reshape(-1)
+    shifted *= raw[3:-1]
+    out += shifted
+    base = np.arange(0, n * _W, _W)
+    lead, point, end = base + 7 + np.minimum(k, 0), base + 8 + k, base + 24 - tz
+    out[lead - 1] = np.signbit(v).view(np.uint8) * ord("-")
+    out[point] = ord(".")
+    out[base[zero] + 7] = ord("0")  # zeros went as 1.0
+    sep_at = np.where(end > point, end + 1, point)
+    for i in slow:
+        token = ("%.17g" % v[i]).encode()
+        out[base[i]:base[i] + _W] = 0
+        out[base[i]:base[i] + len(token)] = np.frombuffer(token, np.uint8)
+        sep_at[i] = base[i] + len(token)
+    out[sep_at] = sep
+    return out.tobytes().translate(None, b"\0")
+
+
 def _write_rows(fh, rows):
-    """Write an array of rank 1 or more, one line of %.17g values per
-    vector along its last axis; an array with no entries writes no lines."""
+    """Write an array of rank 1 or more, one line per vector along its last
+    axis, each value as the bytes of '%.17g' % value, separated by spaces;
+    an array with no entries writes no lines.  Zeros and values with 1e-4
+    <= |v| < 1e16, which '%.17g' prints positionally, are formatted by
+    numpy in blocks of _BLOCK values; every other value (nan, inf,
+    subnormals, smaller and larger magnitudes) goes through '%.17g'
+    itself.  Each block is written as soon as it is formatted."""
     rows = np.asarray(rows, dtype=float)
     if rows.size:
-        line = " ".join(["%.17g"] * rows.shape[-1]) + "\n"
-        fh.writelines(line % tuple(row)
-                      for row in map(np.ndarray.tolist, rows.reshape(-1, rows.shape[-1])))
+        cols = rows.shape[-1]
+        flat = rows.reshape(-1)
+        sep = np.full(_BLOCK + cols, ord(" "), np.uint8)
+        sep[cols - 1::cols] = ord("\n")
+        for start in range(0, flat.size, _BLOCK):
+            block = flat[start:start + _BLOCK]
+            fh.write(_format_block(block, sep[start % cols:][:len(block)]).decode("ascii"))
 
 
 def _first_bad(path, where, bad, what):
@@ -119,8 +260,15 @@ class _Lines:
         return out
 
 
+def _refuse_empty(path, items, what):
+    """Refuse to write a set with no members, which its reader would refuse."""
+    if not len(items):
+        raise DimensionMismatch(f"{path}: no {what} to write")
+
+
 def write_raw_sequences(path, frames_list, hierarchy: SkeletonHierarchy):
     """Write landmark-coordinate sequences sharing one hierarchy."""
+    _refuse_empty(path, frames_list, "sequences")
     with open(path, "w") as fh:
         for frames in frames_list:
             frames = np.asarray(frames, dtype=float)
@@ -155,6 +303,7 @@ def read_raw_sequences(path):
 
 def write_posture_sequences(path, seqs):
     """Write posture sequences, one block per sequence."""
+    _refuse_empty(path, seqs, "sequences")
     with open(path, "w") as fh:
         for seq in seqs:
             seq = np.asarray(seq, dtype=float)
@@ -180,9 +329,10 @@ def read_posture_sequences(path):
 
 def write_warps(path, warps):
     """Write time-warp sample arrays, one block for the whole set."""
+    _refuse_empty(path, warps, "warps")
     t = len(warps[0])
     if any(np.shape(w) != (t,) for w in warps):
-        raise DimensionMismatch("warps in one file must share their sample count")
+        raise DimensionMismatch(f"{path}: warps in one file must share their sample count")
     with open(path, "w") as fh:
         fh.write(f"warps {len(warps)} {t}\n")
         _write_rows(fh, warps)

@@ -291,6 +291,22 @@ def test_pipeline_on_an_artifact_named_input_records_it_as_read(stage_inputs, tm
         assert read_bytes(inside / name) == read_bytes(fresh / name), name
 
 
+@pytest.mark.parametrize("scheme", ["istvf/seqpca/mvg", "pwi"])
+def test_pipeline_hashes_each_input_and_artifact_once(stage_inputs, tmp_path, monkeypatch, scheme):
+    """A pipeline --input run reads each file it records in its manifests
+    once to hash it: its input and each artifact, and nothing else."""
+    hashed = []
+    sha = cli._sha256
+    monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha(path))
+    src = stage_inputs / "sequences.txt"
+    assert run_cli("pipeline", "--input", src, "--scheme", scheme, "--d1", 2, "--d2", 3,
+                   "--count", 4, "--n-perm", 9, "--out", tmp_path) == 0
+    manifest = manifest_of(tmp_path / "manifest_pipeline.json")
+    recorded = [str(src), *(str(tmp_path / name) for name in manifest["artifacts"])]
+    assert sorted(map(str, hashed)) == sorted(recorded)
+    assert len(recorded) == (9 if scheme != "pwi" else 6)
+
+
 def test_pipeline_config_holds_every_route_setting(stage_inputs, tmp_path):
     """Pipelines that differ in one route setting record different configs;
     a synthesizing run also records synth's flags, an --input run none."""

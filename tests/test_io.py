@@ -4,6 +4,7 @@ import re
 import tempfile
 import tracemalloc
 import warnings
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,20 @@ def test_write_warps_refuses_warps_of_unequal_sample_counts(tmp_path):
     assert not (tmp_path / "warps.txt").exists()
 
 
+@pytest.mark.parametrize("write, what", [
+    (mio.write_warps, "warps"), (mio.write_posture_sequences, "sequences"),
+    (lambda path, sets: mio.write_raw_sequences(path, sets, SkeletonHierarchy([-1, 0])),
+     "sequences")])
+@pytest.mark.parametrize("empty", [[], np.zeros((0, 4, 1, 3))])
+def test_set_writers_refuse_an_empty_set_naming_the_file(tmp_path, write, what, empty):
+    """A set with no members, which every set reader refuses, is refused
+    before its file is opened."""
+    path = tmp_path / "set.txt"
+    with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: no {what} to write")):
+        write(path, empty)
+    assert not path.exists()
+
+
 def test_blank_lines_in_a_block_and_a_block_cut_short_raise_no_warning(tmp_path):
     """The reader skips blank lines inside a block, and reports a block cut
     short by the end of the file as such, without a numpy warning."""
@@ -264,10 +279,11 @@ def test_read_raw_sequences_rejects_non_finite_coordinates(tmp_path):
 
 
 def test_fields_read_and_write_hold_one_line_of_text_at_a_time(tmp_path):
-    """Writing a fields document of paper-scale size formats one row at a
-    time, holding under a tenth of the values' bytes (a writer that
-    formatted runs of rows held a fifth), and reading one holds its arrays
-    and numpy's parse buffers, not the file's lines."""
+    """Writing a fields document of paper-scale size formats one block of
+    values at a time and writes it at once, holding under a tenth of the
+    values' bytes (a writer that formatted runs of rows held a fifth), and
+    reading one holds its arrays and numpy's parse buffers, not the file's
+    lines."""
     rng = np.random.default_rng(11)
     fields = FlatFields("istvf", rand_postures(rng, 1, 20)[0], rand_postures(rng, 60, 20),
                         rng.standard_normal((60, 40, 300)), 1.0 / 300)
@@ -640,13 +656,49 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@given(arrays(np.float64, shapes((0, 5), (0, 7)), elements=ANY_FLOAT))
-def test_row_writer_bytes_equal_per_value_format(rows):
+def row_writer_cases():
+    """Arrays on which the numpy row writer is held to '%.17g' byte for byte:
+    exact ties, powers of ten and their neighbours, digits next to a carry, the
+    edges of its positional range, subnormals, random bit patterns and rows
+    that span several blocks."""
+    rng = np.random.default_rng(12)
+    powers = np.array([10.0 ** p for p in range(-8, 18)])
+    edges = np.array([1e-4, 1e16, 1.0, 0.1, 9.5, 99.5, 0.5e-4])
+    around = lambda x: np.stack([x, np.nextafter(x, 0), np.nextafter(x, np.inf)], axis=1)
+    # odd n / 2**m has m decimal places: between 10**(17 - m) and 10**(18 - m)
+    # that makes 18 significant digits, so rounding to 17 is an exact tie
+    bounds = [(m, 10 ** 17 * 2 ** m // 10 ** m, 10 ** 18 * 2 ** m // 10 ** m) for m in range(3, 22)]
+    ties = [np.ldexp(2 * rng.integers(lo // 2 + 1, hi // 2, 8) + 1, -m) for m, lo, hi in bounds]
+    yield "ties", np.array(ties)
+    yield "powers of ten", np.concatenate([around(powers), -around(powers)], axis=1)
+    yield "carries and edges", np.concatenate([around(edges), -around(edges)], axis=1)
+    yield "subnormals", rng.integers(1, 2 ** 52, (16, 8)).view(np.float64) * [[1, -1] * 4]
+    yield "bit patterns", rng.integers(-2 ** 63, 2 ** 63 - 1, (256, 16)).view(np.float64)
+    spread = 10.0 ** rng.uniform(-12, 20, (400, 5)) * rng.choice([-1.0, 1.0], (400, 5))
+    yield "magnitudes", spread
+    yield "rows over blocks", rng.standard_normal((5, 3 * mio._BLOCK + 7))
+    yield "blocks over rows", rng.standard_normal((2 * mio._BLOCK // 3 + 1, 3, 7))
+
+
+def first_line_off_per_value_format(rows):
+    """The first line (number, written, expected) where the row writer's
+    output differs from a per-value format(v, ".17g"), or None."""
     fh = io.StringIO()
     mio._write_rows(fh, rows)
-    expected = "".join(" ".join(format(float(v), ".17g") for v in row) + "\n"
-                       for row in rows if row.size)
-    assert fh.getvalue() == expected
+    expected = ("".join(" ".join(format(float(v), ".17g") for v in row) + "\n"
+                        for row in rows.reshape(-1, rows.shape[-1])) if rows.size else "")
+    lines = zip_longest(fh.getvalue().split("\n"), expected.split("\n"))
+    return next(((i, got, want) for i, (got, want) in enumerate(lines) if got != want), None)
+
+
+@given(arrays(np.float64, shapes((0, 5), (0, 7)), elements=ANY_FLOAT))
+def test_row_writer_bytes_equal_per_value_format(rows):
+    assert first_line_off_per_value_format(rows) is None
+
+
+@pytest.mark.parametrize("name, rows", row_writer_cases())
+def test_row_writer_bytes_equal_per_value_format_on_hard_cases(name, rows):
+    assert first_line_off_per_value_format(rows) is None
 
 
 @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(2, 4), st.just(3)),
