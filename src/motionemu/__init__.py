@@ -7,7 +7,7 @@ coefficients, and evaluates simulated motion against training data.
 """
 
 from .alignment import (TSRVFField, align_all, check_warp, optimal_warp, tsrvf,
-                        tsrvf_dist, warp_field, warp_sequence)
+                        warp_sequence)
 from .datagen import SynthConfig, gen_class, gen_mixture, random_warp
 from .dimred import (FPCABasis, MPCAModel, SpatialPCA, fpca_fit, fpca_project,
                      fpca_reconstruct, mpca_fit, mpca_project, mpca_reconstruct,

@@ -74,23 +74,6 @@ def tsrvf(seq, reference) -> TSRVFField:
     return TSRVFField(reference.copy(), coords, 1.0 / moved.shape[0])
 
 
-def _check_pair(h1: TSRVFField, h2: TSRVFField):
-    if not np.array_equal(h1.reference, h2.reference):
-        raise ReferenceMismatch("fields were built at different reference postures")
-    values = geo._check_set((h1.values, h2.values), 2, "fields")
-    for name, v in zip(("first", "second"), values):
-        bad = ~np.isfinite(v).all(axis=1)
-        if bad.any():
-            raise DimensionMismatch(f"{name} field row {int(np.argmax(bad))}: non-finite value")
-
-
-def tsrvf_dist(h1: TSRVFField, h2: TSRVFField) -> float:
-    """Field distance: trapezoidal integral of pointwise norm differences."""
-    _check_pair(h1, h2)
-    norms = np.linalg.norm(h1.values - h2.values, axis=1)
-    return float(h1.dt * (norms.sum() - 0.5 * (norms[0] + norms[-1])))
-
-
 def warp_sequence(seq, gamma):
     """Reparameterize a sequence in time.
 
@@ -116,23 +99,6 @@ def warp_sequence(seq, gamma):
     lo, hi = seq[idx[rest]], seq[idx[rest] + 1]
     out[rest] = geo.sphere_exp(lo, w[rest, None, None] * geo.sphere_log(lo, hi))
     return out
-
-
-def warp_field(field: TSRVFField, gamma) -> TSRVFField:
-    """Action of a warp on a field: resample at gamma and scale by the
-    square root of gamma's derivative (central differences)."""
-    gamma = check_warp(gamma)
-    n = field.length
-    grid = np.linspace(0.0, 1.0, n)
-    g = np.interp(grid, np.linspace(0.0, 1.0, gamma.shape[0]), gamma)
-    dg = np.gradient(g, grid)
-    if np.any(dg <= 0):
-        raise BadTarget("warp derivative must stay positive")
-    pos = g * (n - 1)
-    idx = np.minimum(pos.astype(int), n - 2)
-    w = (pos - idx)[:, None]
-    resampled = (1.0 - w) * field.values[idx] + w * field.values[idx + 1]
-    return TSRVFField(field.reference, resampled * np.sqrt(dg)[:, None], field.dt)
 
 
 def _coord_dots(x, y):
@@ -309,7 +275,12 @@ def optimal_warp(h1: TSRVFField, h2: TSRVFField):
         sequences; cost is the warped field distance along the optimal
         path and never exceeds the unwarped distance.
     """
-    _check_pair(h1, h2)
+    if not np.array_equal(h1.reference, h2.reference):
+        raise ReferenceMismatch("fields were built at different reference postures")
+    for name, v in zip(("first", "second"), geo._check_set((h1.values, h2.values), 2, "fields")):
+        bad = ~np.isfinite(v).all(axis=1)
+        if bad.any():
+            raise DimensionMismatch(f"{name} field row {int(np.argmax(bad))}: non-finite value")
     n, v1, v2 = h1.length, h1.values, h2.values
     if n < 2:
         raise DimensionMismatch("need at least two field samples to align")

@@ -142,16 +142,21 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
-def _named_sets(pairs):
-    """(name, resolved path, sequences) of each --set name=path."""
-    out = []
+def _named_sets(pairs, given=()):
+    """(name, resolved path, sequences) of the given (name, resolved path)
+    pairs, then of each --set name=path.  Every name is checked before any
+    file is read: a CSV cell, distinct from the others."""
+    named = list(given)
     for pair in pairs:
         name, _, path = pair.partition("=")
         if not name or not path:
             raise BadTarget(f"--set wants name=path, got {pair!r}")
-        path = _resolve(path)
-        out.append((name, path, mio.read_posture_sequences(path)))
-    return out
+        if "," in name or any(c.isspace() for c in name):
+            raise BadTarget(f"--set name {name!r} holds a comma or whitespace")
+        if name in dict(named):
+            raise BadTarget(f"--set name {name!r} is used more than once")
+        named.append((name, _resolve(path)))
+    return [(name, path, mio.read_posture_sequences(path)) for name, path in named]
 
 
 def _synth(args, out):
@@ -217,8 +222,7 @@ def cmd_flatten(args, out):
     _flatten(args, out, flatten.flatten_sequence(seqs, reference, args.kind), _digests(inputs))
 
 
-def _reduce(args, out, reduction, inputs):
-    spatial, fpca = reduction
+def _reduce(args, out, spatial, fpca, inputs):
     method = "spatialpca" if fpca is None else "seqpca"
     config = _config(args, "d1", "d2", "var1", "var2", method=method,
                      input=os.path.basename(inputs[0][0]))
@@ -230,8 +234,8 @@ def _reduce(args, out, reduction, inputs):
 
 def cmd_reduce(args, out):
     src = _resolve(args.input)
-    _reduce(args, out, dimred.reduce_fields(mio.read_flatfields(src), args.method == "seqpca",
-                                            args.d1, args.d2, args.var1, args.var2),
+    _reduce(args, out, *dimred.reduce_fields(mio.read_flatfields(src), args.method == "seqpca",
+                                             args.d1, args.d2, args.var1, args.var2),
             _digests([src]))
 
 
@@ -267,31 +271,19 @@ def cmd_fit(args, out):
     _fit(args, out, bundle, _digests(inputs))
 
 
-def _simulate(args, out, sims, model_type, inputs, n_fit=None):
-    files = [("sims.txt", mio.write_posture_sequences, sims)]
-    if n_fit is not None:
-        files += [("sims_fit.txt", mio.write_posture_sequences, sims[:n_fit]),
-                  ("sims_held.txt", mio.write_posture_sequences, sims[n_fit:])]
-    config = _config(args, "count", "split", "seed", bundle=os.path.basename(inputs[0][0]))
+def _simulate(args, out, sims, model_type, inputs):
+    config = _config(args, "count", "seed", bundle=os.path.basename(inputs[0][0]))
     print(f"simulate: {len(sims)} sequences from {model_type} bundle")
-    return _emit(out, "simulate", config, inputs, files)
+    return _emit(out, "simulate", config, inputs, [("sims.txt", mio.write_posture_sequences, sims)])
 
 
 def cmd_simulate(args, out):
     if args.count < 1:
         raise BadTarget("count must be positive")
     src = _resolve(args.bundle)
-    bundle, n_fit = load_bundle(src), None
-    if args.split:
-        head, _, tail = args.split.partition("/")
-        try:
-            n_fit, n_held = int(head), int(tail)
-        except ValueError:
-            raise BadTarget(f"--split wants FIT/HELD counts, got {args.split!r}")
-        if n_fit <= 0 or n_held <= 0 or n_fit + n_held != args.count:
-            raise BadTarget(f"split {args.split} does not partition count {args.count}")
+    bundle = load_bundle(src)
     sims = route.simulate(bundle, args.count, args.seed)
-    _simulate(args, out, sims, bundle.model_type, _digests([src]), n_fit)
+    _simulate(args, out, sims, bundle.model_type, _digests([src]))
 
 
 def _two_sample(args, out, res, inputs):
@@ -313,14 +305,12 @@ def cmd_two_sample(args, out):
 
 
 def cmd_quantize(args, out):
-    train_src = _resolve(args.train)
-    sets = [("train", train_src, mio.read_posture_sequences(train_src))]
-    sets += _named_sets(args.set or [])
+    sets = _named_sets(args.set or [], [("train", _resolve(args.train))])
     res = route.run_quantize(sets[0][2], [(name, seqs) for name, _, seqs in sets], args.k,
                              args.sample, args.seed)
     if args.k == 0:
         print(f"quantize: silhouette sweep picked k={res['k']}")
-    config = _config(args, "k", "sample", "seed", train=os.path.basename(train_src),
+    config = _config(args, "k", "sample", "seed", train=os.path.basename(sets[0][1]),
                      sets=",".join(name for name, _, _ in sets[1:]))
     _emit(out, "eval-quantize", config, _digests([path for _, path, _ in sets]), [
         ("quantize.csv", _write_csv, ["set", "sequences", "mean_variability", "variance"],
@@ -392,14 +382,15 @@ def _pipeline(args, out, sets, source, inputs, before=()):
                           d1=args.d1, d2=args.d2, var1=args.var1, var2=args.var2, order=args.order,
                           var_index=args.var_index, start_policy=args.start_policy, seed=args.seed,
                           count=args.count, n_perm=args.n_perm)
+    bundle = run["bundle"]
     align = _align(args, out, run["aligned"], run["warps"], [source])
     fit_on, chart = align[:1], []
     if run["fields"] is not None:  # a 'pwi' route fits on the aligned sequences
         chart = _flatten(args, out, run["fields"], align[:1])
-        chart += _reduce(args, out, run["reduction"], chart[:1])
+        chart += _reduce(args, out, bundle.spatial, bundle.fpca, chart[:1])
         fit_on = [chart[0], chart[-1]]
-    fit = _fit(args, out, run["bundle"], fit_on)
-    sims = _simulate(args, out, run["sims"], run["bundle"].model_type, fit)
+    fit = _fit(args, out, bundle, fit_on)
+    sims = _simulate(args, out, run["sims"], bundle.model_type, fit)
     written = align + chart + fit + sims + _two_sample(args, out, run["two_sample"],
                                                        [sims[0], align[0]])
     _pipeline_manifest(args, out, inputs, [*before, *written])
@@ -531,8 +522,6 @@ def build_parser():
     p = leaf(sub, "simulate", cmd_simulate, "draw sequences from a bundle", seeded)
     p.add_argument("--bundle", required=True)
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--split", default="", metavar="FIT/HELD",
-                   help="also write the draws partitioned into two files")
 
     esub = sub.add_parser("eval", help="evaluation reports").add_subparsers(
         dest="eval_cmd", required=True)
@@ -573,7 +562,7 @@ def build_parser():
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--n-perm", type=int, default=199)
     # the stage settings pipeline does not expose
-    p.set_defaults(diagonal=False, reference="", split="", exhaustive=False)
+    p.set_defaults(diagonal=False, reference="", exhaustive=False)
 
     p = leaf(sub, "twolevel", cmd_twolevel, "second-level emulator adequacy report", seeded)
     p.add_argument("--input", required=True)

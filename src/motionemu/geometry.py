@@ -331,10 +331,11 @@ def karcher_mean(postures):
 
 
 def _check_postures(x, least=0):
-    """x as a float (N, n-1, 3) array of postures (or frames), N >= least."""
+    """x as a float (N, n-1, 3) array of postures (or frames), N >= least, n-1 >= 1."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 3 or x.shape[0] < least or x.shape[2] != 3:
-        raise DimensionMismatch(f"expected (N, n-1, 3) postures with N >= {least}, got {x.shape}")
+    if x.ndim != 3 or x.shape[0] < least or x.shape[1] < 1 or x.shape[2] != 3:
+        raise DimensionMismatch(f"expected (N, n-1, 3) postures with N >= {least} and at least "
+                                f"one bone, got {x.shape}")
     return x
 
 

@@ -318,7 +318,7 @@ def read_posture_sequences(path):
     with open(path) as fh:
         src = _Lines(fh)
         for line in src.lines:
-            n, t = src.head(line, "postureseq", 1, 0)
+            n, t = src.head(line, "postureseq", 2, 0)  # a posture has a bone, as in raw files
             seq = src.block(t, 3 * (n - 1)).reshape(t, n - 1, 3)
             _check_postures(path, f"block {len(out)}, row", seq)
             out.append(seq)

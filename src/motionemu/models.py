@@ -352,21 +352,21 @@ def fit_bundle(fields: FlatFields, spatial: SpatialPCA, fpca: FPCABasis | None,
 
 def fit_stages(seqs, kind, model_type, d1, d2, var1, var2, reference, order, var_index,
                start_policy, diagonal=False):
-    """fit_emulator, returning (fields, (spatial, fpca), bundle); (None, None, bundle) for pwi."""
+    """fit_emulator, returning (fields, bundle); (None, bundle) for pwi.  The
+    bundle's spatial and fpca are the reduction fitted on the fields."""
     seqs = geo._check_set(seqs, 1, "sequences")
     if model_type not in REDUCTIONS:
         raise KindMismatch(f"unknown model type {model_type!r}")
     if model_type == "pwi":
-        return None, None, EmulatorBundle(kind="intrinsic", model_type="pwi",
-                                          model=fit_pwi(seqs, diagonal), length=seqs.shape[1],
-                                          meta={"count": len(seqs)})
+        return None, EmulatorBundle(kind="intrinsic", model_type="pwi",
+                                    model=fit_pwi(seqs, diagonal), length=seqs.shape[1],
+                                    meta={"count": len(seqs)})
     if kind not in EMULATOR_KINDS:
         raise KindMismatch(f"flattening kind {kind!r} cannot back an emulator")
     fields = flatten.flatten_sequence(seqs, reference, kind)
     reduction = dimred.reduce_fields(fields, REDUCTIONS[model_type] == "seqpca", d1, d2,
                                      var1, var2)
-    return fields, reduction, fit_bundle(fields, *reduction, model_type, order, var_index,
-                                         start_policy)
+    return fields, fit_bundle(fields, *reduction, model_type, order, var_index, start_policy)
 
 
 def fit_emulator(seqs, kind: str = "istvf", model_type: str = "ig",
@@ -379,7 +379,7 @@ def fit_emulator(seqs, kind: str = "istvf", model_type: str = "ig",
     intrinsic mean of all frames), reduced through its REDUCTIONS entry by
     dimred.reduce_fields (d1/d2 or var1/var2).  route.run_route shares it."""
     return fit_stages(seqs, kind, model_type, d1, d2, var1, var2, reference, order, var_index,
-                      start_policy, diagonal)[2]
+                      start_policy, diagonal)[1]
 
 
 def _pick_start(bundle: EmulatorBundle, rng):

@@ -77,17 +77,17 @@ def run_route(seqs, kind="istvf", model_type="ig", ref_index=0, d1=None, d2=None
               count=10, n_perm=199, seed=0):
     """Run align -> flatten -> reduce -> fit (as fit_emulator) -> simulate
     -> two-sample (draws against the aligned set) on one class.  Returns
-    each stage's result: aligned, warps, fields, reduction (spatial, fpca),
-    bundle, sims and two_sample ('pwi' has no fields or reduction).  seqs
+    each stage's result: aligned, warps, fields (None for 'pwi'), bundle
+    (its spatial and fpca are the reduction), sims and two_sample.  seqs
     is dropped after alignment: a caller keeping no reference frees it."""
     aligned, warps = align_all(seqs, ref_index=ref_index)
     del seqs  # every later stage reads the aligned copy; keeping both raises the peak
-    fields, reduction, bundle = models.fit_stages(aligned, kind, model_type, d1, d2, var1, var2,
-                                                  None, order, var_index, start_policy)
+    fields, bundle = models.fit_stages(aligned, kind, model_type, d1, d2, var1, var2, None,
+                                       order, var_index, start_policy)
     sims = simulate(bundle, count, seed)
     test = two_sample(sims, aligned, n_perm, seed)
-    return {"aligned": aligned, "warps": warps, "fields": fields, "reduction": reduction,
-            "bundle": bundle, "sims": sims, "two_sample": test}
+    return {"aligned": aligned, "warps": warps, "fields": fields, "bundle": bundle,
+            "sims": sims, "two_sample": test}
 
 
 def run_twolevel(seqs, kind="istvf", model_type="ig", d1=4, d2=4,

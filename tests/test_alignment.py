@@ -20,8 +20,6 @@ from motionemu.alignment import (
     dp_edge_cost,
     optimal_warp,
     tsrvf,
-    tsrvf_dist,
-    warp_field,
     warp_sequence,
 )
 from motionemu.errors import BadTarget, DimensionMismatch, ReferenceMismatch
@@ -56,6 +54,12 @@ def pinned_warp(ts, eps, freq=1):
     g = ts + eps * np.sin(freq * np.pi * ts)
     g[0], g[-1] = 0.0, 1.0
     return g
+
+
+def field_dist(h1, h2):
+    """Trapezoid rule over the norms of the two fields' row differences."""
+    norms = np.linalg.norm(h1.values - h2.values, axis=1)
+    return h1.dt * (norms.sum() - 0.5 * (norms[0] + norms[-1]))
 
 
 def test_shooting_vectors_arc_example():
@@ -104,40 +108,6 @@ def test_tsrvf_constant_sequence_is_zero():
     np.testing.assert_array_equal(field.values, np.zeros((5, 4)))
 
 
-def test_tsrvf_dist_trivials():
-    rng = np.random.default_rng(0)
-    field = TSRVFField(REF, rng.standard_normal((7, 4)), 1.0 / 7)
-    assert tsrvf_dist(field, field) == 0.0
-    other = TSRVFField(np.stack([E2, E3]), field.values.copy(), field.dt)
-    with pytest.raises(ReferenceMismatch):
-        tsrvf_dist(field, other)
-
-
-def test_tsrvf_dist_half_interval_exact():
-    # Unit norm difference on rows 0..4 of 9, zero after: the trapezoid
-    # rule gives (1/9) * (5 - 0.5) = 0.5.
-    h1 = TSRVFField(REF, np.zeros((9, 4)), 1.0 / 9)
-    values = np.zeros((9, 4))
-    values[:5, 0] = 1.0
-    h2 = TSRVFField(REF, values, 1.0 / 9)
-    assert abs(tsrvf_dist(h1, h2) - 0.5) < 1e-15
-
-
-def test_tsrvf_dist_matches_fine_grid_quadrature():
-    # Integrating the linearly interpolated norm gap on a 10x finer grid
-    # changes the value by less than 1e-3.
-    ts = np.linspace(0.0, 1.0, 101)
-    h1 = tsrvf(smooth_seq(ts), REF)
-    h2 = tsrvf(smooth_seq(ts, a=0.5, b=0.8, c=0.1, phase=0.4), REF)
-    diff = h1.values - h2.values
-    L = diff.shape[0]
-    pos = np.linspace(0.0, L - 1.0, (L - 1) * 10 + 1)
-    fine = np.stack([np.interp(pos, np.arange(L), diff[:, j]) for j in range(diff.shape[1])], axis=1)
-    norms = np.linalg.norm(fine, axis=1)
-    oracle = (h1.dt / 10) * (norms.sum() - 0.5 * (norms[0] + norms[-1]))
-    assert abs(tsrvf_dist(h1, h2) - oracle) < 1e-3
-
-
 def test_warp_sequence_identity_is_bitwise():
     ts = np.linspace(0.0, 1.0, 31)
     seq = smooth_seq(ts)
@@ -173,16 +143,6 @@ def test_check_warp_rejects_bad_samples():
         check_warp(np.array([0.0]))
 
 
-def test_warp_field_isometry_on_dense_grid():
-    ts = np.linspace(0.0, 1.0, 301)
-    h1 = tsrvf(smooth_seq(ts), REF)
-    h2 = tsrvf(smooth_seq(ts, a=0.5, b=0.8, c=0.1, phase=0.5), REF)
-    gamma = pinned_warp(ts.copy(), 0.12)
-    before = tsrvf_dist(h1, h2)
-    after = tsrvf_dist(warp_field(h1, gamma), warp_field(h2, gamma))
-    assert abs(before - after) <= 5e-2
-
-
 def test_optimal_warp_self_alignment():
     ts = np.linspace(0.0, 1.0, 41)
     field = tsrvf(smooth_seq(ts), REF)
@@ -197,15 +157,23 @@ def test_optimal_warp_cost_never_exceeds_unwarped():
     h1 = tsrvf(smooth_seq(ts), REF)
     h2 = tsrvf(smooth_seq(ts, a=0.5, b=0.9, c=0.05, phase=0.6), REF)
     _, cost = optimal_warp(h1, h2)
-    assert cost <= tsrvf_dist(h1, h2) + 1e-12
+    assert cost <= field_dist(h1, h2) + 1e-12
+
+
+def test_optimal_warp_refuses_fields_at_different_references():
+    values = np.random.default_rng(0).standard_normal((7, 4))
+    field = TSRVFField(REF, values, 1.0 / 7)
+    with pytest.raises(ReferenceMismatch):
+        optimal_warp(field, TSRVFField(np.stack([E2, E3]), values.copy(), field.dt))
 
 
 def test_optimal_warp_recovers_field_action():
-    # Synthesize h2 as the action of a known warp on h1, then recover it.
+    # Synthesize h2 as the field of h1's sequence under a known warp, then recover it.
     ts = np.linspace(0.0, 1.0, 151)
-    h1 = tsrvf(wobble_seq(ts), REF)
+    seq = wobble_seq(ts)
+    h1 = tsrvf(seq, REF)
     g0 = pinned_warp(ts.copy(), 0.05)
-    h2 = warp_field(h1, g0)
+    h2 = tsrvf(warp_sequence(seq, g0), REF)
     gamma, _ = optimal_warp(h1, h2)
     cells = 1.0 / (h1.length - 1)
     assert np.max(np.abs(gamma - g0)) <= 2 * cells + 1e-12
@@ -416,9 +384,9 @@ def test_align_all_reduces_warp_spread():
         seqs.append(warp_sequence(base, pinned_warp(ts.copy(), rng.uniform(0.06, 0.10))))
     reference = geo.karcher_mean(np.stack([s[0] for s in seqs]))
     href = tsrvf(base, reference)
-    pre = [tsrvf_dist(tsrvf(s, reference), href) for s in seqs[1:]]
+    pre = [field_dist(tsrvf(s, reference), href) for s in seqs[1:]]
     aligned, warps = align_all(seqs)  # reference: the mean of the first frames
-    post = [tsrvf_dist(tsrvf(s, reference), href) for s in aligned[1:]]
+    post = [field_dist(tsrvf(s, reference), href) for s in aligned[1:]]
     assert np.mean(post) <= 0.2 * np.mean(pre)
 
     again, warps2 = align_all(aligned)  # warping keeps the first frames
@@ -435,6 +403,11 @@ def test_align_all_validates_inputs():
         align_all([seq], ref_index=3)
     with pytest.raises(DimensionMismatch):
         align_all([seq, seq[:5]])
+
+
+def test_align_all_refuses_postures_without_bones():
+    with pytest.raises(DimensionMismatch, match="at least one bone"):
+        align_all(np.empty((3, 9, 0, 3)))
 
 
 def warped_class(count, t, seed):

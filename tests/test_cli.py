@@ -403,42 +403,20 @@ def test_pipeline_frees_the_raw_set_after_alignment(stage_inputs, tmp_path, monk
     assert alive == [False] * 4
 
 
-def test_simulate_split_and_seed_expansion(tmp_path):
+def test_simulate_seed_expansion(tmp_path):
     out = tmp_path / "run"
     assert run_cli("pipeline", "--out", out, "--seed", 2, *SYNTH_FLAGS,
                    "--scheme", "istvf/seqpca/ig", "--d1", 2, "--d2", 3,
                    "--count", 4, "--n-perm", 19) == 0
     sim = tmp_path / "sim"
     assert run_cli("simulate", "--bundle", out / "bundle.txt", "--count", 5,
-                   "--split", "3/2", "--seed", 9, "--out", sim) == 0
+                   "--seed", 9, "--out", sim) == 0
     sims = mio.read_posture_sequences(sim / "sims.txt")
-    fit_part = mio.read_posture_sequences(sim / "sims_fit.txt")
-    held_part = mio.read_posture_sequences(sim / "sims_held.txt")
-    assert len(sims) == 5 and len(fit_part) == 3 and len(held_part) == 2
-    assert np.array_equal(np.stack(fit_part + held_part), np.stack(sims))
     # the draw seed expands from the root seed by the documented key
     from motionemu.persist import load_bundle
     bundle = load_bundle(out / "bundle.txt")
     expected = models.simulate_sequence(bundle, 5, seed=stage_seed(9, SEED_SIMULATE))
     assert np.array_equal(np.stack(sims), np.stack(expected))
-
-
-def test_simulate_split_errors(tmp_path, capsys):
-    out = tmp_path / "run"
-    assert run_cli("pipeline", "--out", out, "--seed", 2, *SYNTH_FLAGS,
-                   "--scheme", "istvf/seqpca/ig", "--d1", 2, "--d2", 2,
-                   "--count", 4, "--n-perm", 19) == 0
-    capsys.readouterr()
-    for i, split in enumerate(("4/2", "3/3", "5/0", "a/b")):
-        bad = tmp_path / f"bad{i}"
-        assert run_cli("simulate", "--bundle", out / "bundle.txt", "--count", 5,
-                       "--split", split, "--seed", 9, "--out", bad) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        payload = json.loads(err)
-        assert payload["error"] == "BadTarget"
-        # the split is checked before anything is simulated or written
-        assert not bad.exists() or os.listdir(bad) == []
 
 
 @pytest.mark.parametrize("count", [0, -2])
@@ -695,6 +673,68 @@ def test_error_reports_are_single_json_lines(stage_inputs, tmp_path, capsys):
         assert report["error"] == error and cause in report["message"], report
 
 
+# id -> argv reading the zero-bone file {z}, before --out
+ZERO_BONE_RUNS = {
+    "align": ["align", "--input", "{z}"],
+    "pipeline": ["pipeline", "--input", "{z}", "--count", 2, "--n-perm", 9],
+    "flatten": ["flatten", "--input", "{z}"],
+    "twolevel": ["twolevel", "--input", "{z}", "--total", 12, "--holdout", 4],
+    "eval-roughness": ["eval", "roughness", "--set", "zero={z}"],
+    "eval-mds": ["eval", "mds", "--input", "{z}"],
+    "eval-quantize": ["eval", "quantize", "--train", "{z}"],
+}
+
+
+@pytest.mark.parametrize("run", list(ZERO_BONE_RUNS))
+def test_posture_files_without_bones_are_refused_naming_the_file(tmp_path, capsys, run):
+    """A postureseq header of one landmark, no bones, is refused by the
+    reader as raw files refuse one: one JSON line naming the file, nothing
+    written."""
+    zero = tmp_path / "zero.txt"
+    zero.write_text("postureseq 1 5\n" * 2)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli(*[str(a).format(z=zero) for a in ZERO_BONE_RUNS[run]], "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report == {"error": "DimensionMismatch",
+                      "message": f"{zero}: bad postureseq line 'postureseq 1 5'"}
+    assert os.listdir(out) == []
+
+
+def test_bad_set_names_are_refused_before_any_file_is_read(stage_inputs, tmp_path, capsys,
+                                                            monkeypatch):
+    """A --set name that a CSV cell cannot hold, or that names two sets
+    (train is eval quantize's --train), is refused with nothing read or
+    written."""
+    def no_read(path):
+        raise AssertionError(f"{path} was read before the set names were checked")
+
+    monkeypatch.setattr(mio, "read_posture_sequences", no_read)
+    aligned, sims = stage_inputs / "aligned.txt", stage_inputs / "sims.txt"
+    cases = [(["roughness", "--set", f"a,b={aligned}"], "'a,b' holds a comma or whitespace"),
+             (["roughness", "--set", f"a b={aligned}"], "'a b' holds a comma or whitespace"),
+             (["roughness", "--set", f"a={aligned}", "--set", f"b\t={sims}"],
+              "'b\\t' holds a comma or whitespace"),
+             (["roughness", "--set", f"a,b={aligned}", "--set", f"a,b={aligned}"],
+              "'a,b' holds a comma or whitespace"),
+             (["roughness", "--set", f"a={aligned}", "--set", f"a={sims}"],
+              "'a' is used more than once"),
+             (["quantize", "--train", aligned, "--set", f"train={aligned}"],
+              "'train' is used more than once"),
+             (["quantize", "--train", aligned, "--set", f"s={sims}", "--set", f"s={sims}"],
+              "'s' is used more than once")]
+    capsys.readouterr()
+    for i, (argv, cause) in enumerate(cases):
+        out = tmp_path / str(i)
+        assert run_cli("eval", *argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "BadTarget", "message": f"--set name {cause}"}
+        assert os.listdir(out) == []
+
+
 def test_fit_on_fields_without_start_names_the_missing_start(tmp_path, capsys):
     run = tmp_path / "run"
     assert run_cli("pipeline", "--out", run, "--seed", 4, *SYNTH_FLAGS,
@@ -850,8 +890,8 @@ COMMAND_RUNS = {
     "fit-pwi": (["fit", "--scheme", "pwi", "--input", "{i}/aligned.txt", "--diagonal"], ["fit"]),
     "fit-mvg": (["fit", "--scheme", "istvf/seqpca/mvg", "--fields", "{i}/fields.txt",
                  "--reduction", "{i}/reduction.txt"], ["fit"]),
-    "simulate-split": (["simulate", "--bundle", "{i}/bundle.txt", "--count", 3,
-                        "--split", "2/1", "--seed", 4], ["simulate"]),
+    "simulate": (["simulate", "--bundle", "{i}/bundle.txt", "--count", 3, "--seed", 4],
+                 ["simulate"]),
     "eval-two-sample": (["eval", "two-sample", "--a", "{i}/sims.txt", "--b", "{i}/aligned.txt",
                          "--exhaustive"], ["eval-two-sample"]),
     "eval-quantize": (["eval", "quantize", "--train", "{i}/aligned.txt",

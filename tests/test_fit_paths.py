@@ -134,11 +134,13 @@ def test_library_route_gives_the_stage_commands_artifacts(tmp_path, scheme):
              ("sims.txt", mio.write_posture_sequences, route["sims"]),
              ("two_sample.csv", _write_csv, ["statistic", "p_value", "permutations"],
               [(test.statistic, test.p_value, test.permutations)])]
+    bundle = route["bundle"]
+    assert "reduction" not in route  # the bundle holds it
     if model_type == "pwi":
-        assert route["fields"] is None and route["reduction"] is None
+        assert route["fields"] is None and bundle.spatial is None and bundle.fpca is None
     else:
         files += [("fields.txt", mio.write_flatfields, route["fields"]),
-                  ("reduction.txt", save_reduction, *route["reduction"])]
+                  ("reduction.txt", save_reduction, bundle.spatial, bundle.fpca)]
     for name, write, *data in files:
         write(lib / name, *data)
         assert (lib / name).read_bytes() == (cli / name).read_bytes(), name

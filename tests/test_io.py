@@ -154,7 +154,7 @@ def test_doc_float_bit_exactness(tmp_path):
 def test_read_errors(tmp_path):
     """Malformed headers (sizes that are not integers, a count of sizes
     other than the type's, a negative size, a posture block without a
-    landmark), short blocks and files without blocks are refused naming the
+    bone), short blocks and files without blocks are refused naming the
     file, and a bad header line is quoted."""
     raw = "rawseq 2 1\nparents -1 0\n0 0 0 1 0 0\n"
     path = tmp_path / "bad.txt"
@@ -164,6 +164,7 @@ def test_read_errors(tmp_path):
         (mio.read_posture_sequences, "postureseq x 3\n1 0 0\n",
          "bad postureseq line 'postureseq x 3'"),
         (mio.read_posture_sequences, "postureseq 0 2\n", "bad postureseq line 'postureseq 0 2'"),
+        (mio.read_posture_sequences, "postureseq 1 2\n", "bad postureseq line 'postureseq 1 2'"),
         (mio.read_posture_sequences, "postureseq 2 -1\n",
          "bad postureseq line 'postureseq 2 -1'"),
         (mio.read_posture_sequences, "postureseq 2 1 1\n1 0 0\n", "bad postureseq line"),
