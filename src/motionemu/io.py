@@ -10,8 +10,9 @@ inf, subnormals, smaller and larger magnitudes).  It writes blocks of
 values as it formats them.  The reader hands each block's lines to one
 `np.loadtxt` as it reads them from the open file.
 Bad headers, short files, ragged rows and non-numeric tokens raise
-`DimensionMismatch` naming the file, as do non-finite values and bones
-off the unit sphere (`UNIT_TOL`).
+`DimensionMismatch` naming the file, as does a non-finite number in any
+block or `f` entry; `_check_postures` refuses bones off the unit sphere
+(`UNIT_TOL`) in every posture entry of every format.
 
 Fields, reductions and bundles are tagged documents: a `doc <type>
 <version>` header, one entry per line (`s`tring, `i`nt, `f`loat, `x`
@@ -27,6 +28,7 @@ from itertools import chain, islice
 
 import numpy as np
 
+from .alignment import check_warp
 from .errors import DimensionMismatch, MotionError
 from .flatten import FlatFields, grid_dt
 from .skeleton import SkeletonHierarchy
@@ -192,15 +194,9 @@ def _first_bad(path, where, bad, what):
         raise DimensionMismatch(f"{path}: {where} {int(np.argmax(bad))}: {what}")
 
 
-def _non_finite(path, where, values):
-    """Reject (R, a, b) values with a non-finite entry, naming the first of the R."""
-    _first_bad(path, where, ~np.isfinite(values).all(axis=(1, 2)), "non-finite value")
-
-
 def _check_postures(path, where, postures):
-    """Reject (R, k, 3) postures with a non-finite entry or a bone off the
-    unit sphere, naming the first offending one of the R."""
-    _non_finite(path, where, postures)
+    """Reject (R, k, 3) postures with a bone off the unit sphere, naming the
+    first offending one of the R."""
     off = np.abs(np.linalg.norm(postures, axis=-1) - 1.0) > UNIT_TOL
     _first_bad(path, where, off.any(axis=1), f"bone norm off 1 by more than {UNIT_TOL:g}")
 
@@ -239,9 +235,10 @@ class _Lines:
             raise DimensionMismatch(f"{self.path}: bad {tag} line {line!r}")
         return sizes
 
-    def block(self, rows, cols):
+    def block(self, rows, cols, where):
         """Parse the next rows x cols block with one np.loadtxt over its
-        lines; a block with no entries has no lines."""
+        lines; a block with no entries has no lines.  A row holding a
+        non-finite number is refused as `where` and its index."""
         if rows * cols > self.size:  # every number takes a byte at least
             raise DimensionMismatch(f"{self.path}: unexpected end of file")
         if not rows * cols:
@@ -257,6 +254,7 @@ class _Lines:
             raise DimensionMismatch(f"{self.path}: unexpected end of file")
         if out.shape != (rows, cols):
             raise DimensionMismatch(f"{what}, got shape {out.shape}")
+        _first_bad(self.path, where, ~np.isfinite(out).all(axis=1), "non-finite value")
         return out
 
 
@@ -266,9 +264,20 @@ def _refuse_empty(path, items, what):
         raise DimensionMismatch(f"{path}: no {what} to write")
 
 
+def _refuse_shapes(path, seqs, landmarks=None):
+    """Refuse, before the file is opened, a set its reader refuses by shape:
+    no members, or one not (T >= 1, k >= 1, 3) (k = landmarks when given)."""
+    _refuse_empty(path, seqs, "sequences")
+    for i, seq in enumerate(seqs):
+        shape = np.shape(seq)
+        if len(shape) != 3 or min(shape) < 1 or shape[2] != 3 or landmarks not in (None, shape[1]):
+            want = "(T >= 1, k >= 1, 3)" if landmarks is None else f"(T >= 1, {landmarks}, 3)"
+            raise DimensionMismatch(f"{path}: sequence {i} has shape {shape}, expected {want}")
+
+
 def write_raw_sequences(path, frames_list, hierarchy: SkeletonHierarchy):
     """Write landmark-coordinate sequences sharing one hierarchy."""
-    _refuse_empty(path, frames_list, "sequences")
+    _refuse_shapes(path, frames_list, hierarchy.n)
     with open(path, "w") as fh:
         for frames in frames_list:
             frames = np.asarray(frames, dtype=float)
@@ -284,7 +293,7 @@ def read_raw_sequences(path):
     with open(path) as fh:
         src = _Lines(fh)
         for line in src.lines:
-            n, t = src.head(line, "rawseq", 0, 0)
+            n, t = src.head(line, "rawseq", 0, 1)
             parents = src.head(src.next(), "parents", *[-math.inf] * n)
             try:
                 h = SkeletonHierarchy(np.array(parents))
@@ -294,8 +303,7 @@ def read_raw_sequences(path):
                 hierarchy = h
             elif not np.array_equal(h.parent, hierarchy.parent):
                 raise DimensionMismatch(f"{path}: blocks disagree on hierarchy")
-            out.append(src.block(t, 3 * n).reshape(t, n, 3))
-            _non_finite(path, f"block {len(out) - 1}, row", out[-1])
+            out.append(src.block(t, 3 * n, f"block {len(out)}, row").reshape(t, n, 3))
     if hierarchy is None:
         raise DimensionMismatch(f"{path}: no sequences found")
     return out, hierarchy
@@ -303,7 +311,7 @@ def read_raw_sequences(path):
 
 def write_posture_sequences(path, seqs):
     """Write posture sequences, one block per sequence."""
-    _refuse_empty(path, seqs, "sequences")
+    _refuse_shapes(path, seqs)
     with open(path, "w") as fh:
         for seq in seqs:
             seq = np.asarray(seq, dtype=float)
@@ -318,9 +326,10 @@ def read_posture_sequences(path):
     with open(path) as fh:
         src = _Lines(fh)
         for line in src.lines:
-            n, t = src.head(line, "postureseq", 2, 0)  # a posture has a bone, as in raw files
-            seq = src.block(t, 3 * (n - 1)).reshape(t, n - 1, 3)
-            _check_postures(path, f"block {len(out)}, row", seq)
+            n, t = src.head(line, "postureseq", 2, 1)  # a bone and a frame, as in raw files
+            where = f"block {len(out)}, row"
+            seq = src.block(t, 3 * (n - 1), where).reshape(t, n - 1, 3)
+            _check_postures(path, where, seq)
             out.append(seq)
     if not out:
         raise DimensionMismatch(f"{path}: no sequences found")
@@ -331,20 +340,27 @@ def write_warps(path, warps):
     """Write time-warp sample arrays, one block for the whole set."""
     _refuse_empty(path, warps, "warps")
     t = len(warps[0])
-    if any(np.shape(w) != (t,) for w in warps):
-        raise DimensionMismatch(f"{path}: warps in one file must share their sample count")
+    if t < 2 or any(np.shape(w) != (t,) for w in warps):
+        raise DimensionMismatch(f"{path}: warps in one file must share their sample count, "
+                                "two at least")
     with open(path, "w") as fh:
         fh.write(f"warps {len(warps)} {t}\n")
         _write_rows(fh, warps)
 
 
 def read_warps(path):
-    """Read a set of warps as one (M, T) array."""
+    """Read a set of warps as one (M, T) array; each must be a warp
+    `check_warp` accepts."""
     with open(path) as fh:
         src = _Lines(fh)
-        m, t = src.head(src.next(), "warps", 0, 0)
-        warps = src.block(m, t)
+        m, t = src.head(src.next(), "warps", 1, 2)
+        warps = src.block(m, t, "warp")
         src.end(f"the {m} warps of its header")
+    for i, warp in enumerate(warps):
+        try:
+            check_warp(warp)
+        except MotionError as exc:
+            raise type(exc)(f"{path}: warp {i}: {exc}") from None
     return warps
 
 
@@ -356,10 +372,10 @@ def write_flatfields(path, fields: FlatFields):
 
 
 def read_flatfields(path) -> FlatFields:
-    """Read a set of flattened fields.  Non-finite values and bones off the
-    unit sphere are refused naming the field (or the reference bone), and
-    an unknown kind, arrays of disagreeing shapes or a dt off the values'
-    time grid naming the file."""
+    """Read a set of flattened fields.  Bones off the unit sphere are
+    refused naming the field (or the reference bone), and an unknown kind,
+    arrays of disagreeing shapes or a dt off the values' time grid naming
+    the file."""
     doctype, version, doc = read_doc(path)
     if (doctype, version) != ("flatfields", 1):
         raise DimensionMismatch(f"{path}: not a version-1 flatfields document")
@@ -375,7 +391,6 @@ def read_flatfields(path) -> FlatFields:
         raise type(exc)(f"{path}: {exc}") from None
     _check_postures(path, "reference bone", reference[:, None])
     _check_postures(path, "start posture of field", starts)
-    _non_finite(path, "values of field", values)
     return fields
 
 
@@ -458,13 +473,16 @@ def read_doc(path):
                     out[name] = int(value)
                 elif tag == "f":
                     name, value = rest.split()
-                    out[name] = float(value)
+                    if not math.isfinite(value := float(value)):
+                        raise ValueError("non-finite value")
+                    out[name] = value
                 elif tag == "a":
                     name, *dims = rest.split()
                     shape = [int(d) for d in dims]
                     if not shape or min(shape) < 0:
                         raise ValueError("an array needs one or more dimensions, none negative")
-                    out[name] = src.block(math.prod(shape[:-1]), shape[-1]).reshape(shape)
+                    out[name] = src.block(math.prod(shape[:-1]), shape[-1],
+                                          f"entry {name!r}, row").reshape(shape)
                 else:
                     raise ValueError(f"unknown tag {tag!r}")
                 out.tags[name] = tag

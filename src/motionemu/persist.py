@@ -12,7 +12,7 @@ import numpy as np
 from .dimred import FPCABasis, SpatialPCA
 from .errors import DimensionMismatch, KindMismatch
 from .flatten import field_columns, grid_dt
-from .io import read_doc, write_doc
+from .io import _check_postures, read_doc, write_doc
 from .models import (EMULATOR_KINDS, REDUCTIONS, EmulatorBundle, IGModel, MVGModel, PWIModel,
                      VARModel)
 
@@ -104,6 +104,7 @@ def _model_from(doc, model_type, spatial, fpca):
     means, covs = doc.array("model.means", 3), doc.array("model.covariances", 3)
     t, k, c = means.shape
     _agree(doc, c == 3 and covs.shape == (t, 2 * k, 2 * k), "model.covariances", "model.means")
+    _check_postures(doc.path, "entry 'model.means', frame", means)
     return PWIModel(means=means, covariances=covs, diagonal=bool(doc.entry("model.diagonal", "i")))
 
 
@@ -138,6 +139,8 @@ def load_bundle(path) -> EmulatorBundle:
         _agree(doc, start.shape[1:] == reference.shape, "start.postures", "reference")
         if not len(start):
             raise DimensionMismatch(f"{doc.path}: entry 'start.postures' holds no posture")
+        _check_postures(doc.path, "entry 'reference', bone", reference[:, None])
+        _check_postures(doc.path, "entry 'start.postures', posture", start)
     spatial = None if pwi else _spatial_from(doc)
     if spatial is not None:
         _agree(doc, len(spatial.mean) == 2 * len(reference), "spatial.mean", "reference")

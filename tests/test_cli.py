@@ -1,10 +1,13 @@
 """End-to-end tests of the command-line pipeline: scheme parsing, stage
 artifacts, manifests, determinism, and the two-level report."""
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +57,38 @@ def test_parse_scheme():
                 "istvf/seqpca/gp", "istvf/seqpca/var", "siem/spatialpca/ig"):
         with pytest.raises(KindMismatch):
             parse_scheme(bad)
+
+
+def commands(parser, prefix=""):
+    """(name, parser) of every leaf command, 'eval qq' for eval's."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                if sub._subparsers:
+                    yield from commands(sub, f"{prefix}{name} ")
+                else:
+                    yield prefix + name, sub
+
+
+def test_readme_synopsis_lists_every_flag_of_every_command():
+    """Each command's lines of the README's synopsis (pipeline's with
+    `<synth flags>` standing for synth's) hold every long flag it takes."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"\nStages:\n\n```\n(.*?)```", readme, re.S).group(1)
+    synopsis = {}
+    for line in block.splitlines():
+        if line.startswith("motionemu "):
+            words = line.split()
+            name = " ".join(words[1:3 if words[1] == "eval" else 2])
+        synopsis[name] = synopsis.get(name, "") + line + "\n"
+    synopsis["pipeline"] = synopsis["pipeline"].replace("<synth flags>", synopsis["synth"])
+    found = dict(commands(cli.build_parser()))
+    assert sorted(synopsis) == sorted(found)
+    for name, parser in found.items():
+        flags = [f for a in parser._actions for f in a.option_strings
+                 if f.startswith("--") and f != "--help"]
+        missing = [f for f in flags if not re.search(rf"(?<![\w-]){f}(?![\w-])", synopsis[name])]
+        assert not missing, (name, missing)
 
 
 def test_stage_seed_matches_spawn_convention():
@@ -700,6 +735,55 @@ def test_posture_files_without_bones_are_refused_naming_the_file(tmp_path, capsy
     report = json.loads(err)
     assert report == {"error": "DimensionMismatch",
                       "message": f"{zero}: bad postureseq line 'postureseq 1 5'"}
+    assert os.listdir(out) == []
+
+
+# id -> (the bad file: a stage input with one entry's number at one index
+# replaced, or a text; the command before --out, with {i} the input
+# directory and {b} the bad file; what the refusal says after the file name)
+MALFORMED_RUNS = {
+    "simulate-inf-reference": (
+        ("bundle.txt", "reference", (0, 1), np.inf), ["simulate", "--bundle", "{b}"],
+        "entry 'reference', row 0: non-finite value"),
+    "simulate-start-off-the-sphere": (
+        ("bundle.txt", "start.postures", (0, 1, 2), 2.0), ["simulate", "--bundle", "{b}"],
+        "entry 'start.postures', posture 0: bone norm off 1 by more than 1e-09"),
+    "qq-nan-covariance": (
+        ("bundle.txt", "model.covariance", (2, 0), np.nan),
+        ["eval", "qq", "--bundle", "{b}", "--a", "{i}/aligned.txt", "--b", "{i}/sims.txt"],
+        "entry 'model.covariance', row 2: non-finite value"),
+    "fit-nan-basis": (
+        ("reduction.txt", "spatial.basis", (3, 1), np.nan),
+        ["fit", "--scheme", "istvf/seqpca/mvg", "--fields", "{i}/fields.txt",
+         "--reduction", "{b}"], "entry 'spatial.basis', row 3: non-finite value"),
+    "align-no-frames": ("postureseq 3 0\n" * 2, ["align", "--input", "{b}"],
+                        "bad postureseq line 'postureseq 3 0'"),
+    "ingest-no-frames": ("rawseq 3 0\nparents -1 0 1\n", ["ingest", "--input", "{b}"],
+                         "bad rawseq line 'rawseq 3 0'"),
+}
+
+
+@pytest.mark.parametrize("run", list(MALFORMED_RUNS))
+def test_malformed_numbers_and_headers_are_refused_naming_the_file(stage_inputs, tmp_path,
+                                                                   capsys, run):
+    """A non-finite number in a bundle or reduction, a bundle's start
+    posture off the unit sphere and a sequence block without frames are
+    refused by the reader: one JSON line naming the file, nothing written."""
+    source, argv, message = MALFORMED_RUNS[run]
+    bad = tmp_path / "bad.txt"
+    if isinstance(source, str):
+        bad.write_text(source)
+    else:
+        name, entry, index, number = source
+        doctype, version, doc = mio.read_doc(stage_inputs / name)
+        doc[entry][index] = number
+        mio.write_doc(bad, doctype, version, list(doc.items()))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli(*[str(a).format(i=stage_inputs, b=bad) for a in argv], "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "DimensionMismatch", "message": f"{bad}: {message}"}
     assert os.listdir(out) == []
 
 

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from motionemu import dimred, flatten, io as mio, models
-from motionemu.errors import DimensionMismatch, KindMismatch, ReferenceMismatch
+from motionemu.alignment import check_warp
+from motionemu.errors import (BadTarget, DimensionMismatch, KindMismatch, MotionError,
+                              ReferenceMismatch)
 from motionemu.flatten import FLATTEN_KINDS, FlatFields
 from motionemu.persist import load_bundle, load_reduction, save_bundle, save_reduction
 from motionemu.skeleton import SkeletonHierarchy
@@ -153,8 +155,9 @@ def test_doc_float_bit_exactness(tmp_path):
 
 def test_read_errors(tmp_path):
     """Malformed headers (sizes that are not integers, a count of sizes
-    other than the type's, a negative size, a posture block without a
-    bone), short blocks and files without blocks are refused naming the
+    other than the type's, a negative size, a sequence block without a
+    bone or a frame, a warps block without a warp or with a warp of one
+    sample), short blocks and files without blocks are refused naming the
     file, and a bad header line is quoted."""
     raw = "rawseq 2 1\nparents -1 0\n0 0 0 1 0 0\n"
     path = tmp_path / "bad.txt"
@@ -167,11 +170,15 @@ def test_read_errors(tmp_path):
         (mio.read_posture_sequences, "postureseq 1 2\n", "bad postureseq line 'postureseq 1 2'"),
         (mio.read_posture_sequences, "postureseq 2 -1\n",
          "bad postureseq line 'postureseq 2 -1'"),
+        (mio.read_posture_sequences, "postureseq 3 0\n" * 2, "bad postureseq line 'postureseq 3 0'"),
         (mio.read_posture_sequences, "postureseq 2 1 1\n1 0 0\n", "bad postureseq line"),
         (mio.read_posture_sequences, "rawseq 2 1\n1 0 0\n", "bad postureseq line 'rawseq 2 1'"),
         (mio.read_warps, "warps 2\n0 1\n", "bad warps line 'warps 2'"),
         (mio.read_warps, "warps 1 1.5\n0 1\n", "bad warps line 'warps 1 1.5'"),
         (mio.read_warps, "", "unexpected end of file"),
+        (mio.read_warps, "warps 0 2\n", "bad warps line 'warps 0 2'"),
+        (mio.read_warps, "warps 2 1\n0\n1\n", "bad warps line 'warps 2 1'"),
+        (mio.read_raw_sequences, "rawseq 3 0\nparents -1 0 1\n", "bad rawseq line 'rawseq 3 0'"),
         (mio.read_raw_sequences, raw.replace("rawseq 2 1", "rawseq -2 1"), "bad rawseq line"),
         (mio.read_raw_sequences, raw.replace("-1 0", "-1 x"), "bad parents line 'parents -1 x'"),
         (mio.read_raw_sequences, raw.replace("-1 0", "-1 0 1"), "bad parents line"),
@@ -205,6 +212,20 @@ def test_read_warps_refuses_rows_beyond_its_header_count(tmp_path):
         mio.read_warps(path)
 
 
+def test_read_warps_refuses_what_check_warp_refuses_naming_the_warp(tmp_path):
+    path = tmp_path / "warps.txt"
+    warps = np.stack([np.linspace(0, 1, 5)] * 3)
+    for row, col, value, error, message in [
+            (1, 2, np.nan, DimensionMismatch, "warp 1: non-finite value"),
+            (2, 2, 0.1, BadTarget, "warp 2: warp samples must be strictly increasing"),
+            (0, 4, 0.9, BadTarget, "warp 0: warp endpoints must be exactly 0 and 1")]:
+        bad = warps.copy()
+        bad[row, col] = value
+        mio.write_warps(path, bad)
+        with pytest.raises(error, match=re.escape(f"{path}: {message}")):
+            mio.read_warps(path)
+
+
 @pytest.mark.parametrize("parents, message", [
     ("-1", "hierarchy needs a 1-d parent array with n >= 2"),
     ("-1 -1", "hierarchy must have exactly one root, found 2"),
@@ -229,9 +250,40 @@ def test_load_bundle_refuses_a_start_entry_without_postures(tmp_path):
         load_bundle(path)
 
 
+def off_sphere(bone):
+    return bone * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("model_type, entry, at, change, message", [
+    ("mvg", "reference", 1, off_sphere, "entry 'reference', bone 1: bone norm off 1"),
+    ("ig", "start.postures", (0, 1), off_sphere,
+     "entry 'start.postures', posture 0: bone norm off 1"),
+    ("pwi", "model.means", (3, 0), off_sphere, "entry 'model.means', frame 3: bone norm off 1"),
+    ("mvg", "reference", (0, 0), np.nan, "entry 'reference', row 0: non-finite value"),
+    ("mvg", "model.covariance", (2, 1), np.nan,
+     "entry 'model.covariance', row 2: non-finite value"),
+    ("ig", "spatial.basis", (3, 0), np.inf, "entry 'spatial.basis', row 3: non-finite value"),
+    ("pwi", "model.covariances", (1, 2, 0), -np.inf,
+     "entry 'model.covariances', row 6: non-finite value")])
+def test_load_bundle_refuses_non_finite_numbers_and_postures_off_the_sphere(
+        tmp_path, model_type, entry, at, change, message):
+    """A non-finite number is refused naming the entry and its row, and a
+    posture entry with a bone off the unit sphere naming the entry and the
+    posture, as in posture files and fields, on loading rather than inside
+    simulate."""
+    path = saved_documents(tmp_path, model_type)[0][0]
+    _, _, doc = mio.read_doc(path)
+    value = doc[entry].copy()
+    value[at] = change(value[at]) if callable(change) else change
+    rewrite(path, entry, value)
+    with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: {message}")):
+        load_bundle(path)
+
+
 def test_write_warps_refuses_warps_of_unequal_sample_counts(tmp_path):
-    with pytest.raises(DimensionMismatch, match="share their sample count"):
-        mio.write_warps(tmp_path / "warps.txt", [np.linspace(0, 1, 5), np.linspace(0, 1, 6)])
+    for warps in ([np.linspace(0, 1, 5), np.linspace(0, 1, 6)], [np.zeros(1)] * 2):
+        with pytest.raises(DimensionMismatch, match="share their sample count, two at least"):
+            mio.write_warps(tmp_path / "warps.txt", warps)
     assert not (tmp_path / "warps.txt").exists()
 
 
@@ -246,6 +298,28 @@ def test_set_writers_refuse_an_empty_set_naming_the_file(tmp_path, write, what, 
     path = tmp_path / "set.txt"
     with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: no {what} to write")):
         write(path, empty)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("write, sets, message", [
+    (mio.write_posture_sequences, [np.zeros((4, 3))],
+     "sequence 0 has shape (4, 3), expected (T >= 1, k >= 1, 3)"),
+    (mio.write_posture_sequences, np.empty((2, 5, 0, 3)),
+     "sequence 0 has shape (5, 0, 3), expected (T >= 1, k >= 1, 3)"),
+    (mio.write_posture_sequences, [np.ones((2, 1, 3)), np.empty((0, 1, 3))],
+     "sequence 1 has shape (0, 1, 3), expected (T >= 1, k >= 1, 3)"),
+    (mio.write_posture_sequences, [np.ones((2, 1, 4))],
+     "sequence 0 has shape (2, 1, 4), expected (T >= 1, k >= 1, 3)"),
+    (lambda path, sets: mio.write_raw_sequences(path, sets, SkeletonHierarchy([-1, 0])),
+     [np.ones((2, 3, 3))], "sequence 0 has shape (2, 3, 3), expected (T >= 1, 2, 3)")])
+def test_set_writers_refuse_by_shape_before_opening_the_file(tmp_path, write, sets, message):
+    """A sequence without a frame or a bone, of another rank or last axis,
+    or of another landmark count than its hierarchy, which the reader would
+    refuse or which cannot be written, is refused before the file is
+    opened."""
+    path = tmp_path / "set.txt"
+    with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: {message}")):
+        write(path, sets)
     assert not path.exists()
 
 
@@ -334,9 +408,10 @@ def rewrite(path, name, value):
 
 
 def test_read_flatfields_rejects_non_finite_and_non_unit_postures(tmp_path):
-    """Non-finite values and bones off the unit sphere are refused naming
-    the field (or the reference bone); an unknown kind and arrays whose
-    shapes disagree are refused naming the file."""
+    """Non-finite numbers are refused naming the entry and its row (field 1,
+    row 3 of the values is row 11 of their block), bones off the unit
+    sphere naming the field (or the reference bone); an unknown kind and
+    arrays whose shapes disagree are refused naming the file."""
     rng = np.random.default_rng(7)
     ref = rand_postures(rng, 1, 4)[0]
     starts = rand_postures(rng, 3, 4)
@@ -346,7 +421,9 @@ def test_read_flatfields_rejects_non_finite_and_non_unit_postures(tmp_path):
     bad_starts[1, 2] *= 0.5
     path, dt = tmp_path / "fields.txt", 1.0 / 6
     for fields, message in [
-            (FlatFields("istvf", ref, starts, bad_values, dt), "values of field 1: non-finite"),
+            (FlatFields("istvf", ref, starts, bad_values, dt), "entry 'values', row 11: non-finite"),
+            (FlatFields("istvf", ref, starts * [1, 1, np.nan], values, dt),
+             "entry 'starts', row 0: non-finite value"),
             (FlatFields("istvf", 2.0 * ref, starts, values, dt), "reference bone 0: bone norm"),
             (FlatFields("istvf", ref, bad_starts, values, dt), "start posture of field 1: bone"),
     ]:
@@ -404,6 +481,25 @@ def test_posture_sequences_roundtrip_bitwise_property(raw, count):
         assert a.tobytes() == b.tobytes()
 
 
+@given(st.lists(arrays(np.float64, st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                             st.integers(2, 4)),
+                       elements=st.floats(0.5, 1.0)), min_size=1, max_size=3))
+def test_posture_writer_refuses_or_reads_back_bitwise_property(raw):
+    """The writer refuses, without creating the file, every set its reader
+    would not read back: the reader returns every other set bit for bit."""
+    seqs = [r / np.linalg.norm(r, axis=-1, keepdims=True) for r in raw]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "seqs.txt"
+        try:
+            mio.write_posture_sequences(path, seqs)
+        except DimensionMismatch as exc:
+            assert str(exc).startswith(f"{path}: sequence ") and not path.exists()
+            assert any(s.shape[0] < 1 or s.shape[1] < 1 or s.shape[2] != 3 for s in seqs)
+            return
+        back = mio.read_posture_sequences(path)
+    assert len(back) == len(seqs) and all(map(same_bits, seqs, back))
+
+
 def test_constant_field_reduction_survives_save_and_load(tmp_path):
     # constant fields have rank zero: the spatial basis is (4, 0)
     ref = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
@@ -421,12 +517,14 @@ def test_constant_field_reduction_survives_save_and_load(tmp_path):
 
 
 @pytest.mark.parametrize("bad", ["i length abc", "i length", "i length 3 4", "lonely",
+                                 "f length nan", "f length -inf",
                                  "x gone", "v vec abc", "m mat 2 x", "m mat -1 0", "a",
                                  "a arr", "a arr 2 x", "a arr -1 2", "a arr 1.5"])
 def test_read_doc_names_the_file_and_the_bad_line(tmp_path, bad):
-    """A malformed entry line, an unknown tag (`v` and `m` belonged to an
-    earlier format) and an array header without dimensions, or with a
-    negative or non-integer one, are refused quoting the line."""
+    """A malformed entry line, a non-finite float entry, an unknown tag (`v`
+    and `m` belonged to an earlier format) and an array header without
+    dimensions, or with a negative or non-integer one, are refused quoting
+    the line."""
     path = tmp_path / "doc.txt"
     mio.write_doc(path, "example", 1, [("length", 3), ("name", "x")])
     text = path.read_text()
@@ -716,13 +814,34 @@ def test_raw_sequences_roundtrip_bitwise_property(frames, count):
     assert len(back) == count and all(map(same_bits, frames_list, back))
 
 
-@given(arrays(np.float64, shapes((1, 4), (1, 9)), elements=FINITE))
+def pinned(inside):
+    """Warps through the sorted rows of inside, pinned to 0 and 1."""
+    ends = np.ones((len(inside), 1))
+    return np.hstack([0.0 * ends, np.sort(inside, axis=1), ends])
+
+
+@given(st.one_of(
+    arrays(np.float64, shapes((1, 4), (0, 7)), unique=True,
+           elements=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)).map(pinned),
+    arrays(np.float64, shapes((1, 4), (2, 9)), elements=FINITE)))
 def test_warps_roundtrip_bitwise_property(warps):
+    """Warps read back bitwise, unless check_warp refuses one: then the
+    reader refuses the first such warp naming the file and its index."""
+    refusals = []
+    for i, warp in enumerate(warps):
+        try:
+            check_warp(warp)
+        except MotionError as exc:
+            refusals.append((type(exc), f"warp {i}: {exc}"))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "warps.txt"
         mio.write_warps(path, list(warps))
-        back = mio.read_warps(path)
-    assert same_bits(warps, back)
+        if refusals:
+            error, message = refusals[0]
+            with pytest.raises(error, match=re.escape(f"{path}: {message}")):
+                mio.read_warps(path)
+        else:
+            assert same_bits(warps, mio.read_warps(path))
 
 
 @given(arrays(np.float64, st.tuples(st.integers(2, 5), st.integers(1, 4), st.just(3)),
@@ -751,13 +870,21 @@ def test_flatfields_roundtrip_bitwise_property(postures, cols, kind):
                        elements=NUMBER), min_size=1, max_size=4))
 def test_doc_vectors_and_matrices_roundtrip_bitwise_property(values):
     # arrays of rank 1 to 4, zero dimensions included; every array is
-    # followed by another entry, so a stray payload line shows
-    items = []
+    # followed by another entry, so a stray payload line shows.  A document
+    # holding an infinity is refused naming its first entry and row.
+    items, bad = [], None
     for i, v in enumerate(values):
         items += [(f"a{i}", v), (f"n{i}", i)]
+        rows = ~np.isfinite(v.reshape(math.prod(v.shape[:-1]), v.shape[-1])).all(axis=1)
+        if bad is None and rows.any():
+            bad = f"entry 'a{i}', row {int(np.argmax(rows))}: non-finite value"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.txt"
         mio.write_doc(path, "arrays", 1, items)
+        if bad is not None:
+            with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: {bad}")):
+                mio.read_doc(path)
+            return
         _, _, data = mio.read_doc(path)
     for i, v in enumerate(values):
         assert same_bits(v, data[f"a{i}"]) and data[f"n{i}"] == i
