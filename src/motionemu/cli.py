@@ -11,13 +11,15 @@ with the same seed and inputs reproduces every file byte for byte.
 Inputs and written files travel as (path, SHA-256) pairs, so a command
 hashes each file once.
 
-`pipeline` hands each stage's result of route.run_route to that stage's
-writer, reading none back; a later stage's inputs are the pairs an
-earlier stage returned.  With --classes above one it runs the route
-once per synthetic class k, in class_k/ from the root seed
-route.class_seed(seed, k), as `pipeline --input class_k/sequences.txt`
-with that seed would.  Schemes are `<repr>/<dimred>/<model>` (any case)
-with the model's reduction from models.REDUCTIONS, or the bare `pwi`.
+`pipeline` hands each stage's result to that stage's writer as
+route.run_route yields it, and drops it once written, reading none back;
+a later stage's inputs are the pairs an earlier stage returned, and a
+failed stage leaves the earlier stages' files but no manifest_pipeline.json.
+With --classes above one it runs the route once per synthetic class k, in
+class_k/ from the root seed route.class_seed(seed, k), as `pipeline
+--input class_k/sequences.txt` with that seed would.  Schemes are
+`<repr>/<dimred>/<model>` (any case) with the model's reduction from
+models.REDUCTIONS, or the bare `pwi`.
 Seeded commands pass --seed to the `route` function that draws their streams.
 Relative paths resolve against MOTIONEMU_DATA_DIR when it is set.
 Errors print one JSON line (error type and message) to stderr and exit
@@ -374,24 +376,27 @@ def cmd_qq(args, out):
 
 def _pipeline(args, out, sets, source, inputs, before=()):
     """Run the route on sets.pop(0), read from the (path, SHA-256) pair
-    source, with args' settings; write its files into out and
-    manifest_pipeline.json (the pairs of inputs, then before and them) and
-    return their pairs.  Popped in the call, the set is freed once aligned."""
+    source, with args' settings; write each stage's files into out as the
+    route yields them, then manifest_pipeline.json (the pairs of inputs,
+    then before and them), and return their pairs.  Popped in the call,
+    the set is freed once aligned."""
     kind, _, model_type = parse_scheme(args.scheme)
     run = route.run_route(sets.pop(0), kind=kind, model_type=model_type, ref_index=args.ref_index,
                           d1=args.d1, d2=args.d2, var1=args.var1, var2=args.var2, order=args.order,
                           var_index=args.var_index, start_policy=args.start_policy, seed=args.seed,
                           count=args.count, n_perm=args.n_perm)
-    bundle = run["bundle"]
-    align = _align(args, out, run["aligned"], run["warps"], [source])
+    # next(run)[1] is the next stage's result; no name keeps it past its writer
+    align = _align(args, out, next(run)[1], next(run)[1], [source])  # aligned, warps
+    fields, bundle = next(run)[1], next(run)[1]
     fit_on, chart = align[:1], []
-    if run["fields"] is not None:  # a 'pwi' route fits on the aligned sequences
-        chart = _flatten(args, out, run["fields"], align[:1])
+    if fields is not None:  # a 'pwi' route fits on the aligned sequences
+        chart = _flatten(args, out, fields, align[:1])
         chart += _reduce(args, out, bundle.spatial, bundle.fpca, chart[:1])
         fit_on = [chart[0], chart[-1]]
+    del fields
     fit = _fit(args, out, bundle, fit_on)
-    sims = _simulate(args, out, run["sims"], bundle.model_type, fit)
-    written = align + chart + fit + sims + _two_sample(args, out, run["two_sample"],
+    sims = _simulate(args, out, next(run)[1], bundle.model_type, fit)
+    written = align + chart + fit + sims + _two_sample(args, out, next(run)[1],
                                                        [sims[0], align[0]])
     _pipeline_manifest(args, out, inputs, [*before, *written])
     return written

@@ -11,8 +11,8 @@ values as it formats them.  The reader hands each block's lines to one
 `np.loadtxt` as it reads them from the open file.
 Bad headers, short files, ragged rows and non-numeric tokens raise
 `DimensionMismatch` naming the file, as does a non-finite number in any
-block or `f` entry; `_check_postures` refuses bones off the unit sphere
-(`UNIT_TOL`) in every posture entry of every format.
+block or `f` entry; `_check_postures` refuses bones of other than three
+coordinates or off the unit sphere (`UNIT_TOL`) in every posture entry.
 
 Fields, reductions and bundles are tagged documents: a `doc <type>
 <version>` header, one entry per line (`s`tring, `i`nt, `f`loat, `x`
@@ -195,8 +195,11 @@ def _first_bad(path, where, bad, what):
 
 
 def _check_postures(path, where, postures):
-    """Reject (R, k, 3) postures with a bone off the unit sphere, naming the
-    first offending one of the R."""
+    """Reject (R, k, 3) postures with other than three coordinates per bone,
+    or with a bone off the unit sphere, naming the first offending one of the R."""
+    if postures.shape[-1] != 3:
+        raise DimensionMismatch(f"{path}: {where.partition(',')[0]} holds "
+                                f"{postures.shape[-1]} coordinates per bone, not 3")
     off = np.abs(np.linalg.norm(postures, axis=-1) - 1.0) > UNIT_TOL
     _first_bad(path, where, off.any(axis=1), f"bone norm off 1 by more than {UNIT_TOL:g}")
 

@@ -76,18 +76,24 @@ def run_route(seqs, kind="istvf", model_type="ig", ref_index=0, d1=None, d2=None
               var1=0.9, var2=0.95, order=4, var_index=0, start_policy="training-mean",
               count=10, n_perm=199, seed=0):
     """Run align -> flatten -> reduce -> fit (as fit_emulator) -> simulate
-    -> two-sample (draws against the aligned set) on one class.  Returns
-    each stage's result: aligned, warps, fields (None for 'pwi'), bundle
-    (its spatial and fpca are the reduction), sims and two_sample.  seqs
-    is dropped after alignment: a caller keeping no reference frees it."""
+    -> two-sample (draws against the aligned set) on one class, yielding
+    each stage's (name, result) as it ends: aligned, warps, fields (None
+    for 'pwi'), bundle (its spatial and fpca are the reduction), sims and
+    two_sample.  seqs, warps and fields are dropped once no later stage
+    reads them: a caller that drops each result as it comes frees them."""
     aligned, warps = align_all(seqs, ref_index=ref_index)
     del seqs  # every later stage reads the aligned copy; keeping both raises the peak
+    yield "aligned", aligned
+    yield "warps", warps
+    del warps
     fields, bundle = models.fit_stages(aligned, kind, model_type, d1, d2, var1, var2, None,
                                        order, var_index, start_policy)
+    yield "fields", fields
+    del fields
+    yield "bundle", bundle
     sims = simulate(bundle, count, seed)
-    test = two_sample(sims, aligned, n_perm, seed)
-    return {"aligned": aligned, "warps": warps, "fields": fields, "bundle": bundle,
-            "sims": sims, "two_sample": test}
+    yield "sims", sims
+    yield "two_sample", two_sample(sims, aligned, n_perm, seed)
 
 
 def run_twolevel(seqs, kind="istvf", model_type="ig", d1=4, d2=4,

@@ -438,6 +438,70 @@ def test_pipeline_frees_the_raw_set_after_alignment(stage_inputs, tmp_path, monk
     assert alive == [False] * 4
 
 
+def test_pipeline_drops_each_stage_result_once_written(stage_inputs, tmp_path, monkeypatch):
+    """Neither the route nor the CLI keeps the warps past their file, nor the
+    flattened fields past theirs: the warps are dead when the fit starts,
+    the fields when the draws and the two-sample test start."""
+    warps, fields, dead = [], [], []
+    real_align, real_fit = route.align_all, models.fit_stages
+
+    def align(*args, **kwargs):
+        aligned, made = real_align(*args, **kwargs)
+        warps.append(weakref.ref(made))
+        return aligned, made
+
+    def fit(*args):
+        dead.append(("fit", warps[-1]() is None))
+        made, bundle = real_fit(*args)
+        fields.append(weakref.ref(made) if made is not None else lambda: None)  # None: pwi
+        return made, bundle
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            dead.append((name, fields[-1]() is None))
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(route, "align_all", align)
+    monkeypatch.setattr(models, "fit_stages", fit)
+    for name in ("simulate", "two_sample"):
+        monkeypatch.setattr(route, name, spy(name, getattr(route, name)))
+    for scheme in ("istvf/seqpca/mvg", "pwi"):
+        out = tmp_path / scheme.replace("/", "-")
+        flags = ["--scheme", scheme, "--d1", 2, "--d2", 2, "--count", 3, "--n-perm", 9]
+        assert run_cli("pipeline", "--input", stage_inputs / "sequences.txt", *flags,
+                       "--out", out / "input") == 0
+        assert run_cli("pipeline", *SYNTH_FLAGS, *flags, "--out", out / "synth") == 0
+    assert dead == [("fit", True), ("simulate", True), ("two_sample", True)] * 4
+
+
+def test_pipeline_failing_mid_route_leaves_the_finished_stages_files(stage_inputs, tmp_path,
+                                                                     capsys):
+    """Each stage's files are written as the stage ends, so a fit refused
+    after alignment leaves align's files and manifest and no
+    manifest_pipeline.json; refusals of the command line's values come
+    before any write."""
+    src, out = stage_inputs / "sequences.txt", tmp_path / "var"
+    capsys.readouterr()
+    assert run_cli("pipeline", "--input", src, "--scheme", "istvf/spatialpca/var",
+                   "--var-index", 99, "--count", 2, "--n-perm", 9, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "BadTarget", "message": "var_index 99 out of range"}
+    assert sorted(os.listdir(out)) == ["aligned.txt", "manifest_align.json", "warps.txt"]
+    manifest = json.loads((out / "manifest_align.json").read_text())
+    sha = {p: hashlib.sha256(p.read_bytes()).hexdigest() for p in (src, *out.glob("*.txt"))}
+    assert manifest["inputs"] == {"sequences.txt": sha[src]}
+    assert manifest["artifacts"] == {p.name: sha[p] for p in out.glob("*.txt")}
+    assert (out / "aligned.txt").read_bytes() == (stage_inputs / "aligned.txt").read_bytes()
+    for i, flags in enumerate([["--scheme", "istvf/seqpca/gp"], ["--count", 0], ["--n-perm", 0]]):
+        for source in (["--input", src], SYNTH_FLAGS):
+            out = tmp_path / f"refused-{i}-{len(source)}"
+            assert run_cli("pipeline", *source, *flags, "--out", out) == 1
+            assert capsys.readouterr().err.count("\n") == 1
+            assert os.listdir(out) == []
+
+
 def test_simulate_seed_expansion(tmp_path):
     out = tmp_path / "run"
     assert run_cli("pipeline", "--out", out, "--seed", 2, *SYNTH_FLAGS,
@@ -534,6 +598,29 @@ def test_bundle_without_start_postures_reports_one_json_line(tmp_path, capsys):
     report = json.loads(err)
     assert report["error"] == "DimensionMismatch"
     assert report["message"] == f"{bundle}: entry 'start.postures' holds no posture"
+
+
+def test_bundle_with_two_coordinates_per_bone_is_refused_naming_the_entry(stage_inputs,
+                                                                          tmp_path, capsys):
+    """A bundle whose reference and start postures lie in the plane (unit
+    bones of two coordinates, in shapes that agree with each other and with
+    the spatial mean) is refused by the loader, naming the file and the
+    entry, not by simulate."""
+    doctype, version, doc = mio.read_doc(stage_inputs / "bundle.txt")
+    flat = {}
+    for entry in ("reference", "start.postures"):
+        plane = doc[entry][..., :2]
+        flat[entry] = plane / np.linalg.norm(plane, axis=-1, keepdims=True)
+    bundle, out = tmp_path / "bundle.txt", tmp_path / "sim"
+    mio.write_doc(bundle, doctype, version, [*{**doc, **flat}.items()])
+    capsys.readouterr()
+    assert run_cli("simulate", "--bundle", bundle, "--count", 2, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "DimensionMismatch", "message":
+                               f"{bundle}: entry 'reference' holds 2 coordinates per bone, "
+                               "not 3"}
+    assert os.listdir(out) == []
 
 
 def test_bundle_with_a_mistyped_entry_reports_one_json_line(tmp_path, capsys):

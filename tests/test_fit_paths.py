@@ -98,9 +98,10 @@ def test_cli_chain_matches_fit_emulator(tmp_path, aligned_at, scheme, policy, si
 
 @pytest.mark.parametrize("scheme", ["istvf/seqpca/mvg", "istvf/spatialpca/var", "pwi"])
 def test_library_route_gives_the_stage_commands_artifacts(tmp_path, scheme):
-    """run_route's results, written by the artifact writers, equal byte for
-    byte what align, flatten, reduce, fit, simulate and eval two-sample
-    write when run by hand on the same sequences with the same seed."""
+    """run_route's results, yielded stage by stage and written by the
+    artifact writers, equal byte for byte what align, flatten, reduce, fit,
+    simulate and eval two-sample write when run by hand on the same
+    sequences with the same seed."""
     src = tmp_path / "synth"
     assert run_cli("synth", "--out", src, "--seed", 6, *SYNTH_FLAGS, "--landmarks", 5,
                    "--frames", 30, "--per-class", 6) == 0
@@ -124,9 +125,13 @@ def test_library_route_gives_the_stage_commands_artifacts(tmp_path, scheme):
     assert run_cli("eval", "two-sample", "--a", cli / "sims.txt", "--b", cli / "aligned.txt",
                    "--n-perm", 29, "--seed", 8, "--out", cli) == 0
 
-    route = run_route(mio.read_posture_sequences(src / "sequences.txt"), kind=kind,
-                      model_type=model_type, ref_index=1, d1=3, var2=0.8, order=2,
-                      start_policy="sampled-from-training", count=5, n_perm=29, seed=8)
+    stages = list(run_route(mio.read_posture_sequences(src / "sequences.txt"), kind=kind,
+                            model_type=model_type, ref_index=1, d1=3, var2=0.8, order=2,
+                            start_policy="sampled-from-training", count=5, n_perm=29, seed=8))
+    # one result per stage, in the order the stages end
+    assert [name for name, _ in stages] == ["aligned", "warps", "fields", "bundle", "sims",
+                                            "two_sample"]
+    route = dict(stages)
     test = route["two_sample"]
     files = [("aligned.txt", mio.write_posture_sequences, route["aligned"]),
              ("warps.txt", mio.write_warps, route["warps"]),
