@@ -87,13 +87,21 @@ def warp_sequence(seq, gamma):
     t = seq.shape[0]
     if gamma.shape[0] != t:
         raise DimensionMismatch(f"warp has {gamma.shape[0]} samples for {t} frames")
-    pos = gamma * (t - 1)
+    return _resample(seq, gamma)
+
+
+def _resample(seq, times):
+    """The (T, n-1, 3) sequence seq at the times on [0, 1], one frame per
+    time, frame k of seq at time k/(T-1); warp_sequence's sampling, with
+    every frame computed on its own, so a subset of a warp's times gives
+    that subset of its frames bit for bit."""
+    pos = times * (seq.shape[0] - 1)
     near = np.rint(pos)
-    # grid hits are detected up to rounding in the gamma*(t-1) product
+    # grid hits are detected up to rounding in the times*(T-1) product
     exact = np.abs(pos - near) < 1e-9
     idx = np.where(exact, near, np.floor(pos)).astype(int)
     w = np.where(exact, 0.0, pos - idx)
-    out = np.empty_like(seq)
+    out = np.empty((len(times), *seq.shape[1:]))
     out[exact] = seq[idx[exact]]
     rest = ~exact
     lo, hi = seq[idx[rest]], seq[idx[rest] + 1]

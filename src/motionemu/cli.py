@@ -39,7 +39,7 @@ from .alignment import align_all
 from .errors import BadTarget, DimensionMismatch, KindMismatch, MotionError
 from .persist import load_bundle, load_reduction, save_bundle, save_reduction
 from .route import run_twolevel  # criterion 7 imports it from here
-from .skeleton import downsample, ingest_sequence
+from .skeleton import downsample_index, ingest_sequence
 
 # synth's flags (dashes for underscores) and their defaults
 SYNTH_DEFAULTS = {"landmarks": 21, "frames": 1000, "target_frames": 301, "classes": 5,
@@ -162,8 +162,8 @@ def _named_sets(pairs, given=()):
 
 
 def _synth(args, out):
-    """Write the mixture; return its classes (one pooled set for one class)
-    and the written (path, SHA-256) pairs."""
+    """Write the mixture; return its classes, as views of the pooled set
+    (its labels are in class order), and the written (path, SHA-256) pairs."""
     seqs, labels = route.synth(
         args.seed, args.classes, args.target_frames if args.target_frames > 0 else None,
         landmarks=args.landmarks, frames=args.frames, count=args.per_class,
@@ -174,15 +174,21 @@ def _synth(args, out):
         ("labels.csv", _write_csv, ["index", "label"],
          [(i, int(v)) for i, v in enumerate(labels)])])
     print(f"synth: {len(seqs)} sequences of {seqs[0].shape[0]} frames, {args.classes} classes")
-    return [seqs] if args.classes == 1 else [seqs[labels == k] for k in range(args.classes)], paths
+    n = args.per_class
+    return [seqs[k * n:(k + 1) * n] for k in range(args.classes)], paths
 
 
 def cmd_ingest(args, out):
     src = _resolve(args.input)
     frames_list, hierarchy = mio.read_raw_sequences(src)
-    seqs = [ingest_sequence(f, hierarchy) for f in frames_list]
-    if args.target_frames > 0:
-        seqs = [downsample(s, args.target_frames) for s in seqs]
+    keeps = [slice(None)] * len(frames_list)
+    if args.target_frames > 0:  # every block is checked before any is converted
+        for i, frames in enumerate(frames_list):
+            try:
+                keeps[i] = downsample_index(len(frames), args.target_frames)
+            except BadTarget as exc:
+                raise BadTarget(f"{src}: block {i}: {exc}") from None
+    seqs = [ingest_sequence(f, hierarchy)[keep] for f, keep in zip(frames_list, keeps)]
     _emit(out, "ingest", _config(args, "target_frames", input=os.path.basename(src)),
           _digests([src]),
           [("sequences.txt", mio.write_posture_sequences, seqs)])

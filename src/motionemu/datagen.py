@@ -8,6 +8,13 @@ strength knob) with optional smoothed tangent noise added frame by frame.
 With zero warp strength and zero noise every sample is the template,
 bit for bit.  The module needs numpy alone: the smoothing is a numpy twin
 of scipy's Gaussian filter, equal to it bit for bit.
+
+The template, each warp and each noise draw's smoothing and spread are
+computed at the full frame rate, since the bits of every frame depend on
+them; the warped samples, the noise's tangent lift and its exponential
+map are computed only at the frames kept, which gen_mixture's
+target_frames sets (skeleton.downsample_index), and are then the bits of
+downsampling the full-rate sequences.
 """
 
 from dataclasses import dataclass
@@ -15,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .alignment import warp_sequence
-from .errors import BadTarget
-from .skeleton import downsample
+from .alignment import _resample, check_warp
+from .errors import BadTarget, DimensionMismatch
+from .skeleton import downsample_index
 
 
 @dataclass
@@ -81,8 +88,11 @@ def _smooth(values, sigma):
     n = len(values)
     x = np.pad(values, [(r, r)] + [(0, 0)] * (values.ndim - 1), mode="symmetric")
     out = x[r:r + n] * w[r]
+    pair = np.empty_like(out)
     for j in range(r, 0, -1):
-        out += (x[r - j:r - j + n] + x[r + j:r + j + n]) * w[r + j]
+        np.add(x[r - j:r - j + n], x[r + j:r + j + n], out=pair)
+        pair *= w[r + j]
+        out += pair
     return out
 
 
@@ -100,63 +110,96 @@ def make_template(cfg: SynthConfig, rng=None):
     return geo.sphere_exp(base, vecs)
 
 
-def random_warp(rng, frames: int, strength: float):
-    """Random monotone warp: the normalized running integral of a
-    positive (exponentiated smooth-noise) rate, blended with the identity
-    by `strength`.  strength=0 returns the identity exactly."""
-    grid = np.linspace(0.0, 1.0, frames)
-    if strength == 0.0:
-        return grid
-    rate = rng.standard_normal(frames)
-    rate = _smooth(rate, 0.1 * frames)
+def _finish_warp(rate, strength):
+    """The warp of a smoothed rate: the normalized running integral of the
+    exponentiated, unit-spread rate, blended with the identity by strength."""
     spread = rate.std()
     if spread > 0:
         rate = rate / spread
     warped = np.concatenate([[0.0], np.cumsum(np.exp(rate[1:]))])
     warped /= warped[-1]
-    gamma = (1.0 - strength) * grid + strength * warped
+    gamma = (1.0 - strength) * np.linspace(0.0, 1.0, len(rate)) + strength * warped
     gamma[0], gamma[-1] = 0.0, 1.0
     return gamma
+
+
+def random_warp(rng, frames: int, strength: float):
+    """Random monotone warp: the normalized running integral of a
+    positive (exponentiated smooth-noise) rate, blended with the identity
+    by `strength`.  strength=0 returns the identity exactly."""
+    if strength == 0.0:
+        return np.linspace(0.0, 1.0, frames)
+    return _finish_warp(_smooth(rng.standard_normal(frames), 0.1 * frames), strength)
+
+
+def _fill_class(cfg: SynthConfig, keep, out):
+    """Write class cfg's sequences, at the frames `keep` (an index array or
+    slice over cfg.frames), into out, shape (count, kept, n-1, 3); return the
+    template.  Each sequence is the template warped by random_warp, then
+    lifted by its noise, with the stream drawn in that order sequence by
+    sequence; the rates are smoothed together, and the resampling, the noise
+    lift and its sphere_exp run on kept frames only."""
+    rng = np.random.default_rng(cfg.seed)
+    template = make_template(cfg, rng)
+    bones = cfg.landmarks - 1
+    sigma = cfg.bandwidth * cfg.frames
+    warped = cfg.warp_strength > 0.0
+    noisy = cfg.noise_scale > 0.0
+    rates = np.empty((cfg.frames, cfg.count)) if warped else None
+    for m in range(cfg.count):
+        if warped:
+            rates[:, m] = rng.standard_normal(cfg.frames)
+        if noisy:  # smoothed and scaled on every frame; kept in out[m] until its warp is done
+            noise = _smooth(rng.standard_normal((cfg.frames, bones, 2)), sigma)
+            spread = noise.std()
+            if spread > 0:
+                noise *= cfg.noise_scale / spread
+            out[m, ..., :2] = noise[keep]
+    if warped:  # one row per warp, each as random_warp's own rate
+        rates = np.ascontiguousarray(_smooth(rates, 0.1 * cfg.frames).T)
+    identity = np.linspace(0.0, 1.0, cfg.frames)
+    for m in range(cfg.count):
+        gamma = check_warp(_finish_warp(rates[m], cfg.warp_strength) if warped else identity)
+        seq = _resample(template, gamma[keep])
+        if noisy:
+            vecs = geo.coords_to_tangent(seq, out[m, ..., :2].reshape(len(seq), 2 * bones))
+            seq = geo.sphere_exp(seq, vecs)
+        out[m] = seq
+    return template
 
 
 def gen_class(cfg: SynthConfig):
     """Generate one class from its seed: (sequences, template) with
     sequences of shape (count, T, n-1, 3)."""
     cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
-    template = make_template(cfg, rng)
-    bones = cfg.landmarks - 1
-    sigma = cfg.bandwidth * cfg.frames
-    out = np.empty((cfg.count, cfg.frames, bones, 3))
-    for m in range(cfg.count):
-        gamma = random_warp(rng, cfg.frames, cfg.warp_strength)
-        seq = warp_sequence(template, gamma)
-        if cfg.noise_scale > 0.0:
-            noise = _smooth(rng.standard_normal((cfg.frames, bones, 2)), sigma)
-            spread = noise.std()
-            if spread > 0:
-                noise *= cfg.noise_scale / spread
-            vecs = geo.coords_to_tangent(seq, noise.reshape(cfg.frames, 2 * bones))
-            seq = geo.sphere_exp(seq, vecs)
-        out[m] = seq
-    return out, template
+    out = np.empty((cfg.count, cfg.frames, cfg.landmarks - 1, 3))
+    return out, _fill_class(cfg, slice(None), out)
 
 
 def gen_mixture(configs, target_frames=None):
     """Generate several classes and pool them.
 
     Returns (sequences, labels): sequences stacked over classes (each
-    class keeps its own config and seed) and integer class labels.  When
-    target_frames is given every sequence is downsampled to that length
-    by index selection.
+    class keeps its own config and seed) in one array, and integer class
+    labels.  When target_frames is given every sequence is
+    downsample(..., target_frames) of its full-rate self, computed at the
+    kept frames only.  Every config and the target are checked before any
+    class is generated.
     """
     if not configs:
         raise BadTarget("no class configs")
-    seqs, labels = [], []
-    for label, cfg in enumerate(configs):
-        block, _ = gen_class(cfg)
-        if target_frames is not None:
-            block = np.stack([downsample(s, target_frames) for s in block])
-        seqs.append(block)
-        labels.extend([label] * block.shape[0])
-    return np.concatenate(seqs, axis=0), np.array(labels, dtype=int)
+    for cfg in configs:
+        cfg.validate()
+    keeps = [slice(None) if target_frames is None else downsample_index(cfg.frames, target_frames)
+             for cfg in configs]
+    shapes = {(cfg.frames if target_frames is None else target_frames, cfg.landmarks - 1)
+              for cfg in configs}
+    if len(shapes) > 1:
+        raise DimensionMismatch(f"classes of mixed (frames, bones): {sorted(shapes)}")
+    counts = [cfg.count for cfg in configs]
+    seqs = np.empty((sum(counts), *shapes.pop(), 3))
+    start = 0
+    for cfg, keep in zip(configs, keeps):
+        _fill_class(cfg, keep, seqs[start:start + cfg.count])
+        start += cfg.count
+    return seqs, np.repeat(np.arange(len(configs)), counts)

@@ -79,16 +79,21 @@ def ingest_sequence(frames, hierarchy: SkeletonHierarchy):
     return diff / lengths[..., None]
 
 
-def downsample(seq, target: int):
-    """Keep target frames of a sequence by evenly spaced index selection.
+def downsample_index(frames: int, target: int):
+    """The frames that downsample keeps of a sequence of `frames` frames.
 
-    Frame k of the result is frame round(k*(T-1)/(target-1)) of the input
-    (round half up, exact integer arithmetic); endpoints are always kept.
+    Frame k of the result is frame round(k*(frames-1)/(target-1)) of the
+    input (round half up, exact integer arithmetic); endpoints are always
+    kept.  A target outside [2, frames] raises BadTarget.
     """
-    seq = np.asarray(seq)
-    t = seq.shape[0]
-    if not 2 <= target <= t:
-        raise BadTarget(f"cannot downsample {t} frames to {target}")
+    if not 2 <= target <= frames:
+        raise BadTarget(f"cannot downsample {frames} frames to {target}")
     k = np.arange(target, dtype=np.int64)
-    idx = (2 * k * (t - 1) + (target - 1)) // (2 * (target - 1))
-    return seq[idx]
+    return (2 * k * (frames - 1) + (target - 1)) // (2 * (target - 1))
+
+
+def downsample(seq, target: int):
+    """Keep target frames of a sequence by evenly spaced index selection
+    (downsample_index)."""
+    seq = np.asarray(seq)
+    return seq[downsample_index(seq.shape[0], target)]

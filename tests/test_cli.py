@@ -130,6 +130,38 @@ def test_synth_class_k_reproduces_from_spawn_key_k(tmp_path):
         assert np.array_equal(seqs[4 * k:4 * k + 4], [downsample(s, 31) for s in block])
 
 
+def test_synth_hands_on_each_class_as_a_view_of_the_pooled_set(tmp_path):
+    """The classes _synth returns are contiguous slices of one pooled array,
+    not copies of it."""
+    args = cli.build_parser().parse_args(
+        ["synth", "--out", str(tmp_path), "--seed", "5", "--landmarks", "6", "--frames", "90",
+         "--target-frames", "31", "--classes", "3", "--per-class", "4"])
+    sets, _ = cli._synth(args, str(tmp_path))
+    pooled = np.stack(mio.read_posture_sequences(tmp_path / "sequences.txt"))
+    assert len(sets) == 3
+    for k, block in enumerate(sets):
+        assert block.base is sets[0].base and block.flags.c_contiguous
+        assert np.array_equal(block, pooled[4 * k:4 * k + 4])
+    assert sets[0].base.shape == (12, 31, 5, 3)
+
+
+@pytest.mark.parametrize("target", [1, 61])
+def test_synth_refuses_a_bad_target_before_generating(tmp_path, capsys, monkeypatch, target):
+    """A --target-frames outside [2, --frames] is refused before any class is
+    generated: no template is made and no file written."""
+    def make_template(*args):
+        raise AssertionError("a class was generated before the target was refused")
+
+    monkeypatch.setattr(route.datagen, "make_template", make_template)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli("synth", "--out", out, "--frames", 60, "--target-frames", target,
+                   "--classes", 3) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "BadTarget", "message": f"cannot downsample 60 frames to {target}"}
+    assert os.listdir(out) == []
+
+
 def test_manifest_checksums_and_rerun_identity(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -169,6 +201,28 @@ def test_ingest_refuses_a_non_finite_coordinate(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err) == {
         "error": "DimensionMismatch", "message": f"{raw}: block 1, row 3: non-finite value"}
     assert not (tmp_path / "ing" / "sequences.txt").exists()
+
+
+def test_ingest_refuses_a_target_above_a_block_naming_the_file_and_block(tmp_path, capsys,
+                                                                         monkeypatch):
+    """--target-frames longer than a block is refused naming the file and the
+    first block that is too short, before any block is converted or a file
+    written."""
+    def convert(*args):
+        raise AssertionError("a block was converted before the target was refused")
+
+    frames_list = [np.random.default_rng(5).normal(size=(t, 4, 3)) for t in (30, 20, 10)]
+    raw = tmp_path / "raw.txt"
+    mio.write_raw_sequences(raw, frames_list, SkeletonHierarchy([-1, 0, 1, 1]))
+    monkeypatch.setattr(cli, "ingest_sequence", convert)
+    out = tmp_path / "ing"
+    capsys.readouterr()
+    for target, block, frames in ((25, 1, 20), (1, 0, 30)):
+        assert run_cli("ingest", "--input", raw, "--target-frames", target, "--out", out) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "BadTarget",
+            "message": f"{raw}: block {block}: cannot downsample {frames} frames to {target}"}
+        assert os.listdir(out) == []
 
 
 PIPELINE_SCHEMES = [

@@ -4,6 +4,7 @@ noise, mixtures, and the statistical probes the generator must support."""
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import motionemu
-from motionemu import geometry as geo
-from motionemu.alignment import align_all
+from motionemu import datagen, geometry as geo
+from motionemu.alignment import align_all, warp_sequence
 from motionemu.datagen import (SynthConfig, _smooth, gen_class, gen_mixture, make_template,
                                random_warp)
-from motionemu.errors import BadTarget
+from motionemu.errors import BadTarget, DimensionMismatch
 from motionemu.evaluate import disco_test, roughness, sequence_distance_matrix
 from motionemu.skeleton import downsample
 
@@ -179,9 +180,73 @@ def test_split_half_calibration():
     assert 0.01 <= rejections / repeats <= 0.12
 
 
-def test_mixture_downsampling_matches_per_sequence():
-    cfg = SynthConfig(landmarks=4, frames=100, count=3, seed=11)
-    full, _ = gen_class(cfg)
-    mixed, labels = gen_mixture([cfg], target_frames=31)
-    assert mixed.shape == (3, 31, 3, 3)
-    assert np.array_equal(mixed, np.stack([downsample(s, 31) for s in full]))
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+@pytest.mark.parametrize("warp", [0.0, 0.5])
+@pytest.mark.parametrize("target", [31, 100, 2])
+def test_mixture_downsampling_matches_per_sequence(noise, warp, target):
+    """gen_mixture computes only the kept frames, and every one is the bits
+    of downsample on the full-rate class, for each class of a mixture."""
+    cfgs = [SynthConfig(landmarks=4, frames=100, count=3, warp_strength=warp, noise_scale=noise,
+                        seed=seed) for seed in (11, 12)]
+    mixed, labels = gen_mixture(cfgs, target_frames=target)
+    assert mixed.shape == (6, target, 3, 3) and mixed.flags.c_contiguous
+    assert np.array_equal(labels, [0, 0, 0, 1, 1, 1])
+    full = np.concatenate([gen_class(cfg)[0] for cfg in cfgs])
+    assert mixed.tobytes() == np.stack([downsample(s, target) for s in full]).tobytes()
+
+
+def test_gen_class_replays_the_per_sequence_stream():
+    """gen_class gives the bits of drawing each sequence in turn: its warp by
+    random_warp, the template warped by warp_sequence, then its noise lifted
+    onto it, all from one stream after the template's draws."""
+    for warp, noise in ((0.5, 0.05), (0.0, 0.05), (0.5, 0.0)):
+        cfg = SynthConfig(landmarks=5, frames=80, count=4, warp_strength=warp,
+                          noise_scale=noise, seed=13)
+        rng = np.random.default_rng(cfg.seed)
+        template = make_template(cfg, rng)
+        expected = []
+        for _ in range(cfg.count):
+            seq = warp_sequence(template, random_warp(rng, cfg.frames, cfg.warp_strength))
+            if noise > 0.0:
+                lift = _smooth(rng.standard_normal((cfg.frames, 4, 2)), cfg.bandwidth * cfg.frames)
+                lift *= cfg.noise_scale / lift.std()
+                seq = geo.sphere_exp(seq, geo.coords_to_tangent(seq, lift.reshape(cfg.frames, 8)))
+            expected.append(seq)
+        seqs, got = gen_class(cfg)
+        assert got.tobytes() == template.tobytes()
+        assert seqs.tobytes() == np.stack(expected).tobytes()
+
+
+def test_mixture_holds_its_result_and_one_template_workspace():
+    """gen_mixture's traced peak stays under 1.25 times its result plus the
+    peak of making one full-rate template: it keeps no full-rate class block
+    and no second copy of the pooled set."""
+    cfgs = [SynthConfig(landmarks=6, frames=200, count=8, noise_scale=0.05, seed=seed)
+            for seed in range(3)]
+    gen_mixture(cfgs, target_frames=61)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        make_template(cfgs[0])
+        template_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        seqs, labels = gen_mixture(cfgs, target_frames=61)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seqs.shape == (24, 61, 5, 3)
+    assert peak < 1.25 * (seqs.nbytes + labels.nbytes) + template_peak
+
+
+@pytest.mark.parametrize("target", [1, 101, 250])
+def test_mixture_refuses_a_bad_target_before_generating(monkeypatch, target):
+    """A target outside [2, frames] of any class is refused before the first
+    class is generated."""
+    def make_template(*args):
+        raise AssertionError("a class was generated before the target was refused")
+
+    monkeypatch.setattr(datagen, "make_template", make_template)
+    cfgs = [SynthConfig(landmarks=4, frames=frames, count=2) for frames in (300, 100)]
+    with pytest.raises(BadTarget, match=f"cannot downsample .* frames to {target}"):
+        gen_mixture(cfgs, target_frames=target)
+    with pytest.raises(DimensionMismatch, match="mixed"):
+        gen_mixture(cfgs, target_frames=None)
