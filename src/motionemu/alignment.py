@@ -67,7 +67,7 @@ def tsrvf(seq, reference) -> TSRVFField:
     vector norm.
     """
     reference = np.asarray(reference, dtype=float)
-    moved = transported_velocities(geo._check_postures(seq, least=2), reference)
+    moved = transported_velocities(geo._check_postures(seq, (2,)), reference)
     norms = geo.tangent_norm(moved)
     scale = np.where(norms < ZERO_VELOCITY, 0.0, 1.0 / np.sqrt(np.where(norms < ZERO_VELOCITY, 1.0, norms)))
     coords = geo.tangent_coords(reference, moved * scale[:, None, None])
@@ -82,7 +82,7 @@ def warp_sequence(seq, gamma):
     hit exactly (in particular under the identity warp) are copied
     bit-for-bit.
     """
-    seq = geo._check_postures(seq, least=2)
+    seq = geo._check_postures(seq, (2,))
     gamma = check_warp(gamma)
     t = seq.shape[0]
     if gamma.shape[0] != t:
@@ -339,14 +339,14 @@ def align_all(seqs, ref_index: int = 0):
     place but the reference, which keeps the identity warp.  The warps are
     searched one after another, each on every thread optimal_warp uses.
     """
-    aligned = geo._check_set(seqs, 0, "sequences")
+    aligned = geo._check_set(seqs, 0, "sequences", frames=2)
     if isinstance(seqs, np.ndarray) and np.may_share_memory(aligned, seqs):
         aligned = aligned.copy()  # warp a copy, never the caller's array
     if not len(aligned):
         raise DimensionMismatch("no sequences to align")
     if not 0 <= ref_index < len(aligned):
         raise BadTarget(f"reference index {ref_index} out of range")
-    t = geo._check_postures(aligned[0], least=2).shape[0]
+    t = aligned.shape[1]
     reference = geo.karcher_mean(aligned[:, 0])
     href = tsrvf(aligned[ref_index], reference)
     warps = np.tile(np.linspace(0.0, 1.0, t), (len(aligned), 1))

@@ -154,14 +154,8 @@ def fpca_fit(score_list, dt: float, n_components=None, var_threshold=0.95) -> FP
     their samples.  When n_components is None, d2 is the largest
     per-row selection at var_threshold so every row reaches it.
     """
-    stack = geo._check_set(score_list, 2, "score matrices")
-    if stack.ndim != 3:
-        raise DimensionMismatch(f"score matrices must be 2-d (d1, T), got shape "
-                                f"{stack.shape[1:]}")
+    stack = geo._check_set(score_list, 2, "score matrices", axes=("d1", "T"))
     m, d1, length = stack.shape
-    if d1 == 0:
-        raise InsufficientData("the spatial reduction has rank 0 (d1 = 0, as for constant "
-                               "fields): no score rows to fit a functional PCA on")
     means = stack.mean(axis=0)
     dev = stack - means
     bases, values = [], []

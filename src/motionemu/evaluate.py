@@ -24,6 +24,9 @@ from .dimred import _top_eigenpairs
 from .errors import BadTarget, DimensionMismatch, InsufficientData, LengthMismatch
 
 MAX_SWEEPS = 200  # most passes over the candidates of one k-medoids descent
+# most label splits an exhaustive permutation test enumerates (about 1.4 s at
+# the 7e5 splits/s of a 2-core box)
+MAX_SPLITS = 10**6
 K_SWEEP = range(2, 16)  # the cluster counts select_k tries
 
 
@@ -78,7 +81,7 @@ def _check_square(dmat):
 
 def posture_distance_matrix(postures):
     """Pairwise posture_dist of a (N, n-1, 3) posture stack, bit for bit."""
-    postures = geo._check_postures(postures, least=1)
+    postures = geo._check_postures(postures, (1,))
     return _pairwise(np.ascontiguousarray(np.moveaxis(postures, -1, 0)))
 
 
@@ -87,10 +90,9 @@ def _sequence_planes(seqs):
     coordinate planes, and (T, n-1).  The set check stacks each coordinate
     into an (N, T, n-1) plane, so the set is copied once."""
     views = [np.moveaxis(geo._check_postures(s), -1, 0) for s in seqs]
-    planes = [geo._check_set([v[c] for v in views], 1, "sequences") for c in range(3)]
+    planes = [geo._check_set([v[c] for v in views], 1, "sequences", axes=("T", "n-1"))
+              for c in range(3)]
     n, t, bones = planes[0].shape
-    if t == 0:
-        raise InsufficientData("need sequences of at least one frame")
     return [p.reshape(n, t * bones) for p in planes], (t, bones)
 
 
@@ -146,6 +148,9 @@ def _check_groups(na, nb, n_perm, exhaustive):
         raise BadTarget("n_perm must be positive")
     if not (na > 0 and nb > 0):
         raise InsufficientData("both groups need at least one sequence")
+    if exhaustive and (splits := comb(na + nb, na)) > MAX_SPLITS:
+        raise BadTarget(f"an exhaustive test of {na} against {nb} sequences enumerates "
+                        f"{splits} splits, more than MAX_SPLITS = {MAX_SPLITS}")
 
 
 def permutation_test(dmat, na: int, n_perm: int = 999, seed=None,
@@ -304,7 +309,7 @@ def select_k(postures, seed=None):
 def quantize(seq, model: ClusterModel):
     """Label every frame with its nearest mode (1-based); ties keep the
     lowest mode index."""
-    seq = geo._check_postures(seq, least=1)
+    seq = geo._check_postures(seq, (1,))
     if seq.shape[1:] != model.modes.shape[1:]:
         raise DimensionMismatch(
             f"sequence bones {seq.shape[1:]} do not match modes {model.modes.shape[1:]}")
@@ -317,6 +322,8 @@ def variability(labels, reference_labels) -> float:
     reference_labels = np.asarray(reference_labels)
     if labels.shape != reference_labels.shape:
         raise LengthMismatch(f"label lengths differ: {labels.shape} vs {reference_labels.shape}")
+    if labels.ndim != 1 or not labels.size:
+        raise DimensionMismatch(f"expected a non-empty string of labels, got shape {labels.shape}")
     return float(np.mean(labels != reference_labels))
 
 
@@ -337,7 +344,7 @@ def mean_label_sequence(seqs, model: ClusterModel):
 
 def roughness(seq):
     """Distances between successive frames, shape (T-1,)."""
-    seq = geo._check_postures(seq, least=2)
+    seq = geo._check_postures(seq, (2,))
     return geo.posture_dist(seq[:-1], seq[1:])
 
 
@@ -369,10 +376,12 @@ def qq_data(sample_x, sample_y):
     empirical quantile function is linearly interpolated (clamped at the
     extremes).  Equal-length samples pair their sorted values directly.
     """
-    x = np.sort(np.asarray(sample_x, dtype=float))
-    y = np.sort(np.asarray(sample_y, dtype=float))
+    x, y = np.asarray(sample_x, dtype=float), np.asarray(sample_y, dtype=float)
+    if x.ndim != 1 or y.ndim != 1:
+        raise DimensionMismatch(f"samples must be 1-d, got shapes {x.shape} and {y.shape}")
     if x.size == 0 or y.size == 0:
         raise InsufficientData("both samples need at least one value")
+    x, y = np.sort(x), np.sort(y)
     n = max(x.size, y.size)
     p = (np.arange(n) + 0.5) / n
     qx = np.interp(p, (np.arange(x.size) + 0.5) / x.size, x)

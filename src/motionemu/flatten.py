@@ -87,24 +87,20 @@ class FlatFields:
         return self.length if self.kind == "siem" else self.length + 1
 
 
-def _check_sequence(seq, reference=None):
-    """seq as a float (T, n-1, 3) sequence or (B, T, n-1, 3) block of
-    sequences, T >= 2, whose frames match the reference's shape."""
-    seq = np.asarray(seq, dtype=float)
-    if seq.ndim not in (3, 4) or seq.shape[-3] < 2 or seq.shape[-1] != 3:
-        raise DimensionMismatch("expected a (T, n-1, 3) sequence or a (B, T, n-1, 3) block "
-                                f"with T >= 2, got {seq.shape}")
-    if reference is not None and np.shape(reference) != seq.shape[-2:]:
-        raise DimensionMismatch(f"reference {np.shape(reference)} does not match "
-                                f"frames {seq.shape[-2:]}")
-    return seq
+def _at_reference(reference, seq):
+    """reference as a float posture of the shape of seq's frames."""
+    reference = np.asarray(reference, dtype=float)
+    if reference.shape != seq.shape[-2:]:
+        raise DimensionMismatch(f"reference {reference.shape} does not match frames "
+                                f"{seq.shape[-2:]}")
+    return reference
 
 
 def shooting_vectors(seq):
     """Discrete velocities: log of each frame at its predecessor, scaled
     by 1/dt.  Returns shape (T-1, n-1, 3), or (B, T-1, n-1, 3) for a
     block of B sequences."""
-    seq = _check_sequence(seq)
+    seq = geo._check_postures(seq, (2,), (0, 2))
     return geo.sphere_log(seq[..., :-1, :, :], seq[..., 1:, :, :]) * float(seq.shape[-3] - 1)
 
 
@@ -113,8 +109,9 @@ def transported_velocities(seq, reference):
     the reference posture: the columns of stvf and of the alignment's
     square-root velocity field.  Returns shape (T-1, n-1, 3), or
     (B, T-1, n-1, 3) for a block of B sequences."""
-    seq = _check_sequence(seq, reference)
-    return geo.sphere_transport(seq[..., :-1, :, :], reference, shooting_vectors(seq))
+    seq = geo._check_postures(seq, (2,), (0, 2))
+    return geo.sphere_transport(seq[..., :-1, :, :], _at_reference(reference, seq),
+                                shooting_vectors(seq))
 
 
 def flatten_sequence(seqs, reference, kind: str) -> FlatFields:
@@ -130,13 +127,10 @@ def flatten_sequence(seqs, reference, kind: str) -> FlatFields:
     field keeps the bits of encoding its sequence alone."""
     if kind not in FLATTEN_KINDS:
         raise KindMismatch(f"unknown flattening kind {kind!r}")
-    seqs = geo._check_set(seqs, 0, "sequences")
-    if seqs.ndim != 4 or seqs.shape[1] < 2:
-        raise DimensionMismatch(f"expected (M, T, n-1, 3) sequences with T >= 2, got {seqs.shape}")
+    seqs = geo._check_set(seqs, 0, "sequences", frames=2)
     if reference is None:
         reference = geo.karcher_mean(seqs.reshape((-1,) + seqs.shape[2:]))
-    reference = np.array(reference, dtype=float)
-    _check_sequence(seqs, reference)
+    reference = _at_reference(np.array(reference, dtype=float), seqs)
     t = seqs.shape[1]
     dt = grid_dt(t)
     values = np.empty((len(seqs), 2 * seqs.shape[2], field_columns(kind, t)))

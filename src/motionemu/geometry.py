@@ -189,7 +189,7 @@ def posture_dist(a, b):
         shape = np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise DimensionMismatch(f"posture shapes differ: {a.shape} vs {b.shape}") from None
-    if len(shape) < 2 or shape[-1] != 3:
+    if not _posture_shaped(shape):
         raise DimensionMismatch(f"not posture-shaped: {a.shape} vs {b.shape}")
     return np.sum(sphere_dist(a, b), axis=-1)
 
@@ -246,8 +246,9 @@ def tangent_coords(base, v):
     """
     base = np.asarray(base, dtype=float)
     v = np.asarray(v, dtype=float)
-    if base.shape[-2:] != v.shape[-2:]:
-        raise DimensionMismatch(f"tangent shape {v.shape} does not match base {base.shape}")
+    if not _posture_shaped(base.shape) or base.shape[-2:] != v.shape[-2:]:
+        raise DimensionMismatch(f"expected (..., n-1, 3) tangents at (..., n-1, 3) postures with "
+                                f"at least one bone, got {v.shape} at {base.shape}")
     b1, b2 = tangent_frame(base)
     c = np.stack([_dot(v, b1), _dot(v, b2)], axis=-1)
     return c.reshape(c.shape[:-2] + (2 * base.shape[-2],))
@@ -257,9 +258,10 @@ def coords_to_tangent(base, coords):
     """Inverse of tangent_coords: rebuild tangent fields from coordinates."""
     base = np.asarray(base, dtype=float)
     coords = np.asarray(coords, dtype=float)
+    if not _posture_shaped(base.shape) or coords.shape[-1:] != (2 * base.shape[-2],):
+        raise DimensionMismatch(f"expected (..., 2*(n-1)) coordinates at (..., n-1, 3) postures "
+                                f"with at least one bone, got {coords.shape} at {base.shape}")
     k = base.shape[-2]
-    if coords.shape[-1] != 2 * k:
-        raise DimensionMismatch(f"expected {2 * k} coordinates, got {coords.shape[-1]}")
     b1, b2 = tangent_frame(base)
     c = coords.reshape(coords.shape[:-1] + (k, 2))
     return c[..., 0, None] * b1 + c[..., 1, None] * b2
@@ -287,10 +289,7 @@ def karcher_mean(postures):
     -------
     ndarray, shape (n-1, 3) or (B, n-1, 3)
     """
-    x = np.asarray(postures, dtype=float)
-    if x.ndim not in (3, 4) or x.shape[0] < 1 or x.shape[-1] != 3:
-        raise DimensionMismatch("expected (M, n-1, 3) postures or an (M, B, n-1, 3) stack "
-                                f"with M >= 1, got {x.shape}")
+    x = _check_postures(postures, (1,), (1, 0))
     stack = x[:, None] if x.ndim == 3 else x
     means = np.empty(stack.shape[1:])
     # a block keeps about three sets' worth of temporaries live (3.04 by
@@ -330,19 +329,31 @@ def karcher_mean(postures):
     return means[0] if x.ndim == 3 else means
 
 
-def _check_postures(x, least=0):
-    """x as a float (N, n-1, 3) array of postures (or frames), N >= least, n-1 >= 1."""
+def _posture_shaped(shape):
+    """Whether shape is that of postures broadcast over leading axes: (..., n-1, 3), n-1 >= 1."""
+    return len(shape) >= 2 and shape[-2] >= 1 and shape[-1] == 3
+
+
+def _check_postures(x, *lead):
+    """x as a float (..., n-1, 3) array of postures (or frames) with a bone,
+    its leading axes at least as long as one of lead: (2,) for a sequence of
+    T >= 2 frames, (0, 2) for a block of them, (0,) if lead is empty."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 3 or x.shape[0] < least or x.shape[1] < 1 or x.shape[2] != 3:
-        raise DimensionMismatch(f"expected (N, n-1, 3) postures with N >= {least} and at least "
-                                f"one bone, got {x.shape}")
+    lead = lead or ((0,),)
+    least = {len(axes): axes for axes in lead}.get(x.ndim - 2)
+    if least is None or not _posture_shaped(x.shape) or any(n < k for n, k in zip(x.shape, least)):
+        raise DimensionMismatch(f"expected (..., n-1, 3) postures with at least one bone and "
+                                f"leading axes of at least {' or '.join(map(str, lead))}, "
+                                f"got {x.shape}")
     return x
 
 
-def _check_set(arrays, least, what):
+def _check_set(arrays, least, what, frames=None, axes=None):
     """The set as one C-ordered float (M, ...) array, such an ndarray as it
     is and anything else copied once: at least `least` members of one
-    shape, named `what`."""
+    shape, named `what`.  Given frames, the members are (T, n-1, 3)
+    sequences with T >= frames; given axes, one name per axis, they are
+    arrays of that rank with no empty axis."""
     try:
         x = np.ascontiguousarray(arrays, dtype=float)
     except ValueError:
@@ -352,6 +363,15 @@ def _check_set(arrays, least, what):
         raise DimensionMismatch(f"{what} have mixed shapes: {shapes}") from None
     if len(x) < least:
         raise InsufficientData(f"got {len(x)} {what}, need at least {least}")
+    if frames is not None:
+        _check_postures(x, (0, frames))
+    if axes is not None:
+        if x.ndim != len(axes) + 1:
+            raise DimensionMismatch(f"{what} must be {len(axes)}-d ({', '.join(axes)}), got "
+                                    f"shape {x.shape[1:]}")
+        if 0 in x.shape[1:]:
+            raise InsufficientData(f"{what} of shape {x.shape[1:]} have rank 0: "
+                                   f"{axes[x.shape.index(0, 1) - 1]} = 0")
     return x
 
 
@@ -359,6 +379,5 @@ def sequence_dist(a, b):
     """Mean posture distance between two (T, n-1, 3) sequences on a shared
     time grid: all T*(n-1) bone angles in one sum, divided by T, which is
     evaluate.sequence_distance_matrix's order, bit for bit."""
-    pair = _check_set((a, b), 2, "sequences")
-    t = _check_postures(pair[0], least=1).shape[0]
-    return float(sphere_dist(pair[0].reshape(-1, 3), pair[1].reshape(-1, 3)).sum() / t)
+    pair = _check_set((a, b), 2, "sequences", frames=1)
+    return float(sphere_dist(pair[0].reshape(-1, 3), pair[1].reshape(-1, 3)).sum() / pair.shape[1])

@@ -60,7 +60,7 @@ class IGModel:
 def fit_mvg(coeffs) -> MVGModel:
     """Sample covariance of vectorized coefficients about zero mean
     (denominator M-1), plus a relative jitter used only when sampling."""
-    coeffs = geo._check_set(coeffs, 2, "coefficient matrices")
+    coeffs = geo._check_set(coeffs, 2, "coefficient matrices", axes=("d1", "d2"))
     v = coeffs.reshape(len(coeffs), -1)
     cov = v.T @ v / (len(coeffs) - 1)
     cov = (cov + cov.T) / 2.0
@@ -114,14 +114,9 @@ def logliks(coeffs, model) -> np.ndarray:
     from one-vector calls in the last bits; a one-vector batch and every
     IG batch give the per-vector bits.
     """
-    try:
-        x = np.asarray(coeffs, dtype=float)
-    except ValueError:
-        raise DimensionMismatch("coefficient matrices must share their shape") from None
+    x = geo._check_set(coeffs, 0, "coefficient matrices")
     if not isinstance(model, (MVGModel, IGModel)):
         raise KindMismatch(f"no density for {type(model).__name__}")
-    if x.ndim == 0:
-        raise DimensionMismatch("expected a batch of coefficient matrices")
     # an empty list is an empty batch; any other shape keeps its row size
     x = x.reshape(0, model.dim) if x.shape == (0,) else x.reshape(len(x), prod(x.shape[1:]))
     if x.shape[1] != model.dim:
@@ -246,9 +241,9 @@ def fit_pwi(seqs, diagonal: bool = False) -> PWIModel:
     """Fit the posture-wise model: per frame, the intrinsic mean of the
     training postures and the covariance of their log coordinates
     (denominator M-1).  diagonal=True keeps only per-coordinate variances."""
-    stack = geo._check_set(seqs, 2, "sequences")
-    t, bones, _ = geo._check_postures(stack[0], least=1).shape
-    m, dim = stack.shape[0], 2 * bones
+    stack = geo._check_set(seqs, 2, "sequences", frames=1)
+    m, t, bones, _ = stack.shape
+    dim = 2 * bones
     means = geo.karcher_mean(stack)
     covs = np.empty((t, dim, dim))
     # sphere_log keeps about six frames' worth of temporaries live

@@ -722,6 +722,21 @@ def test_two_sample_reruns_byte_identical_and_exhaustive(tmp_path):
     assert int(rows[0][2]) == 19
 
 
+def test_two_sample_refuses_an_exhaustive_test_past_max_splits(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a distance matrix was computed")
+
+    monkeypatch.setattr(evaluate, "sequence_distance_matrix", never)
+    seq = unit(np.random.default_rng(14).normal(size=(4, 2, 3)))
+    for name, count in (("a.txt", 10), ("b.txt", 60)):
+        mio.write_posture_sequences(tmp_path / name, [seq] * count)
+    assert run_cli("eval", "two-sample", "--a", tmp_path / "a.txt", "--b", tmp_path / "b.txt",
+                   "--exhaustive", "--out", tmp_path / "ex") == 1
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "BadTarget" and "enumerates 396704524216 splits" in report["message"]
+    assert not (tmp_path / "ex" / "two_sample.csv").exists()
+
+
 def test_eval_quantize_artifacts_and_sweep(tmp_path, capsys):
     centers = unit(np.array([
         [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],

@@ -22,33 +22,64 @@ MODES = evaluate.ClusterModel(modes=np.stack([REF, REF[::-1]]), medoid_indices=n
                               objective=0.0)
 
 
+def frame_of(x):
+    """A unit-row posture of the shape of x's frames, so that a reference
+    never disagrees with the sequence it is used with."""
+    return np.full(x.shape[-2:], 1.0 / np.sqrt(3.0))
+
+
 def stack_shaped(shape):
-    """(N, n-1, 3) with N >= 1: what every function but posture_dist needs
-    at least (some need two frames)."""
-    return len(shape) == 3 and shape[0] >= 1 and shape[2] == 3
+    """(N, n-1, 3) with N >= 1 and a bone: what every function but
+    posture_dist needs at least (some need two frames)."""
+    return len(shape) == 3 and shape[0] >= 1 and shape[1] >= 1 and shape[2] == 3
 
 
 def set_or_stack_shaped(shape):
-    """(M, n-1, 3) or a stack of sets (M, B, n-1, 3), with M >= 1."""
-    return len(shape) in (3, 4) and shape[0] >= 1 and shape[-1] == 3
+    """(M, n-1, 3) or a stack of sets (M, B, n-1, 3), with M >= 1 and a bone."""
+    return len(shape) in (3, 4) and shape[0] >= 1 and shape[-2] >= 1 and shape[-1] == 3
+
+
+def sequence_or_block_shaped(shape):
+    """(T, n-1, 3) or a block of sequences (B, T, n-1, 3), with T >= 2 and a bone."""
+    return len(shape) in (3, 4) and shape[-3] >= 2 and shape[-2] >= 1 and shape[-1] == 3
 
 
 def broadcast_posture_shaped(shape):
-    return len(shape) >= 2 and shape[-1] == 3
+    return len(shape) >= 2 and shape[-2] >= 1 and shape[-1] == 3
+
+
+def matrix_set_shaped(shape):
+    """(M, d1, d2) with no empty matrix axis."""
+    return len(shape) == 3 and shape[1] >= 1 and shape[2] >= 1
+
+
+def sample_shaped(shape):
+    return len(shape) == 1 and shape[0] >= 1
 
 
 CALLS = {
     "karcher_mean": (geometry.karcher_mean, set_or_stack_shaped),
     "posture_dist": (lambda x: geometry.posture_dist(x, x), broadcast_posture_shaped),
     "sequence_dist": (lambda x: geometry.sequence_dist(x, x), stack_shaped),
-    "flatten_sequence": (lambda x: flatten.flatten_sequence([x, x], REF, "istvf"),
+    "tangent_coords": (lambda x: geometry.tangent_coords(x, x), broadcast_posture_shaped),
+    "coords_to_tangent": (lambda x: geometry.coords_to_tangent(x, np.zeros(4)),
+                          broadcast_posture_shaped),
+    "shooting_vectors": (flatten.shooting_vectors, sequence_or_block_shaped),
+    "transported_velocities": (lambda x: flatten.transported_velocities(x, frame_of(x)),
+                               sequence_or_block_shaped),
+    "flatten_sequence": (lambda x: flatten.flatten_sequence([x, x], frame_of(x), "istvf"),
                          stack_shaped),
-    "tsrvf": (lambda x: alignment.tsrvf(x, REF), stack_shaped),
+    "flatten_sequence(reference=None)": (lambda x: flatten.flatten_sequence([x, x], None, "istvf"),
+                                         stack_shaped),
+    "tsrvf": (lambda x: alignment.tsrvf(x, frame_of(x)), stack_shaped),
     "warp_sequence": (lambda x: alignment.warp_sequence(x, np.linspace(0.0, 1.0, max(len(x), 2))),
                       stack_shaped),
     "align_all": (lambda x: alignment.align_all([x, x]), stack_shaped),
     "fit_pwi": (lambda x: models.fit_pwi([x, x]), stack_shaped),
     "fit_emulator": (lambda x: models.fit_emulator([x, x, x]), stack_shaped),
+    "fit_mvg": (models.fit_mvg, matrix_set_shaped),
+    "fit_ig": (models.fit_ig, matrix_set_shaped),
+    "fpca_fit": (lambda x: dimred.fpca_fit(x, dt=0.1), matrix_set_shaped),
     "disco_test": (lambda x: evaluate.disco_test([x], [x], n_perm=3, seed=0), stack_shaped),
     "sequence_distance_matrix": (lambda x: evaluate.sequence_distance_matrix([x, x]),
                                  stack_shaped),
@@ -57,18 +88,25 @@ CALLS = {
     "quantize": (lambda x: evaluate.quantize(x, MODES), stack_shaped),
     "mean_label_sequence": (lambda x: evaluate.mean_label_sequence([x, x], MODES), stack_shaped),
     "roughness": (evaluate.roughness, stack_shaped),
+    "qq_data": (lambda x: evaluate.qq_data(x, x), sample_shaped),
+    "variability_stats": (lambda x: evaluate.variability_stats([x], x), sample_shaped),
 }
 
-# ndim 1 to 4, a last axis of 1 to 5, and a leading axis that may be empty
+# ndim 1 to 4, a last axis of 0 to 5, middle axes of 0 to 3 and a leading
+# axis that may be empty
 SHAPES = st.one_of(
     st.tuples(st.integers(0, 5)),
     st.integers(0, 2).flatmap(lambda middle: st.tuples(
-        st.sampled_from([0, 1, 2, 5]), *[st.integers(1, 3)] * middle, st.integers(1, 5))))
+        st.sampled_from([0, 1, 2, 5]), *[st.integers(0, 3)] * middle, st.integers(0, 5))))
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
 @given(shape=SHAPES)
 @example(shape=(0, 2, 3))  # no postures, of the right bones
+@example(shape=(3, 0, 3))  # postures, or sequences, without bones
+@example(shape=(3, 5, 0, 3))  # a stack, or a block, of them
+@example(shape=(3, 0, 2))  # matrices with an empty axis
+@example(shape=(3, 2, 0))
 def test_wrong_shapes_raise_motion_errors(name, shape):
     call, valid = CALLS[name]
     assume(not valid(shape))
@@ -77,6 +115,39 @@ def test_wrong_shapes_raise_motion_errors(name, shape):
     x = np.full(shape, 1.0 / np.sqrt(3.0))
     with pytest.raises(MotionError):
         call(x)
+
+
+NO_BONES = np.empty((3, 5, 0, 3))
+HOLES = {
+    "fit_emulator": (lambda: models.fit_emulator(NO_BONES), "at least one bone"),
+    "flatten_sequence": (lambda: flatten.flatten_sequence(NO_BONES, None, "istvf"),
+                         "at least one bone"),
+    "flatten_sequence at a boneless reference": (
+        lambda: flatten.flatten_sequence(NO_BONES, NO_BONES[0, 0], "istvf"), "at least one bone"),
+    "karcher_mean of a set": (lambda: geometry.karcher_mean(NO_BONES[0]), "at least one bone"),
+    "karcher_mean of a stack": (lambda: geometry.karcher_mean(NO_BONES), "at least one bone"),
+    "shooting_vectors": (lambda: flatten.shooting_vectors(NO_BONES[0]), "at least one bone"),
+    "transported_velocities": (
+        lambda: flatten.transported_velocities(NO_BONES[0], NO_BONES[0, 0]), "at least one bone"),
+    "fit_mvg": (lambda: models.fit_mvg(np.zeros((3, 0, 2))), "d1 = 0"),
+    "fit_ig": (lambda: models.fit_ig(np.zeros((3, 2, 0))), "d2 = 0"),
+    "fpca_fit": (lambda: dimred.fpca_fit(np.zeros((3, 2, 0)), dt=0.1), "T = 0"),
+    "qq_data": (lambda: evaluate.qq_data(np.zeros((3, 2)), np.zeros(3)), "must be 1-d"),
+    "tangent_coords": (lambda: geometry.tangent_coords(np.ones((2, 2)), np.ones((2, 2))),
+                       "at least one bone, got (2, 2) at (2, 2)"),
+    "coords_to_tangent": (lambda: geometry.coords_to_tangent(np.ones((2, 2)), np.ones(4)),
+                          "at least one bone, got (4,) at (2, 2)"),
+    "variability": (lambda: evaluate.variability([], []), "non-empty string of labels"),
+    "variability_stats": (lambda: evaluate.variability_stats([[]], []),
+                          "non-empty string of labels"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOLES))
+def test_each_refusal_names_its_cause(name):
+    call, cause = HOLES[name]
+    with pytest.raises(MotionError, match=re.escape(cause)):
+        call()
 
 
 # ---- a set of sequences is one array -----------------------------------------

@@ -334,6 +334,25 @@ def test_permutation_test_refusals():
         permutation_test(dmat, 2, n_perm=0)
 
 
+def test_an_exhaustive_test_past_max_splits_is_refused_before_any_distance(monkeypatch):
+    def never(*args):
+        raise AssertionError("a distance matrix or a split was computed")
+
+    # the pipeline's default outputs: 10 sims against 60 aligned sequences
+    rng = np.random.default_rng(15)
+    sims, aligned = [rand_seq(rng) for _ in range(10)], [rand_seq(rng) for _ in range(60)]
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluate, "sequence_distance_matrix", never)
+        patch.setattr(evaluate, "_split_stats", never)
+        for run in (lambda: disco_test(sims, aligned, exhaustive=True),
+                    lambda: permutation_test(np.zeros((70, 70)), 10, exhaustive=True)):
+            with pytest.raises(BadTarget, match=f"enumerates {comb(70, 10)} splits"):
+                run()
+    # the largest enumeration CI runs (4 sims against 16 aligned) stays open
+    assert comb(20, 4) <= evaluate.MAX_SPLITS
+    assert permutation_test(np.zeros((20, 20)), 4, exhaustive=True).permutations == comb(20, 4) - 1
+
+
 def test_disco_test_refuses_n_perm_before_any_distance(monkeypatch):
     def no_distances(seqs):
         raise AssertionError("disco_test computed distances before checking n_perm")
