@@ -87,19 +87,46 @@ def spatial_pca_fit(fields: FlatFields, n_components=None, var_threshold=0.9) ->
     var_threshold : float
         Used to select d1 when n_components is None.
     """
-    if len(fields) * fields.length < 2:
+    values = fields.values
+    m, d, length = values.shape
+    if m * length < 2:
         raise InsufficientData("need at least two pooled columns")
-    # the fields' columns as rows; concatenating per field keeps the memory
-    # order of their values, which the fit's bits depend on
-    x = np.concatenate(np.swapaxes(fields.values, 1, 2), axis=0)
-    if np.all(x == x[0]):
+    # the mean and the constant test, one pooled column at a time: each
+    # column's values are copied in pooled order, field by field, and summed
+    # pairwise, which gives numpy's mean of the pooled matrix stored column
+    # by column, bit for bit
+    mean, constant = np.empty(d), True
+    for c in range(d):
+        col = np.ascontiguousarray(values[:, c]).ravel()
+        mean[c] = col.sum()
+        constant = constant and bool(np.all(col == col[0]))
+    if constant:
         # constant data: the mean is the shared column and the rank is zero
-        return SpatialPCA(mean=x[0].copy(), basis=np.zeros((x.shape[1], 0)),
+        return SpatialPCA(mean=values[0, :, 0].copy(), basis=np.zeros((d, 0)),
                           eigenvalues=np.zeros(0), total_variance=0.0)
-    mean = x.mean(axis=0)
-    x -= mean  # x is this fit's own copy, so centre it in place
-    _, svals, vt = np.linalg.svd(x, full_matrices=False)
-    eigenvalues = svals**2 / (x.shape[0] - 1)
+    mean /= m * length
+    # TSQR (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34(1),
+    # 2012) on a flat tree: the R factor of the centred pooled rows so far,
+    # stacked on the next block of them, gives the next R; the pooled matrix's
+    # singular values and right vectors are R's, and U is never formed.  No
+    # Gram matrix: its condition number would be the square of the one
+    # RANK_RTOL is set for.  A block is whole fields' columns, or a run of one
+    # field's, copied into buf below the running R.
+    rows = max(d, geo._block_items(24 * d))  # buf and np.linalg.qr's two copies of it
+    per, run = min(m, max(1, rows // length)), min(rows, length)
+    cols = np.swapaxes(values, 1, 2)
+    buf = np.empty((d + per * run, d))
+    r = buf[:0]
+    for i in range(0, m, per):
+        for j in range(0, length, run):
+            block = cols[i:i + per, j:j + run]
+            x = buf[len(r):len(r) + block.shape[0] * block.shape[1]]
+            np.copyto(x.reshape(block.shape), block)
+            x -= mean
+            buf[:len(r)] = r
+            r = np.linalg.qr(buf[:len(r) + len(x)], mode="r")
+    _, svals, vt = np.linalg.svd(r, full_matrices=False)
+    eigenvalues = svals**2 / (m * length - 1)
     rank = int(np.sum(eigenvalues > eigenvalues.max() * RANK_RTOL)) if eigenvalues.size else 0
     if n_components is None:
         d1 = select_dims(eigenvalues, var_threshold)

@@ -30,45 +30,58 @@ MAX_SPLITS = 10**6
 K_SWEEP = range(2, 16)  # the cluster counts select_k tries
 
 
-def _pairwise(planes, others=None):
-    """Summed angles between all pairs of N items of K unit vectors, given
-    as three contiguous (N, K) coordinate planes (a (3, N, K) array or a
-    list): planes[c][i, j] is coordinate c of vector j of item i.  With
-    others, planes of M items of the same K vectors, the (N, M) sums
-    between every item of planes (rows) and every item of others
-    (columns) instead.
+def _pairwise(items, others=None):
+    """Summed angles between all pairs of N items of K unit vectors, an
+    (N, K, 3) array read in place: item i's K vectors are items[i].  With
+    others, M items of the same K vectors, the (N, M) sums between every
+    item of items (rows) and every item of others (columns) instead.
 
     Blocks fit geometry.BLOCK_BYTES at 32 bytes an angle (the kernel's three
     work arrays take 24 of them): several rows by all columns, or one row
-    by a run of columns when a row alone is longer.
+    by a tile of columns when a row alone is longer.
     geometry._angles is exactly symmetric, so for one set only blocks on or
     above the diagonal are computed and each is mirrored below it.  The
-    blocks are dealt round-robin to threads by geometry._deal, and each
-    thread reuses one set of work arrays for all of its blocks.  Every
-    entry sums the same K angles in the same order, whatever the blocks,
-    the thread count and the form, so an entry of the rectangular form
-    equals the matching entry of the square form of both sets pooled.
+    blocks are dealt round-robin to threads by geometry._deal, tile by tile,
+    so every thread takes a share of every tile's row blocks.  A thread
+    copies its current tile, and each of its row blocks, into coordinate
+    planes, and reuses one set of planes and work arrays for all of its
+    blocks.  Every entry sums the same K angles in the same order, whatever
+    the blocks, the thread count and the form, so an entry of the
+    rectangular form equals the matching entry of the square form of both
+    sets pooled.
     """
     square = others is None
-    others = planes if square else others
-    (n, k), m = planes[0].shape, others[0].shape[0]
+    others = items if square else others
+    (n, k, _), m = items.shape, others.shape[0]
     out = np.empty((n, m))
     rows = geo._block_items(32 * m * k)
     cols = geo._block_items(32 * rows * k)
-    blocks = [(lo, c) for lo in range(0, n, rows) for c in range(lo if square else 0, m, cols)]
-    size = min(rows, n) * min(cols, m) * k
+    # (tile, row block, first column): in the square form, from the diagonal on
+    blocks = [(t, lo, max(t, lo) if square else t) for t in range(0, m, cols)
+              for lo in range(0, min(n, t + cols) if square else n, rows)]
+    rows, cols = min(rows, n), min(cols, m)
 
-    def run(mine, work):
-        for lo, c in mine:
-            y, z = [p[lo:lo + rows, None] for p in planes], [p[None, c:c + cols] for p in others]
-            shape = (y[0].shape[0], z[0].shape[1], k)
+    def run(mine, space):
+        tile, band, work = space
+        held = None
+        for t, lo, c in mine:
+            if t != held:
+                z = tile[:, :min(cols, m - t)]
+                np.copyto(z, others[t:t + cols].transpose(2, 0, 1))
+                held = t
+            y = band[:, :min(rows, n - lo)]
+            np.copyto(y, items[lo:lo + rows].transpose(2, 0, 1))
+            shape = (y.shape[1], z.shape[1] - (c - t), k)
             count = shape[0] * shape[1] * k
-            block = geo._angles(y, z, [w[:count].reshape(shape) for w in work]).sum(axis=2)
-            out[lo:lo + rows, c:c + cols] = block
+            block = geo._angles(y[:, :, None], z[:, None, c - t:],
+                                [w[:count].reshape(shape) for w in work]).sum(axis=2)
+            out[lo:lo + rows, c:t + cols] = block
             if square:
-                out[c:c + cols, lo:lo + rows] = block.T
+                out[c:t + cols, lo:lo + rows] = block.T
 
-    geo._deal(run, blocks, [[np.empty(size) for _ in range(3)] for _ in range(geo._workers())])
+    geo._deal(run, blocks, [(np.empty((3, cols, k)), np.empty((3, rows, k)),
+                             [np.empty(rows * cols * k) for _ in range(3)])
+                            for _ in range(geo._workers())])
     return out
 
 
@@ -81,19 +94,17 @@ def _check_square(dmat):
 
 def posture_distance_matrix(postures):
     """Pairwise posture_dist of a (N, n-1, 3) posture stack, bit for bit."""
-    postures = geo._check_postures(postures, (1,))
-    return _pairwise(np.ascontiguousarray(np.moveaxis(postures, -1, 0)))
+    return _pairwise(geo._check_postures(postures, (1,)))
 
 
-def _sequence_planes(seqs):
-    """A set of (T, n-1, 3) sequences as _pairwise's three (N, T*(n-1))
-    coordinate planes, and (T, n-1).  The set check stacks each coordinate
-    into an (N, T, n-1) plane, so the set is copied once."""
-    views = [np.moveaxis(geo._check_postures(s), -1, 0) for s in seqs]
-    planes = [geo._check_set([v[c] for v in views], 1, "sequences", axes=("T", "n-1"))
-              for c in range(3)]
-    n, t, bones = planes[0].shape
-    return [p.reshape(n, t * bones) for p in planes], (t, bones)
+def _sequence_items(seqs, shape=None):
+    """A set of (T, n-1, 3) sequences as _pairwise's (N, T*(n-1), 3) items,
+    and (T, n-1), which must equal shape when it is given: an array set is
+    read in place, anything else copied once."""
+    x = geo._check_set(seqs, 1, "sequences", frames=0, axes=("T", "n-1", "3"))
+    if shape is not None and x.shape[1:3] != shape:
+        raise DimensionMismatch(f"(T, n-1) = {shape} sequences against {x.shape[1:3]} ones")
+    return x.reshape(len(x), -1, 3), x.shape[1:3]
 
 
 def sequence_distance_matrix(seqs, others=None):
@@ -102,15 +113,12 @@ def sequence_distance_matrix(seqs, others=None):
     geometry.sequence_dist does.  Given a second set of the same frame
     shape, the rectangular (len(seqs), len(others)) block of distances
     from each of seqs to each of others instead, entry for entry the bits
-    of the square matrix of both sets pooled.  Each set is copied once,
-    into _pairwise's layout."""
-    planes, shape = _sequence_planes(seqs)
-    columns = None
-    if others is not None:
-        columns, other = _sequence_planes(others)
-        if other != shape:
-            raise DimensionMismatch(f"(T, n-1) = {shape} sequences against {other} ones")
-    return _pairwise(planes, columns) / shape[0]
+    of the square matrix of both sets pooled.  An array set is read in
+    place and anything else copied once; _pairwise copies tiles of it, not
+    the set."""
+    items, shape = _sequence_items(seqs)
+    columns = None if others is None else _sequence_items(others, shape)[0]
+    return _pairwise(items, columns) / shape[0]
 
 
 def _group_stat(dmat, idx_a, idx_b):
@@ -189,11 +197,17 @@ def disco_test(group_a, group_b, n_perm: int = 999, seed=None, exhaustive: bool 
     """Permutation test of the two-sample statistic between two sets of
     sequences: permutation_test on the pooled sequence_distance_matrix of
     [*group_a, *group_b], computed once, after n_perm and the group sizes
-    are checked."""
+    are checked.  The pooled matrix is filled from the rectangular block
+    between the groups and their square blocks, which have its bits, so
+    array groups are read in place and never copied into one set."""
     na, nb = len(group_a), len(group_b)
     _check_groups(na, nb, n_perm, exhaustive)
-    return permutation_test(sequence_distance_matrix([*group_a, *group_b]), na, n_perm, seed,
-                            exhaustive)
+    pooled = np.empty((na + nb, na + nb))
+    pooled[:na, na:] = sequence_distance_matrix(group_a, group_b)
+    pooled[na:, :na] = pooled[:na, na:].T
+    pooled[:na, :na] = sequence_distance_matrix(group_a)
+    pooled[na:, na:] = sequence_distance_matrix(group_b)
+    return permutation_test(pooled, na, n_perm, seed, exhaustive)
 
 
 @dataclass

@@ -111,19 +111,20 @@ def sphere_dist(y, z):
     return _angles(np.moveaxis(y, -1, 0), np.moveaxis(z, -1, 0))[()]
 
 
-def sphere_log(y, z):
+def sphere_log(y, z, out=None):
     """Inverse exponential map: the tangent vector at y pointing to z.
 
     Returns the zero vector when the two points coincide to within
     EPS_ZERO, and raises AntipodalPoints when they are (numerically)
-    antipodal, since the minimizing geodesic is then not unique.
+    antipodal, since the minimizing geodesic is then not unique.  out, if
+    given, is an array of the broadcast shape that receives the result.
     """
     dot = np.clip(_dot(y, z), -1.0, 1.0)
     if np.any(dot <= -1.0 + ANTIPODAL_MARGIN):
         raise AntipodalPoints("log map undefined for antipodal points")
     theta = np.arccos(dot)
     # one array of the broadcast shape, updated in place: z - dot*y, then scaled
-    perp = dot[..., None] * y
+    perp = np.multiply(dot[..., None], y, out=out)
     np.subtract(z, perp, out=perp)
     # normalize by the perpendicular norm rather than sin(arccos(dot)),
     # which loses ~1e-10 to cancellation close to the antipodal margin;
@@ -275,7 +276,9 @@ def karcher_mean(postures):
     shoots along the mean tangent vector (unit step) until the gradient
     norm drops below KARCHER_TOL.  A stack is iterated in blocks of sets
     sized by BLOCK_BYTES; within a block a set stops moving once it
-    converges, so every mean keeps the bits of its own one-set call.  When
+    converges, so every mean keeps the bits of its own one-set call.  Each
+    step writes the block's logs into one array, a run of postures at a
+    time, and averages them in one call.  When
     KARCHER_MAX_ITER steps are spent, or a step leaves the sphere,
     NoConvergence names the bone spread furthest from the start and carries
     the largest residual of the first unconverged block.
@@ -292,11 +295,15 @@ def karcher_mean(postures):
     x = _check_postures(postures, (1,), (1, 0))
     stack = x[:, None] if x.ndim == 3 else x
     means = np.empty(stack.shape[1:])
-    # a block keeps about three sets' worth of temporaries live (3.04 by
-    # tracemalloc on 18060 postures in one set)
+    # a block of sets keeps its logs, one array the shape of the block, and
+    # sphere_log's temporaries for one run of postures at a time, about three
+    # runs' worth (1.04 BLOCK_BYTES by tracemalloc; a whole set logged in one
+    # call kept 3.04 sets)
     step = _block_items(3 * stack[:, :1].nbytes)
     for lo in range(0, stack.shape[1], step):
         sets = stack[:, lo:lo + step]
+        logs = np.empty(sets.shape)
+        run = _block_items(3 * sets[:1].nbytes)
         chordal = sets.mean(axis=0)
         norms = np.linalg.norm(chordal, axis=-1, keepdims=True)
         # Renormalizing a row that is already unit length must not perturb it,
@@ -310,7 +317,9 @@ def karcher_mean(postures):
         start, residual = mu, np.full(sets.shape[1], np.inf)
         moving = np.ones(sets.shape[1], dtype=bool)
         for _ in range(KARCHER_MAX_ITER):
-            grad = sphere_log(mu, sets).mean(axis=0)
+            for p in range(0, len(sets), run):
+                sphere_log(mu, sets[p:p + run], out=logs[p:p + run])
+            grad = logs.mean(axis=0)
             residual = tangent_norm(grad)
             # a NaN residual never converges
             moving &= ~(residual < KARCHER_TOL)
@@ -335,9 +344,10 @@ def _posture_shaped(shape):
 
 
 def _check_postures(x, *lead):
-    """x as a float (..., n-1, 3) array of postures (or frames) with a bone,
-    its leading axes at least as long as one of lead: (2,) for a sequence of
-    T >= 2 frames, (0, 2) for a block of them, (0,) if lead is empty."""
+    """x as a float (..., n-1, 3) array of postures (or frames) with a bone
+    and finite coordinates, its leading axes at least as long as one of
+    lead: (2,) for a sequence of T >= 2 frames, (0, 2) for a block of them,
+    (0,) if lead is empty."""
     x = np.asarray(x, dtype=float)
     lead = lead or ((0,),)
     least = {len(axes): axes for axes in lead}.get(x.ndim - 2)
@@ -345,6 +355,9 @@ def _check_postures(x, *lead):
         raise DimensionMismatch(f"expected (..., n-1, 3) postures with at least one bone and "
                                 f"leading axes of at least {' or '.join(map(str, lead))}, "
                                 f"got {x.shape}")
+    # min and max carry a nan through; unlike an isfinite mask they allocate nothing
+    if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
+        raise DimensionMismatch(f"postures of shape {x.shape} hold non-finite coordinates")
     return x
 
 

@@ -178,6 +178,8 @@ def fit_var(scores, order: int = 4) -> VARModel:
     for h in matrices:
         if h.ndim != 2 or h.shape[0] != d1:
             raise DimensionMismatch("score matrices must share their row count")
+        if not d1:
+            raise InsufficientData(f"score matrices of shape {h.shape} have rank 0: d1 = 0")
         length = h.shape[1]
         if length <= d1 * order + 1:
             raise InsufficientData(f"series length {length} too short for order {order}")

@@ -118,6 +118,7 @@ def test_wrong_shapes_raise_motion_errors(name, shape):
 
 
 NO_BONES = np.empty((3, 5, 0, 3))
+NAN_POSTURES = np.full((5, 2, 3), np.nan)
 HOLES = {
     "fit_emulator": (lambda: models.fit_emulator(NO_BONES), "at least one bone"),
     "flatten_sequence": (lambda: flatten.flatten_sequence(NO_BONES, None, "istvf"),
@@ -140,6 +141,15 @@ HOLES = {
     "variability": (lambda: evaluate.variability([], []), "non-empty string of labels"),
     "variability_stats": (lambda: evaluate.variability_stats([[]], []),
                           "non-empty string of labels"),
+    "fit_var": (lambda: models.fit_var(np.zeros((0, 9))), "d1 = 0"),
+    "karcher_mean of nan postures": (lambda: geometry.karcher_mean(NAN_POSTURES), "non-finite"),
+    "posture_distance_matrix of nan postures": (
+        lambda: evaluate.posture_distance_matrix(NAN_POSTURES), "non-finite"),
+    "cluster_postures of nan postures": (
+        lambda: evaluate.cluster_postures(NAN_POSTURES, k=2, seed=0), "non-finite"),
+    "sequence_distance_matrix with an infinite coordinate": (
+        lambda: evaluate.sequence_distance_matrix([REF[None], np.full((1, 2, 3), np.inf)]),
+        "non-finite"),
 }
 
 
@@ -267,6 +277,25 @@ def test_align_all_and_sequence_distance_matrix_copy_a_set_once(monkeypatch, as_
         assert traced_peak(lambda: call(s)) < 1.5 * x.nbytes
 
 
+def test_a_karcher_mean_keeps_its_logs_and_one_block_of_temporaries(monkeypatch):
+    # sphere_log's temporaries for one run of postures measured 1.04
+    # BLOCK_BYTES over the logs; with the whole set in one call, 3.05 sets
+    monkeypatch.setattr(geometry, "BLOCK_BYTES", 2**16)
+    x = synth_set(6, count=20, landmarks=21, frames=100).reshape(-1, 20, 3)
+    assert traced_peak(lambda: geometry.karcher_mean(x)) < x.nbytes + 1.25 * geometry.BLOCK_BYTES
+
+
+def test_distance_matrices_of_array_sets_copy_tiles_not_the_set(monkeypatch):
+    # four workers each hold one tile, one row block and the kernel's work,
+    # 0.2 of this set; the coordinate planes of the whole set were 1.0 of it
+    monkeypatch.setattr(geometry, "BLOCK_BYTES", 2**14)
+    monkeypatch.setattr(geometry, "_workers", lambda: 4)
+    x = synth_set(7, count=60, landmarks=21, frames=30)
+    for call in (evaluate.sequence_distance_matrix, lambda s: evaluate.sequence_distance_matrix(
+            s[:30], s[30:]), lambda s: evaluate.disco_test(s[:30], s[30:], n_perm=19, seed=0)):
+        assert traced_peak(lambda: call(x)) < 0.5 * x.nbytes
+
+
 @pytest.mark.parametrize("kind", flatten.FLATTEN_KINDS)
 def test_flatten_sequence_keeps_one_block_of_temporaries(monkeypatch, kind):
     # blocks of 4 of these 14.4 KB sequences; over its output the encoder
@@ -297,8 +326,9 @@ def test_reduce_fields_and_fit_bundle_read_the_set_uncopied(monkeypatch):
     dimred.mpca_fit(fields, 3, 4)
     assert len(seen) == 4 and all(f is fields for f in seen)
     assert np.shares_memory(bundle.start_postures, fields.starts)
-    # each holds its own set-sized arrays (the spatial fit its pooled columns,
-    # their centred copy and the SVD's factor; MPCA the centred tensors and
+    # each holds its own set-sized arrays (reduce_fields the centred values
+    # that spatial_project scores, the spatial fit itself only one pooled
+    # column and one block; MPCA the centred tensors and
     # one projection; fit_bundle the centred values of one projection) and
     # no copy of the set beside them
     size = fields.values.nbytes
