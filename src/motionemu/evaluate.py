@@ -45,7 +45,8 @@ def _pairwise(items, others=None):
     so every thread takes a share of every tile's row blocks.  A thread
     copies its current tile, and each of its row blocks, into coordinate
     planes, and reuses one set of planes and work arrays for all of its
-    blocks.  Every entry sums the same K angles in the same order, whatever
+    blocks; a lone tile is copied once, before the threads start, and
+    shared.  Every entry sums the same K angles in the same order, whatever
     the blocks, the thread count and the form, so an entry of the
     rectangular form equals the matching entry of the square form of both
     sets pooled.
@@ -60,10 +61,11 @@ def _pairwise(items, others=None):
     blocks = [(t, lo, max(t, lo) if square else t) for t in range(0, m, cols)
               for lo in range(0, min(n, t + cols) if square else n, rows)]
     rows, cols = min(rows, n), min(cols, m)
+    lone = np.ascontiguousarray(others.transpose(2, 0, 1)) if cols == m else None
 
     def run(mine, space):
         tile, band, work = space
-        held = None
+        z, held = (tile, 0) if lone is not None else (None, None)
         for t, lo, c in mine:
             if t != held:
                 z = tile[:, :min(cols, m - t)]
@@ -79,8 +81,8 @@ def _pairwise(items, others=None):
             if square:
                 out[c:t + cols, lo:lo + rows] = block.T
 
-    geo._deal(run, blocks, [(np.empty((3, cols, k)), np.empty((3, rows, k)),
-                             [np.empty(rows * cols * k) for _ in range(3)])
+    geo._deal(run, blocks, [(np.empty((3, cols, k)) if lone is None else lone,
+                             np.empty((3, rows, k)), [np.empty(rows * cols * k) for _ in range(3)])
                             for _ in range(geo._workers())])
     return out
 
@@ -198,15 +200,18 @@ def disco_test(group_a, group_b, n_perm: int = 999, seed=None, exhaustive: bool 
     sequences: permutation_test on the pooled sequence_distance_matrix of
     [*group_a, *group_b], computed once, after n_perm and the group sizes
     are checked.  The pooled matrix is filled from the rectangular block
-    between the groups and their square blocks, which have its bits, so
-    array groups are read in place and never copied into one set."""
+    between the groups and their square blocks, which have its bits; each
+    group is checked once, an array group read in place and a list copied
+    once, and neither is copied into one set."""
     na, nb = len(group_a), len(group_b)
     _check_groups(na, nb, n_perm, exhaustive)
+    a, shape = _sequence_items(group_a)
+    b = _sequence_items(group_b, shape)[0]
     pooled = np.empty((na + nb, na + nb))
-    pooled[:na, na:] = sequence_distance_matrix(group_a, group_b)
+    pooled[:na, na:] = _pairwise(a, b) / shape[0]
     pooled[na:, :na] = pooled[:na, na:].T
-    pooled[:na, :na] = sequence_distance_matrix(group_a)
-    pooled[na:, na:] = sequence_distance_matrix(group_b)
+    pooled[:na, :na] = _pairwise(a) / shape[0]
+    pooled[na:, na:] = _pairwise(b) / shape[0]
     return permutation_test(pooled, na, n_perm, seed, exhaustive)
 
 
