@@ -2,7 +2,10 @@
 
 Coefficient models treat the (d1, d2) coefficient matrix of each training
 sequence as one draw of a zero-mean Gaussian vector: either with a full
-covariance (MVG) or independent per-coefficient variances (IG).  A vector
+covariance (MVG) or independent per-coefficient variances (IG).  Each such
+Gaussian family is one class that owns its fit, its draw, its density terms
+and the array a bundle stores; DENSITY_MODELS maps each model name to its
+class, so a new family is one class and one entry there.  A vector
 autoregression models the spatial score rows directly as a lagged linear
 system.  The posture-wise independent model (PWI) skips flattening
 altogether: it keeps a per-frame intrinsic mean and tangent covariance
@@ -38,10 +41,36 @@ class MVGModel:
     covariance: np.ndarray
     jitter: float
     shape: tuple
+    stored, axes = "covariance", 2  # the array a bundle holds, and its rank
 
     @property
     def dim(self) -> int:
         return int(self.covariance.shape[0])
+
+    @classmethod
+    def fit(cls, coeffs):
+        """Sample covariance of vectorized coefficients about zero mean
+        (denominator M-1), plus a relative jitter used only when sampling."""
+        coeffs = geo._check_set(coeffs, 2, "coefficient matrices", axes=("d1", "d2"))
+        v = coeffs.reshape(len(coeffs), -1)
+        cov = v.T @ v / (len(coeffs) - 1)
+        cov = (cov + cov.T) / 2.0
+        return cls(covariance=cov, jitter=JITTER_SCALE * float(np.trace(cov)) / cov.shape[0],
+                   shape=coeffs.shape[1:])
+
+    def draw(self, z):
+        """Standard normal rows z as draws, the jitter added to the diagonal."""
+        return z @ _gaussian_factor(self.covariance + self.jitter * np.eye(self.dim)).T
+
+    def terms(self, x):
+        """The raw covariance's log-determinant and each row's quadratic form."""
+        try:
+            chol = np.linalg.cholesky(self.covariance)
+        except np.linalg.LinAlgError:
+            raise SingularCovariance("covariance is not positive definite") from None
+        y = np.ascontiguousarray(np.linalg.solve(chol, x.T).T)
+        quad = np.array([row @ row for row in y])  # one dot each, as for one vector
+        return 2.0 * float(np.sum(np.log(np.diag(chol)))), quad
 
 
 @dataclass
@@ -51,29 +80,26 @@ class IGModel:
     variances: np.ndarray
     jitter: float
     shape: tuple
+    stored, axes = "variances", 1
 
     @property
     def dim(self) -> int:
         return int(self.variances.shape[0])
 
-
-def fit_mvg(coeffs) -> MVGModel:
-    """Sample covariance of vectorized coefficients about zero mean
-    (denominator M-1), plus a relative jitter used only when sampling."""
-    coeffs = geo._check_set(coeffs, 2, "coefficient matrices", axes=("d1", "d2"))
-    v = coeffs.reshape(len(coeffs), -1)
-    cov = v.T @ v / (len(coeffs) - 1)
-    cov = (cov + cov.T) / 2.0
-    d = cov.shape[0]
-    return MVGModel(covariance=cov, jitter=JITTER_SCALE * float(np.trace(cov)) / d,
-                    shape=coeffs.shape[1:])
-
-
-def fit_ig(coeffs) -> IGModel:
-    """Diagonal of the MVG fit: per-coefficient variances."""
-    full = fit_mvg(coeffs)
-    return IGModel(variances=np.diag(full.covariance).copy(), jitter=full.jitter,
+    @classmethod
+    def fit(cls, coeffs):
+        """Diagonal of the MVG fit: per-coefficient variances."""
+        full = MVGModel.fit(coeffs)
+        return cls(variances=np.diag(full.covariance).copy(), jitter=full.jitter,
                    shape=full.shape)
+
+    def draw(self, z):
+        return z * np.sqrt(self.variances + self.jitter)
+
+    def terms(self, x):
+        if np.any(self.variances <= 0.0):
+            raise SingularCovariance("a coefficient variance is zero")
+        return float(np.sum(np.log(self.variances))), np.sum(x * x / self.variances, axis=1)
 
 
 def _gaussian_factor(cov):
@@ -85,7 +111,7 @@ def _gaussian_factor(cov):
 
 def sample_coeffs(model, count: int, seed=None):
     """Draw a (count, d1, d2) array of coefficient matrices from a fitted
-    MVG or IG model.
+    Gaussian family (a DENSITY_MODELS class).
 
     Deterministic for a given seed; the jitter recorded on the model is
     added to the covariance diagonal before factorization.
@@ -93,15 +119,13 @@ def sample_coeffs(model, count: int, seed=None):
     rng = np.random.default_rng(seed)
     if count < 0:
         raise BadTarget("count must be nonnegative")
-    if not isinstance(model, (MVGModel, IGModel)):
+    if type(model) not in DENSITY_MODELS.values():
         raise KindMismatch(f"cannot sample coefficients from {type(model).__name__}")
+    if prod(model.shape) != model.dim:
+        raise DimensionMismatch(f"model shape {tuple(model.shape)} holds {prod(model.shape)} "
+                                f"coefficients, not the model's {model.dim}")
     z = rng.standard_normal((count, model.dim))
-    if isinstance(model, MVGModel):
-        factor = _gaussian_factor(model.covariance + model.jitter * np.eye(model.dim))
-        draws = z @ factor.T
-    else:
-        draws = z * np.sqrt(model.variances + model.jitter)
-    return draws.reshape((count,) + tuple(model.shape))
+    return model.draw(z).reshape((count,) + tuple(model.shape))
 
 
 def logliks(coeffs, model) -> np.ndarray:
@@ -115,25 +139,13 @@ def logliks(coeffs, model) -> np.ndarray:
     IG batch give the per-vector bits.
     """
     x = geo._check_set(coeffs, 0, "coefficient matrices")
-    if not isinstance(model, (MVGModel, IGModel)):
+    if type(model) not in DENSITY_MODELS.values():
         raise KindMismatch(f"no density for {type(model).__name__}")
     # an empty list is an empty batch; any other shape keeps its row size
     x = x.reshape(0, model.dim) if x.shape == (0,) else x.reshape(len(x), prod(x.shape[1:]))
     if x.shape[1] != model.dim:
         raise DimensionMismatch("coefficient size does not match the model")
-    if isinstance(model, IGModel):
-        if np.any(model.variances <= 0.0):
-            raise SingularCovariance("a coefficient variance is zero")
-        quad = np.sum(x * x / model.variances, axis=1)
-        logdet = float(np.sum(np.log(model.variances)))
-    else:
-        try:
-            chol = np.linalg.cholesky(model.covariance)
-        except np.linalg.LinAlgError:
-            raise SingularCovariance("covariance is not positive definite") from None
-        y = np.ascontiguousarray(np.linalg.solve(chol, x.T).T)
-        quad = np.array([row @ row for row in y])  # one dot each, as for one vector
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    logdet, quad = model.terms(x)
     return -0.5 * (model.dim * np.log(2.0 * np.pi) + logdet + quad)
 
 
@@ -277,9 +289,10 @@ def sample_pwi(model: PWIModel, seed=None):
 
 
 # The reduction each model is fitted through (spatial + functional PCA, the
-# spatial scores alone, or none) and the models with a density.
+# spatial scores alone, or none) and the Gaussian family of each model with a density.
 REDUCTIONS = {"mvg": "seqpca", "ig": "seqpca", "var": "spatialpca", "pwi": "none"}
-DENSITY_MODELS = ("mvg", "ig")
+DENSITY_MODELS = {"mvg": MVGModel, "ig": IGModel}
+fit_mvg, fit_ig = MVGModel.fit, IGModel.fit
 # flattenings that back a reduced-field emulator; mtvf decodes lossily
 EMULATOR_KINDS = ("istvf", "siem")
 
@@ -342,8 +355,7 @@ def fit_bundle(fields: FlatFields, spatial: SpatialPCA, fpca: FPCABasis | None,
         return EmulatorBundle(model=fit_var(scores[var_index], order=order),
                               var_init=scores[var_index][:, :order].copy(),
                               meta={"count": len(fields), "var_index": var_index}, **route)
-    coeffs = dimred.fpca_project(scores, fpca)
-    model = fit_mvg(coeffs) if model_type == "mvg" else fit_ig(coeffs)
+    model = DENSITY_MODELS[model_type].fit(dimred.fpca_project(scores, fpca))
     return EmulatorBundle(model=model, fpca=fpca, meta={"count": len(fields)}, **route)
 
 

@@ -12,9 +12,8 @@ import numpy as np
 from .dimred import FPCABasis, SpatialPCA
 from .errors import DimensionMismatch, KindMismatch
 from .flatten import field_columns, grid_dt
-from .io import _check_postures, read_doc, write_doc
-from .models import (EMULATOR_KINDS, REDUCTIONS, EmulatorBundle, IGModel, MVGModel, PWIModel,
-                     VARModel)
+from .io import _check_postures, _first_bad, read_doc, write_doc
+from .models import DENSITY_MODELS, EMULATOR_KINDS, REDUCTIONS, EmulatorBundle, PWIModel, VARModel
 
 BUNDLE_DOC = "emulator-bundle"
 REDUCTION_DOC = "reduction"
@@ -67,10 +66,9 @@ def _fpca_from(doc, spatial):
 
 
 def _model_items(model):
-    if isinstance(model, MVGModel):
-        return [("model.covariance", model.covariance), ("model.jitter", model.jitter)]
-    if isinstance(model, IGModel):
-        return [("model.variances", model.variances), ("model.jitter", model.jitter)]
+    if type(model) in DENSITY_MODELS.values():
+        return [(f"model.{model.stored}", getattr(model, model.stored)),
+                ("model.jitter", model.jitter)]
     if isinstance(model, VARModel):
         return [("model.coef", model.coef), ("model.intercept", model.intercept),
                 ("model.noise_cov", model.noise_cov)]
@@ -82,18 +80,19 @@ def _model_items(model):
 
 def _model_from(doc, model_type, spatial, fpca):
     """The model of a known model_type; a Gaussian's size must be the FPCA's
-    coefficient count, a VAR's the spatial basis's column count, and PWI
-    covariances must match the means."""
-    if fpca is not None:
-        size, jitter = int(np.prod(fpca.dims)), doc.entry("model.jitter", "f")
-    if model_type == "mvg":
-        cov = doc.array("model.covariance", 2)
-        _agree(doc, cov.shape == (size, size), "model.covariance", "fpca.bases")
-        return MVGModel(covariance=cov, jitter=jitter, shape=fpca.dims)
-    if model_type == "ig":
-        variances = doc.array("model.variances", 1)
-        _agree(doc, variances.shape == (size,), "model.variances", "fpca.bases")
-        return IGModel(variances=variances, jitter=jitter, shape=fpca.dims)
+    coefficient count and its jitter and variances nonnegative, a VAR's size
+    the spatial basis's column count, and PWI covariances must match the means."""
+    if model_type in DENSITY_MODELS:
+        family, jitter = DENSITY_MODELS[model_type], doc.entry("model.jitter", "f")
+        if jitter < 0.0:
+            raise DimensionMismatch(f"{doc.path}: entry 'model.jitter' = {jitter} is negative")
+        name = f"model.{family.stored}"
+        stored = doc.array(name, family.axes)
+        _agree(doc, stored.shape == (int(np.prod(fpca.dims)),) * family.axes, name, "fpca.bases")
+        # each family holds coefficient i's variance at index (i, ..., i)
+        variances = stored[(np.arange(len(stored)),) * family.axes]
+        _first_bad(doc.path, f"entry {name!r}, coefficient", variances < 0.0, "negative variance")
+        return family(stored, jitter, fpca.dims)
     if model_type == "var":
         coef, intercept = doc.array("model.coef", 3), doc.array("model.intercept", 1)
         noise_cov, d1 = doc.array("model.noise_cov", 2), spatial.dim

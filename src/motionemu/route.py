@@ -125,7 +125,7 @@ def run_twolevel(seqs, kind="istvf", model_type="ig", d1=4, d2=4,
             raise BadTarget(f"emulator {name!r} is listed more than once")
     if model_type not in models.DENSITY_MODELS:
         raise KindMismatch(f"level-one model {model_type!r} has no density to score draws "
-                           f"with; it must be one of {models.DENSITY_MODELS}")
+                           f"with; it must be one of {tuple(models.DENSITY_MODELS)}")
     level_one = models.fit_emulator(seqs, kind=kind, model_type=model_type,
                                     d1=d1, d2=d2)
     sims = models.simulate_sequence(level_one, total,

@@ -1208,7 +1208,10 @@ def test_twolevel_refuses_what_it_cannot_score_before_fitting(stage_inputs, tmp_
     monkeypatch.setattr(models, "fit_emulator", no_fit)
     # each case's flags override the valid run's
     cases = [(["--emulators", ","], "BadTarget", "no emulators"),
-             (["--scheme", "istvf/spatialpca/var"], "KindMismatch", "level-one model 'var'"),
+             # the whole text: the family table's names as a tuple
+             (["--scheme", "istvf/spatialpca/var"], "KindMismatch",
+              "level-one model 'var' has no density to score draws with; it must be one of "
+              "('mvg', 'ig')"),
              (["--scheme", "pwi", "--emulators", "pwi"], "KindMismatch", "level-one model 'pwi'"),
              (["--emulators", "mvg,gp"], "KindMismatch", "unknown emulator 'gp'"),
              (["--holdout", 12], "BadTarget", "holdout must be positive and smaller than total"),

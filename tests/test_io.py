@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from itertools import zip_longest
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -278,6 +279,40 @@ def test_load_bundle_refuses_non_finite_numbers_and_postures_off_the_sphere(
     rewrite(path, entry, value)
     with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: {message}")):
         load_bundle(path)
+
+
+@pytest.mark.parametrize("model_type, entry, at, value, message", [
+    ("ig", "model.variances", 1, None, "entry 'model.variances', coefficient 1: negative variance"),
+    ("mvg", "model.covariance", (2, 2), None,
+     "entry 'model.covariance', coefficient 2: negative variance"),
+    ("ig", "model.jitter", None, -1.5, "entry 'model.jitter' = -1.5 is negative"),
+    ("mvg", "model.jitter", None, -1e-300, "entry 'model.jitter' = -1e-300 is negative")])
+def test_load_bundle_refuses_negative_variances_and_jitter(tmp_path, model_type, entry, at,
+                                                          value, message):
+    """A Gaussian bundle with a negative variance (an entry of an ig
+    bundle's variances or of an mvg bundle's covariance diagonal) or a
+    negative jitter is refused on loading, naming the file and the entry,
+    rather than simulating nan draws."""
+    path = saved_documents(tmp_path, model_type)[0][0]
+    _, _, doc = mio.read_doc(path)
+    if at is not None:
+        value = doc[entry].copy()
+        assert value[at] > 0.0
+        value[at] = -value[at]
+    rewrite(path, entry, value)
+    with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: {message}")):
+        load_bundle(path)
+
+
+def test_save_bundle_refuses_a_model_of_no_family_leaving_no_file(tmp_path):
+    """A model that holds a family's fields but is of no known model class
+    is refused naming its type, before the file is opened."""
+    bundle = load_bundle(saved_documents(tmp_path, "ig")[0][0])
+    bundle.model = SimpleNamespace(**vars(bundle.model))
+    path = tmp_path / "unknown.txt"
+    with pytest.raises(KindMismatch, match="cannot serialize model SimpleNamespace"):
+        save_bundle(path, bundle)
+    assert not path.exists()
 
 
 def test_write_warps_refuses_warps_of_unequal_sample_counts(tmp_path):

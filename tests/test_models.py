@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,19 @@ def test_sample_coeffs_deterministic_and_kind_check():
         np.testing.assert_array_equal(x, y)
     with pytest.raises(KindMismatch):
         sample_coeffs(VARModel(1, np.zeros((1, 2, 2)), np.zeros(2), np.eye(2)), 1)
+
+
+@pytest.mark.parametrize("model, message", [
+    (MVGModel(np.eye(4), 0.0, (3,)), "model shape (3,) holds 3 coefficients, not the model's 4"),
+    (IGModel(np.ones(4), 0.0, (2, 3)),
+     "model shape (2, 3) holds 6 coefficients, not the model's 4")])
+def test_sample_coeffs_refuses_a_shape_that_disagrees_with_the_model_size(model, message):
+    """Refused naming both sizes before any draw, not by numpy's reshape."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        sample_coeffs(model, 2, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_loglik_analytic_values():
